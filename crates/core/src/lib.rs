@@ -83,7 +83,10 @@ pub use gapmap::{
     CoalesceOutcome, GapInfo, GapMap, InsertOutcome, LookupReply, NeighborReply, RemovedEntry,
 };
 pub use key::{Key, UserKey};
-pub use rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepResult};
+pub use rep::{
+    BatchReply, BatchRequest, Completion, Done, LocalRep, RepClient, RepId, RepReply, RepRequest,
+    RepResult,
+};
 pub use suite::{BulkWriteOutcome, DirSuite, QuorumSession, SuiteConfig};
 pub use value::Value;
 pub use version::Version;

@@ -15,7 +15,9 @@
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
+use crate::channel::Sender;
 use crate::error::RepError;
 use crate::gapmap::{CoalesceOutcome, GapMap, InsertOutcome, LookupReply, NeighborReply};
 use crate::key::Key;
@@ -57,7 +59,7 @@ impl fmt::Display for RepId {
 pub type RepResult<T> = Result<T, RepError>;
 
 /// One sub-request inside a batched scatter envelope
-/// ([`RepClient::batch`]). Only the operations the suite packs together on
+/// ([`RepRequest::Batch`]). Only the operations the suite packs together on
 /// its bulk-walk hot paths are representable: a point lookup, the §4
 /// neighbor chains, and the versioned insert that bulk ingest scatters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,6 +76,18 @@ pub enum BatchRequest {
     Insert(Key, Version, Value),
 }
 
+impl BatchRequest {
+    /// The sub-request as a stand-alone request.
+    pub fn as_request(&self) -> RepRequest<'_> {
+        match self {
+            BatchRequest::Lookup(key) => RepRequest::Lookup(key),
+            BatchRequest::PredecessorChain(key, limit) => RepRequest::PredecessorChain(key, *limit),
+            BatchRequest::SuccessorChain(key, limit) => RepRequest::SuccessorChain(key, *limit),
+            BatchRequest::Insert(key, version, value) => RepRequest::Insert(key, *version, value),
+        }
+    }
+}
+
 /// The reply to one [`BatchRequest`], in request order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchReply {
@@ -85,162 +99,337 @@ pub enum BatchReply {
     Insert(InsertOutcome),
 }
 
+/// One request of the representative RPC surface (paper Fig. 6), as data:
+/// what [`RepClient::execute`] runs and [`RepClient::start`] puts in flight.
+/// Borrowed and `Copy`, so one request is handed to every member of a wave
+/// without cloning keys or values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RepRequest<'a> {
+    /// Cheap reachability probe used during quorum collection.
+    Ping,
+    /// `DirRepLookup(x)` — entry version and value, or containing-gap
+    /// version. Sets a `RepLookup(x, x)` lock in transactional
+    /// implementations.
+    Lookup(&'a Key),
+    /// Up to `limit` *successive* `DirRepPredecessor` results in one
+    /// message — the §4 batching optimization ("three successive
+    /// DirRepPredecessor … in a single message"). Each element sets
+    /// `RepLookup(y, x)` where `y` is the key returned.
+    PredecessorChain(&'a Key, usize),
+    /// Up to `limit` successive `DirRepSuccessor` results (mirror image).
+    SuccessorChain(&'a Key, usize),
+    /// `DirRepInsert(x, v, z)` — create or overwrite the entry. Sets
+    /// `RepModify(x, x)`.
+    Insert(&'a Key, Version, &'a Value),
+    /// `DirRepCoalesce(l, h, v)` — delete entries strictly inside `(l, h)`
+    /// and give the resulting gap version `v`. Sets `RepModify(l, h)`.
+    Coalesce(&'a Key, &'a Key, Version),
+    /// Several sub-requests as one envelope, answered in request order. The
+    /// first failing sub-request fails the whole envelope: callers treat an
+    /// envelope like any other member RPC.
+    Batch(&'a [BatchRequest]),
+}
+
+/// The reply to a [`RepRequest`]; the variant mirrors the request's.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RepReply {
+    /// Reply to [`RepRequest::Ping`].
+    Pong,
+    /// Reply to [`RepRequest::Lookup`].
+    Lookup(LookupReply),
+    /// Reply to either chain request.
+    Chain(Vec<NeighborReply>),
+    /// Reply to [`RepRequest::Insert`].
+    Insert(InsertOutcome),
+    /// Reply to [`RepRequest::Coalesce`].
+    Coalesce(CoalesceOutcome),
+    /// Reply to [`RepRequest::Batch`].
+    Batch(Vec<BatchReply>),
+}
+
+/// Typed accessors: each unwraps its variant and reports any other as a
+/// protocol violation ([`RepError::Storage`]), so a representative that
+/// answers the wrong question is an error at the caller, never a panic.
+impl RepReply {
+    fn unexpected<T>(self) -> RepResult<T> {
+        Err(RepError::Storage(format!(
+            "protocol violation: unexpected reply {self:?}"
+        )))
+    }
+
+    /// The lookup reply.
+    pub fn lookup(self) -> RepResult<LookupReply> {
+        match self {
+            RepReply::Lookup(reply) => Ok(reply),
+            other => other.unexpected(),
+        }
+    }
+
+    /// The neighbor chain.
+    pub fn chain(self) -> RepResult<Vec<NeighborReply>> {
+        match self {
+            RepReply::Chain(chain) => Ok(chain),
+            other => other.unexpected(),
+        }
+    }
+
+    /// The insert outcome.
+    pub fn insert(self) -> RepResult<InsertOutcome> {
+        match self {
+            RepReply::Insert(outcome) => Ok(outcome),
+            other => other.unexpected(),
+        }
+    }
+
+    /// The coalesce outcome.
+    pub fn coalesce(self) -> RepResult<CoalesceOutcome> {
+        match self {
+            RepReply::Coalesce(outcome) => Ok(outcome),
+            other => other.unexpected(),
+        }
+    }
+
+    /// The envelope's replies, in request order.
+    pub fn batch(self) -> RepResult<Vec<BatchReply>> {
+        match self {
+            RepReply::Batch(parts) => Ok(parts),
+            other => other.unexpected(),
+        }
+    }
+
+    /// This reply as one part of an envelope's answer.
+    pub fn into_part(self) -> RepResult<BatchReply> {
+        match self {
+            RepReply::Lookup(reply) => Ok(BatchReply::Lookup(reply)),
+            RepReply::Chain(chain) => Ok(BatchReply::Chain(chain)),
+            RepReply::Insert(outcome) => Ok(BatchReply::Insert(outcome)),
+            other => other.unexpected(),
+        }
+    }
+}
+
+/// One settled request, as a wave's completion queue receives it.
+#[derive(Debug)]
+pub struct Done {
+    /// The tag the request was started under.
+    pub slot: u64,
+    /// The reply, or why there is none.
+    pub result: RepResult<RepReply>,
+    /// Time from start to completion, measured where the reply landed (so a
+    /// completion harvested late still reports the member's real latency).
+    /// `None` when the wave runs untimed.
+    pub elapsed: Option<Duration>,
+}
+
+/// The one-shot handle a started request is answered through: whoever ends
+/// up holding it — the client itself, an RPC router thread, a test double's
+/// timer — calls [`complete`](Completion::complete) exactly once, from any
+/// thread. Dropping it unanswered completes the request as
+/// [`RepError::Unavailable`], so a wave never waits on a request that can
+/// no longer be answered.
+#[derive(Debug)]
+pub struct Completion {
+    slot: u64,
+    started: Option<Instant>,
+    queue: Option<Sender<Done>>,
+}
+
+impl Completion {
+    /// A completion delivering to `queue` under the tag `slot`; `timed`
+    /// stamps the start so the [`Done`] carries the elapsed time.
+    pub fn new(slot: u64, timed: bool, queue: Sender<Done>) -> Self {
+        Completion {
+            slot,
+            started: timed.then(Instant::now),
+            queue: Some(queue),
+        }
+    }
+
+    /// Settles the request.
+    pub fn complete(mut self, result: RepResult<RepReply>) {
+        self.settle(result);
+    }
+
+    fn settle(&mut self, result: RepResult<RepReply>) {
+        if let Some(queue) = self.queue.take() {
+            // A wave that stopped listening (suite dropped) is not an error.
+            let _ = queue.send(Done {
+                slot: self.slot,
+                result,
+                elapsed: self.started.map(|at| at.elapsed()),
+            });
+        }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        self.settle(Err(RepError::Unavailable));
+    }
+}
+
 /// The remote-procedure-call surface of a directory representative
 /// (paper Fig. 6).
 ///
-/// Implementations must be usable from a shared reference: a suite fans one
-/// logical operation out to several representatives, and the concurrent
-/// implementations in `repdir-replica` serve many transactions at once.
-/// The `Send + Sync` supertraits let the suite's scatter-gather executor
-/// issue one wave of member RPCs from scoped threads — a quorum round costs
-/// the *slowest* member's latency, not the sum.
+/// An implementation provides [`execute`](RepClient::execute) — run one
+/// [`RepRequest`] and block for its reply — and everything else follows: the
+/// per-operation methods are typed sugar over it, and
+/// [`start`](RepClient::start), the entry point the suite's wave executor
+/// uses, defaults to executing inline. In-process representatives keep that
+/// default (a "message" is a method call, so the reply exists by the time
+/// `start` returns); networked ones override it to send the request and
+/// return at once, so the coordinator puts a whole wave in flight from one
+/// thread and a quorum round costs the *slowest* member's latency, not the
+/// sum. The `Send + Sync` supertraits let one client be shared by concurrent
+/// transactions.
 ///
-/// Every method may return [`RepError::Unavailable`] if the representative
-/// is down or unreachable; the suite treats that as a vote it cannot collect.
+/// Every request may fail with [`RepError::Unavailable`] if the
+/// representative is down or unreachable; the suite treats that as a vote it
+/// cannot collect.
 pub trait RepClient: Send + Sync {
     /// This representative's identity within the suite.
     fn id(&self) -> RepId;
 
-    /// Cheap reachability probe used during quorum collection.
+    /// Runs one request and blocks for its reply.
+    ///
+    /// # Errors
+    ///
+    /// [`RepError::Unavailable`] if the representative cannot currently
+    /// serve requests, plus the operation's own errors.
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply>;
+
+    /// Starts one request and returns without waiting for the reply; `done`
+    /// is completed exactly once, on whichever thread the reply lands. The
+    /// default executes inline, so the completion is queued before this
+    /// returns. A panic in an inline `execute` propagates to the caller — it
+    /// is a bug in this process, not a member failure — and the dropped
+    /// `done` additionally scores the request as unavailable.
+    fn start(&self, req: RepRequest<'_>, done: Completion) {
+        done.complete(self.execute(req));
+    }
+
+    /// Executes an envelope's sub-requests one after another through
+    /// [`execute`](RepClient::execute) — what [`RepRequest::Batch`] means
+    /// for an in-process representative. Networked implementations instead
+    /// pack the envelope into a single RPC frame.
+    ///
+    /// # Errors
+    ///
+    /// The first failing sub-request's error.
+    fn execute_parts(&self, parts: &[BatchRequest]) -> RepResult<RepReply> {
+        parts
+            .iter()
+            .map(|part| self.execute(part.as_request())?.into_part())
+            .collect::<RepResult<_>>()
+            .map(RepReply::Batch)
+    }
+
+    /// [`RepRequest::Ping`].
     ///
     /// # Errors
     ///
     /// [`RepError::Unavailable`] if the representative cannot currently
     /// serve requests.
-    fn ping(&self) -> RepResult<()>;
+    fn ping(&self) -> RepResult<()> {
+        self.execute(RepRequest::Ping).map(drop)
+    }
 
-    /// `DirRepLookup(x)` — entry version and value, or containing-gap
-    /// version (Fig. 6). Sets a `RepLookup(x, x)` lock in transactional
-    /// implementations.
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply>;
+    /// [`RepRequest::Lookup`].
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](RepClient::execute).
+    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
+        self.execute(RepRequest::Lookup(key))?.lookup()
+    }
 
     /// `DirRepPredecessor(x)` — greatest entry below `x` plus the
-    /// intervening gap version. Sets `RepLookup(y, x)` where `y` is the key
-    /// returned.
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply>;
+    /// intervening gap version: a predecessor chain of one.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](RepClient::execute).
+    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
+        first_of(self.predecessor_chain(key, 1)?)
+    }
 
     /// `DirRepSuccessor(x)` — least entry above `x` plus the intervening gap
-    /// version. Sets `RepLookup(x, y)` where `y` is the key returned.
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply>;
-
-    /// Up to `limit` *successive* `DirRepPredecessor` results in one call —
-    /// the §4 batching optimization ("three successive DirRepPredecessor …
-    /// in a single message"). The default forwards to
-    /// [`predecessor`](RepClient::predecessor) repeatedly; networked
-    /// implementations override it to save round trips.
+    /// version: a successor chain of one.
     ///
     /// # Errors
     ///
-    /// As [`predecessor`](RepClient::predecessor).
+    /// As [`execute`](RepClient::execute).
+    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
+        first_of(self.successor_chain(key, 1)?)
+    }
+
+    /// [`RepRequest::PredecessorChain`].
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](RepClient::execute).
     fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        let mut out = Vec::with_capacity(limit);
-        let mut probe = key.clone();
-        while out.len() < limit {
-            let nb = self.predecessor(&probe)?;
-            let done = nb.key == Key::Low;
-            probe = nb.key.clone();
-            out.push(nb);
-            if done {
-                break;
-            }
-        }
-        Ok(out)
+        self.execute(RepRequest::PredecessorChain(key, limit))?
+            .chain()
     }
 
-    /// Up to `limit` successive `DirRepSuccessor` results in one call
-    /// (mirror of [`predecessor_chain`](RepClient::predecessor_chain)).
+    /// [`RepRequest::SuccessorChain`].
     ///
     /// # Errors
     ///
-    /// As [`successor`](RepClient::successor).
+    /// As [`execute`](RepClient::execute).
     fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        let mut out = Vec::with_capacity(limit);
-        let mut probe = key.clone();
-        while out.len() < limit {
-            let nb = self.successor(&probe)?;
-            let done = nb.key == Key::High;
-            probe = nb.key.clone();
-            out.push(nb);
-            if done {
-                break;
-            }
-        }
-        Ok(out)
+        self.execute(RepRequest::SuccessorChain(key, limit))?
+            .chain()
     }
 
-    /// `DirRepInsert(x, v, z)` — create or overwrite the entry. Sets
-    /// `RepModify(x, x)`.
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome>;
-
-    /// `DirRepCoalesce(l, h, v)` — delete entries strictly inside `(l, h)`
-    /// and give the resulting gap version `v`. Sets `RepModify(l, h)`.
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome>;
-
-    /// Executes several requests as one envelope, returning the
-    /// replies in request order. The default runs them sequentially —
-    /// correct for in-process representatives, where a "message" is a
-    /// method call — while networked implementations override it to pack
-    /// the whole batch into a single RPC frame, so a suite wave costs one
-    /// round trip regardless of how many probes it carries.
-    ///
-    /// The first failing sub-request fails the whole envelope: callers
-    /// treat an envelope like any other member RPC.
+    /// [`RepRequest::Insert`].
     ///
     /// # Errors
     ///
-    /// As the corresponding single-request methods.
+    /// As [`execute`](RepClient::execute).
+    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
+        self.execute(RepRequest::Insert(key, version, value))?
+            .insert()
+    }
+
+    /// [`RepRequest::Coalesce`].
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](RepClient::execute).
+    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
+        self.execute(RepRequest::Coalesce(low, high, version))?
+            .coalesce()
+    }
+
+    /// [`RepRequest::Batch`].
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](RepClient::execute).
     fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        reqs.iter()
-            .map(|req| {
-                Ok(match req {
-                    BatchRequest::Lookup(key) => BatchReply::Lookup(self.lookup(key)?),
-                    BatchRequest::PredecessorChain(key, limit) => {
-                        BatchReply::Chain(self.predecessor_chain(key, *limit)?)
-                    }
-                    BatchRequest::SuccessorChain(key, limit) => {
-                        BatchReply::Chain(self.successor_chain(key, *limit)?)
-                    }
-                    BatchRequest::Insert(key, version, value) => {
-                        BatchReply::Insert(self.insert(key, *version, value)?)
-                    }
-                })
-            })
-            .collect()
+        self.execute(RepRequest::Batch(reqs))?.batch()
     }
 }
 
-/// Blanket implementation so `&C`, `Arc<C>`, `Box<C>`, … are themselves
-/// clients.
+fn first_of(chain: Vec<NeighborReply>) -> RepResult<NeighborReply> {
+    chain
+        .into_iter()
+        .next()
+        .ok_or_else(|| RepError::Storage("protocol violation: empty neighbor chain".into()))
+}
+
+/// Blanket implementations so `&C`, `Arc<C>`, … are themselves clients.
 impl<T: RepClient + ?Sized> RepClient for &T {
     fn id(&self) -> RepId {
         (**self).id()
     }
-    fn ping(&self) -> RepResult<()> {
-        (**self).ping()
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        (**self).execute(req)
     }
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        (**self).lookup(key)
-    }
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
-        (**self).predecessor(key)
-    }
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
-        (**self).successor(key)
-    }
-    fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        (**self).predecessor_chain(key, limit)
-    }
-    fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        (**self).successor_chain(key, limit)
-    }
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        (**self).insert(key, version, value)
-    }
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        (**self).coalesce(low, high, version)
-    }
-    fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        (**self).batch(reqs)
+    fn start(&self, req: RepRequest<'_>, done: Completion) {
+        (**self).start(req, done)
     }
 }
 
@@ -248,32 +437,11 @@ impl<T: RepClient + ?Sized> RepClient for Arc<T> {
     fn id(&self) -> RepId {
         (**self).id()
     }
-    fn ping(&self) -> RepResult<()> {
-        (**self).ping()
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        (**self).execute(req)
     }
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        (**self).lookup(key)
-    }
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
-        (**self).predecessor(key)
-    }
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
-        (**self).successor(key)
-    }
-    fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        (**self).predecessor_chain(key, limit)
-    }
-    fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        (**self).successor_chain(key, limit)
-    }
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        (**self).insert(key, version, value)
-    }
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        (**self).coalesce(low, high, version)
-    }
-    fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        (**self).batch(reqs)
+    fn start(&self, req: RepRequest<'_>, done: Completion) {
+        (**self).start(req, done)
     }
 }
 
@@ -387,50 +555,39 @@ impl RepClient for LocalRep {
         self.id
     }
 
-    fn ping(&self) -> RepResult<()> {
-        Self::check_up(&self.read())
-    }
-
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        let g = self.read();
-        Self::check_up(&g)?;
-        Ok(g.state.lookup(key))
-    }
-
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
-        let g = self.read();
-        Self::check_up(&g)?;
-        g.state.predecessor(key)
-    }
-
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
-        let g = self.read();
-        Self::check_up(&g)?;
-        g.state.successor(key)
-    }
-
-    fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        let g = self.read();
-        Self::check_up(&g)?;
-        g.state.predecessor_chain(key, limit)
-    }
-
-    fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        let g = self.read();
-        Self::check_up(&g)?;
-        g.state.successor_chain(key, limit)
-    }
-
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        let mut g = self.write();
-        Self::check_up(&g)?;
-        g.state.insert(key, version, value.clone())
-    }
-
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        let mut g = self.write();
-        Self::check_up(&g)?;
-        g.state.coalesce(low, high, version)
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        match req {
+            RepRequest::Insert(key, version, value) => {
+                let mut g = self.write();
+                Self::check_up(&g)?;
+                let outcome = g.state.insert(key, version, value.clone())?;
+                Ok(RepReply::Insert(outcome))
+            }
+            RepRequest::Coalesce(low, high, version) => {
+                let mut g = self.write();
+                Self::check_up(&g)?;
+                Ok(RepReply::Coalesce(g.state.coalesce(low, high, version)?))
+            }
+            // Each sub-request takes the lock on its own, as separate
+            // messages would.
+            RepRequest::Batch(parts) => self.execute_parts(parts),
+            RepRequest::Ping => Self::check_up(&self.read()).map(|()| RepReply::Pong),
+            RepRequest::Lookup(key) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(RepReply::Lookup(g.state.lookup(key)))
+            }
+            RepRequest::PredecessorChain(key, limit) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(RepReply::Chain(g.state.predecessor_chain(key, limit)?))
+            }
+            RepRequest::SuccessorChain(key, limit) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(RepReply::Chain(g.state.successor_chain(key, limit)?))
+            }
+        }
     }
 }
 

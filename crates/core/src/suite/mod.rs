@@ -13,6 +13,7 @@
 mod config;
 pub mod quorum;
 mod set;
+mod wave;
 
 pub use config::SuiteConfig;
 pub use quorum::{
@@ -24,13 +25,14 @@ pub use set::DirSet;
 use crate::error::{ConfigError, QuorumKind, RepError, SuiteError};
 use crate::gapmap::LookupReply;
 use crate::key::Key;
-use crate::rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepResult};
+use crate::rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepRequest};
 use crate::value::Value;
 use crate::version::Version;
 use std::sync::Arc;
 use std::time::Duration;
 
 use repdir_obs::{Avail, Counter, Ewma, Histogram, Registry};
+use wave::{Executor, Traffic};
 
 /// Result of [`DirSuite::lookup`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,10 +122,7 @@ pub struct DeleteOutcome {
 }
 
 struct Member<C> {
-    /// Shared so hedge/straggler workers can outlive the wave that spawned
-    /// them: the adaptive executor returns at the vote threshold while
-    /// detached threads still own a clone.
-    client: Arc<C>,
+    client: C,
     votes: u32,
 }
 
@@ -228,12 +227,6 @@ impl SuiteObs {
             stale_votes: registry.counter("repair.stale_votes_observed"),
             registry,
         }
-    }
-
-    /// Records the failed-RPC penalty `sample` into member `i`'s reply-time
-    /// EWMA (see [`FAILED_RPC_PENALTY`] for the default and rationale).
-    fn penalize(&self, i: usize, sample: std::time::Duration) {
-        self.reply[i].record(sample);
     }
 }
 
@@ -446,9 +439,9 @@ pub struct DirSuite<C: RepClient> {
     /// How many keys each bulk-write envelope carries
     /// ([`insert_many`](DirSuite::insert_many) chunking).
     bulk_chunk: usize,
-    /// Whether member RPC waves are issued concurrently (scatter-gather
-    /// over scoped threads) or serialized. Concurrent is the default; the
-    /// sequential mode is kept as the counter/latency baseline.
+    /// Whether a wave's requests are all put in flight before any reply is
+    /// awaited (default), or one at a time — a window of one through the
+    /// same executor, kept as the counter/latency baseline.
     fanout: bool,
     /// The read ([`QuorumKind::Read`] = slot 0) and write (slot 1) session
     /// quorums currently held by an in-flight bulk operation.
@@ -494,9 +487,11 @@ pub struct DirSuite<C: RepClient> {
     /// [`FAILED_RPC_PENALTY`].
     penalty_sample: Duration,
     obs: SuiteObs,
+    /// In-flight member requests and the queue their completions land on.
+    exec: Executor,
 }
 
-impl<C: RepClient + 'static> DirSuite<C> {
+impl<C: RepClient> DirSuite<C> {
     /// Creates a suite from representative clients, a configuration, and a
     /// quorum policy. Client `i` receives `config.votes_of(i)` votes.
     ///
@@ -520,7 +515,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
             .into_iter()
             .enumerate()
             .map(|(i, client)| Member {
-                client: Arc::new(client),
+                client,
                 votes: config.votes_of(i),
             })
             .collect();
@@ -548,6 +543,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
             repair_health: None,
             penalty_sample: FAILED_RPC_PENALTY,
             obs,
+            exec: Executor::new(),
         })
     }
 
@@ -567,7 +563,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     ///
     /// Panics if `i` is out of range.
     pub fn member(&self, i: usize) -> &C {
-        self.members[i].client.as_ref()
+        &self.members[i].client
     }
 
     /// Replaces the quorum policy (e.g. to script specific quorums in tests
@@ -617,11 +613,12 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// Enables or disables concurrent scatter-gather for member RPC waves.
     ///
     /// Enabled by default: each wave (quorum pings, quorum reads, quorum
-    /// writes, chain refills, copy/coalesce passes) is issued from scoped
-    /// threads and costs the slowest member's latency instead of the sum.
-    /// Disabling serializes the identical waves — same RPCs, same counters,
-    /// same answers — which is the baseline the `suite_latency` bench and
-    /// the counter-equivalence property test compare against.
+    /// writes, chain refills, copy/coalesce passes) is put in flight whole
+    /// before any reply is awaited and costs the slowest member's latency
+    /// instead of the sum. Disabling narrows the executor's window to one
+    /// request — same RPCs, same counters, same answers, serialized — which
+    /// is the baseline the `suite_latency` bench and the counter-equivalence
+    /// property test compare against.
     pub fn set_fanout(&mut self, enabled: bool) {
         self.fanout = enabled;
     }
@@ -638,8 +635,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// availability (`suite.member.{i}.avail`), and further candidates are
     /// provisioned until the expected vote count covers the deficit (capped
     /// by [`set_max_overprovision`](DirSuite::set_max_overprovision)) — and
-    /// the concurrent wave returns the moment the threshold is met instead
-    /// of joining stragglers. On a fault-free fabric every member's
+    /// the wave stops listening the moment the threshold is met; stragglers
+    /// are accounted when their completions surface. On a fault-free fabric every member's
     /// availability is 1.0, the wave is exactly the minimal prefix, and the
     /// behaviour (results, pings, waves) is identical to the baseline.
     ///
@@ -671,8 +668,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// Enables hedged member RPCs (disabled by default). With hedging on —
     /// and fan-out enabled — a quorum ping or read-quorum lookup that
     /// outlives the hedge delay is duplicated to the next-ranked spare
-    /// member; the first usable reply wins and stragglers' replies are
-    /// discarded. Hedging spends extra pings for tail latency
+    /// member, which joins the same wave; the first usable replies win and
+    /// stragglers are only accounted. Hedging spends extra pings for tail latency
     /// (`suite.hedge.{issued,won,wasted}` counts the trade), so tests that
     /// assert exact ping counts leave it off.
     pub fn set_hedge(&mut self, enabled: bool) {
@@ -941,139 +938,49 @@ impl<C: RepClient + 'static> DirSuite<C> {
     pub fn lookup(&mut self, key: &Key) -> Result<LookupOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.lookup");
         let quorum = self.collect_quorum(QuorumKind::Read, Some(key))?;
-        if self.hedge && self.fanout {
-            if let Some(delay) = self.effective_hedge_delay() {
-                return self.lookup_hedged(key, &quorum, delay);
-            }
-        }
-        // One concurrent wave over the read quorum; `pick_reply` is
-        // order-independent, so merging in slot order is equivalent to
-        // merging in arrival order.
-        let mut votes: Vec<(usize, LookupReply)> = Vec::with_capacity(quorum.len());
-        for (slot, reply) in self
-            .scatter(&quorum, |_, c| c.lookup(key))
-            .into_iter()
-            .enumerate()
-        {
-            votes.push((quorum[slot], reply?));
-        }
-        let mut best: Option<LookupReply> = None;
-        for (_, reply) in &votes {
-            best = Some(match best {
-                None => reply.clone(),
-                Some(cur) => pick_reply(cur, reply.clone()),
-            });
-        }
-        let best = best.expect("quorum is never empty");
-        self.note_stale_votes(key, &best, &votes);
-        let ids = self.ids_of(&quorum);
-        Ok(match best {
-            LookupReply::Present { version, value } => LookupOutcome {
-                present: true,
-                version,
-                value: Some(value),
-                quorum: ids,
-            },
-            LookupReply::Absent { gap_version } => LookupOutcome {
-                present: false,
-                version: gap_version,
-                value: None,
-                quorum: ids,
-            },
-        })
-    }
-
-    /// The hedged read path: queries the collected quorum concurrently on
-    /// detached workers and, whenever the next reply straggles past the
-    /// hedge delay, duplicates the lookup to a spare voting member outside
-    /// the quorum. The answer is assembled from whichever replies land
-    /// first until their votes cover R — sound by the intersection argument
-    /// (§3.1): *any* set of members whose votes sum to the read threshold
-    /// is a read quorum, so substituting a spare's reply for a straggler's
-    /// cannot change the merged result. Stragglers keep recording their
-    /// latency and availability from their worker threads.
-    ///
-    /// # Errors
-    ///
-    /// [`SuiteError::Rep`] with the last member error if replies plus
-    /// spares cannot cover R.
-    fn lookup_hedged(
-        &mut self,
-        key: &Key,
-        quorum: &[usize],
-        delay: Duration,
-    ) -> Result<LookupOutcome, SuiteError> {
-        use crate::channel::RecvTimeoutError;
         let needed = self.config.read_quorum();
-        let mut in_quorum = vec![false; self.members.len()];
-        for &i in quorum {
-            in_quorum[i] = true;
+        // A plain read is a hedged read with no delay and no spares: it
+        // waits for every quorum member (their lookups take locks, which
+        // must not outlive the operation). With hedging armed, a lookup that
+        // straggles past the delay is duplicated to a voting member outside
+        // the quorum and the answer is assembled from whichever replies
+        // land first until their votes cover R — sound by the intersection
+        // argument (§3.1): *any* set of members whose votes sum to the read
+        // threshold is a read quorum.
+        let hedge = self.armed_hedge_delay();
+        let spares: Vec<usize> = (0..self.members.len())
+            .filter(|i| hedge.is_some() && !quorum.contains(i) && self.members[*i].votes > 0)
+            .collect();
+        let wave = self.vote_wave(
+            RepRequest::Lookup(key),
+            Traffic::Data,
+            &quorum,
+            hedge.map(|delay| (delay, &spares[..])),
+            needed,
+            hedge.is_none(),
+        );
+        if wave.votes < needed {
+            return Err(SuiteError::Rep(wave.last_err));
         }
-        let mut spares =
-            (0..self.members.len()).filter(|&i| !in_quorum[i] && self.members[i].votes > 0);
-        let (tx, rx) = crate::channel::unbounded();
-        for &i in quorum {
-            self.obs.msgs[i].inc();
-            let key = key.clone();
-            self.spawn_rpc_worker(i, tx.clone(), move |c| c.lookup(&key));
+        let mut votes = Vec::with_capacity(wave.replies.len());
+        for (i, reply) in wave.replies {
+            votes.push((i, reply.lookup()?));
         }
-        let mut outstanding = quorum.len();
-        let mut votes = 0u32;
-        let mut best: Option<LookupReply> = None;
-        let mut contributors = Vec::new();
-        let mut merged: Vec<(usize, LookupReply)> = Vec::new();
-        let mut hedged: Vec<usize> = Vec::new();
-        let mut hedges_won = 0u64;
-        let mut last_err = RepError::Unavailable;
-        while outstanding > 0 && votes < needed {
-            match rx.recv_timeout(delay) {
-                Ok((i, Ok(reply))) => {
-                    outstanding -= 1;
-                    votes += self.members[i].votes;
-                    contributors.push(i);
-                    if hedged.contains(&i) {
-                        self.obs.hedge_won.inc();
-                        hedges_won += 1;
-                    }
-                    merged.push((i, reply.clone()));
-                    best = Some(match best {
-                        None => reply,
-                        Some(cur) => pick_reply(cur, reply),
-                    });
-                }
-                Ok((i, Err(e))) => {
-                    // The worker already recorded the availability miss and
-                    // the EWMA penalty for member `i`.
-                    let _ = i;
-                    outstanding -= 1;
-                    last_err = e;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // A straggling reply: duplicate the lookup to the next
-                    // spare, if one remains; otherwise keep waiting.
-                    if let Some(i) = spares.next() {
-                        self.obs.msgs[i].inc();
-                        self.obs.hedge_issued.inc();
-                        hedged.push(i);
-                        let key = key.clone();
-                        self.spawn_rpc_worker(i, tx.clone(), move |c| c.lookup(&key));
-                        outstanding += 1;
-                    }
-                }
-                // We hold `tx`, so disconnection is impossible; bail
-                // defensively rather than spin.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.obs.hedge_wasted.add(hedged.len() as u64 - hedges_won);
-        if votes < needed {
-            return Err(SuiteError::Rep(last_err));
-        }
-        let best = best.expect("votes cover R, so at least one reply merged");
-        self.note_stale_votes(key, &best, &merged);
-        // Report the members whose replies actually formed the answer, in
-        // member order like the unhedged path's preference-sorted quorum.
-        contributors.sort_unstable();
+        let best = votes
+            .iter()
+            .map(|(_, reply)| reply.clone())
+            .reduce(pick_reply)
+            .expect("votes cover R, so at least one reply merged");
+        self.note_stale_votes(key, &best, &votes);
+        // Report the members whose replies formed the answer: the quorum in
+        // preference order, then any spares that substituted.
+        let mut contributors: Vec<usize> = votes.iter().map(|&(i, _)| i).collect();
+        contributors.sort_by_key(|i| {
+            quorum
+                .iter()
+                .position(|q| q == i)
+                .unwrap_or(quorum.len() + i)
+        });
         let ids = self.ids_of(&contributors);
         Ok(match best {
             LookupReply::Present { version, value } => LookupOutcome {
@@ -1213,8 +1120,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
                     .map(|&i| BatchRequest::Lookup(entries[i].0.clone()))
                     .collect();
                 let env_ref = &env;
-                for wave in self.scatter(&read_q, |_, c| c.batch(env_ref)) {
-                    let parts = wave?;
+                for wave in self.scatter(&read_q, |_| RepRequest::Batch(env_ref)) {
+                    let parts = wave?.batch()?;
                     if parts.len() != env.len() {
                         return Err(protocol_violation("bulk lookup envelope arity"));
                     }
@@ -1282,8 +1189,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
             if !writes.is_empty() {
                 let write_q = self.collect_quorum(QuorumKind::Write, None)?;
                 let writes_ref = &writes;
-                for wave in self.scatter(&write_q, |_, c| c.batch(writes_ref)) {
-                    let parts = wave?;
+                for wave in self.scatter(&write_q, |_| RepRequest::Batch(writes_ref)) {
+                    let parts = wave?.batch()?;
                     if parts.len() != writes.len() {
                         return Err(protocol_violation("bulk insert envelope arity"));
                     }
@@ -1299,7 +1206,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                         .collect();
                     if !weak.is_empty() {
                         // Weak representatives are hints: ignore failures.
-                        let _ = self.scatter(&weak, |_, c| c.batch(writes_ref));
+                        let _ = self.scatter(&weak, |_| RepRequest::Batch(writes_ref));
                     }
                 }
             }
@@ -1447,15 +1354,16 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 rpc_calls += refills.len() as u32;
                 let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
                 let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot, c| {
+                let waves = self.scatter(&targets, |slot| {
                     let from = &refills_ref[slot].1;
                     match dir {
-                        Direction::Pred => c.predecessor_chain(from, batch),
-                        Direction::Succ => c.successor_chain(from, batch),
+                        Direction::Pred => RepRequest::PredecessorChain(from, batch),
+                        Direction::Succ => RepRequest::SuccessorChain(from, batch),
                     }
                 });
                 for (slot, wave) in waves.into_iter().enumerate() {
-                    walk.integrate(refills[slot].0, wave?, &probe, &mut max_gap_version);
+                    let chain = wave?.chain()?;
+                    walk.integrate(refills[slot].0, chain, &probe, &mut max_gap_version);
                 }
             }
             let candidate = walk.candidate(&mut max_gap_version);
@@ -1540,12 +1448,10 @@ impl<C: RepClient + 'static> DirSuite<C> {
         }
         let targets: Vec<usize> = probes.iter().map(|&(i, _)| i).collect();
         let probes_ref = &probes;
-        let present = self.scatter(&targets, |slot, c| {
-            c.lookup(&probes_ref[slot].1.key).map(|r| r.is_present())
-        });
+        let present = self.scatter(&targets, |slot| RepRequest::Lookup(&probes_ref[slot].1.key));
         let mut missing: Vec<(usize, &NeighborSearch)> = Vec::new();
         for (slot, reply) in present.into_iter().enumerate() {
-            if !reply? {
+            if !reply?.lookup()?.is_present() {
                 missing.push(probes[slot]);
             }
         }
@@ -1553,13 +1459,13 @@ impl<C: RepClient + 'static> DirSuite<C> {
         if !missing.is_empty() {
             let targets: Vec<usize> = missing.iter().map(|&(i, _)| i).collect();
             let missing_ref = &missing;
-            for outcome in self.scatter(&targets, |slot, c| {
+            for outcome in self.scatter(&targets, |slot| {
                 let nb = missing_ref[slot].1;
                 let value = nb
                     .value
-                    .clone()
+                    .as_ref()
                     .expect("non-sentinel real neighbor carries a value");
-                c.insert(&nb.key, nb.version, &value)
+                RepRequest::Insert(&nb.key, nb.version, value)
             }) {
                 outcome?;
             }
@@ -1569,11 +1475,11 @@ impl<C: RepClient + 'static> DirSuite<C> {
         let gap_version = ver.next();
         let mut entries_in_range = Vec::with_capacity(write_quorum.len());
         let mut ghosts_deleted = 0u32;
-        let outcomes = self.scatter(&write_quorum, |_, c| {
-            c.coalesce(&pred.key, &succ.key, gap_version)
+        let outcomes = self.scatter(&write_quorum, |_| {
+            RepRequest::Coalesce(&pred.key, &succ.key, gap_version)
         });
         for (slot, outcome) in outcomes.into_iter().enumerate() {
-            let out = outcome?;
+            let out = outcome?.coalesce()?;
             let i = write_quorum[slot];
             entries_in_range.push((self.members[i].client.id(), out.removed.len()));
             ghosts_deleted += out
@@ -1668,11 +1574,12 @@ impl<C: RepClient + 'static> DirSuite<C> {
             if !refills.is_empty() {
                 let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
                 let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot, c| {
-                    c.successor_chain(&refills_ref[slot].1, batch)
+                let waves = self.scatter(&targets, |slot| {
+                    RepRequest::SuccessorChain(&refills_ref[slot].1, batch)
                 });
                 for (slot, wave) in waves.into_iter().enumerate() {
-                    walk.integrate(refills[slot].0, wave?, &probe, &mut max_gap_version);
+                    let chain = wave?.chain()?;
+                    walk.integrate(refills[slot].0, chain, &probe, &mut max_gap_version);
                 }
             }
             let candidate = match walk.candidate(&mut max_gap_version) {
@@ -1695,13 +1602,13 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 })
                 .collect();
             let envelopes_ref = &envelopes;
-            let waves = self.scatter(&quorum, |slot, c| c.batch(&envelopes_ref[slot]));
+            let waves = self.scatter(&quorum, |slot| RepRequest::Batch(&envelopes_ref[slot]));
             // Every member's lookup participates in the merge — ghost
             // detection needs the full quorum's votes, exactly as
             // `DirSuiteLookup` merges them.
             let mut best: Option<LookupReply> = None;
             for (qi, wave) in waves.into_iter().enumerate() {
-                let mut parts = wave?.into_iter();
+                let mut parts = wave?.batch()?.into_iter();
                 match parts.next() {
                     Some(BatchReply::Lookup(reply)) => {
                         best = Some(match best {
@@ -1745,7 +1652,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
     ) -> Result<WriteOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.write");
         let quorum = self.collect_quorum(QuorumKind::Write, Some(key))?;
-        for outcome in self.scatter(&quorum, |_, c| c.insert(key, version, value)) {
+        for outcome in self.scatter(&quorum, |_| RepRequest::Insert(key, version, value)) {
             outcome?;
         }
         if self.write_through_weak {
@@ -1754,7 +1661,7 @@ impl<C: RepClient + 'static> DirSuite<C> {
                 .collect();
             if !weak.is_empty() {
                 // Weak representatives are hints: ignore failures.
-                let _ = self.scatter(&weak, |_, c| c.insert(key, version, value));
+                let _ = self.scatter(&weak, |_| RepRequest::Insert(key, version, value));
             }
         }
         Ok(WriteOutcome {
@@ -1766,13 +1673,10 @@ impl<C: RepClient + 'static> DirSuite<C> {
     /// `CollectReadQuorum`/`CollectWriteQuorum`: pings candidates along the
     /// policy's preference order until the vote threshold is met.
     ///
-    /// Pings go out in concurrent *waves*: each wave is the minimal run of
-    /// further candidates whose votes would reach the threshold if every
-    /// ping succeeds — exactly the members the sequential walk would ping
-    /// next — so `ping_counts` is identical to the sequential
-    /// implementation's. Within a wave the first `needed` votes to *arrive*
-    /// win; the chosen quorum is then sorted back into preference order so
-    /// downstream waves address members deterministically.
+    /// Pings go out in *waves* ([`collect_votes`](Self::collect_votes)).
+    /// Within a wave the first `needed` votes to *arrive* win; the chosen
+    /// quorum is then sorted back into preference order so downstream waves
+    /// address members deterministically.
     fn collect_quorum(
         &mut self,
         kind: QuorumKind,
@@ -1785,6 +1689,8 @@ impl<C: RepClient + 'static> DirSuite<C> {
             self.obs.session_reuse.inc();
             return Ok(members);
         }
+        // Late replies of earlier waves inform the policy's ranking.
+        self.harvest();
         let n = self.members.len();
         let order = self.policy.candidates(kind, n, hint);
         let chosen = self.collect_quorum_ordered(kind, order)?;
@@ -1841,225 +1747,122 @@ impl<C: RepClient + 'static> DirSuite<C> {
             pos[i] = p;
         }
 
-        let mut chosen = if self.adaptive_waves {
-            self.collect_votes_adaptive(kind, needed, &order)?
-        } else {
-            self.collect_votes_minimal(kind, needed, &order)?
-        };
+        let mut chosen = self.collect_votes(kind, needed, &order)?;
         chosen.sort_by_key(|&i| pos[i]);
         Ok(chosen)
     }
 
-    /// The minimal-prefix baseline: each wave is exactly the candidates the
-    /// sequential walk would ping next, assuming every ping succeeds, so
-    /// any down member guarantees a full extra round. Kept verbatim behind
-    /// [`set_adaptive_waves`](DirSuite::set_adaptive_waves)`(false)` as the
-    /// counter- and latency baseline.
-    fn collect_votes_minimal(
+    /// Pings voting candidates in preference order, wave by wave, until
+    /// `needed` votes answered.
+    ///
+    /// Each wave starts as the minimal prefix: exactly the candidates a
+    /// sequential walk would ping next if every ping succeeded, so on a
+    /// fabric that never failed the pings are the sequential walk's. With
+    /// adaptive waves (the default) the prefix is *extended* while the
+    /// expected, availability-weighted yield falls short of the deficit,
+    /// within the over-provision cap — so a member known to be flaky no
+    /// longer guarantees an extra round — and, when hedging is armed, a wave
+    /// that straggles past the hedge delay pings further candidates from the
+    /// same budget. The wave stops listening at the vote threshold;
+    /// candidates it consumed, hedges included, are never pinged again by a
+    /// later wave. With adaptive waves off, waves are the bare prefix: the
+    /// baseline the property tests and `hedge_bench` compare against.
+    fn collect_votes(
         &mut self,
         kind: QuorumKind,
         needed: u32,
         order: &[usize],
     ) -> Result<Vec<usize>, SuiteError> {
-        let mut chosen = Vec::new();
-        let mut votes = 0u32;
-        let mut cursor = 0usize;
-        while votes < needed {
-            let mut wave = Vec::new();
-            let mut assumed = votes;
-            while cursor < order.len() && assumed < needed {
-                let i = order[cursor];
-                cursor += 1;
-                if self.members[i].votes == 0 {
-                    continue;
-                }
-                assumed += self.members[i].votes;
-                wave.push(i);
-            }
-            if wave.is_empty() {
-                return Err(SuiteError::QuorumUnavailable {
-                    kind,
-                    needed,
-                    gathered: votes,
-                });
-            }
-            self.obs.waves.inc();
-            for &i in &wave {
-                self.obs.pings[i].inc();
-            }
-            let members = &self.members;
-            let obs = &self.obs;
-            let wave_ref = &wave;
-            let arrivals = fan_out_arrival(members, &wave, self.fanout, |slot, c| {
-                let pong = obs.registry.time(
-                    |d| {
-                        obs.reply[wave_ref[slot]].record(d);
-                        obs.reply_hist.record(d);
-                    },
-                    || c.ping(),
-                );
-                obs.avail[wave_ref[slot]].record(pong.is_ok());
-                pong
-            });
-            for (slot, pong) in arrivals {
-                if votes >= needed {
-                    // Late votes beyond the threshold are discarded, exactly
-                    // as the sequential walk would not have pinged past it
-                    // had these arrivals been its successes. (A wave only
-                    // reaches the threshold when every ping in it succeeds —
-                    // it is the minimal prefix — so no miss is ever skipped
-                    // here and the miss counter is mode-independent.)
-                    break;
-                }
-                if pong.is_ok() {
-                    votes += self.members[wave[slot]].votes;
-                    chosen.push(wave[slot]);
-                } else {
-                    // A preferred candidate was pinged and failed to vote:
-                    // for a sticky policy this is a remembered member that
-                    // stopped responding, forcing fresh collection.
-                    self.obs.sticky_miss.inc();
-                    self.obs.penalize(wave[slot], self.penalty_sample);
-                }
-            }
-        }
-        Ok(chosen)
-    }
-
-    /// Member `i`'s observed availability; members with no recorded
-    /// outcomes are assumed fully available, which makes the adaptive wave
-    /// exactly the minimal prefix on a fabric that has never failed.
-    fn avail_of(&self, i: usize) -> f64 {
-        self.obs.avail[i].rate().unwrap_or(1.0)
-    }
-
-    /// The delay after which a straggling hedged RPC is duplicated:
-    /// the explicit override if set, else `3 × p50` of the suite's
-    /// reply-time histogram clamped below at 500 µs. The median is the
-    /// right anchor on a flaky fabric — the reply distribution is bimodal
-    /// (fast answers vs. timeouts), so p95/p99 sit inside the timeout mass
-    /// and would never fire. `None` (no samples yet) disables hedging.
-    fn effective_hedge_delay(&self) -> Option<Duration> {
-        const MIN_HEDGE_DELAY: Duration = Duration::from_micros(500);
-        if let Some(delay) = self.hedge_delay {
-            return Some(delay);
-        }
-        let p50 = self.obs.reply_hist.quantile_us(0.5)?;
-        Some(Duration::from_micros(p50.saturating_mul(3)).max(MIN_HEDGE_DELAY))
-    }
-
-    /// Adaptive wave provisioning with optional hedging: each wave is the
-    /// minimal prefix *extended* until the expected (availability-weighted)
-    /// vote yield covers the deficit, bounded by the over-provision cap;
-    /// the concurrent executor counts arrivals as they land and returns at
-    /// the vote threshold, leaving stragglers to detached worker threads.
-    fn collect_votes_adaptive(
-        &mut self,
-        kind: QuorumKind,
-        needed: u32,
-        order: &[usize],
-    ) -> Result<Vec<usize>, SuiteError> {
-        let hedge_delay = if self.hedge && self.fanout {
-            self.effective_hedge_delay()
-        } else {
-            None
-        };
+        let hedge = self
+            .adaptive_waves
+            .then(|| self.armed_hedge_delay())
+            .flatten();
+        let voting: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&i| self.members[i].votes > 0)
+            .collect();
+        // Members with no recorded outcomes count as fully available.
+        let yields: Vec<(u32, f64)> = voting
+            .iter()
+            .map(|&i| {
+                let votes = self.members[i].votes;
+                let avail = self.obs.avail[i].rate().unwrap_or(1.0);
+                (votes, f64::from(votes) * avail)
+            })
+            .collect();
         let mut chosen = Vec::new();
         let mut votes = 0u32;
         let mut cursor = 0usize;
         while votes < needed {
             let deficit = needed - votes;
-            let cap = (f64::from(deficit) * self.max_overprovision).ceil() as u32;
-            let mut wave = Vec::new();
-            // Full-vote yield: the minimal prefix is sized exactly as the
-            // baseline sizes it, so a never-failed fabric pings the same
-            // members in the same waves.
-            let mut assumed = 0u32;
-            // Availability-weighted yield and the ping budget.
-            let mut expected = 0.0f64;
-            let mut provisioned = 0u32;
-            while cursor < order.len() && assumed < deficit {
-                let i = order[cursor];
+            let first = cursor;
+            let (mut provisioned, mut expected) = (0u32, 0f64);
+            while cursor < voting.len() && provisioned < deficit {
+                provisioned += yields[cursor].0;
+                expected += yields[cursor].1;
                 cursor += 1;
-                if self.members[i].votes == 0 {
-                    continue;
-                }
-                assumed += self.members[i].votes;
-                provisioned += self.members[i].votes;
-                expected += f64::from(self.members[i].votes) * self.avail_of(i);
-                wave.push(i);
             }
-            // Over-provision: pull further candidates forward while the
-            // expected yield still falls short of the deficit, within the
-            // cap. ceil(needed / avail) for uniform single-vote members.
-            while cursor < order.len() && expected < f64::from(deficit) && provisioned < cap {
-                let i = order[cursor];
-                cursor += 1;
-                if self.members[i].votes == 0 {
-                    continue;
+            let mut cap = provisioned;
+            if self.adaptive_waves {
+                cap = cap.max((f64::from(deficit) * self.max_overprovision).ceil() as u32);
+                while cursor < voting.len() && expected < f64::from(deficit) && provisioned < cap {
+                    provisioned += yields[cursor].0;
+                    expected += yields[cursor].1;
+                    cursor += 1;
                 }
-                provisioned += self.members[i].votes;
-                expected += f64::from(self.members[i].votes) * self.avail_of(i);
-                wave.push(i);
             }
-            if wave.is_empty() {
+            if first == cursor {
                 return Err(SuiteError::QuorumUnavailable {
                     kind,
                     needed,
                     gathered: votes,
                 });
             }
-            self.obs.waves.inc();
-            for &i in &wave {
-                self.obs.pings[i].inc();
-            }
-            if self.fanout {
-                self.run_adaptive_wave(
-                    &wave,
-                    needed,
-                    &mut votes,
-                    &mut chosen,
-                    &mut cursor,
-                    order,
-                    provisioned,
-                    cap,
-                    hedge_delay,
-                );
-            } else {
-                // Sequential baseline of the same wave: every provisioned
-                // ping is issued (they were already counted), successes
-                // beyond the threshold are discarded exactly as the
-                // concurrent executor ignores stragglers.
-                for &i in &wave {
-                    let pong = self.timed_ping(i);
-                    if votes >= needed {
-                        continue;
-                    }
-                    if pong.is_ok() {
-                        votes += self.members[i].votes;
-                        chosen.push(i);
-                    } else {
-                        self.obs.sticky_miss.inc();
-                        self.obs.penalize(i, self.penalty_sample);
-                    }
+            // What is left of the budget is the wave's hedging allowance.
+            let mut spare_end = cursor;
+            if hedge.is_some() {
+                while spare_end < voting.len() && provisioned < cap {
+                    provisioned += yields[spare_end].0;
+                    spare_end += 1;
                 }
             }
+            self.obs.waves.inc();
+            let wave = self.vote_wave(
+                RepRequest::Ping,
+                Traffic::Ping,
+                &voting[first..cursor],
+                hedge.map(|delay| (delay, &voting[cursor..spare_end])),
+                deficit,
+                false,
+            );
+            cursor += wave.spares_used;
+            votes += wave.votes;
+            chosen.extend(wave.replies.iter().map(|&(i, _)| i));
+            // A preferred candidate that was pinged and failed to vote: for
+            // a sticky policy, a remembered member that stopped responding.
+            self.obs.sticky_miss.add(wave.misses);
         }
         Ok(chosen)
     }
 
-    /// One timed, availability-recorded ping, inline on this thread.
-    fn timed_ping(&self, i: usize) -> RepResult<()> {
-        let obs = &self.obs;
-        let pong = obs.registry.time(
-            |d| {
-                obs.reply[i].record(d);
-                obs.reply_hist.record(d);
-            },
-            || self.members[i].client.ping(),
-        );
-        obs.avail[i].record(pong.is_ok());
-        pong
+    /// The delay after which a straggling request is duplicated to a spare,
+    /// if hedging is on: the explicit override if set, else `3 × p50` of the
+    /// suite's reply-time histogram clamped below at 500 µs. The median is
+    /// the right anchor on a flaky fabric — the reply distribution is
+    /// bimodal (fast answers vs. timeouts), so p95/p99 sit inside the
+    /// timeout mass and would never fire. `None` — hedging off, a window of
+    /// one, or no samples yet — means no request is ever duplicated.
+    fn armed_hedge_delay(&self) -> Option<Duration> {
+        const MIN_HEDGE_DELAY: Duration = Duration::from_micros(500);
+        if !(self.hedge && self.fanout) {
+            return None;
+        }
+        if let Some(delay) = self.hedge_delay {
+            return Some(delay);
+        }
+        let p50 = self.obs.reply_hist.quantile_us(0.5)?;
+        Some(Duration::from_micros(p50.saturating_mul(3)).max(MIN_HEDGE_DELAY))
     }
 
     /// Compares each member's lookup vote against the merged winner and
@@ -2100,165 +1903,6 @@ impl<C: RepClient + 'static> DirSuite<C> {
         }
     }
 
-    /// Spawns a detached worker that runs `call` against member `i` and
-    /// reports `(i, result)` on `tx`. Unlike the scoped [`fan_out`]
-    /// threads, the worker owns clones of the client and the obs handles,
-    /// so it keeps recording (EWMA, reply histogram, availability, failure
-    /// penalty) even after the coordinator stopped listening at the vote
-    /// threshold; its send simply fails once the receiver is gone. A
-    /// panicking client scores as [`RepError::Unavailable`] — out here it
-    /// is indistinguishable from a dead one — rather than poisoning the
-    /// coordinator.
-    fn spawn_rpc_worker<T, F>(
-        &self,
-        i: usize,
-        tx: crate::channel::Sender<(usize, RepResult<T>)>,
-        call: F,
-    ) where
-        T: Send + 'static,
-        F: FnOnce(&C) -> RepResult<T> + Send + 'static,
-    {
-        let client = Arc::clone(&self.members[i].client);
-        let registry = self.obs.registry.clone();
-        let ewma = self.obs.reply[i].clone();
-        let hist = self.obs.reply_hist.clone();
-        let avail = self.obs.avail[i].clone();
-        let penalty = self.penalty_sample;
-        std::thread::Builder::new()
-            .name(format!("repdir-hedge-{i}"))
-            .spawn(move || {
-                let result = registry
-                    .time(
-                        |d| {
-                            ewma.record(d);
-                            hist.record(d);
-                        },
-                        || {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                call(client.as_ref())
-                            }))
-                        },
-                    )
-                    .unwrap_or(Err(RepError::Unavailable));
-                let ok = result.is_ok();
-                avail.record(ok);
-                if !ok {
-                    ewma.record(penalty);
-                }
-                let _ = tx.send((i, result));
-            })
-            .expect("spawn rpc worker");
-    }
-
-    /// Runs one provisioned wave concurrently: counts arrivals until the
-    /// vote threshold, hedging stragglers to further candidates when a
-    /// hedge delay is armed. Members consumed for hedges advance `cursor`,
-    /// so a later wave never re-pings them.
-    #[allow(clippy::too_many_arguments)]
-    fn run_adaptive_wave(
-        &mut self,
-        wave: &[usize],
-        needed: u32,
-        votes: &mut u32,
-        chosen: &mut Vec<usize>,
-        cursor: &mut usize,
-        order: &[usize],
-        mut provisioned: u32,
-        cap: u32,
-        hedge_delay: Option<Duration>,
-    ) {
-        use crate::channel::RecvTimeoutError;
-        let (tx, rx) = crate::channel::unbounded();
-        for &i in wave {
-            self.spawn_rpc_worker(i, tx.clone(), |c| c.ping());
-        }
-        let mut outstanding = wave.len();
-        let mut hedged: Vec<usize> = Vec::new();
-        let mut hedges_won = 0u64;
-        while outstanding > 0 && *votes < needed {
-            let arrival = match hedge_delay {
-                Some(delay) => match rx.recv_timeout(delay) {
-                    Ok(pair) => Some(pair),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // The wave straggles: duplicate work to the next
-                        // spare candidate, if the budget allows one.
-                        while *cursor < order.len() && provisioned < cap {
-                            let i = order[*cursor];
-                            *cursor += 1;
-                            if self.members[i].votes == 0 {
-                                continue;
-                            }
-                            provisioned += self.members[i].votes;
-                            self.obs.pings[i].inc();
-                            self.obs.hedge_issued.inc();
-                            hedged.push(i);
-                            self.spawn_rpc_worker(i, tx.clone(), |c| c.ping());
-                            outstanding += 1;
-                            break;
-                        }
-                        continue;
-                    }
-                    // We hold `tx`, so disconnection is impossible; treat
-                    // it as wave exhaustion defensively.
-                    Err(RecvTimeoutError::Disconnected) => None,
-                },
-                None => rx.recv().ok(),
-            };
-            let Some((i, pong)) = arrival else { break };
-            outstanding -= 1;
-            if pong.is_ok() {
-                *votes += self.members[i].votes;
-                chosen.push(i);
-                if hedged.contains(&i) {
-                    self.obs.hedge_won.inc();
-                    hedges_won += 1;
-                }
-            } else {
-                // Workers record availability and the EWMA penalty
-                // themselves; the algorithmic miss count stays with the
-                // coordinator, mirroring the baseline.
-                self.obs.sticky_miss.inc();
-            }
-        }
-        self.obs.hedge_wasted.add(hedged.len() as u64 - hedges_won);
-    }
-
-    /// Issues one RPC wave: counts a data message per target, then runs `f`
-    /// against every target concurrently (or serially with fan-out
-    /// disabled). Results come back in target order. Counters are bumped
-    /// only here in the coordinator, before the wave launches, which is
-    /// what keeps the message counts exact under concurrency: every wave is
-    /// a known set of RPCs regardless of reply order. Each member's call is
-    /// timed into its reply-time EWMA (skipped when the registry is
-    /// disarmed).
-    fn scatter<T: Send>(
-        &mut self,
-        targets: &[usize],
-        f: impl Fn(usize, &C) -> RepResult<T> + Sync,
-    ) -> Vec<RepResult<T>> {
-        for &i in targets {
-            self.obs.msgs[i].inc();
-        }
-        let obs = &self.obs;
-        let results = fan_out(&self.members, targets, self.fanout, |slot, c| {
-            let result = obs.registry.time(
-                |d| {
-                    obs.reply[targets[slot]].record(d);
-                    obs.reply_hist.record(d);
-                },
-                || f(slot, c),
-            );
-            obs.avail[targets[slot]].record(result.is_ok());
-            result
-        });
-        for (slot, result) in results.iter().enumerate() {
-            if result.is_err() {
-                self.obs.penalize(targets[slot], self.penalty_sample);
-            }
-        }
-        results
-    }
-
     fn ids_of(&self, indices: &[usize]) -> Vec<RepId> {
         indices
             .iter()
@@ -2274,6 +1918,15 @@ impl<C: RepClient> std::fmt::Debug for DirSuite<C> {
             .field("members", &self.members.len())
             .field("write_through_weak", &self.write_through_weak)
             .finish_non_exhaustive()
+    }
+}
+
+/// Requests still in flight when the suite goes away are abandoned, but
+/// whatever already completed is accounted first, so a shared registry sees
+/// every reply that landed.
+impl<C: RepClient> Drop for DirSuite<C> {
+    fn drop(&mut self) {
+        self.harvest();
     }
 }
 
@@ -2348,90 +2001,6 @@ fn pick_reply(a: LookupReply, b: LookupReply) -> LookupReply {
             }
         }
     }
-}
-
-/// Scatter-gather executor: runs `f(slot, client)` for every target member
-/// and returns the results in target (slot) order.
-///
-/// With `concurrent` set and more than one target, each call runs on its own
-/// scoped thread — `RepClient: Send + Sync` is exactly what makes lending
-/// `&C` across threads sound — so the wave costs the slowest member's
-/// latency. Otherwise the calls run inline in slot order, which is the
-/// sequential baseline with identical semantics.
-fn fan_out<C, T, F>(
-    members: &[Member<C>],
-    targets: &[usize],
-    concurrent: bool,
-    f: F,
-) -> Vec<RepResult<T>>
-where
-    C: RepClient,
-    T: Send,
-    F: Fn(usize, &C) -> RepResult<T> + Sync,
-{
-    if !concurrent || targets.len() <= 1 {
-        return targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| f(slot, members[i].client.as_ref()))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| {
-                let client = members[i].client.as_ref();
-                scope.spawn(move || f(slot, client))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out worker panicked"))
-            .collect()
-    })
-}
-
-/// Like [`fan_out`], but yields `(slot, result)` pairs in *arrival* order,
-/// so a caller collecting quorum votes can stop caring about stragglers the
-/// moment the vote threshold is met. In sequential mode arrival order is
-/// slot order.
-fn fan_out_arrival<C, T, F>(
-    members: &[Member<C>],
-    targets: &[usize],
-    concurrent: bool,
-    f: F,
-) -> Vec<(usize, RepResult<T>)>
-where
-    C: RepClient,
-    T: Send,
-    F: Fn(usize, &C) -> RepResult<T> + Sync,
-{
-    if !concurrent || targets.len() <= 1 {
-        return targets
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| (slot, f(slot, members[i].client.as_ref())))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let (tx, rx) = crate::channel::unbounded();
-        let f = &f;
-        for (slot, &i) in targets.iter().enumerate() {
-            let client = members[i].client.as_ref();
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let _ = tx.send((slot, f(slot, client)));
-            });
-        }
-        drop(tx);
-        let mut out = Vec::with_capacity(targets.len());
-        while let Ok(pair) = rx.recv() {
-            out.push(pair);
-        }
-        out
-    })
 }
 
 /// Consumes buffered chain elements the neighbor walk has already passed
@@ -2560,6 +2129,7 @@ impl NeighborChains {
 mod tests {
     use super::*;
     use crate::error::RepError;
+    use crate::rep::{Completion, RepReply, RepResult};
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -2810,37 +2380,15 @@ mod tests {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn ping(&self) -> RepResult<()> {
-            let pong = self.inner.ping();
-            if pong.is_ok() && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+            let reply = self.inner.execute(req);
+            if req == RepRequest::Ping
+                && reply.is_ok()
+                && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
+            {
                 self.inner.set_available(false);
             }
-            pong
-        }
-        fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-            self.inner.lookup(key)
-        }
-        fn predecessor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.predecessor(key)
-        }
-        fn successor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.successor(key)
-        }
-        fn insert(
-            &self,
-            key: &Key,
-            version: Version,
-            value: &Value,
-        ) -> RepResult<crate::gapmap::InsertOutcome> {
-            self.inner.insert(key, version, value)
-        }
-        fn coalesce(
-            &self,
-            low: &Key,
-            high: &Key,
-            version: Version,
-        ) -> RepResult<crate::gapmap::CoalesceOutcome> {
-            self.inner.coalesce(low, high, version)
+            reply
         }
     }
 
@@ -2993,7 +2541,9 @@ mod tests {
     }
 
     /// Forwards to a [`LocalRep`] with configurable per-operation lag — the
-    /// straggler the hedging tests race against.
+    /// straggler the hedging tests race against. Started requests are
+    /// answered at once and *delivered* late, from a timer thread the double
+    /// owns: the modelled latency is the member's, not the coordinator's.
     struct Laggy {
         inner: LocalRep,
         ping_delay: Duration,
@@ -3008,41 +2558,33 @@ mod tests {
                 lookup_delay,
             }
         }
+
+        fn delay_of(&self, req: RepRequest<'_>) -> Duration {
+            match req {
+                RepRequest::Ping => self.ping_delay,
+                RepRequest::Lookup(_) => self.lookup_delay,
+                _ => Duration::ZERO,
+            }
+        }
     }
 
     impl RepClient for Laggy {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn ping(&self) -> RepResult<()> {
-            std::thread::sleep(self.ping_delay);
-            self.inner.ping()
+        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+            std::thread::sleep(self.delay_of(req));
+            self.inner.execute(req)
         }
-        fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-            std::thread::sleep(self.lookup_delay);
-            self.inner.lookup(key)
-        }
-        fn predecessor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.predecessor(key)
-        }
-        fn successor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.successor(key)
-        }
-        fn insert(
-            &self,
-            key: &Key,
-            version: Version,
-            value: &Value,
-        ) -> RepResult<crate::gapmap::InsertOutcome> {
-            self.inner.insert(key, version, value)
-        }
-        fn coalesce(
-            &self,
-            low: &Key,
-            high: &Key,
-            version: Version,
-        ) -> RepResult<crate::gapmap::CoalesceOutcome> {
-            self.inner.coalesce(low, high, version)
+        fn start(&self, req: RepRequest<'_>, done: Completion) {
+            let (delay, reply) = (self.delay_of(req), self.inner.execute(req));
+            if delay.is_zero() {
+                return done.complete(reply);
+            }
+            std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                done.complete(reply);
+            });
         }
     }
 
@@ -3589,38 +3131,15 @@ mod tests {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn ping(&self) -> RepResult<()> {
-            self.inner.ping()
-        }
-        fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-            self.tick();
-            self.inner.lookup(key)
-        }
-        fn predecessor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.tick();
-            self.inner.predecessor(key)
-        }
-        fn successor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.tick();
-            self.inner.successor(key)
-        }
-        fn insert(
-            &self,
-            key: &Key,
-            version: Version,
-            value: &Value,
-        ) -> RepResult<crate::gapmap::InsertOutcome> {
-            self.tick();
-            self.inner.insert(key, version, value)
-        }
-        fn coalesce(
-            &self,
-            low: &Key,
-            high: &Key,
-            version: Version,
-        ) -> RepResult<crate::gapmap::CoalesceOutcome> {
-            self.tick();
-            self.inner.coalesce(low, high, version)
+        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+            match req {
+                RepRequest::Ping => {}
+                // Every sub-request of an envelope ticks on its own, so a
+                // member can die half-way through one.
+                RepRequest::Batch(parts) => return self.execute_parts(parts),
+                _ => self.tick(),
+            }
+            self.inner.execute(req)
         }
     }
 
@@ -3893,75 +3412,63 @@ mod tests {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn ping(&self) -> RepResult<()> {
-            self.inner.ping()
-        }
-        fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                panic!("injected fault: representative panicked mid-lookup");
+        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+            match req {
+                RepRequest::Batch(parts) => return self.execute_parts(parts),
+                RepRequest::Lookup(_)
+                    if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) =>
+                {
+                    panic!("injected fault: representative panicked mid-lookup")
+                }
+                _ => {}
             }
-            self.inner.lookup(key)
-        }
-        fn predecessor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.predecessor(key)
-        }
-        fn successor(&self, key: &Key) -> RepResult<crate::gapmap::NeighborReply> {
-            self.inner.successor(key)
-        }
-        fn insert(
-            &self,
-            key: &Key,
-            version: Version,
-            value: &Value,
-        ) -> RepResult<crate::gapmap::InsertOutcome> {
-            self.inner.insert(key, version, value)
-        }
-        fn coalesce(
-            &self,
-            low: &Key,
-            high: &Key,
-            version: Version,
-        ) -> RepResult<crate::gapmap::CoalesceOutcome> {
-            self.inner.coalesce(low, high, version)
+            self.inner.execute(req)
         }
     }
 
     #[test]
-    fn panicking_body_does_not_leak_the_session_scope() {
+    fn panicking_client_propagates_and_does_not_leak_the_session_scope() {
+        // An in-process client completes inline, so its panic unwinds
+        // through the coordinator's own frames, whatever the window — it is
+        // a bug in this process, not a member failure, and is not swallowed.
         // Regression: the old session_begin/session_end pair leaked
         // session_depth when the body unwound, pinning a stale quorum
         // session for the suite's lifetime. The RAII scope guard must
         // restore depth and clear sessions on panic.
-        let clients: Vec<PanicsOnLookup> = (0..3)
-            .map(|i| PanicsOnLookup {
-                inner: LocalRep::new(RepId(i)),
-                armed: std::sync::atomic::AtomicBool::new(false),
-            })
-            .collect();
-        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
-        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        // Inline scatter, so the injected panic unwinds through the suite's
-        // own frames rather than a scoped worker thread.
-        s.set_fanout(false);
-        s.insert(&k("a"), &val("A")).unwrap();
-        s.member(0).arm();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = s.scan();
-        }))
-        .is_err();
-        assert!(unwound, "the armed client must have panicked");
-        assert!(s.session(QuorumKind::Read).is_none());
-        assert!(s.session(QuorumKind::Write).is_none());
-        // A leaked depth would make this ordinary lookup pin its quorum as
-        // a session; a balanced scope leaves nothing behind.
-        s.lookup(&k("a")).unwrap();
-        assert!(
-            s.session(QuorumKind::Read).is_none(),
-            "session depth leaked through the unwind"
-        );
-        // And the suite still answers correctly afterwards.
-        let listed = s.scan().unwrap();
-        assert_eq!(listed.len(), 1);
+        for fanout in [true, false] {
+            let clients: Vec<PanicsOnLookup> = (0..3)
+                .map(|i| PanicsOnLookup {
+                    inner: LocalRep::new(RepId(i)),
+                    armed: std::sync::atomic::AtomicBool::new(false),
+                })
+                .collect();
+            let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
+            let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
+            s.set_fanout(fanout);
+            s.insert(&k("a"), &val("A")).unwrap();
+            s.member(0).arm();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = s.scan();
+            }))
+            .is_err();
+            assert!(unwound, "the armed client must have panicked");
+            assert!(s.session(QuorumKind::Read).is_none());
+            assert!(s.session(QuorumKind::Write).is_none());
+            // A leaked depth would make this ordinary lookup pin its quorum
+            // as a session; a balanced scope leaves nothing behind.
+            s.lookup(&k("a")).unwrap();
+            assert!(
+                s.session(QuorumKind::Read).is_none(),
+                "session depth leaked through the unwind"
+            );
+            // The request that never got an answer was scored unavailable
+            // when its abandoned completion was harvested.
+            let rate = s.member_avails()[0].rate().expect("member 0 was sampled");
+            assert!(rate < 1.0, "fanout={fanout}: {rate}");
+            // And the suite still answers correctly afterwards.
+            let listed = s.scan().unwrap();
+            assert_eq!(listed.len(), 1);
+        }
     }
 
     #[test]

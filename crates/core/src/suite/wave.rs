@@ -1,0 +1,263 @@
+//! The wave executor: every member RPC the suite sends goes through here.
+//!
+//! A *wave* is a set of member requests in flight together. The coordinator
+//! [`issue`](DirSuite::issue)s each one from its own thread through
+//! [`RepClient::start`] and then consumes tagged completions in arrival
+//! order from one queue — no thread is created per wave, per request or per
+//! hedge. In-process clients complete inline, networked ones from their RPC
+//! router. With fan-out disabled the window is one: each request is awaited
+//! before the next is started, through the same code.
+//!
+//! Slot tags are never reused, so a reply can never be taken for another
+//! wave's. A wave that reaches its vote threshold simply stops listening;
+//! the stragglers' completions — a late reply, or the failure their
+//! per-request deadline produces — are accounted (reply EWMA, `suite.reply_us`,
+//! availability, failure penalty) whenever they surface: while a later wave
+//! waits, at the next quorum collection, or when the suite is dropped.
+
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+use super::DirSuite;
+use crate::channel::{unbounded, Receiver, Sender};
+use crate::error::RepError;
+use crate::rep::{Completion, Done, RepClient, RepReply, RepRequest, RepResult};
+
+/// One consumed completion: `(slot within the wave, member, result)`.
+type Arrival = (usize, usize, RepResult<RepReply>);
+
+/// The executor's state; the behaviour lives on [`DirSuite`], which owns the
+/// members and the metrics every completion is accounted to.
+pub(super) struct Executor {
+    queue: Sender<Done>,
+    completions: Receiver<Done>,
+    /// Tag of the next request issued.
+    next_slot: u64,
+    /// First tag of the open wave; completions tagged below it are
+    /// stragglers of earlier waves.
+    base: u64,
+    /// `(tag, member)` of every request started and not yet accounted.
+    in_flight: Vec<(u64, usize)>,
+    /// Window-of-one mode: the open wave's completions, awaited at issue.
+    ready: VecDeque<Arrival>,
+}
+
+impl Executor {
+    pub(super) fn new() -> Self {
+        let (queue, completions) = unbounded();
+        Executor {
+            queue,
+            completions,
+            next_slot: 0,
+            base: 0,
+            in_flight: Vec::new(),
+            ready: VecDeque::new(),
+        }
+    }
+}
+
+/// Which per-member counter a wave's requests are charged to.
+#[derive(Clone, Copy)]
+pub(super) enum Traffic {
+    /// Quorum-collection pings (`suite.member.{i}.pings`).
+    Ping,
+    /// Data RPCs (`suite.member.{i}.msgs`).
+    Data,
+}
+
+/// What a vote-counting wave gathered.
+pub(super) struct Votes {
+    /// Successful replies in arrival order, with the member that sent each.
+    pub(super) replies: Vec<(usize, RepReply)>,
+    /// Votes held by those members.
+    pub(super) votes: u32,
+    /// Failed replies consumed before the wave stopped listening.
+    pub(super) misses: u64,
+    /// The most recent failure.
+    pub(super) last_err: RepError,
+    /// How many of the offered spares were sent a hedge.
+    pub(super) spares_used: usize,
+}
+
+impl<C: RepClient> DirSuite<C> {
+    /// Accounts every completion that has already landed. Called before a
+    /// quorum is sized so late pongs inform it.
+    pub(super) fn harvest(&mut self) {
+        while let Ok(done) = self.exec.completions.try_recv() {
+            self.account(&done);
+        }
+    }
+
+    /// Opens a wave: whatever is issued from here on belongs to it.
+    fn open_wave(&mut self) {
+        self.harvest();
+        self.exec.ready.clear();
+        self.exec.base = self.exec.next_slot;
+    }
+
+    /// Records one completion against the member it was issued to and
+    /// returns that member. A failure additionally records the penalty
+    /// sample: a dead member often fails *fast*, so the measured time alone
+    /// would keep it attractive.
+    fn account(&mut self, done: &Done) -> usize {
+        let at = self
+            .exec
+            .in_flight
+            .iter()
+            .position(|&(slot, _)| slot == done.slot)
+            .expect("every completion answers an issued request");
+        let (_, i) = self.exec.in_flight.swap_remove(at);
+        if let Some(elapsed) = done.elapsed {
+            self.obs.reply[i].record(elapsed);
+            self.obs.reply_hist.record(elapsed);
+        }
+        self.obs.avail[i].record(done.result.is_ok());
+        if done.result.is_err() {
+            self.obs.reply[i].record(self.penalty_sample);
+        }
+        i
+    }
+
+    /// Puts `req` in flight to member `i` as the open wave's next slot.
+    fn issue(&mut self, i: usize, req: RepRequest<'_>) {
+        let slot = self.exec.next_slot;
+        self.exec.next_slot += 1;
+        self.exec.in_flight.push((slot, i));
+        let timed = self.obs.registry.timing_armed();
+        let done = Completion::new(slot, timed, self.exec.queue.clone());
+        self.members[i].client.start(req, done);
+        if !self.fanout {
+            // Window of one: nothing else of this wave is outstanding, so
+            // the next completion of the wave is this request's.
+            let settled = self.next_completion(None).expect("no deadline");
+            self.exec.ready.push_back(settled);
+        }
+    }
+
+    /// The open wave's next completion off the queue, or `None` once `until`
+    /// passes. Stragglers of earlier waves that surface meanwhile are
+    /// accounted and skipped.
+    fn next_completion(&mut self, until: Option<Instant>) -> Option<Arrival> {
+        loop {
+            let done = match until {
+                // The executor holds a sender itself, so the queue never
+                // closes; callers only block while a request of theirs is
+                // outstanding.
+                None => self.exec.completions.recv().expect("queue open"),
+                Some(until) => {
+                    let wait = until.saturating_duration_since(Instant::now());
+                    self.exec.completions.recv_timeout(wait).ok()?
+                }
+            };
+            let i = self.account(&done);
+            if done.slot >= self.exec.base {
+                return Some(((done.slot - self.exec.base) as usize, i, done.result));
+            }
+        }
+    }
+
+    /// The open wave's next completion in arrival order, or `None` once
+    /// `until` passes.
+    fn arrival(&mut self, until: Option<Instant>) -> Option<Arrival> {
+        let ready = self.exec.ready.pop_front();
+        ready.or_else(|| self.next_completion(until))
+    }
+
+    fn charge(&self, traffic: Traffic, i: usize) {
+        match traffic {
+            Traffic::Ping => self.obs.pings[i].inc(),
+            Traffic::Data => self.obs.msgs[i].inc(),
+        }
+    }
+
+    /// One data wave: `req(slot)` to every target, all awaited, results in
+    /// target order. Counters are bumped here in the coordinator, before the
+    /// wave launches, which keeps the message counts exact whatever the
+    /// reply order.
+    pub(super) fn scatter<'r>(
+        &mut self,
+        targets: &[usize],
+        req: impl Fn(usize) -> RepRequest<'r>,
+    ) -> Vec<RepResult<RepReply>> {
+        self.open_wave();
+        for (slot, &i) in targets.iter().enumerate() {
+            self.charge(Traffic::Data, i);
+            self.issue(i, req(slot));
+        }
+        let mut results: Vec<_> = targets.iter().map(|_| None).collect();
+        for _ in targets {
+            let (slot, _, result) = self.arrival(None).expect("no deadline");
+            results[slot] = Some(result);
+        }
+        results
+            .into_iter()
+            .map(|result| result.expect("every slot completed once"))
+            .collect()
+    }
+
+    /// One vote-counting wave: `req` to every member of `wave`, replies
+    /// consumed in arrival order until the members heard from hold `needed`
+    /// votes (`wait_all` keeps listening until every request has settled —
+    /// for requests that take locks, which must not outlive their
+    /// operation). `hedge` is a delay and the spare members it may spend:
+    /// whenever the delay passes without an arrival the request is
+    /// duplicated to the next spare, joining the same wave; any set of
+    /// members whose votes reach the threshold is a quorum (§3.1), so a
+    /// spare's reply substitutes for a straggler's.
+    pub(super) fn vote_wave(
+        &mut self,
+        req: RepRequest<'_>,
+        traffic: Traffic,
+        wave: &[usize],
+        hedge: Option<(Duration, &[usize])>,
+        needed: u32,
+        wait_all: bool,
+    ) -> Votes {
+        let (delay, spares) = hedge.unwrap_or((Duration::ZERO, &[]));
+        self.open_wave();
+        for &i in wave {
+            self.charge(traffic, i);
+            self.issue(i, req);
+        }
+        let mut outstanding = wave.len();
+        let mut out = Votes {
+            replies: Vec::with_capacity(wave.len()),
+            votes: 0,
+            misses: 0,
+            last_err: RepError::Unavailable,
+            spares_used: 0,
+        };
+        let mut hedges_won = 0;
+        while outstanding > 0 && (wait_all || out.votes < needed) {
+            let until = (out.spares_used < spares.len()).then(|| Instant::now() + delay);
+            match self.arrival(until) {
+                None => {
+                    let i = spares[out.spares_used];
+                    out.spares_used += 1;
+                    self.charge(traffic, i);
+                    self.obs.hedge_issued.inc();
+                    self.issue(i, req);
+                    outstanding += 1;
+                }
+                Some((slot, i, Ok(reply))) => {
+                    outstanding -= 1;
+                    out.votes += self.members[i].votes;
+                    if slot >= wave.len() {
+                        hedges_won += 1;
+                        self.obs.hedge_won.inc();
+                    }
+                    out.replies.push((i, reply));
+                }
+                Some((_, _, Err(e))) => {
+                    outstanding -= 1;
+                    out.misses += 1;
+                    out.last_err = e;
+                }
+            }
+        }
+        self.obs
+            .hedge_wasted
+            .add(out.spares_used as u64 - hedges_won);
+        out
+    }
+}

@@ -31,5 +31,6 @@ mod rpc;
 
 pub use fabric::{Endpoint, Envelope, FaultPlan, LatencyModel, MsgKind, NetStats, Network, NodeId};
 pub use rpc::{
-    pack_parts, serve, unpack_parts, PendingReply, RpcClient, RpcError, Scatter, ServerHandle,
+    pack_parts, serve, unpack_parts, PendingReply, RpcClient, RpcError, RpcResult, Scatter,
+    ServerHandle,
 };

@@ -47,16 +47,25 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// How often the router thread wakes to check for shutdown.
+/// The longest the router thread sleeps before it checks for shutdown and
+/// for expired request deadlines.
 const ROUTER_POLL: Duration = Duration::from_millis(25);
 
-/// A registered in-flight call: the channel its response routes to, plus
-/// the caller's tag (the request index within a [`scatter`](RpcClient::scatter),
-/// `0` for solo calls).
-#[derive(Debug)]
+/// The outcome of one request: the response payload, or why there is none.
+pub type RpcResult = Result<Vec<u8>, RpcError>;
+
+/// How a started request is answered: called exactly once, on whichever
+/// thread settles the request.
+type OnDone = Box<dyn FnOnce(RpcResult) + Send>;
+
+/// A registered in-flight request.
 struct PendingSlot {
-    tag: usize,
-    tx: Sender<(usize, Vec<u8>)>,
+    /// When the router gives up on the request and answers it with
+    /// [`RpcError::Timeout`]; `None` leaves the deadline to the waiter.
+    deadline: Option<Instant>,
+    /// Send-time stamp; `None` when the global registry has timing off.
+    started: Option<Instant>,
+    on_done: OnDone,
 }
 
 /// Client-side RPC counters mirrored into the process-wide obs registry
@@ -93,41 +102,135 @@ impl RpcObs {
             hedge_wasted: g.counter("rpc.hedge.wasted"),
         }
     }
-
-    /// Send-time stamp for reply-latency samples, taken only while the
-    /// global registry has timing armed (counters stay live either way).
-    fn start(&self) -> Option<Instant> {
-        repdir_obs::global().timing_armed().then(Instant::now)
-    }
 }
 
 /// State shared between the client handle, its router thread, and
 /// outstanding [`PendingReply`]/[`Scatter`] handles.
-#[derive(Debug)]
 struct ClientShared {
-    pending: Mutex<HashMap<u64, PendingSlot>>,
+    net: Arc<Network>,
+    node: NodeId,
+    next_id: AtomicU64,
+    /// In-flight requests by correlation id. `None` once the router has
+    /// exited: nothing sent after that could ever be answered.
+    pending: Mutex<Option<HashMap<u64, PendingSlot>>>,
     shutdown: AtomicBool,
     obs: RpcObs,
 }
 
 impl ClientShared {
-    fn unregister(&self, id: u64) {
-        self.pending.lock().remove(&id);
+    /// The one send primitive: registers `on_done` under a fresh
+    /// correlation id and sends the request. `on_done` is called exactly
+    /// once — by the router with the response, by the router with
+    /// [`RpcError::Timeout`] if `deadline` passes first, or right here if
+    /// the request cannot be sent, in which case the error is also
+    /// returned. A [`cancel`](ClientShared::cancel)led request is never
+    /// answered at all.
+    fn start(
+        &self,
+        dst: NodeId,
+        payload: Vec<u8>,
+        deadline: Option<Instant>,
+        on_done: OnDone,
+    ) -> Result<u64, RpcError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.obs.calls.inc();
+        let slot = PendingSlot {
+            deadline,
+            // Stamped only while the global registry has timing armed
+            // (counters stay live either way).
+            started: repdir_obs::global().timing_armed().then(Instant::now),
+            on_done,
+        };
+        let refused = match self.pending.lock().as_mut() {
+            Some(slots) => slots.insert(id, slot),
+            None => Some(slot),
+        };
+        let failed = if let Some(slot) = refused {
+            Some((slot, RpcError::Timeout))
+        } else if self.net.send(self.node, dst, MsgKind::Request(id), payload) {
+            None
+        } else {
+            self.obs.unreachable.inc();
+            self.take(id).map(|slot| (slot, RpcError::Unreachable(dst)))
+        };
+        match failed {
+            None => Ok(id),
+            Some((slot, e)) => {
+                (slot.on_done)(Err(e.clone()));
+                Err(e)
+            }
+        }
+    }
+
+    fn take(&self, id: u64) -> Option<PendingSlot> {
+        self.pending.lock().as_mut()?.remove(&id)
+    }
+
+    /// Abandons a request: its eventual response is discarded at the router
+    /// by correlation id, and its callback is dropped uncalled.
+    fn cancel(&self, id: u64) {
+        drop(self.take(id));
+    }
+
+    /// Router: hands a response to the request it answers. An unknown id is
+    /// a stale response to an abandoned call, or a duplicate.
+    fn deliver(&self, id: u64, payload: Vec<u8>) {
+        if let Some(slot) = self.take(id) {
+            self.obs.replies.inc();
+            if let Some(started) = slot.started {
+                self.obs.reply_us.record(started.elapsed());
+            }
+            (slot.on_done)(Ok(payload));
+        }
+    }
+
+    /// Router: fails every request whose deadline has passed and returns how
+    /// long it may sleep before the next one is due.
+    fn expire(&self, now: Instant) -> Duration {
+        let mut wait = ROUTER_POLL;
+        let mut expired = Vec::new();
+        if let Some(slots) = self.pending.lock().as_mut() {
+            let due: Vec<u64> = slots
+                .iter()
+                .filter(|(_, slot)| slot.deadline.is_some_and(|deadline| deadline <= now))
+                .map(|(&id, _)| id)
+                .collect();
+            expired.extend(due.into_iter().filter_map(|id| slots.remove(&id)));
+            for deadline in slots.values().filter_map(|slot| slot.deadline) {
+                wait = wait.min(deadline - now);
+            }
+        }
+        for slot in expired {
+            self.obs.timeouts.inc();
+            (slot.on_done)(Err(RpcError::Timeout));
+        }
+        wait
+    }
+
+    /// Router exit: every request still pending is answered with
+    /// [`RpcError::Timeout`], and later ones are refused the same way.
+    fn close(&self) {
+        let orphaned = self.pending.lock().take();
+        for slot in orphaned.into_iter().flat_map(HashMap::into_values) {
+            (slot.on_done)(Err(RpcError::Timeout));
+        }
     }
 }
 
 /// A client that issues calls from its own node.
 ///
 /// Responses are matched to calls by correlation id in a dedicated router
-/// thread, so concurrent calls from many threads — or many async calls from
-/// one thread — never steal or discard each other's replies. Stale responses
-/// (from calls that already timed out and unregistered) are dropped at the
-/// router, so a late reply can never be mistaken for the answer to a newer
-/// call.
+/// thread, so concurrent calls from many threads — or many requests started
+/// from one thread — never steal or discard each other's replies. Stale
+/// responses (from calls that already timed out and unregistered) are
+/// dropped at the router, so a late reply can never be mistaken for the
+/// answer to a newer call.
+///
+/// Every way of calling — [`call`](RpcClient::call),
+/// [`call_async`](RpcClient::call_async), [`scatter`](RpcClient::scatter),
+/// [`call_hedged`](RpcClient::call_hedged) — is a thin user of one
+/// primitive, [`start`](RpcClient::start).
 pub struct RpcClient {
-    net: Arc<Network>,
-    node: NodeId,
-    next_id: AtomicU64,
     shared: Arc<ClientShared>,
 }
 
@@ -137,7 +240,10 @@ impl RpcClient {
     pub fn new(net: Arc<Network>, node: NodeId) -> Self {
         let endpoint = net.register(node);
         let shared = Arc::new(ClientShared {
-            pending: Mutex::new(HashMap::new()),
+            net,
+            node,
+            next_id: AtomicU64::new(1),
+            pending: Mutex::new(Some(HashMap::new())),
             shutdown: AtomicBool::new(false),
             obs: RpcObs::new(),
         });
@@ -146,17 +252,30 @@ impl RpcClient {
             .name(format!("repdir-rpc-router-{node}"))
             .spawn(move || route_responses(endpoint, router))
             .expect("spawn rpc router thread");
-        RpcClient {
-            net,
-            node,
-            next_id: AtomicU64::new(1),
-            shared,
-        }
+        RpcClient { shared }
     }
 
     /// This client's node id.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.shared.node
+    }
+
+    /// Sends `payload` to `dst` and returns at once; `on_done` is called
+    /// exactly once with the outcome, on the router thread — or right here
+    /// if `dst` never registered ([`RpcError::Unreachable`]). With a
+    /// `deadline`, a request still unanswered when it passes is answered
+    /// with [`RpcError::Timeout`] (checked at the router's poll granularity,
+    /// so up to 25 ms late) and a later response is discarded. Any number
+    /// of requests may be in flight at once; `on_done` must not block.
+    pub fn start(
+        &self,
+        dst: NodeId,
+        payload: Vec<u8>,
+        deadline: Option<Instant>,
+        on_done: impl FnOnce(RpcResult) + Send + 'static,
+    ) {
+        // The error, if any, has already been handed to `on_done`.
+        let _ = self.shared.start(dst, payload, deadline, Box::new(on_done));
     }
 
     /// Sends `payload` to `dst` and blocks for the matching response.
@@ -168,12 +287,7 @@ impl RpcClient {
     ///
     /// [`RpcError::Timeout`] if no matching response arrives in time;
     /// [`RpcError::Unreachable`] if `dst` never registered.
-    pub fn call(
-        &self,
-        dst: NodeId,
-        payload: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, RpcError> {
+    pub fn call(&self, dst: NodeId, payload: Vec<u8>, timeout: Duration) -> RpcResult {
         self.call_async(dst, payload)?.wait(timeout)
     }
 
@@ -187,61 +301,47 @@ impl RpcClient {
     /// send time; timeouts surface from [`PendingReply::wait`]).
     pub fn call_async(&self, dst: NodeId, payload: Vec<u8>) -> Result<PendingReply, RpcError> {
         let (tx, rx) = unbounded();
-        let id = self.register(0, tx);
-        self.shared.obs.calls.inc();
-        let started = self.shared.obs.start();
-        if !self.net.send(self.node, dst, MsgKind::Request(id), payload) {
-            self.shared.unregister(id);
-            self.shared.obs.unreachable.inc();
-            return Err(RpcError::Unreachable(dst));
-        }
+        let on_done = Box::new(move |reply| {
+            // The waiter may have just timed out and dropped its receiver;
+            // that loss is indistinguishable from a late reply.
+            let _ = tx.send(reply);
+        });
+        let id = self.shared.start(dst, payload, None, on_done)?;
         Ok(PendingReply {
             id,
             rx,
             shared: Arc::clone(&self.shared),
-            started,
         })
     }
 
-    /// Puts every request in flight at once and returns a gather handle
-    /// that yields replies in **completion order** — the scatter half of
-    /// scatter-gather. Requests to unregistered destinations fail
-    /// immediately and are yielded (as [`RpcError::Unreachable`]) before
-    /// any network reply.
+    /// Opens a wave with every request in flight at once and returns its
+    /// gather handle, which yields replies in **completion order** — the
+    /// scatter half of scatter-gather. Requests to unregistered
+    /// destinations fail immediately and are yielded (as
+    /// [`RpcError::Unreachable`]) before any network reply. Further
+    /// requests may [`push`](Scatter::push) into the open wave.
     pub fn scatter(&self, requests: Vec<(NodeId, Vec<u8>)>) -> Scatter {
         let (tx, rx) = unbounded();
-        let mut by_id = HashMap::with_capacity(requests.len());
-        let mut immediate = Vec::new();
-        let started = self.shared.obs.start();
-        for (index, (dst, payload)) in requests.into_iter().enumerate() {
-            let id = self.register(index, tx.clone());
-            self.shared.obs.calls.inc();
-            if self.net.send(self.node, dst, MsgKind::Request(id), payload) {
-                by_id.insert(id, index);
-            } else {
-                self.shared.unregister(id);
-                self.shared.obs.unreachable.inc();
-                immediate.push((index, Err(RpcError::Unreachable(dst))));
-            }
-        }
-        // Reverse so pop() yields lowest index first.
-        immediate.reverse();
-        Scatter {
+        let mut wave = Scatter {
             shared: Arc::clone(&self.shared),
-            by_id,
+            tx,
             rx,
-            immediate,
-            started,
+            slots: Vec::with_capacity(requests.len()),
+            outstanding: 0,
+        };
+        for (dst, payload) in requests {
+            wave.push(dst, payload);
         }
+        wave
     }
 
     /// Sends `payload` to `dsts[0]` and, whenever the reply is slower than
     /// `hedge_after`, duplicates the request to the next destination in the
-    /// list — the classic tail-latency hedge. The first reply to arrive
-    /// wins; stragglers stay registered until the call settles and their
-    /// late replies are then drained (dropped) by the correlation-id
-    /// router, so a hedge can never be mistaken for the answer to a later
-    /// call.
+    /// list — the classic tail-latency hedge: a one-request wave that
+    /// further requests join. The first reply to arrive wins; stragglers
+    /// are abandoned when the call settles and their late replies are
+    /// dropped by the correlation-id router, so a hedge can never be
+    /// mistaken for the answer to a later call.
     ///
     /// Destinations should be ranked best-first (e.g. by reply-time EWMA);
     /// `hedge_after` is typically derived from a high percentile of the
@@ -262,37 +362,32 @@ impl RpcClient {
         payload: Vec<u8>,
         hedge_after: Duration,
         timeout: Duration,
-    ) -> Result<Vec<u8>, RpcError> {
+    ) -> RpcResult {
         assert!(
             !dsts.is_empty(),
             "call_hedged needs at least one destination"
         );
-        let started = self.shared.obs.start();
+        let obs = &self.shared.obs;
         let deadline = Instant::now() + timeout;
-        let (tx, rx) = unbounded();
-        let mut in_flight: Vec<u64> = Vec::new();
-        let mut is_hedge = vec![false; dsts.len()];
-        let mut hedges = 0u64;
-        let mut next = 0usize;
-
+        let mut wave = self.scatter(Vec::new());
         // Launch the primary, walking past unreachable destinations for
         // free: an unregistered node is known dead at send time, so moving
         // on is a substitution, not a hedge.
-        while next < dsts.len() && in_flight.is_empty() {
-            if let Some(id) = self.hedge_issue(dsts[next], &payload, next, &tx) {
-                in_flight.push(id);
-            }
+        let mut next = 0usize;
+        let mut primary = None;
+        while next < dsts.len() && primary.is_none() {
+            primary = wave.push(dsts[next], payload.clone()).then_some(next);
             next += 1;
         }
-        if in_flight.is_empty() {
+        let Some(primary) = primary else {
             return Err(RpcError::Unreachable(dsts[dsts.len() - 1]));
-        }
-
+        };
+        let mut hedges = 0u64;
         let mut won_hedge = false;
         let outcome = loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                self.shared.obs.timeouts.inc();
+                obs.timeouts.inc();
                 break Err(RpcError::Timeout);
             }
             // Wait one hedge delay while spares remain, else to the
@@ -302,76 +397,30 @@ impl RpcClient {
             } else {
                 remaining
             };
-            match rx.recv_timeout(wait) {
-                Ok((tag, body)) => {
-                    self.shared.obs.replies.inc();
-                    if let Some(at) = started {
-                        self.shared.obs.reply_us.record(at.elapsed());
-                    }
-                    if is_hedge[tag] {
+            match wave.poll(wait) {
+                Some((index, Ok(body))) => {
+                    if index != primary {
                         won_hedge = true;
-                        self.shared.obs.hedge_won.inc();
+                        obs.hedge_won.inc();
                     }
                     break Ok(body);
                 }
-                // tx is held locally, so only a timeout can surface here.
-                Err(_) => {
+                // A spare that turned out unreachable: skipped for free.
+                Some((_, Err(_))) => {}
+                None => {
                     while next < dsts.len() {
-                        let tag = next;
                         next += 1;
-                        if let Some(id) = self.hedge_issue(dsts[tag], &payload, tag, &tx) {
-                            self.shared.obs.hedge_issued.inc();
+                        if wave.push(dsts[next - 1], payload.clone()) {
+                            obs.hedge_issued.inc();
                             hedges += 1;
-                            is_hedge[tag] = true;
-                            in_flight.push(id);
                             break;
                         }
                     }
                 }
             }
         };
-        self.shared
-            .obs
-            .hedge_wasted
-            .add(hedges - u64::from(won_hedge));
-        // Unregister the stragglers; their late replies hit the router's
-        // unknown-id path and are discarded.
-        for id in in_flight {
-            self.shared.unregister(id);
-        }
+        obs.hedge_wasted.add(hedges - u64::from(won_hedge));
         outcome
-    }
-
-    /// One send within a hedged call: registers a slot, counts the call,
-    /// and reports an unregistered destination as `None` (slot released).
-    fn hedge_issue(
-        &self,
-        dst: NodeId,
-        payload: &[u8],
-        tag: usize,
-        tx: &Sender<(usize, Vec<u8>)>,
-    ) -> Option<u64> {
-        let id = self.register(tag, tx.clone());
-        self.shared.obs.calls.inc();
-        if self
-            .net
-            .send(self.node, dst, MsgKind::Request(id), payload.to_vec())
-        {
-            Some(id)
-        } else {
-            self.shared.unregister(id);
-            self.shared.obs.unreachable.inc();
-            None
-        }
-    }
-
-    fn register(&self, tag: usize, tx: Sender<(usize, Vec<u8>)>) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .pending
-            .lock()
-            .insert(id, PendingSlot { tag, tx });
-        id
     }
 }
 
@@ -383,49 +432,41 @@ impl Drop for RpcClient {
 
 impl fmt::Debug for RpcClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let in_flight = self.shared.pending.lock().as_ref().map_or(0, HashMap::len);
         f.debug_struct("RpcClient")
-            .field("node", &self.node)
-            .field("in_flight", &self.shared.pending.lock().len())
+            .field("node", &self.shared.node)
+            .field("in_flight", &in_flight)
             .finish()
     }
 }
 
 fn route_responses(endpoint: Endpoint, shared: Arc<ClientShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match endpoint.recv_timeout(ROUTER_POLL) {
+    let mut wait = ROUTER_POLL;
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match endpoint.recv_timeout(wait) {
             Ok(env) => {
-                if let MsgKind::Response(rid) = env.kind {
-                    if let Some(slot) = shared.pending.lock().remove(&rid) {
-                        // The waiter may have just timed out and dropped its
-                        // receiver; that loss is indistinguishable from a
-                        // late reply and equally fine.
-                        let _ = slot.tx.send((slot.tag, env.payload));
-                    }
-                    // Unknown id: stale response from an abandoned call.
-                }
                 // Requests addressed to a pure client are dropped.
+                if let MsgKind::Response(id) = env.kind {
+                    shared.deliver(id, env.payload);
+                }
             }
-            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Timeout) => {}
             // Mailbox replaced (node re-registered): this router is orphaned.
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
+        wait = shared.expire(Instant::now());
     }
+    shared.close();
 }
 
 /// One in-flight call created by [`RpcClient::call_async`].
 ///
 /// Dropping the handle abandons the call; its eventual response is
 /// discarded at the router by correlation id.
-#[derive(Debug)]
 pub struct PendingReply {
     id: u64,
-    rx: Receiver<(usize, Vec<u8>)>,
+    rx: Receiver<RpcResult>,
     shared: Arc<ClientShared>,
-    /// Send-time stamp; `None` when the global registry has timing off.
-    started: Option<Instant>,
 }
 
 impl PendingReply {
@@ -435,56 +476,95 @@ impl PendingReply {
     ///
     /// [`RpcError::Timeout`] if no response arrived in time (the call is
     /// unregistered; a later reply will be discarded).
-    pub fn wait(&self, timeout: Duration) -> Result<Vec<u8>, RpcError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok((_, payload)) => Ok(self.settled(payload)),
-            Err(_) => {
-                self.shared.unregister(self.id);
-                // A response routed between the timeout and the
-                // unregister above still counts as delivered.
-                match self.rx.try_recv() {
-                    Ok((_, payload)) => Ok(self.settled(payload)),
-                    Err(_) => {
-                        self.shared.obs.timeouts.inc();
-                        Err(RpcError::Timeout)
-                    }
-                }
-            }
+    pub fn wait(&self, timeout: Duration) -> RpcResult {
+        if let Ok(reply) = self.rx.recv_timeout(timeout) {
+            return reply;
         }
-    }
-
-    fn settled(&self, payload: Vec<u8>) -> Vec<u8> {
-        self.shared.obs.replies.inc();
-        if let Some(started) = self.started {
-            self.shared.obs.reply_us.record(started.elapsed());
-        }
-        payload
+        self.shared.cancel(self.id);
+        // A response routed between the timeout and the cancel above still
+        // counts as delivered.
+        self.rx.try_recv().unwrap_or_else(|_| {
+            self.shared.obs.timeouts.inc();
+            Err(RpcError::Timeout)
+        })
     }
 }
 
 impl Drop for PendingReply {
     fn drop(&mut self) {
-        self.shared.unregister(self.id);
+        self.shared.cancel(self.id);
     }
 }
 
-/// Gather handle returned by [`RpcClient::scatter`].
-#[derive(Debug)]
+impl fmt::Debug for PendingReply {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PendingReply")
+            .field("id", &self.id)
+            .finish()
+    }
+}
+
+/// Where one request of a [`Scatter`] stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Slot {
+    /// Sent under this correlation id; no outcome yet.
+    InFlight(u64),
+    /// Could not be sent; its failure is queued and not yet yielded.
+    Failed,
+    /// Its outcome has been yielded.
+    Yielded,
+}
+
+/// An open wave of requests: the gather handle returned by
+/// [`RpcClient::scatter`]. Requests are numbered in the order they joined.
 pub struct Scatter {
     shared: Arc<ClientShared>,
-    /// Correlation id → request index, for calls still outstanding.
-    by_id: HashMap<u64, usize>,
-    rx: Receiver<(usize, Vec<u8>)>,
-    /// Send-time failures, yielded (lowest index first) before any reply.
-    immediate: Vec<(usize, Result<Vec<u8>, RpcError>)>,
-    /// Scatter-time stamp shared by the wave; `None` with timing off.
-    started: Option<Instant>,
+    tx: Sender<(usize, RpcResult)>,
+    rx: Receiver<(usize, RpcResult)>,
+    slots: Vec<Slot>,
+    /// Requests whose outcome has not been yielded yet.
+    outstanding: usize,
 }
 
 impl Scatter {
+    /// Adds a request to the open wave as the next index. Returns whether
+    /// it is in flight; `false` means `dst` never registered and the
+    /// request's [`RpcError::Unreachable`] is already queued to be yielded.
+    pub fn push(&mut self, dst: NodeId, payload: Vec<u8>) -> bool {
+        let index = self.slots.len();
+        let tx = self.tx.clone();
+        let on_done = Box::new(move |reply| {
+            let _ = tx.send((index, reply));
+        });
+        let slot = match self.shared.start(dst, payload, None, on_done) {
+            Ok(id) => Slot::InFlight(id),
+            Err(_) => Slot::Failed,
+        };
+        self.slots.push(slot);
+        self.outstanding += 1;
+        slot != Slot::Failed
+    }
+
     /// Number of requests not yet yielded.
     pub fn outstanding(&self) -> usize {
-        self.by_id.len() + self.immediate.len()
+        self.outstanding
+    }
+
+    /// Yields the next settled request as `(request index, result)`, in
+    /// completion order, or `None` if nothing settles within `timeout` —
+    /// every request stays in flight.
+    pub fn poll(&mut self, timeout: Duration) -> Option<(usize, RpcResult)> {
+        let until = Instant::now() + timeout;
+        loop {
+            let wait = until.saturating_duration_since(Instant::now());
+            let (index, result) = self.rx.recv_timeout(wait).ok()?;
+            // A reply routed while `recv_timeout` was failing the request.
+            if self.slots[index] != Slot::Yielded {
+                self.slots[index] = Slot::Yielded;
+                self.outstanding -= 1;
+                return Some((index, result));
+            }
+        }
     }
 
     /// Yields the next settled request as `(request index, result)`, in
@@ -492,58 +572,39 @@ impl Scatter {
     /// yielded. If `timeout` elapses with no arrival, **one** outstanding
     /// request (the lowest index) is failed with [`RpcError::Timeout`] and
     /// yielded, so repeated calls always terminate.
-    pub fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Option<(usize, Result<Vec<u8>, RpcError>)> {
-        if let Some(settled) = self.immediate.pop() {
-            return Some(settled);
-        }
-        if self.by_id.is_empty() {
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(usize, RpcResult)> {
+        if self.outstanding == 0 {
             return None;
         }
-        match self.rx.recv_timeout(timeout) {
-            Ok((index, payload)) => {
-                self.by_id.retain(|_, v| *v != index);
-                self.shared.obs.replies.inc();
-                if let Some(started) = self.started {
-                    self.shared.obs.reply_us.record(started.elapsed());
-                }
-                Some((index, Ok(payload)))
-            }
-            Err(_) => {
-                let (&id, &index) = self
-                    .by_id
-                    .iter()
-                    .min_by_key(|(_, &v)| v)
-                    .expect("outstanding nonempty");
-                self.by_id.remove(&id);
-                self.shared.unregister(id);
-                self.shared.obs.timeouts.inc();
-                Some((index, Err(RpcError::Timeout)))
-            }
+        if let Some(settled) = self.poll(timeout) {
+            return Some(settled);
         }
+        // Failures are queued at once, so whatever is left is in flight.
+        let (index, id) = self
+            .slots
+            .iter()
+            .enumerate()
+            .find_map(|(index, slot)| match slot {
+                Slot::InFlight(id) => Some((index, *id)),
+                _ => None,
+            })?;
+        self.shared.cancel(id);
+        self.shared.obs.timeouts.inc();
+        self.slots[index] = Slot::Yielded;
+        self.outstanding -= 1;
+        Some((index, Err(RpcError::Timeout)))
     }
 
     /// Gathers every remaining reply under one overall `deadline`,
     /// returning results indexed by request position.
-    pub fn gather(mut self, deadline: Duration) -> Vec<Result<Vec<u8>, RpcError>> {
-        let total = self
-            .by_id
-            .values()
-            .copied()
-            .chain(self.immediate.iter().map(|(i, _)| *i))
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut out: Vec<Result<Vec<u8>, RpcError>> = Vec::new();
-        out.resize_with(total, || Err(RpcError::Timeout));
+    pub fn gather(mut self, deadline: Duration) -> Vec<RpcResult> {
+        let mut out: Vec<RpcResult> = Vec::new();
+        out.resize_with(self.slots.len(), || Err(RpcError::Timeout));
         let until = Instant::now() + deadline;
-        while self.outstanding() > 0 {
-            let remaining = until.saturating_duration_since(Instant::now());
-            match self.recv_timeout(remaining) {
-                Some((index, result)) => out[index] = result,
-                None => break,
-            }
+        while let Some((index, result)) =
+            self.recv_timeout(until.saturating_duration_since(Instant::now()))
+        {
+            out[index] = result;
         }
         out
     }
@@ -551,9 +612,19 @@ impl Scatter {
 
 impl Drop for Scatter {
     fn drop(&mut self) {
-        for (&id, _) in self.by_id.iter() {
-            self.shared.unregister(id);
+        for slot in &self.slots {
+            if let Slot::InFlight(id) = slot {
+                self.shared.cancel(*id);
+            }
         }
+    }
+}
+
+impl fmt::Debug for Scatter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Scatter")
+            .field("slots", &self.slots)
+            .finish_non_exhaustive()
     }
 }
 
@@ -775,6 +846,66 @@ mod tests {
         let results = scatter.gather(TICK);
         assert_eq!(results[0], Ok(vec![7]));
         assert_eq!(results[1], Err(RpcError::Unreachable(NodeId(99))));
+    }
+
+    #[test]
+    fn requests_join_an_open_wave() {
+        let net = Arc::new(Network::new(24));
+        let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
+        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
+        let mut wave = client.scatter(vec![(NodeId(1), vec![1])]);
+        assert!(wave.push(NodeId(1), vec![2]), "sent");
+        assert!(!wave.push(NodeId(99), vec![3]), "never registered");
+        assert_eq!(wave.outstanding(), 3);
+        let results = wave.gather(TICK);
+        assert_eq!(results[0], Ok(vec![1]));
+        assert_eq!(results[1], Ok(vec![2]));
+        assert_eq!(results[2], Err(RpcError::Unreachable(NodeId(99))));
+    }
+
+    #[test]
+    fn started_request_is_answered_exactly_once_by_reply_or_deadline() {
+        let net = Arc::new(Network::new(25));
+        let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
+        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
+        let (tx, rx) = unbounded();
+        let start = |payload: Vec<u8>, timeout: Duration| {
+            let tx = tx.clone();
+            let deadline = Some(Instant::now() + timeout);
+            client.start(NodeId(1), payload, deadline, move |reply| {
+                tx.send(reply).unwrap();
+            });
+        };
+        start(vec![1], TICK);
+        assert_eq!(rx.recv_timeout(TICK), Ok(Ok(vec![1])));
+        // Nobody answers: the router fails the request at its deadline.
+        net.partition(&[&[NodeId(0)], &[NodeId(1)]]);
+        start(vec![2], Duration::from_millis(40));
+        assert_eq!(rx.recv_timeout(TICK), Ok(Err(RpcError::Timeout)));
+        net.heal();
+        start(vec![3], TICK);
+        assert_eq!(rx.recv_timeout(TICK), Ok(Ok(vec![3])));
+        // An unregistered destination is answered before `start` returns.
+        client.start(NodeId(99), vec![], None, {
+            let tx = tx.clone();
+            move |reply| tx.send(reply).unwrap()
+        });
+        assert_eq!(rx.try_recv(), Ok(Err(RpcError::Unreachable(NodeId(99)))));
+        assert!(rx.try_recv().is_err(), "one outcome per request");
+    }
+
+    #[test]
+    fn dropping_the_client_answers_what_is_still_pending() {
+        let net = Arc::new(Network::new(26));
+        let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
+        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
+        net.partition(&[&[NodeId(0)], &[NodeId(1)]]);
+        let (tx, rx) = unbounded();
+        client.start(NodeId(1), vec![1], None, move |reply| {
+            let _ = tx.send(reply);
+        });
+        drop(client);
+        assert_eq!(rx.recv_timeout(TICK), Ok(Err(RpcError::Timeout)));
     }
 
     #[test]

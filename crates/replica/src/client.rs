@@ -3,10 +3,7 @@
 
 use std::sync::Arc;
 
-use repdir_core::{
-    CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RepClient, RepId, RepResult,
-    Value, Version,
-};
+use repdir_core::{RepClient, RepId, RepReply, RepRequest, RepResult};
 use repdir_txn::TxnId;
 
 use crate::server::TransactionalRep;
@@ -46,42 +43,32 @@ impl RepClient for SessionClient {
         self.rep.id()
     }
 
-    fn ping(&self) -> RepResult<()> {
-        self.rep.ping()
-    }
-
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        self.rep.lookup(self.txn, key)
-    }
-
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
-        self.rep.predecessor(self.txn, key)
-    }
-
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
-        self.rep.successor(self.txn, key)
-    }
-
-    fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        self.rep.predecessor_chain(self.txn, key, limit)
-    }
-
-    fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        self.rep.successor_chain(self.txn, key, limit)
-    }
-
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        self.rep.insert(self.txn, key, version, value)
-    }
-
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        self.rep.coalesce(self.txn, low, high, version)
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        let (rep, txn) = (&self.rep, self.txn);
+        match req {
+            RepRequest::Ping => rep.ping().map(|()| RepReply::Pong),
+            RepRequest::Lookup(key) => rep.lookup(txn, key).map(RepReply::Lookup),
+            RepRequest::PredecessorChain(key, limit) => {
+                rep.predecessor_chain(txn, key, limit).map(RepReply::Chain)
+            }
+            RepRequest::SuccessorChain(key, limit) => {
+                rep.successor_chain(txn, key, limit).map(RepReply::Chain)
+            }
+            RepRequest::Insert(key, version, value) => {
+                rep.insert(txn, key, version, value).map(RepReply::Insert)
+            }
+            RepRequest::Coalesce(low, high, version) => rep
+                .coalesce(txn, low, high, version)
+                .map(RepReply::Coalesce),
+            RepRequest::Batch(parts) => self.execute_parts(parts),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repdir_core::{Key, Value, Version};
 
     #[test]
     fn session_client_scopes_operations_to_its_txn() {

@@ -465,27 +465,19 @@ impl DirTxn<'_> {
     }
 
     /// Commits at every representative (write-ahead-log sync per member)
-    /// and releases locks.
-    ///
-    /// The per-member commits — each a WAL sync — run concurrently, so
-    /// commit latency is the *slowest* member's sync, not the sum of all
-    /// of them (the same scatter-gather shape the suite uses for its RPC
-    /// waves).
+    /// and releases locks, one representative after another on the calling
+    /// thread: a member's commit is a short critical section, far cheaper
+    /// than a thread to run it on.
     pub fn commit(mut self) {
         self.finished = true;
-        let id = self.id;
         let _span = repdir_obs::global().span("txn.commit");
-        std::thread::scope(|scope| {
-            for rep in &self.dir.reps {
-                // A representative that failed mid-transaction cannot
-                // commit; it never saw the transaction's writes (the suite
-                // routed around it), so skipping is sound.
-                scope.spawn(move || {
-                    let _ = rep.commit(id);
-                });
-            }
-        });
-        let _ = self.dir.txns.commit(id);
+        for rep in &self.dir.reps {
+            // A representative that failed mid-transaction cannot commit;
+            // it never saw the transaction's writes (the suite routed
+            // around it), so skipping is sound.
+            let _ = rep.commit(self.id);
+        }
+        let _ = self.dir.txns.commit(self.id);
     }
 
     /// Aborts at every representative and releases locks.
@@ -495,18 +487,11 @@ impl DirTxn<'_> {
     }
 
     fn rollback(&self) {
-        let id = self.id;
         let _span = repdir_obs::global().span("txn.abort");
-        std::thread::scope(|scope| {
-            for rep in &self.dir.reps {
-                scope.spawn(move || {
-                    rep.abort(id);
-                });
-            }
-        });
-        if self.dir.txns.is_active(id) {
-            let _ = self.dir.txns.abort(id);
+        for rep in &self.dir.reps {
+            rep.abort(self.id);
         }
+        let _ = self.dir.txns.abort(self.id);
     }
 }
 
@@ -531,7 +516,6 @@ impl fmt::Debug for DirTxn<'_> {
 mod tests {
     use super::*;
     use repdir_core::suite::FixedPolicy;
-    use repdir_txn::TxnStatus;
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -567,7 +551,7 @@ mod tests {
         txn.suite_mut().insert(&k("y"), &val("Y")).unwrap();
         let id = txn.id();
         txn.commit();
-        assert_eq!(dir.txn_manager().status(id), Some(TxnStatus::Committed));
+        assert!(!dir.txn_manager().is_active(id));
         assert!(dir.lookup(&k("x")).unwrap().present);
         assert!(dir.lookup(&k("y")).unwrap().present);
     }
@@ -599,8 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn commit_fanout_applies_at_every_rep_and_records_obs() {
-        // The per-rep commit fan-out must leave every write-quorum member
+    fn commit_applies_at_every_rep_and_records_obs() {
+        // The per-rep commit loop must leave every write-quorum member
         // durably committed, bump the global txn counters, and record the
         // txn.commit span. Counters are process-global and tests run in
         // parallel, so assertions are monotone (>= before + delta).
@@ -615,9 +599,9 @@ mod tests {
         let id = txn.id();
         txn.commit();
 
-        assert_eq!(dir.txn_manager().status(id), Some(TxnStatus::Committed));
-        // Each quorum member saw the write and must have applied it after
-        // the concurrent commit wave completed.
+        assert!(!dir.txn_manager().is_active(id));
+        // Each quorum member saw the write and must have applied it once
+        // commit returned.
         for rep_id in out.quorum {
             let rep = &dir.reps()[rep_id.0 as usize];
             assert!(
@@ -628,7 +612,7 @@ mod tests {
         assert!(g.counter("txn.committed").get() > committed_before);
         assert!(g.spans().iter().any(|e| e.name == "txn.commit"));
 
-        // The abort fan-out mirrors it.
+        // The abort loop mirrors it.
         let mut txn = dir.begin();
         txn.suite_mut().insert(&k("doomed"), &val("D")).unwrap();
         txn.abort();
@@ -783,10 +767,9 @@ mod tests {
 
     #[test]
     fn session_clients_are_shareable_across_threads() {
-        // The fan-out executor lends &SessionClient to scoped threads;
-        // clients must be Send + Sync. The suite itself only needs Send
-        // (its quorum policy is Send-only): the coordinator owns it, and
-        // only member references cross threads.
+        // `RepClient` requires Send + Sync: concurrent transactions share a
+        // representative's clients. The suite itself only needs Send (its
+        // quorum policy is Send-only): one coordinator thread owns it.
         fn assert_send_sync<T: Send + Sync>() {}
         fn assert_send<T: Send>() {}
         assert_send_sync::<SessionClient>();

@@ -2,13 +2,13 @@
 //! remote client.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use repdir_core::{
-    BatchReply, BatchRequest, CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply,
-    RepClient, RepError, RepId, RepResult, Value, Version,
+    BatchReply, Completion, RepClient, RepError, RepId, RepReply, RepRequest, RepResult,
 };
-use repdir_net::{serve, Network, NodeId, RpcClient, ServerHandle};
+use repdir_net::{serve, Network, NodeId, RpcClient, RpcResult, ServerHandle};
+use repdir_obs::Counter;
 use repdir_txn::TxnId;
 
 use crate::codec::{
@@ -102,6 +102,10 @@ pub struct RemoteSessionClient {
     rep_id: RepId,
     txn: TxnId,
     timeout: Duration,
+    /// `rpc.batch.calls` / `rpc.batch.parts`, resolved once: envelopes ride
+    /// every scan hop.
+    batch_calls: Counter,
+    batch_parts: Counter,
 }
 
 impl RemoteSessionClient {
@@ -111,12 +115,15 @@ impl RemoteSessionClient {
     /// Creates a client for representative `rep_id` served at `server`,
     /// acting for transaction `txn`.
     pub fn new(rpc: Arc<RpcClient>, server: NodeId, rep_id: RepId, txn: TxnId) -> Self {
+        let obs = repdir_obs::global();
         RemoteSessionClient {
             rpc,
             server,
             rep_id,
             txn,
             timeout: Self::DEFAULT_TIMEOUT,
+            batch_calls: obs.counter("rpc.batch.calls"),
+            batch_parts: obs.counter("rpc.batch.parts"),
         }
     }
 
@@ -131,10 +138,7 @@ impl RemoteSessionClient {
     ///
     /// [`RepError::Unavailable`] on RPC failure.
     pub fn begin(&self) -> RepResult<()> {
-        match self.call(Request::Begin(self.txn))? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.control(Request::Begin(self.txn))
     }
 
     /// Commits the transaction at the remote representative.
@@ -143,35 +147,98 @@ impl RemoteSessionClient {
     ///
     /// [`RepError::Unavailable`] on RPC failure.
     pub fn commit(&self) -> RepResult<()> {
-        match self.call(Request::Commit(self.txn))? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.control(Request::Commit(self.txn))
     }
 
     /// Aborts the transaction at the remote representative (best effort —
     /// an unreachable representative will roll back when its lock timeouts
     /// fire or it restarts).
     pub fn abort(&self) {
-        let _ = self.call(Request::Abort(self.txn));
+        let _ = self.control(Request::Abort(self.txn));
     }
 
-    fn call(&self, req: Request) -> RepResult<Response> {
+    /// One transaction-control round trip, answered by a bare `Ok`.
+    fn control(&self, req: Request) -> RepResult<()> {
         let reply = self
             .rpc
-            .call(self.server, encode_request(&req), self.timeout)
-            .map_err(|_| RepError::Unavailable)?;
-        let resp =
-            decode_response(&reply).map_err(|e| RepError::Storage(format!("bad response: {e}")))?;
-        match resp {
-            Response::Err(e) => Err(e),
-            ok => Ok(ok),
+            .call(self.server, encode_request(&req), self.timeout);
+        match decode_reply(reply, None)? {
+            RepReply::Pong => Ok(()),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// The wire frame for `req` plus, for an envelope, the number of parts
+    /// its reply must carry. `None` for an empty envelope, which is answered
+    /// without a message.
+    fn frame(&self, req: RepRequest<'_>) -> Option<(Vec<u8>, Option<usize>)> {
+        let t = self.txn;
+        let wire = |req: RepRequest<'_>| match req {
+            RepRequest::Ping => Request::Ping,
+            RepRequest::Lookup(k) => Request::Lookup(t, k.clone()),
+            RepRequest::PredecessorChain(k, limit) => {
+                Request::PredecessorChain(t, k.clone(), limit as u32)
+            }
+            RepRequest::SuccessorChain(k, limit) => {
+                Request::SuccessorChain(t, k.clone(), limit as u32)
+            }
+            RepRequest::Insert(k, v, val) => Request::Insert(t, k.clone(), v, val.clone()),
+            RepRequest::Coalesce(l, h, v) => Request::Coalesce(t, l.clone(), h.clone(), v),
+            RepRequest::Batch(_) => unreachable!("envelopes do not nest"),
+        };
+        match req {
+            RepRequest::Batch([]) => None,
+            // The whole envelope is one `Request::Batch` frame — one message
+            // and one round trip regardless of how many probes it carries.
+            RepRequest::Batch(parts) => {
+                self.batch_calls.inc();
+                self.batch_parts.add(parts.len() as u64);
+                let wired = parts.iter().map(|part| wire(part.as_request())).collect();
+                Some((encode_request(&Request::Batch(wired)), Some(parts.len())))
+            }
+            single => Some((encode_request(&wire(single)), None)),
         }
     }
 }
 
-fn unexpected(resp: Response) -> RepError {
+fn unexpected(resp: impl std::fmt::Debug) -> RepError {
     RepError::Storage(format!("protocol violation: unexpected response {resp:?}"))
+}
+
+/// Turns an RPC outcome into the reply it carries. RPC failures become
+/// [`RepError::Unavailable`]; an envelope's reply (`arity` parts expected) is
+/// decoded through the arity-checking helper, so a reply that cannot answer
+/// exactly that envelope is a protocol violation, never a silent truncation
+/// of the tail sub-requests. Which *kind* of reply answers which request is
+/// checked where the reply is consumed ([`RepReply`]'s typed accessors).
+fn decode_reply(reply: RpcResult, arity: Option<usize>) -> RepResult<RepReply> {
+    let bytes = reply.map_err(|_| RepError::Unavailable)?;
+    let decoded = match arity {
+        Some(parts) => decode_batch_response(&bytes, parts),
+        None => decode_response(&bytes),
+    };
+    let resp = decoded.map_err(|e| RepError::Storage(format!("bad response: {e}")))?;
+    match resp {
+        Response::Err(e) => Err(e),
+        Response::Batch(parts) => parts
+            .into_iter()
+            .map(|part| match part {
+                Response::Lookup(r) => Ok(BatchReply::Lookup(r)),
+                Response::Chain(c) => Ok(BatchReply::Chain(c)),
+                Response::Insert(r) => Ok(BatchReply::Insert(r)),
+                Response::Err(e) => Err(e),
+                other => Err(unexpected(other)),
+            })
+            .collect::<RepResult<_>>()
+            .map(RepReply::Batch),
+        Response::Ok => Ok(RepReply::Pong),
+        Response::Lookup(r) => Ok(RepReply::Lookup(r)),
+        Response::Neighbor(n) => Ok(RepReply::Chain(vec![n])),
+        Response::Chain(c) => Ok(RepReply::Chain(c)),
+        Response::Insert(r) => Ok(RepReply::Insert(r)),
+        Response::Coalesce(r) => Ok(RepReply::Coalesce(r)),
+        other => Err(unexpected(other)),
+    }
 }
 
 impl RepClient for RemoteSessionClient {
@@ -179,138 +246,34 @@ impl RepClient for RemoteSessionClient {
         self.rep_id
     }
 
-    fn ping(&self) -> RepResult<()> {
-        match self.call(Request::Ping)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        match self.call(Request::Lookup(self.txn, key.clone()))? {
-            Response::Lookup(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn predecessor(&self, key: &Key) -> RepResult<NeighborReply> {
-        match self.call(Request::Predecessor(self.txn, key.clone()))? {
-            Response::Neighbor(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn successor(&self, key: &Key) -> RepResult<NeighborReply> {
-        match self.call(Request::Successor(self.txn, key.clone()))? {
-            Response::Neighbor(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        match self.call(Request::PredecessorChain(
-            self.txn,
-            key.clone(),
-            limit as u32,
-        ))? {
-            Response::Chain(chain) => Ok(chain),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        match self.call(Request::SuccessorChain(self.txn, key.clone(), limit as u32))? {
-            Response::Chain(chain) => Ok(chain),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        match self.call(Request::Insert(
-            self.txn,
-            key.clone(),
-            version,
-            value.clone(),
-        ))? {
-            Response::Insert(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        match self.call(Request::Coalesce(
-            self.txn,
-            low.clone(),
-            high.clone(),
-            version,
-        ))? {
-            Response::Coalesce(r) => Ok(r),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Packs the whole batch into one `Request::Batch` envelope — one
-    /// message and one round trip regardless of how many probes it carries,
-    /// which is the point of batched scatter envelopes.
-    fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let wire: Vec<Request> = reqs
-            .iter()
-            .map(|r| match r {
-                BatchRequest::Lookup(k) => Request::Lookup(self.txn, k.clone()),
-                BatchRequest::PredecessorChain(k, limit) => {
-                    Request::PredecessorChain(self.txn, k.clone(), *limit as u32)
-                }
-                BatchRequest::SuccessorChain(k, limit) => {
-                    Request::SuccessorChain(self.txn, k.clone(), *limit as u32)
-                }
-                BatchRequest::Insert(k, v, val) => {
-                    Request::Insert(self.txn, k.clone(), *v, val.clone())
-                }
-            })
-            .collect();
-        let obs = repdir_obs::global();
-        obs.counter("rpc.batch.calls").inc();
-        obs.counter("rpc.batch.parts").add(reqs.len() as u64);
-        // Decode through the arity-checking helper: a reply that cannot
-        // answer exactly this envelope is a protocol violation, never a
-        // silent truncation of the tail sub-requests.
-        let reply = self
-            .rpc
-            .call(
-                self.server,
-                encode_request(&Request::Batch(wire)),
-                self.timeout,
-            )
-            .map_err(|_| RepError::Unavailable)?;
-        let parts = match decode_batch_response(&reply, reqs.len())
-            .map_err(|e| RepError::Storage(format!("bad response: {e}")))?
-        {
-            Response::Batch(parts) => parts,
-            Response::Err(e) => return Err(e),
-            other => return Err(unexpected(other)),
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        let Some((frame, arity)) = self.frame(req) else {
+            return Ok(RepReply::Batch(Vec::new()));
         };
-        reqs.iter()
-            .zip(parts)
-            .map(|(req, part)| match (req, part) {
-                (BatchRequest::Lookup(_), Response::Lookup(r)) => Ok(BatchReply::Lookup(r)),
-                (BatchRequest::Insert(..), Response::Insert(r)) => Ok(BatchReply::Insert(r)),
-                (
-                    BatchRequest::PredecessorChain(..) | BatchRequest::SuccessorChain(..),
-                    Response::Chain(c),
-                ) => Ok(BatchReply::Chain(c)),
-                (_, Response::Err(e)) => Err(e),
-                (_, other) => Err(unexpected(other)),
-            })
-            .collect()
+        decode_reply(self.rpc.call(self.server, frame, self.timeout), arity)
+    }
+
+    /// Sends the request and returns: the reply is decoded and `done`
+    /// completed on the RPC router thread. The per-call deadline travels
+    /// with the request, so a member that never answers completes `done` as
+    /// [`RepError::Unavailable`] at the deadline whether or not anybody is
+    /// still waiting.
+    fn start(&self, req: RepRequest<'_>, done: Completion) {
+        let Some((frame, arity)) = self.frame(req) else {
+            return done.complete(Ok(RepReply::Batch(Vec::new())));
+        };
+        let deadline = Instant::now() + self.timeout;
+        self.rpc
+            .start(self.server, frame, Some(deadline), move |reply| {
+                done.complete(decode_reply(reply, arity));
+            });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repdir_core::{BatchRequest, InsertOutcome, Key, Value, Version};
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -374,6 +337,48 @@ mod tests {
         assert_eq!(client.lookup(&k("a")), Err(RepError::Unavailable));
         net.heal();
         client.ping().unwrap();
+    }
+
+    #[test]
+    fn started_requests_complete_from_the_router_or_at_their_deadline() {
+        use repdir_core::channel::unbounded;
+        use repdir_core::{Completion, Done};
+        let (net, _rep, _handle, rpc) = setup();
+        let mut client = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(1));
+        client.set_timeout(Duration::from_millis(60));
+        client.begin().unwrap();
+        let (queue, completions) = unbounded::<Done>();
+        let tick = Duration::from_secs(2);
+        // `start` returns before the reply exists; it arrives tagged.
+        client.start(RepRequest::Ping, Completion::new(7, true, queue.clone()));
+        client.start(
+            RepRequest::Lookup(&k("a")),
+            Completion::new(8, true, queue.clone()),
+        );
+        let mut done: Vec<Done> = (0..2)
+            .map(|_| completions.recv_timeout(tick).unwrap())
+            .collect();
+        done.sort_by_key(|d| d.slot);
+        assert_eq!(done[0].result, Ok(RepReply::Pong));
+        assert!(matches!(done[1].result, Ok(RepReply::Lookup(_))));
+        assert!(done.iter().all(|d| d.elapsed.is_some()));
+        // An empty envelope is answered without a message.
+        let sent = net.stats().sent;
+        client.start(
+            RepRequest::Batch(&[]),
+            Completion::new(9, false, queue.clone()),
+        );
+        let empty = completions.try_recv().expect("completed inline");
+        assert_eq!(empty.result, Ok(RepReply::Batch(Vec::new())));
+        assert_eq!(net.stats().sent, sent);
+        // Nobody answers: the request completes unavailable at the client's
+        // deadline, with nobody waiting on it.
+        net.partition(&[&[NodeId(0)], &[NodeId(10)]]);
+        client.start(RepRequest::Ping, Completion::new(10, false, queue));
+        let late = completions.recv_timeout(tick).unwrap();
+        assert_eq!((late.slot, late.result), (10, Err(RepError::Unavailable)));
+        net.heal();
+        client.abort();
     }
 
     #[test]
@@ -490,9 +495,8 @@ mod tests {
 
     #[test]
     fn remote_client_is_send_and_sync() {
-        // The suite's fan-out executor lends &RemoteSessionClient to scoped
-        // threads, so concurrent in-flight calls through one client (and
-        // one shared RpcClient) must be sound.
+        // `RepClient` requires it: concurrent in-flight calls through one
+        // client (and one shared RpcClient) must be sound.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RemoteSessionClient>();
     }

@@ -17,11 +17,17 @@ use crate::wal::{replay, Wal, WalError, WalRecord};
 /// A representative's state with full transactional durability:
 ///
 /// * mutations apply to the in-memory [`GapMap`] and append redo records to
-///   the WAL;
+///   the WAL, the transaction's begin record ahead of its first one;
 /// * [`commit`](DurableState::commit) appends a commit record and syncs —
 ///   the durability point;
 /// * [`abort`](DurableState::abort) rolls the memory state back via the
 ///   undo log and appends an abort record;
+/// * a transaction that logged nothing — a reader, or a member outside the
+///   write quorum — writes nothing: no begin, no commit, no abort, no sync;
+/// * [`checkpoint`](DurableState::checkpoint) truncates the log in front of
+///   itself, and a commit that finds the representative quiescent with a
+///   log more than twice the size of the checkpoint heading it takes one —
+///   so the log is bounded by the state, not by the history;
 /// * [`recover`](DurableState::recover) rebuilds the committed state from
 ///   the durable log after a crash, discarding in-flight transactions.
 ///
@@ -54,7 +60,16 @@ pub struct DurableState {
     state: Box<dyn DirState>,
     wal: Wal,
     undo: HashMap<TxnId, Vec<UndoRecord>>,
+    /// Log size at which the next quiescent commit compacts: twice what the
+    /// last checkpoint (or recovery) left, never below [`COMPACT_FLOOR`].
+    compact_at: usize,
+    /// Stale-vote spills logged since the last checkpoint. A checkpoint
+    /// retires them, so compaction waits until an explicit one has.
+    live_spills: usize,
 }
+
+/// Smallest log the commit path bothers to compact.
+const COMPACT_FLOOR: usize = 256 << 10;
 
 impl DurableState {
     /// Creates empty state logging to `disk`, backed by the default
@@ -70,6 +85,8 @@ impl DurableState {
             state: backend.new_state(),
             wal: Wal::new(disk),
             undo: HashMap::new(),
+            compact_at: COMPACT_FLOOR,
+            live_spills: 0,
         }
     }
 
@@ -97,6 +114,8 @@ impl DurableState {
         state.load(&map);
         Ok(DurableState {
             state,
+            compact_at: (2 * disk.retained_len()).max(COMPACT_FLOOR),
+            live_spills: crate::wal::stale_votes_after(&records).len(),
             wal: Wal::new(disk),
             undo: HashMap::new(),
         })
@@ -139,10 +158,23 @@ impl DurableState {
         self.undo.len()
     }
 
-    /// Registers a transaction and logs its begin record.
+    /// Registers a transaction. Its begin record is logged lazily, ahead of
+    /// its first redo record.
     pub fn begin(&mut self, txn: TxnId) {
         self.undo.entry(txn).or_default();
-        self.wal.append(&WalRecord::Begin { txn: txn.0 });
+    }
+
+    /// Records `undo` for a mutation just applied on behalf of `txn` and
+    /// logs its `redo` record — preceded by the begin record if this is the
+    /// transaction's first. One undo record per redo record, so an empty
+    /// undo log means nothing was logged.
+    fn log_mutation(&mut self, txn: TxnId, undo: UndoRecord, redo: &WalRecord) {
+        let log = self.undo.get_mut(&txn).expect("caller checked");
+        if log.is_empty() {
+            self.wal.append(&WalRecord::Begin { txn: txn.0 });
+        }
+        log.push(undo);
+        self.wal.append(redo);
     }
 
     /// `DirRepLookup` against current state (reads need no redo records).
@@ -185,16 +217,13 @@ impl DurableState {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.insert(key, version, value.clone())?;
-        self.undo
-            .get_mut(&txn)
-            .expect("checked above")
-            .push(undo_for_insert(key, &outcome));
-        self.wal.append(&WalRecord::Insert {
+        let redo = WalRecord::Insert {
             txn: txn.0,
             key: key.clone(),
             version,
             value,
-        });
+        };
+        self.log_mutation(txn, undo_for_insert(key, &outcome), &redo);
         Ok(outcome)
     }
 
@@ -215,46 +244,51 @@ impl DurableState {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.coalesce(low, high, version)?;
-        self.undo
-            .get_mut(&txn)
-            .expect("checked above")
-            .push(undo_for_coalesce(low, &outcome));
-        self.wal.append(&WalRecord::Coalesce {
+        let redo = WalRecord::Coalesce {
             txn: txn.0,
             low: low.clone(),
             high: high.clone(),
             version,
-        });
+        };
+        self.log_mutation(txn, undo_for_coalesce(low, &outcome), &redo);
         Ok(outcome)
     }
 
     /// Commits: appends the commit record and syncs. After this returns, the
-    /// transaction survives any crash. Unknown transactions are a no-op
-    /// (idempotent commit of an empty transaction).
+    /// transaction survives any crash. A transaction that logged nothing has
+    /// nothing to make durable and touches neither log nor disk; unknown
+    /// transactions are a no-op (idempotent commit).
     pub fn commit(&mut self, txn: TxnId) {
-        if self.undo.remove(&txn).is_some() {
+        if self.undo.remove(&txn).is_some_and(|log| !log.is_empty()) {
             self.wal.append(&WalRecord::Commit { txn: txn.0 });
             self.wal.sync();
-        }
-    }
-
-    /// Aborts: rolls memory back via the undo log (reverse order) and logs
-    /// an abort record. Idempotent. Returns whether any state change was
-    /// rolled back (lets callers skip cache invalidation for read-only
-    /// transactions).
-    pub fn abort(&mut self, txn: TxnId) -> bool {
-        if let Some(mut undo) = self.undo.remove(&txn) {
-            let undid = !undo.is_empty();
-            while let Some(rec) = undo.pop() {
-                apply_undo_dyn(self.state.as_mut(), rec);
+            let compactable = self.undo.is_empty() && self.live_spills == 0;
+            if compactable && self.wal.disk().retained_len() >= self.compact_at {
+                self.checkpoint().expect("no transaction is in flight");
             }
-            self.wal.append(&WalRecord::Abort { txn: txn.0 });
-            return undid;
         }
-        false
     }
 
-    /// Writes a checkpoint so recovery need not replay the whole log.
+    /// Aborts: rolls memory back via the undo log (reverse order) and, if
+    /// the transaction logged anything, logs an abort record. Idempotent.
+    /// Returns whether any state change was rolled back (lets callers skip
+    /// cache invalidation for read-only transactions).
+    pub fn abort(&mut self, txn: TxnId) -> bool {
+        let mut undo = self.undo.remove(&txn).unwrap_or_default();
+        let undid = !undo.is_empty();
+        while let Some(rec) = undo.pop() {
+            apply_undo_dyn(self.state.as_mut(), rec);
+        }
+        if undid {
+            self.wal.append(&WalRecord::Abort { txn: txn.0 });
+        }
+        undid
+    }
+
+    /// Writes a checkpoint so recovery need not replay the whole log, then
+    /// truncates the log in front of it: once the checkpoint is durable
+    /// nothing before it is ever read again, so a representative's log is
+    /// bounded by its state plus what it logged since, not by its history.
     /// Checkpoints are taken quiesced: the in-memory state must hold
     /// committed data only, or the snapshot would capture another
     /// transaction's uncommitted writes.
@@ -268,9 +302,15 @@ impl DurableState {
         if !self.undo.is_empty() {
             return Err(WalError::CheckpointBusy(self.undo.len()));
         }
+        let disk = self.wal.disk();
+        let history = disk.retained_len() + disk.volatile_len();
         self.wal
             .append(&WalRecord::checkpoint_of(&self.state.to_gapmap()));
         self.wal.sync();
+        let disk = self.wal.disk();
+        disk.discard_prefix(history);
+        self.compact_at = (2 * disk.retained_len()).max(COMPACT_FLOOR);
+        self.live_spills = 0;
         Ok(())
     }
 
@@ -286,6 +326,7 @@ impl DurableState {
             latest,
         });
         self.wal.sync();
+        self.live_spills += 1;
     }
 
     /// The underlying disk (crash injection in tests).
@@ -415,6 +456,9 @@ mod tests {
         st.commit(t);
 
         disk.crash(0);
+        // The checkpoint heads the log: the three inserts before it are gone.
+        let (records, _) = crate::wal::decode_log(&disk.read_all());
+        assert!(matches!(records[0], WalRecord::Checkpoint { .. }));
         let rec = DurableState::recover(disk).unwrap();
         assert!(rec.lookup(&k("a")).is_present());
         assert!(
@@ -442,6 +486,110 @@ mod tests {
         let rec = DurableState::recover(disk).unwrap();
         assert!(rec.lookup(&k("a")).is_present());
         assert!(!rec.lookup(&k("b")).is_present());
+    }
+
+    #[test]
+    fn a_transaction_that_logged_nothing_writes_nothing() {
+        let disk = Arc::new(SimDisk::new());
+        let mut st = DurableState::new(Arc::clone(&disk));
+        st.begin(TxnId(1));
+        st.insert(TxnId(1), &k("a"), v(1), val("A")).unwrap();
+        st.commit(TxnId(1));
+        let (len, syncs) = (disk.durable_len(), disk.sync_count());
+        // A reader that commits, one that aborts, and a member outside the
+        // write quorum whose only mutation failed.
+        st.begin(TxnId(2));
+        assert!(st.lookup(&k("a")).is_present());
+        st.commit(TxnId(2));
+        st.begin(TxnId(3));
+        st.successor(&Key::Low).unwrap();
+        assert!(!st.abort(TxnId(3)));
+        st.begin(TxnId(4));
+        assert!(st.coalesce(TxnId(4), &k("nope"), &Key::High, v(2)).is_err());
+        st.commit(TxnId(4));
+        assert_eq!(disk.durable_len(), len);
+        assert_eq!(disk.volatile_len(), 0);
+        assert_eq!(disk.sync_count(), syncs);
+        assert_eq!(st.active_txns(), 0);
+    }
+
+    #[test]
+    fn crash_between_lazy_begin_and_first_redo_recovers_pre_transaction_state() {
+        let disk = Arc::new(SimDisk::new());
+        let mut st = DurableState::new(Arc::clone(&disk));
+        st.begin(TxnId(1));
+        st.insert(TxnId(1), &k("a"), v(1), val("A")).unwrap();
+        st.commit(TxnId(1));
+        st.begin(TxnId(2));
+        assert_eq!(disk.volatile_len(), 0, "begin alone logs nothing");
+        st.insert(TxnId(2), &k("b"), v(1), val("B")).unwrap();
+        // The crash keeps exactly the begin record of the unsynced tail:
+        // the redo record behind it never reached the disk.
+        let begin = crate::wal::encode_record(&WalRecord::Begin { txn: 2 }).len();
+        assert!(disk.volatile_len() > begin);
+        disk.crash(begin);
+        let (records, clean) = crate::wal::decode_log(&disk.read_all());
+        assert!(clean);
+        assert_eq!(records.last(), Some(&WalRecord::Begin { txn: 2 }));
+        let rec = DurableState::recover(disk).unwrap();
+        assert!(rec.lookup(&k("a")).is_present());
+        assert!(!rec.lookup(&k("b")).is_present());
+        assert_eq!(rec.len(), 1);
+    }
+
+    #[test]
+    fn quiescent_commits_keep_the_log_bounded_by_the_state() {
+        // 64 keys rewritten 400 times each: ~7 MB of history over ~16 KB of
+        // state. The log must stay near the compaction floor throughout,
+        // recover to the final state, and never be compacted under a
+        // transaction in flight or over a live stale-vote spill.
+        let disk = Arc::new(SimDisk::new());
+        let mut st = DurableState::new(Arc::clone(&disk));
+        let big = Value::from(vec![7u8; 200]);
+        // Written once, so only checkpoints carry it through the history.
+        st.begin(TxnId(1));
+        st.insert(TxnId(1), &k("cold"), v(1), val("C")).unwrap();
+        st.commit(TxnId(1));
+        let mut peak = 0;
+        for round in 1..=400u64 {
+            for i in 0..64u64 {
+                let t = TxnId(round * 64 + i);
+                st.begin(t);
+                st.insert(
+                    t,
+                    &Key::from(format!("k{i:02}").as_str()),
+                    v(round),
+                    big.clone(),
+                )
+                .unwrap();
+                st.commit(t);
+                peak = peak.max(disk.retained_len());
+            }
+        }
+        assert!(disk.durable_len() > 6 << 20, "{}", disk.durable_len());
+        assert!(peak < 2 * COMPACT_FLOOR, "peak {peak}");
+        disk.crash(0);
+        let rec = DurableState::recover(Arc::clone(&disk)).unwrap();
+        assert_eq!(rec.len(), 65);
+        assert_eq!(rec.map().version_of(&k("k63")), v(400));
+        assert_eq!(rec.lookup(&k("cold")), st.lookup(&k("cold")));
+        assert!(rec.lookup(&k("cold")).is_present());
+
+        // A reader in flight, or a spilled vote, holds compaction off.
+        let mut st = rec;
+        let before = disk.retained_len();
+        st.spill_stale_vote(1, k("k00"), v(1), v(2));
+        st.begin(TxnId(1));
+        for i in 0..4096u64 {
+            let t = TxnId(1_000_000 + i);
+            st.begin(t);
+            st.insert(t, &k("k00"), v(1000 + i), big.clone()).unwrap();
+            st.commit(t);
+        }
+        assert!(disk.retained_len() > before + (512 << 10));
+        st.commit(TxnId(1));
+        let (records, _) = crate::wal::decode_log(&disk.read_all());
+        assert_eq!(crate::wal::stale_votes_after(&records).len(), 1);
     }
 
     #[test]

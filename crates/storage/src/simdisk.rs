@@ -38,6 +38,8 @@ pub struct SimDisk {
 #[derive(Default)]
 struct DiskInner {
     durable: Vec<u8>,
+    /// Durable bytes dropped from the front by log truncation.
+    discarded: usize,
     volatile: Vec<u8>,
     syncs: u64,
     crashes: u64,
@@ -82,14 +84,33 @@ impl SimDisk {
         d.crashes += 1;
     }
 
+    /// Drops the first `len` bytes of the durable region — log truncation.
+    /// The caller must already have synced whatever makes them redundant
+    /// (a checkpoint), so a crash at any point still finds a recoverable
+    /// log.
+    pub fn discard_prefix(&self, len: usize) {
+        let mut d = self.inner.lock();
+        let len = len.min(d.durable.len());
+        d.durable.drain(..len);
+        d.durable.shrink_to_fit();
+        d.discarded += len;
+    }
+
     /// Everything that would be readable after remounting: the durable
     /// region only.
     pub fn read_all(&self) -> Vec<u8> {
         self.inner.lock().durable.clone()
     }
 
-    /// Bytes in the durable region.
+    /// Bytes made durable since the disk was created — a log offset:
+    /// truncation does not lower it.
     pub fn durable_len(&self) -> usize {
+        let d = self.inner.lock();
+        d.discarded + d.durable.len()
+    }
+
+    /// Bytes the durable region currently holds.
+    pub fn retained_len(&self) -> usize {
         self.inner.lock().durable.len()
     }
 
@@ -166,6 +187,22 @@ mod tests {
         disk.sync();
         assert_eq!(disk.sync_count(), 2);
         assert_eq!(disk.read_all(), b"ab");
+    }
+
+    #[test]
+    fn discard_prefix_truncates_the_durable_region_only() {
+        let disk = SimDisk::new();
+        disk.append(b"old|new");
+        disk.sync();
+        disk.append(b"tail");
+        disk.discard_prefix(4);
+        assert_eq!(disk.read_all(), b"new");
+        assert_eq!(disk.volatile_len(), 4);
+        disk.discard_prefix(100);
+        assert_eq!(disk.retained_len(), 0);
+        assert_eq!(disk.durable_len(), 7, "an offset, not a size");
+        disk.sync();
+        assert_eq!(disk.read_all(), b"tail");
     }
 
     #[test]

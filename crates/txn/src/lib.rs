@@ -10,8 +10,8 @@
 //! information in a fashion that recovers from failures" (§3.1). This crate
 //! supplies that substrate's coordination half:
 //!
-//! * [`TxnManager`] — id allocation, lifecycle
-//!   ([`TxnStatus`]), and per-transaction undo logs;
+//! * [`TxnManager`] — id allocation and the undo log of every active
+//!   transaction (a finished one is forgotten);
 //! * [`UndoRecord`] with [`undo_for_insert`] / [`undo_for_coalesce`] /
 //!   [`apply_undo`] — exact inverses of the two mutating `DirRep*`
 //!   operations, applied in reverse on abort;
@@ -29,6 +29,6 @@
 mod manager;
 mod undo;
 
-pub use manager::{TxnManager, TxnStatus};
+pub use manager::TxnManager;
 pub use repdir_rangelock::TxnId;
 pub use undo::{apply_undo, undo_for_coalesce, undo_for_insert, UndoRecord};

@@ -11,25 +11,7 @@ use repdir_rangelock::TxnId;
 
 use crate::undo::UndoRecord;
 
-/// Lifecycle states of a transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxnStatus {
-    /// Begun and not yet resolved; may hold locks and accumulate undo.
-    Active,
-    /// Successfully committed; its effects are durable.
-    Committed,
-    /// Aborted; its effects were rolled back.
-    Aborted,
-}
-
-#[derive(Debug)]
-struct TxnRecord {
-    status: TxnStatus,
-    undo: Vec<UndoRecord>,
-}
-
-/// Allocates transaction ids and tracks each transaction's status and undo
-/// log.
+/// Allocates transaction ids and tracks each active transaction's undo log.
 ///
 /// The manager is deliberately independent of any particular representative:
 /// in the full system one suite-level transaction spans several
@@ -39,21 +21,27 @@ struct TxnRecord {
 /// lock tables' youngest-victim deadlock policy is well defined across
 /// representatives.
 ///
+/// Only *active* transactions are tracked: a transaction's record is dropped
+/// the moment it commits or aborts, so a long-lived manager's footprint is
+/// bounded by its concurrency, not its history. A finished transaction and
+/// one that never existed look the same.
+///
 /// # Examples
 ///
 /// ```
-/// use repdir_txn::{TxnManager, TxnStatus};
+/// use repdir_txn::TxnManager;
 ///
 /// let mgr = TxnManager::new();
 /// let t = mgr.begin();
-/// assert_eq!(mgr.status(t), Some(TxnStatus::Active));
+/// assert!(mgr.is_active(t));
 /// mgr.commit(t)?;
-/// assert_eq!(mgr.status(t), Some(TxnStatus::Committed));
+/// assert!(!mgr.is_active(t));
 /// # Ok::<(), repdir_core::RepError>(())
 /// ```
 pub struct TxnManager {
     next: AtomicU64,
-    txns: Mutex<HashMap<TxnId, TxnRecord>>,
+    /// Undo log of every active transaction.
+    txns: Mutex<HashMap<TxnId, Vec<UndoRecord>>>,
     obs: TxnObs,
 }
 
@@ -96,25 +84,14 @@ impl TxnManager {
     pub fn begin(&self) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
         self.obs.begun.inc();
-        self.txns.lock().insert(
-            id,
-            TxnRecord {
-                status: TxnStatus::Active,
-                undo: Vec::new(),
-            },
-        );
+        self.txns.lock().insert(id, Vec::new());
         id
     }
 
-    /// The transaction's status, or `None` if the id was never issued (or
-    /// was garbage-collected).
-    pub fn status(&self, id: TxnId) -> Option<TxnStatus> {
-        self.txns.lock().get(&id).map(|r| r.status)
-    }
-
-    /// Whether the transaction is currently active.
+    /// Whether the transaction is currently active (begun and not yet
+    /// committed or aborted).
     pub fn is_active(&self, id: TxnId) -> bool {
-        self.status(id) == Some(TxnStatus::Active)
+        self.txns.lock().contains_key(&id)
     }
 
     /// Appends an undo record to an active transaction's log.
@@ -124,83 +101,58 @@ impl TxnManager {
     /// [`RepError::TransactionAborted`] if the transaction is not active
     /// (unknown, committed, or aborted).
     pub fn record_undo(&self, id: TxnId, record: UndoRecord) -> Result<(), RepError> {
-        let mut txns = self.txns.lock();
-        match txns.get_mut(&id) {
-            Some(rec) if rec.status == TxnStatus::Active => {
-                rec.undo.push(record);
+        match self.txns.lock().get_mut(&id) {
+            Some(undo) => {
+                undo.push(record);
                 Ok(())
             }
-            _ => Err(RepError::TransactionAborted),
+            None => Err(RepError::TransactionAborted),
         }
     }
 
-    /// Commits an active transaction, discarding its undo log. The caller
-    /// releases locks afterwards (strict two-phase locking: all locks held
-    /// to commit).
+    /// Commits an active transaction, discarding its undo log and
+    /// forgetting it. The caller releases locks afterwards (strict
+    /// two-phase locking: all locks held to commit).
     ///
     /// # Errors
     ///
     /// [`RepError::TransactionAborted`] if the transaction is not active.
     pub fn commit(&self, id: TxnId) -> Result<(), RepError> {
-        let mut txns = self.txns.lock();
-        match txns.get_mut(&id) {
-            Some(rec) if rec.status == TxnStatus::Active => {
-                rec.status = TxnStatus::Committed;
-                rec.undo.clear();
+        match self.txns.lock().remove(&id) {
+            Some(_) => {
                 self.obs.committed.inc();
                 Ok(())
             }
-            _ => Err(RepError::TransactionAborted),
+            None => Err(RepError::TransactionAborted),
         }
     }
 
-    /// Aborts an active transaction, returning its undo records **in
-    /// reverse order**, ready to be applied one by one. Aborting a
-    /// non-active transaction returns an empty log (abort is idempotent).
+    /// Aborts an active transaction and forgets it, returning its undo
+    /// records **in reverse order**, ready to be applied one by one.
+    /// Aborting a non-active transaction returns an empty log (abort is
+    /// idempotent).
     pub fn abort(&self, id: TxnId) -> Vec<UndoRecord> {
-        let mut txns = self.txns.lock();
-        match txns.get_mut(&id) {
-            Some(rec) if rec.status == TxnStatus::Active => {
-                rec.status = TxnStatus::Aborted;
+        match self.txns.lock().remove(&id) {
+            Some(mut undo) => {
                 self.obs.aborted.inc();
-                let mut undo = std::mem::take(&mut rec.undo);
                 undo.reverse();
                 undo
             }
-            _ => Vec::new(),
+            None => Vec::new(),
         }
     }
 
-    /// Number of active transactions.
+    /// Number of active transactions — every transaction the manager still
+    /// holds a record for.
     pub fn active_count(&self) -> usize {
-        self.txns
-            .lock()
-            .values()
-            .filter(|r| r.status == TxnStatus::Active)
-            .count()
-    }
-
-    /// Drops records of completed transactions, reclaiming memory. Active
-    /// transactions are retained.
-    pub fn gc(&self) {
-        self.txns
-            .lock()
-            .retain(|_, r| r.status == TxnStatus::Active);
+        self.txns.lock().len()
     }
 }
 
 impl fmt::Debug for TxnManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let txns = self.txns.lock();
         f.debug_struct("TxnManager")
-            .field("tracked", &txns.len())
-            .field(
-                "active",
-                &txns
-                    .values()
-                    .filter(|r| r.status == TxnStatus::Active)
-                    .count(),
-            )
+            .field("active", &self.active_count())
             .finish()
     }
 }
@@ -231,7 +183,7 @@ mod tests {
         let t = mgr.begin();
         mgr.record_undo(t, rec("a")).unwrap();
         mgr.commit(t).unwrap();
-        assert_eq!(mgr.status(t), Some(TxnStatus::Committed));
+        assert!(!mgr.is_active(t));
         // Double commit is an error; committed undo is gone.
         assert_eq!(mgr.commit(t), Err(RepError::TransactionAborted));
         assert!(mgr.abort(t).is_empty());
@@ -246,7 +198,7 @@ mod tests {
         mgr.record_undo(t, rec("c")).unwrap();
         let undo = mgr.abort(t);
         assert_eq!(undo, vec![rec("c"), rec("b"), rec("a")]);
-        assert_eq!(mgr.status(t), Some(TxnStatus::Aborted));
+        assert!(!mgr.is_active(t));
         // Idempotent.
         assert!(mgr.abort(t).is_empty());
     }
@@ -265,18 +217,27 @@ mod tests {
             mgr.record_undo(unknown, rec("x")),
             Err(RepError::TransactionAborted)
         );
-        assert_eq!(mgr.status(unknown), None);
+        assert!(!mgr.is_active(unknown));
     }
 
     #[test]
-    fn gc_drops_completed_only() {
+    fn finished_transactions_are_forgotten() {
+        // The record goes when the transaction finishes: however many have
+        // run, only the live one is still held.
         let mgr = TxnManager::new();
-        let a = mgr.begin();
-        let b = mgr.begin();
-        mgr.commit(a).unwrap();
-        mgr.gc();
-        assert_eq!(mgr.status(a), None);
-        assert!(mgr.is_active(b));
+        let live = mgr.begin();
+        for i in 0..100_000u32 {
+            let t = mgr.begin();
+            if i % 2 == 0 {
+                mgr.commit(t).unwrap();
+            } else {
+                mgr.abort(t);
+            }
+        }
+        assert_eq!(mgr.active_count(), 1);
+        assert!(mgr.is_active(live));
+        mgr.commit(live).unwrap();
+        assert_eq!(mgr.active_count(), 0);
     }
 
     #[test]

@@ -32,7 +32,15 @@
 #    snapshot catch-up converges a far-diverged member (~35% of buckets in
 #    quick mode) byte-identically with >= 2x fewer fabric messages than
 #    256 per-bucket pulls.
-# 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
+# 11. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
+#    (a separate workspace under benchmark/, built against this checkout):
+#    the benchmark drives the stack through a small allow-list of public API
+#    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
+#    `RemoteSessionClient::{new, DEFAULT_TIMEOUT}`, `DirSuite::{new,
+#    in_process, ...}`, `TxnManager::{new, begin, commit}`, ...), so a change
+#    that breaks it fails here instead of in the benchmark pipeline. Nothing
+#    under benchmark/ is edited by this gate.
+# 12. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
 #
 # Each gate prints its wall-clock duration so a slow regression is
@@ -115,6 +123,11 @@ gate_done
 
 gate "snapshot_bench --quick --check (streamed catch-up >= 2x fewer messages vs 256 pulls)"
 cargo run --release --offline -p repdir-bench --bin snapshot_bench -- --quick --check
+gate_done
+
+gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
 gate_done
 
 gate "cargo fmt --check"

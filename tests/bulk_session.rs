@@ -18,7 +18,8 @@
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
-    BatchReply, BatchRequest, Key, RepClient, RepId, RepResult, SuiteError, UserKey, Value, Version,
+    Completion, Key, RepClient, RepId, RepReply, RepRequest, RepResult, SuiteError, UserKey, Value,
+    Version,
 };
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
@@ -186,60 +187,30 @@ struct FuseClient {
     victims: Vec<NodeId>,
 }
 
-impl RepClient for FuseClient {
-    fn id(&self) -> RepId {
-        self.inner.id()
-    }
-    fn ping(&self) -> RepResult<()> {
-        self.inner.ping()
-    }
-    fn lookup(&self, key: &Key) -> RepResult<repdir::core::LookupReply> {
-        self.inner.lookup(key)
-    }
-    fn predecessor(&self, key: &Key) -> RepResult<repdir::core::NeighborReply> {
-        self.inner.predecessor(key)
-    }
-    fn successor(&self, key: &Key) -> RepResult<repdir::core::NeighborReply> {
-        self.inner.successor(key)
-    }
-    fn predecessor_chain(
-        &self,
-        key: &Key,
-        limit: usize,
-    ) -> RepResult<Vec<repdir::core::NeighborReply>> {
-        self.inner.predecessor_chain(key, limit)
-    }
-    fn successor_chain(
-        &self,
-        key: &Key,
-        limit: usize,
-    ) -> RepResult<Vec<repdir::core::NeighborReply>> {
-        self.inner.successor_chain(key, limit)
-    }
-    fn insert(
-        &self,
-        key: &Key,
-        version: Version,
-        value: &Value,
-    ) -> RepResult<repdir::core::InsertOutcome> {
-        self.inner.insert(key, version, value)
-    }
-    fn coalesce(
-        &self,
-        low: &Key,
-        high: &Key,
-        version: Version,
-    ) -> RepResult<repdir::core::CoalesceOutcome> {
-        self.inner.coalesce(low, high, version)
-    }
-    fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        if self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+impl FuseClient {
+    /// Ticks the fuse on every batch envelope; the one that burns it down
+    /// slows the victims past the RPC timeout.
+    fn tick(&self, req: RepRequest<'_>) {
+        if matches!(req, RepRequest::Batch(_)) && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
             for v in &self.victims {
                 self.net
                     .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
             }
         }
-        self.inner.batch(reqs)
+    }
+}
+
+impl RepClient for FuseClient {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        self.tick(req);
+        self.inner.execute(req)
+    }
+    fn start(&self, req: RepRequest<'_>, done: Completion) {
+        self.tick(req);
+        self.inner.start(req, done)
     }
 }
 
