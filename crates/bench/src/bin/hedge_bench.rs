@@ -1,13 +1,13 @@
 //! Adaptive wave provisioning + hedged RPCs vs minimal-prefix waves on a
 //! flaky fabric.
 //!
-//! The minimal-prefix baseline sizes every quorum ping wave as if each
-//! candidate will answer, so one dropped ping costs a full client timeout
-//! and a guaranteed extra round, and one slow member stalls the whole wave.
-//! The adaptive executor sizes waves by the expected (availability-
-//! weighted) vote yield, returns the moment the vote threshold is met, and
-//! hedges stragglers — pings *and* read-quorum lookups — to the next spare
-//! member after a short delay. By the §3.1 intersection argument any member
+//! The minimal-prefix baseline sizes every quorum wave as if each candidate
+//! will answer, so one dropped request costs a full client timeout and a
+//! guaranteed extra round, and one slow member stalls the whole wave. The
+//! adaptive executor sizes waves by the expected (availability-weighted)
+//! vote yield, returns the moment the vote threshold is met, and hedges
+//! stragglers — pings *and* the lookups a collection carries — to the next
+//! spare member after a short delay. By the §3.1 intersection argument any member
 //! set whose votes reach the threshold is a valid quorum, so the
 //! substitution never changes an answer; it only moves the tail.
 //!
@@ -22,7 +22,9 @@
 //! ```
 //!
 //! `--check` exits nonzero unless the hedged median beats the baseline by
-//! the gate factor with total pings within the over-provision bound. Every
+//! the gate factor with total member requests (pings plus data: a lookup's
+//! collection carries the lookup, so pings alone no longer count what
+//! collections spend) within the over-provision bound. Every
 //! run rewrites `BENCH_hedge.json` at the repo root.
 
 use std::sync::Arc;
@@ -42,7 +44,7 @@ const FLAKY: usize = 3;
 /// Member index behind the 10x latency override.
 const SLOW: usize = 4;
 const DROP_PROB: f64 = 0.5;
-/// The suite's default over-provision cap — the ping-spend bound the
+/// The suite's default over-provision cap — the request-spend bound the
 /// check gate enforces.
 const MAX_OVERPROVISION: f64 = 2.0;
 
@@ -146,6 +148,12 @@ fn run_workload(fx: &mut Fixture, warmup: usize, reads: usize) -> Samples {
     Samples::from_durations(times)
 }
 
+/// Every member request the suite sent: pings plus data.
+fn requests(suite: &DirSuite<RemoteSessionClient>) -> u64 {
+    let (pings, msgs) = (suite.ping_counts(), suite.message_counts());
+    pings.iter().chain(&msgs).sum()
+}
+
 fn json_samples(s: &Samples) -> String {
     format!(
         r#"{{"median_us": {}, "mean_us": {}, "p90_us": {}}}"#,
@@ -199,7 +207,7 @@ fn main() {
     let mut fx = build(fast, slow, timeout, 0xFAB);
     fx.suite.set_adaptive_waves(false);
     let baseline = run_workload(&mut fx, warmup, reads);
-    let pings_baseline: u64 = fx.suite.ping_counts().iter().sum();
+    let requests_baseline = requests(&fx.suite);
     drop(fx);
 
     // Adaptive + hedged: same fabric, same seeded policy.
@@ -207,7 +215,7 @@ fn main() {
     fx.suite.set_hedge(true);
     fx.suite.set_hedge_delay(Some(hedge_delay));
     let hedged = run_workload(&mut fx, warmup, reads);
-    let pings_hedged: u64 = fx.suite.ping_counts().iter().sum();
+    let requests_hedged = requests(&fx.suite);
     let snap = fx.suite.obs().snapshot();
     let (issued, won, wasted) = (
         snap.counter("suite.hedge.issued"),
@@ -217,14 +225,14 @@ fn main() {
     drop(fx);
 
     let speedup = baseline.median() as f64 / hedged.median().max(1) as f64;
-    let ping_ratio = pings_hedged as f64 / pings_baseline.max(1) as f64;
+    let request_ratio = requests_hedged as f64 / requests_baseline.max(1) as f64;
     println!(
         "{:<10} {:>14} {:>14} {:>14} {:>12}",
-        "mode", "median", "mean", "p90", "pings"
+        "mode", "median", "mean", "p90", "requests"
     );
-    for (name, s, pings) in [
-        ("baseline", &baseline, pings_baseline),
-        ("hedged", &hedged, pings_hedged),
+    for (name, s, requests) in [
+        ("baseline", &baseline, requests_baseline),
+        ("hedged", &hedged, requests_hedged),
     ] {
         println!(
             "{:<10} {:>12}us {:>12}us {:>12}us {:>12}",
@@ -232,13 +240,13 @@ fn main() {
             s.median(),
             s.mean(),
             s.percentile(0.9),
-            pings
+            requests
         );
     }
     println!();
     println!("hedges: issued {issued}, won {won}, wasted {wasted}");
     println!("speedup (baseline median / hedged median): {speedup:.2}x");
-    println!("ping ratio (hedged / baseline): {ping_ratio:.2}x (cap {MAX_OVERPROVISION}x)");
+    println!("request ratio (hedged / baseline): {request_ratio:.2}x (cap {MAX_OVERPROVISION}x)");
 
     let doc = format!(
         concat!(
@@ -248,7 +256,7 @@ fn main() {
             "  \"flaky_member\": {}, \"drop_prob\": {}, \"timeout_us\": {},\n",
             "  \"hedge_delay_us\": {}, \"timed_reads\": {},\n",
             "  \"baseline\": {},\n  \"hedged\": {},\n",
-            "  \"pings_baseline\": {}, \"pings_hedged\": {}, \"ping_ratio\": {:.3},\n",
+            "  \"requests_baseline\": {}, \"requests_hedged\": {}, \"request_ratio\": {:.3},\n",
             "  \"hedges_issued\": {}, \"hedges_won\": {}, \"hedges_wasted\": {},\n",
             "  \"speedup_median\": {:.3}\n}}\n"
         ),
@@ -266,9 +274,9 @@ fn main() {
         reads,
         json_samples(&baseline),
         json_samples(&hedged),
-        pings_baseline,
-        pings_hedged,
-        ping_ratio,
+        requests_baseline,
+        requests_hedged,
+        request_ratio,
         issued,
         won,
         wasted,
@@ -292,9 +300,9 @@ fn main() {
             eprintln!("FAIL: speedup {speedup:.2}x below the {GATE}x gate");
             ok = false;
         }
-        if ping_ratio > MAX_OVERPROVISION {
+        if request_ratio > MAX_OVERPROVISION {
             eprintln!(
-                "FAIL: ping ratio {ping_ratio:.2}x exceeds the {MAX_OVERPROVISION}x \
+                "FAIL: request ratio {request_ratio:.2}x exceeds the {MAX_OVERPROVISION}x \
                  over-provision bound"
             );
             ok = false;
@@ -302,6 +310,6 @@ fn main() {
         if !ok {
             std::process::exit(1);
         }
-        println!("CHECK PASSED: >= {GATE}x median, pings within {MAX_OVERPROVISION}x");
+        println!("CHECK PASSED: >= {GATE}x median, requests within {MAX_OVERPROVISION}x");
     }
 }

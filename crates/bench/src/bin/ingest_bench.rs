@@ -1,8 +1,8 @@
 //! Bulk insert on a session quorum vs the per-key baseline.
 //!
-//! The per-key path pays one write-quorum collection (a ping wave) plus a
-//! discovery lookup wave and an insert wave for every key — roughly three
-//! round-trips per key on a uniform fabric. `DirSuite::insert_many` collects
+//! The per-key path pays a discovery lookup wave and an insert wave for
+//! every key (each carrying its own quorum collection) — two round-trips
+//! per key on a uniform fabric. `DirSuite::insert_many` collects
 //! the read and write quorums once ([`QuorumSession`](repdir_core::QuorumSession)),
 //! holds them across the whole batch, and packs each chunk's discovery
 //! lookups and insert writes into one `Batch` envelope per member — O(N/chunk)

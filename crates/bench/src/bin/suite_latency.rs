@@ -339,7 +339,7 @@ fn main() {
     println!();
     println!("Expected shape: a quorum round costs max(member latency) with");
     println!("fan-out instead of sum(member latency); larger quorums widen the");
-    println!("gap (2 RPC rounds per op regardless of quorum size).");
+    println!("gap (the rounds per op do not depend on quorum size).");
 
     if check {
         const GATE: f64 = 1.5;

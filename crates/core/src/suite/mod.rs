@@ -25,7 +25,7 @@ pub use set::DirSet;
 use crate::error::{ConfigError, QuorumKind, RepError, SuiteError};
 use crate::gapmap::LookupReply;
 use crate::key::Key;
-use crate::rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepRequest};
+use crate::rep::{BatchReply, BatchRequest, LocalRep, RepClient, RepId, RepReply, RepRequest};
 use crate::value::Value;
 use crate::version::Version;
 use std::sync::Arc;
@@ -151,7 +151,8 @@ struct SuiteObs {
     /// Suite-local rather than the global `rpc.reply_us` so parallel suites
     /// (and parallel tests) never pollute each other's delay estimate.
     reply_hist: Histogram,
-    /// Ping waves issued by `collect_quorum` (`suite.quorum.waves`).
+    /// Collection waves issued by `collect_quorum`, carried or pinged
+    /// (`suite.quorum.waves`).
     waves: Counter,
     /// Hedge RPCs the suite issued after a wave straggled
     /// (`suite.hedge.issued`).
@@ -161,7 +162,7 @@ struct SuiteObs {
     hedge_won: Counter,
     /// Hedge RPCs that lost the race or went unused (`suite.hedge.wasted`).
     hedge_wasted: Counter,
-    /// Preferred candidates that were pinged but failed to vote
+    /// Preferred candidates that were asked but failed to vote
     /// (`suite.quorum.sticky_miss`): for a sticky policy this is exactly
     /// "a remembered member stopped responding", forcing fresh collection.
     sticky_miss: Counter,
@@ -406,6 +407,23 @@ pub struct QuorumSession {
     pub epoch: u64,
 }
 
+/// What a quorum collection gathered: the members, in preference order,
+/// and each one's reply to the carried request (`Pong` when it was pinged;
+/// none when a held session answered from cache).
+struct Quorum {
+    members: Vec<usize>,
+    replies: Vec<RepReply>,
+}
+
+impl Quorum {
+    /// Arranges arrival-ordered replies by their member's place in `order`.
+    fn arrange(mut gathered: Vec<(usize, RepReply)>, order: &[usize]) -> Self {
+        gathered.sort_by_key(|&(i, _)| order.iter().position(|&o| o == i));
+        let (members, replies) = gathered.into_iter().unzip();
+        Quorum { members, replies }
+    }
+}
+
 /// A replicated directory: Gifford-style weighted voting over gap-versioned
 /// representatives.
 ///
@@ -452,7 +470,7 @@ pub struct DirSuite<C: RepClient> {
     /// Whether bulk operations hold session quorums (default) or collect a
     /// fresh quorum per hop (the pre-session baseline).
     session_reuse: bool,
-    /// Whether `collect_quorum` sizes each ping wave by expected
+    /// Whether `collect_quorum` sizes each pinged wave by expected
     /// (availability-weighted) yield and returns at the vote threshold
     /// (default), or uses the minimal-prefix waves that guarantee an extra
     /// round whenever any member is down (the baseline the property tests
@@ -461,9 +479,9 @@ pub struct DirSuite<C: RepClient> {
     /// Ceiling on wave over-provisioning: a wave (including hedges) may
     /// provision at most `ceil(deficit * max_overprovision)` votes.
     max_overprovision: f64,
-    /// Whether straggling quorum pings and read-quorum lookups are hedged
-    /// to the next-ranked spare member (off by default: hedging spends
-    /// extra pings, so exact-count tests opt in explicitly).
+    /// Whether straggling collection requests — pings and carried requests
+    /// — are hedged to the next-ranked spare member (off by default: hedging
+    /// spends extra requests, so exact-count tests opt in explicitly).
     hedge: bool,
     /// Explicit hedge-delay override; `None` derives it from the suite's
     /// reply-time histogram.
@@ -612,10 +630,9 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Enables or disables concurrent scatter-gather for member RPC waves.
     ///
-    /// Enabled by default: each wave (quorum pings, quorum reads, quorum
-    /// writes, chain refills, copy/coalesce passes) is put in flight whole
-    /// before any reply is awaited and costs the slowest member's latency
-    /// instead of the sum. Disabling narrows the executor's window to one
+    /// Enabled by default: each wave (quorum collections, chain refills,
+    /// copy/coalesce passes) is put in flight whole before any reply is
+    /// awaited and costs the slowest member's latency instead of the sum. Disabling narrows the executor's window to one
     /// request — same RPCs, same counters, same answers, serialized — which
     /// is the baseline the `suite_latency` bench and the counter-equivalence
     /// property test compare against.
@@ -630,25 +647,26 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Enables or disables adaptive wave provisioning (enabled by default).
     ///
-    /// Enabled, `collect_quorum` sizes each ping wave by its *expected*
-    /// yield — every member's votes are weighted by its observed
+    /// Enabled, `collect_quorum` sizes each wave that pings (a prefix
+    /// member has a recorded miss, or there is no request to carry) by its
+    /// *expected* yield — every member's votes are weighted by its observed
     /// availability (`suite.member.{i}.avail`), and further candidates are
     /// provisioned until the expected vote count covers the deficit (capped
     /// by [`set_max_overprovision`](DirSuite::set_max_overprovision)) — and
     /// the wave stops listening the moment the threshold is met; stragglers
     /// are accounted when their completions surface. On a fault-free fabric every member's
     /// availability is 1.0, the wave is exactly the minimal prefix, and the
-    /// behaviour (results, pings, waves) is identical to the baseline.
+    /// behaviour (results, requests, waves) is identical to the baseline.
     ///
     /// Disabled, waves are the minimal prefix that could meet the threshold
-    /// if every ping succeeded — guaranteeing a full extra round whenever
+    /// if every member answered — guaranteeing a full extra round whenever
     /// any member is down. This is the pre-adaptive baseline the property
     /// tests and `hedge_bench` compare against.
     pub fn set_adaptive_waves(&mut self, enabled: bool) {
         self.adaptive_waves = enabled;
     }
 
-    /// Whether ping waves are sized by expected yield.
+    /// Whether pinged waves are sized by expected yield.
     pub fn adaptive_waves_enabled(&self) -> bool {
         self.adaptive_waves
     }
@@ -666,12 +684,13 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Enables hedged member RPCs (disabled by default). With hedging on —
-    /// and fan-out enabled — a quorum ping or read-quorum lookup that
-    /// outlives the hedge delay is duplicated to the next-ranked spare
-    /// member, which joins the same wave; the first usable replies win and
-    /// stragglers are only accounted. Hedging spends extra pings for tail latency
+    /// and fan-out enabled — a collection request (a ping, or the lookup or
+    /// write a collection carries) that outlives the hedge delay is
+    /// duplicated to the next-ranked spare member, which joins the same
+    /// wave; the first usable replies win and stragglers are only accounted.
+    /// Hedging spends extra requests for tail latency
     /// (`suite.hedge.{issued,won,wasted}` counts the trade), so tests that
-    /// assert exact ping counts leave it off.
+    /// assert exact request counts leave it off.
     pub fn set_hedge(&mut self, enabled: bool) {
         self.hedge = enabled;
     }
@@ -775,6 +794,14 @@ impl<C: RepClient> DirSuite<C> {
         self.sessions[Self::kind_idx(kind)].as_ref()
     }
 
+    /// The votes a quorum of `kind` needs.
+    fn threshold(&self, kind: QuorumKind) -> u32 {
+        match kind {
+            QuorumKind::Read => self.config.read_quorum(),
+            QuorumKind::Write => self.config.write_quorum(),
+        }
+    }
+
     fn kind_idx(kind: QuorumKind) -> usize {
         match kind {
             QuorumKind::Read => 0,
@@ -859,14 +886,16 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Data RPCs sent to each representative since the last reset (pings
-    /// excluded). Index `i` corresponds to member `i`. A view over the
+    /// excluded; the request a collection carries is data). Index `i`
+    /// corresponds to member `i`. A view over the
     /// suite's obs counters (`suite.member.{i}.msgs`).
     pub fn message_counts(&self) -> Vec<u64> {
         self.obs.msgs.iter().map(Counter::get).collect()
     }
 
     /// Quorum-collection pings sent to each representative since the last
-    /// reset. A view over the suite's obs counters
+    /// reset — none for a lookup or a quorum write on a fabric without
+    /// recorded misses. A view over the suite's obs counters
     /// (`suite.member.{i}.pings`).
     pub fn ping_counts(&self) -> Vec<u64> {
         self.obs.pings.iter().map(Counter::get).collect()
@@ -937,33 +966,13 @@ impl<C: RepClient> DirSuite<C> {
     /// gathered; [`SuiteError::Rep`] if a member fails mid-operation.
     pub fn lookup(&mut self, key: &Key) -> Result<LookupOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.lookup");
-        let quorum = self.collect_quorum(QuorumKind::Read, Some(key))?;
-        let needed = self.config.read_quorum();
-        // A plain read is a hedged read with no delay and no spares: it
-        // waits for every quorum member (their lookups take locks, which
-        // must not outlive the operation). With hedging armed, a lookup that
-        // straggles past the delay is duplicated to a voting member outside
-        // the quorum and the answer is assembled from whichever replies
-        // land first until their votes cover R — sound by the intersection
-        // argument (§3.1): *any* set of members whose votes sum to the read
-        // threshold is a read quorum.
-        let hedge = self.armed_hedge_delay();
-        let spares: Vec<usize> = (0..self.members.len())
-            .filter(|i| hedge.is_some() && !quorum.contains(i) && self.members[*i].votes > 0)
-            .collect();
-        let wave = self.vote_wave(
-            RepRequest::Lookup(key),
-            Traffic::Data,
-            &quorum,
-            hedge.map(|delay| (delay, &spares[..])),
-            needed,
-            hedge.is_none(),
-        );
-        if wave.votes < needed {
-            return Err(SuiteError::Rep(wave.last_err));
-        }
-        let mut votes = Vec::with_capacity(wave.replies.len());
-        for (i, reply) in wave.replies {
+        // The members that answer the lookup *are* the read quorum (§3.1:
+        // any set of members whose votes reach R), so the collection carries
+        // the request and its replies are the votes to merge.
+        let Quorum { members, replies } =
+            self.collect_quorum(QuorumKind::Read, Some(key), Some(RepRequest::Lookup(key)))?;
+        let mut votes = Vec::with_capacity(members.len());
+        for (&i, reply) in members.iter().zip(replies) {
             votes.push((i, reply.lookup()?));
         }
         let best = votes
@@ -972,16 +981,7 @@ impl<C: RepClient> DirSuite<C> {
             .reduce(pick_reply)
             .expect("votes cover R, so at least one reply merged");
         self.note_stale_votes(key, &best, &votes);
-        // Report the members whose replies formed the answer: the quorum in
-        // preference order, then any spares that substituted.
-        let mut contributors: Vec<usize> = votes.iter().map(|&(i, _)| i).collect();
-        contributors.sort_by_key(|i| {
-            quorum
-                .iter()
-                .position(|q| q == i)
-                .unwrap_or(quorum.len() + i)
-        });
-        let ids = self.ids_of(&contributors);
+        let ids = self.ids_of(&members);
         Ok(match best {
             LookupReply::Present { version, value } => LookupOutcome {
                 present: true,
@@ -1114,7 +1114,7 @@ impl<C: RepClient> DirSuite<C> {
             let need: Vec<usize> = (lo..hi).filter(|&i| assigned[i].is_none()).collect();
             let mut discovered: Vec<Option<LookupReply>> = vec![None; need.len()];
             if !need.is_empty() {
-                let read_q = self.collect_quorum(QuorumKind::Read, None)?;
+                let read_q = self.collect_quorum(QuorumKind::Read, None, None)?.members;
                 let env: Vec<BatchRequest> = need
                     .iter()
                     .map(|&i| BatchRequest::Lookup(entries[i].0.clone()))
@@ -1187,7 +1187,7 @@ impl<C: RepClient> DirSuite<C> {
             }
 
             if !writes.is_empty() {
-                let write_q = self.collect_quorum(QuorumKind::Write, None)?;
+                let write_q = self.collect_quorum(QuorumKind::Write, None, None)?.members;
                 let writes_ref = &writes;
                 for wave in self.scatter(&write_q, |_| RepRequest::Batch(writes_ref)) {
                     let parts = wave?.batch()?;
@@ -1335,7 +1335,9 @@ impl<C: RepClient> DirSuite<C> {
     /// quorum, then hops until the candidate answers present. Chain
     /// bookkeeping lives in [`NeighborChains`], shared with the scan walk.
     fn neighbor_walk(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
-        let quorum = self.collect_quorum(QuorumKind::Read, Some(key))?;
+        let quorum = self
+            .collect_quorum(QuorumKind::Read, Some(key), None)?
+            .members;
         let batch = self.neighbor_batch;
         let mut walk = NeighborChains::new(dir, key, quorum.len());
 
@@ -1422,7 +1424,9 @@ impl<C: RepClient> DirSuite<C> {
         key: &Key,
         target_version: Version,
     ) -> Result<DeleteOutcome, SuiteError> {
-        let write_quorum = self.collect_quorum(QuorumKind::Write, Some(key))?;
+        let write_quorum = self
+            .collect_quorum(QuorumKind::Write, Some(key), None)?
+            .members;
         let succ = self.real_successor(key)?;
         let pred = self.real_predecessor(key)?;
 
@@ -1555,7 +1559,7 @@ impl<C: RepClient> DirSuite<C> {
     fn scan_walk(&mut self) -> Result<Vec<(crate::key::UserKey, Value)>, SuiteError> {
         let batch = self.neighbor_batch;
         let dir = Direction::Succ;
-        let quorum = self.collect_quorum(QuorumKind::Read, None)?;
+        let quorum = self.collect_quorum(QuorumKind::Read, None, None)?.members;
         let mut walk = NeighborChains::new(dir, &Key::Low, quorum.len());
         let mut out = Vec::new();
         let mut probe = Key::Low;
@@ -1567,7 +1571,7 @@ impl<C: RepClient> DirSuite<C> {
             // Re-assert the session each hop: a cached, no-RPC check while
             // the session holds. `suite.session.reuse` counts the ping
             // waves this saved over per-hop collection.
-            let hop_quorum = self.collect_quorum(QuorumKind::Read, None)?;
+            let hop_quorum = self.collect_quorum(QuorumKind::Read, None, None)?.members;
             debug_assert_eq!(hop_quorum, quorum, "session quorum changed mid-walk");
             walk.discard_passed(&probe, &mut max_gap_version);
             let refills = walk.refills();
@@ -1651,10 +1655,8 @@ impl<C: RepClient> DirSuite<C> {
         value: &Value,
     ) -> Result<WriteOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.write");
-        let quorum = self.collect_quorum(QuorumKind::Write, Some(key))?;
-        for outcome in self.scatter(&quorum, |_| RepRequest::Insert(key, version, value)) {
-            outcome?;
-        }
+        let insert = RepRequest::Insert(key, version, value);
+        let quorum = self.collect_quorum(QuorumKind::Write, Some(key), Some(insert))?;
         if self.write_through_weak {
             let weak: Vec<usize> = (0..self.members.len())
                 .filter(|&i| self.members[i].votes == 0)
@@ -1666,36 +1668,84 @@ impl<C: RepClient> DirSuite<C> {
         }
         Ok(WriteOutcome {
             version,
-            quorum: self.ids_of(&quorum),
+            quorum: self.ids_of(&quorum.members),
         })
     }
 
-    /// `CollectReadQuorum`/`CollectWriteQuorum`: pings candidates along the
-    /// policy's preference order until the vote threshold is met.
+    /// `CollectReadQuorum`/`CollectWriteQuorum`: gathers members along the
+    /// policy's preference order until their votes meet the threshold.
     ///
-    /// Pings go out in *waves* ([`collect_votes`](Self::collect_votes)).
-    /// Within a wave the first `needed` votes to *arrive* win; the chosen
-    /// quorum is then sorted back into preference order so downstream waves
-    /// address members deterministically.
+    /// `carry` is the request the caller would send the quorum next. Given
+    /// one, collecting *is* sending it — the members that answer it are the
+    /// quorum (§3.1) — so a point operation pays no ping round. Without one
+    /// (the walks, whose first waves differ per member) candidates are
+    /// pinged. Requests go out in *waves*
+    /// ([`collect_votes`](Self::collect_votes)); within a wave the first
+    /// votes to *arrive* win, and the quorum is then arranged back into
+    /// preference order so downstream waves address members
+    /// deterministically.
     fn collect_quorum(
         &mut self,
         kind: QuorumKind,
         hint: Option<&Key>,
-    ) -> Result<Vec<usize>, SuiteError> {
+        carry: Option<RepRequest<'_>>,
+    ) -> Result<Quorum, SuiteError> {
         // Session fast path: a bulk operation already collected this quorum
         // and no member has failed since — answer from cache, no pings.
         if let Some(session) = self.session(kind) {
             let members = session.members.clone();
             self.obs.session_reuse.inc();
-            return Ok(members);
+            return match carry {
+                Some(req) => self.ask_session(kind, members, req),
+                None => Ok(Quorum {
+                    members,
+                    replies: Vec::new(),
+                }),
+            };
         }
         // Late replies of earlier waves inform the policy's ranking.
         self.harvest();
         let n = self.members.len();
         let order = self.policy.candidates(kind, n, hint);
-        let chosen = self.collect_quorum_ordered(kind, order)?;
-        self.store_session(kind, chosen.clone(), 0);
-        Ok(chosen)
+        let quorum = self.collect_quorum_ordered(kind, order, carry)?;
+        self.store_session(kind, quorum.members.clone(), 0);
+        Ok(quorum)
+    }
+
+    /// Sends `req` to exactly the members of a held session, hedging
+    /// stragglers to voting members outside it when hedging is armed. A
+    /// member that fails is not replaced: the session is stale, so
+    /// [`RepError::Unavailable`] surfaces for
+    /// [`with_session_retries`](Self::with_session_retries) to re-validate.
+    fn ask_session(
+        &mut self,
+        kind: QuorumKind,
+        members: Vec<usize>,
+        req: RepRequest<'_>,
+    ) -> Result<Quorum, SuiteError> {
+        let needed = self.threshold(kind);
+        let hedge = self.armed_hedge_delay();
+        let held = members.len();
+        let mut order = members;
+        if hedge.is_some() {
+            let spares: Vec<usize> = (0..self.members.len())
+                .filter(|i| !order.contains(i) && self.members[*i].votes > 0)
+                .collect();
+            order.extend(spares);
+        }
+        let wave = self.vote_wave(
+            req,
+            Traffic::Data,
+            &order[..held],
+            hedge.map(|delay| (delay, &order[held..])),
+            needed,
+            hedge.is_none(),
+        );
+        match wave.refused {
+            Some(e) => Err(SuiteError::Rep(e)),
+            None if wave.votes < needed => Err(SuiteError::Rep(RepError::Unavailable)),
+            None => Ok(Quorum::arrange(wave.replies, &order)),
+        }
     }
 
     /// Rebuilds the session quorum for `kind` after a held member failed
@@ -1713,7 +1763,7 @@ impl<C: RepClient> DirSuite<C> {
         };
         let n = self.members.len();
         order.extend(self.policy.candidates(kind, n, None));
-        let chosen = self.collect_quorum_ordered(kind, order)?;
+        let chosen = self.collect_quorum_ordered(kind, order, None)?.members;
         self.store_session(kind, chosen.clone(), epoch);
         Ok(chosen)
     }
@@ -1722,12 +1772,9 @@ impl<C: RepClient> DirSuite<C> {
         &mut self,
         kind: QuorumKind,
         mut order: Vec<usize>,
-    ) -> Result<Vec<usize>, SuiteError> {
+        carry: Option<RepRequest<'_>>,
+    ) -> Result<Quorum, SuiteError> {
         let n = self.members.len();
-        let needed = match kind {
-            QuorumKind::Read => self.config.read_quorum(),
-            QuorumKind::Write => self.config.write_quorum(),
-        };
         let _collect_span = self.obs.registry.span(match kind {
             QuorumKind::Read => "quorum.collect.read",
             QuorumKind::Write => "quorum.collect.write",
@@ -1741,38 +1788,44 @@ impl<C: RepClient> DirSuite<C> {
                 order.push(i);
             }
         }
-        // Preference-order position of each member, for the final sort.
-        let mut pos = vec![usize::MAX; n];
-        for (p, &i) in order.iter().enumerate() {
-            pos[i] = p;
-        }
-
-        let mut chosen = self.collect_votes(kind, needed, &order)?;
-        chosen.sort_by_key(|&i| pos[i]);
-        Ok(chosen)
+        let gathered = self.collect_votes(kind, &order, carry)?;
+        Ok(Quorum::arrange(gathered, &order))
     }
 
-    /// Pings voting candidates in preference order, wave by wave, until
-    /// `needed` votes answered.
+    /// Asks voting candidates in preference order, wave by wave, until
+    /// members holding the threshold's votes have answered.
     ///
     /// Each wave starts as the minimal prefix: exactly the candidates a
-    /// sequential walk would ping next if every ping succeeded, so on a
-    /// fabric that never failed the pings are the sequential walk's. With
+    /// sequential walk would ask next if every one answered. When every
+    /// member of it has a clean (or unsampled) availability window the wave
+    /// *carries* the caller's request: every request sent is awaited (they
+    /// take locks and write) and the successful replies are both the votes
+    /// and the answers. A vote lost to an unreachable member is re-collected
+    /// from the next candidates by a further wave; a member that was reached
+    /// and refused (`Deadlock`, `LockTimeout`, a storage error) fails the
+    /// operation — a spare may not stand in for it.
+    ///
+    /// A prefix containing a member with a recorded miss pings first, so a
+    /// silent member costs a ping's wait, never a data request's: with
     /// adaptive waves (the default) the prefix is *extended* while the
     /// expected, availability-weighted yield falls short of the deficit,
-    /// within the over-provision cap — so a member known to be flaky no
-    /// longer guarantees an extra round — and, when hedging is armed, a wave
-    /// that straggles past the hedge delay pings further candidates from the
-    /// same budget. The wave stops listening at the vote threshold;
-    /// candidates it consumed, hedges included, are never pinged again by a
-    /// later wave. With adaptive waves off, waves are the bare prefix: the
-    /// baseline the property tests and `hedge_bench` compare against.
+    /// within the over-provision cap, the wave stops listening at the vote
+    /// threshold, and the request then goes to the members that answered.
+    /// With nothing to carry every wave pings.
+    ///
+    /// When hedging is armed, a wave — carried or pinged — that straggles
+    /// past the hedge delay asks further candidates from the same budget and
+    /// stops listening at the threshold; candidates a wave consumed, hedges
+    /// included, are never asked again by a later wave. With adaptive waves
+    /// off, waves are the bare prefix: the baseline the property tests and
+    /// `hedge_bench` compare against.
     fn collect_votes(
         &mut self,
         kind: QuorumKind,
-        needed: u32,
         order: &[usize],
-    ) -> Result<Vec<usize>, SuiteError> {
+        carry: Option<RepRequest<'_>>,
+    ) -> Result<Vec<(usize, RepReply)>, SuiteError> {
+        let needed = self.threshold(kind);
         let hedge = self
             .adaptive_waves
             .then(|| self.armed_hedge_delay())
@@ -1791,7 +1844,7 @@ impl<C: RepClient> DirSuite<C> {
                 (votes, f64::from(votes) * avail)
             })
             .collect();
-        let mut chosen = Vec::new();
+        let mut gathered = Vec::new();
         let mut votes = 0u32;
         let mut cursor = 0usize;
         while votes < needed {
@@ -1803,6 +1856,9 @@ impl<C: RepClient> DirSuite<C> {
                 expected += yields[cursor].1;
                 cursor += 1;
             }
+            // Every window in the prefix is clean: it is expected to answer
+            // in full, and the extension below cannot fire.
+            let carried = carry.filter(|_| expected >= f64::from(provisioned));
             let mut cap = provisioned;
             if self.adaptive_waves {
                 cap = cap.max((f64::from(deficit) * self.max_overprovision).ceil() as u32);
@@ -1828,22 +1884,42 @@ impl<C: RepClient> DirSuite<C> {
                 }
             }
             self.obs.waves.inc();
-            let wave = self.vote_wave(
-                RepRequest::Ping,
-                Traffic::Ping,
+            let (req, traffic) = match carried {
+                Some(req) => (req, Traffic::Data),
+                None => (RepRequest::Ping, Traffic::Ping),
+            };
+            let mut wave = self.vote_wave(
+                req,
+                traffic,
                 &voting[first..cursor],
                 hedge.map(|delay| (delay, &voting[cursor..spare_end])),
                 deficit,
-                false,
+                carried.is_some() && hedge.is_none(),
             );
             cursor += wave.spares_used;
-            votes += wave.votes;
-            chosen.extend(wave.replies.iter().map(|&(i, _)| i));
-            // A preferred candidate that was pinged and failed to vote: for
+            // A preferred candidate that was asked and failed to vote: for
             // a sticky policy, a remembered member that stopped responding.
             self.obs.sticky_miss.add(wave.misses);
+            if let (Some(req), None) = (carry, carried) {
+                let ponged: Vec<usize> = wave.replies.iter().map(|&(i, _)| i).collect();
+                wave = self.vote_wave(
+                    req,
+                    Traffic::Data,
+                    &ponged,
+                    hedge.map(|delay| (delay, &voting[cursor..spare_end])),
+                    deficit,
+                    hedge.is_none(),
+                );
+                cursor += wave.spares_used;
+                self.obs.sticky_miss.add(wave.misses);
+            }
+            if let Some(e) = wave.refused {
+                return Err(SuiteError::Rep(e));
+            }
+            votes += wave.votes;
+            gathered.extend(wave.replies);
         }
-        Ok(chosen)
+        Ok(gathered)
     }
 
     /// The delay after which a straggling request is duplicated to a spare,
@@ -2128,8 +2204,7 @@ impl NeighborChains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RepError;
-    use crate::rep::{Completion, RepReply, RepResult};
+    use crate::rep::{Completion, RepResult};
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -2358,6 +2433,23 @@ mod tests {
         }
     }
 
+    #[test]
+    fn member_failing_the_carried_request_is_substituted_in_the_same_collection() {
+        // The members that answer the request are the quorum, so a point
+        // operation has no ping-then-call window: a member that cannot take
+        // the carried lookup is one lost vote, re-collected from the next
+        // candidate by a further carried wave — the call succeeds at the
+        // cost of exactly one extra request.
+        let mut s = suite_322(9);
+        s.set_policy(fixed(&[0, 1, 2]));
+        s.member(0).set_available(false);
+        let out = s.lookup(&k("a")).unwrap();
+        assert!(!out.present);
+        assert_eq!(out.quorum, vec![RepId(1), RepId(2)]);
+        assert_eq!(s.message_counts(), vec![1, 1, 1]);
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
+    }
+
     /// Wrapper that forwards to a [`LocalRep`] but, once armed, marks the
     /// rep unavailable *immediately after* it answers a ping — the exact
     /// ping-then-call window: the member votes into the quorum, then every
@@ -2393,24 +2485,22 @@ mod tests {
     }
 
     #[test]
-    fn member_death_between_collect_and_call_surfaces_unavailable() {
-        // Member 0 dies the instant it finishes voting: the subsequent
-        // quorum data wave must surface Rep(Unavailable) — the retryable
-        // error ReplicatedDirectory::run backs off on — not panic or hang.
+    fn member_death_between_collect_and_call_survives_only_under_a_held_session() {
+        // Walks still ping (one collection amortised over many hops), so the
+        // window exists for them: member 0 dies the instant it finishes
+        // voting and the walk's first data wave hits a corpse. The held
+        // session is re-validated once and the walk completes on the
+        // survivors.
         let clients: Vec<DiesAfterPing> = (0..3)
             .map(|i| DiesAfterPing::new(LocalRep::new(RepId(i)), i == 0))
             .collect();
         let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
         let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        assert_eq!(
-            s.lookup(&k("a")),
-            Err(SuiteError::Rep(RepError::Unavailable))
-        );
-        // The trap disarmed itself, so a retry collects a fresh quorum from
-        // the survivors and succeeds — the recovery path the retry loop
-        // relies on.
+        assert!(s.scan().unwrap().is_empty());
+        assert_eq!(s.obs().counter("suite.session.revalidate").get(), 1);
+        // Point operations never see it: the trap is spent, member 0 is
+        // down, and a lookup is answered by the members that take it.
         let out = s.lookup(&k("a")).unwrap();
-        assert!(!out.present);
         assert_eq!(out.quorum, vec![RepId(1), RepId(2)]);
     }
 
@@ -2425,7 +2515,7 @@ mod tests {
             s.insert(&k("a"), &val("A")).unwrap();
             let err = s
                 .with_session_scope(|s| {
-                    s.collect_quorum(QuorumKind::Read, None)?;
+                    s.collect_quorum(QuorumKind::Read, None, None)?;
                     s.member(0).set_available(false);
                     s.member(1).set_available(false);
                     s.revalidate_session(QuorumKind::Read).map(|_| ())
@@ -2452,7 +2542,7 @@ mod tests {
         s.insert(&k("a"), &val("A")).unwrap();
         let reval = s.obs().counter("suite.session.revalidate");
         s.with_session_scope(|s| -> Result<(), SuiteError> {
-            s.collect_quorum(QuorumKind::Read, None)?;
+            s.collect_quorum(QuorumKind::Read, None, None)?;
             assert_eq!(s.session(QuorumKind::Read).unwrap().epoch, 0);
             assert_eq!(reval.get(), 0, "fresh collection is not a re-validation");
             for expected in 1..=3u64 {
@@ -2482,8 +2572,9 @@ mod tests {
                 let mut s = suite_322(33);
                 s.set_adaptive_waves(adaptive);
                 let chosen = s
-                    .collect_quorum_ordered(QuorumKind::Read, order.to_vec())
-                    .unwrap();
+                    .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), None)
+                    .unwrap()
+                    .members;
                 (chosen, s.ping_counts())
             };
             let baseline = run(clean);
@@ -2505,8 +2596,9 @@ mod tests {
                 let mut s = DirSuite::new(clients, cfg.clone(), fixed(&[0, 1, 2, 3])).unwrap();
                 s.set_adaptive_waves(adaptive);
                 let chosen = s
-                    .collect_quorum_ordered(QuorumKind::Read, order.to_vec())
-                    .unwrap();
+                    .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), None)
+                    .unwrap()
+                    .members;
                 (chosen, s.ping_counts())
             };
             let baseline = run(&[0, 2, 3]);
@@ -2591,8 +2683,8 @@ mod tests {
     #[test]
     fn hedged_ping_wave_wins_with_a_spare_over_a_straggler() {
         // Member 0 answers pings 80ms late; with a 2ms hedge delay the
-        // wave must duplicate to member 2 and close the quorum without
-        // waiting out the straggler.
+        // ping wave a walk collects with must duplicate to member 2 and
+        // close the quorum without waiting out the straggler.
         let clients = vec![
             Laggy::new(0, Duration::from_millis(80), Duration::ZERO),
             Laggy::new(1, Duration::ZERO, Duration::ZERO),
@@ -2605,23 +2697,25 @@ mod tests {
         let issued = s.obs().counter("suite.hedge.issued");
 
         let start = std::time::Instant::now();
-        let out = s.lookup(&k("a")).unwrap();
-        assert!(!out.present);
-        assert_eq!(out.quorum, vec![RepId(1), RepId(2)]);
+        assert!(s.scan().unwrap().is_empty());
         assert!(issued.get() >= 1, "the straggling ping must be hedged");
         assert!(
             start.elapsed() < Duration::from_millis(80),
             "the quorum must not wait out the straggler"
         );
         assert_eq!(s.ping_counts(), vec![1, 1, 1]);
+        assert_eq!(
+            s.message_counts()[0],
+            0,
+            "the straggler is not in the quorum"
+        );
     }
 
     #[test]
     fn hedged_lookup_substitutes_a_spare_for_a_straggler() {
-        // Member 0 pings fast but serves lookups 80ms late: it wins a seat
-        // in the read quorum, then straggles on the data RPC. The hedged
-        // read must assemble R votes from member 1 plus the spare member 2
-        // and return the exact answer.
+        // Member 0 serves lookups 80ms late: the collection carries the
+        // lookup to it and straggles. The hedged read must assemble R votes
+        // from member 1 plus the spare member 2 and return the exact answer.
         let clients = vec![
             Laggy::new(0, Duration::ZERO, Duration::from_millis(80)),
             Laggy::new(1, Duration::ZERO, Duration::ZERO),
@@ -2803,9 +2897,15 @@ mod tests {
         s.insert(&k("a"), &val("A")).unwrap();
         let data: u64 = s.message_counts().iter().sum();
         let pings: u64 = s.ping_counts().iter().sum();
-        // insert = lookup (2 RPCs) + 2 writes, plus 2 pings per quorum.
+        // insert = lookup (2 RPCs) + 2 writes; both collections rode them.
         assert_eq!(data, 4);
-        assert_eq!(pings, 4);
+        assert_eq!(pings, 0);
+        s.delete(&k("a")).unwrap();
+        assert_eq!(
+            s.ping_counts().iter().sum::<u64>(),
+            2,
+            "delete's write quorum"
+        );
         s.reset_message_counts();
         assert!(s.message_counts().iter().all(|&c| c == 0));
         assert!(s.ping_counts().iter().all(|&c| c == 0));
@@ -3074,7 +3174,9 @@ mod tests {
             2,
             "one read + one write collection for the whole delete"
         );
-        assert_eq!(s.ping_counts(), vec![2, 2, 0]);
+        // The read collection rode the opening lookup; only the write
+        // collection pinged.
+        assert_eq!(s.ping_counts(), vec![1, 1, 0]);
         assert!(
             after.counter("suite.session.reuse") - before.counter("suite.session.reuse") >= 2,
             "both searches must reuse the pinned read session"
@@ -3475,7 +3577,7 @@ mod tests {
     fn failed_member_ewma_is_penalized_so_latency_policy_demotes_it() {
         // Regression: a dead member kept its stale fast reply-time EWMA, so
         // LatencyPolicy kept ordering it first and every collection burned a
-        // ping on the corpse. A failed RPC (or ping miss) now records a
+        // request on the corpse. A failed RPC (or ping miss) now records a
         // penalty sample, demoting the member below any live one.
         let mut s = suite_322(77);
         let policy = s.latency_policy();
@@ -3488,18 +3590,19 @@ mod tests {
         let favorite = s.lookup(&k("a")).unwrap().quorum[0];
         let dead = favorite.0 as usize;
         s.member(dead).set_available(false);
-        // Discovery: the stale-fast favorite is pinged once more, misses,
+        // Discovery: the stale-fast favorite is asked once more, misses,
         // and its EWMA takes the failure penalty.
+        let asked = |s: &DirSuite<LocalRep>| s.message_counts()[dead] + s.ping_counts()[dead];
         s.lookup(&k("a")).unwrap();
-        let pings_after_discovery = s.ping_counts()[dead];
+        let asked_after_discovery = asked(&s);
         for _ in 0..8 {
             assert!(s.lookup(&k("a")).unwrap().present);
         }
         assert_eq!(
-            s.ping_counts()[dead],
-            pings_after_discovery,
+            asked(&s),
+            asked_after_discovery,
             "a penalized member must sort behind the live ones and not be \
-             pinged on every collection"
+             asked on every collection"
         );
     }
 
@@ -3735,7 +3838,7 @@ mod tests {
         s.set_policy(fixed(&[0, 1, 2]));
         s.set_penalty_sample(Duration::from_millis(5));
         s.member(0).set_available(false);
-        // Member 0 misses the quorum ping; its EWMA takes the custom 5 ms
+        // Member 0 misses the carried lookup; its EWMA takes the custom 5 ms
         // penalty, not the 1 s default.
         s.lookup(&k("x")).unwrap();
         let ewma = s.member_reply_ewmas()[0].value_us().unwrap();

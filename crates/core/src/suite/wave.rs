@@ -73,8 +73,11 @@ pub(super) struct Votes {
     pub(super) votes: u32,
     /// Failed replies consumed before the wave stopped listening.
     pub(super) misses: u64,
-    /// The most recent failure.
-    pub(super) last_err: RepError,
+    /// The first failure other than [`RepError::Unavailable`]: a member that
+    /// was reached and refused the request (`Deadlock`, `LockTimeout`, a
+    /// storage error). Another member's vote can stand in for one that could
+    /// not be reached, never for one that said no.
+    pub(super) refused: Option<RepError>,
     /// How many of the offered spares were sent a hedge.
     pub(super) spares_used: usize,
 }
@@ -224,7 +227,7 @@ impl<C: RepClient> DirSuite<C> {
             replies: Vec::with_capacity(wave.len()),
             votes: 0,
             misses: 0,
-            last_err: RepError::Unavailable,
+            refused: None,
             spares_used: 0,
         };
         let mut hedges_won = 0;
@@ -251,7 +254,9 @@ impl<C: RepClient> DirSuite<C> {
                 Some((_, _, Err(e))) => {
                     outstanding -= 1;
                     out.misses += 1;
-                    out.last_err = e;
+                    if e != RepError::Unavailable {
+                        out.refused.get_or_insert(e);
+                    }
                 }
             }
         }

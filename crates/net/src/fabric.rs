@@ -66,10 +66,6 @@ impl LatencyModel {
             jitter: Duration::ZERO,
         }
     }
-
-    fn is_zero(&self) -> bool {
-        self.base.is_zero() && self.jitter.is_zero()
-    }
 }
 
 /// Fault-injection configuration, applied to every message.
@@ -159,20 +155,37 @@ impl FabricObs {
     }
 }
 
-struct Shared {
-    mailboxes: Mutex<HashMap<NodeId, Sender<Envelope>>>,
+/// Everything fault injection is configured with, behind one lock: a send
+/// reads all of it at once.
+#[derive(Default)]
+struct Faults {
+    plan: FaultPlan,
     /// Pairs of nodes that cannot currently exchange messages.
-    blocked: Mutex<HashSet<(NodeId, NodeId)>>,
-    plan: Mutex<FaultPlan>,
+    blocked: HashSet<(NodeId, NodeId)>,
     /// Per-destination latency overrides (skewed fabrics): messages *to*
     /// these nodes ignore the plan's latency.
-    node_latency: Mutex<HashMap<NodeId, LatencyModel>>,
+    node_latency: HashMap<NodeId, LatencyModel>,
     /// Per-destination drop-probability overrides (flaky members): messages
     /// *to* these nodes ignore the plan's drop probability.
-    node_drop: Mutex<HashMap<NodeId, f64>>,
+    node_drop: HashMap<NodeId, f64>,
+}
+
+/// [`NetStats`] as the fabric keeps it: statistics, so `Relaxed` throughout.
+#[derive(Default)]
+struct Stats {
+    sent: AtomicU64,
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    partitioned: AtomicU64,
+    duplicated: AtomicU64,
+}
+
+struct Shared {
+    mailboxes: Mutex<HashMap<NodeId, Sender<Envelope>>>,
+    faults: Mutex<Faults>,
     obs: FabricObs,
     rng: Mutex<StdRng>,
-    stats: Mutex<NetStats>,
+    stats: Stats,
     queue: Mutex<BinaryHeap<Scheduled>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -211,13 +224,10 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         let shared = Arc::new(Shared {
             mailboxes: Mutex::new(HashMap::new()),
-            blocked: Mutex::new(HashSet::new()),
-            plan: Mutex::new(FaultPlan::default()),
-            node_latency: Mutex::new(HashMap::new()),
-            node_drop: Mutex::new(HashMap::new()),
+            faults: Mutex::new(Faults::default()),
             obs: FabricObs::new(),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            stats: Mutex::new(NetStats::default()),
+            stats: Stats::default(),
             queue: Mutex::new(BinaryHeap::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -241,7 +251,7 @@ impl Network {
 
     /// Replaces the fault plan.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.shared.plan.lock() = plan;
+        self.shared.faults.lock().plan = plan;
     }
 
     /// Overrides delivery latency for messages *destined to* `node`,
@@ -249,13 +259,13 @@ impl Network {
     /// (the plan's drop/duplicate probabilities still apply). The
     /// `latency_policy` bench builds its skewed fabric from this.
     pub fn set_node_latency(&self, node: NodeId, latency: LatencyModel) {
-        self.shared.node_latency.lock().insert(node, latency);
+        self.shared.faults.lock().node_latency.insert(node, latency);
     }
 
     /// Removes a per-node latency override; `node` reverts to the plan's
     /// latency.
     pub fn clear_node_latency(&self, node: NodeId) {
-        self.shared.node_latency.lock().remove(&node);
+        self.shared.faults.lock().node_latency.remove(&node);
     }
 
     /// Overrides the drop probability for messages *destined to* `node`,
@@ -263,18 +273,18 @@ impl Network {
     /// plan's latency and duplicate probability still apply). The
     /// `hedge_bench` builds its flaky member from this.
     pub fn set_node_drop(&self, node: NodeId, drop_prob: f64) {
-        self.shared.node_drop.lock().insert(node, drop_prob);
+        self.shared.faults.lock().node_drop.insert(node, drop_prob);
     }
 
     /// Removes a per-node drop override; `node` reverts to the plan's drop
     /// probability.
     pub fn clear_node_drop(&self, node: NodeId) {
-        self.shared.node_drop.lock().remove(&node);
+        self.shared.faults.lock().node_drop.remove(&node);
     }
 
     /// Blocks all traffic between `a` and `b` (both directions).
     pub fn block(&self, a: NodeId, b: NodeId) {
-        let mut blocked = self.shared.blocked.lock();
+        let blocked = &mut self.shared.faults.lock().blocked;
         blocked.insert((a, b));
         blocked.insert((b, a));
     }
@@ -282,7 +292,7 @@ impl Network {
     /// Splits nodes into isolated groups: traffic crosses group boundaries
     /// no more. Clears previous blocks.
     pub fn partition(&self, groups: &[&[NodeId]]) {
-        let mut blocked = self.shared.blocked.lock();
+        let blocked = &mut self.shared.faults.lock().blocked;
         blocked.clear();
         for (gi, ga) in groups.iter().enumerate() {
             for (gj, gb) in groups.iter().enumerate() {
@@ -300,56 +310,53 @@ impl Network {
 
     /// Removes all partitions and blocks.
     pub fn heal(&self) {
-        self.shared.blocked.lock().clear();
+        self.shared.faults.lock().blocked.clear();
     }
 
     /// Submits a message. Returns `false` if the destination was never
     /// registered (the message vanishes, as on a real network).
     pub fn send(&self, src: NodeId, dst: NodeId, kind: MsgKind, payload: Vec<u8>) -> bool {
         let shared = &self.shared;
-        shared.stats.lock().sent += 1;
+        shared.stats.sent.fetch_add(1, Ordering::Relaxed);
         shared.obs.sent.inc();
-        if shared.blocked.lock().contains(&(src, dst)) {
-            shared.stats.lock().partitioned += 1;
-            shared.obs.partitioned.inc();
-            return true; // silently eaten, like a real partition
-        }
-        let plan = shared.plan.lock().clone();
-        let latency = shared
-            .node_latency
-            .lock()
-            .get(&dst)
-            .copied()
-            .unwrap_or(plan.latency);
-        let drop_prob = shared
-            .node_drop
-            .lock()
-            .get(&dst)
-            .copied()
-            .unwrap_or(plan.drop_prob);
-        let (dropped, duplicate, delay) = {
-            let mut rng = shared.rng.lock();
-            let dropped = drop_prob > 0.0 && rng.gen_bool(drop_prob.clamp(0.0, 1.0));
-            let duplicate =
-                plan.duplicate_prob > 0.0 && rng.gen_bool(plan.duplicate_prob.clamp(0.0, 1.0));
-            let delay = if latency.is_zero() {
-                Duration::ZERO
-            } else {
-                let jitter_ns = latency.jitter.as_nanos() as u64;
-                let extra = if jitter_ns == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=jitter_ns)
-                };
-                latency.base + Duration::from_nanos(extra)
-            };
-            (dropped, duplicate, delay)
+        let (latency, drop_prob, duplicate_prob) = {
+            let faults = shared.faults.lock();
+            if faults.blocked.contains(&(src, dst)) {
+                shared.stats.partitioned.fetch_add(1, Ordering::Relaxed);
+                shared.obs.partitioned.inc();
+                return true; // silently eaten, like a real partition
+            }
+            let plan = &faults.plan;
+            (
+                *faults.node_latency.get(&dst).unwrap_or(&plan.latency),
+                *faults.node_drop.get(&dst).unwrap_or(&plan.drop_prob),
+                plan.duplicate_prob,
+            )
         };
+        // One draw per armed fault, in this order; a fault-free plan draws
+        // nothing and leaves the generator alone.
+        let jitter_ns = latency.jitter.as_nanos() as u64;
+        let (dropped, duplicate, extra_ns) =
+            if drop_prob > 0.0 || duplicate_prob > 0.0 || jitter_ns > 0 {
+                let mut rng = shared.rng.lock();
+                let dropped = drop_prob > 0.0 && rng.gen_bool(drop_prob.clamp(0.0, 1.0));
+                let duplicate =
+                    duplicate_prob > 0.0 && rng.gen_bool(duplicate_prob.clamp(0.0, 1.0));
+                let extra_ns = if jitter_ns > 0 {
+                    rng.gen_range(0..=jitter_ns)
+                } else {
+                    0
+                };
+                (dropped, duplicate, extra_ns)
+            } else {
+                (false, false, 0)
+            };
         if dropped {
-            shared.stats.lock().dropped += 1;
+            shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
             shared.obs.dropped.inc();
             return true;
         }
+        let delay = latency.base + Duration::from_nanos(extra_ns);
         let env = Envelope {
             src,
             dst,
@@ -357,7 +364,7 @@ impl Network {
             payload,
         };
         let copies = if duplicate {
-            shared.stats.lock().duplicated += 1;
+            shared.stats.duplicated.fetch_add(1, Ordering::Relaxed);
             shared.obs.duplicated.inc();
             2
         } else {
@@ -372,7 +379,14 @@ impl Network {
 
     /// Delivery counters so far.
     pub fn stats(&self) -> NetStats {
-        *self.shared.stats.lock()
+        let stats = &self.shared.stats;
+        NetStats {
+            sent: stats.sent.load(Ordering::Relaxed),
+            delivered: stats.delivered.load(Ordering::Relaxed),
+            dropped: stats.dropped.load(Ordering::Relaxed),
+            partitioned: stats.partitioned.load(Ordering::Relaxed),
+            duplicated: stats.duplicated.load(Ordering::Relaxed),
+        }
     }
 
     fn deliver_after(&self, env: Envelope, delay: Duration) -> bool {
@@ -398,7 +412,7 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("nodes", &self.shared.mailboxes.lock().len())
-            .field("stats", &*self.shared.stats.lock())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -407,7 +421,7 @@ fn deliver_now(shared: &Shared, env: Envelope) -> bool {
     let tx = shared.mailboxes.lock().get(&env.dst).cloned();
     match tx {
         Some(tx) if tx.send(env).is_ok() => {
-            shared.stats.lock().delivered += 1;
+            shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
             shared.obs.delivered.inc();
             true
         }
@@ -652,6 +666,57 @@ mod tests {
         assert_eq!(b.recv_timeout(TICK).unwrap().payload, vec![3]);
         assert_eq!(b.recv_timeout(TICK).unwrap().payload, vec![3]);
         assert_eq!(net.stats().duplicated, 1);
+    }
+
+    /// What fault injection did to each of the first 64 sends under `plan`:
+    /// `d` dropped, `2` duplicated, `1` delivered once.
+    fn fault_pattern(seed: u64, plan: FaultPlan) -> String {
+        let net = Network::new(seed);
+        let _b = net.register(NodeId(1));
+        net.set_fault_plan(plan);
+        (0..64)
+            .map(|i| {
+                let before = net.stats();
+                net.send(NodeId(0), NodeId(1), MsgKind::Request(i), vec![]);
+                let after = net.stats();
+                if after.dropped > before.dropped {
+                    'd'
+                } else if after.duplicated > before.duplicated {
+                    '2'
+                } else {
+                    '1'
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeded_fault_draws_are_pinned() {
+        // Literals recorded from the implementation that locked the
+        // generator on every send: one draw per armed fault per send, in the
+        // order drop, duplicate, jitter, so a seeded experiment replays bit
+        // for bit. The second plan adds a jitter draw per send, which shifts
+        // every later drop and duplicate decision.
+        let plan = FaultPlan {
+            drop_prob: 0.3,
+            duplicate_prob: 0.2,
+            latency: LatencyModel::ZERO,
+        };
+        assert_eq!(
+            fault_pattern(0xD1CE, plan.clone()),
+            "dddd11d2dd1221d111d211dd1121d111211d2111111d1111dd2dd1dd1d111111"
+        );
+        let jittered = FaultPlan {
+            latency: LatencyModel {
+                base: Duration::ZERO,
+                jitter: Duration::from_micros(50),
+            },
+            ..plan
+        };
+        assert_eq!(
+            fault_pattern(0xD1CE, jittered),
+            "d2d1ddd12211dd12111111112d1d1111d1d1dddd1111111112d11111211ddd11"
+        );
     }
 
     #[test]

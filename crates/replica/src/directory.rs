@@ -183,11 +183,15 @@ impl ReplicatedDirectory {
 
     /// Runs `body` in a transaction, committing on success. Deadlock and
     /// lock-timeout victims are aborted and retried (fresh transaction, new
-    /// quorums) with exponential backoff, up to an attempt limit. A member
-    /// that dies inside the ping-then-call window — it votes into a quorum,
-    /// then fails the data RPC with [`RepError::Unavailable`] — is retried
-    /// the same way: the fresh attempt collects a quorum from the
-    /// survivors.
+    /// quorums) with exponential backoff, up to an attempt limit.
+    /// [`RepError::Unavailable`] is retried the same way. A lookup or a
+    /// quorum write never produces it — the members that answer the request
+    /// are the quorum, and a lost vote is re-collected inside the call — so
+    /// what reaches here is an operation that pinged its quorum and then
+    /// lost a member of it: delete's copy and coalesce waves, or a walk
+    /// (scan, neighbour search, bulk write) whose held session lost more
+    /// members than its own re-validation budget absorbs. The fresh attempt
+    /// collects its quorums from the survivors.
     ///
     /// # Errors
     ///
@@ -741,10 +745,10 @@ mod tests {
 
     #[test]
     fn run_retries_member_death_between_collect_and_call() {
-        // The ping-then-call window: a member votes into the quorum, dies,
-        // and the data RPC addressed to it surfaces Rep(Unavailable) —
-        // DirSuite's behavior for this interleaving is pinned by
-        // repdir-core's member_death_between_collect_and_call test. Here the
+        // Lookups and quorum writes have no ping-then-call window (pinned by
+        // repdir-core's member_failing_the_carried_request_is_substituted
+        // test); delete's write waves and a walk whose re-validation budget
+        // is spent can still surface Rep(Unavailable). Here the
         // body reproduces that outcome on its first attempt (killing rep 0
         // mid-flight) and run() must classify it retryable: the retry
         // collects a fresh quorum from the survivors and commits.

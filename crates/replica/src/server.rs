@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use repdir_core::suite::StaleVote;
-use repdir_core::sync::Mutex;
+use repdir_core::sync::{Mutex, MutexGuard};
 use repdir_core::{
     CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, RepId,
     RepResult, UserKey, Value, Version,
@@ -166,6 +166,12 @@ impl TransactionalRep {
         self.locks.stats()
     }
 
+    /// Transactions currently holding at least one lock here (test aid: a
+    /// finished transaction must hold none).
+    pub fn lock_holders(&self) -> Vec<TxnId> {
+        self.locks.holders()
+    }
+
     /// Registers this representative's lock table in a shared
     /// [`DeadlockDomain`]. A suite's parallel write waves can block at
     /// several representatives at once, so two transactions can deadlock
@@ -237,8 +243,8 @@ impl TransactionalRep {
     /// [`RepError::Deadlock`]), and state errors.
     pub fn lookup(&self, txn: TxnId, key: &Key) -> RepResult<LookupReply> {
         self.check_up()?;
-        self.acquire(txn, LockMode::Lookup, KeyRange::point(key.clone()))?;
-        Ok(self.state.lock().lookup(key))
+        let range = KeyRange::point(key.clone());
+        Ok(self.locked(txn, LockMode::Lookup, range)?.lookup(key))
     }
 
     /// `DirRepPredecessor(x)` under `RepLookup(y, x)`, `y` being the key
@@ -254,12 +260,10 @@ impl TransactionalRep {
         self.check_up()?;
         loop {
             let peek = self.state.lock().predecessor(key)?;
-            self.acquire(
-                txn,
-                LockMode::Lookup,
-                KeyRange::new(peek.key.clone(), key.clone()),
-            )?;
-            let reply = self.state.lock().predecessor(key)?;
+            let range = KeyRange::new(peek.key.clone(), key.clone());
+            let reply = self
+                .locked(txn, LockMode::Lookup, range)?
+                .predecessor(key)?;
             if reply.key == peek.key {
                 return Ok(reply);
             }
@@ -278,12 +282,8 @@ impl TransactionalRep {
         self.check_up()?;
         loop {
             let peek = self.state.lock().successor(key)?;
-            self.acquire(
-                txn,
-                LockMode::Lookup,
-                KeyRange::new(key.clone(), peek.key.clone()),
-            )?;
-            let reply = self.state.lock().successor(key)?;
+            let range = KeyRange::new(key.clone(), peek.key.clone());
+            let reply = self.locked(txn, LockMode::Lookup, range)?.successor(key)?;
             if reply.key == peek.key {
                 return Ok(reply);
             }
@@ -357,8 +357,9 @@ impl TransactionalRep {
         value: &Value,
     ) -> RepResult<InsertOutcome> {
         self.check_up()?;
-        self.acquire(txn, LockMode::Modify, KeyRange::point(key.clone()))?;
-        let outcome = self.state.lock().insert(txn, key, version, value.clone())?;
+        let outcome = self
+            .locked(txn, LockMode::Modify, KeyRange::point(key.clone()))?
+            .insert(txn, key, version, value.clone())?;
         if let Key::User(u) = key {
             self.summary.mark(u.as_bytes());
         }
@@ -385,12 +386,13 @@ impl TransactionalRep {
                 high: high.clone(),
             });
         }
-        self.acquire(
-            txn,
-            LockMode::Modify,
-            KeyRange::new(low.clone(), high.clone()),
-        )?;
-        let outcome = self.state.lock().coalesce(txn, low, high, version)?;
+        let outcome = self
+            .locked(
+                txn,
+                LockMode::Modify,
+                KeyRange::new(low.clone(), high.clone()),
+            )?
+            .coalesce(txn, low, high, version)?;
         self.summary
             .mark_span(bucket_of_key(low), bucket_of_key(high));
         Ok(outcome)
@@ -770,6 +772,35 @@ impl TransactionalRep {
                 LockError::Deadlock => RepError::Deadlock,
             })
     }
+
+    /// Acquires `range` for `txn` and returns the state to operate on — if
+    /// the transaction is registered here. A request can outlive its
+    /// transaction (a straggler or a fabric duplicate landing after
+    /// `Commit`/`Abort`) or arrive at a member that was down at `Begin`;
+    /// nobody will ever call `release_all` for a lock it takes, so what was
+    /// just acquired is released and the request refused: reads with
+    /// [`RepError::Unavailable`] (the member is unusable for this
+    /// transaction and the suite routes around it), writes with
+    /// [`RepError::TransactionAborted`]. Checking *after* the acquire is
+    /// race-free: commit and abort unregister before they release.
+    fn locked(
+        &self,
+        txn: TxnId,
+        mode: LockMode,
+        range: KeyRange,
+    ) -> RepResult<MutexGuard<'_, DurableState>> {
+        self.acquire(txn, mode, range)?;
+        let state = self.state.lock();
+        if state.is_registered(txn) {
+            return Ok(state);
+        }
+        drop(state);
+        self.locks.release_all(txn);
+        Err(match mode {
+            LockMode::Lookup => RepError::Unavailable,
+            LockMode::Modify => RepError::TransactionAborted,
+        })
+    }
 }
 
 /// The summary bucket containing a coalesce boundary (sentinels clamp to
@@ -916,6 +947,87 @@ mod tests {
         rep.abort(t);
         rep.set_available(true);
         assert_eq!(rep.len(), 0);
+    }
+
+    #[test]
+    fn requests_for_an_unregistered_transaction_leave_no_lock_behind() {
+        // A straggler or fabric duplicate that lands after Commit/Abort, or a
+        // request at a member that was down at Begin: whatever lock it takes
+        // would never be released, and the key's next writer would burn the
+        // lock timeout forever.
+        for ending in ["commit", "abort", "no begin"] {
+            let rep = TransactionalRep::new(RepId(0));
+            let t = TxnId(1);
+            match ending {
+                "commit" => {
+                    rep.begin(t).unwrap();
+                    rep.insert(t, &k("m"), v(1), &val("M")).unwrap();
+                    rep.commit(t).unwrap();
+                }
+                "abort" => {
+                    rep.begin(t).unwrap();
+                    rep.abort(t);
+                }
+                _ => {}
+            }
+            // Reads: the member is unusable for this transaction.
+            assert_eq!(rep.lookup(t, &k("a")), Err(RepError::Unavailable));
+            assert_eq!(rep.predecessor(t, &k("a")), Err(RepError::Unavailable));
+            assert_eq!(rep.successor(t, &k("a")), Err(RepError::Unavailable));
+            assert_eq!(
+                rep.successor_chain(t, &Key::Low, 3),
+                Err(RepError::Unavailable)
+            );
+            assert_eq!(
+                rep.predecessor_chain(t, &Key::High, 3),
+                Err(RepError::Unavailable)
+            );
+            // Writes: refused as before, but now without the lock.
+            assert_eq!(
+                rep.insert(t, &k("a"), v(1), &val("A")),
+                Err(RepError::TransactionAborted)
+            );
+            assert_eq!(
+                rep.coalesce(t, &Key::Low, &Key::High, v(9)),
+                Err(RepError::TransactionAborted)
+            );
+            assert_eq!(rep.locks.holders(), vec![], "{ending}");
+            assert_eq!(rep.locks.granted_count(), 0, "{ending}");
+
+            // The next transaction's insert of the same key is granted
+            // without waiting.
+            let waited = rep.lock_stats().waited;
+            let next = TxnId(2);
+            rep.begin(next).unwrap();
+            rep.insert(next, &k("a"), v(1), &val("A")).unwrap();
+            rep.commit(next).unwrap();
+            assert_eq!(rep.lock_stats().waited, waited, "{ending}");
+        }
+    }
+
+    #[test]
+    fn straggler_racing_commit_never_strands_a_lock() {
+        // Commit unregisters before it releases, so a request that acquires
+        // on either side of the commit ends with no lock held: granted
+        // before, the commit releases it; granted after, the registration
+        // check does.
+        let rep = TransactionalRep::new(RepId(0));
+        for round in 0..200u64 {
+            let t = TxnId(10 + round);
+            rep.begin(t).unwrap();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let straggler = {
+                let (rep, start) = (Arc::clone(&rep), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    let _ = rep.lookup(t, &k("a"));
+                })
+            };
+            start.wait();
+            rep.commit(t).unwrap();
+            straggler.join().unwrap();
+            assert_eq!(rep.locks.holders(), vec![], "round {round}");
+        }
     }
 
     #[test]

@@ -164,6 +164,12 @@ impl DurableState {
         self.undo.entry(txn).or_default();
     }
 
+    /// Whether `txn` is registered: begun here and neither committed nor
+    /// aborted since.
+    pub fn is_registered(&self, txn: TxnId) -> bool {
+        self.undo.contains_key(&txn)
+    }
+
     /// Records `undo` for a mutation just applied on behalf of `txn` and
     /// logs its `redo` record — preceded by the begin record if this is the
     /// transaction's first. One undo record per redo record, so an empty
@@ -213,7 +219,7 @@ impl DurableState {
         version: Version,
         value: Value,
     ) -> Result<InsertOutcome, RepError> {
-        if !self.undo.contains_key(&txn) {
+        if !self.is_registered(txn) {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.insert(key, version, value.clone())?;
@@ -240,7 +246,7 @@ impl DurableState {
         high: &Key,
         version: Version,
     ) -> Result<CoalesceOutcome, RepError> {
-        if !self.undo.contains_key(&txn) {
+        if !self.is_registered(txn) {
             return Err(RepError::TransactionAborted);
         }
         let outcome = self.state.coalesce(low, high, version)?;

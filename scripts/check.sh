@@ -16,12 +16,14 @@
 #    + batched-envelope scan beats the per-hop baseline by >= 2x median at
 #    N=64 entries, R=2 with zero re-validations on the failure-free fabric.
 # 7. Runs the ingest_bench in quick mode, which fails unless bulk insert_many
-#    beats the per-key baseline by >= 2x median AND >= 2x fewer fabric
-#    messages for a 64-key ingest at R=2/W=2, zero re-validations.
+#    beats the per-key baseline (two carried rounds per key: lookup, write)
+#    by >= 2x median AND >= 2x fewer fabric messages for a 64-key ingest at
+#    R=2/W=2, zero re-validations.
 # 8. Runs the hedge_bench in quick mode, which fails unless adaptive wave
 #    provisioning + hedged RPCs beat the minimal-prefix baseline by >= 2x
 #    median lookup latency on a fabric with one flaky + one slow member,
-#    spending at most the 2x over-provision cap in extra pings.
+#    spending at most the 2x over-provision cap in member requests (pings
+#    plus the lookups collections carry).
 # 9. Runs the repair_bench in quick mode with --driver, which fails unless
 #    summary-tree anti-entropy converges a member that missed ~5% of the
 #    keys with >= 2x fewer fabric messages than a naive full-directory
@@ -38,8 +40,12 @@
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
 #    `RemoteSessionClient::{new, DEFAULT_TIMEOUT}`, `DirSuite::{new,
 #    in_process, ...}`, `TxnManager::{new, begin, commit}`, ...), so a change
-#    that breaks it fails here instead of in the benchmark pipeline. Nothing
-#    under benchmark/ is edited by this gate.
+#    that breaks it fails here instead of in the benchmark pipeline. The
+#    smoke sweep's traced `net.msgs_per_op` is then read back from
+#    benchmark/out/results.json and must stay within the point operations'
+#    round budget (a lookup's or quorum write's collection carries the
+#    request: no ping round), so a reintroduced ping round fails here too.
+#    Nothing under benchmark/ is edited by this gate.
 # 12. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
 #
@@ -113,7 +119,7 @@ gate "ingest_bench --quick --check (bulk insert >= 2x time and >= 2x fewer messa
 cargo run --release --offline -p repdir-bench --bin ingest_bench -- --quick --check
 gate_done
 
-gate "hedge_bench --quick --check (adaptive waves + hedging >= 2x on a flaky fabric, pings <= 2x)"
+gate "hedge_bench --quick --check (adaptive waves + hedging >= 2x on a flaky fabric, requests <= 2x)"
 cargo run --release --offline -p repdir-bench --bin hedge_bench -- --quick --check
 gate_done
 
@@ -125,9 +131,27 @@ gate "snapshot_bench --quick --check (streamed catch-up >= 2x fewer messages vs 
 cargo run --release --offline -p repdir-bench --bin snapshot_bench -- --quick --check
 gate_done
 
-gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs)"
+gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs; msgs/op within the round budget)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
+# Parent commit (a ping round per collection): 21.4-21.5 / 32.3-32.8 / 35.4-36.4.
+python3 - <<'PY'
+import json, sys
+caps = {"read_mostly": 18.5, "write_mix": 29.0, "wan_quorum": 33.0}
+seen, bad = set(), []
+for run in json.load(open("benchmark/out/results.json"))["runs"]:
+    cap = caps.get(run["workload"])
+    if cap is None or not run["traced"]:
+        continue
+    seen.add(run["workload"])
+    msgs = run["metrics"]["net.msgs_per_op"]["value"]
+    print(f"    {run['workload']}: net.msgs_per_op {msgs:.1f} (cap {cap})")
+    if msgs > cap:
+        bad.append(run["workload"])
+missing = sorted(set(caps) - seen)
+if bad or missing:
+    sys.exit(f"FAIL: net.msgs_per_op over its cap on {bad}, not reported for {missing}")
+PY
 gate_done
 
 gate "cargo fmt --check"

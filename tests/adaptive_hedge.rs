@@ -1,13 +1,14 @@
 //! Equivalence tests for adaptive wave provisioning and hedged reads.
 //!
-//! The adaptive executor changes *how many* candidates a quorum wave pings
+//! The adaptive executor changes *how many* candidates a quorum wave asks
 //! and *which* straggler a hedge duplicates — never what a quorum means: by
 //! the paper's §3.1 intersection argument, any member set whose votes reach
 //! the threshold is a valid quorum, and every read quorum sees the current
 //! version of every key. These tests pin the consequence: on a fault-free
 //! fabric the adaptive suite (with and without hedging) agrees op-for-op
 //! with the minimal-prefix baseline and with a sequential `BTreeMap` model,
-//! and its ping spend stays inside the over-provision cap.
+//! and its request spend (pings plus the requests collections carry) stays
+//! inside the over-provision cap.
 
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, SuiteConfig};
@@ -46,12 +47,14 @@ enum Mode {
     Baseline,
     /// Adaptive wave sizing (the default), no hedging.
     Adaptive,
-    /// Adaptive waves plus hedged pings and hedged read-quorum lookups.
+    /// Adaptive waves plus hedged collections, carried or pinged.
     Hedged,
 }
 
 /// Replays `ops` against a fresh in-process suite in the given mode and
-/// returns a *semantic* transcript plus the total ping count.
+/// returns a *semantic* transcript plus the total member requests sent
+/// (pings and data: a point operation's collection carries its request, so
+/// pings alone no longer count what collections spend).
 ///
 /// The transcript deliberately omits which members formed each quorum and
 /// incidental side-effect counts (`ghosts_deleted`): hedging may substitute
@@ -90,7 +93,9 @@ fn replay(ops: &[Op], seed: u64, config: SuiteConfig, mode: Mode) -> (Vec<String
         };
         log.push(outcome);
     }
-    (log, suite.ping_counts().iter().sum())
+    let requests =
+        suite.ping_counts().iter().sum::<u64>() + suite.message_counts().iter().sum::<u64>();
+    (log, requests)
 }
 
 proptest! {
@@ -98,9 +103,9 @@ proptest! {
 
     /// Adaptive waves and hedging agree op-for-op with the minimal-prefix
     /// baseline and with the abstract model; on a fault-free fabric the
-    /// adaptive waves *are* the minimal prefixes (identical ping counts),
-    /// and hedging stays inside the over-provision cap (at most 2x the
-    /// baseline's pings, the default `max_overprovision`).
+    /// adaptive waves *are* the minimal prefixes (identical request
+    /// counts), and hedging stays inside the over-provision cap (at most 2x
+    /// the baseline's requests, the default `max_overprovision`).
     #[test]
     fn adaptive_and_hedged_match_baseline_and_model(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -152,24 +157,24 @@ proptest! {
         }
 
         // Same seed, three modes: identical semantic transcripts.
-        let (log_base, pings_base) = replay(&ops, seed, config.clone(), Mode::Baseline);
-        let (log_adapt, pings_adapt) = replay(&ops, seed, config.clone(), Mode::Adaptive);
-        let (log_hedge, pings_hedge) = replay(&ops, seed, config, Mode::Hedged);
+        let (log_base, reqs_base) = replay(&ops, seed, config.clone(), Mode::Baseline);
+        let (log_adapt, reqs_adapt) = replay(&ops, seed, config.clone(), Mode::Adaptive);
+        let (log_hedge, reqs_hedge) = replay(&ops, seed, config, Mode::Hedged);
         prop_assert_eq!(&log_adapt, &log_base, "adaptive diverged from baseline");
         prop_assert_eq!(&log_hedge, &log_base, "hedged diverged from baseline");
 
         // Fault-free fabric: availability never drops below 1.0, so every
         // adaptive wave is exactly the baseline's minimal prefix.
-        prop_assert_eq!(pings_adapt, pings_base);
+        prop_assert_eq!(reqs_adapt, reqs_base);
         // Hedges may fire spuriously under scheduler noise, but each wave
         // (hedges included) is capped at `max_overprovision` (2.0) times
         // its vote deficit, so the run never spends more than twice the
-        // baseline's pings.
+        // baseline's requests.
         prop_assert!(
-            pings_hedge <= pings_base * 2,
-            "hedged pings {} exceed 2x baseline {}",
-            pings_hedge,
-            pings_base
+            reqs_hedge <= reqs_base * 2,
+            "hedged requests {} exceed 2x baseline {}",
+            reqs_hedge,
+            reqs_base
         );
     }
 }

@@ -72,9 +72,9 @@ fn cluster(seed: u64, timeout: Duration) -> Fixture {
     }
 }
 
-/// A lookup whose quorum collection prefers member 2: the ping wave is
-/// {2, 0}, member 2 straggles, the hedge pings member 1 and the wave closes
-/// on {0, 1} with the ping to member 2 still in flight.
+/// A lookup whose quorum collection prefers member 2: the wave carrying the
+/// lookup is {2, 0}, member 2 straggles, the hedge asks member 1 and the
+/// wave closes on {0, 1} with the request to member 2 still in flight.
 fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
     suite.set_policy(order(&[2, 0, 1]));
     let out = suite.lookup(&key(3)).unwrap();
@@ -84,7 +84,7 @@ fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
 }
 
 #[test]
-fn late_pong_still_feeds_ewma_and_availability() {
+fn late_reply_still_feeds_ewma_and_availability() {
     let mut fx = cluster(0x57A6, Duration::from_secs(2));
     let registry = Registry::new();
     fx.suite.set_obs_registry(registry.clone());
@@ -95,14 +95,15 @@ fn late_pong_still_feeds_ewma_and_availability() {
 
     // Harvested at the next quorum collection.
     lookup_leaving_member_2_behind(&mut fx.suite);
-    assert_eq!(avail.samples(), 0, "the pong cannot have landed yet");
+    assert_eq!(avail.samples(), 0, "the reply cannot have landed yet");
     std::thread::sleep(Duration::from_millis(120));
     assert!(fx.suite.lookup(&key(4)).unwrap().present);
     assert_eq!(avail.samples(), 1);
     assert_eq!(avail.rate(), Some(1.0));
-    let late = ewma.value_us().expect("the late pong was sampled");
+    let late = ewma.value_us().expect("the late reply was sampled");
     assert!(late >= 40_000.0, "measured where it landed: {late} us");
-    assert_eq!(fx.suite.ping_counts()[2], 1, "member 2 was pinged once");
+    assert_eq!(fx.suite.message_counts()[2], 1, "member 2 was asked once");
+    assert_eq!(fx.suite.ping_counts(), vec![0, 0, 0]);
 
     // Harvested when the suite is dropped.
     lookup_leaving_member_2_behind(&mut fx.suite);
@@ -126,7 +127,7 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
 
     lookup_leaving_member_2_behind(&mut fx.suite);
     assert_eq!(avail.samples(), 0, "the deadline has not passed yet");
-    // The ping's deadline passes while later waves are in flight: its
+    // The request's deadline passes while later waves are in flight: its
     // failure surfaces inside one of them, is accounted to member 2, and is
     // never mistaken for a reply of that wave — every lookup still gets the
     // value of the key it asked for, from the quorum it collected.
@@ -145,6 +146,8 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
         scored > 100_000.0,
         "the penalty sample, not just the wait, was recorded: {scored} us"
     );
-    assert_eq!(fx.suite.ping_counts()[2], 1);
-    assert_eq!(fx.suite.message_counts()[2], 0);
+    // Asked once, by the wave it straggled in. Its window is dirty now, but
+    // the preferred prefix {0, 1} is clean, so later lookups never named it.
+    assert_eq!(fx.suite.message_counts()[2], 1);
+    assert_eq!(fx.suite.ping_counts()[2], 0);
 }
