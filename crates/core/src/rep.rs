@@ -61,7 +61,8 @@ pub type RepResult<T> = Result<T, RepError>;
 /// One sub-request inside a batched scatter envelope
 /// ([`RepRequest::Batch`]). Only the operations the suite packs together on
 /// its bulk-walk hot paths are representable: a point lookup, the §4
-/// neighbor chains, and the versioned insert that bulk ingest scatters.
+/// neighbor chains, the versioned insert that bulk ingest scatters, and the
+/// coalesce that closes a delete's copy envelope.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchRequest {
     /// `DirRepLookup(x)`.
@@ -74,6 +75,9 @@ pub enum BatchRequest {
     /// explicit version the suite assigned, so replaying the same envelope
     /// after a session re-validation overwrites idempotently.
     Insert(Key, Version, Value),
+    /// `DirRepCoalesce(l, h, v)` — rides behind the neighbour copies of a
+    /// delete, so a member lacking a neighbour costs no extra round.
+    Coalesce(Key, Key, Version),
 }
 
 impl BatchRequest {
@@ -84,6 +88,7 @@ impl BatchRequest {
             BatchRequest::PredecessorChain(key, limit) => RepRequest::PredecessorChain(key, *limit),
             BatchRequest::SuccessorChain(key, limit) => RepRequest::SuccessorChain(key, *limit),
             BatchRequest::Insert(key, version, value) => RepRequest::Insert(key, *version, value),
+            BatchRequest::Coalesce(low, high, version) => RepRequest::Coalesce(low, high, *version),
         }
     }
 }
@@ -97,6 +102,8 @@ pub enum BatchReply {
     Chain(Vec<NeighborReply>),
     /// Reply to [`BatchRequest::Insert`].
     Insert(InsertOutcome),
+    /// Reply to [`BatchRequest::Coalesce`].
+    Coalesce(CoalesceOutcome),
 }
 
 /// One request of the representative RPC surface (paper Fig. 6), as data:
@@ -203,6 +210,7 @@ impl RepReply {
             RepReply::Lookup(reply) => Ok(BatchReply::Lookup(reply)),
             RepReply::Chain(chain) => Ok(BatchReply::Chain(chain)),
             RepReply::Insert(outcome) => Ok(BatchReply::Insert(outcome)),
+            RepReply::Coalesce(outcome) => Ok(BatchReply::Coalesce(outcome)),
             other => other.unexpected(),
         }
     }

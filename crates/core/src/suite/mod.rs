@@ -154,6 +154,8 @@ struct SuiteObs {
     /// Collection waves issued by `collect_quorum`, carried or pinged
     /// (`suite.quorum.waves`).
     waves: Counter,
+    /// Every wave the executor opened, collection or not (`suite.rounds`).
+    rounds: Counter,
     /// Hedge RPCs the suite issued after a wave straggled
     /// (`suite.hedge.issued`).
     hedge_issued: Counter,
@@ -216,6 +218,7 @@ impl SuiteObs {
                 .collect(),
             reply_hist: registry.histogram("suite.reply_us"),
             waves: registry.counter("suite.quorum.waves"),
+            rounds: registry.counter("suite.rounds"),
             hedge_issued: registry.counter("suite.hedge.issued"),
             hedge_won: registry.counter("suite.hedge.won"),
             hedge_wasted: registry.counter("suite.hedge.wasted"),
@@ -386,8 +389,8 @@ impl std::fmt::Debug for StaleVoteQueue {
     }
 }
 
-/// A quorum held across the hops of one bulk operation (scan, the deletes'
-/// copy+coalesce chain) instead of being re-collected per hop.
+/// A quorum held across the hops of one bulk operation (a scan, the keys of
+/// a bulk write) instead of being re-collected per hop.
 ///
 /// Safety rests on the paper's §3.1 intersection argument: *which* read
 /// quorum answers never affects correctness — every read quorum intersects
@@ -631,7 +634,7 @@ impl<C: RepClient> DirSuite<C> {
     /// Enables or disables concurrent scatter-gather for member RPC waves.
     ///
     /// Enabled by default: each wave (quorum collections, chain refills,
-    /// copy/coalesce passes) is put in flight whole before any reply is
+    /// delete's coalesce round) is put in flight whole before any reply is
     /// awaited and costs the slowest member's latency instead of the sum. Disabling narrows the executor's window to one
     /// request — same RPCs, same counters, same answers, serialized — which
     /// is the baseline the `suite_latency` bench and the counter-equivalence
@@ -712,8 +715,8 @@ impl<C: RepClient> DirSuite<C> {
     /// Enables or disables session quorums for bulk operations (enabled by
     /// default).
     ///
-    /// Enabled, a scan / neighbor search / delete collects its quorum once
-    /// and holds it across every hop ([`QuorumSession`]), re-validating only
+    /// Enabled, a scan / neighbor search / bulk write collects its quorum
+    /// once and holds it across every hop ([`QuorumSession`]), re-validating only
     /// when a held member fails; scans additionally pack each hop's probes
     /// into one batched envelope per member. Disabled, every hop collects a
     /// fresh quorum and scans take the unbatched per-hop path — the
@@ -811,8 +814,9 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Runs `body` inside a bulk-operation scope: quorums collected while at
     /// least one scope is open are pinned as sessions and answered from
-    /// cache on re-collection. Scopes nest (delete's searches run inside
-    /// delete's scope); the sessions drop when the outermost scope closes.
+    /// cache on re-collection. Scopes nest (a search's closing lookup runs
+    /// inside the search's scope); the sessions drop when the outermost
+    /// scope closes.
     ///
     /// The scope is an RAII guard, not a begin/end pair: a panicking body
     /// (a poisoned client, a bug in a walk) unwinds through the guard, so
@@ -975,14 +979,8 @@ impl<C: RepClient> DirSuite<C> {
         for (&i, reply) in members.iter().zip(replies) {
             votes.push((i, reply.lookup()?));
         }
-        let best = votes
-            .iter()
-            .map(|(_, reply)| reply.clone())
-            .reduce(pick_reply)
-            .expect("votes cover R, so at least one reply merged");
-        self.note_stale_votes(key, &best, &votes);
         let ids = self.ids_of(&members);
-        Ok(match best {
+        Ok(match self.merge_votes(key, votes) {
             LookupReply::Present { version, value } => LookupOutcome {
                 present: true,
                 version,
@@ -1222,9 +1220,10 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Bulk delete: the Fig. 13 flow for every key in `keys`, sharing one
     /// session scope so the whole batch pays one read- and one write-quorum
-    /// collection (each delete's copy+coalesce waves are inherently
-    /// multi-wave, so unlike [`insert_many`](DirSuite::insert_many) the
-    /// per-key work is not packed into envelopes).
+    /// collection, both riding the first key's waves; every key costs the
+    /// three waves of [`delete`](DirSuite::delete) (each depends on the
+    /// answers to the one before, so unlike
+    /// [`insert_many`](DirSuite::insert_many) keys do not share envelopes).
     ///
     /// Semantics are exactly a sequential per-key loop of
     /// [`delete`](DirSuite::delete); the first failing key surfaces its
@@ -1276,17 +1275,7 @@ impl<C: RepClient> DirSuite<C> {
             let i = versions.len();
             let key = &keys[i];
             self.require_user_key(key)?;
-            let target = self.lookup(key)?;
-            if !target.present && !attempted[i] {
-                return Err(SuiteError::NotFound { key: key.clone() });
-            }
-            // A key this batch already started deleting may be
-            // half-coalesced: some members hold the new gap, others still
-            // the entry, so the merged lookup is unreliable. Re-drive the
-            // mutation phase regardless — its coalesce removes whatever
-            // remains of the entry either way.
-            attempted[i] = true;
-            let out = self.delete_apply(key, target.version)?;
+            let out = self.delete_waves(key, &mut attempted[i])?;
             versions.push(out.gap_version);
         }
         Ok(())
@@ -1321,30 +1310,50 @@ impl<C: RepClient> DirSuite<C> {
         self.neighbor_search(key, Direction::Succ)
     }
 
-    /// The shared Fig. 12 search loop, generalized over direction and §4
-    /// batching. Each quorum member keeps a buffered *chain* of successive
-    /// neighbor results; buffers refill with one chain RPC of
-    /// `neighbor_batch` results when exhausted, so larger batches issue
-    /// fewer RPCs for the same walk.
+    /// A public Fig. 12 search: collect the read quorum, resolve the real
+    /// neighbour from the members' chains, fetch its value with one lookup.
     fn neighbor_search(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
         let _span = self.obs.registry.span("suite.neighbor");
-        self.with_session_scope(|s| s.with_session_retries(|s| s.neighbor_walk(key, dir)))
+        self.with_session_scope(|s| {
+            s.with_session_retries(|s| {
+                let quorum = s.collect_quorum(QuorumKind::Read, Some(key), None)?;
+                let mut found = s.neighbor_walk(&quorum.members, dir, key, Vec::new())?;
+                found.value = s.lookup(&found.key)?.value;
+                Ok(found)
+            })
+        })
     }
 
-    /// One attempt at the Fig. 12 walk: collects (or reuses) the read
-    /// quorum, then hops until the candidate answers present. Chain
-    /// bookkeeping lives in [`NeighborChains`], shared with the scan walk.
-    fn neighbor_walk(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
-        let quorum = self
-            .collect_quorum(QuorumKind::Read, Some(key), None)?
-            .members;
+    /// The Fig. 12 loop, generalized over direction and §4 batching. Each
+    /// member keeps a buffered chain of successive neighbor results
+    /// ([`NeighborChains`], shared with the scan walk); buffers that run dry
+    /// refill together, one chain request of `neighbor_batch` results each.
+    /// `seeds[slot]` is a first chain reply the caller already holds for
+    /// `quorum[slot]`; with none, the first refill fetches them.
+    ///
+    /// `DirSuiteLookup(candidate)` costs no message: a chain was read under
+    /// `RepLookup` range locks that cover the candidate, so its head *is*
+    /// the member's `DirRepLookup(candidate)` answer
+    /// ([`votes_on`](NeighborChains::votes_on)). The largest version wins, a
+    /// tie goes to the entry ([`pick_reply`]), and the terminal sentinel
+    /// heads every chain at version zero, so it is always real. The
+    /// returned search carries no value.
+    fn neighbor_walk(
+        &mut self,
+        quorum: &[usize],
+        dir: Direction,
+        key: &Key,
+        seeds: Vec<Vec<crate::gapmap::NeighborReply>>,
+    ) -> Result<NeighborSearch, SuiteError> {
         let batch = self.neighbor_batch;
         let mut walk = NeighborChains::new(dir, key, quorum.len());
-
         let mut probe = key.clone();
         let mut max_gap_version = Version::ZERO;
         let mut steps = 0u32;
-        let mut rpc_calls = 0u32;
+        let mut rpc_calls = seeds.len() as u32;
+        for (slot, chain) in seeds.into_iter().enumerate() {
+            walk.integrate(slot, chain, &probe, &mut max_gap_version);
+        }
         loop {
             steps += 1;
             // Drop buffered elements the walk has already passed, then
@@ -1356,30 +1365,36 @@ impl<C: RepClient> DirSuite<C> {
                 rpc_calls += refills.len() as u32;
                 let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
                 let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot| {
-                    let from = &refills_ref[slot].1;
-                    match dir {
-                        Direction::Pred => RepRequest::PredecessorChain(from, batch),
-                        Direction::Succ => RepRequest::SuccessorChain(from, batch),
-                    }
-                });
+                let waves = self.scatter(&targets, |slot| dir.chain(&refills_ref[slot].1, batch));
                 for (slot, wave) in waves.into_iter().enumerate() {
                     let chain = wave?.chain()?;
                     walk.integrate(refills[slot].0, chain, &probe, &mut max_gap_version);
                 }
             }
             let candidate = walk.candidate(&mut max_gap_version);
-            let looked = self.lookup(&candidate)?;
-            if looked.present {
+            let votes = walk.votes_on(&candidate);
+            let newest = |entry: bool| {
+                let cast = votes.iter().filter(|&&(holds, _)| holds == entry);
+                cast.map(|&(_, version)| version).max()
+            };
+            let version = newest(true).expect("the candidate heads a chain");
+            let gap = newest(false).unwrap_or(Version::ZERO);
+            let cast = quorum
+                .iter()
+                .zip(&votes)
+                .map(|(&i, &(_, version))| (i, version));
+            self.note_stale_votes(&candidate, version.max(gap), cast);
+            if version >= gap {
                 return Ok(NeighborSearch {
                     key: candidate,
-                    version: looked.version,
-                    value: looked.value,
+                    version,
+                    value: None,
                     max_gap_version,
                     steps,
                     rpc_calls,
                 });
             }
+            // A ghost: step over it. Only the buffers it headed can run dry.
             probe = candidate;
         }
     }
@@ -1397,94 +1412,128 @@ impl<C: RepClient> DirSuite<C> {
     pub fn delete(&mut self, key: &Key) -> Result<DeleteOutcome, SuiteError> {
         self.require_user_key(key)?;
         let _span = self.obs.registry.span("suite.delete");
-        // The whole copy+coalesce chain runs under one session scope: the
-        // read quorum pinned by the opening lookup serves both neighbor
-        // searches and their inner lookups, and the write quorum is pinned
-        // for the probe/copy/coalesce waves.
-        self.with_session_scope(|s| s.delete_locked(key))
+        // One scope: a value lookup, should one be needed, asks wave A's
+        // read quorum.
+        self.with_session_scope(|s| s.delete_waves(key, &mut false))
     }
 
-    fn delete_locked(&mut self, key: &Key) -> Result<DeleteOutcome, SuiteError> {
-        // Fig. 13 folds DirSuiteLookup(x) into `ver` mid-flow; checking it
-        // up front additionally rejects deletes of absent keys before any
-        // mutation.
-        let target = self.lookup(key)?;
-        if !target.present {
+    /// Fig. 13 in three waves, each needing the answers to the one before.
+    /// **A** — the read-quorum collection carries the key's lookup and the
+    /// first chain request of both Fig. 12 walks, which then resolve on
+    /// those chains ([`neighbor_walk`](Self::neighbor_walk)); only a ghost
+    /// that leaves a buffer dry costs a further round. **B** — the
+    /// write-quorum collection carries a lookup of each real neighbour: who
+    /// lacks it and, from a holder of its current version, the value to
+    /// copy. **C** — every write-quorum member gets the copies it lacks and
+    /// the coalesce in one envelope.
+    ///
+    /// `started` makes the body presence-agnostic for
+    /// [`delete_many`](DirSuite::delete_many), which re-drives a
+    /// half-coalesced key: its merged lookup may already answer absent, and
+    /// the coalesce removes whatever remains. An absent key never started
+    /// is [`SuiteError::NotFound`] before anything is written.
+    fn delete_waves(&mut self, key: &Key, started: &mut bool) -> Result<DeleteOutcome, SuiteError> {
+        let batch = self.neighbor_batch;
+        let wave_a = [
+            BatchRequest::Lookup(key.clone()),
+            BatchRequest::SuccessorChain(key.clone(), batch),
+            BatchRequest::PredecessorChain(key.clone(), batch),
+        ];
+        let carried = Some(RepRequest::Batch(&wave_a));
+        let read = self.collect_quorum(QuorumKind::Read, Some(key), carried)?;
+        let readers = read.members;
+        let mut votes = Vec::with_capacity(readers.len());
+        let (mut succ_seeds, mut pred_seeds) = (Vec::new(), Vec::new());
+        for (&i, reply) in readers.iter().zip(read.replies) {
+            match <[BatchReply; 3]>::try_from(reply.batch()?) {
+                Ok(
+                    [BatchReply::Lookup(vote), BatchReply::Chain(succ), BatchReply::Chain(pred)],
+                ) => {
+                    votes.push((i, vote));
+                    succ_seeds.push(succ);
+                    pred_seeds.push(pred);
+                }
+                _ => return Err(protocol_violation("delete envelope reply")),
+            }
+        }
+        let target = self.merge_votes(key, votes);
+        if !target.is_present() && !*started {
             return Err(SuiteError::NotFound { key: key.clone() });
         }
-        self.delete_apply(key, target.version)
-    }
+        *started = true;
+        let succ = self.neighbor_walk(&readers, Direction::Succ, key, succ_seeds)?;
+        let pred = self.neighbor_walk(&readers, Direction::Pred, key, pred_seeds)?;
 
-    /// The mutation phase of Fig. 13: neighbor searches, copies, coalesce.
-    /// Deliberately presence-agnostic — [`delete_many`](DirSuite::delete_many)
-    /// re-drives it for a half-coalesced key, where the merged lookup may
-    /// already answer absent, and the coalesce removes whatever remains.
-    fn delete_apply(
-        &mut self,
-        key: &Key,
-        target_version: Version,
-    ) -> Result<DeleteOutcome, SuiteError> {
-        let write_quorum = self
-            .collect_quorum(QuorumKind::Write, Some(key), None)?
-            .members;
-        let succ = self.real_successor(key)?;
-        let pred = self.real_predecessor(key)?;
+        // "Make sure the predecessor and successor exist in every member of
+        // the quorum." Sentinels are probed too (present everywhere, never
+        // copied): an empty envelope would contact nobody.
+        let neighbors = [&succ, &pred];
+        let wave_b = neighbors.map(|nb| BatchRequest::Lookup(nb.key.clone()));
+        let carried = Some(RepRequest::Batch(&wave_b));
+        let write = self.collect_quorum(QuorumKind::Write, Some(key), carried)?;
+        let writers = write.members;
+        let mut lacking = Vec::with_capacity(writers.len());
+        let mut values: [Option<Value>; 2] = [None, None];
+        for reply in write.replies {
+            let Ok(probes) = <[BatchReply; 2]>::try_from(reply.batch()?) else {
+                return Err(protocol_violation("probe envelope arity"));
+            };
+            let mut lacks = [false; 2];
+            for (n, probe) in probes.into_iter().enumerate() {
+                match probe {
+                    BatchReply::Lookup(LookupReply::Present { version, value }) => {
+                        if version == neighbors[n].version {
+                            values[n] = Some(value);
+                        }
+                    }
+                    BatchReply::Lookup(LookupReply::Absent { .. }) => lacks[n] = true,
+                    _ => return Err(protocol_violation("probe envelope missing lookup reply")),
+                }
+            }
+            lacking.push(lacks);
+        }
+        // 2W > N puts a holder of each neighbour's current version in every
+        // write quorum; should none have answered, the read quorum has it.
+        for (n, value) in values.iter_mut().enumerate() {
+            if value.is_none() && lacking.iter().any(|lacks| lacks[n]) {
+                *value = self.lookup(&neighbors[n].key)?.value;
+            }
+        }
 
         // "The version number of the coalesced gap must be higher than the
         // maximum of any version numbers in the range coalesced."
-        let ver = succ
+        let gap_version = succ
             .max_gap_version
             .max(pred.max_gap_version)
-            .max(target_version);
-
-        // "Make sure the predecessor and successor exist in every member of
-        // the quorum." Sentinels are always present, so they are never
-        // copied. Probed as one concurrent wave of lookups over every
-        // (member, neighbor) pair, then one wave of inserts for the pairs
-        // found missing — the per-member lookups are independent, and
-        // copying a neighbor into one member never changes whether another
-        // (member, neighbor) pair is present.
-        let mut probes: Vec<(usize, &NeighborSearch)> = Vec::new();
-        for &i in &write_quorum {
-            for nb in [&succ, &pred] {
-                probes.push((i, nb));
-            }
-        }
-        let targets: Vec<usize> = probes.iter().map(|&(i, _)| i).collect();
-        let probes_ref = &probes;
-        let present = self.scatter(&targets, |slot| RepRequest::Lookup(&probes_ref[slot].1.key));
-        let mut missing: Vec<(usize, &NeighborSearch)> = Vec::new();
-        for (slot, reply) in present.into_iter().enumerate() {
-            if !reply?.lookup()?.is_present() {
-                missing.push(probes[slot]);
-            }
-        }
-        let copies_inserted = missing.len() as u32;
-        if !missing.is_empty() {
-            let targets: Vec<usize> = missing.iter().map(|&(i, _)| i).collect();
-            let missing_ref = &missing;
-            for outcome in self.scatter(&targets, |slot| {
-                let nb = missing_ref[slot].1;
-                let value = nb
-                    .value
-                    .as_ref()
-                    .expect("non-sentinel real neighbor carries a value");
-                RepRequest::Insert(&nb.key, nb.version, value)
-            }) {
-                outcome?;
-            }
-        }
-
-        // "Coalesce the range in each member" — one concurrent wave.
-        let gap_version = ver.next();
-        let mut entries_in_range = Vec::with_capacity(write_quorum.len());
-        let mut ghosts_deleted = 0u32;
-        let outcomes = self.scatter(&write_quorum, |_| {
-            RepRequest::Coalesce(&pred.key, &succ.key, gap_version)
+            .max(target.version())
+            .next();
+        let wave_c: Vec<Vec<BatchRequest>> = lacking
+            .iter()
+            .map(|lacks| {
+                let copies = (0..2).filter(|&n| lacks[n]).map(|n| {
+                    let value = values[n].clone().expect("a real neighbor has a value");
+                    BatchRequest::Insert(neighbors[n].key.clone(), neighbors[n].version, value)
+                });
+                let coalesce =
+                    BatchRequest::Coalesce(pred.key.clone(), succ.key.clone(), gap_version);
+                copies.chain([coalesce]).collect()
+            })
+            .collect();
+        let wave_c_ref = &wave_c;
+        let outcomes = self.scatter(&writers, |slot| match &wave_c_ref[slot][..] {
+            [coalesce] => coalesce.as_request(),
+            envelope => RepRequest::Batch(envelope),
         });
-        for (slot, outcome) in outcomes.into_iter().enumerate() {
-            let out = outcome?.coalesce()?;
-            let i = write_quorum[slot];
+        let mut entries_in_range = Vec::with_capacity(writers.len());
+        let mut ghosts_deleted = 0u32;
+        for (&i, outcome) in writers.iter().zip(outcomes) {
+            let out = match outcome? {
+                RepReply::Batch(mut parts) => match parts.pop() {
+                    Some(BatchReply::Coalesce(out)) => out,
+                    _ => return Err(protocol_violation("copy envelope missing coalesce reply")),
+                },
+                bare => bare.coalesce()?,
+            };
             entries_in_range.push((self.members[i].client.id(), out.removed.len()));
             ghosts_deleted += out
                 .removed
@@ -1493,19 +1542,18 @@ impl<C: RepClient> DirSuite<C> {
                 .count() as u32;
         }
 
-        let quorum = self.ids_of(&write_quorum);
         Ok(DeleteOutcome {
             predecessor: pred.key,
             successor: succ.key,
             gap_version,
-            copies_inserted,
+            copies_inserted: lacking.iter().flatten().filter(|&&lacks| lacks).count() as u32,
             entries_in_range,
             ghosts_deleted,
             pred_steps: pred.steps,
             succ_steps: succ.steps,
             pred_rpcs: pred.rpc_calls,
             succ_rpcs: succ.rpc_calls,
-            quorum,
+            quorum: self.ids_of(&writers),
         })
     }
 
@@ -1678,7 +1726,7 @@ impl<C: RepClient> DirSuite<C> {
     /// `carry` is the request the caller would send the quorum next. Given
     /// one, collecting *is* sending it — the members that answer it are the
     /// quorum (§3.1) — so a point operation pays no ping round. Without one
-    /// (the walks, whose first waves differ per member) candidates are
+    /// (a scan, a public neighbour search, a bulk insert) candidates are
     /// pinged. Requests go out in *waves*
     /// ([`collect_votes`](Self::collect_votes)); within a wave the first
     /// votes to *arrive* win, and the quorum is then arranged back into
@@ -1690,6 +1738,12 @@ impl<C: RepClient> DirSuite<C> {
         hint: Option<&Key>,
         carry: Option<RepRequest<'_>>,
     ) -> Result<Quorum, SuiteError> {
+        // A client answers an empty envelope without a message, so it would
+        // "collect" members nobody contacted.
+        if matches!(carry, Some(RepRequest::Batch([]))) {
+            debug_assert!(false, "an empty envelope cannot stand for a vote");
+            return Err(protocol_violation("empty envelope carried by a collection"));
+        }
         // Session fast path: a bulk operation already collected this quorum
         // and no member has failed since — answer from cache, no pings.
         if let Some(session) = self.session(kind) {
@@ -1941,22 +1995,39 @@ impl<C: RepClient> DirSuite<C> {
         Some(Duration::from_micros(p50.saturating_mul(3)).max(MIN_HEDGE_DELAY))
     }
 
-    /// Compares each member's lookup vote against the merged winner and
-    /// queues the stale ones for the repair layer. A member is stale when
-    /// its reply version (entry or gap) is strictly below the winner's: by
-    /// the version rule, equal versions carry identical data, so only a
-    /// strict gap means the member missed a write.
-    fn note_stale_votes(&mut self, key: &Key, best: &LookupReply, votes: &[(usize, LookupReply)]) {
+    /// Merges a read quorum's lookup votes — the largest version wins
+    /// (Fig. 8) — and queues the members that voted stale.
+    fn merge_votes(&mut self, key: &Key, votes: Vec<(usize, LookupReply)>) -> LookupReply {
+        let versions: Vec<_> = votes.iter().map(|(i, vote)| (*i, vote.version())).collect();
+        let best = votes
+            .into_iter()
+            .map(|(_, vote)| vote)
+            .reduce(pick_reply)
+            .expect("votes cover R, so at least one reply merged");
+        self.note_stale_votes(key, best.version(), versions);
+        best
+    }
+
+    /// Compares each member's vote on `key` — the version of its entry, or
+    /// of the gap it holds there — against the merged winner's and queues
+    /// the stale ones for the repair layer. A member is stale when its
+    /// version is strictly below the winner's: by the version rule, equal
+    /// versions carry identical data, so only a strict gap means the member
+    /// missed a write.
+    fn note_stale_votes(
+        &mut self,
+        key: &Key,
+        latest: Version,
+        votes: impl IntoIterator<Item = (usize, Version)>,
+    ) {
         if !self.repair {
             return;
         }
-        let latest = best.version();
-        for (member, reply) in votes {
-            let seen = reply.version();
+        for (member, seen) in votes {
             if seen < latest {
                 self.obs.stale_votes.inc();
                 let vote = StaleVote {
-                    member: *member,
+                    member,
                     key: key.clone(),
                     seen,
                     latest,
@@ -1969,7 +2040,7 @@ impl<C: RepClient> DirSuite<C> {
                     None => match self
                         .stale_votes
                         .iter_mut()
-                        .find(|v| v.member == *member && v.key == *key)
+                        .find(|v| v.member == member && v.key == *key)
                     {
                         Some(existing) => *existing = vote,
                         None => self.stale_votes.push(vote),
@@ -2037,6 +2108,14 @@ impl Direction {
         match self {
             Direction::Pred => Key::Low,
             Direction::Succ => Key::High,
+        }
+    }
+
+    /// The request for up to `limit` successive neighbors of `from`.
+    fn chain(self, from: &Key, limit: usize) -> RepRequest<'_> {
+        match self {
+            Direction::Pred => RepRequest::PredecessorChain(from, limit),
+            Direction::Succ => RepRequest::SuccessorChain(from, limit),
         }
     }
 
@@ -2181,6 +2260,22 @@ impl NeighborChains {
             }
         }
         candidate
+    }
+
+    /// Each slot's `DirRepLookup(candidate)` answer, read off its chain
+    /// head: `(true, entry version)` where the head is the candidate,
+    /// `(false, gap version)` where it lies beyond — the candidate then sits
+    /// in the gap the head closes.
+    fn votes_on(&self, candidate: &Key) -> Vec<(bool, Version)> {
+        self.chains
+            .iter()
+            .map(|chain| match chain.front() {
+                Some(head) if head.key == *candidate => (true, head.entry_version),
+                Some(head) => (false, head.gap_version),
+                // Exhausted: at the terminal, as `candidate` reads it.
+                None => (true, Version::ZERO),
+            })
+            .collect()
     }
 
     /// Where `slot`'s next refill would continue from, iff consuming
@@ -2818,6 +2913,9 @@ mod tests {
         s.update(&k("a"), &val("A2")).unwrap();
         s.lookup(&k("a")).unwrap();
         s.delete(&k("c")).unwrap();
+        // The one operation here that pings: a scan's first waves differ
+        // per member, so its collection has nothing to carry.
+        s.scan().unwrap();
 
         let msgs = s.message_counts();
         let pings = s.ping_counts();
@@ -2901,11 +2999,9 @@ mod tests {
         assert_eq!(data, 4);
         assert_eq!(pings, 0);
         s.delete(&k("a")).unwrap();
-        assert_eq!(
-            s.ping_counts().iter().sum::<u64>(),
-            2,
-            "delete's write quorum"
-        );
+        // delete = three waves of R, W and W requests, none of them a ping.
+        assert_eq!(s.message_counts().iter().sum::<u64>(), data + 6);
+        assert_eq!(s.ping_counts().iter().sum::<u64>(), 0);
         s.reset_message_counts();
         assert!(s.message_counts().iter().all(|&c| c == 0));
         assert!(s.ping_counts().iter().all(|&c| c == 0));
@@ -3157,9 +3253,10 @@ mod tests {
 
     #[test]
     fn delete_session_collects_one_read_and_one_write_quorum() {
-        // Delete's copy+coalesce chain under a session: the opening lookup
-        // pins the read quorum both neighbor searches then reuse, and the
-        // write quorum is collected exactly once.
+        // Delete's three waves: the read collection rides the lookup and
+        // both first chain hops, the write collection rides the neighbour
+        // probes, and the coalesce is a plain scatter to the members those
+        // gathered — nothing is pinged and no session is re-asked.
         let mut s = suite_322(33);
         s.set_policy(fixed(&[0, 1, 2]));
         for key in ["a", "b", "c"] {
@@ -3174,12 +3271,15 @@ mod tests {
             2,
             "one read + one write collection for the whole delete"
         );
-        // The read collection rode the opening lookup; only the write
-        // collection pinged.
-        assert_eq!(s.ping_counts(), vec![1, 1, 0]);
-        assert!(
-            after.counter("suite.session.reuse") - before.counter("suite.session.reuse") >= 2,
-            "both searches must reuse the pinned read session"
+        assert_eq!(
+            after.counter("suite.rounds") - before.counter("suite.rounds"),
+            3
+        );
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
+        assert_eq!(s.message_counts(), vec![3, 3, 0]);
+        assert_eq!(
+            after.counter("suite.session.reuse"),
+            before.counter("suite.session.reuse")
         );
         assert!(s.session(QuorumKind::Write).is_none());
     }
@@ -3795,6 +3895,65 @@ mod tests {
         assert_eq!(votes.len(), 1);
         assert_eq!(votes[0].member, 2);
         assert_eq!(votes[0].latest, Version::new(1));
+    }
+
+    #[test]
+    fn stale_vote_detection_covers_the_chain_resolved_neighbors_of_a_delete() {
+        // The delete asks nobody `lookup(neighbour)`: the votes on each
+        // candidate are read off the chain heads, and a member whose head
+        // lies beyond the neighbour (it never saw the insert) is as stale
+        // as if it had answered the lookup absent.
+        let mut s = suite_322(63);
+        s.set_policy(fixed(&[0, 1]));
+        for key in ["a", "b", "c"] {
+            s.insert(&k(key), &val(key)).unwrap();
+        }
+        s.set_policy(fixed(&[1, 2]));
+        s.set_hedge(true);
+        s.set_hedge_delay(Some(Duration::from_millis(50)));
+        s.delete(&k("b")).unwrap();
+        let mut votes = s.take_stale_votes();
+        votes.sort_by(|x, y| x.key.cmp(&y.key));
+        let stale = |key: &str| StaleVote {
+            member: 2,
+            key: k(key),
+            seen: Version::ZERO,
+            latest: Version::new(1),
+        };
+        assert_eq!(votes, vec![stale("a"), stale("b"), stale("c")]);
+    }
+
+    #[test]
+    fn member_that_missed_once_is_carried_to_again_after_the_window_turns_over() {
+        let mut s = suite_322(64);
+        s.set_policy(fixed(&[0, 1, 2]));
+        s.insert(&k("a"), &val("A")).unwrap();
+        s.member(0).set_available(false);
+        s.lookup(&k("a")).unwrap();
+        s.member(0).set_available(true);
+        // The prefix names a member with a recorded miss: ping first,
+        // over-provisioned around it.
+        s.reset_message_counts();
+        s.lookup(&k("a")).unwrap();
+        assert_eq!(s.ping_counts(), vec![1, 1, 1]);
+        // One window of successes later the miss has decayed away and the
+        // collection rides the lookup again.
+        for _ in 0..repdir_obs::AVAIL_WINDOW {
+            s.lookup(&k("a")).unwrap();
+        }
+        let pings = s.ping_counts();
+        for _ in 0..4 {
+            s.lookup(&k("a")).unwrap();
+        }
+        assert_eq!(s.ping_counts(), pings, "still pinging first");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an empty envelope cannot stand for a vote")]
+    fn empty_envelope_is_never_carried_by_a_collection() {
+        let mut s = suite_322(65);
+        let _ = s.collect_quorum(QuorumKind::Read, None, Some(RepRequest::Batch(&[])));
     }
 
     #[test]

@@ -94,6 +94,7 @@ impl<C: RepClient> DirSuite<C> {
     /// Opens a wave: whatever is issued from here on belongs to it.
     fn open_wave(&mut self) {
         self.harvest();
+        self.obs.rounds.inc();
         self.exec.ready.clear();
         self.exec.base = self.exec.next_slot;
     }

@@ -188,9 +188,10 @@ pub const AVAIL_WINDOW: u64 = 64;
 /// A windowed success-rate tracker: `successes / total` over roughly the
 /// last [`AVAIL_WINDOW`] outcomes. Both counts live packed in one atomic
 /// (successes in the high 32 bits, total in the low 32), updated by CAS so
-/// concurrent recorders never lock; when the window fills, both halve,
-/// giving an exponential decay with the same flavor as [`Ewma`] but over
-/// boolean outcomes.
+/// concurrent recorders never lock; when the window fills, the total and
+/// the misses halve (a lone miss rounds away, so it is forgotten after one
+/// window of successes), giving an exponential decay with the same flavor
+/// as [`Ewma`] but over boolean outcomes.
 #[derive(Clone, Debug, Default)]
 pub struct Avail(Arc<AtomicU64>);
 
@@ -214,8 +215,12 @@ impl Avail {
         loop {
             let (mut successes, mut total) = avail_unpack(cur);
             if total >= AVAIL_WINDOW {
-                successes /= 2;
+                // Halve the *misses*, rounding down: halving successes and
+                // total would keep `total - successes` at 1 for ever, and a
+                // member that missed once would never read as clean again.
+                let misses = (total - successes) / 2;
                 total /= 2;
+                successes = total - misses;
             }
             successes += ok as u64;
             total += 1;
@@ -422,6 +427,28 @@ mod tests {
         a.reset();
         assert_eq!(a.rate(), None);
         assert_eq!(a.samples(), 0);
+    }
+
+    #[test]
+    fn avail_forgets_a_single_miss_after_a_window_of_successes() {
+        let a = Avail::new();
+        a.record(false);
+        for _ in 0..2 * AVAIL_WINDOW {
+            a.record(true);
+        }
+        assert_eq!(a.rate(), Some(1.0));
+    }
+
+    #[test]
+    fn avail_halving_keeps_a_flaky_members_rate() {
+        let a = Avail::new();
+        for i in 0..10 * AVAIL_WINDOW {
+            a.record(i % 2 == 0);
+            if i >= AVAIL_WINDOW {
+                let rate = a.rate().unwrap();
+                assert!((rate - 0.5).abs() <= 0.02, "rate {rate} after {i}");
+            }
+        }
     }
 
     #[test]

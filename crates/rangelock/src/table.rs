@@ -457,6 +457,14 @@ impl RangeLockTable {
         ids
     }
 
+    /// The locks `owner` currently holds, in grant order (test aid: what an
+    /// operation's lock footprint was).
+    pub fn held_by(&self, owner: TxnId) -> Vec<(LockMode, KeyRange)> {
+        let st = self.state.lock();
+        let held = st.granted.iter().filter(|g| g.owner == owner);
+        held.map(|g| (g.mode, g.range.clone())).collect()
+    }
+
     /// Cumulative counters since creation.
     pub fn stats(&self) -> LockStats {
         self.state.lock().stats

@@ -187,11 +187,12 @@ impl ReplicatedDirectory {
     /// [`RepError::Unavailable`] is retried the same way. A lookup or a
     /// quorum write never produces it — the members that answer the request
     /// are the quorum, and a lost vote is re-collected inside the call — so
-    /// what reaches here is an operation that pinged its quorum and then
-    /// lost a member of it: delete's copy and coalesce waves, or a walk
-    /// (scan, neighbour search, bulk write) whose held session lost more
-    /// members than its own re-validation budget absorbs. The fresh attempt
-    /// collects its quorums from the survivors.
+    /// what reaches here is an operation that gathered its quorum and then
+    /// lost a member of it: delete's last round (the copies and the
+    /// coalesce go to the members its probes gathered), or a walk (scan,
+    /// neighbour search, bulk write) whose held session lost more members
+    /// than its own re-validation budget absorbs. The fresh attempt collects
+    /// its quorums from the survivors.
     ///
     /// # Errors
     ///
@@ -747,7 +748,7 @@ mod tests {
     fn run_retries_member_death_between_collect_and_call() {
         // Lookups and quorum writes have no ping-then-call window (pinned by
         // repdir-core's member_failing_the_carried_request_is_substituted
-        // test); delete's write waves and a walk whose re-validation budget
+        // test); delete's coalesce round and a walk whose re-validation budget
         // is spent can still surface Rep(Unavailable). Here the
         // body reproduces that outcome on its first attempt (killing rep 0
         // mid-flight) and run() must classify it retryable: the retry

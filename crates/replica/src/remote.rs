@@ -68,11 +68,27 @@ fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
             rep.abort(t);
             Response::Ok
         }
-        // Sub-requests are dispatched in order; a failing sub-request
-        // becomes a `Response::Err` part, and the client fails the whole
-        // envelope on the first one it finds.
+        // Sub-requests are dispatched in order and the envelope stops at its
+        // first failure, as `RepClient::execute_parts` does in process: the
+        // parts behind it are not run — no lock is taken for a transaction
+        // about to abort — and answer with the same error, so the reply
+        // keeps the arity the client checks.
         Request::Batch(reqs) => {
-            Response::Batch(reqs.into_iter().map(|r| dispatch(rep, r)).collect())
+            let mut failed: Option<RepError> = None;
+            Response::Batch(
+                reqs.into_iter()
+                    .map(|r| match &failed {
+                        Some(e) => Response::Err(e.clone()),
+                        None => {
+                            let part = dispatch(rep, r);
+                            if let Response::Err(e) = &part {
+                                failed = Some(e.clone());
+                            }
+                            part
+                        }
+                    })
+                    .collect(),
+            )
         }
         // Anti-entropy endpoints: read-only, no coordinator transaction.
         Request::Summary { level, path } => {
@@ -226,6 +242,7 @@ fn decode_reply(reply: RpcResult, arity: Option<usize>) -> RepResult<RepReply> {
                 Response::Lookup(r) => Ok(BatchReply::Lookup(r)),
                 Response::Chain(c) => Ok(BatchReply::Chain(c)),
                 Response::Insert(r) => Ok(BatchReply::Insert(r)),
+                Response::Coalesce(r) => Ok(BatchReply::Coalesce(r)),
                 Response::Err(e) => Err(e),
                 other => Err(unexpected(other)),
             })
@@ -465,6 +482,77 @@ mod tests {
                 assert_eq!(r.version(), Version::new(1));
             }
             other => panic!("expected lookup reply, got {other:?}"),
+        }
+        client.commit().unwrap();
+        assert_eq!(rep.len(), 2);
+    }
+
+    #[test]
+    fn served_envelope_stops_at_its_first_failing_part() {
+        use crate::client::SessionClient;
+        use repdir_rangelock::{KeyRange, LockMode};
+        let (_net, rep, _handle, rpc) = setup();
+        let seed = RemoteSessionClient::new(Arc::clone(&rpc), NodeId(10), RepId(0), TxnId(1));
+        seed.begin().unwrap();
+        for key in ["b", "c"] {
+            seed.insert(&k(key), Version::new(1), &Value::from(key))
+                .unwrap();
+        }
+        seed.commit().unwrap();
+        let before = rep.snapshot();
+        // A copy, a refused copy, and the coalesce that must not run.
+        let envelope = [
+            BatchRequest::Insert(k("a"), Version::new(1), Value::from("A")),
+            BatchRequest::Insert(Key::Low, Version::new(1), Value::empty()),
+            BatchRequest::Coalesce(k("a"), k("d"), Version::new(2)),
+        ];
+
+        let remote = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(2));
+        remote.begin().unwrap();
+        let refused = remote.batch(&envelope).unwrap_err();
+        assert!(matches!(refused, RepError::SentinelViolation { .. }));
+        // The coalesce behind the refusal never ran: no lock on its range,
+        // nothing coalesced away, only the two copies' point locks.
+        let held = rep.locks_held(TxnId(2));
+        assert_eq!(
+            held,
+            vec![
+                (LockMode::Modify, KeyRange::point(k("a"))),
+                (LockMode::Modify, KeyRange::point(Key::Low)),
+            ]
+        );
+        assert_eq!(rep.len(), 3);
+        remote.abort();
+        assert_eq!(rep.snapshot(), before);
+
+        let local = SessionClient::new(Arc::clone(&rep), TxnId(3));
+        rep.begin(TxnId(3)).unwrap();
+        assert_eq!(local.batch(&envelope), Err(refused));
+        assert_eq!(rep.locks_held(TxnId(3)), held);
+        rep.abort(TxnId(3));
+        assert_eq!(rep.lock_holders(), vec![]);
+    }
+
+    #[test]
+    fn envelope_carries_copies_and_their_coalesce() {
+        let (net, rep, _handle, rpc) = setup();
+        let client = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(1));
+        client.begin().unwrap();
+        client
+            .insert(&k("b"), Version::new(1), &Value::from("B"))
+            .unwrap();
+        let before = net.stats().sent;
+        let mut replies = client
+            .batch(&[
+                BatchRequest::Insert(k("a"), Version::new(1), Value::from("A")),
+                BatchRequest::Insert(k("c"), Version::new(1), Value::from("C")),
+                BatchRequest::Coalesce(k("a"), k("c"), Version::new(2)),
+            ])
+            .unwrap();
+        assert_eq!(net.stats().sent - before, 2);
+        match replies.pop() {
+            Some(BatchReply::Coalesce(out)) => assert_eq!(out.removed.len(), 1),
+            other => panic!("expected coalesce reply, got {other:?}"),
         }
         client.commit().unwrap();
         assert_eq!(rep.len(), 2);

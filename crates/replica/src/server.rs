@@ -172,6 +172,12 @@ impl TransactionalRep {
         self.locks.holders()
     }
 
+    /// The range locks `txn` currently holds here, in grant order (test
+    /// aid: an operation's lock footprint).
+    pub fn locks_held(&self, txn: TxnId) -> Vec<(LockMode, KeyRange)> {
+        self.locks.held_by(txn)
+    }
+
     /// Registers this representative's lock table in a shared
     /// [`DeadlockDomain`]. A suite's parallel write waves can block at
     /// several representatives at once, so two transactions can deadlock

@@ -44,7 +44,8 @@
 #    smoke sweep's traced `net.msgs_per_op` is then read back from
 #    benchmark/out/results.json and must stay within the point operations'
 #    round budget (a lookup's or quorum write's collection carries the
-#    request: no ping round), so a reintroduced ping round fails here too.
+#    request: no ping round; a delete is three rounds), so a reintroduced
+#    ping round or delete round fails here too.
 #    Nothing under benchmark/ is edited by this gate.
 # 12. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
@@ -134,10 +135,10 @@ gate_done
 gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs; msgs/op within the round budget)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
-# Parent commit (a ping round per collection): 21.4-21.5 / 32.3-32.8 / 35.4-36.4.
+# With delete's nine rounds in place of three: 17.1 / 26.3-26.5 / 30.8-31.2.
 python3 - <<'PY'
 import json, sys
-caps = {"read_mostly": 18.5, "write_mix": 29.0, "wan_quorum": 33.0}
+caps = {"read_mostly": 17.5, "write_mix": 22.0, "wan_quorum": 29.0}
 seen, bad = set(), []
 for run in json.load(open("benchmark/out/results.json"))["runs"]:
     cap = caps.get(run["workload"])

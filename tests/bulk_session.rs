@@ -8,8 +8,8 @@
 //! under session quorums, the per-key baseline (`set_session_reuse(false)`),
 //! and a `BTreeMap` model replaying the sequential loop agree on every
 //! outcome, while each successful session batch pays exactly one read and
-//! one write collection (R + W pings for an ingest; W for a bulk delete,
-//! whose read collection rides its first key's lookup).
+//! one write collection (R + W pings for an ingest; none for a bulk delete,
+//! whose collections ride its first key's lookup and neighbour probes).
 //!
 //! The fault-injection tests run the networked stack and partition a
 //! session member mid-batch: the ingest must re-validate, resume from the
@@ -157,9 +157,9 @@ proptest! {
                                     "one read + one write collection per batch"
                                 );
                                 prop_assert_eq!(
-                                    pings1 - pings0, w as u64,
-                                    "the read collection rides the first key's lookup; \
-                                     W pings for the write"
+                                    pings1 - pings0, 0,
+                                    "the collections ride the first key's lookup \
+                                     and its neighbour probes"
                                 );
                             }
                         }

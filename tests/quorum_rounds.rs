@@ -4,8 +4,10 @@
 //! the members that *answer a request* are the quorum: a lookup's or a quorum
 //! write's collection carries the request itself and spends no ping round.
 //! These tests pin the budgets that follow — lookup = R data requests,
-//! insert/update = R + W, delete = one carried read collection plus one
-//! pinged write collection — over the fabric and in process, fanned out and
+//! insert/update = R + W, delete = R + 2W in three rounds, whose read
+//! collection carries the lookup and both first chain hops and whose write
+//! collection carries the neighbour probes — over the fabric and in process,
+//! fanned out and
 //! with a window of one, and pin what happens when a carried request fails:
 //! an unreachable member's vote is re-collected inside the call, a member
 //! with a recorded miss is pinged before it is trusted with data, and a
@@ -13,11 +15,13 @@
 
 use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
 use repdir::core::{
-    Completion, Key, LocalRep, QuorumKind, RepClient, RepError, RepId, RepReply, RepRequest,
-    RepResult, SuiteError, Value, Version,
+    BatchRequest, Completion, Key, LocalRep, QuorumKind, RepClient, RepError, RepId, RepReply,
+    RepRequest, RepResult, SuiteError, Value, Version,
 };
 use repdir::net::{Network, NodeId, RpcClient, ServerHandle};
-use repdir::replica::{serve_rep, RemoteSessionClient, ReplicatedDirectory, TransactionalRep};
+use repdir::replica::{
+    serve_rep, RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep,
+};
 use repdir::txn::TxnId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -95,6 +99,17 @@ fn cost<C: RepClient, R>(
     (out, suite.message_counts(), suite.ping_counts(), spent)
 }
 
+/// As [`cost`], counting message rounds of any kind instead of collections.
+fn rounds<C: RepClient, R>(
+    suite: &mut DirSuite<C>,
+    op: impl FnOnce(&mut DirSuite<C>) -> R,
+) -> (R, Vec<u64>, Vec<u64>, u64) {
+    let rounds = suite.obs().counter("suite.rounds");
+    let before = rounds.get();
+    let (out, msgs, pings, _) = cost(suite, op);
+    (out, msgs, pings, rounds.get() - before)
+}
+
 /// (a) The fault-free budgets on a 3-2-2 suite whose quorums are {0, 1},
 /// checked against the fabric's own message count when there is a fabric.
 fn assert_fault_free_budgets<C: RepClient>(suite: &mut DirSuite<C>, net: Option<&Network>) {
@@ -139,27 +154,63 @@ fn assert_fault_free_budgets<C: RepClient>(suite: &mut DirSuite<C>, net: Option<
     assert_eq!(waves, 2, "update = R + W data requests, no ping");
     assert_fabric(&msgs, &pings);
 
-    // (e) Delete: the opening lookup's carried collection opens the read
-    // session both neighbour searches then reuse; only the write collection
-    // pings. Per quorum member: the lookup, then per search one chain refill
-    // and one candidate lookup, two neighbour probes and the coalesce.
-    let reuse = suite.obs().counter("suite.session.reuse");
-    let reused = reuse.get();
-    let (out, msgs, pings, waves) = cost(suite, |s| s.delete(&k("b")));
+    // Delete: three rounds. The read collection carries the lookup and both
+    // first chain hops, the write collection the neighbour probes, and the
+    // coalesce goes to the members that answered those.
+    let (out, msgs, pings, spent) = rounds(suite, |s| s.delete(&k("b")));
     let out = out.unwrap();
     assert_eq!((out.predecessor, out.successor), (k("a"), k("c")));
+    assert_eq!((out.pred_steps, out.succ_steps), (1, 1));
+    assert_eq!((out.pred_rpcs, out.succ_rpcs), (2, 2));
+    assert_eq!(out.copies_inserted, 0);
     assert_eq!(
-        pings,
-        vec![1, 1, 0],
-        "W pings for the write quorum, no read ping"
+        (msgs.clone(), pings.clone()),
+        (vec![3, 3, 0], vec![0, 0, 0])
     );
-    assert_eq!(msgs, vec![8, 8, 0]);
-    assert_eq!(
-        waves, 2,
-        "one carried read collection, one pinged write one"
-    );
-    assert!(reuse.get() - reused >= 2, "both searches reuse the session");
+    assert_eq!(spent, 3, "delete = R + 2W data requests in three rounds");
     assert_fabric(&msgs, &pings);
+
+    // The same three rounds when the write quorum {1, 2} has a member that
+    // lacks both neighbours: the probes find that out and bring the values,
+    // and the copies ride the coalesce's envelope.
+    suite.set_policy(Box::new(PerKind {
+        read: vec![0, 1, 2],
+        write: vec![1, 2, 0],
+    }));
+    let (out, msgs, pings, spent) = rounds(suite, |s| s.delete(&k("c")));
+    let out = out.unwrap();
+    assert_eq!((out.predecessor, out.successor), (k("a"), k("d")));
+    assert_eq!(out.copies_inserted, 2);
+    assert_eq!(
+        (msgs.clone(), pings.clone()),
+        (vec![1, 3, 2], vec![0, 0, 0])
+    );
+    assert_eq!(spent, 3, "copies add no request and no round");
+    assert_fabric(&msgs, &pings);
+
+    // A ghost between the key and its real neighbour: "c" survives at member
+    // 0, which the delete above did not write. Deleting "a" through {0, 1}
+    // steps over it — member 1's chain head already says the gap around "c"
+    // is newer — for one chain refill at member 0, and no lookup.
+    suite.set_policy(order(&[0, 1, 2]));
+    let (out, msgs, pings, spent) = rounds(suite, |s| s.delete(&k("a")));
+    let out = out.unwrap();
+    assert_eq!((out.predecessor, out.successor), (Key::Low, k("d")));
+    assert_eq!((out.succ_steps, out.succ_rpcs), (2, 3));
+    assert_eq!(out.ghosts_deleted, 1);
+    assert_eq!(
+        (msgs.clone(), pings.clone()),
+        (vec![4, 3, 0], vec![0, 0, 0])
+    );
+    assert_eq!(spent, 4);
+    assert_fabric(&msgs, &pings);
+
+    // Member 2 sat out that last delete, so the copies it was sent are
+    // still there to inspect, at the values the probes brought.
+    for (key, value) in [("a", "a"), ("d", "D2")] {
+        let copy = suite.member(2).lookup(&k(key)).unwrap();
+        assert_eq!(copy.value(), Some(&val(value)));
+    }
 }
 
 #[test]
@@ -396,6 +447,181 @@ impl QuorumPolicy for PerKind {
             QuorumKind::Write => self.write.clone(),
         }
     }
+}
+
+#[test]
+fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
+    // (c) The first key's waves collect both quorums; every later key asks
+    // exactly the members those sessions hold. 64 keys: 64 × 3 rounds of
+    // R, W and W requests, two collections, no ping.
+    let keys: Vec<Key> = (0..64).map(|i| k(&format!("key{i:02}"))).collect();
+    let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
+    for fanout in [true, false] {
+        let cluster = Cluster::new(0xC64);
+        let mut remote = cluster.suite(TxnId(1));
+        let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 3).unwrap();
+        local.set_policy(order(&[0, 1, 2]));
+        fn check<C: RepClient>(suite: &mut DirSuite<C>, entries: &[(Key, Value)], keys: &[Key]) {
+            suite.insert_many(entries).unwrap();
+            let waves = suite.obs().counter("suite.quorum.waves");
+            let collections = waves.get();
+            let (out, msgs, pings, spent) = rounds(suite, |s| s.delete_many(keys));
+            assert_eq!(out.unwrap().versions.len(), 64);
+            assert_eq!((msgs, pings), (vec![192, 192, 0], vec![0, 0, 0]));
+            assert_eq!(spent, 192);
+            assert_eq!(waves.get() - collections, 2);
+            assert_eq!(suite.scan().unwrap(), vec![]);
+        }
+        remote.set_fanout(fanout);
+        local.set_fanout(fanout);
+        let sent = cluster.net.stats().sent;
+        check(&mut local, &entries, &keys);
+        assert_eq!(cluster.net.stats().sent, sent);
+        check(&mut remote, &entries, &keys);
+    }
+}
+
+#[test]
+fn deleting_the_only_key_probes_both_sentinels() {
+    // An envelope is never empty — a client would answer it without a
+    // message, and the collection would "gather" members nobody contacted —
+    // so the probes name both neighbours even when both are sentinels, which
+    // every member holds and nobody copies.
+    let cluster = Cluster::new(0x501);
+    let mut suite = cluster.suite(TxnId(1));
+    suite.insert(&k("only"), &val("1")).unwrap();
+    let sent = cluster.net.stats().sent;
+    let (out, msgs, pings, spent) = rounds(&mut suite, |s| s.delete(&k("only")));
+    let out = out.unwrap();
+    assert_eq!((out.predecessor, out.successor), (Key::Low, Key::High));
+    assert_eq!(out.copies_inserted, 0);
+    assert_eq!((msgs, pings), (vec![3, 3, 0], vec![0, 0, 0]));
+    assert_eq!(spent, 3);
+    assert_eq!(
+        cluster.net.stats().sent - sent,
+        2 * (2 + 2 + 2),
+        "W members were contacted in the probe round"
+    );
+    for i in 0..3 {
+        suite.member(i).commit().unwrap();
+    }
+    for rep in &cluster.reps[..2] {
+        let state = rep.snapshot();
+        assert!(state.is_empty());
+        assert_eq!(state.lookup(&k("only")).version(), out.gap_version);
+    }
+}
+
+#[test]
+fn failed_probe_is_substituted_or_refused_like_any_carried_request() {
+    // (d) The write collection carries the neighbour probes, so it follows
+    // the carried-request rules: a member that cannot be reached is replaced
+    // inside the collection, a member that refuses decides the operation.
+    let suite = |mode| {
+        let mut suite = doubles();
+        for key in ["a", "b", "c"] {
+            suite.insert(&k(key), &val(key)).unwrap();
+        }
+        suite.set_policy(Box::new(PerKind {
+            read: vec![0, 1, 2],
+            write: vec![2, 1, 0],
+        }));
+        suite.member(2).set(mode);
+        suite
+    };
+
+    let mut unreachable = suite(DOWN);
+    let (out, msgs, pings, waves) = cost(&mut unreachable, |s| s.delete(&k("b")));
+    let out = out.unwrap();
+    assert_eq!(out.quorum, vec![RepId(1), RepId(0)]);
+    assert_eq!(out.copies_inserted, 0);
+    assert_eq!((msgs, pings), (vec![3, 3, 1], vec![0, 0, 0]));
+    assert_eq!(waves, 3, "read, write, and the write's substitute");
+
+    let mut refusing = suite(TIMES_OUT);
+    let (out, msgs, pings, _) = cost(&mut refusing, |s| s.delete(&k("b")));
+    assert_eq!(out, Err(SuiteError::Rep(RepError::LockTimeout)));
+    assert_eq!((msgs, pings), (vec![1, 2, 1], vec![0, 0, 0]));
+    assert!(refusing
+        .member(1)
+        .inner
+        .lookup(&k("b"))
+        .unwrap()
+        .is_present());
+}
+
+/// A member that dies the moment the coalesce reaches it.
+struct DiesAtCoalesce {
+    inner: SessionClient,
+    doomed: bool,
+}
+
+impl RepClient for DiesAtCoalesce {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        let coalesces = match req {
+            RepRequest::Coalesce(..) => true,
+            RepRequest::Batch(parts) => matches!(parts.last(), Some(BatchRequest::Coalesce(..))),
+            _ => false,
+        };
+        if coalesces && self.doomed {
+            self.inner.rep().set_available(false);
+        }
+        self.inner.execute(req)
+    }
+}
+
+#[test]
+fn member_failing_the_coalesce_round_aborts_cleanly_and_is_retried() {
+    // (e) Round C has no collection to substitute in: a member lost there
+    // surfaces `Unavailable`. By then the other member has taken its copies
+    // and coalesced; the driver's abort must undo all of it, and its retry
+    // — a fresh transaction over the survivors — completes the delete.
+    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+    let dir = ReplicatedDirectory::new(config.clone(), 0xE).unwrap();
+    let mut setup = dir.begin_with_policy(order(&[0, 1, 2]));
+    for key in ["a", "b", "c"] {
+        setup.suite_mut().insert(&k(key), &val(key)).unwrap();
+    }
+    setup.commit();
+    let states = || -> Vec<_> { dir.reps().iter().map(|rep| rep.snapshot()).collect() };
+    let (before, listed) = (states(), dir.scan().unwrap());
+
+    let mut attempts = 0;
+    dir.run(|suite| {
+        attempts += 1;
+        if attempts == 1 {
+            // Same transaction, same representatives, through clients that
+            // kill member 2 as round C arrives. Member 2 lacks both
+            // neighbours, so member 1's round C carries nothing but the
+            // coalesce and member 2's would have carried two copies.
+            let clients = (0..3)
+                .map(|i| DiesAtCoalesce {
+                    inner: suite.member(i).clone(),
+                    doomed: i == 2,
+                })
+                .collect();
+            let mut doomed = DirSuite::new(clients, config.clone(), order(&[1, 2, 0])).unwrap();
+            let failed = doomed.delete(&k("b")).unwrap_err();
+            assert_eq!(failed, SuiteError::Rep(RepError::Unavailable));
+            assert!(dir.reps()[1].snapshot() != before[1], "member 1 coalesced");
+            return Err(failed);
+        }
+        assert_eq!(states(), before, "the abort rolled round C back");
+        for rep in dir.reps() {
+            assert_eq!(rep.lock_holders(), vec![], "and released its locks");
+        }
+        suite.delete(&k("b")).map(drop)
+    })
+    .unwrap();
+    assert_eq!(attempts, 2);
+    dir.reps()[2].set_available(true);
+    let mut expect = listed;
+    expect.remove(1);
+    assert_eq!(dir.scan().unwrap(), expect);
 }
 
 #[test]
