@@ -5,8 +5,9 @@
 //! per key on a uniform fabric. `DirSuite::insert_many` collects
 //! the read and write quorums once ([`QuorumSession`](repdir_core::QuorumSession)),
 //! holds them across the whole batch, and packs each chunk's discovery
-//! lookups and insert writes into one `Batch` envelope per member — O(N/chunk)
-//! fabric envelopes for an N-key ingest.
+//! lookups and insert writes into one `Batch` envelope per member, the first
+//! chunk's carried by the collections themselves — 2·⌈N/chunk⌉ waves and no
+//! ping for an N-key ingest (two waves at the default chunk of 64).
 //!
 //! The fixture is a 3-member suite (R=2, W=2) of networked transactional
 //! representatives behind a fixed per-message latency, ingesting `KEYS`

@@ -1,12 +1,14 @@
-//! Session quorums + batched envelopes vs the per-hop baseline on `scan`.
+//! The chain-resolved session scan vs the per-hop baseline on `scan`.
 //!
 //! The per-hop scan runs one full `real_successor` search per entry: collect
 //! a read quorum (one ping wave), refill neighbor chains (one data wave),
 //! and look the candidate up (another data wave) — roughly three round-trips
 //! per entry on a uniform fabric. The session scan collects its quorum once
-//! ([`QuorumSession`](repdir_core::QuorumSession)), holds it across the
-//! whole walk, and packs each hop's candidate lookup plus chain prefetch
-//! into one `Batch` envelope per member — roughly one round-trip per entry.
+//! ([`QuorumSession`](repdir_core::QuorumSession)) with the collection
+//! carrying the first chain request, judges every entry from the buffered
+//! chain heads without a message, and sends one `Batch` envelope per member
+//! per `bulk_chunk` entries (value lookups plus the next chain request) —
+//! ⌈(entries + 1) / 64⌉ waves, plus one for the values still owed.
 //!
 //! The fixture is a 3-member suite (R=2, W=2) of networked transactional
 //! representatives behind a fixed per-message latency, scanning a directory

@@ -254,6 +254,47 @@ pub struct StaleVote {
     pub latest: Version,
 }
 
+/// Stale votes, oldest observation first, coalesced per `(member, key)` in
+/// place through an index: a scan over a lagging member notes one per entry.
+#[derive(Default)]
+struct VoteLog {
+    votes: Vec<StaleVote>,
+    /// Where in `votes` each `(member, key)` sits.
+    slots: std::collections::HashMap<(usize, Key), usize>,
+}
+
+impl VoteLog {
+    /// Whether `vote` says nothing new: same `(member, key)`, same `latest`.
+    fn holds(&self, vote: &StaleVote) -> bool {
+        let slot = self.slots.get(&(vote.member, vote.key.clone()));
+        slot.is_some_and(|&at| self.votes[at].latest == vote.latest)
+    }
+
+    fn note(&mut self, vote: StaleVote) {
+        match self.slots.entry((vote.member, vote.key.clone())) {
+            std::collections::hash_map::Entry::Occupied(slot) => self.votes[*slot.get()] = vote,
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(self.votes.len());
+                self.votes.push(vote);
+            }
+        }
+    }
+
+    fn take(&mut self) -> Vec<StaleVote> {
+        self.slots.clear();
+        std::mem::take(&mut self.votes)
+    }
+
+    /// Removes and returns the votes naming `member`, oldest first.
+    fn take_member(&mut self, member: usize) -> Vec<StaleVote> {
+        let (taken, kept) = self.take().into_iter().partition(|v| v.member == member);
+        for vote in kept {
+            self.note(vote);
+        }
+        taken
+    }
+}
+
 /// A shared, deduplicating queue of [`StaleVote`]s, the hand-off point
 /// between the read path (any number of [`DirSuite`]s pushing via
 /// [`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)) and the repair
@@ -261,11 +302,12 @@ pub struct StaleVote {
 ///
 /// Votes are coalesced per `(member, key)`: a key that keeps getting read
 /// while stale produces one queued vote (carrying the latest observation),
-/// not one redundant bucket pull per read. Per-member wakers let a driver
-/// sleep until evidence for *its* member actually arrives.
+/// one spill and one wake-up — not one redundant bucket pull, WAL sync or
+/// wake-up per read. Per-member wakers let a driver sleep until evidence for
+/// *its* member actually arrives.
 #[derive(Default)]
 pub struct StaleVoteQueue {
-    votes: crate::sync::Mutex<Vec<StaleVote>>,
+    votes: crate::sync::Mutex<VoteLog>,
     wakers: crate::sync::Mutex<Vec<Option<VoteWaker>>>,
     spill: crate::sync::Mutex<Option<VoteSpill>>,
 }
@@ -274,8 +316,8 @@ pub struct StaleVoteQueue {
 /// [`StaleVoteQueue::set_waker`].
 pub type VoteWaker = Box<dyn Fn() + Send + Sync>;
 
-/// Durability hook fired on every [`StaleVoteQueue::push`]; see
-/// [`StaleVoteQueue::set_spill`].
+/// Durability hook fired when [`StaleVoteQueue::push`] queues something new;
+/// see [`StaleVoteQueue::set_spill`].
 pub type VoteSpill = Box<dyn Fn(&StaleVote) + Send + Sync>;
 
 impl StaleVoteQueue {
@@ -286,9 +328,13 @@ impl StaleVoteQueue {
 
     /// Queues one vote, coalescing with any queued vote for the same
     /// `(member, key)` — the newer observation replaces the older in place,
-    /// so queue order stays oldest-first per target. The member's waker (if
-    /// registered) fires after the push.
+    /// so queue order stays oldest-first per target. An observation the
+    /// queue already holds (same `latest`) costs no spill and no wake-up;
+    /// otherwise the member's waker (if registered) fires after the push.
     pub fn push(&self, vote: StaleVote) {
+        if self.votes.lock().holds(&vote) {
+            return;
+        }
         let member = vote.member;
         {
             // Spill before queueing/waking: the driver that the waker
@@ -299,16 +345,7 @@ impl StaleVoteQueue {
                 spill(&vote);
             }
         }
-        {
-            let mut votes = self.votes.lock();
-            match votes
-                .iter_mut()
-                .find(|v| v.member == vote.member && v.key == vote.key)
-            {
-                Some(existing) => *existing = vote,
-                None => votes.push(vote),
-            }
-        }
+        self.votes.lock().note(vote);
         let wakers = self.wakers.lock();
         if let Some(Some(waker)) = wakers.get(member) {
             waker();
@@ -319,39 +356,22 @@ impl StaleVoteQueue {
     /// [`push`](Self::push) but fires neither the spill hook (it is already
     /// durable) nor the waker (recovery happens before drivers spawn).
     pub fn restore(&self, vote: StaleVote) {
-        let mut votes = self.votes.lock();
-        match votes
-            .iter_mut()
-            .find(|v| v.member == vote.member && v.key == vote.key)
-        {
-            Some(existing) => *existing = vote,
-            None => votes.push(vote),
-        }
+        self.votes.lock().note(vote);
     }
 
     /// Drains every queued vote naming `member`, oldest observation first.
     pub fn drain_member(&self, member: usize) -> Vec<StaleVote> {
-        let mut votes = self.votes.lock();
-        let mut out = Vec::new();
-        votes.retain(|v| {
-            if v.member == member {
-                out.push(v.clone());
-                false
-            } else {
-                true
-            }
-        });
-        out
+        self.votes.lock().take_member(member)
     }
 
     /// Drains the whole queue, oldest first.
     pub fn drain_all(&self) -> Vec<StaleVote> {
-        std::mem::take(&mut *self.votes.lock())
+        self.votes.lock().take()
     }
 
     /// Number of queued (coalesced) votes.
     pub fn len(&self) -> usize {
-        self.votes.lock().len()
+        self.votes.lock().votes.len()
     }
 
     /// Whether the queue is empty.
@@ -361,17 +381,24 @@ impl StaleVoteQueue {
 
     /// Installs (or clears) the waker called after a vote for `member` is
     /// queued. The callback runs on the reading thread and must not block:
-    /// typical implementations send a wake message to a driver channel.
+    /// typical implementations send a wake message to a driver channel. A
+    /// waker installed over a backlog fires at once: re-observing what is
+    /// already queued wakes nobody.
     pub fn set_waker(&self, member: usize, waker: Option<VoteWaker>) {
         let mut wakers = self.wakers.lock();
         if wakers.len() <= member {
             wakers.resize_with(member + 1, || None);
         }
         wakers[member] = waker;
+        // Installed first: a vote pushed meanwhile wakes it or is seen here.
+        let backlog = self.votes.lock().votes.iter().any(|v| v.member == member);
+        if let (true, Some(waker)) = (backlog, &wakers[member]) {
+            waker();
+        }
     }
 
-    /// Installs (or clears) the durability hook called with every vote
-    /// *before* it is queued. Typical implementations append a
+    /// Installs (or clears) the durability hook called with every new or
+    /// newer vote *before* it is queued. Typical implementations append a
     /// `WalRecord::StaleVote` sidecar to the stale member's log so a
     /// restarted process resumes targeted pulls instead of waiting for the
     /// fallback sweep. The hook runs on the reading thread: it may sync a
@@ -457,8 +484,8 @@ pub struct DirSuite<C: RepClient> {
     /// How many successive neighbor results each chain RPC requests
     /// (§4 batching; 1 = the unbatched Fig. 12 algorithm).
     neighbor_batch: usize,
-    /// How many keys each bulk-write envelope carries
-    /// ([`insert_many`](DirSuite::insert_many) chunking).
+    /// The bulk operations' one bound: keys per ingest envelope, keys per
+    /// delete window, results per chain request of a scan.
     bulk_chunk: usize,
     /// Whether a wave's requests are all put in flight before any reply is
     /// awaited (default), or one at a time — a window of one through the
@@ -495,7 +522,7 @@ pub struct DirSuite<C: RepClient> {
     /// Stale votes observed by quorum reads, drained by
     /// [`take_stale_votes`](DirSuite::take_stale_votes). Coalesced per
     /// `(member, key)`; unused when a shared sink is installed.
-    stale_votes: Vec<StaleVote>,
+    stale_votes: VoteLog,
     /// Shared sink stale votes are routed to instead of the local queue —
     /// the hand-off to background repair drivers
     /// ([`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)).
@@ -549,7 +576,7 @@ impl<C: RepClient> DirSuite<C> {
             policy,
             write_through_weak: false,
             neighbor_batch: 1,
-            bulk_chunk: 16,
+            bulk_chunk: 64,
             fanout: true,
             sessions: [None, None],
             session_depth: 0,
@@ -559,7 +586,7 @@ impl<C: RepClient> DirSuite<C> {
             hedge: false,
             hedge_delay: None,
             repair: true,
-            stale_votes: Vec::new(),
+            stale_votes: VoteLog::default(),
             stale_sink: None,
             repair_health: None,
             penalty_sample: FAILED_RPC_PENALTY,
@@ -617,11 +644,11 @@ impl<C: RepClient> DirSuite<C> {
         self.neighbor_batch = batch;
     }
 
-    /// Sets how many keys each bulk-write envelope carries (default 16):
-    /// [`insert_many`](DirSuite::insert_many) packs its batch into
-    /// per-member envelopes of at most this many sub-requests. Smaller
-    /// chunks bound envelope size and retry granularity; larger chunks save
-    /// round trips.
+    /// Sets the one bound of the bulk operations (default 64): keys per
+    /// [`insert_many`](DirSuite::insert_many) envelope, keys a
+    /// [`delete_many`](DirSuite::delete_many) window plans at once, results
+    /// per chain request of a [`scan`](DirSuite::scan). Smaller chunks bound
+    /// envelope size and retry granularity; larger chunks save round trips.
     ///
     /// # Panics
     ///
@@ -716,12 +743,12 @@ impl<C: RepClient> DirSuite<C> {
     /// default).
     ///
     /// Enabled, a scan / neighbor search / bulk write collects its quorum
-    /// once and holds it across every hop ([`QuorumSession`]), re-validating only
-    /// when a held member fails; scans additionally pack each hop's probes
-    /// into one batched envelope per member. Disabled, every hop collects a
-    /// fresh quorum and scans take the unbatched per-hop path — the
-    /// pre-session baseline the equivalence tests and `scan_bench` compare
-    /// against.
+    /// once and holds it across every wave ([`QuorumSession`]), re-validating
+    /// only when a held member fails, and the bulk operations cost
+    /// `O(n / bulk_chunk)` waves. Disabled, the bulk writes are per-key
+    /// loops, every hop collects a fresh quorum and scans take the unbatched
+    /// per-hop path — the pre-session baseline the equivalence tests and
+    /// `scan_bench` compare against.
     pub fn set_session_reuse(&mut self, enabled: bool) {
         self.session_reuse = enabled;
         if !enabled {
@@ -745,7 +772,7 @@ impl<C: RepClient> DirSuite<C> {
     pub fn set_repair(&mut self, enabled: bool) {
         self.repair = enabled;
         if !enabled {
-            self.stale_votes.clear();
+            self.stale_votes.take();
         }
     }
 
@@ -760,7 +787,7 @@ impl<C: RepClient> DirSuite<C> {
     /// masked the stale replies), so draining lazily is safe. Empty while a
     /// shared sink is installed — the votes went to the sink instead.
     pub fn take_stale_votes(&mut self) -> Vec<StaleVote> {
-        std::mem::take(&mut self.stale_votes)
+        self.stale_votes.take()
     }
 
     /// Routes observed stale votes to a shared [`StaleVoteQueue`] instead of
@@ -1032,12 +1059,12 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Bulk insert: the Fig. 9 flow for every key in `entries`, paid for
-    /// like one operation. One read quorum answers a batched lookup
-    /// envelope per [`set_bulk_chunk`](DirSuite::set_bulk_chunk) keys to
-    /// discover versions, and one write quorum takes the matching envelope
-    /// of versioned inserts — so ingesting N keys costs one read- and one
-    /// write-quorum collection plus `O(N / chunk)` envelopes per member,
-    /// instead of N collections and ~3N round trips.
+    /// like one operation. Per [`set_bulk_chunk`](DirSuite::set_bulk_chunk)
+    /// keys, the read-quorum collection carries one envelope of lookups to
+    /// discover versions and the write-quorum collection the matching
+    /// envelope of versioned inserts (later chunks ask the sessions those
+    /// hold) — `2 · ⌈N / chunk⌉` waves and no ping for N keys, instead of N
+    /// collections and ~3N round trips.
     ///
     /// The semantics are exactly a sequential per-key loop of
     /// [`insert`](DirSuite::insert): keys apply in input order, and the
@@ -1048,7 +1075,8 @@ impl<C: RepClient> DirSuite<C> {
     /// If a held member fails mid-batch, the session is re-validated and
     /// the walk resumes from the first unacknowledged key. Keys whose
     /// version was already assigned replay at that same version — an
-    /// idempotent overwrite under the paper's version discipline — so an
+    /// idempotent overwrite under the paper's version discipline, which is
+    /// also what a member substituted inside a collection receives — so an
     /// acknowledged write is never re-applied at a new version
     /// (DESIGN.md §11).
     ///
@@ -1105,44 +1133,36 @@ impl<C: RepClient> DirSuite<C> {
             let lo = *done;
             let hi = (lo + self.bulk_chunk).min(entries.len());
 
-            // Version discovery: one batched lookup envelope over the read
-            // quorum for the chunk's unassigned keys. Keys assigned by a
-            // prior (failed) attempt skip discovery — replaying them at the
-            // version already assigned is what makes the retry idempotent.
+            // Version discovery: one envelope of lookups, carried by the
+            // read collection, for the chunk's unassigned keys. Keys
+            // assigned by a prior (failed) attempt skip discovery —
+            // replaying them at the version already assigned is what makes
+            // the retry idempotent.
             let need: Vec<usize> = (lo..hi).filter(|&i| assigned[i].is_none()).collect();
-            let mut discovered: Vec<Option<LookupReply>> = vec![None; need.len()];
+            let mut chunk_replies: Vec<Option<LookupReply>> = vec![None; hi - lo];
             if !need.is_empty() {
-                let read_q = self.collect_quorum(QuorumKind::Read, None, None)?.members;
                 let env: Vec<BatchRequest> = need
                     .iter()
                     .map(|&i| BatchRequest::Lookup(entries[i].0.clone()))
                     .collect();
-                let env_ref = &env;
-                for wave in self.scatter(&read_q, |_| RepRequest::Batch(env_ref)) {
-                    let parts = wave?.batch()?;
+                let carried = Some(RepRequest::Batch(&env));
+                let read = self.collect_quorum(QuorumKind::Read, None, carried)?;
+                for reply in read.replies {
+                    let parts = reply.batch()?;
                     if parts.len() != env.len() {
                         return Err(protocol_violation("bulk lookup envelope arity"));
                     }
-                    for (j, part) in parts.into_iter().enumerate() {
-                        match part {
-                            BatchReply::Lookup(reply) => {
-                                discovered[j] = Some(match discovered[j].take() {
-                                    None => reply,
-                                    Some(cur) => pick_reply(cur, reply),
-                                });
-                            }
-                            _ => {
-                                return Err(protocol_violation(
-                                    "bulk envelope missing lookup reply",
-                                ))
-                            }
-                        }
+                    for (&i, part) in need.iter().zip(parts) {
+                        let BatchReply::Lookup(reply) = part else {
+                            return Err(protocol_violation("bulk envelope missing lookup reply"));
+                        };
+                        let merged = &mut chunk_replies[i - lo];
+                        *merged = Some(match merged.take() {
+                            None => reply,
+                            Some(cur) => pick_reply(cur, reply),
+                        });
                     }
                 }
-            }
-            let mut chunk_replies: Vec<Option<LookupReply>> = vec![None; hi - lo];
-            for (j, &i) in need.iter().enumerate() {
-                chunk_replies[i - lo] = discovered[j].take();
             }
 
             // Walk the chunk in input order, exactly as the per-key loop
@@ -1185,10 +1205,10 @@ impl<C: RepClient> DirSuite<C> {
             }
 
             if !writes.is_empty() {
-                let write_q = self.collect_quorum(QuorumKind::Write, None, None)?.members;
-                let writes_ref = &writes;
-                for wave in self.scatter(&write_q, |_| RepRequest::Batch(writes_ref)) {
-                    let parts = wave?.batch()?;
+                let carried = Some(RepRequest::Batch(&writes));
+                let write = self.collect_quorum(QuorumKind::Write, None, carried)?;
+                for reply in write.replies {
+                    let parts = reply.batch()?;
                     if parts.len() != writes.len() {
                         return Err(protocol_violation("bulk insert envelope arity"));
                     }
@@ -1204,6 +1224,7 @@ impl<C: RepClient> DirSuite<C> {
                         .collect();
                     if !weak.is_empty() {
                         // Weak representatives are hints: ignore failures.
+                        let writes_ref = &writes;
                         let _ = self.scatter(&weak, |_| RepRequest::Batch(writes_ref));
                     }
                 }
@@ -1218,21 +1239,27 @@ impl<C: RepClient> DirSuite<C> {
         Ok(())
     }
 
-    /// Bulk delete: the Fig. 13 flow for every key in `keys`, sharing one
-    /// session scope so the whole batch pays one read- and one write-quorum
-    /// collection, both riding the first key's waves; every key costs the
-    /// three waves of [`delete`](DirSuite::delete) (each depends on the
-    /// answers to the one before, so unlike
-    /// [`insert_many`](DirSuite::insert_many) keys do not share envelopes).
+    /// Bulk delete: the Fig. 13 flow for every key in `keys` under one
+    /// session scope, keys that do not touch each other sharing the three
+    /// waves of [`delete`](DirSuite::delete). Per window of
+    /// [`set_bulk_chunk`](DirSuite::set_bulk_chunk) keys, wave A is read
+    /// once for every key and the Fig. 12 walks advance together; the
+    /// longest input-order run of keys whose neighbour ranges
+    /// `(predecessor, successor)` are pairwise disjoint as open intervals
+    /// then shares one wave B and one wave C. A key that overlaps an earlier
+    /// one of its group, or that is absent, closes the group, and only the
+    /// plans a coalesced range overlaps are read again: 64 keys with a
+    /// surviving entry between every pair cost three waves, adjacent keys
+    /// three each (DESIGN.md §11 has the argument).
     ///
     /// Semantics are exactly a sequential per-key loop of
-    /// [`delete`](DirSuite::delete); the first failing key surfaces its
-    /// error with every earlier key deleted. On a mid-batch member failure
-    /// the session is re-validated and the walk resumes at the first
-    /// unfinished key; a half-coalesced key is re-driven through the
-    /// mutation phase, whose coalesce removes whatever remains of the entry
-    /// (DESIGN.md §11), so the resume never reports a key deleted that is
-    /// not.
+    /// [`delete`](DirSuite::delete) — same versions, same final replicas;
+    /// the first failing key surfaces its error with every earlier key
+    /// deleted and no later one. On a mid-batch member failure the session
+    /// is re-validated and the walk resumes at the first unacknowledged
+    /// group; a half-coalesced key is re-driven through the mutation phase,
+    /// whose coalesce removes whatever remains of the entry, so the resume
+    /// never reports a key deleted that is not.
     ///
     /// # Errors
     ///
@@ -1264,7 +1291,9 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// One attempt at the bulk-delete walk, resuming at the first key whose
-    /// gap version has not been recorded yet.
+    /// gap version has not been recorded yet. `attempted[i]` is set once key
+    /// `i` joins a group: from then on it may be half-coalesced, so a later
+    /// attempt drives it through whatever its lookup answers.
     fn delete_many_walk(
         &mut self,
         keys: &[Key],
@@ -1272,11 +1301,46 @@ impl<C: RepClient> DirSuite<C> {
         attempted: &mut [bool],
     ) -> Result<(), SuiteError> {
         while versions.len() < keys.len() {
-            let i = versions.len();
-            let key = &keys[i];
-            self.require_user_key(key)?;
-            let out = self.delete_waves(key, &mut attempted[i])?;
-            versions.push(out.gap_version);
+            let lo = versions.len();
+            self.require_user_key(&keys[lo])?;
+            // A sentinel has no chains to read: it ends the window and
+            // raises its error when it heads the next.
+            let hi = (lo + self.bulk_chunk).min(keys.len());
+            let hi = lo + keys[lo..hi].iter().take_while(|k| !k.is_sentinel()).count();
+            let mut plans: Vec<Option<DeletePlan>> = (lo..hi).map(|_| None).collect();
+            while versions.len() < hi {
+                let first = versions.len();
+                self.read_plans(
+                    &keys[first..hi],
+                    &attempted[first..hi],
+                    &mut plans[first - lo..],
+                )?;
+                let mut group: Vec<(&Key, DeletePlan)> = Vec::new();
+                for i in first..hi {
+                    let plan = plans[i - lo].as_ref().expect("wave A planned the window");
+                    let found = plan.present || attempted[i];
+                    if !found || group.iter().any(|(_, earlier)| earlier.overlaps(plan)) {
+                        break;
+                    }
+                    attempted[i] = true;
+                    let plan = plans[i - lo].take().expect("just inspected");
+                    group.push((&keys[i], plan));
+                }
+                if group.is_empty() {
+                    let key = keys[first].clone();
+                    return Err(SuiteError::NotFound { key });
+                }
+                let outs = self.apply_deletes(&group)?;
+                versions.extend(outs.iter().map(|out| out.gap_version));
+                // Disjoint ranges never read each other's writes: only the
+                // plans a coalesced range overlaps are read again.
+                for plan in &mut plans[versions.len() - lo..] {
+                    let stale = |p: &DeletePlan| group.iter().any(|(_, done)| done.overlaps(p));
+                    if plan.as_ref().is_some_and(stale) {
+                        *plan = None;
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -1317,92 +1381,134 @@ impl<C: RepClient> DirSuite<C> {
         self.with_session_scope(|s| {
             s.with_session_retries(|s| {
                 let quorum = s.collect_quorum(QuorumKind::Read, Some(key), None)?;
-                let mut found = s.neighbor_walk(&quorum.members, dir, key, Vec::new())?;
+                let mut walk = Walk::new(dir, key, quorum.members.len(), s.neighbor_batch);
+                s.run_walks(&quorum.members, &mut [&mut walk])?;
+                let mut found = walk.search();
                 found.value = s.lookup(&found.key)?.value;
                 Ok(found)
             })
         })
     }
 
-    /// The Fig. 12 loop, generalized over direction and §4 batching. Each
-    /// member keeps a buffered chain of successive neighbor results
-    /// ([`NeighborChains`], shared with the scan walk); buffers that run dry
-    /// refill together, one chain request of `neighbor_batch` results each.
-    /// `seeds[slot]` is a first chain reply the caller already holds for
-    /// `quorum[slot]`; with none, the first refill fetches them.
+    /// The Fig. 12 loop, generalized over direction and §4 batching: steps
+    /// `walk` over ghosts to its next real entry, or returns `None` when a
+    /// member's buffered chain ran dry first and a [`refill`](Self::refill)
+    /// must come before the next candidate can be judged.
     ///
     /// `DirSuiteLookup(candidate)` costs no message: a chain was read under
     /// `RepLookup` range locks that cover the candidate, so its head *is*
     /// the member's `DirRepLookup(candidate)` answer
-    /// ([`votes_on`](NeighborChains::votes_on)). The largest version wins, a
-    /// tie goes to the entry ([`pick_reply`]), and the terminal sentinel
-    /// heads every chain at version zero, so it is always real. The
-    /// returned search carries no value.
-    fn neighbor_walk(
-        &mut self,
-        quorum: &[usize],
-        dir: Direction,
-        key: &Key,
-        seeds: Vec<Vec<crate::gapmap::NeighborReply>>,
-    ) -> Result<NeighborSearch, SuiteError> {
-        let batch = self.neighbor_batch;
-        let mut walk = NeighborChains::new(dir, key, quorum.len());
-        let mut probe = key.clone();
-        let mut max_gap_version = Version::ZERO;
-        let mut steps = 0u32;
-        let mut rpc_calls = seeds.len() as u32;
-        for (slot, chain) in seeds.into_iter().enumerate() {
-            walk.integrate(slot, chain, &probe, &mut max_gap_version);
-        }
+    /// ([`votes_on`](Walk::votes_on)). The largest version wins, a tie goes
+    /// to the entry ([`pick_reply`]), and the terminal sentinel heads every
+    /// chain at version zero, so it is always real.
+    fn next_real(&mut self, quorum: &[usize], walk: &mut Walk) -> Option<(Key, Version)> {
         loop {
-            steps += 1;
-            // Drop buffered elements the walk has already passed, then
-            // refill every exhausted-but-advanceable chain together in one
-            // concurrent wave.
-            walk.discard_passed(&probe, &mut max_gap_version);
-            let refills = walk.refills();
-            if !refills.is_empty() {
-                rpc_calls += refills.len() as u32;
-                let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
-                let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot| dir.chain(&refills_ref[slot].1, batch));
-                for (slot, wave) in waves.into_iter().enumerate() {
-                    let chain = wave?.chain()?;
-                    walk.integrate(refills[slot].0, chain, &probe, &mut max_gap_version);
-                }
+            // Drop buffered elements the walk has already passed.
+            walk.discard_passed();
+            if walk.is_dry() {
+                return None;
             }
-            let candidate = walk.candidate(&mut max_gap_version);
-            let votes = walk.votes_on(&candidate);
+            walk.steps += 1;
+            let candidate = walk.candidate();
             let newest = |entry: bool| {
-                let cast = votes.iter().filter(|&&(holds, _)| holds == entry);
-                cast.map(|&(_, version)| version).max()
+                let cast = walk
+                    .votes_on(&candidate)
+                    .filter(|&(holds, _)| holds == entry);
+                cast.map(|(_, version)| version).max()
             };
             let version = newest(true).expect("the candidate heads a chain");
             let gap = newest(false).unwrap_or(Version::ZERO);
-            let cast = quorum
-                .iter()
-                .zip(&votes)
-                .map(|(&i, &(_, version))| (i, version));
+            let versions = walk.votes_on(&candidate).map(|(_, version)| version);
+            let cast = quorum.iter().copied().zip(versions);
             self.note_stale_votes(&candidate, version.max(gap), cast);
             if version >= gap {
-                return Ok(NeighborSearch {
-                    key: candidate,
-                    version,
-                    value: None,
-                    max_gap_version,
-                    steps,
-                    rpc_calls,
-                });
+                return Some((candidate, version));
             }
             // A ghost: step over it. Only the buffers it headed can run dry.
-            probe = candidate;
+            walk.probe = candidate;
         }
+    }
+
+    /// Resolves every walk's real neighbour. The walks advance together:
+    /// each goes as far as its buffers carry it, and the buffers that ran
+    /// dry — of every walk — refill in one wave.
+    fn run_walks(&mut self, quorum: &[usize], walks: &mut [&mut Walk]) -> Result<(), SuiteError> {
+        loop {
+            let mut resolved = true;
+            for walk in walks.iter_mut().filter(|walk| walk.found.is_none()) {
+                walk.found = self.next_real(quorum, walk);
+                resolved &= walk.found.is_some();
+            }
+            if resolved {
+                return Ok(());
+            }
+            self.refill(quorum, walks, vec![Vec::new(); quorum.len()])?;
+        }
+    }
+
+    /// One wave of chain refills: quorum slot `s` is sent `lead[s]` followed
+    /// by one chain request of every walk that wants more of that member —
+    /// bare when that makes a single request, as one envelope otherwise, not
+    /// at all when there is nothing to ask (a client answers an empty
+    /// envelope itself). The chains are folded into their walks; the replies
+    /// to the lead requests are returned per slot.
+    fn refill(
+        &mut self,
+        quorum: &[usize],
+        walks: &mut [&mut Walk],
+        lead: Vec<Vec<BatchRequest>>,
+    ) -> Result<Vec<Vec<BatchReply>>, SuiteError> {
+        // What each walk asks of each slot is settled before any reply
+        // lands: folding one chain in can end the drought that asked.
+        let wanted: Vec<(usize, usize)> = walks
+            .iter()
+            .enumerate()
+            .flat_map(|(at, walk)| walk.refills().map(move |slot| (at, slot)))
+            .collect();
+        let mut envelopes = lead;
+        for &(at, slot) in &wanted {
+            envelopes[slot].push(walks[at].chain_from(slot));
+        }
+        let mut replies = vec![Vec::new(); quorum.len()];
+        let slots: Vec<usize> = (0..quorum.len())
+            .filter(|&slot| !envelopes[slot].is_empty())
+            .collect();
+        if slots.is_empty() {
+            return Ok(replies);
+        }
+        let targets: Vec<usize> = slots.iter().map(|&slot| quorum[slot]).collect();
+        let (sent, asked) = (&envelopes, &slots);
+        let waves = self.scatter(&targets, |at| match &sent[asked[at]][..] {
+            [only] => only.as_request(),
+            envelope => RepRequest::Batch(envelope),
+        });
+        for (&slot, wave) in slots.iter().zip(waves) {
+            replies[slot] = match wave? {
+                RepReply::Batch(parts) => parts,
+                bare => vec![bare.into_part()?],
+            };
+            if replies[slot].len() != envelopes[slot].len() {
+                return Err(protocol_violation("refill envelope arity"));
+            }
+        }
+        // The chains sit behind the lead replies, in the order asked.
+        for &(at, slot) in wanted.iter().rev() {
+            match replies[slot].pop() {
+                Some(BatchReply::Chain(chain)) => walks[at].integrate(slot, chain),
+                _ => return Err(protocol_violation("refill envelope missing chain reply")),
+            }
+        }
+        Ok(replies)
     }
 
     /// `DirSuiteDelete(x)` (Fig. 13): locates the real predecessor and real
     /// successor of `x`, copies them into any write-quorum member lacking
     /// them, and coalesces the range between them with a version exceeding
     /// every version previously associated with any key in the range.
+    ///
+    /// Three waves, each needing the answers to the one before: A is
+    /// [`read_plans`](Self::read_plans), B and C
+    /// [`apply_deletes`](Self::apply_deletes).
     ///
     /// # Errors
     ///
@@ -1414,109 +1520,175 @@ impl<C: RepClient> DirSuite<C> {
         let _span = self.obs.registry.span("suite.delete");
         // One scope: a value lookup, should one be needed, asks wave A's
         // read quorum.
-        self.with_session_scope(|s| s.delete_waves(key, &mut false))
+        self.with_session_scope(|s| {
+            let mut plan = [None];
+            s.read_plans(std::slice::from_ref(key), &[false], &mut plan)?;
+            match plan {
+                [Some(plan)] if plan.present => {
+                    let mut outs = s.apply_deletes(&[(key, plan)])?;
+                    Ok(outs.pop().expect("one outcome per key"))
+                }
+                _ => Err(SuiteError::NotFound { key: key.clone() }),
+            }
+        })
     }
 
-    /// Fig. 13 in three waves, each needing the answers to the one before.
-    /// **A** — the read-quorum collection carries the key's lookup and the
-    /// first chain request of both Fig. 12 walks, which then resolve on
-    /// those chains ([`neighbor_walk`](Self::neighbor_walk)); only a ghost
-    /// that leaves a buffer dry costs a further round. **B** — the
-    /// write-quorum collection carries a lookup of each real neighbour: who
-    /// lacks it and, from a holder of its current version, the value to
-    /// copy. **C** — every write-quorum member gets the copies it lacks and
-    /// the coalesce in one envelope.
-    ///
-    /// `started` makes the body presence-agnostic for
-    /// [`delete_many`](DirSuite::delete_many), which re-drives a
-    /// half-coalesced key: its merged lookup may already answer absent, and
-    /// the coalesce removes whatever remains. An absent key never started
-    /// is [`SuiteError::NotFound`] before anything is written.
-    fn delete_waves(&mut self, key: &Key, started: &mut bool) -> Result<DeleteOutcome, SuiteError> {
+    /// Wave A of Fig. 13 for every key of `keys` whose plan is missing: the
+    /// read-quorum collection carries, per key, its lookup and the first
+    /// chain request of both Fig. 12 walks, which then resolve together on
+    /// those chains; only a ghost that leaves a buffer dry costs a further
+    /// round. A key that reads absent and was never `attempted` gets a plan
+    /// whose walks do not run ([`SuiteError::NotFound`] before anything is
+    /// written); an attempted key may be half-coalesced and is planned
+    /// whatever its lookup answers.
+    fn read_plans(
+        &mut self,
+        keys: &[Key],
+        attempted: &[bool],
+        plans: &mut [Option<DeletePlan>],
+    ) -> Result<(), SuiteError> {
         let batch = self.neighbor_batch;
-        let wave_a = [
-            BatchRequest::Lookup(key.clone()),
-            BatchRequest::SuccessorChain(key.clone(), batch),
-            BatchRequest::PredecessorChain(key.clone(), batch),
-        ];
+        let wave_a: Vec<BatchRequest> = (0..keys.len())
+            .filter(|&i| plans[i].is_none())
+            .flat_map(|i| {
+                let key = || keys[i].clone();
+                [
+                    BatchRequest::Lookup(key()),
+                    BatchRequest::SuccessorChain(key(), batch),
+                    BatchRequest::PredecessorChain(key(), batch),
+                ]
+            })
+            .collect();
+        let Some(BatchRequest::Lookup(first)) = wave_a.first() else {
+            return Ok(());
+        };
         let carried = Some(RepRequest::Batch(&wave_a));
-        let read = self.collect_quorum(QuorumKind::Read, Some(key), carried)?;
+        let read = self.collect_quorum(QuorumKind::Read, Some(first), carried)?;
         let readers = read.members;
-        let mut votes = Vec::with_capacity(readers.len());
-        let (mut succ_seeds, mut pred_seeds) = (Vec::new(), Vec::new());
-        for (&i, reply) in readers.iter().zip(read.replies) {
-            match <[BatchReply; 3]>::try_from(reply.batch()?) {
-                Ok(
-                    [BatchReply::Lookup(vote), BatchReply::Chain(succ), BatchReply::Chain(pred)],
-                ) => {
-                    votes.push((i, vote));
-                    succ_seeds.push(succ);
-                    pred_seeds.push(pred);
-                }
-                _ => return Err(protocol_violation("delete envelope reply")),
+        let mut replies = Vec::with_capacity(readers.len());
+        for reply in read.replies {
+            let parts = reply.batch()?;
+            if parts.len() != wave_a.len() {
+                return Err(protocol_violation("delete envelope arity"));
             }
+            replies.push(parts.into_iter());
         }
-        let target = self.merge_votes(key, votes);
-        if !target.is_present() && !*started {
-            return Err(SuiteError::NotFound { key: key.clone() });
+        for (key, plan) in keys.iter().zip(plans.iter_mut()) {
+            if plan.is_some() {
+                continue;
+            }
+            let mut votes = Vec::with_capacity(readers.len());
+            let mut succ = Walk::new(Direction::Succ, key, readers.len(), batch);
+            let mut pred = Walk::new(Direction::Pred, key, readers.len(), batch);
+            for (slot, parts) in replies.iter_mut().enumerate() {
+                match (parts.next(), parts.next(), parts.next()) {
+                    (
+                        Some(BatchReply::Lookup(vote)),
+                        Some(BatchReply::Chain(after)),
+                        Some(BatchReply::Chain(before)),
+                    ) => {
+                        votes.push((readers[slot], vote));
+                        succ.integrate(slot, after);
+                        pred.integrate(slot, before);
+                    }
+                    _ => return Err(protocol_violation("delete envelope reply")),
+                }
+            }
+            let target = self.merge_votes(key, votes);
+            *plan = Some(DeletePlan {
+                present: target.is_present(),
+                version: target.version(),
+                succ,
+                pred,
+            });
         }
-        *started = true;
-        let succ = self.neighbor_walk(&readers, Direction::Succ, key, succ_seeds)?;
-        let pred = self.neighbor_walk(&readers, Direction::Pred, key, pred_seeds)?;
+        let mut walks: Vec<&mut Walk> = plans
+            .iter_mut()
+            .zip(attempted)
+            .filter_map(|(plan, &attempted)| plan.as_mut().filter(|p| p.present || attempted))
+            .flat_map(|plan| [&mut plan.succ, &mut plan.pred])
+            .collect();
+        self.run_walks(&readers, &mut walks)
+    }
 
+    /// Waves B and C of Fig. 13 for planned keys whose neighbour ranges are
+    /// pairwise disjoint. **B** — the write-quorum collection carries, per
+    /// key, a lookup of each real neighbour: who lacks it and, from a holder
+    /// of its current version, the value to copy. **C** — every write-quorum
+    /// member gets one envelope: per key the copies it lacks (a neighbour
+    /// two keys share is copied once), then the coalesce — bare for a single
+    /// key at a member that lacks nothing.
+    fn apply_deletes(
+        &mut self,
+        group: &[(&Key, DeletePlan)],
+    ) -> Result<Vec<DeleteOutcome>, SuiteError> {
         // "Make sure the predecessor and successor exist in every member of
         // the quorum." Sentinels are probed too (present everywhere, never
-        // copied): an empty envelope would contact nobody.
-        let neighbors = [&succ, &pred];
-        let wave_b = neighbors.map(|nb| BatchRequest::Lookup(nb.key.clone()));
+        // copied): an empty envelope would contact nobody. Neighbour `2g` is
+        // group key `g`'s successor, `2g + 1` its predecessor.
+        let neighbor = |n: usize| {
+            let plan = &group[n / 2].1;
+            let (key, version) = [&plan.succ, &plan.pred][n % 2]
+                .found
+                .as_ref()
+                .expect("planned");
+            (key, *version)
+        };
+        let probed = 2 * group.len();
+        let wave_b: Vec<BatchRequest> = (0..probed)
+            .map(|n| BatchRequest::Lookup(neighbor(n).0.clone()))
+            .collect();
         let carried = Some(RepRequest::Batch(&wave_b));
-        let write = self.collect_quorum(QuorumKind::Write, Some(key), carried)?;
+        let write = self.collect_quorum(QuorumKind::Write, Some(group[0].0), carried)?;
         let writers = write.members;
-        let mut lacking = Vec::with_capacity(writers.len());
-        let mut values: [Option<Value>; 2] = [None, None];
+        // Writer by writer, which neighbours it lacks.
+        let mut lacking = Vec::with_capacity(writers.len() * probed);
+        let mut values: Vec<Option<Value>> = vec![None; probed];
         for reply in write.replies {
-            let Ok(probes) = <[BatchReply; 2]>::try_from(reply.batch()?) else {
+            let probes = reply.batch()?;
+            if probes.len() != probed {
                 return Err(protocol_violation("probe envelope arity"));
-            };
-            let mut lacks = [false; 2];
+            }
             for (n, probe) in probes.into_iter().enumerate() {
                 match probe {
                     BatchReply::Lookup(LookupReply::Present { version, value }) => {
-                        if version == neighbors[n].version {
+                        if version == neighbor(n).1 {
                             values[n] = Some(value);
                         }
+                        lacking.push(false);
                     }
-                    BatchReply::Lookup(LookupReply::Absent { .. }) => lacks[n] = true,
+                    BatchReply::Lookup(LookupReply::Absent { .. }) => lacking.push(true),
                     _ => return Err(protocol_violation("probe envelope missing lookup reply")),
                 }
             }
-            lacking.push(lacks);
         }
         // 2W > N puts a holder of each neighbour's current version in every
         // write quorum; should none have answered, the read quorum has it.
         for (n, value) in values.iter_mut().enumerate() {
-            if value.is_none() && lacking.iter().any(|lacks| lacks[n]) {
-                *value = self.lookup(&neighbors[n].key)?.value;
+            if value.is_none() && lacking.chunks(probed).any(|lacks| lacks[n]) {
+                *value = self.lookup(neighbor(n).0)?.value;
             }
         }
 
-        // "The version number of the coalesced gap must be higher than the
-        // maximum of any version numbers in the range coalesced."
-        let gap_version = succ
-            .max_gap_version
-            .max(pred.max_gap_version)
-            .max(target.version())
-            .next();
         let wave_c: Vec<Vec<BatchRequest>> = lacking
-            .iter()
+            .chunks(probed)
             .map(|lacks| {
-                let copies = (0..2).filter(|&n| lacks[n]).map(|n| {
-                    let value = values[n].clone().expect("a real neighbor has a value");
-                    BatchRequest::Insert(neighbors[n].key.clone(), neighbors[n].version, value)
-                });
-                let coalesce =
-                    BatchRequest::Coalesce(pred.key.clone(), succ.key.clone(), gap_version);
-                copies.chain([coalesce]).collect()
+                let mut envelope = Vec::with_capacity(group.len());
+                for (g, (_, plan)) in group.iter().enumerate() {
+                    for n in [2 * g, 2 * g + 1] {
+                        let (key, version) = neighbor(n);
+                        let copied = |req: &BatchRequest| {
+                            matches!(req, BatchRequest::Insert(already, ..) if already == key)
+                        };
+                        if lacks[n] && !envelope.iter().any(copied) {
+                            let value = values[n].clone().expect("a real neighbor has a value");
+                            envelope.push(BatchRequest::Insert(key.clone(), version, value));
+                        }
+                    }
+                    let (low, high) = (neighbor(2 * g + 1).0.clone(), neighbor(2 * g).0.clone());
+                    envelope.push(BatchRequest::Coalesce(low, high, plan.gap_version()));
+                }
+                envelope
             })
             .collect();
         let wave_c_ref = &wave_c;
@@ -1524,37 +1696,50 @@ impl<C: RepClient> DirSuite<C> {
             [coalesce] => coalesce.as_request(),
             envelope => RepRequest::Batch(envelope),
         });
-        let mut entries_in_range = Vec::with_capacity(writers.len());
-        let mut ghosts_deleted = 0u32;
-        for (&i, outcome) in writers.iter().zip(outcomes) {
-            let out = match outcome? {
-                RepReply::Batch(mut parts) => match parts.pop() {
-                    Some(BatchReply::Coalesce(out)) => out,
-                    _ => return Err(protocol_violation("copy envelope missing coalesce reply")),
-                },
-                bare => bare.coalesce()?,
+        let quorum = self.ids_of(&writers);
+        let mut outs: Vec<DeleteOutcome> = group
+            .iter()
+            .enumerate()
+            .map(|(g, (_, plan))| DeleteOutcome {
+                predecessor: neighbor(2 * g + 1).0.clone(),
+                successor: neighbor(2 * g).0.clone(),
+                gap_version: plan.gap_version(),
+                copies_inserted: lacking
+                    .chunks(probed)
+                    .map(|lacks| u32::from(lacks[2 * g]) + u32::from(lacks[2 * g + 1]))
+                    .sum(),
+                entries_in_range: Vec::with_capacity(writers.len()),
+                ghosts_deleted: 0,
+                pred_steps: plan.pred.steps,
+                succ_steps: plan.succ.steps,
+                pred_rpcs: plan.pred.rpc_calls,
+                succ_rpcs: plan.succ.rpc_calls,
+                quorum: quorum.clone(),
+            })
+            .collect();
+        for (&id, outcome) in quorum.iter().zip(outcomes) {
+            // The coalesce replies, in group order, whether they came bare
+            // or between the replies to the copies.
+            let (bare, parts) = match outcome? {
+                RepReply::Batch(parts) => (None, parts),
+                bare => (Some(bare.coalesce()?), Vec::new()),
             };
-            entries_in_range.push((self.members[i].client.id(), out.removed.len()));
-            ghosts_deleted += out
-                .removed
-                .iter()
-                .filter(|r| Key::User(r.key.clone()) != *key)
-                .count() as u32;
+            let enveloped = parts.into_iter().filter_map(|part| match part {
+                BatchReply::Coalesce(out) => Some(out),
+                _ => None,
+            });
+            let mut coalesced = bare.into_iter().chain(enveloped);
+            for ((key, _), out) in group.iter().zip(&mut outs) {
+                let Some(done) = coalesced.next() else {
+                    return Err(protocol_violation("copy envelope missing coalesce reply"));
+                };
+                out.entries_in_range.push((id, done.removed.len()));
+                let ghosts = done.removed.iter();
+                out.ghosts_deleted +=
+                    ghosts.filter(|r| Key::User(r.key.clone()) != **key).count() as u32;
+            }
         }
-
-        Ok(DeleteOutcome {
-            predecessor: pred.key,
-            successor: succ.key,
-            gap_version,
-            copies_inserted: lacking.iter().flatten().filter(|&&lacks| lacks).count() as u32,
-            entries_in_range,
-            ghosts_deleted,
-            pred_steps: pred.steps,
-            succ_steps: succ.steps,
-            pred_rpcs: pred.rpc_calls,
-            succ_rpcs: succ.rpc_calls,
-            quorum: self.ids_of(&writers),
-        })
+        Ok(outs)
     }
 
     /// Enumerates every entry in the suite in key order, by walking
@@ -1598,94 +1783,74 @@ impl<C: RepClient> DirSuite<C> {
         }
     }
 
-    /// One session-quorum sweep from `LOW` to `HIGH`. The quorum is
-    /// collected once and held ([`QuorumSession`]); every hop costs one
-    /// batched envelope per member carrying the candidate's lookup plus,
-    /// for members whose chain the hop drains, the next chain refill — so a
-    /// failure-free scan pays one quorum collection and roughly one RPC
-    /// round-trip per entry instead of the per-hop baseline's three-plus.
+    /// One session-quorum sweep from `LOW` to `HIGH` in
+    /// `O(entries / bulk_chunk)` waves. The read-quorum collection carries
+    /// `SuccessorChain(LOW, bulk_chunk)`; candidates are then judged from
+    /// the buffered chain heads as the searches judge them
+    /// ([`next_real`](Self::next_real)). Whenever a buffer runs dry one wave
+    /// sends each member a single envelope: the lookups of the entries
+    /// resolved since the last wave that were assigned to it, and its next
+    /// chain request. A last wave fetches the values still owed.
+    ///
+    /// A value is asked of the least loaded member whose chain head voted
+    /// the winning version and must come back at that version — both reads
+    /// sit under the member's range locks — or the scan fails: never a
+    /// silently stale listing.
     fn scan_walk(&mut self) -> Result<Vec<(crate::key::UserKey, Value)>, SuiteError> {
-        let batch = self.neighbor_batch;
-        let dir = Direction::Succ;
-        let quorum = self.collect_quorum(QuorumKind::Read, None, None)?.members;
-        let mut walk = NeighborChains::new(dir, &Key::Low, quorum.len());
-        let mut out = Vec::new();
-        let mut probe = Key::Low;
-        // The scan reports logical contents only, but gap versions fold the
-        // same way the searches fold them, keeping the chain bookkeeping
-        // identical.
-        let mut max_gap_version = Version::ZERO;
-        loop {
-            // Re-assert the session each hop: a cached, no-RPC check while
-            // the session holds. `suite.session.reuse` counts the ping
-            // waves this saved over per-hop collection.
-            let hop_quorum = self.collect_quorum(QuorumKind::Read, None, None)?.members;
-            debug_assert_eq!(hop_quorum, quorum, "session quorum changed mid-walk");
-            walk.discard_passed(&probe, &mut max_gap_version);
-            let refills = walk.refills();
-            if !refills.is_empty() {
-                let targets: Vec<usize> = refills.iter().map(|&(qi, _)| quorum[qi]).collect();
-                let refills_ref = &refills;
-                let waves = self.scatter(&targets, |slot| {
-                    RepRequest::SuccessorChain(&refills_ref[slot].1, batch)
-                });
-                for (slot, wave) in waves.into_iter().enumerate() {
-                    let chain = wave?.chain()?;
-                    walk.integrate(refills[slot].0, chain, &probe, &mut max_gap_version);
-                }
-            }
-            let candidate = match walk.candidate(&mut max_gap_version) {
-                // The HIGH sentinel is unconditionally present at every
-                // representative, so unlike the searches the scan skips its
-                // closing lookup: it carries no information.
-                Key::High => return Ok(out),
-                other => other,
-            };
-            // One envelope per member: the candidate's lookup, plus a chain
-            // prefetch for members this hop leaves dry so the next hop
-            // needs no separate refill wave.
-            let envelopes: Vec<Vec<BatchRequest>> = (0..quorum.len())
-                .map(|qi| {
-                    let mut reqs = vec![BatchRequest::Lookup(candidate.clone())];
-                    if let Some(from) = walk.prefetch_from(qi, &candidate) {
-                        reqs.push(BatchRequest::SuccessorChain(from, batch));
-                    }
-                    reqs
-                })
-                .collect();
-            let envelopes_ref = &envelopes;
-            let waves = self.scatter(&quorum, |slot| RepRequest::Batch(&envelopes_ref[slot]));
-            // Every member's lookup participates in the merge — ghost
-            // detection needs the full quorum's votes, exactly as
-            // `DirSuiteLookup` merges them.
-            let mut best: Option<LookupReply> = None;
-            for (qi, wave) in waves.into_iter().enumerate() {
-                let mut parts = wave?.batch()?.into_iter();
-                match parts.next() {
-                    Some(BatchReply::Lookup(reply)) => {
-                        best = Some(match best {
-                            None => reply,
-                            Some(cur) => pick_reply(cur, reply),
-                        });
-                    }
-                    _ => return Err(protocol_violation("batch envelope missing lookup reply")),
-                }
-                if envelopes[qi].len() > 1 {
-                    match parts.next() {
-                        Some(BatchReply::Chain(chain)) => {
-                            walk.integrate(qi, chain, &probe, &mut max_gap_version);
-                        }
-                        _ => return Err(protocol_violation("batch envelope missing chain reply")),
-                    }
-                }
-            }
-            if let LookupReply::Present { value, .. } = best.expect("quorum is never empty") {
-                if let Key::User(u) = &candidate {
-                    out.push((u.clone(), value));
-                }
-            }
-            probe = candidate;
+        let chunk = self.bulk_chunk;
+        let carried = Some(RepRequest::SuccessorChain(&Key::Low, chunk));
+        let read = self.collect_quorum(QuorumKind::Read, None, carried)?;
+        let quorum = read.members;
+        let mut walk = Walk::new(Direction::Succ, &Key::Low, quorum.len(), chunk);
+        // Every wave extends every buffer, so the walk waits only as often
+        // as the member with the most entries and ghosts runs dry.
+        walk.top_up = true;
+        for (slot, reply) in read.replies.into_iter().enumerate() {
+            walk.integrate(slot, reply.chain()?);
         }
+        let mut listed: Vec<(crate::key::UserKey, Option<Value>)> = Vec::new();
+        // Per quorum slot: the lookups its next envelope carries, and for
+        // each the place its value goes and the version it must have.
+        let mut asks = vec![Vec::new(); quorum.len()];
+        let mut owed = vec![Vec::new(); quorum.len()];
+        while walk.found.is_none() {
+            // As far as the buffers carry: to a dry one, or to HIGH — which
+            // every representative holds, so it ends the walk unasked.
+            while let Some((candidate, version)) = self.next_real(&quorum, &mut walk) {
+                let Key::User(entry) = &candidate else {
+                    walk.found = Some((candidate, version));
+                    break;
+                };
+                let holders = walk.holders(&candidate, version);
+                let slot = holders
+                    .min_by_key(|&slot| asks[slot].len())
+                    .expect("the winning version heads a chain");
+                asks[slot].push(BatchRequest::Lookup(candidate.clone()));
+                owed[slot].push((listed.len(), version));
+                listed.push((entry.clone(), None));
+                walk.probe = candidate;
+            }
+            let lead = std::mem::replace(&mut asks, vec![Vec::new(); quorum.len()]);
+            let answers = self.refill(&quorum, &mut [&mut walk], lead)?;
+            for (owed, parts) in owed.iter_mut().zip(answers) {
+                for ((at, voted), part) in owed.drain(..).zip(parts) {
+                    match part {
+                        BatchReply::Lookup(LookupReply::Present { version, value })
+                            if version == voted =>
+                        {
+                            listed[at].1 = Some(value);
+                        }
+                        _ => return Err(protocol_violation("scan value not at its voted version")),
+                    }
+                }
+            }
+        }
+        let fetched =
+            |value: Option<Value>| value.expect("asked in the wave after it was resolved");
+        Ok(listed
+            .into_iter()
+            .map(|(key, value)| (key, fetched(value)))
+            .collect())
     }
 
     fn require_user_key(&self, key: &Key) -> Result<(), SuiteError> {
@@ -1725,9 +1890,9 @@ impl<C: RepClient> DirSuite<C> {
     ///
     /// `carry` is the request the caller would send the quorum next. Given
     /// one, collecting *is* sending it — the members that answer it are the
-    /// quorum (§3.1) — so a point operation pays no ping round. Without one
-    /// (a scan, a public neighbour search, a bulk insert) candidates are
-    /// pinged. Requests go out in *waves*
+    /// quorum (§3.1) — so neither a point operation nor a bulk one pays a
+    /// ping round. Without one (a public neighbour search, a session
+    /// re-validation) candidates are pinged. Requests go out in *waves*
     /// ([`collect_votes`](Self::collect_votes)); within a wave the first
     /// votes to *arrive* win, and the quorum is then arranged back into
     /// preference order so downstream waves address members
@@ -2034,17 +2199,10 @@ impl<C: RepClient> DirSuite<C> {
                 };
                 match &self.stale_sink {
                     Some(sink) => sink.push(vote),
-                    // Coalesce per (member, key), keeping the latest
+                    // Coalesced per (member, key), keeping the latest
                     // observation: a key that is read repeatedly while
                     // stale must cost one targeted pull, not one per read.
-                    None => match self
-                        .stale_votes
-                        .iter_mut()
-                        .find(|v| v.member == member && v.key == *key)
-                    {
-                        Some(existing) => *existing = vote,
-                        None => self.stale_votes.push(vote),
-                    },
+                    None => self.stale_votes.note(vote),
                 }
             }
         }
@@ -2111,14 +2269,6 @@ impl Direction {
         }
     }
 
-    /// The request for up to `limit` successive neighbors of `from`.
-    fn chain(self, from: &Key, limit: usize) -> RepRequest<'_> {
-        match self {
-            Direction::Pred => RepRequest::PredecessorChain(from, limit),
-            Direction::Succ => RepRequest::SuccessorChain(from, limit),
-        }
-    }
-
     /// Whether `a` lies strictly beyond `b` in walk direction (closer to
     /// the terminal side boundary, i.e. a valid next step from probe `b`).
     fn beyond(self, a: &Key, b: &Key) -> bool {
@@ -2158,105 +2308,133 @@ fn pick_reply(a: LookupReply, b: LookupReply) -> LookupReply {
     }
 }
 
-/// Consumes buffered chain elements the neighbor walk has already passed
-/// (keys not strictly beyond `probe` in walk direction), folding their gap
-/// versions into `max_gap_version`: passed elements lie inside the searched
-/// range, so folding them keeps the eventual coalesce version safely
-/// dominant over everything the range ever held.
-fn discard_passed(
-    chain: &mut std::collections::VecDeque<crate::gapmap::NeighborReply>,
-    dir: Direction,
-    probe: &Key,
-    max_gap_version: &mut Version,
-) {
-    while let Some(front) = chain.front() {
-        if dir.beyond(&front.key, probe) {
-            break;
-        }
-        let consumed = chain.pop_front().expect("front exists");
-        *max_gap_version = (*max_gap_version).max(consumed.gap_version);
-    }
-}
-
 fn protocol_violation(what: &str) -> SuiteError {
     SuiteError::Rep(RepError::Storage(format!("protocol violation: {what}")))
 }
 
-/// The per-member chain buffers a Fig. 12 walk holds: for each quorum slot,
-/// successive [`NeighborReply`](crate::gapmap::NeighborReply)s not yet
-/// consumed (keys strictly monotonic toward the terminal) plus the key the
-/// member's next chain RPC continues from. Shared by the neighbor searches
-/// and the session scan so the discard/refill bookkeeping lives in one
-/// place.
-struct NeighborChains {
-    dir: Direction,
-    chains: Vec<std::collections::VecDeque<crate::gapmap::NeighborReply>>,
-    next_probe: Vec<Key>,
+/// One member's part of a [`Walk`]: the successive
+/// [`NeighborReply`](crate::gapmap::NeighborReply)s not yet consumed (keys
+/// strictly monotonic toward the terminal) and the key its next chain
+/// request continues from.
+#[derive(Clone)]
+struct Buffered {
+    chain: std::collections::VecDeque<crate::gapmap::NeighborReply>,
+    next_probe: Key,
 }
 
-impl NeighborChains {
-    fn new(dir: Direction, start: &Key, slots: usize) -> Self {
-        NeighborChains {
+/// One Fig. 12 walk in progress: what each quorum slot has buffered, and
+/// `probe`, how far the walk has come. The neighbour searches, delete's
+/// plans and the scan all step through [`DirSuite::next_real`] and refill
+/// through [`DirSuite::refill`], so the discard/refill bookkeeping lives in
+/// one place.
+struct Walk {
+    dir: Direction,
+    slots: Vec<Buffered>,
+    /// How many successive results each chain request asks for.
+    batch: usize,
+    /// Whether a refill wave extends every buffer that can still advance
+    /// (the scan, which consumes them all) or only the dry ones.
+    top_up: bool,
+    /// Everything not strictly beyond this key is passed.
+    probe: Key,
+    /// The largest gap version seen inside the searched range: passed
+    /// elements and every judged candidate's gaps lie inside it, so folding
+    /// them keeps the eventual coalesce version dominant over everything
+    /// the range ever held.
+    max_gap_version: Version,
+    /// Candidates judged.
+    steps: u32,
+    /// Chain replies folded in.
+    rpc_calls: u32,
+    /// The real neighbour and its version, once resolved.
+    found: Option<(Key, Version)>,
+}
+
+impl Walk {
+    fn new(dir: Direction, start: &Key, slots: usize, batch: usize) -> Self {
+        let empty = Buffered {
+            chain: std::collections::VecDeque::new(),
+            next_probe: start.clone(),
+        };
+        Walk {
             dir,
-            chains: vec![std::collections::VecDeque::new(); slots],
-            next_probe: vec![start.clone(); slots],
+            slots: vec![empty; slots],
+            batch,
+            top_up: false,
+            probe: start.clone(),
+            max_gap_version: Version::ZERO,
+            steps: 0,
+            rpc_calls: 0,
+            found: None,
         }
     }
 
-    /// Applies [`discard_passed`] to every slot.
-    fn discard_passed(&mut self, probe: &Key, max_gap_version: &mut Version) {
-        for chain in &mut self.chains {
-            discard_passed(chain, self.dir, probe, max_gap_version);
+    /// Consumes the buffered elements the walk has already passed (keys not
+    /// strictly beyond `probe`), folding their gap versions.
+    fn discard_passed(&mut self) {
+        for slot in &mut self.slots {
+            while let Some(head) = slot.chain.front() {
+                if self.dir.beyond(&head.key, &self.probe) {
+                    break;
+                }
+                self.max_gap_version = self.max_gap_version.max(head.gap_version);
+                slot.chain.pop_front();
+            }
         }
     }
 
-    /// Slots whose buffer ran dry but whose member can still advance:
-    /// `(slot, continue-from key)` pairs, ready for one refill wave.
-    fn refills(&self) -> Vec<(usize, Key)> {
-        let terminal = self.dir.terminal();
-        (0..self.chains.len())
-            .filter(|&qi| self.chains[qi].front().is_none() && self.next_probe[qi] != terminal)
-            .map(|qi| (qi, self.next_probe[qi].clone()))
-            .collect()
+    /// Whether `slot`'s member has more chain to give.
+    fn advanceable(&self, slot: usize) -> bool {
+        self.slots[slot].next_probe != self.dir.terminal()
     }
 
-    /// Folds one refill (or prefetch) result into `slot`: advances the
-    /// continue-from key — an empty chain means the member is exhausted —
-    /// then re-discards elements the walk has already passed.
-    fn integrate(
-        &mut self,
-        slot: usize,
-        chain: Vec<crate::gapmap::NeighborReply>,
-        probe: &Key,
-        max_gap_version: &mut Version,
-    ) {
-        self.next_probe[slot] = match chain.last() {
+    /// Whether a buffer ran dry while its member can still advance: no
+    /// candidate can be judged before a refill.
+    fn is_dry(&self) -> bool {
+        let dry = |slot: usize| self.slots[slot].chain.is_empty() && self.advanceable(slot);
+        (0..self.slots.len()).any(dry)
+    }
+
+    /// The slots the next refill wave asks for more chain.
+    fn refills(&self) -> impl Iterator<Item = usize> + '_ {
+        let wanted = self.found.is_none() && self.is_dry();
+        (0..self.slots.len()).filter(move |&slot| {
+            let dry = self.slots[slot].chain.is_empty();
+            wanted && (dry || self.top_up) && self.advanceable(slot)
+        })
+    }
+
+    /// `slot`'s next chain request.
+    fn chain_from(&self, slot: usize) -> BatchRequest {
+        let from = self.slots[slot].next_probe.clone();
+        match self.dir {
+            Direction::Pred => BatchRequest::PredecessorChain(from, self.batch),
+            Direction::Succ => BatchRequest::SuccessorChain(from, self.batch),
+        }
+    }
+
+    /// Folds one chain reply into `slot`: advances the continue-from key —
+    /// an empty chain means the member is exhausted — and buffers the rest.
+    fn integrate(&mut self, slot: usize, chain: Vec<crate::gapmap::NeighborReply>) {
+        self.rpc_calls += 1;
+        let slot = &mut self.slots[slot];
+        slot.next_probe = match chain.last() {
             Some(last) => last.key.clone(),
             None => self.dir.terminal(),
         };
-        self.chains[slot].extend(chain);
-        discard_passed(&mut self.chains[slot], self.dir, probe, max_gap_version);
+        slot.chain.extend(chain);
     }
 
     /// Each slot's answer for the current probe — the terminal with version
     /// zero for an exhausted member — folded into the closest answer across
     /// the quorum, with every answer's gap version folded into
     /// `max_gap_version`.
-    fn candidate(&self, max_gap_version: &mut Version) -> Key {
-        let terminal = self.dir.terminal();
-        let mut candidate = terminal.clone();
-        for chain in &self.chains {
-            let answer = match chain.front() {
-                Some(front) => front.clone(),
-                None => crate::gapmap::NeighborReply {
-                    key: terminal.clone(),
-                    entry_version: Version::ZERO,
-                    gap_version: Version::ZERO,
-                },
-            };
-            *max_gap_version = (*max_gap_version).max(answer.gap_version);
-            if self.dir.closer(&answer.key, &candidate) {
-                candidate = answer.key;
+    fn candidate(&mut self) -> Key {
+        let mut candidate = self.dir.terminal();
+        for head in self.slots.iter().filter_map(|slot| slot.chain.front()) {
+            self.max_gap_version = self.max_gap_version.max(head.gap_version);
+            if self.dir.closer(&head.key, &candidate) {
+                candidate = head.key.clone();
             }
         }
         candidate
@@ -2266,32 +2444,75 @@ impl NeighborChains {
     /// head: `(true, entry version)` where the head is the candidate,
     /// `(false, gap version)` where it lies beyond — the candidate then sits
     /// in the gap the head closes.
-    fn votes_on(&self, candidate: &Key) -> Vec<(bool, Version)> {
-        self.chains
-            .iter()
-            .map(|chain| match chain.front() {
-                Some(head) if head.key == *candidate => (true, head.entry_version),
-                Some(head) => (false, head.gap_version),
-                // Exhausted: at the terminal, as `candidate` reads it.
-                None => (true, Version::ZERO),
-            })
-            .collect()
+    fn votes_on<'a>(&'a self, candidate: &'a Key) -> impl Iterator<Item = (bool, Version)> + 'a {
+        self.slots.iter().map(move |slot| match slot.chain.front() {
+            Some(head) if head.key == *candidate => (true, head.entry_version),
+            Some(head) => (false, head.gap_version),
+            // Exhausted: at the terminal, as `candidate` reads it.
+            None => (true, Version::ZERO),
+        })
     }
 
-    /// Where `slot`'s next refill would continue from, iff consuming
-    /// `candidate` leaves its buffer dry while the member can still
-    /// advance. The scan walk piggybacks that refill onto the candidate's
-    /// lookup envelope, sparing the next hop a separate refill wave.
-    fn prefetch_from(&self, slot: usize, candidate: &Key) -> Option<Key> {
-        if self.next_probe[slot] == self.dir.terminal() {
-            return None;
+    /// The slots whose head is `candidate` at `version`: the members that
+    /// hold the entry the quorum voted for.
+    fn holders<'a>(
+        &'a self,
+        candidate: &'a Key,
+        version: Version,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..self.slots.len()).filter(move |&slot| {
+            let head = self.slots[slot].chain.front();
+            head.is_some_and(|head| head.key == *candidate && head.entry_version == version)
+        })
+    }
+
+    /// The finished walk as a public search result; it carries no value.
+    fn search(self) -> NeighborSearch {
+        let (key, version) = self.found.expect("the walk has run");
+        NeighborSearch {
+            key,
+            version,
+            value: None,
+            max_gap_version: self.max_gap_version,
+            steps: self.steps,
+            rpc_calls: self.rpc_calls,
         }
-        let chain = &self.chains[slot];
-        let consuming = chain.front().is_some_and(|front| front.key == *candidate);
-        if chain.len() <= usize::from(consuming) {
-            Some(self.next_probe[slot].clone())
-        } else {
-            None
+    }
+}
+
+/// What wave A and the Fig. 12 walks established about one key of a delete.
+struct DeletePlan {
+    /// The merged `DirSuiteLookup(key)`: whether the key has an entry, and
+    /// its entry or gap version.
+    present: bool,
+    version: Version,
+    succ: Walk,
+    pred: Walk,
+}
+
+impl DeletePlan {
+    /// "The version number of the coalesced gap must be higher than the
+    /// maximum of any version numbers in the range coalesced."
+    fn gap_version(&self) -> Version {
+        let searched = self.succ.max_gap_version.max(self.pred.max_gap_version);
+        searched.max(self.version).next()
+    }
+
+    /// The key's neighbour range `(predecessor, successor)`; none when its
+    /// walks never ran (an absent key).
+    fn range(&self) -> Option<(&Key, &Key)> {
+        Some((&self.pred.found.as_ref()?.0, &self.succ.found.as_ref()?.0))
+    }
+
+    /// Whether the two keys' neighbour ranges overlap as open intervals.
+    /// Ranges that merely share an endpoint do not: that entry survives both
+    /// coalesces.
+    fn overlaps(&self, other: &DeletePlan) -> bool {
+        match (self.range(), other.range()) {
+            (Some((low, high)), Some((other_low, other_high))) => {
+                low < other_high && other_low < high
+            }
+            _ => false,
         }
     }
 }
@@ -2581,17 +2802,16 @@ mod tests {
 
     #[test]
     fn member_death_between_collect_and_call_survives_only_under_a_held_session() {
-        // Walks still ping (one collection amortised over many hops), so the
-        // window exists for them: member 0 dies the instant it finishes
-        // voting and the walk's first data wave hits a corpse. The held
-        // session is re-validated once and the walk completes on the
-        // survivors.
+        // A public neighbour search still pings, so the window exists for
+        // it: member 0 dies the instant it finishes voting and the walk's
+        // first data wave hits a corpse. The held session is re-validated
+        // once and the walk completes on the survivors.
         let clients: Vec<DiesAfterPing> = (0..3)
             .map(|i| DiesAfterPing::new(LocalRep::new(RepId(i)), i == 0))
             .collect();
         let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
         let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        assert!(s.scan().unwrap().is_empty());
+        assert_eq!(s.real_successor(&Key::Low).unwrap().key, Key::High);
         assert_eq!(s.obs().counter("suite.session.revalidate").get(), 1);
         // Point operations never see it: the trap is spent, member 0 is
         // down, and a lookup is answered by the members that take it.
@@ -2778,8 +2998,9 @@ mod tests {
     #[test]
     fn hedged_ping_wave_wins_with_a_spare_over_a_straggler() {
         // Member 0 answers pings 80ms late; with a 2ms hedge delay the
-        // ping wave a walk collects with must duplicate to member 2 and
-        // close the quorum without waiting out the straggler.
+        // ping wave a public neighbour search collects with must duplicate
+        // to member 2 and close the quorum without waiting out the
+        // straggler.
         let clients = vec![
             Laggy::new(0, Duration::from_millis(80), Duration::ZERO),
             Laggy::new(1, Duration::ZERO, Duration::ZERO),
@@ -2792,7 +3013,7 @@ mod tests {
         let issued = s.obs().counter("suite.hedge.issued");
 
         let start = std::time::Instant::now();
-        assert!(s.scan().unwrap().is_empty());
+        assert_eq!(s.real_successor(&Key::Low).unwrap().key, Key::High);
         assert!(issued.get() >= 1, "the straggling ping must be hedged");
         assert!(
             start.elapsed() < Duration::from_millis(80),
@@ -2913,9 +3134,9 @@ mod tests {
         s.update(&k("a"), &val("A2")).unwrap();
         s.lookup(&k("a")).unwrap();
         s.delete(&k("c")).unwrap();
-        // The one operation here that pings: a scan's first waves differ
-        // per member, so its collection has nothing to carry.
-        s.scan().unwrap();
+        // The one operation here that pings: a public neighbour search
+        // collects its quorum before it has a request to carry.
+        s.real_successor(&k("a")).unwrap();
 
         let msgs = s.message_counts();
         let pings = s.ping_counts();
@@ -3182,10 +3403,10 @@ mod tests {
 
     #[test]
     fn scan_session_pays_one_quorum_collection() {
-        // The tentpole claim: a failure-free session scan collects its read
-        // quorum exactly once — one ping wave, one ping per quorum member —
-        // no matter how many entries it walks; every per-hop re-assert is
-        // answered from the session cache.
+        // A failure-free session scan collects its read quorum exactly once
+        // — the collection carries the first chain request, so nobody is
+        // pinged — and five entries fit one chain: a second wave fetches
+        // their values and that is all.
         let mut s = suite_322(31);
         s.set_policy(fixed(&[0, 1, 2]));
         for key in ["a", "b", "c", "d", "e"] {
@@ -3201,14 +3422,12 @@ mod tests {
             1,
             "failure-free scan must collect exactly one quorum"
         );
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
+        assert_eq!(s.message_counts(), vec![2, 2, 0]);
         assert_eq!(
-            s.ping_counts(),
-            vec![1, 1, 0],
-            "one ping per read-quorum member, none elsewhere"
-        );
-        assert!(
-            after.counter("suite.session.reuse") > before.counter("suite.session.reuse"),
-            "per-hop re-asserts must come from the session"
+            after.counter("suite.rounds") - before.counter("suite.rounds"),
+            2,
+            "the carried chain, then the values"
         );
         assert_eq!(
             after.counter("suite.session.revalidate"),
@@ -3285,31 +3504,40 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_chains_ghost_skip_reaches_high() {
-        // The chain helper at the keyspace's edge: one member still buffers
+    fn walk_ghost_skip_reaches_high() {
+        // The chain buffers at the keyspace's edge: one member still buffers
         // a trailing ghost, the other is exhausted. The ghost is the
-        // candidate (closer than HIGH); once the walk passes it every chain
-        // is dry, the candidate is HIGH, and the ghost's gap version stays
-        // folded — never lost.
+        // candidate (closer than HIGH); once the walk passes it that buffer
+        // is dry with chain left to fetch, the exhausted member asks for
+        // nothing, and after the refill the candidate is HIGH with the
+        // ghost's gap version still folded — never lost.
         let reply = |key: &Key, ev: u64, gv: u64| crate::gapmap::NeighborReply {
             key: key.clone(),
             entry_version: Version::from(ev),
             gap_version: Version::from(gv),
         };
-        let mut walk = NeighborChains::new(Direction::Succ, &k("w"), 2);
-        let mut max_gap = Version::ZERO;
-        walk.integrate(0, vec![reply(&k("z"), 3, 5)], &k("w"), &mut max_gap);
-        walk.integrate(1, vec![], &k("w"), &mut max_gap);
-        assert_eq!(walk.candidate(&mut max_gap), k("z"));
-        // Consuming the ghost leaves slot 0 dry with chain left to fetch;
-        // slot 1 is exhausted at HIGH and must not prefetch.
-        assert_eq!(walk.prefetch_from(0, &k("z")), Some(k("z")));
-        assert_eq!(walk.prefetch_from(1, &k("z")), None);
-        walk.discard_passed(&k("z"), &mut max_gap);
-        walk.integrate(0, vec![], &k("z"), &mut max_gap);
-        assert_eq!(walk.candidate(&mut max_gap), Key::High);
-        assert!(walk.refills().is_empty(), "no member can advance past HIGH");
-        assert_eq!(max_gap, Version::from(5));
+        let mut walk = Walk::new(Direction::Succ, &k("w"), 2, 1);
+        walk.integrate(0, vec![reply(&k("z"), 3, 5)]);
+        walk.integrate(1, vec![]);
+        assert!(!walk.is_dry());
+        assert_eq!(walk.candidate(), k("z"));
+        assert_eq!(
+            walk.votes_on(&k("z")).collect::<Vec<_>>(),
+            vec![(true, Version::from(3)), (true, Version::ZERO)]
+        );
+        assert_eq!(
+            walk.holders(&k("z"), Version::from(3)).collect::<Vec<_>>(),
+            vec![0]
+        );
+        walk.probe = k("z");
+        walk.discard_passed();
+        assert_eq!(walk.refills().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(walk.chain_from(0), BatchRequest::SuccessorChain(k("z"), 1));
+        walk.integrate(0, vec![]);
+        assert_eq!(walk.candidate(), Key::High);
+        assert_eq!(walk.refills().count(), 0, "no member can advance past HIGH");
+        assert_eq!(walk.max_gap_version, Version::from(5));
+        assert_eq!(walk.rpc_calls, 3);
     }
 
     /// Forwards to a [`LocalRep`] but kills the rep once a shared fuse
@@ -3431,9 +3659,14 @@ mod tests {
             2,
             "one read + one write collection for the whole batch"
         );
-        assert_eq!(s.ping_counts(), vec![2, 2, 0]);
-        // One discovery envelope and one write envelope per quorum member.
+        // One discovery envelope and one write envelope per quorum member,
+        // each carried by its collection.
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
         assert_eq!(s.message_counts(), vec![2, 2, 0]);
+        assert_eq!(
+            after.counter("suite.rounds") - before.counter("suite.rounds"),
+            2
+        );
         assert_eq!(
             after.counter("suite.bulk.ops") - before.counter("suite.bulk.ops"),
             1
@@ -3548,11 +3781,15 @@ mod tests {
     fn mid_batch_insert_failure_resumes_at_the_same_versions() {
         use std::sync::atomic::Ordering;
         let (mut s, fuses) = fused_suite();
-        // Member 0 dies inside the write envelope: the chunk's 8 discovery
-        // lookups tick first, so a fuse of 10 fires on its second insert —
-        // after the versions were assigned and after member 1 (fanned out
-        // concurrently) may have applied the whole envelope.
-        fuses[0].store(10, Ordering::SeqCst);
+        // Member 0 dies inside the second chunk's write envelope, which asks
+        // the held write session (the first chunk's waves collected the
+        // quorums, and a member lost there would simply be substituted):
+        // chunk one ticks 4 lookups + 4 inserts, chunk two 4 lookups, so a
+        // fuse of 14 fires on its second insert — after the versions were
+        // assigned and after member 1 (fanned out concurrently) may have
+        // applied the whole envelope.
+        s.set_bulk_chunk(4);
+        fuses[0].store(14, Ordering::SeqCst);
         let entries: Vec<(Key, Value)> = (0..8).map(|i| (k(&format!("n{i}")), val("v"))).collect();
         let out = s.insert_many(&entries).unwrap();
         // Every key landed exactly once, at the version assigned before the
@@ -3573,10 +3810,12 @@ mod tests {
     fn mid_batch_delete_failure_resumes_without_false_not_found() {
         use std::sync::atomic::Ordering;
         let (mut s, fuses) = fused_suite();
-        // Member 0 dies a few data RPCs into the batch — inside some key's
-        // lookup/search/copy/coalesce chain, possibly leaving that key
-        // half-coalesced at the surviving members.
-        fuses[0].store(6, Ordering::SeqCst);
+        // Member 0 dies as the first group's coalesce reaches it. Wave A
+        // plans all three keys (9 ticks, carried by the read collection);
+        // "b" overlaps "a", so "a" is a group of its own: two probes, then
+        // the twelfth request is its coalesce — which member 1 applies, so
+        // the key is left half-coalesced under the held sessions.
+        fuses[0].store(12, Ordering::SeqCst);
         let keys = [k("a"), k("b"), k("c")];
         s.delete_many(&keys).unwrap();
         for key in &keys {
@@ -3842,10 +4081,10 @@ mod tests {
         for _ in 0..3 {
             s.lookup(&k("b")).unwrap();
         }
-        // Votes bypass the local queue, land (coalesced) in the sink, and
-        // each observation fires the stale member's waker.
+        // Votes bypass the local queue and land (coalesced) in the sink; the
+        // repeats say nothing new, so the stale member is woken once.
         assert!(s.take_stale_votes().is_empty());
-        assert_eq!(woken.load(std::sync::atomic::Ordering::SeqCst), 3);
+        assert_eq!(woken.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert!(queue.drain_member(0).is_empty());
         let votes = queue.drain_member(2);
         assert_eq!(votes.len(), 1);
@@ -3879,6 +4118,104 @@ mod tests {
         assert_eq!(m0[1].key, k("b"));
         assert_eq!(queue.drain_all(), vec![vote(1, "a", 1)]);
         assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn stale_vote_queue_spills_and_wakes_once_per_new_observation() {
+        // An observation the queue already holds costs nothing: no spill
+        // (a WAL sync at the stale member), no wake-up. A newer `latest`
+        // for the same (member, key) is news again, spilled before it is
+        // queued before the waker fires.
+        let queue = Arc::new(StaleVoteQueue::new());
+        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
+        let (spilled, seen) = (Arc::clone(&log), Arc::clone(&queue));
+        queue.set_spill(Some(Box::new(move |vote| {
+            spilled.lock().push(("spill", vote.latest, seen.len()));
+        })));
+        let (woken, seen) = (Arc::clone(&log), Arc::clone(&queue));
+        queue.set_waker(
+            1,
+            Some(Box::new(move || {
+                woken.lock().push(("wake", Version::ZERO, seen.len()));
+            })),
+        );
+        let observed = |latest: u64| StaleVote {
+            member: 1,
+            key: k("a"),
+            seen: Version::ZERO,
+            latest: Version::new(latest),
+        };
+        for _ in 0..4 {
+            queue.push(observed(2));
+        }
+        queue.push(observed(3));
+        queue.push(observed(3));
+        assert_eq!(
+            *log.lock(),
+            vec![
+                ("spill", Version::new(2), 0),
+                ("wake", Version::ZERO, 1),
+                ("spill", Version::new(3), 1),
+                ("wake", Version::ZERO, 1),
+            ]
+        );
+        assert_eq!(queue.drain_all(), vec![observed(3)]);
+        // Drained: the same observation is news to the queue again.
+        queue.push(observed(3));
+        assert_eq!(log.lock().len(), 6);
+        // A waker installed over a backlog fires at once — repeats of what
+        // is queued would never rouse it.
+        let late = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = Arc::clone(&late);
+        let waker: VoteWaker = Box::new(move || {
+            count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        queue.set_waker(1, Some(waker));
+        assert_eq!(late.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn stale_votes_coalesce_through_an_index_in_observation_order() {
+        // Oldest first per (member, key), the newer observation replacing
+        // the older in place — and the slot is found through an index: a
+        // scan over a lagging member notes one vote per entry, which a
+        // list search made quadratic.
+        let vote = |member: usize, key: &Key, latest: u64| StaleVote {
+            member,
+            key: key.clone(),
+            seen: Version::ZERO,
+            latest: Version::new(latest),
+        };
+        let keys: Vec<Key> = (0..10_000).map(|i| k(&format!("k{i:05}"))).collect();
+        let started = std::time::Instant::now();
+        let queue = StaleVoteQueue::new();
+        let mut s = suite_322(70);
+        for round in 1..=2 {
+            for key in &keys {
+                queue.push(vote(2, key, round));
+                queue.restore(vote(0, key, round));
+                s.note_stale_votes(key, Version::new(round), [(2, Version::ZERO)]);
+            }
+        }
+        let local = s.take_stale_votes();
+        assert_eq!(queue.len(), 20_000);
+        let drained = queue.drain_member(2);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            started.elapsed()
+        );
+        let expect: Vec<StaleVote> = keys.iter().map(|key| vote(2, key, 2)).collect();
+        assert_eq!(drained, expect);
+        assert_eq!(local, expect);
+        // What stays behind keeps its order and its index.
+        queue.push(vote(0, &keys[1], 3));
+        queue.push(vote(0, &k("new"), 1));
+        let rest = queue.drain_all();
+        assert_eq!(rest.len(), 10_001);
+        assert_eq!(rest[0], vote(0, &keys[0], 2));
+        assert_eq!(rest[1], vote(0, &keys[1], 3));
+        assert_eq!(rest[10_000], vote(0, &k("new"), 1));
     }
 
     #[test]
@@ -3954,6 +4291,14 @@ mod tests {
     fn empty_envelope_is_never_carried_by_a_collection() {
         let mut s = suite_322(65);
         let _ = s.collect_quorum(QuorumKind::Read, None, Some(RepRequest::Batch(&[])));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an empty envelope cannot be scattered")]
+    fn empty_envelope_is_never_scattered() {
+        let mut s = suite_322(65);
+        let _ = s.scatter(&[0, 1], |_| RepRequest::Batch(&[]));
     }
 
     #[test]

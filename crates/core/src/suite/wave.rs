@@ -177,12 +177,20 @@ impl<C: RepClient> DirSuite<C> {
     /// One data wave: `req(slot)` to every target, all awaited, results in
     /// target order. Counters are bumped here in the coordinator, before the
     /// wave launches, which keeps the message counts exact whatever the
-    /// reply order.
+    /// reply order. A wave holding an empty envelope is refused whole: a
+    /// client answers one without a message, so it would count a request
+    /// nobody received.
     pub(super) fn scatter<'r>(
         &mut self,
         targets: &[usize],
         req: impl Fn(usize) -> RepRequest<'r>,
     ) -> Vec<RepResult<RepReply>> {
+        if (0..targets.len()).any(|slot| matches!(req(slot), RepRequest::Batch([]))) {
+            debug_assert!(false, "an empty envelope cannot be scattered");
+            let refusal =
+                || RepError::Storage("protocol violation: empty envelope scattered".into());
+            return targets.iter().map(|_| Err(refusal())).collect();
+        }
         self.open_wave();
         for (slot, &i) in targets.iter().enumerate() {
             self.charge(Traffic::Data, i);

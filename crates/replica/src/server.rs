@@ -1353,4 +1353,40 @@ mod tests {
         rep.checkpoint().unwrap();
         assert!(rep.spilled_stale_votes().is_empty());
     }
+
+    #[test]
+    fn re_observed_stale_vote_is_spilled_once_and_still_recovered() {
+        // Re-reading a key that is stale at this member pushes the same
+        // observation every time: the queue drops the repeats before they
+        // reach the spill hook, so the WAL takes one record (and one sync),
+        // not one per read. A newer observation is spilled again, and
+        // recovery restores the vote at its newest `latest`.
+        use repdir_core::suite::StaleVoteQueue;
+        let rep = seeded(2);
+        let queue = StaleVoteQueue::new();
+        let spill_rep = Arc::clone(&rep);
+        queue.set_spill(Some(Box::new(move |vote: &StaleVote| {
+            spill_rep.spill_stale_vote(vote).unwrap();
+        })));
+        let observed = |latest: u64| StaleVote {
+            member: 1,
+            key: k("k001"),
+            seen: v(1),
+            latest: v(latest),
+        };
+        for _ in 0..5 {
+            queue.push(observed(4));
+        }
+        assert_eq!(rep.spilled_stale_votes(), vec![observed(4)]);
+        queue.push(observed(6));
+        assert_eq!(rep.spilled_stale_votes(), vec![observed(4), observed(6)]);
+        assert_eq!(queue.len(), 1);
+
+        rep.crash_and_recover().unwrap();
+        let revived = StaleVoteQueue::new();
+        for vote in rep.spilled_stale_votes() {
+            revived.restore(vote);
+        }
+        assert_eq!(revived.drain_member(1), vec![observed(6)]);
+    }
 }

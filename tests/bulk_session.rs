@@ -8,8 +8,9 @@
 //! under session quorums, the per-key baseline (`set_session_reuse(false)`),
 //! and a `BTreeMap` model replaying the sequential loop agree on every
 //! outcome, while each successful session batch pays exactly one read and
-//! one write collection (R + W pings for an ingest; none for a bulk delete,
-//! whose collections ride its first key's lookup and neighbour probes).
+//! one write collection and no ping: an ingest's collections carry its
+//! discovery and write envelopes, a bulk delete's its first window's wave A
+//! and its first group's neighbour probes.
 //!
 //! The fault-injection tests run the networked stack and partition a
 //! session member mid-batch: the ingest must re-validate, resume from the
@@ -123,8 +124,8 @@ proptest! {
                                     "one read + one write collection per batch"
                                 );
                                 prop_assert_eq!(
-                                    pings1 - pings0, (r + w) as u64,
-                                    "R pings for the read quorum, W for the write"
+                                    pings1 - pings0, 0,
+                                    "the collections carry the discovery and write envelopes"
                                 );
                             }
                         }
@@ -158,8 +159,8 @@ proptest! {
                                 );
                                 prop_assert_eq!(
                                     pings1 - pings0, 0,
-                                    "the collections ride the first key's lookup \
-                                     and its neighbour probes"
+                                    "the collections ride wave A and the first \
+                                     group's neighbour probes"
                                 );
                             }
                         }
@@ -267,11 +268,13 @@ fn mid_ingest_partition_resumes_without_lost_or_double_applied_writes() {
         .collect();
 
     // A 64-key ingest at chunk 16 sends four (discovery, write) envelope
-    // pairs per member. The sixth batch envelope slows node 101 (member 1,
-    // in both session quorums) past the 300ms RPC timeout: the partition
-    // lands inside the second chunk's write wave, after 16 keys were
-    // acknowledged and the next 16 had versions assigned.
-    fx.fuse.store(6, Ordering::SeqCst);
+    // pairs per member; the first pair is carried by the collections, the
+    // rest ask the sessions those hold. The eighth batch envelope — the
+    // second chunk's write to member 1, which sits in both session quorums —
+    // slows node 101 past the 300ms RPC timeout: the partition lands after
+    // 16 keys were acknowledged and the next 16 had versions assigned.
+    fx.suite.set_bulk_chunk(16);
+    fx.fuse.store(8, Ordering::SeqCst);
     let out = fx
         .suite
         .insert_many(&entries)
@@ -329,4 +332,46 @@ fn mid_bulk_delete_partition_resumes_cleanly() {
     // and the suite-level fused test pins the outer-resume path.
     let snap = fx.suite.obs().snapshot();
     assert!(snap.counter("suite.session.revalidate") >= 1);
+}
+
+#[test]
+fn mid_group_partition_re_drives_the_group_and_reports_nothing_undeleted() {
+    let mut fx = networked_suite(vec![NodeId(101)]);
+    let key = |i: u64| Key::User(UserKey::from_u64(i));
+    let entries: Vec<(Key, Value)> = (0..16).map(|i| (key(i), Value::from("v"))).collect();
+    fx.suite.insert_many(&entries).unwrap();
+
+    // Every other key goes: a survivor sits between each pair, so the eight
+    // keys are one group and share their waves — two envelopes each for A,
+    // B and C. The fifth opens wave C at member 0 and slows node 101 before
+    // member 1's is sent: member 0 coalesces all eight, member 1 none.
+    fx.fuse.store(5, Ordering::SeqCst);
+    let keys: Vec<Key> = (0..8).map(|i| key(2 * i)).collect();
+    let out = fx
+        .suite
+        .delete_many(&keys)
+        .expect("bulk delete must survive one member partition");
+
+    // The resume drove every key of the half-applied group through the
+    // mutation phase again at the re-validated quorum: each reported
+    // version belongs to a key that is gone, and nothing else went.
+    assert_eq!(out.versions.len(), keys.len());
+    for key in &keys {
+        assert!(!fx.suite.lookup(key).unwrap().present, "{key:?} survived");
+    }
+    let listed = fx.suite.scan().expect("scan");
+    assert_eq!(
+        listed.iter().map(|(u, _)| u.clone()).collect::<Vec<_>>(),
+        (0..8u64)
+            .map(|i| UserKey::from_u64(2 * i + 1))
+            .collect::<Vec<_>>(),
+        "exactly the batch was deleted"
+    );
+    let snap = fx.suite.obs().snapshot();
+    assert_eq!(
+        snap.counter("suite.session.revalidate"),
+        2,
+        "once per held session"
+    );
+    assert_eq!(snap.counter("suite.bulk.resumed"), 1);
 }

@@ -1,4 +1,4 @@
-//! Message-round budgets of the point operations.
+//! Message-round budgets of the point and bulk operations.
 //!
 //! Any set of members whose votes reach the threshold is a quorum (§3.1), so
 //! the members that *answer a request* are the quorum: a lookup's or a quorum
@@ -8,7 +8,11 @@
 //! collection carries the lookup and both first chain hops and whose write
 //! collection carries the neighbour probes — over the fabric and in process,
 //! fanned out and
-//! with a window of one, and pin what happens when a carried request fails:
+//! with a window of one — and those of the bulk operations, which cost
+//! `O(n / bulk_chunk)` waves: a scan ⌈(entries + ghosts + 1) / chunk⌉ chain
+//! waves plus at most one for the values still owed, `insert_many` two per
+//! chunk, `delete_many` three per group of keys whose neighbour ranges are
+//! disjoint. They also pin what happens when a carried request fails:
 //! an unreachable member's vote is re-collected inside the call, a member
 //! with a recorded miss is pinged before it is trusted with data, and a
 //! member that refuses is the operation's error, never substituted.
@@ -451,9 +455,12 @@ impl QuorumPolicy for PerKind {
 
 #[test]
 fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
-    // (c) The first key's waves collect both quorums; every later key asks
-    // exactly the members those sessions hold. 64 keys: 64 × 3 rounds of
-    // R, W and W requests, two collections, no ping.
+    // (c) 64 mutually adjacent keys: each key's neighbour range overlaps
+    // the one before, so every key is a group of its own. The window's wave
+    // A and the first group's wave B collect the quorums; each later key has
+    // its plan read again under the held session, then its two waves. 64 × 3
+    // rounds of R, W and W requests — never more than the per-key loop — two
+    // collections, no ping.
     let keys: Vec<Key> = (0..64).map(|i| k(&format!("key{i:02}"))).collect();
     let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
     for fanout in [true, false] {
@@ -478,6 +485,289 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
         check(&mut local, &entries, &keys);
         assert_eq!(cluster.net.stats().sent, sent);
         check(&mut remote, &entries, &keys);
+    }
+}
+
+/// A local and a remote 3-2-2 suite whose quorums are {0, 1}, for each
+/// window: whatever `check` pins must hold on all four.
+fn on_every_fixture(seed: u64, check: impl Fn(&mut dyn Fixture)) {
+    for fanout in [true, false] {
+        let mut local =
+            DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
+        local.set_policy(order(&[0, 1, 2]));
+        local.set_fanout(fanout);
+        check(&mut (&mut local, None));
+
+        let cluster = Cluster::new(seed);
+        let mut remote = cluster.suite(TxnId(1));
+        remote.set_fanout(fanout);
+        check(&mut (&mut remote, Some(&*cluster.net)));
+    }
+}
+
+/// What the bulk-budget tests do to a suite, whatever its clients are.
+trait Fixture {
+    fn set_orders(&mut self, read: &[usize], write: &[usize]);
+    fn set_chunk(&mut self, chunk: usize);
+    fn insert_many(&mut self, keys: &[Key]) -> Spent;
+    fn delete_many(&mut self, keys: &[Key]) -> Spent;
+    fn scan(&mut self) -> (Vec<Key>, Spent);
+}
+
+/// Per-member data requests, pings, message rounds and collections of one
+/// call; `fabric` is checked on the spot: a request and its reply each.
+#[derive(Debug, PartialEq)]
+struct Spent {
+    msgs: Vec<u64>,
+    pings: u64,
+    rounds: u64,
+    collections: u64,
+}
+
+impl<C: RepClient> Fixture for (&mut DirSuite<C>, Option<&Network>) {
+    fn set_orders(&mut self, read: &[usize], write: &[usize]) {
+        self.0.set_policy(Box::new(PerKind {
+            read: read.to_vec(),
+            write: write.to_vec(),
+        }));
+    }
+
+    fn set_chunk(&mut self, chunk: usize) {
+        self.0.set_bulk_chunk(chunk);
+    }
+
+    fn insert_many(&mut self, keys: &[Key]) -> Spent {
+        let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
+        spent(self, |s| s.insert_many(&entries).map(drop).unwrap())
+    }
+
+    fn delete_many(&mut self, keys: &[Key]) -> Spent {
+        spent(self, |s| s.delete_many(keys).map(drop).unwrap())
+    }
+
+    fn scan(&mut self) -> (Vec<Key>, Spent) {
+        let mut listed = Vec::new();
+        let spent = spent(self, |s| {
+            let entries = s.scan().unwrap();
+            listed = entries.into_iter().map(|(key, _)| Key::User(key)).collect();
+        });
+        (listed, spent)
+    }
+}
+
+fn spent<C: RepClient>(
+    fixture: &mut (&mut DirSuite<C>, Option<&Network>),
+    op: impl FnOnce(&mut DirSuite<C>),
+) -> Spent {
+    let (suite, net) = fixture;
+    let sent = net.map_or(0, |net| net.stats().sent);
+    let collections = suite.obs().counter("suite.quorum.waves");
+    let collected = collections.get();
+    let ((), msgs, pings, rounds) = rounds(suite, op);
+    let pings: u64 = pings.iter().sum();
+    if let Some(net) = net {
+        let requests = msgs.iter().sum::<u64>() + pings;
+        assert_eq!(
+            net.stats().sent - sent,
+            2 * requests,
+            "a request and its reply each"
+        );
+    }
+    Spent {
+        msgs,
+        pings,
+        rounds,
+        collections: collections.get() - collected,
+    }
+}
+
+fn keys(range: std::ops::Range<u32>, prefix: &str) -> Vec<Key> {
+    range.map(|i| k(&format!("{prefix}{i:03}"))).collect()
+}
+
+#[test]
+fn scan_costs_one_wave_per_chunk_of_chain_and_one_for_the_last_values() {
+    // (a) N entries and g ghosts at read-quorum member 0 (deleted through
+    // {1, 2}): the collection carries the first chain request, every wave
+    // extends every buffer, so the member with the most to list sets the
+    // pace — ⌈(N + g + 1) / chunk⌉ chain waves — and only values resolved
+    // from the last chain cost one more. Nobody is pinged; a member with
+    // nothing to be asked gets no message.
+    for (n, ghosts) in [(0, 0), (5, 0), (5, 3), (64, 0), (64, 3), (200, 3)] {
+        for chunk in [4u32, 64] {
+            on_every_fixture(0x5CA0 + u64::from(n), |fx| {
+                fx.set_chunk(chunk as usize);
+                let entries = keys(0..n, "e");
+                // Ghosts sort among the first entries: member 0's
+                // buffers run dry at other keys than member 1's.
+                let doomed = keys(0..ghosts, "e000g");
+                fx.insert_many(&entries);
+                fx.insert_many(&doomed);
+                fx.set_orders(&[0, 1, 2], &[1, 2, 0]);
+                if !doomed.is_empty() {
+                    fx.delete_many(&doomed);
+                }
+                fx.set_orders(&[0, 1, 2], &[0, 1, 2]);
+                let (listed, spent) = fx.scan();
+                assert_eq!(listed, entries);
+                let chains = u64::from((n + ghosts + 1).div_ceil(chunk));
+                let case = format!("N={n} g={ghosts} chunk={chunk}: {spent:?}");
+                assert!((chains..=chains + 1).contains(&spent.rounds), "{case}");
+                assert_eq!((spent.pings, spent.collections), (0, 1), "{case}");
+                assert_eq!(spent.msgs[2], 0, "{case}");
+                assert!(spent.msgs[0] <= spent.rounds && spent.msgs[1] <= spent.rounds);
+                if n == 0 {
+                    assert_eq!(spent.rounds, 1, "{case}");
+                }
+                if (n, ghosts, chunk) == (64, 0, 64) {
+                    // HIGH comes alone in the second chain: the values
+                    // rode that wave and nothing is owed.
+                    assert_eq!(
+                        (spent.rounds, &spent.msgs[..]),
+                        (2, &[2, 2, 0][..]),
+                        "{case}"
+                    );
+                }
+                if (n, ghosts, chunk) == (5, 0, 4) {
+                    // The last wave owes one value: one message to its
+                    // holder, none to the other member.
+                    assert_eq!(
+                        (spent.rounds, &spent.msgs[..]),
+                        (3, &[3, 2, 0][..]),
+                        "{case}"
+                    );
+                }
+            });
+        }
+    }
+}
+
+#[test]
+fn insert_many_rides_its_two_collections() {
+    // (b) 64 keys, one chunk: the read collection carries the discovery
+    // envelope, the write collection the write envelope — two waves,
+    // 2(R + W) messages on the fabric. A second chunk asks the held
+    // sessions: two more waves, no further collection.
+    on_every_fixture(0x1A5, |fx| {
+        let spent = fx.insert_many(&keys(0..64, "k"));
+        let expect = Spent {
+            msgs: vec![2, 2, 0],
+            pings: 0,
+            rounds: 2,
+            collections: 2,
+        };
+        assert_eq!(spent, expect);
+        let spent = fx.insert_many(&keys(64..192, "k"));
+        assert_eq!(
+            spent,
+            Spent {
+                msgs: vec![4, 4, 0],
+                rounds: 4,
+                ..expect
+            }
+        );
+        assert_eq!(fx.scan().0, keys(0..192, "k"));
+    });
+}
+
+#[test]
+fn delete_many_shares_its_three_waves_between_keys_that_do_not_touch() {
+    // (c) 64 keys with a surviving entry between every pair: their
+    // neighbour ranges share endpoints and nothing else, so one wave A, one
+    // wave B and one wave C serve them all.
+    on_every_fixture(0xDE1, |fx| {
+        let of = |suffix: &str| -> Vec<Key> {
+            (0..64).map(|i| k(&format!("k{i:02}{suffix}"))).collect()
+        };
+        let (doomed, kept) = (of("a"), of("b"));
+        fx.insert_many(&doomed);
+        fx.insert_many(&kept);
+        let spent = fx.delete_many(&doomed);
+        let expect = Spent {
+            msgs: vec![3, 3, 0],
+            pings: 0,
+            rounds: 3,
+            collections: 2,
+        };
+        assert_eq!(spent, expect);
+        assert_eq!(fx.scan().0, kept);
+    });
+
+    // Ghosts behind k of the keys — each doomed key's predecessor at member
+    // 0 is a ghost (written through {0, 1}, deleted through {1, 2}) — leave
+    // k chain buffers dry at member 0. They refill together: one more wave
+    // and one more message, not k.
+    on_every_fixture(0xDE2, |fx| {
+        let of =
+            |suffix: &str| -> Vec<Key> { (0..8).map(|i| k(&format!("k{i}{suffix}"))).collect() };
+        let (kept, ghosts, doomed) = (of("a"), of("b"), of("c"));
+        for batch in [&kept, &ghosts, &doomed] {
+            fx.insert_many(batch);
+        }
+        fx.set_orders(&[0, 1, 2], &[1, 2, 0]);
+        fx.delete_many(&ghosts);
+        fx.set_orders(&[0, 1, 2], &[0, 1, 2]);
+        let spent = fx.delete_many(&doomed);
+        assert_eq!(
+            spent,
+            Spent {
+                msgs: vec![4, 3, 0],
+                pings: 0,
+                rounds: 4,
+                collections: 2,
+            }
+        );
+        assert_eq!(fx.scan().0, kept);
+    });
+}
+
+#[test]
+fn carried_bulk_waves_follow_the_carried_request_rules() {
+    // (d) The scan's first chain and the ingest's envelopes ride their
+    // collections, so an unreachable member is substituted inside the
+    // collection — one extra request, no ping, no re-validation — and a
+    // member that refuses is the operation's error.
+    let entries = |range| -> Vec<(Key, Value)> {
+        let keys = keys(range, "k").into_iter();
+        keys.map(|key| (key, val("v"))).collect()
+    };
+    let mut suite = doubles();
+    suite.insert_many(&entries(0..6)).unwrap();
+    suite.member(0).set(DOWN);
+    let (out, msgs, pings, waves) = cost(&mut suite, |s| s.scan());
+    assert_eq!(out.unwrap().len(), 6);
+    // The substitute never saw the entries ({0, 1} wrote them), so its chain
+    // heads vote no entry version and every value is asked of member 1.
+    assert_eq!((msgs, pings), (vec![1, 2, 1], vec![0, 0, 0]));
+    assert_eq!(waves, 2, "the carried chain and its substitute");
+
+    // The discovery envelope is answered by {1, 2}; the write envelope is
+    // carried to {0, 1} and re-sent to 2 in member 0's place.
+    let mut suite = doubles();
+    suite.set_policy(Box::new(PerKind {
+        read: vec![1, 2, 0],
+        write: vec![0, 1, 2],
+    }));
+    suite.member(0).set(DOWN);
+    let (out, msgs, pings, waves) = cost(&mut suite, |s| s.insert_many(&entries(0..6)));
+    assert_eq!(out.unwrap().versions, vec![Version::new(1); 6]);
+    assert_eq!((msgs, pings), (vec![1, 2, 2], vec![0, 0, 0]));
+    assert_eq!(waves, 3, "read, write, and the write's substitute");
+    assert_eq!(suite.obs().counter("suite.session.revalidate").get(), 0);
+    for member in [1, 2] {
+        assert_eq!(suite.member(member).inner.len(), 6);
+    }
+
+    for refusing in [0, 1] {
+        let mut suite = doubles();
+        suite.insert_many(&entries(0..6)).unwrap();
+        suite.member(refusing).set(TIMES_OUT);
+        let refused = Err(SuiteError::Rep(RepError::LockTimeout));
+        assert_eq!(suite.scan().map(drop), refused);
+        let mut suite = doubles();
+        suite.member(refusing).set(TIMES_OUT);
+        assert_eq!(suite.insert_many(&entries(6..9)).map(drop), refused);
+        assert_eq!(suite.ping_counts(), vec![0, 0, 0]);
     }
 }
 

@@ -1,12 +1,13 @@
 //! Session-quorum scan: equivalence and fault-injection coverage.
 //!
 //! The session scan changes *how much* coordination a scan pays — one
-//! quorum collection for the whole walk, one batched envelope per member
-//! per hop — never *what* it returns. The property test pins that: over
-//! randomized insert/delete/scan interleavings, the session scan, the
-//! per-hop baseline (`set_session_reuse(false)`), and a `BTreeMap` model
-//! agree entry-for-entry, while the session side pays exactly one ping
-//! wave per failure-free scan and strictly fewer data RPCs.
+//! quorum collection for the whole walk, carried by its first chain request,
+//! and one envelope per member per `bulk_chunk` entries — never *what* it
+//! returns. The property test pins that: over randomized insert/delete/scan
+//! interleavings, the session scan, the per-hop baseline
+//! (`set_session_reuse(false)`), and a `BTreeMap` model agree
+//! entry-for-entry, while the session side pays exactly one collection and
+//! no ping per failure-free scan and strictly fewer data RPCs.
 //!
 //! The fault-injection tests run the networked stack and kill a session
 //! member mid-walk: the scan must re-validate exactly once and complete
@@ -63,7 +64,7 @@ proptest! {
 
     /// Session+batched scan ≡ per-hop baseline ≡ `BTreeMap` model, with the
     /// exact coordination price pinned: every failure-free session scan
-    /// collects exactly one quorum (one ping wave, R pings) and sends
+    /// collects exactly one quorum (carried, so nobody is pinged) and sends
     /// strictly fewer data RPCs than the baseline scan of the same state.
     #[test]
     fn session_scan_matches_baseline_and_model(
@@ -120,8 +121,8 @@ proptest! {
                         "failure-free session scan must collect exactly one quorum"
                     );
                     prop_assert_eq!(
-                        s_pings1 - s_pings0, r as u64,
-                        "one ping per read-quorum member"
+                        s_pings1 - s_pings0, 0,
+                        "the collection carries the first chain request"
                     );
                     let s_msgs: u64 =
                         session.message_counts().iter().sum::<u64>() - s_msgs0;
@@ -242,8 +243,12 @@ fn mid_scan_partitioned_member_revalidates_once_and_completes() {
         fx.suite.insert(key, &Value::from("v")).unwrap();
     }
 
-    // The third batch envelope of the scan slows node 101 (member 1, in the
-    // session quorum {0, 1}) past the 300ms RPC timeout: a mid-walk loss.
+    // Chains of two: the collection carries the first (a bare request), and
+    // every later wave is one envelope per member — values and the next
+    // chain. The third envelope opens the scan's third wave and slows node
+    // 101 (member 1, in the session quorum {0, 1}) past the 300ms RPC
+    // timeout before its own envelope is sent: a mid-walk loss.
+    fx.suite.set_bulk_chunk(2);
     fx.fuse.store(3, Ordering::SeqCst);
     let listed = fx.suite.scan().expect("scan must survive one member loss");
     assert_eq!(
@@ -271,9 +276,11 @@ fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
             .unwrap();
     }
 
-    // Nodes 101 and 102 both go dark mid-scan: member 0 alone holds one of
-    // the two votes a read quorum needs, so re-validation must fail with
-    // QuorumUnavailable — bounded by RPC timeouts, not a hang.
+    // Nodes 101 and 102 both go dark mid-scan (third envelope, as above):
+    // member 0 alone holds one of the two votes a read quorum needs, so
+    // re-validation must fail with QuorumUnavailable — bounded by RPC
+    // timeouts, not a hang.
+    fx.suite.set_bulk_chunk(2);
     fx.fuse.store(3, Ordering::SeqCst);
     let started = Instant::now();
     let err = fx.suite.scan().expect_err("majority is dead");
