@@ -17,6 +17,10 @@
 //! * [`NaiveEntryDirectory`] — per-entry versions with no gap versions: the
 //!   delete ambiguity of Figures 1–3, the widen-the-quorum mitigation, its
 //!   reduced availability, and a history where stale data resurrects.
+//!
+//! [`reference`] holds the slower forms of the paper's own algorithm that
+//! tests and benches compare `DirSuite` against: serialized waves, a scan
+//! of one search per entry, per-key bulk writes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,6 +29,7 @@ mod common;
 mod gifford_file;
 mod naive_entry;
 mod primary_copy;
+pub mod reference;
 mod static_partition;
 mod unanimous;
 

@@ -23,14 +23,15 @@
 //! gate factor. Every run rewrites `BENCH_latency_policy.json` at the repo
 //! root.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::suite::{DirSuite, QuorumPolicy, RandomPolicy, SuiteConfig};
-use repdir_core::{Key, QuorumKind, RepId, Value};
-use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir_replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir_txn::TxnId;
+use repdir_bench::fabric::{lossless, Samples};
+use repdir_core::suite::{DirSuite, QuorumPolicy, RandomPolicy};
+use repdir_core::{Key, QuorumKind, Value};
+use repdir_net::{LatencyModel, NodeId};
+use repdir_replica::RemoteSessionClient;
+
+type Fixture = repdir_bench::fabric::Fixture<RemoteSessionClient>;
 
 const MEMBERS: u32 = 5;
 const READ_QUORUM: u32 = 2;
@@ -38,77 +39,18 @@ const WRITE_QUORUM: u32 = 4;
 /// Member indices behind the latency override.
 const SLOW: [usize; 2] = [3, 4];
 
-struct Samples {
-    us: Vec<u64>,
-}
-
-impl Samples {
-    fn from_durations(mut ds: Vec<Duration>) -> Self {
-        ds.sort();
-        Samples {
-            us: ds.iter().map(|d| d.as_micros() as u64).collect(),
-        }
-    }
-
-    fn percentile(&self, p: f64) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        let idx = ((self.us.len() - 1) as f64 * p).round() as usize;
-        self.us[idx]
-    }
-
-    fn median(&self) -> u64 {
-        self.percentile(0.5)
-    }
-
-    fn mean(&self) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        self.us.iter().sum::<u64>() / self.us.len() as u64
-    }
-}
-
-struct Fixture {
-    suite: DirSuite<RemoteSessionClient>,
-    _handles: Vec<ServerHandle>,
-}
-
 /// Builds the skewed suite: every hop costs `fast` except messages *to* the
 /// [`SLOW`] members' nodes, which cost `slow`.
 fn build(fast: Duration, slow: Duration, seed: u64) -> Fixture {
-    let net = Arc::new(Network::new(seed));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(fast),
-    });
+    let net = lossless(seed, fast);
     for &i in &SLOW {
         net.set_node_latency(NodeId(100 + i as u32), LatencyModel::fixed(slow));
     }
-    let mut handles = Vec::new();
-    let mut clients = Vec::new();
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    for i in 0..MEMBERS {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-        let mut client =
-            RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
-        client.set_timeout(Duration::from_secs(10));
+    let quorums = (MEMBERS, READ_QUORUM, WRITE_QUORUM);
+    let policy = Box::new(RandomPolicy::new(seed));
+    Fixture::new(net, quorums, Duration::from_secs(10), policy, |client| {
         client
-            .begin()
-            .expect("begin never fails on a healthy fabric");
-        clients.push(client);
-    }
-    let config = SuiteConfig::symmetric(MEMBERS, READ_QUORUM, WRITE_QUORUM)
-        .expect("5-2-4 is a valid weighted-voting config");
-    let suite = DirSuite::new(clients, config, Box::new(RandomPolicy::new(seed)))
-        .expect("client count matches config");
-    Fixture {
-        suite,
-        _handles: handles,
-    }
+    })
 }
 
 /// Seeds EWMAs (writes probe W=4 members each; the latency policy explores
@@ -134,15 +76,6 @@ fn run_workload(suite: &mut DirSuite<RemoteSessionClient>, warmup: usize, reads:
         times.push(t.elapsed());
     }
     Samples::from_durations(times)
-}
-
-fn json_samples(s: &Samples) -> String {
-    format!(
-        r#"{{"median_us": {}, "mean_us": {}, "p90_us": {}}}"#,
-        s.median(),
-        s.mean(),
-        s.percentile(0.9)
-    )
 }
 
 fn main() {
@@ -234,8 +167,8 @@ fn main() {
         slow.as_micros(),
         SLOW,
         reads,
-        json_samples(&random),
-        json_samples(&latency),
+        random.json(),
+        latency.json(),
         ewmas,
         read_prefix,
         speedup

@@ -1,4 +1,5 @@
-//! The chain-resolved session scan vs the per-hop baseline on `scan`.
+//! The message budget of `scan`, beside the per-hop reference
+//! (`reference::per_hop_scan`).
 //!
 //! The per-hop scan runs one full `real_successor` search per entry: collect
 //! a read quorum (one ping wave), refill neighbor chains (one data wave),
@@ -12,123 +13,51 @@
 //!
 //! The fixture is a 3-member suite (R=2, W=2) of networked transactional
 //! representatives behind a fixed per-message latency, scanning a directory
-//! of `ENTRIES` entries. Both modes run on the same populated suite; the
-//! fabric's `sent` counter additionally shows the message-count drop.
+//! of `ENTRIES` entries. Both scans run on the same populated suite.
 //!
 //! ```text
 //! cargo run --release -p repdir-bench --bin scan_bench [-- --quick] [--check]
 //! ```
 //!
-//! `--check` exits nonzero unless the session scan's median beats the
-//! per-hop baseline by the gate factor (the `scripts/check.sh` perf gate).
+//! `--check` exits nonzero unless a scan of the 64 entries costs exactly its
+//! pinned budget — 2 rounds, R requests each, 8 fabric messages, no ping, no
+//! re-validation (the `scripts/check.sh` gate). Wall-clock and the speed-up
+//! over the per-hop reference are reported, not gated.
 //! Every run rewrites `BENCH_scan.json` at the repo root.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::suite::{DirSuite, RandomPolicy, SuiteConfig};
-use repdir_core::{Key, RepId, Value};
-use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir_replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir_txn::TxnId;
+use repdir_baselines::reference::per_hop_scan;
+use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
+use repdir_core::suite::{DirSuite, RandomPolicy};
+use repdir_core::{Key, SuiteError, UserKey, Value};
+use repdir_replica::RemoteSessionClient;
 
 const MEMBERS: u32 = 3;
 const READ_QUORUM: u32 = 2;
 const WRITE_QUORUM: u32 = 2;
 const ENTRIES: usize = 64;
 
-struct Samples {
-    us: Vec<u64>,
-}
+type Suite = DirSuite<RemoteSessionClient>;
 
-impl Samples {
-    fn from_durations(mut ds: Vec<Duration>) -> Self {
-        ds.sort();
-        Samples {
-            us: ds.iter().map(|d| d.as_micros() as u64).collect(),
+/// Times `scans` full listings through `scan`, returning the samples and
+/// what the listings spent between them.
+fn run_scans(
+    fx: &mut Fixture<RemoteSessionClient>,
+    scans: usize,
+    scan: impl Fn(&mut Suite) -> Result<Vec<(UserKey, Value)>, SuiteError>,
+) -> (Samples, Spent) {
+    let (times, spent) = fx.spent(|suite| {
+        let mut times = Vec::new();
+        for _ in 0..scans {
+            let t = Instant::now();
+            let listed = scan(suite).expect("scan");
+            times.push(t.elapsed());
+            assert_eq!(listed.len(), ENTRIES, "scan must list every entry");
         }
-    }
-
-    fn percentile(&self, p: f64) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        let idx = ((self.us.len() - 1) as f64 * p).round() as usize;
-        self.us[idx]
-    }
-
-    fn median(&self) -> u64 {
-        self.percentile(0.5)
-    }
-
-    fn mean(&self) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        self.us.iter().sum::<u64>() / self.us.len() as u64
-    }
-}
-
-struct Fixture {
-    suite: DirSuite<RemoteSessionClient>,
-    net: Arc<Network>,
-    _handles: Vec<ServerHandle>,
-}
-
-fn build(hop: Duration, seed: u64) -> Fixture {
-    let net = Arc::new(Network::new(seed));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(hop),
+        times
     });
-    let mut handles = Vec::new();
-    let mut clients = Vec::new();
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    for i in 0..MEMBERS {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-        let mut client =
-            RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
-        client.set_timeout(Duration::from_secs(10));
-        client
-            .begin()
-            .expect("begin never fails on a healthy fabric");
-        clients.push(client);
-    }
-    let config = SuiteConfig::symmetric(MEMBERS, READ_QUORUM, WRITE_QUORUM)
-        .expect("3-2-2 is a valid weighted-voting config");
-    let suite = DirSuite::new(clients, config, Box::new(RandomPolicy::new(seed)))
-        .expect("client count matches config");
-    Fixture {
-        suite,
-        net,
-        _handles: handles,
-    }
-}
-
-/// Times `scans` full scans in the suite's current session mode, returning
-/// the samples and the fabric messages sent per scan.
-fn run_scans(fx: &mut Fixture, scans: usize) -> (Samples, u64) {
-    let sent_before = fx.net.stats().sent;
-    let mut times = Vec::new();
-    for _ in 0..scans {
-        let t = Instant::now();
-        let listed = fx.suite.scan().expect("scan");
-        times.push(t.elapsed());
-        assert_eq!(listed.len(), ENTRIES, "scan must list every entry");
-    }
-    let sent = fx.net.stats().sent - sent_before;
-    (Samples::from_durations(times), sent / scans as u64)
-}
-
-fn json_samples(s: &Samples) -> String {
-    format!(
-        r#"{{"median_us": {}, "mean_us": {}, "p90_us": {}}}"#,
-        s.median(),
-        s.mean(),
-        s.percentile(0.9)
-    )
+    (Samples::from_durations(times), spent)
 }
 
 fn main() {
@@ -153,59 +82,59 @@ fn main() {
     );
     println!();
 
-    let mut fx = build(hop, 0x5CA7);
+    let quorums = (MEMBERS, READ_QUORUM, WRITE_QUORUM);
+    let (timeout, policy) = (Duration::from_secs(10), Box::new(RandomPolicy::new(0x5CA7)));
+    let mut fx = Fixture::new(lossless(0x5CA7, hop), quorums, timeout, policy, |client| {
+        client
+    });
     for i in 0..ENTRIES {
         let key = Key::from(format!("entry{i:03}").as_str());
         fx.suite.insert(&key, &Value::from("v")).expect("insert");
     }
 
-    // Per-hop baseline: fresh quorum and separate lookup round-trips for
-    // every entry.
-    fx.suite.set_session_reuse(false);
-    let (baseline, baseline_msgs) = run_scans(&mut fx, scans);
+    // Per-hop reference: a quorum collection and separate chain and lookup
+    // round-trips for every entry.
+    let (baseline, per_hop) = run_scans(&mut fx, scans, per_hop_scan);
 
-    // Session + batched envelopes on the identical directory.
-    fx.suite.set_session_reuse(true);
-    let (session, session_msgs) = run_scans(&mut fx, scans);
+    // The suite's scan on the identical directory.
+    let (session, cost) = run_scans(&mut fx, scans, Suite::scan);
 
-    let snap = fx.suite.obs().snapshot();
-    let reuse = snap.counter("suite.session.reuse");
-    let revalidate = snap.counter("suite.session.revalidate");
+    let revalidate = fx.suite.obs().counter("suite.session.revalidate").get();
     drop(fx);
 
     let speedup = baseline.median() as f64 / session.median().max(1) as f64;
-    let msg_ratio = baseline_msgs as f64 / session_msgs.max(1) as f64;
+    let per_scan = |count: u64| count as f64 / scans as f64;
     println!(
-        "{:<10} {:>14} {:>14} {:>14} {:>16}",
-        "mode", "median", "mean", "p90", "fabric msgs"
+        "{:<10} {:>14} {:>14} {:>14} {:>8} {:>9} {:>6} {:>12}",
+        "scan", "median", "mean", "p90", "rounds", "requests", "pings", "fabric msgs"
     );
-    for (name, s, msgs) in [
-        ("per-hop", &baseline, baseline_msgs),
-        ("session", &session, session_msgs),
-    ] {
+    for (name, s, cost) in [("per-hop", &baseline, &per_hop), ("suite", &session, &cost)] {
         println!(
-            "{:<10} {:>12}us {:>12}us {:>12}us {:>16}",
+            "{:<10} {:>12}us {:>12}us {:>12}us {:>8} {:>9} {:>6} {:>12}",
             name,
             s.median(),
             s.mean(),
             s.percentile(0.9),
-            msgs
+            per_scan(cost.rounds),
+            per_scan(cost.requests),
+            per_scan(cost.pings),
+            per_scan(cost.fabric_msgs)
         );
     }
     println!();
-    println!("session reuse hits: {reuse}, re-validations: {revalidate}");
-    println!("speedup (per-hop median / session median): {speedup:.2}x");
-    println!("fabric message reduction: {msg_ratio:.2}x fewer messages per scan");
+    println!("re-validations: {revalidate}");
+    println!("speedup (per-hop median / suite median): {speedup:.2}x");
 
     let doc = format!(
         concat!(
             "{{\n  \"bench\": \"scan\",\n  \"mode\": \"{}\",\n",
             "  \"members\": {}, \"read_quorum\": {}, \"write_quorum\": {},\n",
             "  \"entries\": {}, \"hop_us\": {}, \"scans\": {},\n",
-            "  \"per_hop\": {},\n  \"session\": {},\n",
+            "  \"rounds_per_scan\": {}, \"requests_per_scan\": {}, \"pings_per_scan\": {},\n",
             "  \"fabric_msgs_per_scan\": {{\"per_hop\": {}, \"session\": {}}},\n",
-            "  \"session_reuse\": {}, \"session_revalidate\": {},\n",
-            "  \"msg_ratio\": {:.3},\n  \"speedup_median\": {:.3}\n}}\n"
+            "  \"session_revalidate\": {},\n",
+            "  \"per_hop\": {},\n  \"session\": {},\n",
+            "  \"speedup_median\": {:.3}\n}}\n"
         ),
         if quick { "quick" } else { "full" },
         MEMBERS,
@@ -214,13 +143,14 @@ fn main() {
         ENTRIES,
         hop.as_micros(),
         scans,
-        json_samples(&baseline),
-        json_samples(&session),
-        baseline_msgs,
-        session_msgs,
-        reuse,
+        per_scan(cost.rounds),
+        per_scan(cost.requests),
+        per_scan(cost.pings),
+        per_scan(per_hop.fabric_msgs),
+        per_scan(cost.fabric_msgs),
         revalidate,
-        msg_ratio,
+        baseline.json(),
+        session.json(),
         speedup
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -235,19 +165,17 @@ fn main() {
     }
 
     if check {
-        const GATE: f64 = 2.0;
-        let mut ok = true;
-        if speedup < GATE {
-            eprintln!("FAIL: speedup {speedup:.2}x below the {GATE}x gate");
-            ok = false;
-        }
-        if revalidate != 0 {
-            eprintln!("FAIL: {revalidate} re-validations on a failure-free fabric");
-            ok = false;
-        }
-        if !ok {
+        // 64 entries and HIGH are two chains of 64: the carried one, then one
+        // riding with the value lookups.
+        let rounds = (ENTRIES as u64 + 1).div_ceil(64);
+        let budget = Spent::fault_free(rounds, rounds * u64::from(READ_QUORUM));
+        if cost != budget.times(scans as u64) || revalidate != 0 {
+            eprintln!(
+                "FAIL: {scans} scans spent {cost:?} and {revalidate} re-validations; \
+                 budget per scan {budget:?} and 0"
+            );
             std::process::exit(1);
         }
-        println!("check passed: session scan >= {GATE}x faster than per-hop, no re-validations");
+        println!("check passed: scan of {ENTRIES} = {budget:?}, no re-validation");
     }
 }

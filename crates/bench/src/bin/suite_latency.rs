@@ -1,140 +1,104 @@
-//! Sequential vs scatter-gather quorum RPC latency over a fabric with
-//! nonzero per-hop delay.
+//! Round and message budgets of the point operations over a fabric with
+//! nonzero per-hop delay, and what a round costs there.
 //!
 //! The paper's cost model (§3–§4) counts quorum *rounds*: the suite sends to
 //! all quorum members and gathers replies, so an operation should cost the
 //! slowest member's round-trip, not the sum of every member's. This bench
-//! measures exactly that gap: the same `DirSuite` workload over the same
-//! latency fabric, once with fan-out disabled (every member RPC serialized)
-//! and once with the scatter-gather executor (the default).
+//! runs one `DirSuite` workload over a latency fabric twice — through
+//! `reference::Inline` clients, which serialize every wave, and through the
+//! remote clients as shipped — and counts what each operation spent: waves
+//! (`suite.rounds`), per-member data requests and pings, fabric messages.
 //!
 //! ```text
 //! cargo run --release -p repdir-bench --bin suite_latency [-- --quick] [--check]
 //! ```
 //!
 //! `--quick` shrinks the workload and per-hop delay for CI; `--check` exits
-//! nonzero unless fan-out beats sequential by at least 1.5x median latency
-//! on every quorum size >= 2 (the acceptance gate `scripts/check.sh` runs),
-//! and unless the obs-instrumented build (timing armed: spans and latency
-//! samples recorded) stays within 5% of the same workload with every
-//! registry disarmed — the pre-instrumentation baseline shape.
+//! nonzero unless both runs spent exactly the pinned budget — a lookup 1
+//! round of R requests, an insert 2 rounds of R + W, a delete 3 rounds of
+//! R + 2W, no ping, two fabric messages per request (the gate
+//! `scripts/check.sh` runs) — and unless the obs-instrumented build (timing
+//! armed: spans and latency samples recorded) stays within 5% of the same
+//! workload with every registry disarmed. Wall-clock and the speed-up over
+//! the serialized run are reported, not gated.
 //! Every run rewrites `BENCH_quorum_fanout.json` at the repo root.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir_core::{Key, RepId, Value};
-use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir_replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir_txn::TxnId;
+use repdir_baselines::reference::Inline;
+use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
+use repdir_core::suite::{DirSuite, FixedPolicy};
+use repdir_core::{Key, RepClient, Value};
+use repdir_replica::RemoteSessionClient;
 
-/// One measured configuration: an `n`-member suite with the given quorums.
-struct Config {
-    members: u32,
-    read_quorum: u32,
-    write_quorum: u32,
+/// One measured configuration: members, read quorum, write quorum.
+type Config = (u32, u32, u32);
+
+/// Builds a fresh suite of remote clients, each wrapped by `wrap`, over a
+/// lossless fabric with fixed per-hop latency. Fresh per run so WAL growth
+/// and ghosts from one never skew the other.
+fn build<C: RepClient>(
+    cfg: Config,
+    base: Duration,
+    seed: u64,
+    wrap: impl Fn(RemoteSessionClient) -> C,
+) -> Fixture<C> {
+    let (timeout, policy) = (Duration::from_secs(10), Box::new(FixedPolicy::new()));
+    Fixture::new(lossless(seed, base), cfg, timeout, policy, wrap)
 }
 
-/// Latency samples for one mode (one `Duration` per timed suite op).
-struct Samples {
-    us: Vec<u64>,
-}
+const KINDS: [&str; 3] = ["lookup", "insert", "delete"];
 
-impl Samples {
-    fn from_durations(mut ds: Vec<Duration>) -> Self {
-        ds.sort();
-        Samples {
-            us: ds.iter().map(|d| d.as_micros() as u64).collect(),
-        }
-    }
+/// Per kind ([`KINDS`]): how many operations ran and what they spent.
+type Costs = [(u64, Spent); 3];
 
-    fn percentile(&self, p: f64) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        let idx = ((self.us.len() - 1) as f64 * p).round() as usize;
-        self.us[idx]
-    }
-
-    fn median(&self) -> u64 {
-        self.percentile(0.5)
-    }
-
-    fn mean(&self) -> u64 {
-        if self.us.is_empty() {
-            return 0;
-        }
-        self.us.iter().sum::<u64>() / self.us.len() as u64
-    }
-}
-
-/// Everything needed to tear a suite run down again: the reply router and
-/// server threads live until these handles drop.
-struct Fixture {
-    suite: DirSuite<RemoteSessionClient>,
-    _handles: Vec<ServerHandle>,
-}
-
-/// Builds a fresh suite of remote clients over a lossless fabric with fixed
-/// per-hop latency. Fresh per mode so WAL growth and ghosts from one run
-/// never skew the other.
-fn build(cfg: &Config, base: Duration, seed: u64, fanout: bool) -> Fixture {
-    let net = Arc::new(Network::new(seed));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(base),
-    });
-    let mut handles = Vec::new();
-    let mut clients = Vec::new();
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    for i in 0..cfg.members {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-        let mut client =
-            RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
-        client.set_timeout(Duration::from_secs(10));
-        client
-            .begin()
-            .expect("begin never fails on a healthy fabric");
-        clients.push(client);
-    }
-    let config = SuiteConfig::symmetric(cfg.members, cfg.read_quorum, cfg.write_quorum)
-        .expect("static configs are valid");
-    let mut suite = DirSuite::new(clients, config, Box::new(FixedPolicy::new()))
-        .expect("client count matches config");
-    suite.set_fanout(fanout);
-    Fixture {
-        suite,
-        _handles: handles,
-    }
+/// The pinned budget of the fault-free operations counted in `costs`: a
+/// lookup is 1 round of R requests, an insert 2 rounds of R + W, a delete 3
+/// rounds of R + 2W; nothing pings.
+fn budget((_, r, w): Config, costs: &Costs) -> Costs {
+    let (r, w) = (u64::from(r), u64::from(w));
+    let per_op = [(1, r), (2, r + w), (3, r + 2 * w)];
+    std::array::from_fn(|kind| {
+        let (ops, (rounds, requests)) = (costs[kind].0, per_op[kind]);
+        (ops, Spent::fault_free(rounds, requests).times(ops))
+    })
 }
 
 /// Runs the timed workload: a mix of inserts, lookups, and deletes, each op
-/// timed individually. Identical op sequence in both modes.
-fn run_workload(suite: &mut DirSuite<RemoteSessionClient>, ops: usize) -> Samples {
+/// timed and costed individually. Identical op sequence in every run.
+fn run_workload<C: RepClient>(fx: &mut Fixture<C>, ops: usize) -> (Samples, Costs) {
     let mut times = Vec::new();
+    let mut costs = Costs::default();
+    let mut run = |kind: usize, op: &mut dyn FnMut(&mut DirSuite<C>)| {
+        let (elapsed, spent) = fx.spent(|suite| {
+            let t = Instant::now();
+            op(suite);
+            t.elapsed()
+        });
+        times.push(elapsed);
+        costs[kind].0 += 1;
+        costs[kind].1 += spent;
+    };
     for i in 0..ops {
         let key = Key::from(format!("key{i:04}").as_str());
-        let t = Instant::now();
-        suite.insert(&key, &Value::from("v")).expect("insert");
-        times.push(t.elapsed());
-        let t = Instant::now();
-        suite.lookup(&key).expect("lookup");
-        times.push(t.elapsed());
+        run(1, &mut |s| {
+            s.insert(&key, &Value::from("v")).expect("insert");
+        });
+        run(0, &mut |s| {
+            s.lookup(&key).expect("lookup");
+        });
         if i % 4 == 3 {
             let victim = Key::from(format!("key{:04}", i - 1).as_str());
-            let t = Instant::now();
-            suite.delete(&victim).expect("delete");
-            times.push(t.elapsed());
+            run(2, &mut |s| {
+                s.delete(&victim).expect("delete");
+            });
         }
     }
-    Samples::from_durations(times)
+    (Samples::from_durations(times), costs)
 }
 
-/// The obs-overhead measurement: one fan-out workload timed with metrics
-/// timing armed and once with every registry (the suite's and the global
+/// The obs-overhead measurement: one workload timed with metrics timing
+/// armed and once with every registry (the suite's and the global
 /// one) disarmed. Disarmed skips every clock read and span record — the
 /// pre-obs baseline — so the ratio is the instrumentation's cost.
 struct Overhead {
@@ -149,51 +113,39 @@ impl Overhead {
 }
 
 fn measure_overhead(base: Duration, ops: usize) -> Overhead {
-    let cfg = Config {
-        members: 3,
-        read_quorum: 2,
-        write_quorum: 2,
-    };
-    let mut armed = None;
-    let mut detached = None;
-    for arm in [true, false] {
-        let mut fx = build(&cfg, base, 0x0B5 + u64::from(arm), true);
+    let measure = |arm: bool| {
+        let mut fx = build((3, 2, 2), base, 0x0B5 + u64::from(arm), |client| client);
         fx.suite.obs().set_timing_armed(arm);
         repdir_obs::global().set_timing_armed(arm);
-        let samples = run_workload(&mut fx.suite, ops);
-        if arm {
-            armed = Some(samples);
-        } else {
-            detached = Some(samples);
-        }
-    }
+        run_workload(&mut fx, ops).0
+    };
+    let (armed, detached) = (measure(true), measure(false));
     repdir_obs::global().set_timing_armed(true);
-    Overhead {
-        armed: armed.expect("measured"),
-        detached: detached.expect("measured"),
-    }
+    Overhead { armed, detached }
 }
 
 struct Row {
     cfg: Config,
     ops: usize,
-    sequential: Samples,
+    serialized: Samples,
     fanout: Samples,
+    /// What the serialized and the fanned-out run spent.
+    costs: [Costs; 2],
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.sequential.median() as f64 / self.fanout.median().max(1) as f64
+        self.serialized.median() as f64 / self.fanout.median().max(1) as f64
     }
 }
 
-fn json_samples(s: &Samples) -> String {
-    format!(
-        r#"{{"median_us": {}, "mean_us": {}, "p90_us": {}}}"#,
-        s.median(),
-        s.mean(),
-        s.percentile(0.9)
-    )
+/// `{"lookup": .., "insert": .., "delete": ..}` of one per-operation count.
+fn json_per_op(costs: &Costs, count: impl Fn(&Spent) -> u64) -> String {
+    let per_op = |&(ops, spent): &(u64, Spent)| count(&spent) as f64 / ops.max(1) as f64;
+    let fields: Vec<String> = (KINDS.iter().zip(costs))
+        .map(|(kind, cost)| format!("\"{kind}\": {}", per_op(cost)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 fn write_json(
@@ -207,15 +159,22 @@ fn write_json(
         configs.push(format!(
             concat!(
                 "    {{\"members\": {}, \"read_quorum\": {}, \"write_quorum\": {}, ",
-                "\"timed_ops\": {},\n     \"sequential\": {},\n     \"fanout\": {},\n",
+                "\"timed_ops\": {},\n     \"rounds_per_op\": {},\n",
+                "     \"requests_per_op\": {},\n     \"pings_per_op\": {},\n",
+                "     \"fabric_msgs_per_op\": {},\n",
+                "     \"serialized\": {},\n     \"fanout\": {},\n",
                 "     \"speedup_median\": {:.3}}}"
             ),
-            row.cfg.members,
-            row.cfg.read_quorum,
-            row.cfg.write_quorum,
+            row.cfg.0,
+            row.cfg.1,
+            row.cfg.2,
             row.ops,
-            json_samples(&row.sequential),
-            json_samples(&row.fanout),
+            json_per_op(&row.costs[1], |s| s.rounds),
+            json_per_op(&row.costs[1], |s| s.requests),
+            json_per_op(&row.costs[1], |s| s.pings),
+            json_per_op(&row.costs[1], |s| s.fabric_msgs),
+            row.serialized.json(),
+            row.fanout.json(),
             row.speedup()
         ));
     }
@@ -229,8 +188,8 @@ fn write_json(
         if quick { "quick" } else { "full" },
         base.as_micros(),
         configs.join(",\n"),
-        json_samples(&overhead.armed),
-        json_samples(&overhead.detached),
+        overhead.armed.json(),
+        overhead.detached.json(),
         overhead.ratio()
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -254,25 +213,10 @@ fn main() {
         Duration::from_millis(5)
     };
     let ops = if quick { 12 } else { 24 };
-    let configs = if quick {
-        vec![Config {
-            members: 3,
-            read_quorum: 2,
-            write_quorum: 2,
-        }]
+    let configs: &[Config] = if quick {
+        &[(3, 2, 2)]
     } else {
-        vec![
-            Config {
-                members: 3,
-                read_quorum: 2,
-                write_quorum: 2,
-            },
-            Config {
-                members: 5,
-                read_quorum: 3,
-                write_quorum: 3,
-            },
-        ]
+        &[(3, 2, 2), (5, 3, 3)]
     };
 
     println!(
@@ -287,42 +231,41 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for cfg in configs {
-        let mut sequential = None;
-        let mut fanned = None;
-        for fanout in [false, true] {
-            let mut fx = build(&cfg, base, 0xFA + u64::from(fanout), fanout);
-            let samples = run_workload(&mut fx.suite, ops);
-            if fanout {
-                fanned = Some(samples);
-            } else {
-                sequential = Some(samples);
-            }
-        }
+    for &cfg in configs {
+        let (serialized, cost_serialized) = run_workload(&mut build(cfg, base, 0xFA, Inline), ops);
+        let (fanout, cost_fanout) = run_workload(&mut build(cfg, base, 0xFB, |client| client), ops);
         let row = Row {
             ops,
-            sequential: sequential.expect("measured"),
-            fanout: fanned.expect("measured"),
+            serialized,
+            fanout,
+            costs: [cost_serialized, cost_fanout],
             cfg,
         };
         println!(
             "{:<12} {:>6} {:>12}us {:>12}us {:>9.2}x",
-            format!(
-                "{}-{}-{}",
-                row.cfg.members, row.cfg.read_quorum, row.cfg.write_quorum
-            ),
+            format!("{}-{}-{}", cfg.0, cfg.1, cfg.2),
             row.ops,
-            row.sequential.median(),
+            row.serialized.median(),
             row.fanout.median(),
             row.speedup()
         );
+        for (kind, &(ops, spent)) in KINDS.iter().zip(&row.costs[1]) {
+            let per_op = |count: u64| count as f64 / ops.max(1) as f64;
+            println!(
+                "    {kind}: {} rounds, {} requests, {} pings, {} fabric messages per op",
+                per_op(spent.rounds),
+                per_op(spent.requests),
+                per_op(spent.pings),
+                per_op(spent.fabric_msgs)
+            );
+        }
         rows.push(row);
     }
 
     let overhead = measure_overhead(base, ops);
     println!();
     println!(
-        "obs overhead (3-2-2 fan-out): armed median {}us, detached median {}us, ratio {:.3}",
+        "obs overhead (3-2-2): armed median {}us, detached median {}us, ratio {:.3}",
         overhead.armed.median(),
         overhead.detached.median(),
         overhead.ratio()
@@ -342,18 +285,17 @@ fn main() {
     println!("gap (the rounds per op do not depend on quorum size).");
 
     if check {
-        const GATE: f64 = 1.5;
         let mut ok = true;
         for row in &rows {
-            if row.cfg.read_quorum >= 2 && row.speedup() < GATE {
-                eprintln!(
-                    "FAIL: config {}-{}-{} speedup {:.2}x below the {GATE}x gate",
-                    row.cfg.members,
-                    row.cfg.read_quorum,
-                    row.cfg.write_quorum,
-                    row.speedup()
-                );
-                ok = false;
+            for (run, costs) in ["serialized", "fanout"].iter().zip(&row.costs) {
+                if *costs != budget(row.cfg, costs) {
+                    eprintln!(
+                        "FAIL: config {:?} {run} run spent {costs:?}, budget {:?}",
+                        row.cfg,
+                        budget(row.cfg, costs)
+                    );
+                    ok = false;
+                }
             }
         }
         // The obs gate: instrumented (timing armed) must stay within 5% of
@@ -374,7 +316,9 @@ fn main() {
         if !ok {
             std::process::exit(1);
         }
-        println!("check passed: fan-out >= {GATE}x faster on every quorum config");
+        println!(
+            "check passed: lookup 1 round, insert 2, delete 3, no ping, on every quorum config"
+        );
         println!(
             "check passed: obs timing overhead within {:.0}% (+{OBS_SLOP_US}us slop) of disarmed baseline",
             (OBS_GATE - 1.0) * 100.0

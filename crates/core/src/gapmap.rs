@@ -358,7 +358,8 @@ impl GapMap {
         key: &Key,
         limit: usize,
     ) -> Result<Vec<NeighborReply>, RepError> {
-        let mut out = Vec::with_capacity(limit);
+        // `limit` may come straight off the wire: never size from it.
+        let mut out = Vec::with_capacity(limit.min(4096));
         let mut probe = key.clone();
         while out.len() < limit {
             let nb = self.predecessor(&probe)?;
@@ -379,7 +380,8 @@ impl GapMap {
     ///
     /// [`RepError::SentinelViolation`] if `key` is `HIGH`.
     pub fn successor_chain(&self, key: &Key, limit: usize) -> Result<Vec<NeighborReply>, RepError> {
-        let mut out = Vec::with_capacity(limit);
+        // `limit` may come straight off the wire: never size from it.
+        let mut out = Vec::with_capacity(limit.min(4096));
         let mut probe = key.clone();
         while out.len() < limit {
             let nb = self.successor(&probe)?;
@@ -976,6 +978,19 @@ mod tests {
         // Sentinel start errors mirror the single-call API.
         assert!(m.predecessor_chain(&Key::Low, 3).is_err());
         assert!(m.successor_chain(&Key::High, 3).is_err());
+    }
+
+    #[test]
+    fn chain_limit_bounds_the_walk_and_sizes_nothing() {
+        // A limit is whatever the caller (or the wire) says; reserving that
+        // many results up front aborted the process on `u32::MAX`.
+        let mut m = GapMap::new();
+        m.insert(&k("b"), v(1), val("b")).unwrap();
+        let whole = |chain: Vec<NeighborReply>| chain.into_iter().map(|n| n.key).collect();
+        let down: Vec<Key> = whole(m.predecessor_chain(&Key::High, usize::MAX).unwrap());
+        assert_eq!(down, vec![k("b"), Key::Low]);
+        let up: Vec<Key> = whole(m.successor_chain(&Key::Low, u32::MAX as usize).unwrap());
+        assert_eq!(up, vec![k("b"), Key::High]);
     }
 
     #[test]

@@ -1,0 +1,79 @@
+#![cfg(test)]
+//! Fixtures the suite's unit tests share.
+
+use super::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
+use crate::key::Key;
+use crate::rep::{LocalRep, RepClient, RepId, RepReply, RepRequest, RepResult};
+use crate::value::Value;
+
+pub(super) fn k(s: &str) -> Key {
+    Key::from(s)
+}
+pub(super) fn val(s: &str) -> Value {
+    Value::from(s)
+}
+
+pub(super) fn suite_322(seed: u64) -> DirSuite<LocalRep> {
+    DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap()
+}
+
+pub(super) fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
+    Box::new(FixedPolicy::with_order(order.to_vec()))
+}
+
+/// Forwards to a [`LocalRep`] but kills the rep once a shared fuse
+/// counts down to zero across data RPCs — the mid-walk failure window
+/// session re-validation exists for. Pings never tick the fuse, so the
+/// fixture controls exactly how deep into a walk the member dies.
+pub(super) struct DiesAfterCalls {
+    inner: LocalRep,
+    fuse: std::sync::Arc<std::sync::atomic::AtomicI64>,
+}
+
+impl DiesAfterCalls {
+    fn tick(&self) {
+        if self.fuse.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+            self.inner.set_available(false);
+        }
+    }
+}
+
+impl RepClient for DiesAfterCalls {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
+        match req {
+            RepRequest::Ping => {}
+            // Every sub-request of an envelope ticks on its own, so a
+            // member can die half-way through one.
+            RepRequest::Batch(parts) => return self.execute_parts(parts),
+            _ => self.tick(),
+        }
+        self.inner.execute(req)
+    }
+}
+
+pub(super) fn fused_suite() -> (
+    DirSuite<DiesAfterCalls>,
+    Vec<std::sync::Arc<std::sync::atomic::AtomicI64>>,
+) {
+    // Fuses start deeply negative: effectively disarmed through setup.
+    let fuses: Vec<std::sync::Arc<std::sync::atomic::AtomicI64>> = (0..3)
+        .map(|_| std::sync::Arc::new(std::sync::atomic::AtomicI64::new(i64::MIN / 2)))
+        .collect();
+    let clients: Vec<DiesAfterCalls> = fuses
+        .iter()
+        .enumerate()
+        .map(|(i, fuse)| DiesAfterCalls {
+            inner: LocalRep::new(RepId(i as u32)),
+            fuse: fuse.clone(),
+        })
+        .collect();
+    let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
+    let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
+    for key in ["a", "b", "c", "d", "e", "f"] {
+        s.insert(&k(key), &val(key)).unwrap();
+    }
+    (s, fuses)
+}

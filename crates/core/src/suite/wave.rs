@@ -5,8 +5,7 @@
 //! [`RepClient::start`] and then consumes tagged completions in arrival
 //! order from one queue — no thread is created per wave, per request or per
 //! hedge. In-process clients complete inline, networked ones from their RPC
-//! router. With fan-out disabled the window is one: each request is awaited
-//! before the next is started, through the same code.
+//! router.
 //!
 //! Slot tags are never reused, so a reply can never be taken for another
 //! wave's. A wave that reaches its vote threshold simply stops listening;
@@ -15,7 +14,6 @@
 //! availability, failure penalty) whenever they surface: while a later wave
 //! waits, at the next quorum collection, or when the suite is dropped.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use super::DirSuite;
@@ -38,8 +36,6 @@ pub(super) struct Executor {
     base: u64,
     /// `(tag, member)` of every request started and not yet accounted.
     in_flight: Vec<(u64, usize)>,
-    /// Window-of-one mode: the open wave's completions, awaited at issue.
-    ready: VecDeque<Arrival>,
 }
 
 impl Executor {
@@ -51,7 +47,6 @@ impl Executor {
             next_slot: 0,
             base: 0,
             in_flight: Vec::new(),
-            ready: VecDeque::new(),
         }
     }
 }
@@ -95,7 +90,6 @@ impl<C: RepClient> DirSuite<C> {
     fn open_wave(&mut self) {
         self.harvest();
         self.obs.rounds.inc();
-        self.exec.ready.clear();
         self.exec.base = self.exec.next_slot;
     }
 
@@ -130,18 +124,12 @@ impl<C: RepClient> DirSuite<C> {
         let timed = self.obs.registry.timing_armed();
         let done = Completion::new(slot, timed, self.exec.queue.clone());
         self.members[i].client.start(req, done);
-        if !self.fanout {
-            // Window of one: nothing else of this wave is outstanding, so
-            // the next completion of the wave is this request's.
-            let settled = self.next_completion(None).expect("no deadline");
-            self.exec.ready.push_back(settled);
-        }
     }
 
-    /// The open wave's next completion off the queue, or `None` once `until`
-    /// passes. Stragglers of earlier waves that surface meanwhile are
-    /// accounted and skipped.
-    fn next_completion(&mut self, until: Option<Instant>) -> Option<Arrival> {
+    /// The open wave's next completion in arrival order, or `None` once
+    /// `until` passes. Stragglers of earlier waves that surface meanwhile
+    /// are accounted and skipped.
+    fn arrival(&mut self, until: Option<Instant>) -> Option<Arrival> {
         loop {
             let done = match until {
                 // The executor holds a sender itself, so the queue never
@@ -158,13 +146,6 @@ impl<C: RepClient> DirSuite<C> {
                 return Some(((done.slot - self.exec.base) as usize, i, done.result));
             }
         }
-    }
-
-    /// The open wave's next completion in arrival order, or `None` once
-    /// `until` passes.
-    fn arrival(&mut self, until: Option<Instant>) -> Option<Arrival> {
-        let ready = self.exec.ready.pop_front();
-        ready.or_else(|| self.next_completion(until))
     }
 
     fn charge(&self, traffic: Traffic, i: usize) {
@@ -273,5 +254,19 @@ impl<C: RepClient> DirSuite<C> {
             .hedge_wasted
             .add(out.spares_used as u64 - hedges_won);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an empty envelope cannot be scattered")]
+    fn empty_envelope_is_never_scattered() {
+        let mut s = suite_322(65);
+        let _ = s.scatter(&[0, 1], |_| RepRequest::Batch(&[]));
     }
 }

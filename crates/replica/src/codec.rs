@@ -24,13 +24,10 @@ pub enum Request {
     Begin(TxnId),
     /// `DirRepLookup`.
     Lookup(TxnId, Key),
-    /// `DirRepPredecessor`.
-    Predecessor(TxnId, Key),
-    /// `DirRepSuccessor`.
-    Successor(TxnId, Key),
-    /// Batched `DirRepPredecessor` chain (§4): key and element limit.
+    /// `DirRepPredecessor` chain (§4): key and element limit; a limit of
+    /// one is the paper's single-step call.
     PredecessorChain(TxnId, Key, u32),
-    /// Batched `DirRepSuccessor` chain.
+    /// `DirRepSuccessor` chain.
     SuccessorChain(TxnId, Key, u32),
     /// `DirRepInsert`.
     Insert(TxnId, Key, Version, Value),
@@ -78,9 +75,7 @@ pub enum Response {
     Ok,
     /// Lookup result.
     Lookup(LookupReply),
-    /// Predecessor/Successor result.
-    Neighbor(NeighborReply),
-    /// Batched chain result.
+    /// Chain result.
     Chain(Vec<NeighborReply>),
     /// Insert result.
     Insert(InsertOutcome),
@@ -217,8 +212,8 @@ fn get_u8(b: &mut &[u8]) -> DecodeResult<u8> {
 const RQ_PING: u8 = 0;
 const RQ_BEGIN: u8 = 1;
 const RQ_LOOKUP: u8 = 2;
-const RQ_PRED: u8 = 3;
-const RQ_SUCC: u8 = 4;
+// Tags 3 and 4 carried the single-step neighbour requests; they stay retired
+// so a stale peer's frame is refused, never misread.
 const RQ_INSERT: u8 = 5;
 const RQ_COALESCE: u8 = 6;
 const RQ_COMMIT: u8 = 7;
@@ -242,16 +237,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Lookup(t, k) => {
             b.put_u8(RQ_LOOKUP);
-            b.put_u64_le(t.0);
-            put_key(&mut b, k);
-        }
-        Request::Predecessor(t, k) => {
-            b.put_u8(RQ_PRED);
-            b.put_u64_le(t.0);
-            put_key(&mut b, k);
-        }
-        Request::Successor(t, k) => {
-            b.put_u8(RQ_SUCC);
             b.put_u64_le(t.0);
             put_key(&mut b, k);
         }
@@ -330,8 +315,6 @@ pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
         RQ_PING => Ok(Request::Ping),
         RQ_BEGIN => Ok(Request::Begin(TxnId(get_u64(b)?))),
         RQ_LOOKUP => Ok(Request::Lookup(TxnId(get_u64(b)?), get_key(b)?)),
-        RQ_PRED => Ok(Request::Predecessor(TxnId(get_u64(b)?), get_key(b)?)),
-        RQ_SUCC => Ok(Request::Successor(TxnId(get_u64(b)?), get_key(b)?)),
         RQ_PRED_CHAIN => Ok(Request::PredecessorChain(
             TxnId(get_u64(b)?),
             get_key(b)?,
@@ -396,7 +379,7 @@ pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
 const RS_OK: u8 = 0;
 const RS_LOOKUP_PRESENT: u8 = 1;
 const RS_LOOKUP_ABSENT: u8 = 2;
-const RS_NEIGHBOR: u8 = 3;
+// Tag 3 carried the single-step neighbour reply; retired with its requests.
 const RS_INSERT_CREATED: u8 = 4;
 const RS_INSERT_UPDATED: u8 = 5;
 const RS_COALESCE: u8 = 6;
@@ -500,12 +483,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             b.put_u8(RS_LOOKUP_ABSENT);
             b.put_u64_le(gap_version.get());
         }
-        Response::Neighbor(n) => {
-            b.put_u8(RS_NEIGHBOR);
-            put_key(&mut b, &n.key);
-            b.put_u64_le(n.entry_version.get());
-            b.put_u64_le(n.gap_version.get());
-        }
         Response::Chain(chain) => {
             b.put_u8(RS_CHAIN);
             b.put_u32_le(chain.len() as u32);
@@ -601,11 +578,6 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
             value: get_value(b)?,
         })),
         RS_LOOKUP_ABSENT => Ok(Response::Lookup(LookupReply::Absent {
-            gap_version: Version::new(get_u64(b)?),
-        })),
-        RS_NEIGHBOR => Ok(Response::Neighbor(NeighborReply {
-            key: get_key(b)?,
-            entry_version: Version::new(get_u64(b)?),
             gap_version: Version::new(get_u64(b)?),
         })),
         RS_CHAIN => {
@@ -757,8 +729,6 @@ mod tests {
             Request::Begin(TxnId(7)),
             Request::Lookup(TxnId(1), k("a")),
             Request::Lookup(TxnId(1), Key::Low),
-            Request::Predecessor(TxnId(2), Key::High),
-            Request::Successor(TxnId(3), k("")),
             Request::PredecessorChain(TxnId(3), k("m"), 3),
             Request::SuccessorChain(TxnId(3), Key::Low, 5),
             Request::Insert(TxnId(4), k("key"), v(9), Value::from("val")),
@@ -803,16 +773,6 @@ mod tests {
                 value: Value::from("x"),
             }),
             Response::Lookup(LookupReply::Absent { gap_version: v(2) }),
-            Response::Neighbor(NeighborReply {
-                key: k("n"),
-                entry_version: v(1),
-                gap_version: v(2),
-            }),
-            Response::Neighbor(NeighborReply {
-                key: Key::Low,
-                entry_version: v(0),
-                gap_version: v(5),
-            }),
             Response::Chain(vec![
                 NeighborReply {
                     key: k("n"),
@@ -981,6 +941,27 @@ mod tests {
         assert!(decode_response(&[200]).is_err());
         assert!(decode_request(&[]).is_err());
         assert!(decode_response(&[]).is_err());
+    }
+
+    #[test]
+    fn retired_tags_are_unknown_not_a_panic() {
+        // The single-step neighbour frames, as a peer from before their
+        // removal would send them: a lookup's layout under tag 3 or 4, and
+        // `key | entry version | gap version` under response tag 3.
+        let mut frame = encode_request(&Request::Lookup(TxnId(7), k("a")));
+        for tag in [3, 4] {
+            frame[0] = tag;
+            let err = decode_request(&frame).unwrap_err();
+            assert!(err.0.contains("unknown request tag"), "{err}");
+            let envelope = [&[RQ_BATCH][..], &repdir_net::pack_parts(&[frame.clone()])].concat();
+            let err = decode_request(&envelope).unwrap_err();
+            assert!(err.0.contains("unknown request tag"), "{err}");
+        }
+        let mut reply = vec![3];
+        put_key(&mut reply, &k("n"));
+        reply.extend_from_slice(&[0; 16]);
+        let err = decode_response(&reply).unwrap_err();
+        assert!(err.0.contains("unknown response tag"), "{err}");
     }
 
     #[test]

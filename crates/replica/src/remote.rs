@@ -52,8 +52,6 @@ fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
         Request::Ping => wrap(rep.ping(), |()| Response::Ok),
         Request::Begin(t) => wrap(rep.begin(t), |()| Response::Ok),
         Request::Lookup(t, k) => wrap(rep.lookup(t, &k), Response::Lookup),
-        Request::Predecessor(t, k) => wrap(rep.predecessor(t, &k), Response::Neighbor),
-        Request::Successor(t, k) => wrap(rep.successor(t, &k), Response::Neighbor),
         Request::PredecessorChain(t, k, limit) => wrap(
             rep.predecessor_chain(t, &k, limit as usize),
             Response::Chain,
@@ -250,7 +248,6 @@ fn decode_reply(reply: RpcResult, arity: Option<usize>) -> RepResult<RepReply> {
             .map(RepReply::Batch),
         Response::Ok => Ok(RepReply::Pong),
         Response::Lookup(r) => Ok(RepReply::Lookup(r)),
-        Response::Neighbor(n) => Ok(RepReply::Chain(vec![n])),
         Response::Chain(c) => Ok(RepReply::Chain(c)),
         Response::Insert(r) => Ok(RepReply::Insert(r)),
         Response::Coalesce(r) => Ok(RepReply::Coalesce(r)),

@@ -309,7 +309,8 @@ impl TransactionalRep {
         key: &Key,
         limit: usize,
     ) -> RepResult<Vec<NeighborReply>> {
-        let mut out = Vec::with_capacity(limit);
+        // `limit` may come straight off the wire: never size from it.
+        let mut out = Vec::with_capacity(limit.min(4096));
         let mut probe = key.clone();
         while out.len() < limit {
             let nb = self.predecessor(txn, &probe)?;
@@ -334,7 +335,8 @@ impl TransactionalRep {
         key: &Key,
         limit: usize,
     ) -> RepResult<Vec<NeighborReply>> {
-        let mut out = Vec::with_capacity(limit);
+        // `limit` may come straight off the wire: never size from it.
+        let mut out = Vec::with_capacity(limit.min(4096));
         let mut probe = key.clone();
         while out.len() < limit {
             let nb = self.successor(txn, &probe)?;

@@ -5,25 +5,25 @@
 #    `repdir-*` path crates (the zero-external-dependency policy, DESIGN.md §6).
 # 2. Builds the whole workspace offline (release, all targets).
 # 3. Runs the full test suite offline.
-# 4. Runs the suite_latency bench in quick mode, which fails unless quorum
-#    fan-out beats the sequential baseline by >= 1.5x median latency AND the
-#    obs-instrumented build (timing armed) stays within 5% of the disarmed
-#    baseline.
+# 4. Runs the suite_latency bench in quick mode, which fails unless a lookup
+#    costs 1 round of R requests, an insert 2 of R + W, a delete 3 of R + 2W,
+#    with no ping, through remote clients and serialized (`reference::Inline`)
+#    ones alike, AND the obs-instrumented build (timing armed) stays within
+#    5% of the disarmed baseline. The speed-up over serialized is reported.
 # 5. Runs the latency_policy bench in quick mode, which fails unless the
 #    EWMA-driven LatencyPolicy reads from the fast members only and beats
 #    RandomPolicy by >= 2x median on a skewed fabric.
-# 6. Runs the scan_bench in quick mode, which fails unless the chain-resolved
-#    session scan beats the per-hop baseline by >= 2x median at N=64
-#    entries, R=2 with zero re-validations on the failure-free fabric.
-# 7. Runs the ingest_bench in quick mode, which fails unless bulk insert_many
-#    beats the per-key baseline (two carried rounds per key: lookup, write)
-#    by >= 2x median AND >= 2x fewer fabric messages for a 64-key ingest at
-#    R=2/W=2, zero re-validations.
-# 8. Runs the hedge_bench in quick mode, which fails unless adaptive wave
-#    provisioning + hedged RPCs beat the minimal-prefix baseline by >= 2x
-#    median lookup latency on a fabric with one flaky + one slow member,
-#    spending at most the 2x over-provision cap in member requests (pings
-#    plus the lookups collections carry).
+# 6. Runs the scan_bench in quick mode, which fails unless a scan of N=64
+#    entries at R=2 costs 2 rounds, 4 requests, 8 fabric messages, no ping and
+#    zero re-validations; the speed-up over the per-hop reference is reported.
+# 7. Runs the ingest_bench in quick mode, which fails unless a 64-key
+#    insert_many at R=2/W=2 costs 2 rounds, 4 requests, 8 fabric messages, no
+#    ping and zero re-validations; the per-key reference's speed-up is reported.
+# 8. Runs the hedge_bench in quick mode, which fails unless, on a fabric with
+#    one flaky + one slow member, hedged lookups spend at most the 2x
+#    over-provision cap of the unhedged run's member requests and the
+#    unhedged clean-fabric warm-up is exactly R + W requests per insert, no
+#    ping, no hedge. Latencies are reported, not gated.
 # 9. Runs the repair_bench in quick mode with --driver, which fails unless
 #    summary-tree anti-entropy converges a member that missed ~5% of the
 #    keys with >= 2x fewer fabric messages than a naive full-directory
@@ -51,6 +51,11 @@
 #    Nothing under benchmark/ is edited by this gate.
 # 12. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
+# 13. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
+#    gates 4, 6, 7 and 8 pinned and gate 11's traced net.msgs_per_op. Counts
+#    repeat, so the history shows a budget moving, not noise. Then prints
+#    the code / comment / test line split of crates/core/src/suite
+#    (scripts/suite_loc.sh), for information.
 #
 # Each gate prints its wall-clock duration so a slow regression is
 # attributable to the gate that grew. Exits non-zero on the first violation
@@ -106,7 +111,7 @@ gate "cargo build --offline --examples"
 cargo build --offline --examples
 gate_done
 
-gate "suite_latency --quick --check (fan-out >= 1.5x; obs overhead <= 5%)"
+gate "suite_latency --quick --check (lookup 1 round, insert 2, delete 3, no ping; obs overhead <= 5%)"
 cargo run --release --offline -p repdir-bench --bin suite_latency -- --quick --check
 gate_done
 
@@ -114,15 +119,15 @@ gate "latency_policy --quick --check (EWMA policy must avoid slow members, >= 2x
 cargo run --release --offline -p repdir-bench --bin latency_policy -- --quick --check
 gate_done
 
-gate "scan_bench --quick --check (session + batched scan >= 2x per-hop at N=64, R=2)"
+gate "scan_bench --quick --check (scan of N=64 at R=2 = 2 rounds, 8 fabric messages)"
 cargo run --release --offline -p repdir-bench --bin scan_bench -- --quick --check
 gate_done
 
-gate "ingest_bench --quick --check (bulk insert >= 2x time and >= 2x fewer messages at N=64)"
+gate "ingest_bench --quick --check (insert_many of N=64 = 2 rounds, 8 fabric messages)"
 cargo run --release --offline -p repdir-bench --bin ingest_bench -- --quick --check
 gate_done
 
-gate "hedge_bench --quick --check (adaptive waves + hedging >= 2x on a flaky fabric, requests <= 2x)"
+gate "hedge_bench --quick --check (hedged requests <= 2x unhedged on a flaky fabric; clean warm-up R + W per insert)"
 cargo run --release --offline -p repdir-bench --bin hedge_bench -- --quick --check
 gate_done
 
@@ -167,4 +172,28 @@ gate "cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 gate_done
 
+gate "BENCH_history.jsonl: this run's counts, keyed by commit"
+commit=$(git rev-parse --short HEAD)$(git diff --quiet HEAD -- . ':!BENCH_*' || echo "-dirty")
+python3 - "$commit" <<'PY'
+import json, sys
+load = lambda name: json.load(open(f"BENCH_{name}.json"))
+counts = lambda bench, unit: {k: v for k, v in bench.items() if k.endswith("_per_" + unit)}
+hedge = load("hedge")
+runs = json.load(open("benchmark/out/results.json"))["runs"]
+line = {
+    "commit": sys.argv[1],
+    "suite_latency": counts(load("quorum_fanout")["configs"][0], "op"),
+    "scan": counts(load("scan"), "scan"),
+    "ingest": counts(load("ingest"), "ingest"),
+    "hedge": {k: hedge[k] for k in ("warmup_requests", "warmup_pings", "requests_unhedged", "requests_hedged")},
+    "net.msgs_per_op": {r["workload"]: r["metrics"]["net.msgs_per_op"]["value"] for r in runs if r["traced"]},
+}
+with open("BENCH_history.jsonl", "a") as history:
+    history.write(json.dumps(line, sort_keys=True) + "\n")
+print("    " + json.dumps(line, sort_keys=True))
+PY
+gate_done
+
 echo "ALL CHECKS PASSED"
+echo
+bash scripts/suite_loc.sh

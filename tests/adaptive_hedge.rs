@@ -1,14 +1,15 @@
-//! Equivalence tests for adaptive wave provisioning and hedged reads.
+//! Equivalence tests for wave provisioning and hedged reads.
 //!
-//! The adaptive executor changes *how many* candidates a quorum wave asks
-//! and *which* straggler a hedge duplicates — never what a quorum means: by
-//! the paper's §3.1 intersection argument, any member set whose votes reach
-//! the threshold is a valid quorum, and every read quorum sees the current
+//! Wave sizing changes *how many* candidates a quorum wave asks and hedging
+//! *which* straggler is duplicated — never what a quorum means: by the
+//! paper's §3.1 intersection argument, any member set whose votes reach the
+//! threshold is a valid quorum, and every read quorum sees the current
 //! version of every key. These tests pin the consequence: on a fault-free
-//! fabric the adaptive suite (with and without hedging) agrees op-for-op
-//! with the minimal-prefix baseline and with a sequential `BTreeMap` model,
-//! and its request spend (pings plus the requests collections carry) stays
-//! inside the over-provision cap.
+//! fabric the suite agrees op-for-op with a sequential `BTreeMap` model and,
+//! hedged, with its unhedged default; unhedged it sends exactly the
+//! requests the analysis says (a wave is the minimal prefix while every
+//! member answers), and hedged its spend (pings plus the requests
+//! collections carry) stays inside the over-provision cap.
 
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, SuiteConfig};
@@ -41,71 +42,78 @@ fn value_of(v: u8) -> Value {
     Value::from(vec![v])
 }
 
-#[derive(Clone, Copy)]
-enum Mode {
-    /// Minimal-prefix waves, no hedging — the pre-adaptive baseline.
-    Baseline,
-    /// Adaptive wave sizing (the default), no hedging.
-    Adaptive,
-    /// Adaptive waves plus hedged collections, carried or pinged.
-    Hedged,
-}
-
-/// Replays `ops` against a fresh in-process suite in the given mode and
-/// returns a *semantic* transcript plus the total member requests sent
-/// (pings and data: a point operation's collection carries its request, so
-/// pings alone no longer count what collections spend).
+/// Replays `ops` against a fresh in-process suite, hedged or not (the
+/// default), and returns a *semantic* transcript plus the member requests
+/// each operation sent (pings and data: a point operation's collection
+/// carries its request, so pings alone do not count what collections spend)
+/// beside the band the fault-free analysis allows it: lookup R, insert and
+/// update R + W (R when the lookup refuses them), delete R + 2W (R when the
+/// key is absent) plus at most one request per chain a ghost made a walk
+/// fetch beyond wave A's.
 ///
 /// The transcript deliberately omits which members formed each quorum and
 /// incidental side-effect counts (`ghosts_deleted`): hedging may substitute
 /// a spare member's reply for a straggler's, so quorum composition is
 /// allowed to differ — the §3.1 guarantee is that answers, versions, and
 /// errors cannot.
-fn replay(ops: &[Op], seed: u64, config: SuiteConfig, mode: Mode) -> (Vec<String>, u64) {
+fn replay(
+    ops: &[Op],
+    seed: u64,
+    config: SuiteConfig,
+    hedged: bool,
+) -> (Vec<String>, Vec<(u64, u64, u64)>) {
+    let (r, w) = (config.read_quorum() as u64, config.write_quorum() as u64);
     let mut suite = DirSuite::in_process(config, seed).expect("suite");
-    match mode {
-        Mode::Baseline => suite.set_adaptive_waves(false),
-        Mode::Adaptive => assert!(suite.adaptive_waves_enabled(), "adaptive is the default"),
-        Mode::Hedged => suite.set_hedge(true),
-    }
+    suite.set_hedge(hedged);
     let mut log = Vec::with_capacity(ops.len());
+    let mut spend = Vec::with_capacity(ops.len());
     for op in ops {
-        let outcome = match *op {
+        suite.reset_message_counts();
+        let (outcome, least, most) = match *op {
             Op::Insert(k, v) => match suite.insert(&key_of(k), &value_of(v)) {
-                Ok(out) => format!("insert v{:?}", out.version),
-                Err(e) => format!("insert err {e:?}"),
+                Ok(out) => (format!("insert v{:?}", out.version), r + w, r + w),
+                Err(e) => (format!("insert err {e:?}"), r, r),
             },
             Op::Update(k, v) => match suite.update(&key_of(k), &value_of(v)) {
-                Ok(out) => format!("update v{:?}", out.version),
-                Err(e) => format!("update err {e:?}"),
+                Ok(out) => (format!("update v{:?}", out.version), r + w, r + w),
+                Err(e) => (format!("update err {e:?}"), r, r),
             },
             Op::Delete(k) => match suite.delete(&key_of(k)) {
-                Ok(out) => format!("delete {:?}..{:?}", out.predecessor, out.successor),
-                Err(e) => format!("delete err {e:?}"),
+                Ok(out) => {
+                    let refills = u64::from(out.pred_rpcs + out.succ_rpcs) - 2 * r;
+                    let outcome = format!("delete {:?}..{:?}", out.predecessor, out.successor);
+                    (outcome, r + 2 * w, r + 2 * w + refills)
+                }
+                Err(e) => (format!("delete err {e:?}"), r, r),
             },
             Op::Lookup(k) => match suite.lookup(&key_of(k)) {
-                Ok(out) => format!(
-                    "lookup present={} v{:?} {:?}",
-                    out.present, out.version, out.value
-                ),
-                Err(e) => format!("lookup err {e:?}"),
+                Ok(out) => {
+                    let (present, version) = (out.present, out.version);
+                    let outcome = format!("lookup present={present} v{version:?} {:?}", out.value);
+                    (outcome, r, r)
+                }
+                Err(e) => (format!("lookup err {e:?}"), r, r),
             },
         };
         log.push(outcome);
+        let sent = suite
+            .ping_counts()
+            .iter()
+            .chain(&suite.message_counts())
+            .sum();
+        spend.push((sent, least, most));
     }
-    let requests =
-        suite.ping_counts().iter().sum::<u64>() + suite.message_counts().iter().sum::<u64>();
-    (log, requests)
+    (log, spend)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Adaptive waves and hedging agree op-for-op with the minimal-prefix
-    /// baseline and with the abstract model; on a fault-free fabric the
-    /// adaptive waves *are* the minimal prefixes (identical request
-    /// counts), and hedging stays inside the over-provision cap (at most 2x
-    /// the baseline's requests, the default `max_overprovision`).
+    /// The suite agrees op-for-op with the abstract model and, hedged, with
+    /// its unhedged default; on a fault-free fabric every wave is the
+    /// minimal prefix (each operation sends its analytic request count),
+    /// and hedging stays inside the over-provision cap (at most 2x the
+    /// unhedged requests).
     #[test]
     fn adaptive_and_hedged_match_baseline_and_model(
         ops in proptest::collection::vec(op_strategy(), 1..60),
@@ -115,7 +123,7 @@ proptest! {
         let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
         let config = SuiteConfig::symmetric(n, r, w).expect("legal");
 
-        // Adaptive (default) run, checked against the abstract model.
+        // Default run, checked against the abstract model.
         let mut suite = DirSuite::in_process(config.clone(), seed).expect("suite");
         let mut model: BTreeMap<u8, u8> = BTreeMap::new();
         for op in &ops {
@@ -156,20 +164,25 @@ proptest! {
             }
         }
 
-        // Same seed, three modes: identical semantic transcripts.
-        let (log_base, reqs_base) = replay(&ops, seed, config.clone(), Mode::Baseline);
-        let (log_adapt, reqs_adapt) = replay(&ops, seed, config.clone(), Mode::Adaptive);
-        let (log_hedge, reqs_hedge) = replay(&ops, seed, config, Mode::Hedged);
-        prop_assert_eq!(&log_adapt, &log_base, "adaptive diverged from baseline");
+        // Same seed, hedged and not: identical semantic transcripts.
+        let (log_base, spend_base) = replay(&ops, seed, config.clone(), false);
+        let (log_hedge, spend_hedge) = replay(&ops, seed, config, true);
         prop_assert_eq!(&log_hedge, &log_base, "hedged diverged from baseline");
 
         // Fault-free fabric: availability never drops below 1.0, so every
-        // adaptive wave is exactly the baseline's minimal prefix.
-        prop_assert_eq!(reqs_adapt, reqs_base);
+        // wave is exactly the minimal prefix and nothing is pinged.
+        for (op, &(sent, least, most)) in ops.iter().zip(&spend_base) {
+            prop_assert!(
+                (least..=most).contains(&sent),
+                "{:?} sent {} requests, analysis says {}..={}",
+                op, sent, least, most
+            );
+        }
         // Hedges may fire spuriously under scheduler noise, but each wave
-        // (hedges included) is capped at `max_overprovision` (2.0) times
-        // its vote deficit, so the run never spends more than twice the
-        // baseline's requests.
+        // (hedges included) is capped at 2.0 times its vote deficit, so the
+        // run never spends more than twice the unhedged requests.
+        let total = |spend: &[(u64, u64, u64)]| spend.iter().map(|s| s.0).sum::<u64>();
+        let (reqs_base, reqs_hedge) = (total(&spend_base), total(&spend_hedge));
         prop_assert!(
             reqs_hedge <= reqs_base * 2,
             "hedged requests {} exceed 2x baseline {}",

@@ -5,7 +5,7 @@
 //! and one write-quorum collection for the whole batch, batched envelopes
 //! instead of per-key round trips — never *what* they do. The property test
 //! pins that: over randomized bulk batches, `insert_many`/`delete_many`
-//! under session quorums, the per-key baseline (`set_session_reuse(false)`),
+//! under session quorums, the per-key baseline (`reference::*_per_key`),
 //! and a `BTreeMap` model replaying the sequential loop agree on every
 //! outcome, while each successful session batch pays exactly one read and
 //! one write collection and no ping: an ingest's collections carry its
@@ -17,6 +17,7 @@
 //! first unacknowledged key, and leave every key applied exactly once at
 //! its originally assigned version — no lost write, no double-apply.
 
+use repdir::baselines::reference::{delete_per_key, insert_per_key, per_hop_scan};
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
@@ -85,7 +86,6 @@ proptest! {
         let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
         session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
         let mut baseline = DirSuite::in_process(config, seed).expect("suite");
-        baseline.set_session_reuse(false);
         baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
         let mut model: BTreeMap<u8, u8> = BTreeMap::new();
 
@@ -99,7 +99,7 @@ proptest! {
                     let (waves0, pings0) = waves_and_pings(&session);
                     let a = session.insert_many(&entries);
                     let (waves1, pings1) = waves_and_pings(&session);
-                    let b = baseline.insert_many(&entries);
+                    let b = insert_per_key(&mut baseline, &entries);
                     prop_assert_eq!(&a, &b, "bulk insert vs per-key loop");
 
                     // Replay the sequential loop against the model: the
@@ -136,7 +136,7 @@ proptest! {
                     let (waves0, pings0) = waves_and_pings(&session);
                     let a = session.delete_many(&keys);
                     let (waves1, pings1) = waves_and_pings(&session);
-                    let b = baseline.delete_many(&keys);
+                    let b = delete_per_key(&mut baseline, &keys);
                     prop_assert_eq!(&a, &b, "bulk delete vs per-key loop");
 
                     let mut expect_err: Option<Key> = None;
@@ -175,7 +175,7 @@ proptest! {
             .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), value_of(*mv)))
             .collect();
         prop_assert_eq!(&session.scan().expect("session scan"), &expect);
-        prop_assert_eq!(&baseline.scan().expect("baseline scan"), &expect);
+        prop_assert_eq!(&per_hop_scan(&mut baseline).expect("baseline scan"), &expect);
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use repdir::core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, SuiteError, Value};
+use repdir::core::{Key, NeighborReply, RepClient, RepId, SuiteError, Value, Version};
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient};
 use repdir::replica::{serve_rep, RemoteSessionClient, ReplicatedDirectory, TransactionalRep};
 use repdir::txn::TxnId;
@@ -193,4 +193,30 @@ fn dropped_messages_surface_as_unavailability_not_corruption() {
         cluster.commit(&suite);
     }
     assert!(successes > 0, "some lookups should get through 35% loss");
+}
+
+#[test]
+fn chain_request_with_a_hostile_limit_returns_the_whole_chain() {
+    // The limit of a chain request is a `u32` straight off the wire. A
+    // representative that reserved room for that many results aborted its
+    // process on `SuccessorChain(LOW, u32::MAX)`; it must walk to the
+    // sentinel and answer with what is there.
+    let cluster = Cluster::new(0x11417);
+    let client =
+        RemoteSessionClient::new(Arc::clone(&cluster.rpc), NodeId(100), RepId(0), TxnId(1));
+    client.begin().unwrap();
+    let keys: Vec<Key> = ["a", "b", "c"].into_iter().map(Key::from).collect();
+    for key in &keys {
+        client
+            .insert(key, Version::new(1), &Value::from("v"))
+            .unwrap();
+    }
+    let keys_of = |chain: Vec<NeighborReply>| chain.into_iter().map(|n| n.key).collect::<Vec<_>>();
+    let limit = u32::MAX as usize;
+    let up = keys_of(client.successor_chain(&Key::Low, limit).unwrap());
+    assert_eq!(up, [keys.clone(), vec![Key::High]].concat());
+    let mut down = keys_of(client.predecessor_chain(&Key::High, limit).unwrap());
+    down.reverse();
+    assert_eq!(down, [vec![Key::Low], keys].concat());
+    client.commit().unwrap();
 }

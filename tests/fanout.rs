@@ -1,18 +1,20 @@
 //! Equivalence and stress tests for the suite's scatter-gather fan-out.
 //!
-//! The fan-out executor changes *when* member RPCs run, never *what* runs:
-//! every wave is the same RPC set the sequential walk would issue, replies
+//! The wave executor changes *when* member RPCs run, never *what* runs:
+//! every wave is the same RPC set a sequential walk would issue, replies
 //! merge through order-independent folds (`pick_reply`, vote counting,
 //! per-slot chain integration), and counters are bumped by the coordinator
 //! before each wave. These tests pin that claim: op-for-op agreement with a
-//! sequential `BTreeMap` model, exact counter agreement with the serialized
-//! (pre-fan-out) execution mode, and a multi-thread stress run against one
-//! shared fabric.
+//! sequential `BTreeMap` model, exact transcript and counter agreement
+//! between remote clients whose completions race on a zero-delay fabric and
+//! the same clients serialized (`reference::Inline`), and a multi-thread
+//! stress run against one shared fabric.
 
+use repdir::baselines::reference::Inline;
 use repdir::core::proptest_mini::prelude::*;
-use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, UserKey, Value};
-use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient};
+use repdir::core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
+use repdir::core::{Key, RepClient, RepId, UserKey, Value};
+use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::collections::BTreeMap;
@@ -45,19 +47,40 @@ fn value_of(v: u8) -> Value {
     Value::from(vec![v])
 }
 
-/// Replays `ops` against a fresh in-process suite in the given execution
-/// mode, returning a debug transcript of every outcome plus the final
-/// counters.
-fn replay(
+/// Replays `ops` through one transaction's remote clients, each wrapped by
+/// `wrap`, against fresh representatives served over a zero-delay fabric,
+/// returning a debug transcript of every outcome plus the final counters.
+fn replay<C: RepClient>(
     ops: &[Op],
     seed: u64,
     config: SuiteConfig,
     batch: usize,
-    fanout: bool,
+    wrap: impl Fn(RemoteSessionClient) -> C,
 ) -> (Vec<String>, Vec<u64>, Vec<u64>) {
-    let mut suite = DirSuite::in_process(config, seed).expect("suite");
+    let net = Arc::new(Network::new(seed));
+    let members = 0..config.member_count() as u32;
+    let _servers: Vec<ServerHandle> = members
+        .clone()
+        .map(|i| {
+            serve_rep(
+                Arc::clone(&net),
+                NodeId(100 + i),
+                TransactionalRep::new(RepId(i)),
+            )
+        })
+        .collect();
+    let rpc = Arc::new(RpcClient::new(net, NodeId(0)));
+    let clients = members
+        .map(|i| {
+            let client =
+                RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
+            client.begin().expect("healthy fabric");
+            wrap(client)
+        })
+        .collect();
+    let mut suite =
+        DirSuite::new(clients, config, Box::new(RandomPolicy::new(seed))).expect("suite");
     suite.set_neighbor_batch(batch);
-    suite.set_fanout(fanout);
     let mut log = Vec::with_capacity(ops.len());
     for op in ops {
         let outcome = match *op {
@@ -78,10 +101,11 @@ fn replay(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The fan-out suite agrees op-for-op with a sequential `BTreeMap`
-    /// model, and with the serialized execution mode it agrees on every
-    /// outcome *and* on the exact per-member message/ping counters: waves
-    /// are the same RPC sets whether they run concurrently or one by one.
+    /// The suite agrees op-for-op with a sequential `BTreeMap` model, and
+    /// remote clients whose completions race agree with the same clients
+    /// serialized on every outcome *and* on the exact per-member
+    /// message/ping counters: waves are the same RPC sets whether they run
+    /// concurrently or one by one.
     #[test]
     fn fanout_matches_model_and_sequential_counters(
         ops in proptest::collection::vec(op_strategy(), 1..80),
@@ -92,11 +116,10 @@ proptest! {
         let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
         let config = SuiteConfig::symmetric(n, r, w).expect("legal");
 
-        // Fan-out run, checked against the abstract model op for op.
+        // In-process run, checked against the abstract model op for op.
         let mut suite = DirSuite::in_process(config.clone(), seed).expect("suite");
         suite.set_neighbor_batch(batch);
         let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-        prop_assert!(suite.fanout_enabled(), "fan-out is the default");
         for op in &ops {
             match *op {
                 Op::Insert(k, v) => {
@@ -135,10 +158,11 @@ proptest! {
             }
         }
 
-        // Same seed, both execution modes: identical transcripts, identical
-        // per-member counters (hence identical totals).
-        let (log_fan, msgs_fan, pings_fan) = replay(&ops, seed, config.clone(), batch, true);
-        let (log_seq, msgs_seq, pings_seq) = replay(&ops, seed, config, batch, false);
+        // Same seed, racing and serialized completions: identical
+        // transcripts, identical per-member counters (hence identical
+        // totals).
+        let (log_fan, msgs_fan, pings_fan) = replay(&ops, seed, config.clone(), batch, |c| c);
+        let (log_seq, msgs_seq, pings_seq) = replay(&ops, seed, config, batch, Inline);
         prop_assert_eq!(log_fan, log_seq);
         prop_assert_eq!(msgs_fan, msgs_seq);
         prop_assert_eq!(pings_fan, pings_seq);

@@ -6,9 +6,8 @@
 //! These tests pin the budgets that follow — lookup = R data requests,
 //! insert/update = R + W, delete = R + 2W in three rounds, whose read
 //! collection carries the lookup and both first chain hops and whose write
-//! collection carries the neighbour probes — over the fabric and in process,
-//! fanned out and
-//! with a window of one — and those of the bulk operations, which cost
+//! collection carries the neighbour probes — over the fabric and in
+//! process — and those of the bulk operations, which cost
 //! `O(n / bulk_chunk)` waves: a scan ⌈(entries + ghosts + 1) / chunk⌉ chain
 //! waves plus at most one for the values still owed, `insert_many` two per
 //! chunk, `delete_many` three per group of keys whose neighbour ranges are
@@ -219,17 +218,13 @@ fn assert_fault_free_budgets<C: RepClient>(suite: &mut DirSuite<C>, net: Option<
 
 #[test]
 fn fault_free_point_operations_send_no_pings() {
-    for fanout in [true, false] {
-        let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 1).unwrap();
-        local.set_policy(order(&[0, 1, 2]));
-        local.set_fanout(fanout);
-        assert_fault_free_budgets(&mut local, None);
+    let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 1).unwrap();
+    local.set_policy(order(&[0, 1, 2]));
+    assert_fault_free_budgets(&mut local, None);
 
-        let cluster = Cluster::new(0xA11);
-        let mut remote = cluster.suite(TxnId(1));
-        remote.set_fanout(fanout);
-        assert_fault_free_budgets(&mut remote, Some(&cluster.net));
-    }
+    let cluster = Cluster::new(0xA11);
+    let mut remote = cluster.suite(TxnId(1));
+    assert_fault_free_budgets(&mut remote, Some(&cluster.net));
 }
 
 #[test]
@@ -463,46 +458,37 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
     // collections, no ping.
     let keys: Vec<Key> = (0..64).map(|i| k(&format!("key{i:02}"))).collect();
     let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
-    for fanout in [true, false] {
-        let cluster = Cluster::new(0xC64);
-        let mut remote = cluster.suite(TxnId(1));
-        let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 3).unwrap();
-        local.set_policy(order(&[0, 1, 2]));
-        fn check<C: RepClient>(suite: &mut DirSuite<C>, entries: &[(Key, Value)], keys: &[Key]) {
-            suite.insert_many(entries).unwrap();
-            let waves = suite.obs().counter("suite.quorum.waves");
-            let collections = waves.get();
-            let (out, msgs, pings, spent) = rounds(suite, |s| s.delete_many(keys));
-            assert_eq!(out.unwrap().versions.len(), 64);
-            assert_eq!((msgs, pings), (vec![192, 192, 0], vec![0, 0, 0]));
-            assert_eq!(spent, 192);
-            assert_eq!(waves.get() - collections, 2);
-            assert_eq!(suite.scan().unwrap(), vec![]);
-        }
-        remote.set_fanout(fanout);
-        local.set_fanout(fanout);
-        let sent = cluster.net.stats().sent;
-        check(&mut local, &entries, &keys);
-        assert_eq!(cluster.net.stats().sent, sent);
-        check(&mut remote, &entries, &keys);
+    let cluster = Cluster::new(0xC64);
+    let mut remote = cluster.suite(TxnId(1));
+    let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 3).unwrap();
+    local.set_policy(order(&[0, 1, 2]));
+    fn check<C: RepClient>(suite: &mut DirSuite<C>, entries: &[(Key, Value)], keys: &[Key]) {
+        suite.insert_many(entries).unwrap();
+        let waves = suite.obs().counter("suite.quorum.waves");
+        let collections = waves.get();
+        let (out, msgs, pings, spent) = rounds(suite, |s| s.delete_many(keys));
+        assert_eq!(out.unwrap().versions.len(), 64);
+        assert_eq!((msgs, pings), (vec![192, 192, 0], vec![0, 0, 0]));
+        assert_eq!(spent, 192);
+        assert_eq!(waves.get() - collections, 2);
+        assert_eq!(suite.scan().unwrap(), vec![]);
     }
+    let sent = cluster.net.stats().sent;
+    check(&mut local, &entries, &keys);
+    assert_eq!(cluster.net.stats().sent, sent);
+    check(&mut remote, &entries, &keys);
 }
 
-/// A local and a remote 3-2-2 suite whose quorums are {0, 1}, for each
-/// window: whatever `check` pins must hold on all four.
+/// A local and a remote 3-2-2 suite whose quorums are {0, 1}: whatever
+/// `check` pins must hold on both.
 fn on_every_fixture(seed: u64, check: impl Fn(&mut dyn Fixture)) {
-    for fanout in [true, false] {
-        let mut local =
-            DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-        local.set_policy(order(&[0, 1, 2]));
-        local.set_fanout(fanout);
-        check(&mut (&mut local, None));
+    let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
+    local.set_policy(order(&[0, 1, 2]));
+    check(&mut (&mut local, None));
 
-        let cluster = Cluster::new(seed);
-        let mut remote = cluster.suite(TxnId(1));
-        remote.set_fanout(fanout);
-        check(&mut (&mut remote, Some(&*cluster.net)));
-    }
+    let cluster = Cluster::new(seed);
+    let mut remote = cluster.suite(TxnId(1));
+    check(&mut (&mut remote, Some(&*cluster.net)));
 }
 
 /// What the bulk-budget tests do to a suite, whatever its clients are.

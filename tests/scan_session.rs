@@ -5,7 +5,7 @@
 //! and one envelope per member per `bulk_chunk` entries — never *what* it
 //! returns. The property test pins that: over randomized insert/delete/scan
 //! interleavings, the session scan, the per-hop baseline
-//! (`set_session_reuse(false)`), and a `BTreeMap` model agree
+//! (`reference::per_hop_scan`), and a `BTreeMap` model agree
 //! entry-for-entry, while the session side pays exactly one collection and
 //! no ping per failure-free scan and strictly fewer data RPCs.
 //!
@@ -14,6 +14,7 @@
 //! correctly, and a dead majority must surface `QuorumUnavailable` in
 //! bounded time rather than hang.
 
+use repdir::baselines::reference::per_hop_scan;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
@@ -82,10 +83,8 @@ proptest! {
         let rot = (seed % n as u64) as usize;
         let order: Vec<usize> = (0..n as usize).map(|i| (i + rot) % n as usize).collect();
         let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
-        prop_assert!(session.session_reuse_enabled(), "sessions are the default");
         session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
         let mut baseline = DirSuite::in_process(config, seed).expect("suite");
-        baseline.set_session_reuse(false);
         baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
         let mut model: BTreeMap<u8, u8> = BTreeMap::new();
 
@@ -129,12 +128,15 @@ proptest! {
 
                     let b_msgs0: u64 = baseline.message_counts().iter().sum();
                     let (b_waves0, _) = waves_and_pings(&baseline);
-                    let from_baseline = baseline.scan().expect("baseline scan");
+                    let from_baseline = per_hop_scan(&mut baseline).expect("baseline scan");
                     let (b_waves1, _) = waves_and_pings(&baseline);
                     let b_msgs: u64 =
                         baseline.message_counts().iter().sum::<u64>() - b_msgs0;
 
-                    prop_assert!(b_waves1 - b_waves0 >= 2, "baseline collects per hop");
+                    prop_assert_eq!(
+                        b_waves1 - b_waves0, model.len() as u64 + 1,
+                        "baseline collects once per hop"
+                    );
                     prop_assert!(
                         s_msgs < b_msgs,
                         "session scan must send fewer data RPCs ({} vs {})",

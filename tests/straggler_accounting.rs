@@ -5,7 +5,7 @@
 //! their deadline produces — and that outcome must still reach the member's
 //! reply EWMA, `suite.reply_us` and availability window: at the next quorum
 //! collection, while a later wave waits, or when the suite is dropped.
-//! `LatencyPolicy` and adaptive wave sizing rank members by exactly these.
+//! `LatencyPolicy` and wave sizing rank members by exactly these.
 //! And because slot tags are never reused, a completion that surfaces during
 //! a later wave is accounted to its member and otherwise ignored — it can
 //! never be taken for one of that wave's replies.
@@ -127,6 +127,9 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
 
     lookup_leaving_member_2_behind(&mut fx.suite);
     assert_eq!(avail.samples(), 0, "the deadline has not passed yet");
+    // The waves below run unhedged: a scheduler stall past the 2 ms hedge
+    // delay would ask the silent member again and score it a second miss.
+    fx.suite.set_hedge(false);
     // The request's deadline passes while later waves are in flight: its
     // failure surfaces inside one of them, is accounted to member 2, and is
     // never mistaken for a reply of that wave — every lookup still gets the
