@@ -1,53 +1,45 @@
-//! Anti-entropy convergence cost vs a naive full-directory copy.
+//! What anti-entropy costs on the fabric, as the repair driver runs it.
 //!
 //! The scenario is the one the repair subsystem exists for: a member drops
 //! off the fabric, the suite keeps committing through the surviving write
 //! quorums, the member comes back — and now holds a directory that is
-//! almost entirely correct. Resynchronising it by copying the whole
-//! directory pays for every key; walking the summary tree pays only for
-//! the buckets that actually diverged, then pulls exactly those.
+//! partly stale. Three passes converge it, each through [`RepairDriver`]
+//! exactly as `ReplicatedDirectory::spawn_repair_drivers` runs it:
 //!
-//! The fixture is a 3-member suite (R=2, W=2) over the simulated network.
-//! All three representatives start byte-identical (the state an earlier
-//! epoch of quorum writes would leave), member 2 is partitioned, the suite
-//! updates ~5% of the keys through the surviving quorum {0, 1}, and the
-//! partition heals. Both resync strategies then run against real fabric
-//! traffic:
+//! * **sparse sweep**: ~5% of the keys updated, spread over distinct
+//!   buckets. One [`RepairDriver::sweep`] walks member 0's summary tree and
+//!   range-pulls each run of dirty buckets.
+//! * **vote pass**: the same divergence on a fresh fixture, but reads that
+//!   straddle the stale member queue `StaleVote`s first, and one
+//!   [`RepairDriver::drain_and_pull`] pulls each voted bucket — no walk.
+//! * **dense sweep**: ~60% of the keys updated and ~10% deleted, one
+//!   contiguous run of dirty buckets; one sweep walks and pulls it.
 //!
-//! * **repair**: a [`Repairer`] walks member 0's summary tree from member
-//!   2 and pulls only the mismatched buckets;
-//! * **full copy**: every one of the 256 buckets is pulled from member 0
-//!   into a fresh representative.
-//!
-//! Messages are counted by the fabric itself (`NetStats::sent`), so both
-//! strategies pay for requests and replies alike. Before resync, a short
-//! read pass demonstrates inline read-repair detection: quorum reads that
-//! straddle the stale member queue `StaleVote`s and bump
-//! `repair.stale_votes_observed`.
-//!
-//! With `--driver` a third strategy runs on a fresh fixture with the same
-//! divergence: post-heal reads straddling the stale member push
-//! `StaleVote`s into a [`StaleVoteQueue`], and a [`RepairDriver`] drains
-//! them into bucket-targeted pulls — no summary walk at all. Its message
-//! count is compared against the summary-sweep cost (what a fixed-interval
-//! background sweeper pays per convergence).
+//! The fixture is a 3-member suite (R=2, W=2) over the simulated network;
+//! all three representatives start byte-identical and member 2 is
+//! partitioned for the burst. Messages are counted by the fabric itself
+//! (`NetStats::sent`), requests and replies alike, and entries pulled by
+//! the `repair.keys_pulled` counter. Both repeat exactly from run to run.
+//! After the sparse sweep, every one of the 256 buckets is pulled once more
+//! as the *full-copy reference*: what resynchronising without the summary
+//! tree would ship.
 //!
 //! ```text
-//! cargo run --release -p repdir-bench --bin repair_bench [-- --quick] [--check] [--driver]
+//! cargo run --release -p repdir-bench --bin repair_bench [-- --quick] [--check]
 //! ```
 //!
-//! `--check` exits nonzero unless summary-tree repair converges the stale
-//! member with at least 2x fewer fabric messages than the full copy (and,
-//! with `--driver`, unless vote-targeted pulls beat summary sweeping by
-//! another 2x). Every run rewrites `BENCH_repair.json` at the repo root.
+//! `--check` exits nonzero unless each pass converges the stale member
+//! byte-identically at exactly its pinned fabric messages and entries
+//! pulled. Wall-clock and the full-copy reference are reported, not gated.
+//! Every run rewrites `BENCH_repair.json` at the repo root.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repdir_core::suite::{DirSuite, FixedPolicy, RandomPolicy, StaleVoteQueue, SuiteConfig};
 use repdir_core::{Key, RepId, UserKey, Value, Version};
-use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir_repair::{Pacing, RepairDriver, RepairPeer, Repairer};
+use repdir_net::{Network, NodeId, RpcClient, ServerHandle};
+use repdir_repair::{Pacing, RepairDriver, Repairer};
 use repdir_replica::{
     serve_rep, RemoteRepairPeer, RemoteSessionClient, RepTarget, TransactionalRep,
 };
@@ -58,6 +50,51 @@ const READ_QUORUM: u32 = 2;
 const WRITE_QUORUM: u32 = 2;
 /// Member index partitioned during the update burst.
 const STALE_MEMBER: usize = 2;
+
+/// What one pass spent: fabric messages and entries pulled.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Cost {
+    msgs: u64,
+    entries: u64,
+}
+
+/// The pinned costs of the sparse sweep, the vote pass and the dense sweep,
+/// in quick and in full mode: two messages per summary exchange and per
+/// pull. Quick sparse: 6 dirty buckets in 6 groups and 6 runs — 7 summary
+/// exchanges and 6 pulls of one entry. Quick dense: buckets 0..=87 dirty,
+/// one run — 7 summary exchanges and 1 pull of the 76 entries the source
+/// still holds there. Full mode doubles the keys; buckets 0..=4 hold two
+/// each, so the pull that covers bucket 0 carries one entry more.
+const PINNED: [[Cost; 3]; 2] = [
+    [
+        Cost {
+            msgs: 26,
+            entries: 6,
+        },
+        Cost {
+            msgs: 12,
+            entries: 6,
+        },
+        Cost {
+            msgs: 16,
+            entries: 76,
+        },
+    ],
+    [
+        Cost {
+            msgs: 50,
+            entries: 13,
+        },
+        Cost {
+            msgs: 24,
+            entries: 13,
+        },
+        Cost {
+            msgs: 28,
+            entries: 158,
+        },
+    ],
+];
 
 /// Key `i`, spread across summary buckets by its leading byte.
 fn key_of(i: usize) -> Key {
@@ -76,12 +113,7 @@ struct Fixture {
 /// `keys` identical committed entries — the state a prior epoch of quorum
 /// writes leaves behind.
 fn build(keys: usize, hop: Duration, timeout: Duration, seed: u64) -> Fixture {
-    let net = Arc::new(Network::new(seed));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(hop),
-    });
+    let net = repdir_bench::fabric::lossless(seed, hop);
     let mut handles = Vec::new();
     let mut clients = Vec::new();
     let mut reps = Vec::new();
@@ -100,7 +132,7 @@ fn build(keys: usize, hop: Duration, timeout: Duration, seed: u64) -> Fixture {
         let mut client =
             RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
         client.set_timeout(timeout);
-        client.begin().expect("begin on a healthy fabric");
+        retry(|| client.begin(), "begin on a healthy fabric");
         clients.push(client);
     }
     let config = SuiteConfig::symmetric(MEMBERS, READ_QUORUM, WRITE_QUORUM)
@@ -116,6 +148,105 @@ fn build(keys: usize, hop: Duration, timeout: Duration, seed: u64) -> Fixture {
     }
 }
 
+/// Retries `op` a few times before giving up: the fixture runs real RPC
+/// timeouts over the simulated fabric, and a single OS-scheduler stall can
+/// push an otherwise healthy round-trip past the deadline. Every retried
+/// operation is idempotent for the fixture's purposes (a re-driven update
+/// or delete re-commits the same fact at a fresh version). Only the
+/// fixture's suite traffic is retried; the measured repair never is.
+fn retry<T, E: std::fmt::Debug>(mut op: impl FnMut() -> Result<T, E>, what: &str) -> T {
+    let mut last = None;
+    for _ in 0..8 {
+        match op() {
+            Ok(v) => return v,
+            Err(e) => last = Some(e),
+        }
+    }
+    panic!("{what}: {last:?}");
+}
+
+impl Fixture {
+    /// Partitions the stale member while the surviving quorum updates
+    /// `updates` and deletes `deletes`, then heals.
+    fn diverge(&mut self, updates: &[Key], deletes: &[Key]) {
+        self.net
+            .set_node_drop(NodeId(100 + STALE_MEMBER as u32), 1.0);
+        for k in updates {
+            retry(
+                || self.suite.update(k, &Value::from("v2")),
+                "update through the surviving write quorum",
+            );
+        }
+        for k in deletes {
+            retry(
+                || self.suite.delete(k),
+                "delete through the surviving write quorum",
+            );
+        }
+        self.net
+            .set_node_drop(NodeId(100 + STALE_MEMBER as u32), 0.0);
+    }
+
+    /// Commits the workload transaction, releasing its two-phase locks so
+    /// repair's internal transactions can read and install.
+    fn release(&mut self) {
+        for i in 0..MEMBERS as usize {
+            retry(|| self.suite.member(i).commit(), "commit workload txn");
+        }
+    }
+
+    /// A driver repairing the stale member from member 0, as the directory
+    /// wires one.
+    fn driver(&self, votes: Option<Arc<StaleVoteQueue>>) -> RepairDriver {
+        let repairer = Repairer::new(
+            Arc::new(RepTarget::new(Arc::clone(&self.reps[STALE_MEMBER]))),
+            vec![Box::new(RemoteRepairPeer::new(
+                Arc::clone(&self.rpc),
+                NodeId(100),
+            ))],
+        );
+        let driver = RepairDriver::new(repairer, Pacing::default());
+        match votes {
+            Some(queue) => {
+                driver.with_vote_source(Box::new(move || queue.drain_member(STALE_MEMBER)))
+            }
+            None => driver,
+        }
+    }
+
+    /// Runs `pass`, returning what it spent and how long it took, and
+    /// asserts it converged the stale member.
+    fn measure(&self, what: &str, pass: impl FnOnce()) -> (Cost, Duration) {
+        let pulled = repdir_obs::global().counter("repair.keys_pulled");
+        let (msgs, entries) = (self.net.stats().sent, pulled.get());
+        let t = Instant::now();
+        pass();
+        let elapsed = t.elapsed();
+        let cost = Cost {
+            msgs: self.net.stats().sent - msgs,
+            entries: pulled.get() - entries,
+        };
+        assert_eq!(
+            self.reps[0].snapshot(),
+            self.reps[STALE_MEMBER].snapshot(),
+            "{what} did not converge the stale member"
+        );
+        (cost, elapsed)
+    }
+}
+
+/// Number of summary buckets on which two representatives disagree
+/// (computed in-process; costs no fabric messages).
+fn divergent_buckets(a: &TransactionalRep, b: &TransactionalRep) -> usize {
+    (0..16u8)
+        .map(|g| {
+            let da = a.summary_children(1, g).expect("summary of healthy rep");
+            let db = b.summary_children(1, g).expect("summary of healthy rep");
+            da.iter().zip(&db).filter(|(x, y)| x != y).count()
+        })
+        .sum()
+}
+
 fn main() {
     // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval metrics
     // flusher to the global registry for the whole run.
@@ -123,257 +254,159 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
-    let driver_mode = args.iter().any(|a| a == "--driver");
 
     let keys = if quick { 128 } else { 256 };
-    let updates = keys / 20; // ~5% of the directory goes stale
     let (hop, timeout) = if quick {
         (Duration::from_micros(200), Duration::from_millis(20))
     } else {
         (Duration::from_millis(1), Duration::from_millis(40))
     };
+    // Sparse: ~5% of the directory, one key per bucket far apart.
+    let sparse: Vec<Key> = (0..keys / 20)
+        .map(|u| key_of(u * (keys / (keys / 20))))
+        .collect();
+    // Dense: 60% updated and another 10% deleted, contiguous from bucket 0.
+    let dense_updates: Vec<Key> = (0..keys * 6 / 10).map(key_of).collect();
+    let dense_deletes: Vec<Key> = (keys * 6 / 10..keys * 6 / 10 + keys / 10)
+        .map(key_of)
+        .collect();
 
     println!(
-        "repair_bench: {MEMBERS} members (R={READ_QUORUM}, W={WRITE_QUORUM}), {keys} keys, \
-         member {STALE_MEMBER} partitioned for {updates} updates (~{:.0}% stale)",
-        updates as f64 / keys as f64 * 100.0
+        "repair_bench: {MEMBERS} members (R={READ_QUORUM}, W={WRITE_QUORUM}), {keys} keys; \
+         member {STALE_MEMBER} partitioned for {} sparse updates, or {} dense updates + {} deletes",
+        sparse.len(),
+        dense_updates.len(),
+        dense_deletes.len()
     );
     println!();
 
+    // Sparse sweep.
     let mut fx = build(keys, hop, timeout, 0x4E7A);
-
-    // Partition the stale member; the suite keeps writing through {0, 1}.
-    fx.net.set_node_drop(NodeId(100 + STALE_MEMBER as u32), 1.0);
-    for u in 0..updates {
-        let k = key_of(u * (keys / updates)); // spread over distinct buckets
-        fx.suite
-            .update(&k, &Value::from("v2"))
-            .expect("update through the surviving write quorum");
-    }
-    fx.net.set_node_drop(NodeId(100 + STALE_MEMBER as u32), 0.0);
-
+    fx.diverge(&sparse, &[]);
     // Inline read-repair detection: reads that straddle the stale member
     // observe its old votes and queue them for the repair layer.
-    for u in 0..updates.min(16) {
-        let k = key_of(u * (keys / updates));
-        fx.suite.lookup(&k).expect("post-heal lookup");
+    for k in sparse.iter().take(16) {
+        fx.suite.lookup(k).expect("post-heal lookup");
     }
     let stale_votes = fx.suite.take_stale_votes().len();
-    let stale_votes_counter = fx
-        .suite
-        .obs()
-        .snapshot()
-        .counter("repair.stale_votes_observed");
+    fx.release();
+    let sparse_dirty = divergent_buckets(&fx.reps[0], &fx.reps[STALE_MEMBER]);
+    let mut driver = fx.driver(None);
+    let (sparse_cost, sparse_elapsed) = fx.measure("the sparse sweep", || {
+        driver.sweep();
+    });
 
-    // Release the workload transaction's two-phase locks so repair's
-    // internal transactions can read and install.
-    for i in 0..MEMBERS as usize {
-        fx.suite.member(i).commit().expect("commit workload txn");
-    }
-
-    // Strategy 1: summary-tree repair of the stale member from member 0.
-    let before = fx.net.stats().sent;
-    let t = Instant::now();
-    let repairer = Repairer::new(
-        Arc::new(RepTarget::new(Arc::clone(&fx.reps[STALE_MEMBER]))),
-        vec![Box::new(RemoteRepairPeer::new(
-            Arc::clone(&fx.rpc),
-            NodeId(100),
-        ))],
-    );
-    let quiesce = repairer.run_until_quiescent(8);
-    let repair_elapsed = t.elapsed();
-    let repair_msgs = fx.net.stats().sent - before;
-    assert!(quiesce.quiescent, "repairer failed to quiesce");
-    assert_eq!(
-        fx.reps[0].snapshot(),
-        fx.reps[STALE_MEMBER].snapshot(),
-        "summary-tree repair did not converge the stale member"
-    );
-
-    // Strategy 2: the naive baseline — pull all 256 buckets from member 0
-    // into a fresh representative, over the same fabric.
-    let copy_peer = RemoteRepairPeer::new(Arc::clone(&fx.rpc), NodeId(100));
-    let copy_rep = TransactionalRep::new(RepId(9));
-    let copy_target = RepTarget::new(Arc::clone(&copy_rep));
-    let before = fx.net.stats().sent;
-    let t = Instant::now();
-    let mut copy_keys = 0u64;
-    for bucket in 0..=255u8 {
-        let view = copy_peer.pull(bucket).expect("full-copy pull");
-        copy_keys += view.entries.len() as u64;
-        let local = repdir_repair::BucketView::default();
-        let plan = repdir_repair::diff_bucket(bucket, &local, &view);
-        repdir_repair::RepairTarget::apply(&copy_target, &plan).expect("full-copy apply");
-    }
-    let copy_elapsed = t.elapsed();
-    let copy_msgs = fx.net.stats().sent - before;
-    assert_eq!(
-        fx.reps[0].snapshot(),
-        copy_rep.snapshot(),
-        "full copy did not reproduce member 0"
-    );
-
-    // Strategy 3 (`--driver`): stale-vote-targeted pulls by a
-    // [`RepairDriver`], on a fresh fixture with identical divergence. The
-    // baseline it races is strategy 1 — the cost a fixed-interval
-    // background sweeper pays to converge the same member.
-    let driver_stats = if driver_mode {
-        let mut fx2 = build(keys, hop, timeout, 0x4E7A);
-        fx2.net
-            .set_node_drop(NodeId(100 + STALE_MEMBER as u32), 1.0);
-        for u in 0..updates {
-            let k = key_of(u * (keys / updates));
-            fx2.suite
-                .update(&k, &Value::from("v2"))
-                .expect("update through the surviving write quorum");
+    // The full-copy reference: every bucket pulled once, no walk.
+    let repairer = driver.repairer();
+    let (copy_cost, copy_elapsed) = fx.measure("the full-copy reference", || {
+        for bucket in 0..=u8::MAX {
+            repairer
+                .pull_buckets(0, bucket, bucket)
+                .expect("full-copy pull");
         }
-        fx2.net
-            .set_node_drop(NodeId(100 + STALE_MEMBER as u32), 0.0);
+    });
 
-        // Route stale votes to a shared queue, then read every updated key
-        // through a read quorum pinned to {0, stale}: each divergent key
-        // coalesces into one queued vote naming the stale member.
-        let queue = Arc::new(StaleVoteQueue::new());
-        fx2.suite.set_stale_vote_sink(Some(Arc::clone(&queue)));
-        fx2.suite
-            .set_policy(Box::new(FixedPolicy::with_order(vec![0, STALE_MEMBER, 1])));
-        // The member's availability score is still depressed from the
-        // partition, so early reads may hedge past it and settle their
-        // quorum on {0, 1}; repeat the pass until every stale key has been
-        // read *through* the stale member and voted (votes coalesce, so
-        // re-reads never inflate the queue).
-        let mut passes = 0;
-        while queue.len() < updates {
-            for u in 0..updates {
-                let k = key_of(u * (keys / updates));
-                fx2.suite.lookup(&k).expect("straddling post-heal lookup");
-            }
-            passes += 1;
-            assert!(
-                passes < 16,
-                "straddling reads never voted all {updates} stale keys ({} queued)",
-                queue.len()
-            );
+    // Vote pass: route stale votes to a shared queue, then read every
+    // updated key through a read quorum pinned to {0, stale}. The member's
+    // availability score is still depressed from the partition, so early
+    // reads may settle their quorum on {0, 1}; repeat until every stale key
+    // has been read *through* the stale member (votes coalesce, so re-reads
+    // never inflate the queue).
+    let mut fx = build(keys, hop, timeout, 0x4E7A);
+    fx.diverge(&sparse, &[]);
+    let queue = Arc::new(StaleVoteQueue::new());
+    fx.suite.set_stale_vote_sink(Some(Arc::clone(&queue)));
+    fx.suite
+        .set_policy(Box::new(FixedPolicy::with_order(vec![0, STALE_MEMBER, 1])));
+    let mut passes = 0;
+    while queue.len() < sparse.len() {
+        for k in &sparse {
+            fx.suite.lookup(k).expect("straddling post-heal lookup");
         }
-        for i in 0..MEMBERS as usize {
-            fx2.suite.member(i).commit().expect("commit workload txn");
-        }
-
-        let repairer = Repairer::new(
-            Arc::new(RepTarget::new(Arc::clone(&fx2.reps[STALE_MEMBER]))),
-            vec![Box::new(RemoteRepairPeer::new(
-                Arc::clone(&fx2.rpc),
-                NodeId(100),
-            ))],
+        passes += 1;
+        assert!(
+            passes < 16,
+            "straddling reads never voted all {} stale keys ({} queued)",
+            sparse.len(),
+            queue.len()
         );
-        let vote_queue = Arc::clone(&queue);
-        let mut driver = RepairDriver::new(repairer, Pacing::default())
-            .with_vote_source(Box::new(move || vote_queue.drain_member(STALE_MEMBER)));
-        let before = fx2.net.stats().sent;
-        let t = Instant::now();
-        let tick = driver.drain_and_pull();
-        let driver_elapsed = t.elapsed();
-        let driver_msgs = fx2.net.stats().sent - before;
-        assert_eq!(tick.unrepaired, 0, "driver left voted buckets unrepaired");
-        assert_eq!(
-            fx2.reps[0].snapshot(),
-            fx2.reps[STALE_MEMBER].snapshot(),
-            "vote-targeted pulls did not converge the stale member"
-        );
-        Some((driver_msgs, tick, driver_elapsed))
-    } else {
-        None
-    };
+    }
+    fx.release();
+    let mut driver = fx.driver(Some(queue));
+    let mut tick = Default::default();
+    let (vote_cost, vote_elapsed) = fx.measure("the vote pass", || {
+        tick = driver.drain_and_pull();
+    });
+    assert_eq!(tick.unrepaired, 0, "driver left voted buckets unrepaired");
 
-    let msg_ratio = copy_msgs as f64 / repair_msgs.max(1) as f64;
+    // Dense sweep.
+    let mut fx = build(keys, hop, timeout, 0x54A9);
+    fx.diverge(&dense_updates, &dense_deletes);
+    fx.release();
+    let dense_dirty = divergent_buckets(&fx.reps[0], &fx.reps[STALE_MEMBER]);
+    let mut driver = fx.driver(None);
+    let (dense_cost, dense_elapsed) = fx.measure("the dense sweep", || {
+        driver.sweep();
+    });
+
+    let measured = [sparse_cost, vote_cost, dense_cost];
     println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>12}",
-        "strategy", "msgs", "keys moved", "bytes", "elapsed"
+        "{:<20} {:>8} {:>10} {:>12}",
+        "pass", "msgs", "entries", "elapsed"
     );
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>10}us",
-        "repair",
-        repair_msgs,
-        quiesce.total.keys_pulled,
-        quiesce.total.bytes,
-        repair_elapsed.as_micros()
-    );
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>10}us",
-        "full copy",
-        copy_msgs,
-        copy_keys,
-        "-",
-        copy_elapsed.as_micros()
-    );
-    let driver_ratio = driver_stats
-        .as_ref()
-        .map(|(msgs, _, _)| repair_msgs as f64 / (*msgs).max(1) as f64);
-    if let Some((driver_msgs, tick, driver_elapsed)) = &driver_stats {
+    for (name, cost, elapsed) in [
+        ("sparse sweep", sparse_cost, sparse_elapsed),
+        ("vote pass", vote_cost, vote_elapsed),
+        ("dense sweep", dense_cost, dense_elapsed),
+        ("full-copy reference", copy_cost, copy_elapsed),
+    ] {
         println!(
-            "{:<12} {:>10} {:>12} {:>12} {:>10}us",
-            "driver",
-            driver_msgs,
-            tick.applied.total(),
-            "-",
-            driver_elapsed.as_micros()
+            "{name:<20} {:>8} {:>10} {:>10}us",
+            cost.msgs,
+            cost.entries,
+            elapsed.as_micros()
         );
     }
     println!();
-    println!("stale votes observed by reads: {stale_votes} (counter {stale_votes_counter})");
-    println!("message ratio (full copy / repair): {msg_ratio:.2}x");
-    if let (Some(ratio), Some((_, tick, _))) = (driver_ratio, &driver_stats) {
-        println!(
-            "driver mode: {} votes -> {} buckets -> {} targeted pulls; \
-             message ratio (sweep / driver): {ratio:.2}x",
-            tick.votes, tick.buckets, tick.pulls
-        );
-    }
+    println!(
+        "dirty buckets: sparse {sparse_dirty}, dense {dense_dirty} of 256; \
+         stale votes observed by reads: {stale_votes}; vote pass: {} votes -> {} buckets -> {} pulls",
+        tick.votes, tick.buckets, tick.pulls
+    );
 
+    let per_pass = |field: fn(&Cost) -> u64| {
+        format!(
+            r#"{{"sparse_sweep": {}, "vote_pass": {}, "dense_sweep": {}}}"#,
+            field(&sparse_cost),
+            field(&vote_cost),
+            field(&dense_cost)
+        )
+    };
     let doc = format!(
         concat!(
             "{{\n  \"bench\": \"repair\",\n  \"mode\": \"{}\",\n",
-            "  \"members\": {}, \"read_quorum\": {}, \"write_quorum\": {},\n",
-            "  \"keys\": {}, \"stale_updates\": {}, \"stale_member\": {},\n",
-            "  \"repair_msgs\": {}, \"repair_keys_pulled\": {}, \"repair_bytes\": {},\n",
-            "  \"repair_elapsed_us\": {}, \"repair_sweeps\": {},\n",
-            "  \"fullcopy_msgs\": {}, \"fullcopy_keys\": {}, \"fullcopy_elapsed_us\": {},\n",
-            "  \"stale_votes_observed\": {},\n{}",
-            "  \"msg_ratio\": {:.3}\n}}\n"
+            "  \"members\": {}, \"read_quorum\": {}, \"write_quorum\": {}, \"keys\": {},\n",
+            "  \"dirty_buckets\": {{\"sparse\": {}, \"dense\": {}}},\n",
+            "  \"fabric_msgs_per_pass\": {},\n",
+            "  \"entries_pulled_per_pass\": {},\n",
+            "  \"elapsed_us\": {{\"sparse_sweep\": {}, \"vote_pass\": {}, \"dense_sweep\": {}}},\n",
+            "  \"fullcopy\": {{\"msgs\": {}, \"entries\": {}, \"elapsed_us\": {}}}\n}}\n"
         ),
         if quick { "quick" } else { "full" },
         MEMBERS,
         READ_QUORUM,
         WRITE_QUORUM,
         keys,
-        updates,
-        STALE_MEMBER,
-        repair_msgs,
-        quiesce.total.keys_pulled,
-        quiesce.total.bytes,
-        repair_elapsed.as_micros(),
-        quiesce.sweeps,
-        copy_msgs,
-        copy_keys,
+        sparse_dirty,
+        dense_dirty,
+        per_pass(|c| c.msgs),
+        per_pass(|c| c.entries),
+        sparse_elapsed.as_micros(),
+        vote_elapsed.as_micros(),
+        dense_elapsed.as_micros(),
+        copy_cost.msgs,
+        copy_cost.entries,
         copy_elapsed.as_micros(),
-        stale_votes_counter,
-        match (&driver_stats, driver_ratio) {
-            (Some((driver_msgs, tick, driver_elapsed)), Some(ratio)) => format!(
-                concat!(
-                    "  \"driver_msgs\": {}, \"driver_votes\": {}, \"driver_buckets\": {},\n",
-                    "  \"driver_pulls\": {}, \"driver_elapsed_us\": {}, \"driver_ratio\": {:.3},\n"
-                ),
-                driver_msgs,
-                tick.votes,
-                tick.buckets,
-                tick.pulls,
-                driver_elapsed.as_micros(),
-                ratio
-            ),
-            _ => String::new(),
-        },
-        msg_ratio
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -387,22 +420,13 @@ fn main() {
     }
 
     if check {
-        const GATE: f64 = 2.0;
-        if msg_ratio < GATE {
-            eprintln!("FAIL: message ratio {msg_ratio:.2}x below the {GATE}x gate");
+        let pinned = PINNED[usize::from(!quick)];
+        if measured != pinned {
+            eprintln!(
+                "FAIL: sparse sweep / vote pass / dense sweep spent {measured:?}; pinned {pinned:?}"
+            );
             std::process::exit(1);
         }
-        println!(
-            "CHECK PASSED: repair converged with {msg_ratio:.2}x fewer messages (gate {GATE}x)"
-        );
-        if let Some(ratio) = driver_ratio {
-            if ratio < GATE {
-                eprintln!("FAIL: driver ratio {ratio:.2}x below the {GATE}x gate");
-                std::process::exit(1);
-            }
-            println!(
-                "CHECK PASSED: vote-targeted pulls beat summary sweeping {ratio:.2}x (gate {GATE}x)"
-            );
-        }
+        println!("check passed: sparse sweep / vote pass / dense sweep = {pinned:?}");
     }
 }

@@ -6,10 +6,13 @@
 //! source (the evidence quorum reads collect for free), coalesces the
 //! votes into distinct summary buckets, and issues bucket-targeted pulls —
 //! no summary walk, two fabric messages per divergent bucket. Only when
-//! the queue is dry does it fall back to periodic summary sweeps, and the
-//! sweep interval adapts ([`Pacing`]): geometric backoff while sweeps
-//! quiesce, snap-back to the floor on evidence of work (stale votes,
-//! applied changes, a member-recovery signal, or a *fresh* peer error).
+//! the queue is dry does it fall back to periodic summary sweeps (one
+//! [`Repairer::run_round`]: a walk, then one range pull per run of dirty
+//! buckets), and the sweep interval adapts ([`Pacing`]): geometric backoff
+//! while sweeps quiesce, snap-back to the floor on evidence of work (stale
+//! votes, applied changes, a member-recovery signal, or a *fresh* peer
+//! error). A sweep that finds its member level after repairs checkpoints
+//! it.
 //!
 //! The driver runs on a background thread behind a [`DriverHandle`] that
 //! stops and joins on drop, and is woken early through [`DriverWaker`]s —
@@ -18,14 +21,13 @@
 
 use std::collections::BTreeSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use repdir_core::suite::StaleVote;
 use repdir_core::Key;
 
-use crate::repairer::{ApplyStats, RepairError, RepairTarget, Repairer, RoundStats};
+use crate::repairer::{ApplyStats, Repairer, RoundStats};
 use crate::summary::bucket_of;
 
 /// Adaptive pacing bounds for a repair driver.
@@ -43,27 +45,17 @@ pub struct Pacing {
     pub cap: Duration,
     /// Interval multiplier applied after each quiescent tick (≥ 1.0).
     pub factor: f64,
-    /// Divergence threshold for snapshot-assisted catch-up: when a sweep's
-    /// summary walk finds *more* than this many dirty buckets (out of 256)
-    /// and a [`CatchupStream`] is attached, the driver streams a full
-    /// snapshot from the sweep peer instead of pulling bucket by bucket,
-    /// then mops up the remainder with targeted pulls. The default (64,
-    /// a quarter of the tree) is where per-bucket set-difference sync
-    /// starts losing to shipping state wholesale.
-    pub snapshot_threshold: u32,
 }
 
 impl Default for Pacing {
     /// 25 ms floor, 3.2 s cap, doubling — an idle fleet settles to one
     /// summary exchange every few seconds, while a stale vote or recovery
-    /// pulls the next tick to within 25 ms. Snapshot catch-up kicks in
-    /// past 64 dirty buckets.
+    /// pulls the next tick to within 25 ms.
     fn default() -> Self {
         Pacing {
             floor: Duration::from_millis(25),
             cap: Duration::from_millis(3200),
             factor: 2.0,
-            snapshot_threshold: 64,
         }
     }
 }
@@ -76,7 +68,6 @@ impl Pacing {
             floor: interval,
             cap: interval,
             factor: 1.0,
-            ..Pacing::default()
         }
     }
 }
@@ -241,48 +232,6 @@ pub type VoteSource = Box<dyn FnMut() -> Vec<StaleVote> + Send>;
 /// buckets unrepaired, `false` once a later tick heals cleanly.
 pub type HealthSink = Box<dyn Fn(bool) + Send>;
 
-/// Full-state catch-up for a far-diverged representative, plugged into a
-/// [`RepairDriver`] via [`with_catchup`](RepairDriver::with_catchup).
-///
-/// When a sweep's summary walk finds more dirty buckets than
-/// [`Pacing::snapshot_threshold`], the driver calls
-/// [`stream`](CatchupStream::stream) instead of issuing per-bucket pulls:
-/// the implementation (the `repdir-snapshot` installer) pulls a chunked
-/// snapshot from the named peer and applies it through the target's
-/// guarded plan path. Implementations keep their own resume cursor, so a
-/// failed stream continues where it stopped on the next call rather than
-/// restarting.
-pub trait CatchupStream: Send {
-    /// Streams a snapshot from repair peer `peer_idx` into `target`.
-    /// Transient errors abandon the attempt (progress is kept for resume)
-    /// and the driver falls back to its normal pacing.
-    fn stream(
-        &mut self,
-        peer_idx: usize,
-        target: &Arc<dyn RepairTarget>,
-    ) -> Result<CatchupStats, RepairError>;
-}
-
-/// Cost and effect of one completed snapshot catch-up stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CatchupStats {
-    /// Chunk frames fetched (manifest excluded).
-    pub chunks: u64,
-    /// Entries received across all chunks.
-    pub entries: u64,
-    /// Approximate payload bytes received.
-    pub bytes: u64,
-    /// Whether this stream resumed a previously interrupted install
-    /// (the chunk cursor was honored rather than starting over).
-    pub resumed: bool,
-    /// What the guarded applies actually changed.
-    pub applied: ApplyStats,
-    /// Whether the local summary root matched the manifest root after
-    /// install. `false` is not an error — concurrent writes during the
-    /// install legitimately move the root past the frozen snapshot.
-    pub root_matched: bool,
-}
-
 /// The summary bucket a stale vote names. Sentinel keys map to the edge
 /// buckets (`Low` lives in bucket 0 with the leading gap; `High`'s
 /// trailing gap hangs off the last bucket).
@@ -299,10 +248,11 @@ fn vote_bucket(key: &Key) -> u8 {
 pub struct RepairDriver {
     repairer: Repairer,
     votes: Option<VoteSource>,
-    catchup: Option<Box<dyn CatchupStream>>,
     health_sink: Option<HealthSink>,
     pacing: Pacing,
     next_peer: usize,
+    /// Something was applied since the last checkpoint.
+    unsaved: bool,
 }
 
 impl RepairDriver {
@@ -312,23 +262,16 @@ impl RepairDriver {
         RepairDriver {
             repairer,
             votes: None,
-            catchup: None,
             health_sink: None,
             pacing,
             next_peer: 0,
+            unsaved: false,
         }
     }
 
     /// Attaches the stale-vote source this driver drains on every tick.
     pub fn with_vote_source(mut self, votes: VoteSource) -> Self {
         self.votes = Some(votes);
-        self
-    }
-
-    /// Attaches a snapshot catch-up stream, enabling the
-    /// [`Pacing::snapshot_threshold`] switch in fallback sweeps.
-    pub fn with_catchup(mut self, catchup: Box<dyn CatchupStream>) -> Self {
-        self.catchup = Some(catchup);
         self
     }
 
@@ -373,9 +316,9 @@ impl RepairDriver {
                 let peer = (self.next_peer + attempt) % peer_count;
                 targeted.inc();
                 tick.pulls += 1;
-                match self.repairer.pull_bucket_from(peer, bucket) {
-                    Ok(applied) => {
-                        tick.applied.absorb(applied);
+                match self.repairer.pull_buckets(peer, bucket, bucket) {
+                    Ok(pulled) => {
+                        tick.applied.absorb(pulled.applied);
                         // Stick with a working peer; rotate off a dead one.
                         self.next_peer = peer;
                         repaired = true;
@@ -391,88 +334,32 @@ impl RepairDriver {
                 tick.unrepaired += 1;
             }
         }
+        self.unsaved |= tick.applied.total() > 0;
         tick
     }
 
-    /// One fallback summary-sweep round against the next peer round-robin.
-    ///
-    /// The sweep walks the summary tree first and counts dirty buckets.
-    /// Past [`Pacing::snapshot_threshold`] (and given a [`CatchupStream`]),
-    /// it streams a full snapshot from the sweep peer, re-walks, and mops
-    /// up the remainder with targeted pulls; otherwise it pulls the dirty
-    /// buckets one by one — the same message cost as the classic
-    /// `run_round`.
-    fn sweep_once(&mut self) -> (RoundStats, bool) {
+    /// One fallback summary-sweep round against the next peer
+    /// round-robin: a walk, then one range pull per run of dirty buckets
+    /// ([`Repairer::run_round`]). Every step commits as it lands, so there
+    /// is no resume state: after a fault the next sweep's walk finds
+    /// exactly the buckets still dirty. A sweep that finds the member level with the
+    /// peer after something was applied lands a checkpoint (retried on the
+    /// next level sweep if the member is busy). This is the exact work a
+    /// background timer tick does with a dry vote queue; it is public so
+    /// tests and benches can drive it deterministically.
+    pub fn sweep(&mut self) -> RoundStats {
         let peer_count = self.repairer.peer_count();
         if peer_count == 0 {
-            return (RoundStats::default(), false);
+            return RoundStats::default();
         }
         let peer = self.next_peer % peer_count;
         self.next_peer = (self.next_peer + 1) % peer_count;
-        let reg = repdir_obs::global();
-        let mut dirty = match self.repairer.divergent_buckets(peer) {
-            Ok(d) => d,
-            Err(_) => {
-                reg.counter("repair.peer_errors").inc();
-                return (RoundStats::default(), true);
-            }
-        };
-        // One summary walk happened above, whichever path follows.
-        let mut stats = RoundStats {
-            summaries: 1,
-            ..RoundStats::default()
-        };
-        let mut errored = false;
-        if dirty.len() as u32 > self.pacing.snapshot_threshold {
-            if let Some(catchup) = self.catchup.as_mut() {
-                let _span = reg.span("repair.snapshot.install");
-                match catchup.stream(peer, self.repairer.target()) {
-                    Ok(cs) => {
-                        reg.counter("repair.snapshot.installs").inc();
-                        reg.counter("repair.snapshot.chunks").add(cs.chunks);
-                        reg.counter("repair.snapshot.bytes").add(cs.bytes);
-                        if cs.resumed {
-                            reg.counter("repair.snapshot.resumes").inc();
-                        }
-                        stats.keys_pulled += cs.entries;
-                        stats.bytes += cs.bytes;
-                        stats.applied.absorb(cs.applied);
-                        // Re-walk: the snapshot was frozen when the stream
-                        // began, so buckets written meanwhile (or ahead of
-                        // this peer) still need their targeted pulls.
-                        dirty = match self.repairer.divergent_buckets(peer) {
-                            Ok(d) => d,
-                            Err(_) => {
-                                reg.counter("repair.peer_errors").inc();
-                                return (stats, true);
-                            }
-                        };
-                    }
-                    Err(_) => {
-                        // The installer kept its cursor; the next sweep
-                        // resumes the stream instead of hammering a dead
-                        // peer with hundreds of per-bucket pulls now.
-                        reg.counter("repair.snapshot.aborts").inc();
-                        reg.counter("repair.peer_errors").inc();
-                        return (stats, true);
-                    }
-                }
-            }
+        let stats = self.repairer.run_round(peer);
+        if stats.errors == 0 && stats.mismatched_buckets == 0 && self.unsaved {
+            self.unsaved = self.repairer.checkpoint().is_err();
         }
-        for bucket in dirty {
-            match self.repairer.pull_bucket_from(peer, bucket) {
-                Ok(applied) => {
-                    stats.mismatched_buckets += 1;
-                    stats.applied.absorb(applied);
-                }
-                Err(_) => {
-                    reg.counter("repair.peer_errors").inc();
-                    stats.errors += 1;
-                    errored = true;
-                }
-            }
-        }
-        (stats, errored)
+        self.unsaved |= stats.applied.total() > 0;
+        stats
     }
 
     /// Runs the driver on a background thread. The returned handle stops
@@ -524,9 +411,9 @@ impl RepairDriver {
                     // gets its sweep on the next (floor-delayed) tick.
                     if timed_out && tick.votes == 0 {
                         sweeps.inc();
-                        let (stats, errored) = self.sweep_once();
+                        let stats = self.sweep();
                         swept = true;
-                        swept_errors = errored;
+                        swept_errors = stats.errors > 0;
                         swept_applied = stats.applied.total();
                     }
                     // Report unhealed-bucket transitions: flag this member
@@ -575,7 +462,6 @@ mod tests {
             floor: Duration::from_millis(floor_ms),
             cap: Duration::from_millis(cap_ms),
             factor,
-            ..Pacing::default()
         }
     }
 

@@ -12,17 +12,23 @@
 //!   entry's `(key, version, gap_after)` triple (and the leading gap), kept
 //!   incrementally via dirty marks on apply;
 //! * a [`Repairer`] periodically picks a peer, compares summary levels
-//!   root-down, and pulls only the mismatched buckets ([`BucketView`]s);
-//! * [`merge_bucket`] computes the pointwise-latest state of two bucket
-//!   views and [`plan_bucket`] turns it into a [`RepairPlan`] of entry
-//!   installs at **pinned** version numbers, ghost removals, and gap-version
-//!   raises;
+//!   root-down, and pulls each run of mismatched buckets as one open key
+//!   interval ([`RepairPeer::pull_range`]) whose ends are keys the
+//!   receiver holds, so every coalesce the apply realises stays inside a
+//!   span the source reported; a reply carries at most
+//!   [`MAX_PULL_ENTRIES`] entries, and an interval with more is merged in
+//!   steps, each ending at the last key its reply carried;
+//! * [`merge_bucket`] computes the pointwise-latest state of two views of
+//!   an interval and [`plan_bucket`] turns it into a [`RepairPlan`] of
+//!   entry installs at **pinned** version numbers, ghost removals, and
+//!   gap-version raises;
 //! * a [`RepairDriver`] closes the loop automatically: it drains the
 //!   suite's stale-vote queue into bucket-targeted pulls (two messages per
 //!   divergent bucket, no walk), falls back to summary sweeps when the
-//!   queue is dry, and adapts the sweep interval ([`Pacing`]) — geometric
-//!   backoff while quiescent, snap-back to the floor on stale votes,
-//!   applied repairs, or a member-recovery signal.
+//!   queue is dry — the same pull, one per run of dirty buckets — and
+//!   adapts the sweep interval ([`Pacing`]) — geometric backoff while
+//!   quiescent, snap-back to the floor on stale votes, applied repairs, or
+//!   a member-recovery signal.
 //!
 //! Soundness rests on the paper's version-number update rule: at every
 //! point of the key space the version only grows, a higher version always
@@ -42,14 +48,13 @@ mod repairer;
 mod summary;
 
 pub use driver::{
-    CatchupStats, CatchupStream, DriverHandle, DriverWaker, HealthSink, Pacer, Pacing,
-    RepairDriver, TickStats, VoteSource,
+    DriverHandle, DriverWaker, HealthSink, Pacer, Pacing, RepairDriver, TickStats, VoteSource,
 };
-pub use merge::{
-    diff_bucket, merge_bucket, plan_bucket, BucketEntry, BucketView, GapAnchor, RepairPlan,
+pub use merge::{diff_bucket, merge_bucket, plan_bucket, BucketEntry, BucketView, RepairPlan};
+pub use repairer::{
+    ApplyStats, RepairError, RepairPeer, RepairTarget, Repairer, RoundStats, MAX_PULL_ENTRIES,
 };
-pub use repairer::{ApplyStats, RepairError, RepairPeer, RepairTarget, Repairer, RoundStats};
 pub use summary::{
-    bucket_high, bucket_low, bucket_of, entry_digest, fold_children, low_gap_digest, Digest,
-    SummaryCache, BUCKETS, FANOUT, GROUPS,
+    bucket_high, bucket_low, bucket_of, entry_digest, low_gap_digest, Digest, SummaryCache,
+    BUCKETS, FANOUT,
 };

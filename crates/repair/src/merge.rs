@@ -1,13 +1,14 @@
-//! Pointwise merge of two bucket views under the paper's version rule.
+//! Pointwise merge of two views of one key interval under the paper's
+//! version rule.
 //!
-//! A [`BucketView`] is one representative's full knowledge of one leaf
-//! bucket: the gap version extending into the bucket from below
-//! (`lead_gap`), plus every entry with its `gap_after`. Merging two views
-//! is a pointwise maximum over the key space — at every point the higher
-//! version wins, a present entry beats an absent gap at equal version
-//! (equal versions denote identical data, and the insert rule gives an
-//! entry a version strictly above the gap it split, so the tie can only
-//! arise between two copies of the same fact).
+//! A [`BucketView`] is one representative's full knowledge of an open key
+//! interval `(after, before)`: the gap version extending into it from
+//! `after` (`lead_gap`), plus every entry strictly inside with its
+//! `gap_after`. Merging two views is a pointwise maximum over the key
+//! space — at every point the higher version wins, a present entry beats an
+//! absent gap at equal version (equal versions denote identical data, and
+//! the insert rule gives an entry a version strictly above the gap it split,
+//! so the tie can only arise between two copies of the same fact).
 //!
 //! The merged gap over an interval between two merged boundaries is the
 //! **span maximum**: the largest version among all gap segments of either
@@ -17,10 +18,17 @@
 //! the deletion that created the highest such segment coalesced the whole
 //! merged interval (its interior keys are either merged entries — which
 //! bound the interval — or ghosts it dominates).
+//!
+//! The receiver realises a ghost removal or a gap raise by coalescing its
+//! own neighbours, so the merged facts only hold if those neighbours are
+//! the interval's boundaries or merged entries. The repairer therefore
+//! pulls intervals whose ends are keys the receiver holds ([`RepairPlan`]
+//! carries them, and the apply refuses any step whose neighbours fall
+//! outside).
 
-use repdir_core::{UserKey, Value, Version};
+use repdir_core::{Key, UserKey, Value, Version};
 
-/// One stored entry of a bucket together with the gap version directly
+/// One stored entry of an interval together with the gap version directly
 /// above it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BucketEntry {
@@ -31,13 +39,13 @@ pub struct BucketEntry {
     pub gap_after: Version,
 }
 
-/// A representative's complete view of one leaf bucket.
+/// A representative's complete view of one open key interval.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BucketView {
-    /// Version of the gap extending into the bucket from below its first
-    /// entry (for bucket 0 this is the directory's `low_gap`).
+    /// Version of the gap extending into the interval from its lower end
+    /// (the directory's `low_gap` when that end is `LOW`).
     pub lead_gap: Version,
-    /// Entries in ascending key order.
+    /// Entries strictly inside the interval, in ascending key order.
     pub entries: Vec<BucketEntry>,
 }
 
@@ -52,32 +60,39 @@ impl BucketView {
     }
 }
 
-/// Where a gap raise is anchored.
+/// What one representative must do to reach the merged state of the open
+/// interval `(after, before)`. All versions are pinned — apply installs
+/// them verbatim, it never mints new ones, which is exactly why repair
+/// needs no quorum.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GapAnchor {
-    /// The directory's leading gap (only emitted for bucket 0 — the lead
-    /// gap of any later bucket is owned by an entry in an earlier bucket
-    /// and is repaired when that bucket reconciles).
-    LowEdge,
-    /// The gap directly after this entry.
-    After(UserKey),
-}
-
-/// What one representative must do to reach the merged bucket state.
-/// All versions are pinned — apply installs them verbatim, it never mints
-/// new ones, which is exactly why repair needs no quorum.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RepairPlan {
+    /// Lower end of the interval: a key the receiver held when the plan was
+    /// computed, or `LOW`.
+    pub after: Key,
+    /// Upper end of the interval: a key the receiver held, or `HIGH`.
+    pub before: Key,
     /// Entries to install (insert or overwrite) at the given version.
     pub installs: Vec<(UserKey, Version, Value)>,
     /// Local entries dominated by a merged gap: remove by coalescing the
     /// immediate neighbours at the covering gap version.
     pub ghosts: Vec<(UserKey, Version)>,
-    /// Gap segments whose version must rise to the given target.
-    pub gap_raises: Vec<(GapAnchor, Version)>,
+    /// Gaps directly above the given key (`after` or an entry) whose
+    /// version must rise to the given target.
+    pub gap_raises: Vec<(Key, Version)>,
 }
 
 impl RepairPlan {
+    /// An empty plan over `(after, before)`.
+    pub fn new(after: Key, before: Key) -> Self {
+        RepairPlan {
+            after,
+            before,
+            installs: Vec::new(),
+            ghosts: Vec::new(),
+            gap_raises: Vec::new(),
+        }
+    }
+
     pub fn is_empty(&self) -> bool {
         self.installs.is_empty() && self.ghosts.is_empty() && self.gap_raises.is_empty()
     }
@@ -95,11 +110,12 @@ fn gap_at(view: &BucketView, key: &UserKey) -> Version {
 }
 
 /// Maximum gap version among `view`'s segments overlapping the open
-/// interval `(lo, hi)`; `None` bounds mean the bucket edges.
+/// interval `(lo, hi)`; `None` bounds mean the view's interval ends.
 fn span_max(view: &BucketView, lo: Option<&UserKey>, hi: Option<&UserKey>) -> Version {
     // Segment i runs between boundary i-1 and boundary i of the view
-    // (boundaries are its entries; segment 0 starts at the bucket edge,
-    // segment n ends at it). Open-interval overlap: seg.lo < hi && lo < seg.hi.
+    // (boundaries are its entries; segment 0 starts at the interval's lower
+    // end, segment n ends at its upper end). Open-interval overlap:
+    // seg.lo < hi && lo < seg.hi.
     let n = view.entries.len();
     let mut best = Version::ZERO;
     for i in 0..=n {
@@ -129,7 +145,7 @@ fn span_max(view: &BucketView, lo: Option<&UserKey>, hi: Option<&UserKey>) -> Ve
     best
 }
 
-/// Pointwise merge of two views of the same bucket: at every key the
+/// Pointwise merge of two views of the same interval: at every key the
 /// higher version wins (present beats absent at equal version); every
 /// merged gap interval carries the span maximum of both sides.
 pub fn merge_bucket(local: &BucketView, remote: &BucketView) -> BucketView {
@@ -192,10 +208,15 @@ pub fn merge_bucket(local: &BucketView, remote: &BucketView) -> BucketView {
     BucketView { lead_gap, entries }
 }
 
-/// What `local` must apply to reach `merged`. `bucket` selects whether a
-/// lead-gap raise is expressible (`LowEdge` exists only for bucket 0).
-pub fn plan_bucket(bucket: u8, local: &BucketView, merged: &BucketView) -> RepairPlan {
-    let mut plan = RepairPlan::default();
+/// What `local`, the receiver's view of `(after, before)`, must apply to
+/// reach `merged`.
+pub fn plan_bucket(
+    after: &Key,
+    before: &Key,
+    local: &BucketView,
+    merged: &BucketView,
+) -> RepairPlan {
+    let mut plan = RepairPlan::new(after.clone(), before.clone());
 
     let find_local = |k: &UserKey| -> Option<&BucketEntry> {
         local
@@ -214,7 +235,7 @@ pub fn plan_bucket(bucket: u8, local: &BucketView, merged: &BucketView) -> Repai
                 }
                 if me.gap_after > le.gap_after {
                     plan.gap_raises
-                        .push((GapAnchor::After(me.key.clone()), me.gap_after));
+                        .push((Key::User(me.key.clone()), me.gap_after));
                 }
             }
             None => {
@@ -227,7 +248,7 @@ pub fn plan_bucket(bucket: u8, local: &BucketView, merged: &BucketView) -> Repai
                 // its upper half if the merged gap is ahead.
                 if me.gap_after > gap_at(local, &me.key) {
                     plan.gap_raises
-                        .push((GapAnchor::After(me.key.clone()), me.gap_after));
+                        .push((Key::User(me.key.clone()), me.gap_after));
                 }
             }
         }
@@ -243,16 +264,22 @@ pub fn plan_bucket(bucket: u8, local: &BucketView, merged: &BucketView) -> Repai
         }
     }
 
-    if bucket == 0 && merged.lead_gap > local.lead_gap {
-        plan.gap_raises.push((GapAnchor::LowEdge, merged.lead_gap));
+    if merged.lead_gap > local.lead_gap {
+        plan.gap_raises.push((after.clone(), merged.lead_gap));
     }
 
     plan
 }
 
-/// Convenience: merge `local` with `remote` and plan the local repair.
-pub fn diff_bucket(bucket: u8, local: &BucketView, remote: &BucketView) -> RepairPlan {
-    plan_bucket(bucket, local, &merge_bucket(local, remote))
+/// Convenience: merge `local` with `remote`, both views of `(after,
+/// before)`, and plan the local repair.
+pub fn diff_bucket(
+    after: &Key,
+    before: &Key,
+    local: &BucketView,
+    remote: &BucketView,
+) -> RepairPlan {
+    plan_bucket(after, before, local, &merge_bucket(local, remote))
 }
 
 #[cfg(test)]
@@ -287,24 +314,29 @@ mod tests {
         }
     }
 
+    /// The plan over the whole key space, `(LOW, HIGH)`.
+    fn diff(local: &BucketView, remote: &BucketView) -> RepairPlan {
+        diff_bucket(&Key::Low, &Key::High, local, remote)
+    }
+
     #[test]
     fn newer_remote_entry_is_installed_at_its_pinned_version() {
         let local = view(0, vec![entry(b"a", 2, 0)]);
         let remote = view(0, vec![entry(b"a", 7, 0)]);
-        let plan = diff_bucket(10, &local, &remote);
+        let plan = diff(&local, &remote);
         assert_eq!(plan.installs.len(), 1);
         assert_eq!(plan.installs[0].0, k(b"a"));
         assert_eq!(plan.installs[0].1, v(7));
         assert!(plan.ghosts.is_empty());
         assert!(plan.gap_raises.is_empty());
         // The stale side learning nothing new plans nothing.
-        assert!(diff_bucket(10, &remote, &local).is_empty());
+        assert!(diff(&remote, &local).is_empty());
     }
 
     #[test]
     fn equal_versions_are_identical_and_need_no_repair() {
         let a = view(3, vec![entry(b"a", 5, 3), entry(b"c", 8, 3)]);
-        assert!(diff_bucket(0, &a, &a.clone()).is_empty());
+        assert!(diff(&a, &a.clone()).is_empty());
         assert_eq!(merge_bucket(&a, &a), a);
     }
 
@@ -317,10 +349,10 @@ mod tests {
         let merged = merge_bucket(&local, &remote);
         assert!(merged.entries.is_empty());
         assert_eq!(merged.lead_gap, v(9));
-        let plan = plan_bucket(0, &local, &merged);
+        let plan = plan_bucket(&Key::Low, &Key::High, &local, &merged);
         assert_eq!(plan.ghosts, vec![(k(b"b"), v(9))]);
         assert!(plan.installs.is_empty());
-        assert_eq!(plan.gap_raises, vec![(GapAnchor::LowEdge, v(9))]);
+        assert_eq!(plan.gap_raises, vec![(Key::Low, v(9))]);
     }
 
     #[test]
@@ -328,29 +360,29 @@ mod tests {
         // Local saw the delete at 9; remote saw the later re-insert at 10.
         let local = view(9, vec![]);
         let remote = view(9, vec![entry(b"b", 10, 9)]);
-        let plan = diff_bucket(0, &local, &remote);
+        let plan = diff(&local, &remote);
         assert_eq!(plan.installs.len(), 1);
         assert_eq!(plan.installs[0].1, v(10));
         // Equal version: present wins the tie (same fact, two encodings).
-        let plan = diff_bucket(0, &view(10, vec![]), &view(9, vec![entry(b"b", 10, 9)]));
+        let plan = diff(&view(10, vec![]), &view(9, vec![entry(b"b", 10, 9)]));
         assert_eq!(plan.installs.len(), 1);
         // Strictly higher gap: the delete is newer, entry stays dead.
-        let plan = diff_bucket(0, &view(11, vec![]), &view(9, vec![entry(b"b", 10, 9)]));
+        let plan = diff(&view(11, vec![]), &view(9, vec![entry(b"b", 10, 9)]));
         assert!(plan.installs.is_empty());
     }
 
     #[test]
-    fn gap_after_raise_is_anchored_at_the_entry() {
+    fn gap_raises_are_anchored_at_the_entry_or_the_interval_start() {
         let local = view(1, vec![entry(b"a", 5, 2)]);
         let remote = view(1, vec![entry(b"a", 5, 8)]);
-        let plan = diff_bucket(42, &local, &remote);
+        let plan = diff(&local, &remote);
         assert!(plan.installs.is_empty());
-        assert_eq!(plan.gap_raises, vec![(GapAnchor::After(k(b"a")), v(8))]);
-        // Lead raises are only expressible for bucket 0.
-        let plan = diff_bucket(42, &view(1, vec![]), &view(6, vec![]));
-        assert!(plan.gap_raises.is_empty());
-        let plan = diff_bucket(0, &view(1, vec![]), &view(6, vec![]));
-        assert_eq!(plan.gap_raises, vec![(GapAnchor::LowEdge, v(6))]);
+        assert_eq!(plan.gap_raises, vec![(Key::User(k(b"a")), v(8))]);
+        // The lead gap belongs to the interval's lower end, whatever it is.
+        let (after, before) = (Key::User(k(b"m")), Key::User(k(b"q")));
+        let plan = diff_bucket(&after, &before, &view(1, vec![]), &view(6, vec![]));
+        assert_eq!(plan.gap_raises, vec![(after.clone(), v(6))]);
+        assert_eq!((plan.after, plan.before), (after, before));
     }
 
     #[test]
@@ -395,7 +427,7 @@ mod tests {
         assert_eq!(merge_bucket(&ab, &b), ab);
         assert_eq!(merge_bucket(&ab, &a), ab);
         // A view that already matches the merge plans nothing.
-        assert!(plan_bucket(0, &ab, &ab).is_empty());
+        assert!(plan_bucket(&Key::Low, &Key::High, &ab, &ab).is_empty());
     }
 
     #[test]
@@ -405,8 +437,8 @@ mod tests {
         // upper half must then rise to 4.
         let local = view(1, vec![]);
         let remote = view(1, vec![entry(b"b", 5, 4)]);
-        let plan = diff_bucket(7, &local, &remote);
+        let plan = diff(&local, &remote);
         assert_eq!(plan.installs.len(), 1);
-        assert_eq!(plan.gap_raises, vec![(GapAnchor::After(k(b"b")), v(4))]);
+        assert_eq!(plan.gap_raises, vec![(Key::User(k(b"b")), v(4))]);
     }
 }

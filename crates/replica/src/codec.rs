@@ -12,7 +12,6 @@ use repdir_core::{
     UserKey, Value, Version,
 };
 use repdir_repair::{BucketEntry, BucketView, Digest};
-use repdir_snapshot::{SnapshotChunk, SnapshotManifest};
 use repdir_txn::TxnId;
 
 /// A request to a representative server.
@@ -49,22 +48,14 @@ pub enum Request {
         /// Group index when `level` is 1; ignored at level 0.
         path: u8,
     },
-    /// Anti-entropy: the full view of one summary bucket. Read-only.
-    Pull {
-        /// Leaf bucket index (the keys' leading byte).
-        bucket: u8,
-    },
-    /// Snapshot catch-up: the manifest of the peer's current state.
-    /// Read-only; no transaction.
-    SnapshotBegin,
-    /// Snapshot catch-up: one bounded frame of entries strictly after the
-    /// cursor (from the lowest key when `None`). Read-only.
-    SnapshotChunk {
-        /// Resume cursor: the last key already installed, or `None` to
-        /// start from the beginning of the key space.
-        after: Option<UserKey>,
-        /// Maximum number of entries in the frame.
-        max: u32,
+    /// Anti-entropy: the full view of the open interval `(after, before)`
+    /// — the gap above `after` and every entry strictly inside. Read-only;
+    /// no transaction. Decoding refuses `after >= before`.
+    PullRange {
+        /// Lower end, exclusive.
+        after: Key,
+        /// Upper end, exclusive.
+        before: Key,
     },
 }
 
@@ -87,12 +78,8 @@ pub enum Response {
     Batch(Vec<Response>),
     /// Summary-level digests (reply to [`Request::Summary`]).
     Summary(Vec<Digest>),
-    /// A bucket view (reply to [`Request::Pull`]).
-    Pull(BucketView),
-    /// A snapshot manifest (reply to [`Request::SnapshotBegin`]).
-    SnapshotManifest(SnapshotManifest),
-    /// A snapshot frame (reply to [`Request::SnapshotChunk`]).
-    SnapshotChunk(SnapshotChunk),
+    /// An interval view (reply to [`Request::PullRange`]).
+    PullRange(BucketView),
 }
 
 /// Decoding failure: the peer sent bytes this codec cannot parse.
@@ -222,9 +209,9 @@ const RQ_PRED_CHAIN: u8 = 9;
 const RQ_SUCC_CHAIN: u8 = 10;
 const RQ_BATCH: u8 = 11;
 const RQ_SUMMARY: u8 = 12;
-const RQ_PULL: u8 = 13;
-const RQ_SNAP_BEGIN: u8 = 14;
-const RQ_SNAP_CHUNK: u8 = 15;
+// Tags 13, 14 and 15 carried the bucket pull and the snapshot frames; they
+// stay retired like 3 and 4.
+const RQ_PULL_RANGE: u8 = 16;
 
 /// Encodes a request.
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -284,21 +271,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             b.put_u8(*level);
             b.put_u8(*path);
         }
-        Request::Pull { bucket } => {
-            b.put_u8(RQ_PULL);
-            b.put_u8(*bucket);
-        }
-        Request::SnapshotBegin => b.put_u8(RQ_SNAP_BEGIN),
-        Request::SnapshotChunk { after, max } => {
-            b.put_u8(RQ_SNAP_CHUNK);
-            match after {
-                Some(key) => {
-                    b.put_u8(1);
-                    put_user_key(&mut b, key);
-                }
-                None => b.put_u8(0),
-            }
-            b.put_u32_le(*max);
+        Request::PullRange { after, before } => {
+            b.put_u8(RQ_PULL_RANGE);
+            put_key(&mut b, after);
+            put_key(&mut b, before);
         }
     }
     b
@@ -357,18 +333,12 @@ pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
             level: get_u8(b)?,
             path: get_u8(b)?,
         }),
-        RQ_PULL => Ok(Request::Pull { bucket: get_u8(b)? }),
-        RQ_SNAP_BEGIN => Ok(Request::SnapshotBegin),
-        RQ_SNAP_CHUNK => {
-            let after = match get_u8(b)? {
-                0 => None,
-                1 => Some(get_user_key(b)?),
-                _ => return err("bad snapshot cursor flag"),
-            };
-            Ok(Request::SnapshotChunk {
-                after,
-                max: get_u32(b)?,
-            })
+        RQ_PULL_RANGE => {
+            let (after, before) = (get_key(b)?, get_key(b)?);
+            if after >= before {
+                return err("empty pull range");
+            }
+            Ok(Request::PullRange { after, before })
         }
         _ => err("unknown request tag"),
     }
@@ -387,9 +357,9 @@ const RS_ERR: u8 = 7;
 const RS_CHAIN: u8 = 8;
 const RS_BATCH: u8 = 9;
 const RS_SUMMARY: u8 = 10;
-const RS_PULL: u8 = 11;
-const RS_SNAP_MANIFEST: u8 = 12;
-const RS_SNAP_CHUNK: u8 = 13;
+// Tags 11, 12 and 13 carried the bucket and snapshot replies; retired with
+// their requests.
+const RS_PULL_RANGE: u8 = 14;
 
 const ERR_NO_BOUNDARY: u8 = 0;
 const ERR_SENTINEL: u8 = 1;
@@ -532,28 +502,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 b.put_u64_le(d.count);
             }
         }
-        Response::Pull(view) => {
-            b.put_u8(RS_PULL);
+        Response::PullRange(view) => {
+            b.put_u8(RS_PULL_RANGE);
             b.put_u64_le(view.lead_gap.get());
             b.put_u32_le(view.entries.len() as u32);
             for e in &view.entries {
-                put_user_key(&mut b, &e.key);
-                b.put_u64_le(e.version.get());
-                put_value(&mut b, &e.value);
-                b.put_u64_le(e.gap_after.get());
-            }
-        }
-        Response::SnapshotManifest(m) => {
-            b.put_u8(RS_SNAP_MANIFEST);
-            b.put_u64_le(m.root.hash);
-            b.put_u64_le(m.root.count);
-            b.put_u64_le(m.low_gap.get());
-        }
-        Response::SnapshotChunk(chunk) => {
-            b.put_u8(RS_SNAP_CHUNK);
-            b.put_u8(u8::from(chunk.done));
-            b.put_u32_le(chunk.entries.len() as u32);
-            for e in &chunk.entries {
                 put_user_key(&mut b, &e.key);
                 b.put_u64_le(e.version.get());
                 put_value(&mut b, &e.value);
@@ -642,7 +595,7 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
             }
             Ok(Response::Summary(digests))
         }
-        RS_PULL => {
+        RS_PULL_RANGE => {
             let lead_gap = Version::new(get_u64(b)?);
             let n = get_u32(b)? as usize;
             let mut entries = Vec::with_capacity(n.min(4096));
@@ -654,32 +607,7 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
                     gap_after: Version::new(get_u64(b)?),
                 });
             }
-            Ok(Response::Pull(BucketView { lead_gap, entries }))
-        }
-        RS_SNAP_MANIFEST => Ok(Response::SnapshotManifest(SnapshotManifest {
-            root: Digest {
-                hash: get_u64(b)?,
-                count: get_u64(b)?,
-            },
-            low_gap: Version::new(get_u64(b)?),
-        })),
-        RS_SNAP_CHUNK => {
-            let done = match get_u8(b)? {
-                0 => false,
-                1 => true,
-                _ => return err("bad snapshot done flag"),
-            };
-            let n = get_u32(b)? as usize;
-            let mut entries = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                entries.push(BucketEntry {
-                    key: get_user_key(b)?,
-                    version: Version::new(get_u64(b)?),
-                    value: get_value(b)?,
-                    gap_after: Version::new(get_u64(b)?),
-                });
-            }
-            Ok(Response::SnapshotChunk(SnapshotChunk { entries, done }))
+            Ok(Response::PullRange(BucketView { lead_gap, entries }))
         }
         _ => err("unknown response tag"),
     }
@@ -747,20 +675,17 @@ mod tests {
             ]),
             Request::Summary { level: 0, path: 0 },
             Request::Summary { level: 1, path: 15 },
-            Request::Pull { bucket: 0 },
-            Request::Pull { bucket: 255 },
-            Request::SnapshotBegin,
-            Request::SnapshotChunk {
-                after: None,
-                max: 512,
+            Request::PullRange {
+                after: Key::Low,
+                before: Key::High,
             },
-            Request::SnapshotChunk {
-                after: Some(UserKey::from("cursor")),
-                max: 1,
+            Request::PullRange {
+                after: k(""),
+                before: k("a"),
             },
-            Request::SnapshotChunk {
-                after: Some(UserKey::from("")),
-                max: u32::MAX,
+            Request::PullRange {
+                after: k("m"),
+                before: Key::High,
             },
         ]
     }
@@ -845,11 +770,11 @@ mod tests {
                     count: 12,
                 },
             ]),
-            Response::Pull(BucketView {
+            Response::PullRange(BucketView {
                 lead_gap: v(7),
                 entries: vec![],
             }),
-            Response::Pull(BucketView {
+            Response::PullRange(BucketView {
                 lead_gap: v(0),
                 entries: vec![
                     BucketEntry {
@@ -865,34 +790,6 @@ mod tests {
                         gap_after: v(0),
                     },
                 ],
-            }),
-            Response::SnapshotManifest(SnapshotManifest {
-                root: Digest {
-                    hash: 0xdead_beef,
-                    count: 42,
-                },
-                low_gap: v(6),
-            }),
-            Response::SnapshotChunk(SnapshotChunk {
-                entries: vec![],
-                done: true,
-            }),
-            Response::SnapshotChunk(SnapshotChunk {
-                entries: vec![
-                    BucketEntry {
-                        key: UserKey::from("s1"),
-                        version: v(2),
-                        value: Value::from("S"),
-                        gap_after: v(0),
-                    },
-                    BucketEntry {
-                        key: UserKey::from("s2"),
-                        version: v(5),
-                        value: Value::empty(),
-                        gap_after: v(8),
-                    },
-                ],
-                done: false,
             }),
         ]
     }
@@ -945,23 +842,69 @@ mod tests {
 
     #[test]
     fn retired_tags_are_unknown_not_a_panic() {
-        // The single-step neighbour frames, as a peer from before their
-        // removal would send them: a lookup's layout under tag 3 or 4, and
-        // `key | entry version | gap version` under response tag 3.
-        let mut frame = encode_request(&Request::Lookup(TxnId(7), k("a")));
-        for tag in [3, 4] {
-            frame[0] = tag;
+        // Retired frames, as a peer from before their removal would send
+        // them. Requests: the single-step neighbour calls (a lookup's
+        // layout under tags 3 and 4), the bucket pull (`bucket`, tag 13),
+        // the snapshot manifest (tag 14, no body) and the snapshot chunk
+        // (`cursor flag | key | max`, tag 15).
+        let lookup = encode_request(&Request::Lookup(TxnId(7), k("a")));
+        let mut chunk = vec![15, 1];
+        put_user_key(&mut chunk, &UserKey::from("cursor"));
+        chunk.extend_from_slice(&512u32.to_le_bytes());
+        let frames = [
+            [&[3][..], &lookup[1..]].concat(),
+            [&[4][..], &lookup[1..]].concat(),
+            vec![13, 7],
+            vec![14],
+            chunk,
+        ];
+        for frame in frames {
             let err = decode_request(&frame).unwrap_err();
             assert!(err.0.contains("unknown request tag"), "{err}");
-            let envelope = [&[RQ_BATCH][..], &repdir_net::pack_parts(&[frame.clone()])].concat();
+            let envelope = [&[RQ_BATCH][..], &repdir_net::pack_parts(&[frame])].concat();
             let err = decode_request(&envelope).unwrap_err();
             assert!(err.0.contains("unknown request tag"), "{err}");
         }
-        let mut reply = vec![3];
-        put_key(&mut reply, &k("n"));
-        reply.extend_from_slice(&[0; 16]);
-        let err = decode_response(&reply).unwrap_err();
-        assert!(err.0.contains("unknown response tag"), "{err}");
+        // Responses: the neighbour reply (`key | entry version | gap
+        // version`, tag 3), the bucket view (`lead gap | count`, tag 11),
+        // the manifest (`hash | count | low gap`, tag 12) and the chunk
+        // (`done | count`, tag 13).
+        let mut neighbour = vec![3];
+        put_key(&mut neighbour, &k("n"));
+        neighbour.extend_from_slice(&[0; 16]);
+        let replies = [
+            neighbour,
+            [&[11][..], &[0; 12]].concat(),
+            [&[12][..], &[0; 24]].concat(),
+            [&[13][..], &[1, 0, 0, 0, 0]].concat(),
+        ];
+        for reply in replies {
+            let err = decode_response(&reply).unwrap_err();
+            assert!(err.0.contains("unknown response tag"), "{err}");
+        }
+    }
+
+    #[test]
+    fn pull_range_with_an_empty_interval_is_refused() {
+        // Encodable (the encoder trusts its caller), never decodable: the
+        // representative is not asked to serve a range with no interior.
+        for (after, before) in [
+            (k("b"), k("a")),
+            (k("a"), k("a")),
+            (Key::High, Key::Low),
+            (Key::High, Key::High),
+            (Key::Low, Key::Low),
+            (Key::High, k("a")),
+        ] {
+            let frame = encode_request(&Request::PullRange { after, before });
+            let err = decode_request(&frame).unwrap_err();
+            assert!(err.0.contains("empty pull range"), "{err}");
+        }
+        // A key length claiming more bytes than the frame holds is refused
+        // before anything is allocated for it.
+        let mut frame = vec![RQ_PULL_RANGE, 1];
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_request(&frame).is_err());
     }
 
     #[test]

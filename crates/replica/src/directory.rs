@@ -12,14 +12,12 @@ use repdir_core::suite::{
 };
 use repdir_core::sync::Mutex;
 use repdir_core::{ConfigError, Key, RepError, RepId, SuiteError, UserKey, Value};
-use repdir_repair::{DriverHandle, Pacing, RepairDriver, Repairer};
-use repdir_snapshot::SnapshotInstaller;
+use repdir_repair::{DriverHandle, Pacing, RepairDriver, RepairPeer, Repairer};
 use repdir_txn::TxnManager;
 
 use crate::client::SessionClient;
 use crate::repair::{LocalRepairPeer, RepTarget};
 use crate::server::TransactionalRep;
-use crate::snapshot::LocalSnapshotPeer;
 use repdir_storage::{Backend, SimDisk};
 
 /// A complete replicated directory service over transactional
@@ -329,7 +327,9 @@ impl ReplicatedDirectory {
     /// Starts one background [`RepairDriver`] per representative: each
     /// drains this directory's stale-vote queue for its member into
     /// bucket-targeted pulls from the other representatives, falling back
-    /// to adaptively paced summary sweeps when the queue is dry. The queue
+    /// to adaptively paced summary sweeps when the queue is dry, and
+    /// checkpointing its member once a sweep finds it level after repairs
+    /// (which also retires the stale votes spilled to its log). The queue
     /// wakes a driver the moment a read observes its member voting stale,
     /// and each representative's recovery hook snaps its driver's pacing
     /// back to the floor. Idempotent: a second call replaces the fleet.
@@ -356,23 +356,19 @@ impl ReplicatedDirectory {
         let mut handles = Vec::with_capacity(self.reps.len());
         for (member, rep) in self.reps.iter().enumerate() {
             let target = Arc::new(RepTarget::new(Arc::clone(rep)));
-            let mut peers: Vec<Box<dyn repdir_repair::RepairPeer>> = Vec::new();
-            let mut snap_peers: Vec<Box<dyn repdir_snapshot::SnapshotPeer>> = Vec::new();
-            // Snapshot peers are aligned index-for-index with repair peers,
-            // so the driver's sticky peer choice addresses the same member
-            // on both the per-bucket and the streamed path.
-            for (j, peer) in self.reps.iter().enumerate() {
-                if j == member {
-                    continue;
-                }
-                peers.push(Box::new(LocalRepairPeer::new(Arc::clone(peer))));
-                snap_peers.push(Box::new(LocalSnapshotPeer::new(Arc::clone(peer))));
-            }
+            let peers: Vec<Box<dyn RepairPeer>> = self
+                .reps
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != member)
+                .map(|(_, peer)| {
+                    Box::new(LocalRepairPeer::new(Arc::clone(peer))) as Box<dyn RepairPeer>
+                })
+                .collect();
             let queue = Arc::clone(&self.stale_votes);
             let health = Arc::clone(&self.repair_health);
             let driver = RepairDriver::new(Repairer::new(target, peers), pacing)
                 .with_vote_source(Box::new(move || queue.drain_member(member)))
-                .with_catchup(Box::new(SnapshotInstaller::new(snap_peers)))
                 .with_health_sink(Box::new(move |unrepaired| {
                     health.set_unrepaired(member, unrepaired);
                 }));

@@ -31,11 +31,9 @@ mod directory;
 mod remote;
 mod repair;
 mod server;
-mod snapshot;
 
 pub use client::SessionClient;
 pub use directory::{DirTxn, ReplicatedDirectory};
 pub use remote::{serve_rep, RemoteSessionClient};
 pub use repair::{LocalRepairPeer, RemoteRepairPeer, RepTarget};
 pub use server::TransactionalRep;
-pub use snapshot::{LocalSnapshotPeer, RemoteSnapshotPeer};

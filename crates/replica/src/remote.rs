@@ -9,6 +9,7 @@ use repdir_core::{
 };
 use repdir_net::{serve, Network, NodeId, RpcClient, RpcResult, ServerHandle};
 use repdir_obs::Counter;
+use repdir_repair::MAX_PULL_ENTRIES;
 use repdir_txn::TxnId;
 
 use crate::codec::{
@@ -92,12 +93,9 @@ fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
         Request::Summary { level, path } => {
             wrap(rep.summary_children(level, path), Response::Summary)
         }
-        Request::Pull { bucket } => wrap(rep.repair_bucket(bucket), Response::Pull),
-        // Snapshot catch-up endpoints: read-only, cursor-addressed.
-        Request::SnapshotBegin => wrap(rep.snapshot_manifest(), Response::SnapshotManifest),
-        Request::SnapshotChunk { after, max } => wrap(
-            rep.snapshot_chunk(after.as_ref(), max),
-            Response::SnapshotChunk,
+        Request::PullRange { after, before } => wrap(
+            rep.pull_range(&after, &before, MAX_PULL_ENTRIES),
+            Response::PullRange,
         ),
     }
 }

@@ -10,16 +10,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use repdir_core::RepError;
+use repdir_core::{Key, RepError};
 use repdir_net::{NodeId, RpcClient};
 use repdir_repair::{
     ApplyStats, BucketView, Digest, RepairError, RepairPeer, RepairPlan, RepairTarget,
+    MAX_PULL_ENTRIES,
 };
 
 use crate::codec::{decode_response, encode_request, Request, Response};
 use crate::server::TransactionalRep;
 
-pub(crate) fn map_rep_error(e: RepError) -> RepairError {
+fn map_rep_error(e: RepError) -> RepairError {
     match e {
         RepError::Unavailable => RepairError::Unavailable,
         RepError::LockTimeout | RepError::Deadlock => RepairError::Contended,
@@ -28,7 +29,7 @@ pub(crate) fn map_rep_error(e: RepError) -> RepairError {
 }
 
 /// A repair peer reached over the simulated network via the wire codec
-/// ([`Request::Summary`] / [`Request::Pull`]).
+/// ([`Request::Summary`] / [`Request::PullRange`]).
 #[derive(Debug)]
 pub struct RemoteRepairPeer {
     rpc: Arc<RpcClient>,
@@ -78,11 +79,15 @@ impl RepairPeer for RemoteRepairPeer {
         }
     }
 
-    fn pull(&self, bucket: u8) -> Result<BucketView, RepairError> {
-        match self.call(Request::Pull { bucket })? {
-            Response::Pull(view) => Ok(view),
+    fn pull_range(&self, after: &Key, before: &Key) -> Result<BucketView, RepairError> {
+        let req = Request::PullRange {
+            after: after.clone(),
+            before: before.clone(),
+        };
+        match self.call(req)? {
+            Response::PullRange(view) => Ok(view),
             other => Err(RepairError::Protocol(format!(
-                "unexpected reply to Pull: {other:?}"
+                "unexpected reply to PullRange: {other:?}"
             ))),
         }
     }
@@ -109,8 +114,10 @@ impl RepairPeer for LocalRepairPeer {
             .map_err(map_rep_error)
     }
 
-    fn pull(&self, bucket: u8) -> Result<BucketView, RepairError> {
-        self.rep.repair_bucket(bucket).map_err(map_rep_error)
+    fn pull_range(&self, after: &Key, before: &Key) -> Result<BucketView, RepairError> {
+        self.rep
+            .pull_range(after, before, MAX_PULL_ENTRIES)
+            .map_err(map_rep_error)
     }
 }
 
@@ -134,8 +141,14 @@ impl RepairTarget for RepTarget {
             .map_err(map_rep_error)
     }
 
-    fn bucket(&self, bucket: u8) -> Result<BucketView, RepairError> {
-        self.rep.repair_bucket(bucket).map_err(map_rep_error)
+    fn span(&self, first: u8, last: u8) -> Result<(Key, Key), RepairError> {
+        self.rep.repair_span(first, last).map_err(map_rep_error)
+    }
+
+    fn range(&self, after: &Key, before: &Key) -> Result<BucketView, RepairError> {
+        self.rep
+            .pull_range(after, before, usize::MAX)
+            .map_err(map_rep_error)
     }
 
     fn apply(&self, plan: &RepairPlan) -> Result<ApplyStats, RepairError> {
@@ -151,7 +164,7 @@ impl RepairTarget for RepTarget {
 mod tests {
     use super::*;
     use crate::remote::serve_rep;
-    use repdir_core::{Key, RepId, Value, Version};
+    use repdir_core::{RepId, Value, Version};
     use repdir_net::Network;
     use repdir_repair::Repairer;
     use repdir_txn::TxnId;
@@ -210,7 +223,10 @@ mod tests {
         let mut peer = RemoteRepairPeer::new(rpc, NodeId(99));
         peer.set_timeout(Duration::from_millis(25));
         assert_eq!(peer.summary(0, 0), Err(RepairError::Unavailable));
-        assert_eq!(peer.pull(3), Err(RepairError::Unavailable));
+        assert_eq!(
+            peer.pull_range(&Key::Low, &Key::High),
+            Err(RepairError::Unavailable)
+        );
     }
 
     #[test]
@@ -232,5 +248,56 @@ mod tests {
         assert_eq!(sweep.errors, 1);
         a.set_available(true);
         assert_eq!(repairer.run_sweep().errors, 0);
+    }
+
+    /// Both members hold a1@1 and a2@5; only `fresh` saw c1 inserted at 1
+    /// and then the delete of a2, `coalesce(a1, c1)` at 6.
+    fn missed_insert_then_delete() -> (Arc<TransactionalRep>, Arc<TransactionalRep>) {
+        let fresh = TransactionalRep::new(RepId(0));
+        let stale = TransactionalRep::new(RepId(1));
+        seed(&fresh, 1, &[("a1", 1), ("a2", 5)]);
+        seed(&stale, 1, &[("a1", 1), ("a2", 5)]);
+        seed(&fresh, 2, &[("c1", 1)]);
+        let t = TxnId(3);
+        fresh.begin(t).unwrap();
+        fresh.coalesce(t, &k("a1"), &k("c1"), v(6)).unwrap();
+        fresh.commit(t).unwrap();
+        (fresh, stale)
+    }
+
+    fn repairer(target: &Arc<TransactionalRep>, peer: &Arc<TransactionalRep>) -> Repairer {
+        Repairer::new(
+            Arc::new(RepTarget::new(Arc::clone(target))),
+            vec![Box::new(LocalRepairPeer::new(Arc::clone(peer)))],
+        )
+    }
+
+    #[test]
+    fn targeted_pull_never_stamps_a_deletion_over_a_key_the_receiver_lacks() {
+        let (fresh, stale) = missed_insert_then_delete();
+        // Bucket 'a' alone. The ghost a2's local successor is HIGH; the
+        // interval reaches it, so c1 arrives before a2's gap is coalesced.
+        repairer(&stale, &fresh)
+            .pull_buckets(0, b'a', b'a')
+            .unwrap();
+        let c1 = stale.snapshot().lookup(&k("c1"));
+        assert!(c1.is_present(), "stale reads c1 as {c1:?}");
+        // A reverse sweep finds nothing to remove on the fresh member.
+        let reverse = repairer(&fresh, &stale).run_until_quiescent(8);
+        assert!(reverse.quiescent);
+        assert_eq!(reverse.total.applied.ghosts_removed, 0);
+        assert!(fresh.snapshot().lookup(&k("c1")).is_present());
+        assert_eq!(fresh.snapshot(), stale.snapshot());
+    }
+
+    #[test]
+    fn catch_up_sweep_never_erases_a_key_through_a_ghost_removal() {
+        let (fresh, stale) = missed_insert_then_delete();
+        let round = repairer(&stale, &fresh).run_round(0);
+        assert_eq!(round.errors, 0);
+        assert_eq!(round.applied.ghosts_removed, 1);
+        assert_eq!(round.applied.out_of_span, 0);
+        assert_eq!(fresh.snapshot(), stale.snapshot());
+        assert!(stale.snapshot().lookup(&k("c1")).is_present());
     }
 }

@@ -13,10 +13,9 @@ use repdir_core::{
 };
 use repdir_rangelock::{DeadlockDomain, KeyRange, LockError, LockMode, LockStats, RangeLockTable};
 use repdir_repair::{
-    bucket_high, bucket_low, entry_digest, fold_children, low_gap_digest, ApplyStats, BucketEntry,
-    BucketView, Digest, GapAnchor, RepairPlan, SummaryCache,
+    bucket_high, bucket_low, entry_digest, low_gap_digest, ApplyStats, BucketEntry, BucketView,
+    Digest, RepairPlan, SummaryCache,
 };
-use repdir_snapshot::{SnapshotChunk, SnapshotManifest};
 use repdir_storage::{decode_log, stale_votes_after, Backend, DurableState, SimDisk};
 use repdir_txn::TxnId;
 
@@ -473,52 +472,104 @@ impl TransactionalRep {
         }))
     }
 
-    /// The full local view of one summary bucket — its leading gap version
-    /// and every entry with its `gap_after` — read under `RepLookup` range
-    /// locks on an internal transaction so it never observes uncommitted
-    /// data. Serves `Request::Pull`.
+    /// The open interval around summary buckets `first..=last` bounded by
+    /// keys this representative holds: its predecessor of the run's lowest
+    /// key (`LOW` for bucket 0) and its lowest key at or above the next
+    /// bucket (`HIGH` past bucket 255). A repair pull of that interval
+    /// covers every source entry its plan's coalesces can reach. Read under
+    /// the state mutex only: [`apply_repair`](TransactionalRep::apply_repair)
+    /// re-checks each step against the bounds under locks.
     ///
     /// # Errors
     ///
-    /// Availability and lock errors.
-    pub fn repair_bucket(&self, bucket: u8) -> RepResult<BucketView> {
+    /// [`RepError::Unavailable`] while failed.
+    pub(crate) fn repair_span(&self, first: u8, last: u8) -> RepResult<(Key, Key)> {
         self.check_up()?;
+        let state = self.state.lock();
+        let after = match bucket_low(first) {
+            None => Key::Low,
+            Some(low) => state.predecessor(&Key::User(UserKey::new(low)))?.key,
+        };
+        let before = match bucket_high(last) {
+            None => Key::High,
+            Some(high) => {
+                let edge = Key::User(UserKey::new(high));
+                if state.lookup(&edge).is_present() {
+                    edge
+                } else {
+                    state.successor(&edge)?.key
+                }
+            }
+        };
+        Ok((after, before))
+    }
+
+    /// The view of the open interval `(after, before)` — the version of the
+    /// gap just above `after` and the lowest `limit` entries strictly
+    /// inside, each with its `gap_after` — read under a
+    /// `RepLookup(after, before)` lock on an internal transaction so it
+    /// never observes uncommitted data. Serves `Request::PullRange` with
+    /// `limit` = [`MAX_PULL_ENTRIES`](repdir_repair::MAX_PULL_ENTRIES), and
+    /// with `usize::MAX` is the local side of the same merge. `limit` sizes
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Availability and lock errors; [`RepError::InvalidRange`] unless
+    /// `after < before`.
+    pub fn pull_range(&self, after: &Key, before: &Key, limit: usize) -> RepResult<BucketView> {
+        self.check_up()?;
+        if after >= before {
+            return Err(RepError::InvalidRange {
+                low: after.clone(),
+                high: before.clone(),
+            });
+        }
         let txn = next_repair_txn();
         self.state.lock().begin(txn);
-        let result = self.repair_bucket_locked(txn, bucket);
+        let result = self.pull_range_locked(txn, after, before, limit);
         // Read-only: abort just releases the locks.
         self.abort(txn);
         result
     }
 
-    fn repair_bucket_locked(&self, txn: TxnId, bucket: u8) -> RepResult<BucketView> {
-        let low = bucket_low(bucket);
-        let high = bucket_high(bucket);
-        let low_key = low.map_or(Key::Low, |b| Key::User(UserKey::new(&b[..])));
-        let high_key = high.map_or(Key::High, |b| Key::User(UserKey::new(&b[..])));
+    fn pull_range_locked(
+        &self,
+        txn: TxnId,
+        after: &Key,
+        before: &Key,
+        limit: usize,
+    ) -> RepResult<BucketView> {
         self.acquire(
             txn,
             LockMode::Lookup,
-            KeyRange::new(low_key.clone(), high_key),
+            KeyRange::new(after.clone(), before.clone()),
         )?;
-        // The gap extending into the bucket from below: the directory's
-        // leading gap for bucket 0, else the gap after the predecessor of
-        // the bucket's lower bound.
-        let lead_gap = match &low_key {
-            Key::Low => self.state.lock().low_gap(),
-            key => self.predecessor(txn, key)?.gap_version,
+        let state = self.state.lock();
+        let lead_gap = state.successor(after)?.gap_version;
+        // Strictly-after lower bound: the smallest byte string above a key
+        // is the key followed by 0x00.
+        let low = match after {
+            Key::User(u) => Some([u.as_bytes(), &[0]].concat()),
+            _ => None,
+        };
+        let high = match before {
+            Key::User(u) => Some(u.as_bytes()),
+            _ => None,
         };
         let mut entries = Vec::new();
-        self.state.lock().visit_range(
-            low.as_ref().map(|a| &a[..]),
-            high.as_ref().map(|a| &a[..]),
+        state.visit_range(
+            low.as_deref(),
+            high,
             &mut |key, version, value, gap_after| {
-                entries.push(BucketEntry {
-                    key: key.clone(),
-                    version,
-                    value: value.clone(),
-                    gap_after,
-                });
+                if entries.len() < limit {
+                    entries.push(BucketEntry {
+                        key: key.clone(),
+                        version,
+                        value: value.clone(),
+                        gap_after,
+                    });
+                }
             },
         );
         Ok(BucketView { lead_gap, entries })
@@ -529,8 +580,13 @@ impl TransactionalRep {
     /// without any quorum by the paper's version rule (versions only grow;
     /// equal versions carry identical data). Every step re-validates under
     /// its range lock and is skipped if concurrent progress already
-    /// supersedes it, so versions never move down; the whole apply commits
-    /// or rolls back atomically. Returns what actually changed.
+    /// supersedes it, so versions never move down. A ghost removal or gap
+    /// raise coalesces this representative's current neighbours, so it is
+    /// skipped (and counted in [`ApplyStats::out_of_span`]) when one of them
+    /// lies outside the plan's interval — a concurrent local delete moved
+    /// it, and the merged gap is no fact about the keys beyond. The whole
+    /// apply commits or rolls back atomically. Returns what actually
+    /// changed.
     ///
     /// # Errors
     ///
@@ -585,6 +641,10 @@ impl TransactionalRep {
             }
             let pred = self.predecessor(txn, &key)?;
             let succ = self.successor(txn, &key)?;
+            if pred.key < plan.after || succ.key > plan.before {
+                stats.out_of_span += 1;
+                continue;
+            }
             // Removing the ghost coalesces its two adjacent gap segments to
             // `covering`; if either has concurrently moved past it, leave
             // the key to a later round rather than lower a gap version.
@@ -595,125 +655,30 @@ impl TransactionalRep {
             stats.ghosts_removed += 1;
         }
         for (anchor, to) in &plan.gap_raises {
-            let anchor_key = match anchor {
-                GapAnchor::LowEdge => Key::Low,
-                GapAnchor::After(k) => Key::User(k.clone()),
-            };
-            if let Key::User(_) = &anchor_key {
-                // The anchoring entry may itself have been removed since
-                // the plan was computed; its gap is then owned elsewhere.
-                if !self.lookup(txn, &anchor_key)?.is_present() {
-                    continue;
-                }
+            // The anchoring entry may itself have been removed since the
+            // plan was computed; its gap is then owned elsewhere.
+            if *anchor != Key::Low && !self.lookup(txn, anchor)?.is_present() {
+                continue;
             }
-            let succ = self.successor(txn, &anchor_key)?;
+            let succ = self.successor(txn, anchor)?;
             if succ.gap_version >= *to {
                 continue;
             }
+            if succ.key > plan.before {
+                stats.out_of_span += 1;
+                continue;
+            }
             // Empty interior: this only rewrites the gap's version.
-            self.coalesce(txn, &anchor_key, &succ.key, *to)?;
+            self.coalesce(txn, anchor, &succ.key, *to)?;
             stats.gaps_raised += 1;
         }
         Ok(())
     }
 
-    /// The snapshot manifest of the current committed state: the
-    /// summary-tree root digest (hash + total entry count) and the leading
-    /// gap version. Serves `Request::SnapshotBegin`.
-    ///
-    /// # Errors
-    ///
-    /// [`RepError::Unavailable`] while failed.
-    pub fn snapshot_manifest(&self) -> RepResult<SnapshotManifest> {
-        let root = fold_children(&self.summary_children(0, 0)?);
-        let low_gap = self.state.lock().low_gap();
-        Ok(SnapshotManifest { root, low_gap })
-    }
-
-    /// One bounded snapshot frame: up to `max` entries strictly after
-    /// `after` (from the lowest key when `None`), in ascending key order,
-    /// read under `RepLookup` range locks on an internal transaction so the
-    /// frame never observes uncommitted data. `done` means the frame
-    /// reached the end of the key space. Serves `Request::SnapshotChunk`.
-    ///
-    /// The stream serves **live** committed state rather than a true
-    /// freeze: entries that change behind the cursor are simply missed and
-    /// left to the repair driver's post-install sweep.
-    ///
-    /// # Errors
-    ///
-    /// Availability and lock errors.
-    pub fn snapshot_chunk(&self, after: Option<&UserKey>, max: u32) -> RepResult<SnapshotChunk> {
-        self.check_up()?;
-        let txn = next_repair_txn();
-        self.state.lock().begin(txn);
-        let result = self.snapshot_chunk_locked(txn, after, max);
-        // Read-only: abort just releases the locks.
-        self.abort(txn);
-        result
-    }
-
-    fn snapshot_chunk_locked(
-        &self,
-        txn: TxnId,
-        after: Option<&UserKey>,
-        max: u32,
-    ) -> RepResult<SnapshotChunk> {
-        let max = max.max(1) as usize;
-        // Strictly-after lower bound: the smallest byte string above
-        // `after` is `after ++ 0x00`.
-        let low: Option<Vec<u8>> = after.map(|k| {
-            let mut b = k.as_bytes().to_vec();
-            b.push(0);
-            b
-        });
-        // Peek (under the state mutex only) at the span this frame will
-        // cover, then lock exactly that span and re-read. The digest-style
-        // unlocked peek is advisory; the locked re-read is what's served.
-        let mut peek_last: Option<UserKey> = None;
-        {
-            let state = self.state.lock();
-            let mut n = 0usize;
-            state.visit_range(low.as_deref(), None, &mut |key, _, _, _| {
-                if n < max {
-                    peek_last = Some(key.clone());
-                    n += 1;
-                }
-            });
-        }
-        let low_key = after.map_or(Key::Low, |k| Key::User(k.clone()));
-        let high_key = peek_last.clone().map_or(Key::High, Key::User);
-        self.acquire(txn, LockMode::Lookup, KeyRange::new(low_key, high_key))?;
-        let mut entries = Vec::new();
-        let mut beyond = false;
-        self.state.lock().visit_range(
-            low.as_deref(),
-            None,
-            &mut |key, version, value, gap_after| {
-                // When the peek saw nothing the lock covers the whole tail,
-                // so anything committed before the lock is fair game.
-                let in_span = peek_last.as_ref().is_none_or(|last| key <= last);
-                if in_span && entries.len() < max {
-                    entries.push(BucketEntry {
-                        key: key.clone(),
-                        version,
-                        value: value.clone(),
-                        gap_after,
-                    });
-                } else {
-                    beyond = true;
-                }
-            },
-        );
-        Ok(SnapshotChunk {
-            entries,
-            done: !beyond,
-        })
-    }
-
     /// Forces a WAL checkpoint of the committed state, retiring replay
-    /// history (snapshot installs land one on completion so recovery
-    /// replays the installed image, not the pre-divergence log).
+    /// history and spilled stale votes (a repair driver lands one when its
+    /// member levels after repairs, so recovery replays the caught-up
+    /// image, not the pre-divergence log).
     ///
     /// # Errors
     ///
@@ -1119,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_bucket_view_carries_lead_and_after_gaps() {
+    fn pull_range_view_carries_lead_and_after_gaps() {
         let rep = TransactionalRep::new(RepId(0));
         let t = TxnId(1);
         rep.begin(t).unwrap();
@@ -1131,26 +1096,72 @@ mod tests {
         rep.coalesce(t, &k("b"), &k("d"), v(7)).unwrap();
         rep.commit(t).unwrap();
 
-        // "b" and "d" are one byte apart in different buckets; the (b, d)
-        // gap at version 7 is the `gap_after` of "b" in its bucket and the
-        // lead gap of "d"'s bucket.
-        let view_b = rep.repair_bucket(b'b').unwrap();
-        assert_eq!(view_b.lead_gap, Version::ZERO);
-        assert_eq!(view_b.entries.len(), 1);
-        assert_eq!(view_b.entries[0].version, v(2));
-        assert_eq!(view_b.entries[0].gap_after, v(7));
-        let view_d = rep.repair_bucket(b'd').unwrap();
-        assert_eq!(view_d.lead_gap, v(7));
-        assert_eq!(view_d.entries.len(), 1);
-        // An untouched bucket between them inherits the gap as its lead.
-        let view_c = rep.repair_bucket(b'c').unwrap();
-        assert_eq!(view_c.lead_gap, v(7));
-        assert!(view_c.entries.is_empty());
+        // (LOW, d): the leading gap and "b" with the (b, d) gap above it.
+        let view = rep.pull_range(&Key::Low, &k("d"), usize::MAX).unwrap();
+        assert_eq!(view.lead_gap, Version::ZERO);
+        assert_eq!(view.entries.len(), 1);
+        assert_eq!(view.entries[0].version, v(2));
+        assert_eq!(view.entries[0].gap_after, v(7));
+        // (b, HIGH): the lead gap is the one just above "b"; the ends
+        // themselves are never part of the view.
+        let view = rep.pull_range(&k("b"), &Key::High, usize::MAX).unwrap();
+        assert_eq!(view.lead_gap, v(7));
+        assert_eq!(view.entries.len(), 1);
+        assert_eq!(view.entries[0].key, UserKey::new(*b"d"));
+        // An end that is not a key: the gap containing it.
+        let view = rep.pull_range(&k("c"), &k("d"), usize::MAX).unwrap();
+        assert_eq!(view.lead_gap, v(7));
+        assert!(view.entries.is_empty());
+        // A limit keeps the lowest entries, each with the gap above it.
+        let view = rep.pull_range(&Key::Low, &Key::High, 1).unwrap();
+        assert_eq!(view.entries.len(), 1);
+        assert_eq!(view.entries[0].key, UserKey::new(*b"b"));
+        assert_eq!(view.entries[0].gap_after, v(7));
         // The repair read released its locks: a write can proceed.
         let t = TxnId(3);
         rep.begin(t).unwrap();
         rep.insert(t, &k("bz"), v(8), &val("BZ")).unwrap();
         rep.commit(t).unwrap();
+    }
+
+    #[test]
+    fn repair_span_ends_at_keys_the_rep_holds() {
+        let rep = seeded(0);
+        let t = TxnId(1);
+        rep.begin(t).unwrap();
+        for key in ["a1", "c1", "d"] {
+            rep.insert(t, &k(key), v(1), &val("x")).unwrap();
+        }
+        rep.commit(t).unwrap();
+        assert_eq!(rep.repair_span(b'a', b'a').unwrap(), (Key::Low, k("c1")));
+        assert_eq!(rep.repair_span(b'b', b'c').unwrap(), (k("a1"), k("d")));
+        // A key exactly at the next bucket's edge is the upper end.
+        assert_eq!(rep.repair_span(b'c', b'c').unwrap(), (k("a1"), k("d")));
+        assert_eq!(
+            rep.repair_span(b'd', u8::MAX).unwrap(),
+            (k("c1"), Key::High)
+        );
+        assert_eq!(rep.repair_span(0, u8::MAX).unwrap(), (Key::Low, Key::High));
+    }
+
+    #[test]
+    fn pull_range_refuses_an_empty_interval() {
+        let rep = seeded(2);
+        for (after, before) in [
+            (k("k001"), k("k000")),
+            (k("k001"), k("k001")),
+            (Key::High, Key::Low),
+            (Key::Low, Key::Low),
+        ] {
+            assert!(
+                matches!(
+                    rep.pull_range(&after, &before, usize::MAX),
+                    Err(RepError::InvalidRange { .. })
+                ),
+                "({after:?}, {before:?})"
+            );
+        }
+        assert_eq!(rep.locks.granted_count(), 0);
     }
 
     #[test]
@@ -1175,13 +1186,18 @@ mod tests {
         assert_ne!(fresh.snapshot(), stale.snapshot());
 
         // Pull every bucket from `fresh`, merge, apply — no quorum involved.
-        let mut changed = repdir_repair::ApplyStats::default();
-        for bucket in 0..=u8::MAX {
-            let remote = fresh.repair_bucket(bucket).unwrap();
-            let local = stale.repair_bucket(bucket).unwrap();
-            let plan = repdir_repair::diff_bucket(bucket, &local, &remote);
-            changed.absorb(stale.apply_repair(&plan).unwrap());
-        }
+        let pass = || {
+            let mut changed = repdir_repair::ApplyStats::default();
+            for bucket in 0..=u8::MAX {
+                let (after, before) = stale.repair_span(bucket, bucket).unwrap();
+                let remote = fresh.pull_range(&after, &before, usize::MAX).unwrap();
+                let local = stale.pull_range(&after, &before, usize::MAX).unwrap();
+                let plan = repdir_repair::diff_bucket(&after, &before, &local, &remote);
+                changed.absorb(stale.apply_repair(&plan).unwrap());
+            }
+            changed
+        };
+        let changed = pass();
         assert_eq!(fresh.snapshot(), stale.snapshot());
         assert_eq!(
             fresh.summary_children(0, 0).unwrap(),
@@ -1190,12 +1206,7 @@ mod tests {
         assert_eq!(changed.installed, 1); // c@10
         assert_eq!(changed.ghosts_removed, 1); // b
                                                // A second pass is a no-op (idempotence).
-        for bucket in 0..=u8::MAX {
-            let remote = fresh.repair_bucket(bucket).unwrap();
-            let local = stale.repair_bucket(bucket).unwrap();
-            let plan = repdir_repair::diff_bucket(bucket, &local, &remote);
-            assert!(plan.is_empty());
-        }
+        assert_eq!(pass(), repdir_repair::ApplyStats::default());
     }
 
     #[test]
@@ -1208,13 +1219,32 @@ mod tests {
         let before = rep.snapshot();
         // A plan computed against an older view: install below the current
         // version, ghost below the current version, raise below the gap.
-        let plan = repdir_repair::RepairPlan {
-            installs: vec![(repdir_core::UserKey::new(&b"c"[..]), v(5), val("old"))],
-            ghosts: vec![(repdir_core::UserKey::new(&b"c"[..]), v(4))],
-            gap_raises: vec![(repdir_repair::GapAnchor::LowEdge, Version::ZERO)],
-        };
+        let mut plan = RepairPlan::new(Key::Low, Key::High);
+        plan.installs.push((UserKey::new(*b"c"), v(5), val("old")));
+        plan.ghosts.push((UserKey::new(*b"c"), v(4)));
+        plan.gap_raises.push((Key::Low, Version::ZERO));
         let stats = rep.apply_repair(&plan).unwrap();
         assert_eq!(stats.total(), 0);
+        assert_eq!(rep.snapshot(), before);
+    }
+
+    #[test]
+    fn apply_repair_skips_coalesces_reaching_past_the_interval() {
+        let rep = seeded(0);
+        let t = TxnId(1);
+        rep.begin(t).unwrap();
+        for key in ["b", "d"] {
+            rep.insert(t, &k(key), v(2), &val("x")).unwrap();
+        }
+        rep.commit(t).unwrap();
+        // Planned over (b, f) while "f" existed; a local delete has since
+        // removed it, so both steps would coalesce up to HIGH.
+        let mut plan = RepairPlan::new(k("b"), k("f"));
+        plan.ghosts.push((UserKey::new(*b"d"), v(4)));
+        plan.gap_raises.push((k("d"), v(4)));
+        let before = rep.snapshot();
+        let stats = rep.apply_repair(&plan).unwrap();
+        assert_eq!((stats.total(), stats.out_of_span), (0, 2));
         assert_eq!(rep.snapshot(), before);
     }
 
@@ -1248,11 +1278,13 @@ mod tests {
         let rep = TransactionalRep::new(RepId(0));
         rep.set_available(false);
         assert_eq!(rep.summary_children(0, 0), Err(RepError::Unavailable));
-        assert_eq!(rep.repair_bucket(0), Err(RepError::Unavailable));
-        let plan = repdir_repair::RepairPlan::default();
+        assert_eq!(rep.repair_span(0, 0), Err(RepError::Unavailable));
+        assert_eq!(
+            rep.pull_range(&Key::Low, &Key::High, usize::MAX),
+            Err(RepError::Unavailable)
+        );
+        let plan = RepairPlan::new(Key::Low, Key::High);
         assert_eq!(rep.apply_repair(&plan), Err(RepError::Unavailable));
-        assert_eq!(rep.snapshot_manifest(), Err(RepError::Unavailable));
-        assert_eq!(rep.snapshot_chunk(None, 8), Err(RepError::Unavailable));
         assert_eq!(rep.checkpoint(), Err(RepError::Unavailable));
     }
 
@@ -1270,54 +1302,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_chunks_walk_the_key_space_and_match_the_manifest() {
-        let rep = seeded(10);
-        let manifest = rep.snapshot_manifest().unwrap();
-        assert_eq!(manifest.root.count, 10);
-        assert_eq!(manifest.low_gap, rep.snapshot().low_gap());
-
-        // Walk in frames of 4: 4 + 4 + 2, cursor-addressed.
-        let mut seen = Vec::new();
-        let mut after: Option<UserKey> = None;
-        loop {
-            let chunk = rep.snapshot_chunk(after.as_ref(), 4).unwrap();
-            assert!(chunk.done || !chunk.entries.is_empty());
-            after = chunk.entries.last().map(|e| e.key.clone());
-            seen.extend(chunk.entries.into_iter().map(|e| (e.key, e.version)));
-            if chunk.done {
-                break;
-            }
-        }
-        assert_eq!(seen.len(), 10);
-        let mut sorted = seen.clone();
-        sorted.sort();
-        assert_eq!(seen, sorted, "entries arrive in ascending key order");
-        // The independently-computed source digest agrees with the manifest.
-        use repdir_snapshot::SnapshotPeer;
-        let source = repdir_snapshot::SnapshotSource::new(rep.snapshot());
-        assert_eq!(source.manifest().unwrap().root, manifest.root);
-    }
-
-    #[test]
-    fn snapshot_chunk_serves_committed_state_only() {
+    fn pull_range_serves_committed_state_only() {
         let rep = seeded(3);
         let t = TxnId(7);
         rep.begin(t).unwrap();
         rep.insert(t, &k("k999"), v(99), &val("uncommitted"))
             .unwrap();
-        // The frame covers only keys outside the writer's lock, so ask for
-        // the tail strictly after the committed span: blocked by the
-        // writer's lock rather than leaking uncommitted data.
+        // The writer's lock covers the interval: the pull blocks on it
+        // rather than leaking uncommitted data.
         let err = rep
-            .snapshot_chunk(Some(&UserKey::new(*b"k998")), 4)
+            .pull_range(&k("k998"), &Key::High, usize::MAX)
             .unwrap_err();
         assert_eq!(err, RepError::LockTimeout);
         rep.abort(t);
-        let chunk = rep
-            .snapshot_chunk(Some(&UserKey::new(*b"k998")), 4)
-            .unwrap();
-        assert!(chunk.done);
-        assert!(chunk.entries.is_empty());
+        let view = rep.pull_range(&k("k998"), &Key::High, usize::MAX).unwrap();
+        assert!(view.entries.is_empty());
     }
 
     #[test]

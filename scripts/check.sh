@@ -24,17 +24,14 @@
 #    over-provision cap of the unhedged run's member requests and the
 #    unhedged clean-fabric warm-up is exactly R + W requests per insert, no
 #    ping, no hedge. Latencies are reported, not gated.
-# 9. Runs the repair_bench in quick mode with --driver, which fails unless
-#    summary-tree anti-entropy converges a member that missed ~5% of the
-#    keys with >= 2x fewer fabric messages than a naive full-directory
-#    copy, AND the stale-vote-fed RepairDriver's bucket-targeted pulls
-#    converge the same member with >= 2x fewer messages than the summary
-#    sweep itself.
-# 10. Runs the snapshot_bench in quick mode, which fails unless streamed
-#    snapshot catch-up converges a far-diverged member (~35% of buckets in
-#    quick mode) byte-identically with >= 2x fewer fabric messages than
-#    256 per-bucket pulls.
-# 11. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
+# 9. Runs the repair_bench in quick mode, which fails unless the repair
+#    driver converges a stale member byte-identically at exactly its pinned
+#    fabric messages and entries pulled on three passes: a sweep of a member
+#    that missed ~5% of the keys (26 messages, 6 entries), the stale-vote
+#    pass over the same divergence (12, 6), and a sweep of a member whose
+#    buckets 0..87 are dirty (16, 76). The 256-bucket full-copy reference
+#    is reported, not gated.
+# 10. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
 #    (a separate workspace under benchmark/, built against this checkout):
 #    the benchmark drives the stack through a small allow-list of public API
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
@@ -49,10 +46,10 @@
 #    1.3x what the O(n / bulk_chunk)-wave bulk operations measure in smoke
 #    mode, so a per-entry or per-key round cannot come back unnoticed.
 #    Nothing under benchmark/ is edited by this gate.
-# 12. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
+# 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
-# 13. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
-#    gates 4, 6, 7 and 8 pinned and gate 11's traced net.msgs_per_op. Counts
+# 12. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
+#    gates 4, 6, 7, 8 and 9 pinned and gate 10's traced net.msgs_per_op. Counts
 #    repeat, so the history shows a budget moving, not noise. Then prints
 #    the code / comment / test line split of crates/core/src/suite
 #    (scripts/suite_loc.sh), for information.
@@ -131,12 +128,8 @@ gate "hedge_bench --quick --check (hedged requests <= 2x unhedged on a flaky fab
 cargo run --release --offline -p repdir-bench --bin hedge_bench -- --quick --check
 gate_done
 
-gate "repair_bench --quick --check --driver (anti-entropy >= 2x vs full copy; vote-targeted pulls >= 2x vs sweeping)"
-cargo run --release --offline -p repdir-bench --bin repair_bench -- --quick --check --driver
-gate_done
-
-gate "snapshot_bench --quick --check (streamed catch-up >= 2x fewer messages vs 256 pulls)"
-cargo run --release --offline -p repdir-bench --bin snapshot_bench -- --quick --check
+gate "repair_bench --quick --check (sparse sweep 26 msgs / 6 entries, vote pass 12 / 6, dense sweep 16 / 76)"
+cargo run --release --offline -p repdir-bench --bin repair_bench -- --quick --check
 gate_done
 
 gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs; msgs/op within the round budget)"
@@ -186,6 +179,7 @@ line = {
     "scan": counts(load("scan"), "scan"),
     "ingest": counts(load("ingest"), "ingest"),
     "hedge": {k: hedge[k] for k in ("warmup_requests", "warmup_pings", "requests_unhedged", "requests_hedged")},
+    "repair": counts(load("repair"), "pass"),
     "net.msgs_per_op": {r["workload"]: r["metrics"]["net.msgs_per_op"]["value"] for r in runs if r["traced"]},
 }
 with open("BENCH_history.jsonl", "a") as history:

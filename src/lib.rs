@@ -17,8 +17,7 @@
 //! | [`storage`] | simulated disk, write-ahead log, recovery, gap-versioned B-tree |
 //! | [`net`] | simulated network with latency/drops/partitions and RPC |
 //! | [`replica`] | the transactional representative server and clients |
-//! | [`repair`] | anti-entropy: summary trees, bucket merge planning, the background repairer |
-//! | [`snapshot`] | streamed full-state catch-up: resumable chunked snapshot transfer and guarded install |
+//! | [`repair`] | anti-entropy: summary trees, range pulls bounded by the receiver's own keys, merge planning, the background repair driver |
 //! | [`baselines`] | unanimous update, primary copy, Gifford file voting, static partitions, naive per-entry versions |
 //! | [`workload`] | simulation driver, statistics, availability and locality experiments |
 //!
@@ -41,7 +40,6 @@ pub use repdir_obs as obs;
 pub use repdir_rangelock as rangelock;
 pub use repdir_repair as repair;
 pub use repdir_replica as replica;
-pub use repdir_snapshot as snapshot;
 pub use repdir_storage as storage;
 pub use repdir_txn as txn;
 pub use repdir_workload as workload;

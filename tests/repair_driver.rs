@@ -16,6 +16,7 @@ use repdir::core::suite::{FixedPolicy, StaleVote, StaleVoteQueue, SuiteConfig};
 use repdir::core::{Key, RepId, SuiteError, UserKey, Value, Version};
 use repdir::repair::{Pacing, RepairDriver, Repairer};
 use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
+use repdir::storage::SimDisk;
 use repdir::txn::TxnId;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -38,7 +39,6 @@ fn never_ticks() -> Pacing {
         floor: Duration::from_secs(120),
         cap: Duration::from_secs(240),
         factor: 2.0,
-        ..Pacing::default()
     }
 }
 
@@ -367,7 +367,6 @@ fn dead_majority_backs_the_driver_off_instead_of_spinning() {
         floor: Duration::from_millis(2),
         cap: Duration::from_millis(100),
         factor: 2.0,
-        ..Pacing::default()
     };
     let g = repdir::obs::global();
     let handle = RepairDriver::new(repairer, pacing).spawn();
@@ -410,7 +409,6 @@ fn recovery_signal_snaps_a_capped_driver_back_to_work() {
         floor: Duration::from_millis(5),
         cap: Duration::from_secs(120),
         factor: 1.0e6,
-        ..Pacing::default()
     };
     dir.spawn_repair_drivers(pacing);
     // Let every driver take its first (quiescent) tick and cap out.
@@ -433,4 +431,152 @@ fn recovery_signal_snaps_a_capped_driver_back_to_work() {
     dir.reps()[2].set_available(true);
     await_convergence(&dir, Duration::from_secs(20), "recovery snap-back");
     dir.stop_repair_drivers();
+}
+
+/// Log compaction survives catch-up. A stale-vote spill holds the log's
+/// automatic compaction off until an explicit checkpoint; the driver lands
+/// one when a sweep finds its member level after it applied repairs — so
+/// once a vote-driven catch-up has consumed the spilled votes, they retire
+/// and the retained log shrinks to the caught-up image.
+#[test]
+fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
+    let _guard = serial();
+    let disk = Arc::new(SimDisk::new());
+    let stale = TransactionalRep::with_disk(RepId(0), Arc::clone(&disk));
+    let fresh = TransactionalRep::new(RepId(1));
+    // A shared history long enough that the log outweighs the state: 24
+    // keys, each rewritten ten times.
+    for (t, round) in (1..=10u64).enumerate() {
+        for rep in [&stale, &fresh] {
+            let txn = TxnId(t as u64 + 1);
+            rep.begin(txn).unwrap();
+            for k in 0..24u8 {
+                rep.insert(
+                    txn,
+                    &spread_key(k),
+                    Version::new(round),
+                    &Value::from(vec![k]),
+                )
+                .unwrap();
+            }
+            rep.commit(txn).unwrap();
+        }
+    }
+    // Writes the stale member missed, one of them read and voted stale.
+    let txn = TxnId(100);
+    fresh.begin(txn).unwrap();
+    for k in [3u8, 11] {
+        fresh
+            .insert(txn, &spread_key(k), Version::new(11), &Value::from("new"))
+            .unwrap();
+    }
+    fresh.commit(txn).unwrap();
+    let queue = Arc::new(StaleVoteQueue::new());
+    let spill_rep = Arc::clone(&stale);
+    queue.set_spill(Some(Box::new(move |vote: &StaleVote| {
+        spill_rep.spill_stale_vote(vote).unwrap();
+    })));
+    queue.push(StaleVote {
+        member: 0,
+        key: spread_key(3),
+        seen: Version::new(10),
+        latest: Version::new(11),
+    });
+    assert_eq!(stale.spilled_stale_votes().len(), 1);
+    let log_before = disk.retained_len();
+
+    let repairer = Repairer::new(
+        Arc::new(RepTarget::new(Arc::clone(&stale))),
+        vec![Box::new(LocalRepairPeer::new(Arc::clone(&fresh)))],
+    );
+    let source = Arc::clone(&queue);
+    let mut driver = RepairDriver::new(repairer, never_ticks())
+        .with_vote_source(Box::new(move || source.drain_member(0)));
+    // The vote consumes the spill, but no checkpoint lands mid-catch-up.
+    assert_eq!(driver.drain_and_pull().applied.installed, 1);
+    assert_eq!(stale.spilled_stale_votes().len(), 1);
+    // The sweep pulls what no read voted on...
+    let sweep = driver.sweep();
+    assert_eq!((sweep.mismatched_buckets, sweep.applied.installed), (1, 1));
+    assert_eq!(stale.spilled_stale_votes().len(), 1);
+    // ...and the next finds the member level and checkpoints it.
+    assert_eq!(driver.sweep().mismatched_buckets, 0);
+    assert!(stale.spilled_stale_votes().is_empty());
+    assert!(
+        disk.retained_len() < log_before,
+        "retained log {} not below {log_before}",
+        disk.retained_len()
+    );
+    // Recovery replays the caught-up image.
+    stale.crash_and_recover().unwrap();
+    assert_eq!(stale.snapshot(), fresh.snapshot());
+    // Level again with nothing applied since: no further checkpoint.
+    let retained = disk.retained_len();
+    assert_eq!(driver.sweep().mismatched_buckets, 0);
+    assert_eq!(disk.retained_len(), retained);
+}
+
+/// Keys `k * 10 | 1`: each in its own summary bucket, ten buckets apart,
+/// so a catch-up is several range pulls.
+fn spread_key(k: u8) -> Key {
+    Key::User(UserKey::new(vec![k * 10, 1]))
+}
+
+/// The outage loop the benchmark's `member_outage` runs, without its wait
+/// for quiet: member 2 is taken down again the moment the three replicas
+/// read equal, whatever its driver is doing then. Every catch-up must
+/// converge within a deadline, the closing state must equal the model, and
+/// once the member reads equal the drivers' pulls must stop.
+#[test]
+fn member_failed_again_the_moment_it_levels_keeps_catching_up() {
+    let _guard = serial();
+    let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0x3ED6E).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x3ED6E);
+    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    dir.spawn_repair_drivers(Pacing {
+        floor: Duration::from_millis(1),
+        cap: Duration::from_millis(20),
+        factor: 2.0,
+    });
+    for outage in 0..200 {
+        dir.reps()[2].set_available(false);
+        let writes = if outage % 2 == 0 { 3 } else { 24 };
+        for _ in 0..writes {
+            let k = rng.gen_range(0u8..24);
+            let v: u8 = rng.gen();
+            let key = spread_key(k);
+            if model.contains_key(&k) && rng.gen_range(0..3u8) == 0 {
+                dir.delete(&key).unwrap();
+                model.remove(&k);
+            } else if model.insert(k, v).is_some() {
+                dir.update(&key, &Value::from(vec![v])).unwrap();
+            } else {
+                dir.insert(&key, &Value::from(vec![v])).unwrap();
+            }
+        }
+        dir.reps()[2].set_available(true);
+        await_convergence(&dir, Duration::from_secs(20), &format!("outage {outage}"));
+    }
+
+    // In-flight sweeps finish within a few floors; after that nothing is
+    // dirty, so nothing is pulled however often the drivers wake.
+    let g = repdir::obs::global();
+    let pulls = || g.counter("repair.pulls").get();
+    std::thread::sleep(Duration::from_millis(50));
+    let settled = pulls();
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        pulls(),
+        settled,
+        "drivers kept pulling after the member levelled"
+    );
+    dir.stop_repair_drivers();
+
+    let listed = dir.scan().expect("final scan");
+    let expect: Vec<(UserKey, Value)> = model
+        .iter()
+        .map(|(k, v)| (UserKey::new(vec![k * 10, 1]), Value::from(vec![*v])))
+        .collect();
+    assert_eq!(listed, expect, "converged state != model");
+    assert!(all_reps_identical(&dir));
 }

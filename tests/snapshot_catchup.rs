@@ -1,21 +1,26 @@
-//! Fault-injection suite for streamed snapshot catch-up: a far-diverged
-//! member converging by full-state stream instead of per-bucket pulls.
+//! Fault-injection suite for catch-up of a far-diverged member by range
+//! pulls: the summary walk finds the dirty buckets, each run of them is one
+//! interval whose ends are keys the receiver holds, merged in steps of at
+//! most `MAX_PULL_ENTRIES` entries.
 //!
 //! The tentpole property, over several random histories: a member
 //! partitioned through a random insert/update/delete workload converges
-//! back to **byte-identical** state via a resumable snapshot stream —
-//! surviving the snapshot peer dying mid-stream *and* the receiver
-//! crashing mid-install — without spending a single quorum collection.
-//! The resume is a true resume: after the faults, the installer's next
-//! chunk request carries the cursor of the last flushed key, never `None`
-//! (which would restart the walk from the beginning).
+//! back to **byte-identical** state — surviving the source dying mid-round
+//! *and* the receiver crashing before the next one — without spending a
+//! single quorum collection. Every step commits as it lands, so there is no
+//! resume cursor: the next round's walk is the cursor, and it pulls only
+//! the buckets still dirty, never one that was levelled before the fault.
+//! Each history runs twice: once with a receiver holding the keys written
+//! before the partition, and once with a receiver that holds nothing, whose
+//! first interval is the whole key space.
 
 use repdir::core::rng::StdRng;
 use repdir::core::suite::{FixedPolicy, SuiteConfig};
 use repdir::core::{Key, RepId, SuiteError, UserKey, Value, Version};
-use repdir::repair::{CatchupStream, RepairError, RepairTarget};
-use repdir::replica::{LocalSnapshotPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
-use repdir::snapshot::{SnapshotChunk, SnapshotInstaller, SnapshotManifest, SnapshotPeer};
+use repdir::repair::{
+    bucket_of, BucketView, Digest, RepairError, RepairPeer, Repairer, MAX_PULL_ENTRIES,
+};
+use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
 use repdir::txn::TxnId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,230 +38,312 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 const KEYSPACE: u8 = 48;
 
-/// Single-byte keys, so consecutive key values land in distinct summary
-/// buckets — the stream flushes (and advances its durable cursor) as it
-/// crosses bucket boundaries.
+/// Single-byte keys, so every key value is its own summary bucket and the
+/// keys a workload leaves untouched split the dirty buckets into runs.
 fn user_key(k: u8) -> Key {
     Key::User(UserKey::new(vec![k]))
 }
 
 /// One random workload step against the directory and a model, with the
-/// quorum pinned to `order` (the victim last, so it never votes and the
-/// two survivors stay byte-identical to the model).
+/// quorum pinned to `order`.
 fn step(
     dir: &ReplicatedDirectory,
     order: &[usize],
-    model: &mut BTreeMap<u8, u8>,
+    model: &mut BTreeMap<Vec<u8>, u8>,
     rng: &mut StdRng,
 ) -> Result<(), SuiteError> {
     let k = rng.gen_range(0u8..KEYSPACE);
     let key = user_key(k);
     let v: u8 = rng.gen();
     let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(order.to_vec())));
+    let known = model.contains_key(&vec![k]);
     let out = match rng.gen_range(0..4u8) {
-        0 if !model.contains_key(&k) => {
-            txn.suite_mut()
-                .insert(&key, &Value::from(vec![v]))
-                .map(|_| {
-                    model.insert(k, v);
-                })
-        }
-        1 if model.contains_key(&k) => {
-            txn.suite_mut()
-                .update(&key, &Value::from(vec![v]))
-                .map(|_| {
-                    model.insert(k, v);
-                })
-        }
-        2 if model.contains_key(&k) => txn.suite_mut().delete(&key).map(|_| {
-            model.remove(&k);
+        0 if !known => txn
+            .suite_mut()
+            .insert(&key, &Value::from(vec![v]))
+            .map(|_| {
+                model.insert(vec![k], v);
+            }),
+        1 if known => txn
+            .suite_mut()
+            .update(&key, &Value::from(vec![v]))
+            .map(|_| {
+                model.insert(vec![k], v);
+            }),
+        2 if known => txn.suite_mut().delete(&key).map(|_| {
+            model.remove(&vec![k]);
         }),
         _ => txn.suite_mut().lookup(&key).map(|out| {
-            assert_eq!(out.present, model.contains_key(&k));
+            assert_eq!(out.present, known);
         }),
     };
     txn.commit();
     out
 }
 
-/// A snapshot peer that records every chunk cursor it is asked for and
-/// dies (once) after a configured number of chunk calls — the "peer killed
-/// mid-stream" fault. After the kill it serves normally, modelling the
-/// peer's process coming back.
+/// A repair peer that dies (once) after a configured number of range
+/// pulls — the "source killed mid-catch-up" fault — and records the keys
+/// of every reply it serves. After the death it serves normally, modelling
+/// the peer's process coming back.
 struct KillablePeer {
-    inner: LocalSnapshotPeer,
-    calls_before_death: AtomicU64,
-    afters: Mutex<Vec<Option<UserKey>>>,
+    inner: LocalRepairPeer,
+    pulls_before_death: AtomicU64,
+    served: Mutex<Vec<Vec<UserKey>>>,
 }
 
 impl KillablePeer {
-    fn new(inner: LocalSnapshotPeer, calls_before_death: u64) -> Self {
-        KillablePeer {
-            inner,
-            calls_before_death: AtomicU64::new(calls_before_death),
-            afters: Mutex::new(Vec::new()),
-        }
+    fn new(rep: &Arc<TransactionalRep>, pulls_before_death: u64) -> Arc<Self> {
+        Arc::new(KillablePeer {
+            inner: LocalRepairPeer::new(Arc::clone(rep)),
+            pulls_before_death: AtomicU64::new(pulls_before_death),
+            served: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn pulls(&self) -> usize {
+        self.served.lock().unwrap().len()
+    }
+
+    /// Keys served by pull `from` onwards.
+    fn keys_since(&self, from: usize) -> Vec<UserKey> {
+        self.served.lock().unwrap()[from..].concat()
     }
 }
 
 /// Shared handle to a [`KillablePeer`], so the test keeps a view of the
-/// recorded cursors while the installer owns the boxed peer.
+/// recorded replies while the repairer owns the boxed peer.
 struct PeerHandle(Arc<KillablePeer>);
 
-impl SnapshotPeer for PeerHandle {
-    fn manifest(&self) -> Result<SnapshotManifest, RepairError> {
-        self.0.inner.manifest()
+impl RepairPeer for PeerHandle {
+    fn summary(&self, level: u8, path: u8) -> Result<Vec<Digest>, RepairError> {
+        self.0.inner.summary(level, path)
     }
 
-    fn chunk(&self, after: Option<&UserKey>, max: u32) -> Result<SnapshotChunk, RepairError> {
-        self.0.afters.lock().unwrap().push(after.cloned());
-        let left = self.0.calls_before_death.fetch_sub(1, Ordering::Relaxed);
+    fn pull_range(&self, after: &Key, before: &Key) -> Result<BucketView, RepairError> {
+        let left = self.0.pulls_before_death.fetch_sub(1, Ordering::Relaxed);
         if left == 0 {
             // One death, then the peer stays back up.
-            self.0.calls_before_death.store(u64::MAX, Ordering::Relaxed);
+            self.0.pulls_before_death.store(u64::MAX, Ordering::Relaxed);
             return Err(RepairError::Unavailable);
         }
-        self.0.inner.chunk(after, max)
+        let view = self.0.inner.pull_range(after, before)?;
+        assert!(view.entries.len() <= MAX_PULL_ENTRIES);
+        self.0
+            .served
+            .lock()
+            .unwrap()
+            .push(view.entries.iter().map(|e| e.key.clone()).collect());
+        Ok(view)
     }
 }
 
-fn run_crashy_catchup(seed: u64) {
+/// Summary buckets on which two representatives disagree, compared
+/// in-process (no fabric, no quorum).
+fn dirty_buckets(a: &TransactionalRep, b: &TransactionalRep) -> Vec<u8> {
+    (0..16u8)
+        .flat_map(|g| {
+            let (da, db) = (
+                a.summary_children(1, g).unwrap(),
+                b.summary_children(1, g).unwrap(),
+            );
+            (0..16u8)
+                .filter(move |&i| da[i as usize] != db[i as usize])
+                .map(move |i| g * 16 + i)
+        })
+        .collect()
+}
+
+fn repairer_from(target: &Arc<TransactionalRep>, peers: Vec<Arc<KillablePeer>>) -> Repairer {
+    Repairer::new(
+        Arc::new(RepTarget::new(Arc::clone(target))),
+        peers
+            .into_iter()
+            .map(|p| Box::new(PeerHandle(p)) as Box<dyn RepairPeer>)
+            .collect(),
+    )
+}
+
+/// Keys outside the workload's keyspace: two bytes, 100 to a bucket from
+/// bucket 200 up.
+fn floor_key(i: u16) -> Vec<u8> {
+    vec![200 + (i / 100) as u8, (i % 100) as u8]
+}
+
+/// A victim holding everything written before the partition (a few
+/// single-key runs to pull), or one that never took a write (its first
+/// interval is `(LOW, HIGH)` over more than two replies' worth of keys).
+#[derive(Clone, Copy, Debug)]
+enum Receiver {
+    Seeded,
+    Empty,
+}
+
+fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
     let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    let mut model: BTreeMap<Vec<u8>, u8> = BTreeMap::new();
     let victim = rng.gen_range(0..3usize);
     let source_member = (victim + 1) % 3;
-    let order = [source_member, (victim + 2) % 3, victim];
+    // The victim last in the order never takes a write; first, it takes
+    // every write. The source holds everything either way.
+    let partitioned = [source_member, (victim + 2) % 3, victim];
+    let (healthy, floor) = match receiver_shape {
+        Receiver::Seeded => ([victim, source_member, (victim + 2) % 3], 16),
+        Receiver::Empty => (partitioned, 2 * MAX_PULL_ENTRIES as u16 + 200),
+    };
 
-    // A floor of entries outside the workload's keyspace guarantees the
-    // stream is several frames long, so the peer death lands mid-stream.
-    for i in 0..16u8 {
-        let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(order.to_vec())));
-        txn.suite_mut()
-            .insert(&user_key(200 + i), &Value::from(vec![i]))
-            .unwrap();
-        txn.commit();
-        model.insert(200 + i, i);
-    }
-    // A healthy prefix, then a long partition of the victim: the survivors
-    // keep committing, the victim diverges far behind.
+    // Keys outside the workload's keyspace, all written before the heal.
+    let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(healthy.to_vec())));
+    let entries: Vec<(Key, Value)> = (0..floor)
+        .map(|i| {
+            model.insert(floor_key(i), i as u8);
+            (
+                Key::User(UserKey::new(floor_key(i))),
+                Value::from(vec![i as u8]),
+            )
+        })
+        .collect();
+    txn.suite_mut().insert_many(&entries).unwrap();
+    txn.commit();
     for _ in 0..40 {
-        step(&dir, &order, &mut model, &mut rng).expect("op with all members up");
+        step(&dir, &healthy, &mut model, &mut rng).expect("op with all members up");
     }
     dir.reps()[victim].set_available(false);
     for _ in 0..100 {
-        step(&dir, &order, &mut model, &mut rng).expect("op with one member partitioned");
+        step(&dir, &partitioned, &mut model, &mut rng).expect("op with one member partitioned");
     }
     dir.reps()[victim].set_available(true);
 
     let g = repdir::obs::global();
     let waves_before = g.counter("suite.quorum.waves").get();
+    let source = &dir.reps()[source_member];
+    let receiver = &dir.reps()[victim];
+    let ctx = format!("seed {seed:#x}, {receiver_shape:?} receiver");
+    if let Receiver::Empty = receiver_shape {
+        assert!(receiver.snapshot().is_empty(), "{ctx}: victim took a write");
+    }
 
-    // Stream the snapshot from a surviving member with deliberately tiny
-    // frames, killing the peer on its fourth chunk call.
-    let peer = Arc::new(KillablePeer::new(
-        LocalSnapshotPeer::new(Arc::clone(&dir.reps()[source_member])),
-        3,
-    ));
-    let target: Arc<dyn RepairTarget> = Arc::new(RepTarget::new(Arc::clone(&dir.reps()[victim])));
-    let mut installer =
-        SnapshotInstaller::new(vec![Box::new(PeerHandle(Arc::clone(&peer)))]).with_chunk_entries(4);
-
-    let died = installer.stream(0, &target);
-    assert!(died.is_err(), "seed {seed:#x}: peer death must surface");
+    // Round 1: the source dies on its third pull, after two landed.
+    let dirty_at_heal = dirty_buckets(source, receiver);
+    let peer = KillablePeer::new(source, 2);
+    let repairer = repairer_from(receiver, vec![Arc::clone(&peer)]);
+    let first = repairer.run_round(0);
+    assert_eq!(first.errors, 1, "{ctx}: peer death must surface");
+    assert_eq!((first.pulls, peer.pulls()), (2, 2), "{ctx}");
+    assert_eq!(first.mismatched_buckets, dirty_at_heal.len() as u64);
+    let still_dirty = dirty_buckets(source, receiver);
+    let levelled: Vec<u8> = dirty_at_heal
+        .iter()
+        .copied()
+        .filter(|b| !still_dirty.contains(b))
+        .collect();
     assert!(
-        installer.in_progress(),
-        "interrupted install keeps progress"
+        !levelled.is_empty(),
+        "{ctx}: the two pulls levelled nothing"
     );
-    let cursor = installer.resume_cursor().cloned();
     assert!(
-        cursor.is_some(),
-        "seed {seed:#x}: three flushed frames must leave a resume cursor"
+        !still_dirty.is_empty(),
+        "{ctx}: the death must leave dirty buckets behind"
     );
+    assert!(first.buckets_pulled <= levelled.len() as u64);
 
-    // The receiver crashes mid-install: everything the installer flushed
-    // must already be durable in its WAL, so recovery keeps the prefix.
-    dir.reps()[victim].crash_and_recover().unwrap();
+    // The receiver crashes before the next round: every applied step
+    // committed through its WAL, so recovery keeps them.
+    receiver.crash_and_recover().unwrap();
+    assert_eq!(dirty_buckets(source, receiver), still_dirty, "{ctx}");
 
-    // Resume: converges, and the stream picked up at the stashed cursor.
-    let stats = installer.stream(0, &target).expect("resumed stream");
-    assert!(stats.resumed, "seed {seed:#x}: second stream must resume");
-    assert!(stats.root_matched, "seed {seed:#x}: root digest mismatch");
-    let afters = peer.afters.lock().unwrap().clone();
-    assert_eq!(afters[0], None, "first stream starts at the beginning");
-    // Calls 0..=2 streamed, call 3 died, call 4 is the resume.
+    // Round 2 resumes by walking: it merges every bucket still dirty and
+    // is served no key of a bucket levelled before the fault.
+    let served_before = peer.pulls();
+    let resumed = repairer.run_round(0);
+    assert_eq!(resumed.errors, 0, "{ctx}: resumed round failed");
     assert_eq!(
-        afters[4], cursor,
-        "seed {seed:#x}: resume did not honor the stashed chunk cursor"
+        (resumed.mismatched_buckets, resumed.buckets_pulled),
+        (still_dirty.len() as u64, still_dirty.len() as u64),
+        "{ctx}"
     );
-    assert!(
-        afters[4..].iter().all(|a| a.is_some()),
-        "seed {seed:#x}: a post-resume chunk restarted from the beginning"
+    let resent = peer
+        .keys_since(served_before)
+        .iter()
+        .filter(|k| levelled.contains(&bucket_of(k.as_bytes())))
+        .count();
+    assert_eq!(
+        resent, 0,
+        "{ctx}: the resumed round re-pulled a bucket levelled before the fault"
     );
 
-    // Byte-identical convergence: victim == source, and both match the
-    // model byte for byte.
+    // Byte-identical convergence: receiver == source, equal summary trees,
+    // and both match the model byte for byte.
     assert_eq!(
-        dir.reps()[source_member].snapshot(),
-        dir.reps()[victim].snapshot(),
-        "seed {seed:#x}: stream did not converge the victim"
+        source.snapshot(),
+        receiver.snapshot(),
+        "{ctx}: catch-up did not converge the victim"
+    );
+    assert_eq!(
+        source.summary_children(0, 0).unwrap(),
+        receiver.summary_children(0, 0).unwrap()
     );
     let mut stored: Vec<(UserKey, Value)> = Vec::new();
-    dir.reps()[victim]
+    receiver
         .snapshot()
         .range_scan(None, None, &mut |k, _, v, _| {
             stored.push((k.clone(), v.clone()));
         });
     let expect: Vec<(UserKey, Value)> = model
         .iter()
-        .map(|(mk, mv)| (UserKey::new(vec![*mk]), Value::from(vec![*mv])))
+        .map(|(mk, mv)| (UserKey::new(mk.clone()), Value::from(vec![*mv])))
         .collect();
-    assert_eq!(stored, expect, "seed {seed:#x}: converged state != model");
+    assert_eq!(stored, expect, "{ctx}: converged state != model");
 
-    // Idempotent re-install: a second full stream applies nothing.
-    let mut again = SnapshotInstaller::new(vec![Box::new(PeerHandle(Arc::clone(&peer)))]);
-    let restats = again.stream(0, &target).expect("re-install");
-    assert!(restats.root_matched);
+    // Idempotent re-run: a fresh repairer finds nothing and applies nothing.
+    let again = repairer_from(receiver, vec![KillablePeer::new(source, u64::MAX)]).run_round(0);
+    assert_eq!((again.mismatched_buckets, again.pulls), (0, 0));
     assert_eq!(
-        restats.applied.total(),
+        again.applied.total(),
         0,
-        "seed {seed:#x}: re-installing a converged replica applied steps"
+        "{ctx}: re-running on a converged replica applied steps"
     );
 
-    // The whole catch-up — install, crash, resume, re-install — spent zero
-    // quorum collections: snapshot transfer moves committed facts at
+    // The whole catch-up — pulls, death, crash, resumed round, re-run —
+    // spent zero quorum collections: range pulls move committed facts at
     // pinned versions, which is sound without any vote.
     assert_eq!(
         g.counter("suite.quorum.waves").get(),
         waves_before,
-        "seed {seed:#x}: catch-up collected a quorum"
+        "{ctx}: catch-up collected a quorum"
     );
 }
 
 #[test]
 fn interrupted_snapshot_catchup_resumes_and_converges() {
-    run_crashy_catchup(0x5AFE_0001);
+    for shape in [Receiver::Seeded, Receiver::Empty] {
+        run_crashy_catchup(0x5AFE_0001, shape);
+    }
 }
 
 #[test]
 fn snapshot_catchup_holds_across_random_histories() {
     for seed in 0..4u64 {
-        run_crashy_catchup(0x5AFE_1000 + seed);
+        for shape in [Receiver::Seeded, Receiver::Empty] {
+            run_crashy_catchup(0x5AFE_1000 + seed, shape);
+        }
     }
 }
 
-/// Seeds `n` committed single-byte-key entries on a bare representative.
-fn seeded_rep(id: u32, n: u8) -> Arc<TransactionalRep> {
+/// A bare representative holding `entries` as `(key, version)`, committed;
+/// the value is a function of both, so twins are byte-identical.
+fn rep_with(id: u32, entries: impl IntoIterator<Item = (Vec<u8>, u64)>) -> Arc<TransactionalRep> {
     let rep = TransactionalRep::new(RepId(id));
     let t = TxnId(1);
     rep.begin(t).unwrap();
-    for i in 0..n {
+    for (key, version) in entries {
+        let value = Value::from(vec![key[0], version as u8]);
         rep.insert(
             t,
-            &user_key(i),
-            Version::new(u64::from(i) + 1),
-            &Value::from(vec![i]),
+            &Key::User(UserKey::new(key)),
+            Version::new(version),
+            &value,
         )
         .unwrap();
     }
@@ -264,50 +351,77 @@ fn seeded_rep(id: u32, n: u8) -> Arc<TransactionalRep> {
     rep
 }
 
-/// A dead snapshot peer only ever costs an `Unavailable` error and a
-/// stashed cursor — never a partial-progress wipe: a later stream against
-/// a different healthy peer continues from where the dead one stopped.
+/// A dead source only ever costs an `Unavailable` error — never a lost
+/// step: a round against a different healthy peer pulls exactly what the
+/// dead one left dirty.
 #[test]
 fn snapshot_stream_rotates_peers_without_losing_the_cursor() {
-    let source_a = seeded_rep(0, 24);
-    let source_b = seeded_rep(1, 24); // byte-identical twin
-    let receiver = TransactionalRep::new(RepId(2));
-    let target: Arc<dyn RepairTarget> = Arc::new(RepTarget::new(Arc::clone(&receiver)));
-
-    // Peer 0 dies on its second chunk; peer 1 stays healthy.
-    let dying = Arc::new(KillablePeer::new(
-        LocalSnapshotPeer::new(Arc::clone(&source_a)),
-        1,
-    ));
-    let healthy = Arc::new(KillablePeer::new(
-        LocalSnapshotPeer::new(Arc::clone(&source_b)),
-        u64::MAX,
-    ));
-    let mut installer = SnapshotInstaller::new(vec![
-        Box::new(PeerHandle(Arc::clone(&dying))),
-        Box::new(PeerHandle(Arc::clone(&healthy))),
-    ])
-    .with_chunk_entries(4);
-
-    assert!(installer.stream(0, &target).is_err());
-    let cursor = installer.resume_cursor().cloned();
-    assert!(cursor.is_some(), "one flushed frame leaves a cursor");
-    let stats = installer
-        .stream(1, &target)
-        .expect("healthy peer finishes the stream");
-    assert!(stats.resumed);
-    assert!(stats.root_matched);
-    let healthy_afters = healthy.afters.lock().unwrap().clone();
+    // A receiver holding every key a version behind: 24 keys two buckets
+    // apart, 24 dirty buckets in 24 runs, one pull each.
+    let spread = |version: fn(u8) -> u64| (0..24u8).map(move |i| (vec![2 * i], version(i)));
+    let source_a = rep_with(0, spread(|i| u64::from(i) + 2));
+    let source_b = rep_with(1, spread(|i| u64::from(i) + 2)); // byte-identical twin
+    let receiver = rep_with(2, spread(|_| 1));
+    // Peer 0 dies on its second pull; peer 1 stays healthy.
+    let dying = KillablePeer::new(&source_a, 1);
+    let healthy = KillablePeer::new(&source_b, u64::MAX);
+    let repairer = repairer_from(&receiver, vec![dying, Arc::clone(&healthy)]);
+    let first = repairer.run_round(0);
+    assert_eq!((first.errors, first.mismatched_buckets), (1, 24));
+    assert_eq!(first.buckets_pulled, 1);
+    let rotated = repairer.run_round(1);
+    assert_eq!(rotated.errors, 0);
     assert_eq!(
-        healthy_afters.first().cloned(),
-        Some(cursor),
-        "the replacement peer was asked to continue, not restart"
+        (rotated.mismatched_buckets, rotated.buckets_pulled),
+        (23, 23),
+        "the replacement peer re-pulled a bucket the dead one had applied"
     );
+    assert_eq!(healthy.pulls(), 23);
     assert_eq!(source_a.snapshot(), receiver.snapshot());
+    assert_eq!(
+        source_a.summary_children(0, 0).unwrap(),
+        receiver.summary_children(0, 0).unwrap()
+    );
+
+    // An empty receiver: 1,200 keys over buckets 0..=149, one run, one
+    // interval (LOW, HIGH) merged in steps of 512.
+    let wide = || (0..1200u16).map(|i| (vec![(i / 8) as u8, (i % 8) as u8], 2));
+    let source_a = rep_with(0, wide());
+    let source_b = rep_with(1, wide());
+    let receiver = TransactionalRep::new(RepId(2));
+    let dying = KillablePeer::new(&source_a, 1);
+    let healthy = KillablePeer::new(&source_b, u64::MAX);
+    let repairer = repairer_from(&receiver, vec![Arc::clone(&dying), Arc::clone(&healthy)]);
+    let first = repairer.run_round(0);
+    assert_eq!((first.errors, first.mismatched_buckets), (1, 150));
+    // The first step landed: buckets 0..=63, ending at the 512th key.
+    assert_eq!((first.pulls, first.keys_pulled), (1, 512));
+    assert_eq!(first.applied.installed, 512);
+    assert_eq!(
+        dirty_buckets(&source_a, &receiver),
+        (64..150).collect::<Vec<u8>>()
+    );
+    let rotated = repairer.run_round(1);
+    assert_eq!(rotated.errors, 0);
+    assert_eq!(
+        (rotated.mismatched_buckets, rotated.buckets_pulled),
+        (86, 86)
+    );
+    // 688 = 512 + 176, none of them from a bucket the dead peer levelled.
+    assert_eq!((rotated.pulls, rotated.keys_pulled), (2, 688));
+    assert!(healthy
+        .keys_since(0)
+        .iter()
+        .all(|k| bucket_of(k.as_bytes()) >= 64));
+    assert_eq!(source_a.snapshot(), receiver.snapshot());
+    assert_eq!(
+        source_a.summary_children(0, 0).unwrap(),
+        receiver.summary_children(0, 0).unwrap()
+    );
 }
 
-/// The snapshot install path refuses to move any version down: installing
-/// a *stale* snapshot over a newer replica is a no-op, not a rollback.
+/// The catch-up path refuses to move any version down: pulling from a
+/// *stale* source into a newer replica is a no-op, not a rollback.
 #[test]
 fn stale_snapshot_never_rolls_a_newer_replica_back() {
     let old = TransactionalRep::new(RepId(0));
@@ -328,14 +442,17 @@ fn stale_snapshot_never_rolls_a_newer_replica_back() {
         .unwrap();
     newer.commit(t).unwrap();
 
-    let target: Arc<dyn RepairTarget> = Arc::new(RepTarget::new(Arc::clone(&newer)));
     let before = newer.snapshot();
-    let mut installer =
-        SnapshotInstaller::new(vec![Box::new(LocalSnapshotPeer::new(Arc::clone(&old)))]);
-    let stats = installer.stream(0, &target).expect("stale stream");
-    // Nothing in the old snapshot supersedes the newer replica: no step
-    // may land, and the state is bit-for-bit untouched.
-    assert_eq!(stats.applied.total(), 0);
-    assert!(!stats.root_matched, "a stale manifest must not match");
+    let round = repairer_from(&newer, vec![KillablePeer::new(&old, u64::MAX)]).run_round(0);
+    // Nothing in the old source supersedes the newer replica: no step may
+    // land, and the state is bit-for-bit untouched.
+    assert_eq!(round.errors, 0);
+    assert!(round.pulls > 0);
+    assert_eq!(round.applied.total(), 0);
     assert_eq!(newer.snapshot(), before);
+    assert_ne!(
+        old.summary_children(0, 0).unwrap(),
+        newer.summary_children(0, 0).unwrap(),
+        "a stale source must not read as level"
+    );
 }
