@@ -18,14 +18,16 @@
 //! cargo run --release -p repdir-bench --bin latency_policy [-- --quick] [--check]
 //! ```
 //!
-//! `--check` exits nonzero unless (a) the latency policy's read prefix is
-//! exactly the fast members and (b) its median lookup beats random by the
-//! gate factor. Every run rewrites `BENCH_latency_policy.json` at the repo
-//! root.
+//! `--check` gates counts, never wall-clock. It exits nonzero unless
+//! (a) each run's warm-up inserts on the clean fabric spent exactly R + W
+//! data requests apiece and no ping, (b) the latency policy's timed lookups
+//! sent no request to a slow member, and (c) its read prefix is exactly
+//! fast members. The speed-up over random is reported, not gated. Every run
+//! rewrites `BENCH_latency_policy.json` at the repo root.
 
 use std::time::{Duration, Instant};
 
-use repdir_bench::fabric::{lossless, Samples};
+use repdir_bench::fabric::{lossless, Samples, Spent};
 use repdir_core::suite::{DirSuite, QuorumPolicy, RandomPolicy};
 use repdir_core::{Key, QuorumKind, Value};
 use repdir_net::{LatencyModel, NodeId};
@@ -53,29 +55,63 @@ fn build(fast: Duration, slow: Duration, seed: u64) -> Fixture {
     })
 }
 
+/// What one policy's run measured.
+struct Run {
+    /// What the warm-up inserts spent.
+    warmup: Spent,
+    /// Latency of each timed lookup.
+    lookups: Samples,
+    /// Requests (data plus pings) each member was sent by the timed lookups
+    /// alone.
+    lookup_requests: Vec<u64>,
+}
+
+/// Requests (data plus pings) each member has been sent so far.
+fn requests(suite: &DirSuite<RemoteSessionClient>) -> Vec<u64> {
+    let pings = suite.ping_counts();
+    let msgs = suite.message_counts();
+    msgs.iter().zip(&pings).map(|(m, p)| m + p).collect()
+}
+
 /// Seeds EWMAs (writes probe W=4 members each; the latency policy explores
 /// unsampled members first), then times a read-heavy phase. An untimed
 /// write is interleaved every few reads: reads only sample the chosen R
 /// members, so a fast member whose EWMA caught a one-off scheduler stall
 /// would otherwise never be re-probed and stay exiled. Write waves touch
 /// the W=4 best-ranked members, letting a stale EWMA decay back to truth.
-fn run_workload(suite: &mut DirSuite<RemoteSessionClient>, warmup: usize, reads: usize) -> Samples {
-    for i in 0..warmup {
-        let key = Key::from(format!("warm{i:03}").as_str());
-        suite.insert(&key, &Value::from("v")).expect("insert");
-    }
+/// Those writes must reach a slow member, so only the timed lookups are
+/// counted.
+fn run_workload(fx: &mut Fixture, warmup: usize, reads: usize) -> Run {
+    let ((), warmup_spent) = fx.spent(|suite| {
+        for i in 0..warmup {
+            let key = Key::from(format!("warm{i:03}").as_str());
+            suite.insert(&key, &Value::from("v")).expect("insert");
+        }
+    });
+    let suite = &mut fx.suite;
     let mut times = Vec::new();
+    let mut lookup_requests = vec![0; MEMBERS as usize];
     for i in 0..reads {
+        let key = Key::from(format!("warm{:03}", i % warmup).as_str());
         if i % 4 == 3 {
-            let key = Key::from(format!("warm{:03}", i % warmup).as_str());
             suite.update(&key, &Value::from("v2")).expect("update");
         }
-        let key = Key::from(format!("warm{:03}", i % warmup).as_str());
+        let before = requests(suite);
         let t = Instant::now();
         suite.lookup(&key).expect("lookup");
         times.push(t.elapsed());
+        for (sent, (after, before)) in lookup_requests
+            .iter_mut()
+            .zip(requests(suite).into_iter().zip(before))
+        {
+            *sent += after - before;
+        }
     }
-    Samples::from_durations(times)
+    Run {
+        warmup: warmup_spent,
+        lookups: Samples::from_durations(times),
+        lookup_requests,
+    }
 }
 
 fn main() {
@@ -104,7 +140,7 @@ fn main() {
 
     // Random: the seeded default policy the fixture starts with.
     let mut fx = build(fast, slow, 0x5EED);
-    let random = run_workload(&mut fx.suite, warmup, reads);
+    let random = run_workload(&mut fx, warmup, reads);
     drop(fx);
 
     // Latency-aware: same fixture, policy swapped for one reading the
@@ -112,7 +148,7 @@ fn main() {
     let mut fx = build(fast, slow, 0x5EED + 1);
     let policy = fx.suite.latency_policy();
     fx.suite.set_policy(Box::new(policy));
-    let latency = run_workload(&mut fx.suite, warmup, reads);
+    let latency = run_workload(&mut fx, warmup, reads);
 
     // Where did the EWMAs land, and whom would the policy read from now?
     let ewmas: Vec<u64> = fx
@@ -130,23 +166,33 @@ fn main() {
         .collect();
     drop(fx);
 
-    let speedup = random.median() as f64 / latency.median().max(1) as f64;
+    let slow_lookup_requests: u64 = SLOW.iter().map(|&i| latency.lookup_requests[i]).sum();
+    let speedup = random.lookups.median() as f64 / latency.lookups.median().max(1) as f64;
     println!(
-        "{:<10} {:>14} {:>14} {:>14}",
+        "{:<10} {:>14} {:>14} {:>14}  lookup requests per member",
         "policy", "median", "mean", "p90"
     );
-    for (name, s) in [("random", &random), ("latency", &latency)] {
+    for (name, run) in [("random", &random), ("latency", &latency)] {
+        let s = &run.lookups;
         println!(
-            "{:<10} {:>12}us {:>12}us {:>12}us",
+            "{:<10} {:>12}us {:>12}us {:>12}us  {:?}",
             name,
             s.median(),
             s.mean(),
-            s.percentile(0.9)
+            s.percentile(0.9),
+            run.lookup_requests
         );
     }
     println!();
     println!("reply EWMAs (us): {ewmas:?}");
     println!("latency-policy read prefix: {read_prefix:?}  (slow members: {SLOW:?})");
+    println!("latency-policy lookup requests to slow members: {slow_lookup_requests}");
+    for (name, run) in [("random", &random), ("latency", &latency)] {
+        println!(
+            "{name} warm-up: {} data requests, {} pings for {warmup} inserts",
+            run.warmup.requests, run.warmup.pings
+        );
+    }
     println!("speedup (random median / latency median): {speedup:.2}x");
 
     let doc = format!(
@@ -154,7 +200,11 @@ fn main() {
             "{{\n  \"bench\": \"latency_policy\",\n  \"mode\": \"{}\",\n",
             "  \"members\": {}, \"read_quorum\": {}, \"write_quorum\": {},\n",
             "  \"fast_hop_us\": {}, \"slow_hop_us\": {}, \"slow_members\": {:?},\n",
-            "  \"timed_reads\": {},\n",
+            "  \"warmup_inserts\": {}, \"timed_reads\": {},\n",
+            "  \"warmup_requests\": {{\"random\": {}, \"latency\": {}}},\n",
+            "  \"warmup_pings\": {{\"random\": {}, \"latency\": {}}},\n",
+            "  \"lookup_requests\": {{\"random\": {:?}, \"latency\": {:?}}},\n",
+            "  \"slow_member_lookup_requests\": {},\n",
             "  \"random\": {},\n  \"latency\": {},\n",
             "  \"reply_ewma_us\": {:?},\n  \"read_prefix\": {:?},\n",
             "  \"speedup_median\": {:.3}\n}}\n"
@@ -166,9 +216,17 @@ fn main() {
         fast.as_micros(),
         slow.as_micros(),
         SLOW,
+        warmup,
         reads,
-        random.json(),
-        latency.json(),
+        random.warmup.requests,
+        latency.warmup.requests,
+        random.warmup.pings,
+        latency.warmup.pings,
+        random.lookup_requests,
+        latency.lookup_requests,
+        slow_lookup_requests,
+        random.lookups.json(),
+        latency.lookups.json(),
         ewmas,
         read_prefix,
         speedup
@@ -185,19 +243,37 @@ fn main() {
     }
 
     if check {
-        const GATE: f64 = 2.0;
         let mut ok = true;
-        if read_prefix.iter().any(|m| SLOW.contains(m)) {
-            eprintln!("FAIL: latency policy still reads from a slow member: {read_prefix:?}");
+        let budget =
+            Spent::fault_free(2, u64::from(READ_QUORUM + WRITE_QUORUM)).times(warmup as u64);
+        for (name, run) in [("random", &random), ("latency", &latency)] {
+            if run.warmup != budget {
+                eprintln!(
+                    "FAIL: the {name} warm-up spent {:?}, budget {budget:?}",
+                    run.warmup
+                );
+                ok = false;
+            }
+        }
+        if slow_lookup_requests != 0 {
+            eprintln!(
+                "FAIL: the latency policy's timed lookups sent {slow_lookup_requests} requests \
+                 to slow members (per member: {:?})",
+                latency.lookup_requests
+            );
             ok = false;
         }
-        if speedup < GATE {
-            eprintln!("FAIL: speedup {speedup:.2}x below the {GATE}x gate");
+        if read_prefix.iter().any(|m| SLOW.contains(m)) {
+            eprintln!("FAIL: latency policy still reads from a slow member: {read_prefix:?}");
             ok = false;
         }
         if !ok {
             std::process::exit(1);
         }
-        println!("check passed: reads come from the fast members, >= {GATE}x faster than random");
+        println!(
+            "CHECK PASSED: warm-up {} requests and no ping per run, no timed lookup request \
+             to a slow member, read prefix {read_prefix:?}",
+            budget.requests
+        );
     }
 }

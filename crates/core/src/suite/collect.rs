@@ -4,10 +4,7 @@
 //! One path: candidates are asked in the policy's preference order, wave by
 //! wave, each wave sized by the votes it is *expected* to yield; a wave
 //! carries the caller's request when every member of it has a clean record
-//! and pings first otherwise; with hedging armed a straggling request is
-//! duplicated to a spare from the same over-provision budget.
-
-use std::time::Duration;
+//! and pings first otherwise.
 
 use super::wave::Traffic;
 use super::{protocol_violation, DirSuite};
@@ -15,8 +12,8 @@ use crate::error::{QuorumKind, RepError, SuiteError};
 use crate::key::Key;
 use crate::rep::{RepClient, RepReply, RepRequest};
 
-/// Ceiling on wave over-provisioning: a wave (hedges included) may provision
-/// at most `ceil(deficit * MAX_OVERPROVISION)` votes.
+/// Ceiling on wave over-provisioning: a wave may provision at most
+/// `ceil(deficit * MAX_OVERPROVISION)` votes.
 const MAX_OVERPROVISION: f64 = 2.0;
 
 /// A quorum held across the hops of one bulk operation (a scan, the keys of
@@ -200,9 +197,8 @@ impl<C: RepClient> DirSuite<C> {
         Ok(quorum)
     }
 
-    /// Sends `req` to exactly the members of a held session, hedging
-    /// stragglers to voting members outside it when hedging is armed. A
-    /// member that fails is not replaced: the session is stale, so
+    /// Sends `req` to exactly the members of a held session. A member that
+    /// fails is not replaced: the session is stale, so
     /// [`RepError::Unavailable`] surfaces for
     /// [`with_session_retries`](Self::with_session_retries) to re-validate.
     fn ask_session(
@@ -212,27 +208,11 @@ impl<C: RepClient> DirSuite<C> {
         req: RepRequest<'_>,
     ) -> Result<Quorum, SuiteError> {
         let needed = self.threshold(kind);
-        let hedge = self.armed_hedge_delay();
-        let held = members.len();
-        let mut order = members;
-        if hedge.is_some() {
-            let spares: Vec<usize> = (0..self.members.len())
-                .filter(|i| !order.contains(i) && self.members[*i].votes > 0)
-                .collect();
-            order.extend(spares);
-        }
-        let wave = self.vote_wave(
-            req,
-            Traffic::Data,
-            &order[..held],
-            hedge.map(|delay| (delay, &order[held..])),
-            needed,
-            hedge.is_none(),
-        );
+        let wave = self.vote_wave(req, Traffic::Data, &members, needed);
         match wave.refused {
             Some(e) => Err(SuiteError::Rep(e)),
             None if wave.votes < needed => Err(SuiteError::Rep(RepError::Unavailable)),
-            None => Ok(Quorum::arrange(wave.replies, &order)),
+            None => Ok(Quorum::arrange(wave.replies, &members)),
         }
     }
 
@@ -299,11 +279,6 @@ impl<C: RepClient> DirSuite<C> {
     /// short of the deficit, within the [`MAX_OVERPROVISION`] cap, the wave
     /// stops listening at the vote threshold, and the request then goes to
     /// the members that answered. With nothing to carry every wave pings.
-    ///
-    /// When hedging is armed, a wave — carried or pinged — that straggles
-    /// past the hedge delay asks further candidates from the same budget and
-    /// stops listening at the threshold; candidates a wave consumed, hedges
-    /// included, are never asked again by a later wave.
     fn collect_votes(
         &mut self,
         kind: QuorumKind,
@@ -311,7 +286,6 @@ impl<C: RepClient> DirSuite<C> {
         carry: Option<RepRequest<'_>>,
     ) -> Result<Vec<(usize, RepReply)>, SuiteError> {
         let needed = self.threshold(kind);
-        let hedge = self.armed_hedge_delay();
         let voting: Vec<usize> = order
             .iter()
             .copied()
@@ -354,42 +328,18 @@ impl<C: RepClient> DirSuite<C> {
                     gathered: votes,
                 });
             }
-            // What is left of the budget is the wave's hedging allowance.
-            let mut spare_end = cursor;
-            if hedge.is_some() {
-                while spare_end < voting.len() && provisioned < cap {
-                    provisioned += yields[spare_end].0;
-                    spare_end += 1;
-                }
-            }
             self.obs.waves.inc();
             let (req, traffic) = match carried {
                 Some(req) => (req, Traffic::Data),
                 None => (RepRequest::Ping, Traffic::Ping),
             };
-            let mut wave = self.vote_wave(
-                req,
-                traffic,
-                &voting[first..cursor],
-                hedge.map(|delay| (delay, &voting[cursor..spare_end])),
-                deficit,
-                carried.is_some() && hedge.is_none(),
-            );
-            cursor += wave.spares_used;
+            let mut wave = self.vote_wave(req, traffic, &voting[first..cursor], deficit);
             // A preferred candidate that was asked and failed to vote: for
             // a sticky policy, a remembered member that stopped responding.
             self.obs.sticky_miss.add(wave.misses);
             if let (Some(req), None) = (carry, carried) {
                 let ponged: Vec<usize> = wave.replies.iter().map(|&(i, _)| i).collect();
-                wave = self.vote_wave(
-                    req,
-                    Traffic::Data,
-                    &ponged,
-                    hedge.map(|delay| (delay, &voting[cursor..spare_end])),
-                    deficit,
-                    hedge.is_none(),
-                );
-                cursor += wave.spares_used;
+                wave = self.vote_wave(req, Traffic::Data, &ponged, deficit);
                 self.obs.sticky_miss.add(wave.misses);
             }
             if let Some(e) = wave.refused {
@@ -400,32 +350,13 @@ impl<C: RepClient> DirSuite<C> {
         }
         Ok(gathered)
     }
-
-    /// The delay after which a straggling request is duplicated to a spare,
-    /// if hedging is on: the explicit override if set, else `3 × p50` of the
-    /// suite's reply-time histogram clamped below at 500 µs. The median is
-    /// the right anchor on a flaky fabric — the reply distribution is
-    /// bimodal (fast answers vs. timeouts), so p95/p99 sit inside the
-    /// timeout mass and would never fire. `None` — hedging off, or no samples
-    /// yet — means no request is ever duplicated.
-    fn armed_hedge_delay(&self) -> Option<Duration> {
-        const MIN_HEDGE_DELAY: Duration = Duration::from_micros(500);
-        if !self.hedge {
-            return None;
-        }
-        if let Some(delay) = self.hedge_delay {
-            return Some(delay);
-        }
-        let p50 = self.obs.reply_hist.quantile_us(0.5)?;
-        Some(Duration::from_micros(p50.saturating_mul(3)).max(MIN_HEDGE_DELAY))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
     use super::*;
-    use crate::rep::{Completion, LocalRep, RepId, RepResult};
+    use crate::rep::{LocalRep, RepId, RepResult};
     use crate::suite::{StickyPolicy, SuiteConfig};
 
     #[test]
@@ -645,121 +576,6 @@ mod tests {
         let out = s.lookup(&k("a")).unwrap();
         assert_eq!(out.quorum, vec![RepId(1), RepId(2)]);
         assert_eq!(waves.get(), discovery + 1, "one over-provisioned wave");
-    }
-
-    /// Forwards to a [`LocalRep`] with configurable per-operation lag — the
-    /// straggler the hedging tests race against. Started requests are
-    /// answered at once and *delivered* late, from a timer thread the double
-    /// owns: the modelled latency is the member's, not the coordinator's.
-    struct Laggy {
-        inner: LocalRep,
-        ping_delay: Duration,
-        lookup_delay: Duration,
-    }
-
-    impl Laggy {
-        fn new(id: u32, ping_delay: Duration, lookup_delay: Duration) -> Self {
-            Self {
-                inner: LocalRep::new(RepId(id)),
-                ping_delay,
-                lookup_delay,
-            }
-        }
-
-        fn delay_of(&self, req: RepRequest<'_>) -> Duration {
-            match req {
-                RepRequest::Ping => self.ping_delay,
-                RepRequest::Lookup(_) => self.lookup_delay,
-                _ => Duration::ZERO,
-            }
-        }
-    }
-
-    impl RepClient for Laggy {
-        fn id(&self) -> RepId {
-            self.inner.id()
-        }
-        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-            std::thread::sleep(self.delay_of(req));
-            self.inner.execute(req)
-        }
-        fn start(&self, req: RepRequest<'_>, done: Completion) {
-            let (delay, reply) = (self.delay_of(req), self.inner.execute(req));
-            if delay.is_zero() {
-                return done.complete(reply);
-            }
-            std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                done.complete(reply);
-            });
-        }
-    }
-
-    #[test]
-    fn hedged_ping_wave_wins_with_a_spare_over_a_straggler() {
-        // Member 0 answers pings 80ms late; with a 2ms hedge delay the
-        // ping wave a public neighbour search collects with must duplicate
-        // to member 2 and close the quorum without waiting out the
-        // straggler.
-        let clients = vec![
-            Laggy::new(0, Duration::from_millis(80), Duration::ZERO),
-            Laggy::new(1, Duration::ZERO, Duration::ZERO),
-            Laggy::new(2, Duration::ZERO, Duration::ZERO),
-        ];
-        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
-        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        s.set_hedge(true);
-        s.set_hedge_delay(Some(Duration::from_millis(2)));
-        let issued = s.obs().counter("suite.hedge.issued");
-
-        let start = std::time::Instant::now();
-        assert_eq!(s.real_successor(&Key::Low).unwrap().key, Key::High);
-        assert!(issued.get() >= 1, "the straggling ping must be hedged");
-        assert!(
-            start.elapsed() < Duration::from_millis(80),
-            "the quorum must not wait out the straggler"
-        );
-        assert_eq!(s.ping_counts(), vec![1, 1, 1]);
-        assert_eq!(
-            s.message_counts()[0],
-            0,
-            "the straggler is not in the quorum"
-        );
-    }
-
-    #[test]
-    fn hedged_lookup_substitutes_a_spare_for_a_straggler() {
-        // Member 0 serves lookups 80ms late: the collection carries the
-        // lookup to it and straggles. The hedged read must assemble R votes
-        // from member 1 plus the spare member 2 and return the exact answer.
-        let clients = vec![
-            Laggy::new(0, Duration::ZERO, Duration::from_millis(80)),
-            Laggy::new(1, Duration::ZERO, Duration::ZERO),
-            Laggy::new(2, Duration::ZERO, Duration::ZERO),
-        ];
-        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
-        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        s.insert(&k("a"), &val("A")).unwrap();
-        s.set_hedge(true);
-        s.set_hedge_delay(Some(Duration::from_millis(2)));
-        let issued = s.obs().counter("suite.hedge.issued");
-        let won = s.obs().counter("suite.hedge.won");
-
-        let out = s.lookup(&k("a")).unwrap();
-        assert!(out.present);
-        assert_eq!(out.value, Some(val("A")));
-        assert_eq!(
-            out.quorum,
-            vec![RepId(1), RepId(2)],
-            "the spare's reply substitutes for the straggler's"
-        );
-        assert!(issued.get() >= 1);
-        assert!(won.get() >= 1, "the substituted spare counts as a win");
-        // The straggler was still asked — hedging duplicates, not cancels.
-        // (Members 0 and 1 carry two messages each from the insert's read
-        // and write quorums; the hedged read adds one more to each quorum
-        // member and one to the spare.)
-        assert_eq!(s.message_counts(), vec![3, 3, 1]);
     }
 
     #[test]

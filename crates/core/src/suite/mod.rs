@@ -47,7 +47,7 @@ use crate::version::Version;
 use std::sync::Arc;
 use std::time::Duration;
 
-use repdir_obs::{Avail, Counter, Ewma, Histogram, Registry};
+use repdir_obs::{Avail, Counter, Ewma, Registry};
 use votes::VoteLog;
 use wave::Executor;
 
@@ -163,24 +163,11 @@ struct SuiteObs {
     /// every ping and data RPC outcome; pinged waves are provisioned by it and
     /// [`LatencyPolicy`] discounts by it.
     avail: Vec<Avail>,
-    /// Suite-local reply-time histogram (`suite.reply_us`) over every timed
-    /// ping and data RPC; the hedge delay is derived from its quantiles.
-    /// Suite-local rather than the global `rpc.reply_us` so parallel suites
-    /// (and parallel tests) never pollute each other's delay estimate.
-    reply_hist: Histogram,
     /// Collection waves issued by `collect_quorum`, carried or pinged
     /// (`suite.quorum.waves`).
     waves: Counter,
     /// Every wave the executor opened, collection or not (`suite.rounds`).
     rounds: Counter,
-    /// Hedge RPCs the suite issued after a wave straggled
-    /// (`suite.hedge.issued`).
-    hedge_issued: Counter,
-    /// Hedge RPCs whose reply was counted toward the quorum or merged into
-    /// the read result (`suite.hedge.won`).
-    hedge_won: Counter,
-    /// Hedge RPCs that lost the race or went unused (`suite.hedge.wasted`).
-    hedge_wasted: Counter,
     /// Preferred candidates that were asked but failed to vote
     /// (`suite.quorum.sticky_miss`): for a sticky policy this is exactly
     /// "a remembered member stopped responding", forcing fresh collection.
@@ -233,12 +220,8 @@ impl SuiteObs {
             avail: (0..n)
                 .map(|i| registry.avail(&handle("avail", i)))
                 .collect(),
-            reply_hist: registry.histogram("suite.reply_us"),
             waves: registry.counter("suite.quorum.waves"),
             rounds: registry.counter("suite.rounds"),
-            hedge_issued: registry.counter("suite.hedge.issued"),
-            hedge_won: registry.counter("suite.hedge.won"),
-            hedge_wasted: registry.counter("suite.hedge.wasted"),
             sticky_miss: registry.counter("suite.quorum.sticky_miss"),
             session_reuse: registry.counter("suite.session.reuse"),
             session_revalidate: registry.counter("suite.session.revalidate"),
@@ -290,13 +273,6 @@ pub struct DirSuite<C: RepClient> {
     /// Nesting depth of bulk-operation scopes; sessions are dropped when it
     /// returns to zero so no quorum outlives the operation that pinned it.
     session_depth: u32,
-    /// Whether straggling collection requests — pings and carried requests
-    /// — are hedged to the next-ranked spare member (off by default: hedging
-    /// spends extra requests, so exact-count tests opt in explicitly).
-    hedge: bool,
-    /// Explicit hedge-delay override; `None` derives it from the suite's
-    /// reply-time histogram.
-    hedge_delay: Option<Duration>,
     /// Stale votes observed by quorum reads, drained by
     /// [`take_stale_votes`](DirSuite::take_stale_votes). Coalesced per
     /// `(member, key)`; unused when a shared sink is installed.
@@ -357,8 +333,6 @@ impl<C: RepClient> DirSuite<C> {
             bulk_chunk: 64,
             sessions: [None, None],
             session_depth: 0,
-            hedge: false,
-            hedge_delay: None,
             stale_votes: VoteLog::default(),
             stale_sink: None,
             repair_health: None,
@@ -429,32 +403,6 @@ impl<C: RepClient> DirSuite<C> {
     pub fn set_bulk_chunk(&mut self, chunk: usize) {
         assert!(chunk > 0, "bulk chunk must be at least 1");
         self.bulk_chunk = chunk;
-    }
-
-    /// Enables hedged member RPCs (disabled by default). With hedging on, a
-    /// collection request (a ping, or the lookup or write a collection
-    /// carries) that outlives the hedge delay is duplicated to the
-    /// next-ranked spare member, which joins the same wave; the first usable
-    /// replies win and stragglers are only accounted.
-    /// Hedging spends extra requests for tail latency
-    /// (`suite.hedge.{issued,won,wasted}` counts the trade), so tests that
-    /// assert exact request counts leave it off.
-    pub fn set_hedge(&mut self, enabled: bool) {
-        self.hedge = enabled;
-    }
-
-    /// Whether straggling member RPCs are hedged.
-    pub fn hedge_enabled(&self) -> bool {
-        self.hedge
-    }
-
-    /// Overrides the hedge delay. `None` (the default) derives it from the
-    /// suite's reply-time histogram: three times the median reply,
-    /// clamped below at 500 µs — a bimodal flaky fabric makes high
-    /// percentiles useless, while 3×p50 fires only on genuine stragglers.
-    /// Until that histogram has samples no hedges are issued.
-    pub fn set_hedge_delay(&mut self, delay: Option<Duration>) {
-        self.hedge_delay = delay;
     }
 
     /// Attaches shared per-member repair-health flags: subsequent

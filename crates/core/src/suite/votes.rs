@@ -502,22 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_vote_detection_covers_the_hedged_read_path() {
-        let mut s = suite_322(62);
-        s.set_policy(fixed(&[0, 1]));
-        s.insert(&k("b"), &val("B")).unwrap();
-        s.set_policy(fixed(&[1, 2]));
-        s.set_hedge(true);
-        s.set_hedge_delay(Some(Duration::from_millis(50)));
-        let out = s.lookup(&k("b")).unwrap();
-        assert!(out.present);
-        let votes = s.take_stale_votes();
-        assert_eq!(votes.len(), 1);
-        assert_eq!(votes[0].member, 2);
-        assert_eq!(votes[0].latest, Version::new(1));
-    }
-
-    #[test]
     fn stale_vote_detection_covers_the_chain_resolved_neighbors_of_a_delete() {
         // The delete asks nobody `lookup(neighbour)`: the votes on each
         // candidate are read off the chain heads, and a member whose head
@@ -529,8 +513,6 @@ mod tests {
             s.insert(&k(key), &val(key)).unwrap();
         }
         s.set_policy(fixed(&[1, 2]));
-        s.set_hedge(true);
-        s.set_hedge_delay(Some(Duration::from_millis(50)));
         s.delete(&k("b")).unwrap();
         let mut votes = s.take_stale_votes();
         votes.sort_by(|x, y| x.key.cmp(&y.key));

@@ -3,18 +3,15 @@
 //! A *wave* is a set of member requests in flight together. The coordinator
 //! [`issue`](DirSuite::issue)s each one from its own thread through
 //! [`RepClient::start`] and then consumes tagged completions in arrival
-//! order from one queue — no thread is created per wave, per request or per
-//! hedge. In-process clients complete inline, networked ones from their RPC
-//! router.
+//! order from one queue — no thread is created per wave or per request.
+//! In-process clients complete inline, networked ones from their RPC router.
 //!
 //! Slot tags are never reused, so a reply can never be taken for another
-//! wave's. A wave that reaches its vote threshold simply stops listening;
-//! the stragglers' completions — a late reply, or the failure their
-//! per-request deadline produces — are accounted (reply EWMA, `suite.reply_us`,
+//! wave's. A ping wave that reaches its vote threshold simply stops
+//! listening; the stragglers' completions — a late reply, or the failure
+//! their per-request deadline produces — are accounted (reply EWMA,
 //! availability, failure penalty) whenever they surface: while a later wave
 //! waits, at the next quorum collection, or when the suite is dropped.
-
-use std::time::{Duration, Instant};
 
 use super::DirSuite;
 use crate::channel::{unbounded, Receiver, Sender};
@@ -51,7 +48,8 @@ impl Executor {
     }
 }
 
-/// Which per-member counter a wave's requests are charged to.
+/// What a wave's requests are: the per-member counter they are charged to,
+/// and whether the wave waits for all of them.
 #[derive(Clone, Copy)]
 pub(super) enum Traffic {
     /// Quorum-collection pings (`suite.member.{i}.pings`).
@@ -73,8 +71,6 @@ pub(super) struct Votes {
     /// storage error). Another member's vote can stand in for one that could
     /// not be reached, never for one that said no.
     pub(super) refused: Option<RepError>,
-    /// How many of the offered spares were sent a hedge.
-    pub(super) spares_used: usize,
 }
 
 impl<C: RepClient> DirSuite<C> {
@@ -107,7 +103,6 @@ impl<C: RepClient> DirSuite<C> {
         let (_, i) = self.exec.in_flight.swap_remove(at);
         if let Some(elapsed) = done.elapsed {
             self.obs.reply[i].record(elapsed);
-            self.obs.reply_hist.record(elapsed);
         }
         self.obs.avail[i].record(done.result.is_ok());
         if done.result.is_err() {
@@ -126,24 +121,16 @@ impl<C: RepClient> DirSuite<C> {
         self.members[i].client.start(req, done);
     }
 
-    /// The open wave's next completion in arrival order, or `None` once
-    /// `until` passes. Stragglers of earlier waves that surface meanwhile
-    /// are accounted and skipped.
-    fn arrival(&mut self, until: Option<Instant>) -> Option<Arrival> {
+    /// The open wave's next completion in arrival order. Stragglers of
+    /// earlier waves that surface meanwhile are accounted and skipped.
+    fn arrival(&mut self) -> Arrival {
         loop {
-            let done = match until {
-                // The executor holds a sender itself, so the queue never
-                // closes; callers only block while a request of theirs is
-                // outstanding.
-                None => self.exec.completions.recv().expect("queue open"),
-                Some(until) => {
-                    let wait = until.saturating_duration_since(Instant::now());
-                    self.exec.completions.recv_timeout(wait).ok()?
-                }
-            };
+            // The executor holds a sender itself, so the queue never closes;
+            // callers only block while a request of theirs is outstanding.
+            let done = self.exec.completions.recv().expect("queue open");
             let i = self.account(&done);
             if done.slot >= self.exec.base {
-                return Some(((done.slot - self.exec.base) as usize, i, done.result));
+                return ((done.slot - self.exec.base) as usize, i, done.result);
             }
         }
     }
@@ -179,7 +166,7 @@ impl<C: RepClient> DirSuite<C> {
         }
         let mut results: Vec<_> = targets.iter().map(|_| None).collect();
         for _ in targets {
-            let (slot, _, result) = self.arrival(None).expect("no deadline");
+            let (slot, _, result) = self.arrival();
             results[slot] = Some(result);
         }
         results
@@ -190,23 +177,18 @@ impl<C: RepClient> DirSuite<C> {
 
     /// One vote-counting wave: `req` to every member of `wave`, replies
     /// consumed in arrival order until the members heard from hold `needed`
-    /// votes (`wait_all` keeps listening until every request has settled —
-    /// for requests that take locks, which must not outlive their
-    /// operation). `hedge` is a delay and the spare members it may spend:
-    /// whenever the delay passes without an arrival the request is
-    /// duplicated to the next spare, joining the same wave; any set of
-    /// members whose votes reach the threshold is a quorum (§3.1), so a
-    /// spare's reply substitutes for a straggler's.
+    /// votes. A data wave keeps listening until every request has settled:
+    /// its requests take locks, which must not outlive their operation. A
+    /// ping wave stops at the threshold and leaves its stragglers to be
+    /// accounted later.
     pub(super) fn vote_wave(
         &mut self,
         req: RepRequest<'_>,
         traffic: Traffic,
         wave: &[usize],
-        hedge: Option<(Duration, &[usize])>,
         needed: u32,
-        wait_all: bool,
     ) -> Votes {
-        let (delay, spares) = hedge.unwrap_or((Duration::ZERO, &[]));
+        let wait_all = matches!(traffic, Traffic::Data);
         self.open_wave();
         for &i in wave {
             self.charge(traffic, i);
@@ -218,31 +200,15 @@ impl<C: RepClient> DirSuite<C> {
             votes: 0,
             misses: 0,
             refused: None,
-            spares_used: 0,
         };
-        let mut hedges_won = 0;
         while outstanding > 0 && (wait_all || out.votes < needed) {
-            let until = (out.spares_used < spares.len()).then(|| Instant::now() + delay);
-            match self.arrival(until) {
-                None => {
-                    let i = spares[out.spares_used];
-                    out.spares_used += 1;
-                    self.charge(traffic, i);
-                    self.obs.hedge_issued.inc();
-                    self.issue(i, req);
-                    outstanding += 1;
-                }
-                Some((slot, i, Ok(reply))) => {
-                    outstanding -= 1;
+            outstanding -= 1;
+            match self.arrival() {
+                (_, i, Ok(reply)) => {
                     out.votes += self.members[i].votes;
-                    if slot >= wave.len() {
-                        hedges_won += 1;
-                        self.obs.hedge_won.inc();
-                    }
                     out.replies.push((i, reply));
                 }
-                Some((_, _, Err(e))) => {
-                    outstanding -= 1;
+                (_, _, Err(e)) => {
                     out.misses += 1;
                     if e != RepError::Unavailable {
                         out.refused.get_or_insert(e);
@@ -250,9 +216,6 @@ impl<C: RepClient> DirSuite<C> {
                 }
             }
         }
-        self.obs
-            .hedge_wasted
-            .add(out.spares_used as u64 - hedges_won);
         out
     }
 }

@@ -270,8 +270,9 @@ impl Network {
 
     /// Overrides the drop probability for messages *destined to* `node`,
     /// modelling one flaky replica on an otherwise healthy fabric (the
-    /// plan's latency and duplicate probability still apply). The
-    /// `hedge_bench` builds its flaky member from this.
+    /// plan's latency and duplicate probability still apply). With
+    /// `drop_prob` 1.0 the member is silent: `repair_bench` cuts its stale
+    /// member off this way.
     pub fn set_node_drop(&self, node: NodeId, drop_prob: f64) {
         self.shared.faults.lock().node_drop.insert(node, drop_prob);
     }

@@ -77,15 +77,6 @@ struct RpcObs {
     timeouts: Counter,
     unreachable: Counter,
     reply_us: Histogram,
-    /// Hedge RPCs launched by [`RpcClient::call_hedged`] after the primary
-    /// exceeded its hedge delay.
-    hedge_issued: Counter,
-    /// Hedged calls whose winning reply came from a hedge, not the primary.
-    hedge_won: Counter,
-    /// Hedge RPCs whose reply was not the one used (the primary recovered,
-    /// or the whole call timed out) — the message cost hedging trades for
-    /// tail latency.
-    hedge_wasted: Counter,
 }
 
 impl RpcObs {
@@ -97,9 +88,6 @@ impl RpcObs {
             timeouts: g.counter("rpc.timeouts"),
             unreachable: g.counter("rpc.unreachable"),
             reply_us: g.histogram("rpc.reply_us"),
-            hedge_issued: g.counter("rpc.hedge.issued"),
-            hedge_won: g.counter("rpc.hedge.won"),
-            hedge_wasted: g.counter("rpc.hedge.wasted"),
         }
     }
 }
@@ -227,9 +215,8 @@ impl ClientShared {
 /// answer to a newer call.
 ///
 /// Every way of calling — [`call`](RpcClient::call),
-/// [`call_async`](RpcClient::call_async), [`scatter`](RpcClient::scatter),
-/// [`call_hedged`](RpcClient::call_hedged) — is a thin user of one
-/// primitive, [`start`](RpcClient::start).
+/// [`call_async`](RpcClient::call_async), [`scatter`](RpcClient::scatter) —
+/// is a thin user of one primitive, [`start`](RpcClient::start).
 pub struct RpcClient {
     shared: Arc<ClientShared>,
 }
@@ -333,94 +320,6 @@ impl RpcClient {
             wave.push(dst, payload);
         }
         wave
-    }
-
-    /// Sends `payload` to `dsts[0]` and, whenever the reply is slower than
-    /// `hedge_after`, duplicates the request to the next destination in the
-    /// list — the classic tail-latency hedge: a one-request wave that
-    /// further requests join. The first reply to arrive wins; stragglers
-    /// are abandoned when the call settles and their late replies are
-    /// dropped by the correlation-id router, so a hedge can never be
-    /// mistaken for the answer to a later call.
-    ///
-    /// Destinations should be ranked best-first (e.g. by reply-time EWMA);
-    /// `hedge_after` is typically derived from a high percentile of the
-    /// `rpc.reply_us` histogram. Progress is observable as
-    /// `rpc.hedge.{issued,won,wasted}`.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Timeout`] if no destination answered within `timeout`;
-    /// [`RpcError::Unreachable`] if every destination was unregistered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dsts` is empty.
-    pub fn call_hedged(
-        &self,
-        dsts: &[NodeId],
-        payload: Vec<u8>,
-        hedge_after: Duration,
-        timeout: Duration,
-    ) -> RpcResult {
-        assert!(
-            !dsts.is_empty(),
-            "call_hedged needs at least one destination"
-        );
-        let obs = &self.shared.obs;
-        let deadline = Instant::now() + timeout;
-        let mut wave = self.scatter(Vec::new());
-        // Launch the primary, walking past unreachable destinations for
-        // free: an unregistered node is known dead at send time, so moving
-        // on is a substitution, not a hedge.
-        let mut next = 0usize;
-        let mut primary = None;
-        while next < dsts.len() && primary.is_none() {
-            primary = wave.push(dsts[next], payload.clone()).then_some(next);
-            next += 1;
-        }
-        let Some(primary) = primary else {
-            return Err(RpcError::Unreachable(dsts[dsts.len() - 1]));
-        };
-        let mut hedges = 0u64;
-        let mut won_hedge = false;
-        let outcome = loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                obs.timeouts.inc();
-                break Err(RpcError::Timeout);
-            }
-            // Wait one hedge delay while spares remain, else to the
-            // deadline.
-            let wait = if next < dsts.len() {
-                hedge_after.min(remaining)
-            } else {
-                remaining
-            };
-            match wave.poll(wait) {
-                Some((index, Ok(body))) => {
-                    if index != primary {
-                        won_hedge = true;
-                        obs.hedge_won.inc();
-                    }
-                    break Ok(body);
-                }
-                // A spare that turned out unreachable: skipped for free.
-                Some((_, Err(_))) => {}
-                None => {
-                    while next < dsts.len() {
-                        next += 1;
-                        if wave.push(dsts[next - 1], payload.clone()) {
-                            obs.hedge_issued.inc();
-                            hedges += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-        obs.hedge_wasted.add(hedges - u64::from(won_hedge));
-        outcome
     }
 }
 
@@ -553,7 +452,7 @@ impl Scatter {
     /// Yields the next settled request as `(request index, result)`, in
     /// completion order, or `None` if nothing settles within `timeout` —
     /// every request stays in flight.
-    pub fn poll(&mut self, timeout: Duration) -> Option<(usize, RpcResult)> {
+    fn poll(&mut self, timeout: Duration) -> Option<(usize, RpcResult)> {
         let until = Instant::now() + timeout;
         loop {
             let wait = until.saturating_duration_since(Instant::now());
@@ -987,143 +886,6 @@ mod tests {
             let reply = client.call(NodeId(1), vec![i], TICK).unwrap();
             assert_eq!(reply, vec![i]);
         }
-    }
-
-    #[test]
-    fn hedged_call_beats_a_slow_primary() {
-        let net = Arc::new(Network::new(30));
-        for n in 1..=2u32 {
-            serve(Arc::clone(&net), NodeId(n), move |req| {
-                let mut out = req.to_vec();
-                out.push(n as u8);
-                out
-            });
-        }
-        // The ranked-first member is slow; the spare answers immediately.
-        net.set_node_latency(NodeId(1), LatencyModel::fixed(Duration::from_millis(120)));
-        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        let won_before = repdir_obs::global().counter("rpc.hedge.won").get();
-        let start = Instant::now();
-        let reply = client
-            .call_hedged(
-                &[NodeId(1), NodeId(2)],
-                vec![7],
-                Duration::from_millis(15),
-                TICK,
-            )
-            .unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(reply, vec![7, 2], "the hedge's reply wins");
-        assert!(
-            elapsed < Duration::from_millis(110),
-            "hedged call still paid the slow primary: {elapsed:?}"
-        );
-        assert!(repdir_obs::global().counter("rpc.hedge.won").get() > won_before);
-    }
-
-    #[test]
-    fn hedged_call_sticks_with_a_fast_primary() {
-        let net = Arc::new(Network::new(31));
-        for n in 1..=2u32 {
-            serve(Arc::clone(&net), NodeId(n), move |req| {
-                let mut out = req.to_vec();
-                out.push(n as u8);
-                out
-            });
-        }
-        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        // The primary answers well inside the hedge delay: no hedge fires
-        // and the primary's reply is the one returned.
-        let reply = client
-            .call_hedged(
-                &[NodeId(1), NodeId(2)],
-                vec![9],
-                Duration::from_millis(500),
-                TICK,
-            )
-            .unwrap();
-        assert_eq!(reply, vec![9, 1]);
-    }
-
-    #[test]
-    fn hedged_call_counts_a_losing_hedge_as_wasted() {
-        let net = Arc::new(Network::new(32));
-        for n in 1..=2u32 {
-            serve(Arc::clone(&net), NodeId(n), move |req| {
-                let mut out = req.to_vec();
-                out.push(n as u8);
-                out
-            });
-        }
-        // Primary is slow enough to trigger the hedge but still beats the
-        // even-slower spare: the hedge message was pure overhead.
-        net.set_node_latency(NodeId(1), LatencyModel::fixed(Duration::from_millis(50)));
-        net.set_node_latency(NodeId(2), LatencyModel::fixed(Duration::from_millis(250)));
-        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        let wasted_before = repdir_obs::global().counter("rpc.hedge.wasted").get();
-        let reply = client
-            .call_hedged(
-                &[NodeId(1), NodeId(2)],
-                vec![4],
-                Duration::from_millis(10),
-                TICK,
-            )
-            .unwrap();
-        assert_eq!(reply, vec![4, 1], "primary recovered and won");
-        assert!(repdir_obs::global().counter("rpc.hedge.wasted").get() > wasted_before);
-    }
-
-    #[test]
-    fn hedged_call_skips_unreachable_destinations() {
-        let net = Arc::new(Network::new(33));
-        serve(Arc::clone(&net), NodeId(2), |req| req.to_vec());
-        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        // NodeId(9) never registered: substitution happens at send time,
-        // costing nothing.
-        let start = Instant::now();
-        let reply = client
-            .call_hedged(
-                &[NodeId(9), NodeId(2)],
-                vec![5],
-                Duration::from_millis(200),
-                TICK,
-            )
-            .unwrap();
-        assert_eq!(reply, vec![5]);
-        assert!(start.elapsed() < Duration::from_millis(150));
-        // Every destination unreachable: the error says so.
-        let err = client
-            .call_hedged(
-                &[NodeId(9), NodeId(8)],
-                vec![],
-                Duration::from_millis(5),
-                TICK,
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Unreachable(NodeId(8)));
-    }
-
-    #[test]
-    fn hedged_call_times_out_when_nobody_answers() {
-        let net = Arc::new(Network::new(34));
-        serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
-        serve(Arc::clone(&net), NodeId(2), |req| req.to_vec());
-        let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        net.partition(&[&[NodeId(0)], &[NodeId(1), NodeId(2)]]);
-        let err = client
-            .call_hedged(
-                &[NodeId(1), NodeId(2)],
-                vec![1],
-                Duration::from_millis(10),
-                Duration::from_millis(60),
-            )
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        // A late reply from either straggler must not leak into the next
-        // call.
-        net.heal();
-        let reply = client.call(NodeId(1), vec![2], TICK).unwrap();
-        assert_eq!(reply, vec![2]);
     }
 
     #[test]

@@ -10,28 +10,26 @@
 #    with no ping, through remote clients and serialized (`reference::Inline`)
 #    ones alike, AND the obs-instrumented build (timing armed) stays within
 #    5% of the disarmed baseline. The speed-up over serialized is reported.
-# 5. Runs the latency_policy bench in quick mode, which fails unless the
-#    EWMA-driven LatencyPolicy reads from the fast members only and beats
-#    RandomPolicy by >= 2x median on a skewed fabric.
+# 5. Runs the latency_policy bench in quick mode on a 5-member R=2/W=4
+#    fabric with two slow members, which fails unless each run's 6 clean
+#    warm-up inserts cost exactly 6 x (R + W) = 36 data requests and no ping,
+#    and the EWMA-driven LatencyPolicy's timed lookups send 0 requests to the
+#    slow members and its read prefix is fast members only. The speed-up over
+#    RandomPolicy is reported, not gated.
 # 6. Runs the scan_bench in quick mode, which fails unless a scan of N=64
 #    entries at R=2 costs 2 rounds, 4 requests, 8 fabric messages, no ping and
 #    zero re-validations; the speed-up over the per-hop reference is reported.
 # 7. Runs the ingest_bench in quick mode, which fails unless a 64-key
 #    insert_many at R=2/W=2 costs 2 rounds, 4 requests, 8 fabric messages, no
 #    ping and zero re-validations; the per-key reference's speed-up is reported.
-# 8. Runs the hedge_bench in quick mode, which fails unless, on a fabric with
-#    one flaky + one slow member, hedged lookups spend at most the 2x
-#    over-provision cap of the unhedged run's member requests and the
-#    unhedged clean-fabric warm-up is exactly R + W requests per insert, no
-#    ping, no hedge. Latencies are reported, not gated.
-# 9. Runs the repair_bench in quick mode, which fails unless the repair
+# 8. Runs the repair_bench in quick mode, which fails unless the repair
 #    driver converges a stale member byte-identically at exactly its pinned
 #    fabric messages and entries pulled on three passes: a sweep of a member
 #    that missed ~5% of the keys (26 messages, 6 entries), the stale-vote
 #    pass over the same divergence (12, 6), and a sweep of a member whose
 #    buckets 0..87 are dirty (16, 76). The 256-bucket full-copy reference
 #    is reported, not gated.
-# 10. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
+# 9. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
 #    (a separate workspace under benchmark/, built against this checkout):
 #    the benchmark drives the stack through a small allow-list of public API
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
@@ -46,10 +44,10 @@
 #    1.3x what the O(n / bulk_chunk)-wave bulk operations measure in smoke
 #    mode, so a per-entry or per-key round cannot come back unnoticed.
 #    Nothing under benchmark/ is edited by this gate.
-# 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
+# 10. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
-# 12. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
-#    gates 4, 6, 7, 8 and 9 pinned and gate 10's traced net.msgs_per_op. Counts
+# 11. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
+#    gates 4 to 8 pinned and gate 9's traced net.msgs_per_op. Counts
 #    repeat, so the history shows a budget moving, not noise. Then prints
 #    the code / comment / test line split of crates/core/src/suite
 #    (scripts/suite_loc.sh), for information.
@@ -112,7 +110,7 @@ gate "suite_latency --quick --check (lookup 1 round, insert 2, delete 3, no ping
 cargo run --release --offline -p repdir-bench --bin suite_latency -- --quick --check
 gate_done
 
-gate "latency_policy --quick --check (EWMA policy must avoid slow members, >= 2x)"
+gate "latency_policy --quick --check (warm-up 36 requests / 0 pings; timed lookups send 0 requests to slow members)"
 cargo run --release --offline -p repdir-bench --bin latency_policy -- --quick --check
 gate_done
 
@@ -122,10 +120,6 @@ gate_done
 
 gate "ingest_bench --quick --check (insert_many of N=64 = 2 rounds, 8 fabric messages)"
 cargo run --release --offline -p repdir-bench --bin ingest_bench -- --quick --check
-gate_done
-
-gate "hedge_bench --quick --check (hedged requests <= 2x unhedged on a flaky fabric; clean warm-up R + W per insert)"
-cargo run --release --offline -p repdir-bench --bin hedge_bench -- --quick --check
 gate_done
 
 gate "repair_bench --quick --check (sparse sweep 26 msgs / 6 entries, vote pass 12 / 6, dense sweep 16 / 76)"
@@ -171,14 +165,19 @@ python3 - "$commit" <<'PY'
 import json, sys
 load = lambda name: json.load(open(f"BENCH_{name}.json"))
 counts = lambda bench, unit: {k: v for k, v in bench.items() if k.endswith("_per_" + unit)}
-hedge = load("hedge")
+latency = load("latency_policy")
 runs = json.load(open("benchmark/out/results.json"))["runs"]
 line = {
     "commit": sys.argv[1],
     "suite_latency": counts(load("quorum_fanout")["configs"][0], "op"),
     "scan": counts(load("scan"), "scan"),
     "ingest": counts(load("ingest"), "ingest"),
-    "hedge": {k: hedge[k] for k in ("warmup_requests", "warmup_pings", "requests_unhedged", "requests_hedged")},
+    "latency_policy": {
+        "warmup_requests": latency["warmup_requests"],
+        "warmup_pings": latency["warmup_pings"],
+        "lookup_requests": sum(latency["lookup_requests"]["latency"]),
+        "slow_member_lookup_requests": latency["slow_member_lookup_requests"],
+    },
     "repair": counts(load("repair"), "pass"),
     "net.msgs_per_op": {r["workload"]: r["metrics"]["net.msgs_per_op"]["value"] for r in runs if r["traced"]},
 }

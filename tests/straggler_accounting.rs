@@ -1,9 +1,9 @@
 //! Straggler accounting.
 //!
-//! A wave that reaches its vote threshold stops listening, but the requests
-//! it leaves behind still finish — with a late reply, or with the failure
-//! their deadline produces — and that outcome must still reach the member's
-//! reply EWMA, `suite.reply_us` and availability window: at the next quorum
+//! A ping wave that reaches its vote threshold stops listening, but the
+//! pings it leaves behind still finish — with a late reply, or with the
+//! failure their deadline produces — and that outcome must still reach the
+//! member's reply EWMA and availability window: at the next quorum
 //! collection, while a later wave waits, or when the suite is dropped.
 //! `LatencyPolicy` and wave sizing rank members by exactly these.
 //! And because slot tags are never reused, a completion that surfaces during
@@ -13,13 +13,11 @@
 use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
 use repdir::core::{Key, RepId, UserKey, Value};
 use repdir::net::{LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir::obs::Registry;
+use repdir::obs::{Avail, Registry};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const HEDGE: Duration = Duration::from_millis(2);
 
 fn key(i: u64) -> Key {
     Key::User(UserKey::from_u64(i))
@@ -35,8 +33,8 @@ struct Fixture {
     _servers: Vec<ServerHandle>,
 }
 
-/// A hedging 3-2-2 suite over the fabric with eight keys loaded; member
-/// RPCs give up after `timeout`.
+/// A 3-2-2 suite over the fabric with eight keys loaded through members 0
+/// and 1; member RPCs give up after `timeout`.
 fn cluster(seed: u64, timeout: Duration) -> Fixture {
     let net = Arc::new(Network::new(seed));
     let servers = (0..3u32)
@@ -63,8 +61,6 @@ fn cluster(seed: u64, timeout: Duration) -> Fixture {
     for i in 0..8 {
         suite.insert(&key(i), &Value::from(vec![i as u8])).unwrap();
     }
-    suite.set_hedge(true);
-    suite.set_hedge_delay(Some(HEDGE));
     Fixture {
         suite,
         net,
@@ -72,9 +68,15 @@ fn cluster(seed: u64, timeout: Duration) -> Fixture {
     }
 }
 
-/// A lookup whose quorum collection prefers member 2: the wave carrying the
-/// lookup is {2, 0}, member 2 straggles, the hedge asks member 1 and the
-/// wave closes on {0, 1} with the request to member 2 still in flight.
+/// Successful outcomes in `avail`'s window.
+fn successes(avail: &Avail) -> u64 {
+    (avail.rate().unwrap_or(0.0) * avail.samples() as f64).round() as u64
+}
+
+/// A lookup whose quorum collection prefers member 2, which has a recorded
+/// miss: the collection pings first, over-provisioned to {2, 0, 1}, stops
+/// at the pongs of {0, 1} with the ping to member 2 still in flight, and
+/// sends the lookup to {0, 1}.
 fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
     suite.set_policy(order(&[2, 0, 1]));
     let out = suite.lookup(&key(3)).unwrap();
@@ -90,28 +92,29 @@ fn late_reply_still_feeds_ewma_and_availability() {
     fx.suite.set_obs_registry(registry.clone());
     let ewma = registry.ewma("suite.member.2.reply_us");
     let avail = registry.avail("suite.member.2.avail");
+    avail.record(false);
     let slow = LatencyModel::fixed(Duration::from_millis(50));
     fx.net.set_node_latency(NodeId(102), slow);
 
     // Harvested at the next quorum collection.
     lookup_leaving_member_2_behind(&mut fx.suite);
-    assert_eq!(avail.samples(), 0, "the reply cannot have landed yet");
+    assert_eq!(avail.samples(), 1, "the pong cannot have landed yet");
+    assert_eq!(ewma.value_us(), None);
     std::thread::sleep(Duration::from_millis(120));
     assert!(fx.suite.lookup(&key(4)).unwrap().present);
-    assert_eq!(avail.samples(), 1);
-    assert_eq!(avail.rate(), Some(1.0));
-    let late = ewma.value_us().expect("the late reply was sampled");
+    assert_eq!((avail.samples(), successes(&avail)), (2, 1));
+    let late = ewma.value_us().expect("the late pong was sampled");
     assert!(late >= 40_000.0, "measured where it landed: {late} us");
-    assert_eq!(fx.suite.message_counts()[2], 1, "member 2 was asked once");
-    assert_eq!(fx.suite.ping_counts(), vec![0, 0, 0]);
+    assert_eq!(fx.suite.ping_counts(), vec![1, 1, 1]);
+    assert_eq!(fx.suite.message_counts()[2], 0, "member 2 was only pinged");
 
     // Harvested when the suite is dropped.
     lookup_leaving_member_2_behind(&mut fx.suite);
     std::thread::sleep(Duration::from_millis(120));
-    assert_eq!(avail.samples(), 1);
+    assert_eq!((avail.samples(), successes(&avail)), (2, 1));
+    assert_eq!(fx.suite.ping_counts()[2], 2);
     drop(fx.suite);
-    assert_eq!(avail.samples(), 2);
-    assert_eq!(avail.rate(), Some(1.0));
+    assert_eq!((avail.samples(), successes(&avail)), (3, 2));
 }
 
 #[test]
@@ -122,15 +125,13 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
     let avail = fx.suite.member_avails()[2].clone();
     ewma.reset();
     avail.reset();
+    avail.record(false);
     // Member 2 goes silent: nothing sent to it is ever answered.
     fx.net.set_node_drop(NodeId(102), 1.0);
 
     lookup_leaving_member_2_behind(&mut fx.suite);
-    assert_eq!(avail.samples(), 0, "the deadline has not passed yet");
-    // The waves below run unhedged: a scheduler stall past the 2 ms hedge
-    // delay would ask the silent member again and score it a second miss.
-    fx.suite.set_hedge(false);
-    // The request's deadline passes while later waves are in flight: its
+    assert_eq!(avail.samples(), 1, "the deadline has not passed yet");
+    // The ping's deadline passes while later waves are in flight: its
     // failure surfaces inside one of them, is accounted to member 2, and is
     // never mistaken for a reply of that wave — every lookup still gets the
     // value of the key it asked for, from the quorum it collected.
@@ -142,15 +143,19 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
         assert_eq!(out.quorum, vec![RepId(0), RepId(1)]);
         i += 1;
     }
-    assert_eq!(avail.samples(), 1, "scored once, at its deadline");
-    assert_eq!(avail.rate(), Some(0.0));
+    assert_eq!(
+        (avail.samples(), successes(&avail)),
+        (2, 0),
+        "scored once, at its deadline"
+    );
     let scored = ewma.value_us().expect("a miss is sampled");
     assert!(
         scored > 100_000.0,
         "the penalty sample, not just the wait, was recorded: {scored} us"
     );
-    // Asked once, by the wave it straggled in. Its window is dirty now, but
-    // the preferred prefix {0, 1} is clean, so later lookups never named it.
-    assert_eq!(fx.suite.message_counts()[2], 1);
-    assert_eq!(fx.suite.ping_counts()[2], 0);
+    // Pinged once, by the wave it straggled in, and never sent data. Its
+    // window is dirty, but the preferred prefix {0, 1} is clean, so later
+    // lookups never named it.
+    assert_eq!(fx.suite.ping_counts()[2], 1);
+    assert_eq!(fx.suite.message_counts()[2], 0);
 }
