@@ -4,8 +4,7 @@
 
 use repdir_core::suite::DirSuite;
 use repdir_core::{
-    BulkWriteOutcome, Key, RepClient, RepId, RepReply, RepRequest, RepResult, SuiteError, UserKey,
-    Value,
+    BulkWriteOutcome, Key, Op, RepClient, RepId, RepResult, Reply, SuiteError, UserKey, Value,
 };
 
 /// A client whose requests complete before `start` returns: it forwards
@@ -20,8 +19,8 @@ impl<C: RepClient> RepClient for Inline<C> {
         self.0.id()
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        self.0.execute(req)
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        self.0.execute(ops)
     }
 }
 

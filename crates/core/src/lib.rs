@@ -83,10 +83,7 @@ pub use gapmap::{
     CoalesceOutcome, GapInfo, GapMap, InsertOutcome, LookupReply, NeighborReply, RemovedEntry,
 };
 pub use key::{Key, UserKey};
-pub use rep::{
-    BatchReply, BatchRequest, Completion, Done, LocalRep, RepClient, RepId, RepReply, RepRequest,
-    RepResult,
-};
+pub use rep::{Completion, Done, LocalRep, Op, RepClient, RepId, RepResult, Reply};
 pub use suite::{BulkWriteOutcome, DirSuite, QuorumSession, SuiteConfig};
 pub use value::Value;
 pub use version::Version;

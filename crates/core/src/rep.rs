@@ -58,106 +58,51 @@ impl fmt::Display for RepId {
 /// Result alias for representative operations.
 pub type RepResult<T> = Result<T, RepError>;
 
-/// One sub-request inside a batched scatter envelope
-/// ([`RepRequest::Batch`]). Only the operations the suite packs together on
-/// its bulk-walk hot paths are representable: a point lookup, the §4
-/// neighbor chains, the versioned insert that bulk ingest scatters, and the
-/// coalesce that closes a delete's copy envelope.
+/// One operation of the representative RPC surface (paper Fig. 6), as
+/// owned data. A request to a member is an ordered list of these — what
+/// [`RepClient::execute`] runs and [`RepClient::start`] puts in flight —
+/// answered by one [`Reply`] per operation, in order. The empty list is the
+/// ping, and a list cannot nest: there is no envelope variant.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchRequest {
-    /// `DirRepLookup(x)`.
-    Lookup(Key),
-    /// Up to `limit` successive `DirRepPredecessor` results from the key.
-    PredecessorChain(Key, usize),
-    /// Up to `limit` successive `DirRepSuccessor` results from the key.
-    SuccessorChain(Key, usize),
-    /// `DirRepInsert(x, v, z)` — the write half of bulk ingest. Carries the
-    /// explicit version the suite assigned, so replaying the same envelope
-    /// after a session re-validation overwrites idempotently.
-    Insert(Key, Version, Value),
-    /// `DirRepCoalesce(l, h, v)` — rides behind the neighbour copies of a
-    /// delete, so a member lacking a neighbour costs no extra round.
-    Coalesce(Key, Key, Version),
-}
-
-impl BatchRequest {
-    /// The sub-request as a stand-alone request.
-    pub fn as_request(&self) -> RepRequest<'_> {
-        match self {
-            BatchRequest::Lookup(key) => RepRequest::Lookup(key),
-            BatchRequest::PredecessorChain(key, limit) => RepRequest::PredecessorChain(key, *limit),
-            BatchRequest::SuccessorChain(key, limit) => RepRequest::SuccessorChain(key, *limit),
-            BatchRequest::Insert(key, version, value) => RepRequest::Insert(key, *version, value),
-            BatchRequest::Coalesce(low, high, version) => RepRequest::Coalesce(low, high, *version),
-        }
-    }
-}
-
-/// The reply to one [`BatchRequest`], in request order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BatchReply {
-    /// Reply to [`BatchRequest::Lookup`].
-    Lookup(LookupReply),
-    /// Reply to either chain request.
-    Chain(Vec<NeighborReply>),
-    /// Reply to [`BatchRequest::Insert`].
-    Insert(InsertOutcome),
-    /// Reply to [`BatchRequest::Coalesce`].
-    Coalesce(CoalesceOutcome),
-}
-
-/// One request of the representative RPC surface (paper Fig. 6), as data:
-/// what [`RepClient::execute`] runs and [`RepClient::start`] puts in flight.
-/// Borrowed and `Copy`, so one request is handed to every member of a wave
-/// without cloning keys or values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepRequest<'a> {
-    /// Cheap reachability probe used during quorum collection.
-    Ping,
+pub enum Op {
     /// `DirRepLookup(x)` — entry version and value, or containing-gap
     /// version. Sets a `RepLookup(x, x)` lock in transactional
     /// implementations.
-    Lookup(&'a Key),
+    Lookup(Key),
     /// Up to `limit` *successive* `DirRepPredecessor` results in one
-    /// message — the §4 batching optimization ("three successive
+    /// operation — the §4 batching optimization ("three successive
     /// DirRepPredecessor … in a single message"). Each element sets
     /// `RepLookup(y, x)` where `y` is the key returned.
-    PredecessorChain(&'a Key, usize),
+    PredecessorChain(Key, usize),
     /// Up to `limit` successive `DirRepSuccessor` results (mirror image).
-    SuccessorChain(&'a Key, usize),
-    /// `DirRepInsert(x, v, z)` — create or overwrite the entry. Sets
-    /// `RepModify(x, x)`.
-    Insert(&'a Key, Version, &'a Value),
+    SuccessorChain(Key, usize),
+    /// `DirRepInsert(x, v, z)` — create or overwrite the entry at the
+    /// explicit version the suite assigned, so a replay after a session
+    /// re-validation overwrites idempotently. Sets `RepModify(x, x)`.
+    Insert(Key, Version, Value),
     /// `DirRepCoalesce(l, h, v)` — delete entries strictly inside `(l, h)`
     /// and give the resulting gap version `v`. Sets `RepModify(l, h)`.
-    Coalesce(&'a Key, &'a Key, Version),
-    /// Several sub-requests as one envelope, answered in request order. The
-    /// first failing sub-request fails the whole envelope: callers treat an
-    /// envelope like any other member RPC.
-    Batch(&'a [BatchRequest]),
+    Coalesce(Key, Key, Version),
 }
 
-/// The reply to a [`RepRequest`]; the variant mirrors the request's.
+/// The reply to one [`Op`]; the variant mirrors the operation's, both
+/// chains answering with [`Reply::Chain`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RepReply {
-    /// Reply to [`RepRequest::Ping`].
-    Pong,
-    /// Reply to [`RepRequest::Lookup`].
+pub enum Reply {
+    /// Reply to [`Op::Lookup`].
     Lookup(LookupReply),
-    /// Reply to either chain request.
+    /// Reply to either chain.
     Chain(Vec<NeighborReply>),
-    /// Reply to [`RepRequest::Insert`].
+    /// Reply to [`Op::Insert`].
     Insert(InsertOutcome),
-    /// Reply to [`RepRequest::Coalesce`].
+    /// Reply to [`Op::Coalesce`].
     Coalesce(CoalesceOutcome),
-    /// Reply to [`RepRequest::Batch`].
-    Batch(Vec<BatchReply>),
 }
 
 /// Typed accessors: each unwraps its variant and reports any other as a
 /// protocol violation ([`RepError::Storage`]), so a representative that
 /// answers the wrong question is an error at the caller, never a panic.
-impl RepReply {
+impl Reply {
     fn unexpected<T>(self) -> RepResult<T> {
         Err(RepError::Storage(format!(
             "protocol violation: unexpected reply {self:?}"
@@ -167,7 +112,7 @@ impl RepReply {
     /// The lookup reply.
     pub fn lookup(self) -> RepResult<LookupReply> {
         match self {
-            RepReply::Lookup(reply) => Ok(reply),
+            Reply::Lookup(reply) => Ok(reply),
             other => other.unexpected(),
         }
     }
@@ -175,7 +120,7 @@ impl RepReply {
     /// The neighbor chain.
     pub fn chain(self) -> RepResult<Vec<NeighborReply>> {
         match self {
-            RepReply::Chain(chain) => Ok(chain),
+            Reply::Chain(chain) => Ok(chain),
             other => other.unexpected(),
         }
     }
@@ -183,7 +128,7 @@ impl RepReply {
     /// The insert outcome.
     pub fn insert(self) -> RepResult<InsertOutcome> {
         match self {
-            RepReply::Insert(outcome) => Ok(outcome),
+            Reply::Insert(outcome) => Ok(outcome),
             other => other.unexpected(),
         }
     }
@@ -191,29 +136,18 @@ impl RepReply {
     /// The coalesce outcome.
     pub fn coalesce(self) -> RepResult<CoalesceOutcome> {
         match self {
-            RepReply::Coalesce(outcome) => Ok(outcome),
+            Reply::Coalesce(outcome) => Ok(outcome),
             other => other.unexpected(),
         }
     }
+}
 
-    /// The envelope's replies, in request order.
-    pub fn batch(self) -> RepResult<Vec<BatchReply>> {
-        match self {
-            RepReply::Batch(parts) => Ok(parts),
-            other => other.unexpected(),
-        }
-    }
-
-    /// This reply as one part of an envelope's answer.
-    pub fn into_part(self) -> RepResult<BatchReply> {
-        match self {
-            RepReply::Lookup(reply) => Ok(BatchReply::Lookup(reply)),
-            RepReply::Chain(chain) => Ok(BatchReply::Chain(chain)),
-            RepReply::Insert(outcome) => Ok(BatchReply::Insert(outcome)),
-            RepReply::Coalesce(outcome) => Ok(BatchReply::Coalesce(outcome)),
-            other => other.unexpected(),
-        }
-    }
+/// The one reply to a request of one operation.
+pub(crate) fn sole(replies: Vec<Reply>) -> RepResult<Reply> {
+    let [reply] = <[Reply; 1]>::try_from(replies).map_err(|_| {
+        RepError::Storage("protocol violation: not one reply to one operation".into())
+    })?;
+    Ok(reply)
 }
 
 /// One settled request, as a wave's completion queue receives it.
@@ -221,8 +155,9 @@ impl RepReply {
 pub struct Done {
     /// The tag the request was started under.
     pub slot: u64,
-    /// The reply, or why there is none.
-    pub result: RepResult<RepReply>,
+    /// The replies, one per operation in request order, or why there are
+    /// none.
+    pub result: RepResult<Vec<Reply>>,
     /// Time from start to completion, measured where the reply landed (so a
     /// completion harvested late still reports the member's real latency).
     /// `None` when the wave runs untimed.
@@ -254,11 +189,11 @@ impl Completion {
     }
 
     /// Settles the request.
-    pub fn complete(mut self, result: RepResult<RepReply>) {
+    pub fn complete(mut self, result: RepResult<Vec<Reply>>) {
         self.settle(result);
     }
 
-    fn settle(&mut self, result: RepResult<RepReply>) {
+    fn settle(&mut self, result: RepResult<Vec<Reply>>) {
         if let Some(queue) = self.queue.take() {
             // A wave that stopped listening (suite dropped) is not an error.
             let _ = queue.send(Done {
@@ -279,8 +214,14 @@ impl Drop for Completion {
 /// The remote-procedure-call surface of a directory representative
 /// (paper Fig. 6).
 ///
+/// A request is an ordered list of [`Op`]s, answered by one [`Reply`] per
+/// operation in request order, or by the first failing operation's error.
+/// The empty list is the ping: it reaches the member, runs nothing, and is
+/// answered with an empty list. Several operations in one list are §4's
+/// "several successive calls in one message".
+///
 /// An implementation provides [`execute`](RepClient::execute) — run one
-/// [`RepRequest`] and block for its reply — and everything else follows: the
+/// list and block for its replies — and everything else follows: the
 /// per-operation methods are typed sugar over it, and
 /// [`start`](RepClient::start), the entry point the suite's wave executor
 /// uses, defaults to executing inline. In-process representatives keep that
@@ -298,13 +239,13 @@ pub trait RepClient: Send + Sync {
     /// This representative's identity within the suite.
     fn id(&self) -> RepId;
 
-    /// Runs one request and blocks for its reply.
+    /// Runs one request and blocks for its replies, in request order.
     ///
     /// # Errors
     ///
     /// [`RepError::Unavailable`] if the representative cannot currently
-    /// serve requests, plus the operation's own errors.
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply>;
+    /// serve requests, plus the first failing operation's own error.
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>>;
 
     /// Starts one request and returns without waiting for the reply; `done`
     /// is completed exactly once, on whichever thread the reply lands. The
@@ -312,43 +253,27 @@ pub trait RepClient: Send + Sync {
     /// returns. A panic in an inline `execute` propagates to the caller — it
     /// is a bug in this process, not a member failure — and the dropped
     /// `done` additionally scores the request as unavailable.
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        done.complete(self.execute(req));
+    fn start(&self, ops: &[Op], done: Completion) {
+        done.complete(self.execute(ops));
     }
 
-    /// Executes an envelope's sub-requests one after another through
-    /// [`execute`](RepClient::execute) — what [`RepRequest::Batch`] means
-    /// for an in-process representative. Networked implementations instead
-    /// pack the envelope into a single RPC frame.
-    ///
-    /// # Errors
-    ///
-    /// The first failing sub-request's error.
-    fn execute_parts(&self, parts: &[BatchRequest]) -> RepResult<RepReply> {
-        parts
-            .iter()
-            .map(|part| self.execute(part.as_request())?.into_part())
-            .collect::<RepResult<_>>()
-            .map(RepReply::Batch)
-    }
-
-    /// [`RepRequest::Ping`].
+    /// The empty request.
     ///
     /// # Errors
     ///
     /// [`RepError::Unavailable`] if the representative cannot currently
     /// serve requests.
     fn ping(&self) -> RepResult<()> {
-        self.execute(RepRequest::Ping).map(drop)
+        self.execute(&[]).map(drop)
     }
 
-    /// [`RepRequest::Lookup`].
+    /// [`Op::Lookup`].
     ///
     /// # Errors
     ///
     /// As [`execute`](RepClient::execute).
     fn lookup(&self, key: &Key) -> RepResult<LookupReply> {
-        self.execute(RepRequest::Lookup(key))?.lookup()
+        sole(self.execute(&[Op::Lookup(key.clone())])?)?.lookup()
     }
 
     /// `DirRepPredecessor(x)` — greatest entry below `x` plus the
@@ -371,53 +296,40 @@ pub trait RepClient: Send + Sync {
         first_of(self.successor_chain(key, 1)?)
     }
 
-    /// [`RepRequest::PredecessorChain`].
+    /// [`Op::PredecessorChain`].
     ///
     /// # Errors
     ///
     /// As [`execute`](RepClient::execute).
     fn predecessor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        self.execute(RepRequest::PredecessorChain(key, limit))?
-            .chain()
+        sole(self.execute(&[Op::PredecessorChain(key.clone(), limit)])?)?.chain()
     }
 
-    /// [`RepRequest::SuccessorChain`].
+    /// [`Op::SuccessorChain`].
     ///
     /// # Errors
     ///
     /// As [`execute`](RepClient::execute).
     fn successor_chain(&self, key: &Key, limit: usize) -> RepResult<Vec<NeighborReply>> {
-        self.execute(RepRequest::SuccessorChain(key, limit))?
-            .chain()
+        sole(self.execute(&[Op::SuccessorChain(key.clone(), limit)])?)?.chain()
     }
 
-    /// [`RepRequest::Insert`].
+    /// [`Op::Insert`].
     ///
     /// # Errors
     ///
     /// As [`execute`](RepClient::execute).
     fn insert(&self, key: &Key, version: Version, value: &Value) -> RepResult<InsertOutcome> {
-        self.execute(RepRequest::Insert(key, version, value))?
-            .insert()
+        sole(self.execute(&[Op::Insert(key.clone(), version, value.clone())])?)?.insert()
     }
 
-    /// [`RepRequest::Coalesce`].
+    /// [`Op::Coalesce`].
     ///
     /// # Errors
     ///
     /// As [`execute`](RepClient::execute).
     fn coalesce(&self, low: &Key, high: &Key, version: Version) -> RepResult<CoalesceOutcome> {
-        self.execute(RepRequest::Coalesce(low, high, version))?
-            .coalesce()
-    }
-
-    /// [`RepRequest::Batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`execute`](RepClient::execute).
-    fn batch(&self, reqs: &[BatchRequest]) -> RepResult<Vec<BatchReply>> {
-        self.execute(RepRequest::Batch(reqs))?.batch()
+        sole(self.execute(&[Op::Coalesce(low.clone(), high.clone(), version)])?)?.coalesce()
     }
 }
 
@@ -433,11 +345,11 @@ impl<T: RepClient + ?Sized> RepClient for &T {
     fn id(&self) -> RepId {
         (**self).id()
     }
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        (**self).execute(req)
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        (**self).execute(ops)
     }
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        (**self).start(req, done)
+    fn start(&self, ops: &[Op], done: Completion) {
+        (**self).start(ops, done)
     }
 }
 
@@ -445,11 +357,11 @@ impl<T: RepClient + ?Sized> RepClient for Arc<T> {
     fn id(&self) -> RepId {
         (**self).id()
     }
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        (**self).execute(req)
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        (**self).execute(ops)
     }
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        (**self).start(req, done)
+    fn start(&self, ops: &[Op], done: Completion) {
+        (**self).start(ops, done)
     }
 }
 
@@ -556,6 +468,40 @@ impl LocalRep {
             Err(RepError::Unavailable)
         }
     }
+
+    fn apply(&self, op: &Op) -> RepResult<Reply> {
+        match op {
+            Op::Insert(key, version, value) => {
+                let mut g = self.write();
+                Self::check_up(&g)?;
+                Ok(Reply::Insert(g.state.insert(
+                    key,
+                    *version,
+                    value.clone(),
+                )?))
+            }
+            Op::Coalesce(low, high, version) => {
+                let mut g = self.write();
+                Self::check_up(&g)?;
+                Ok(Reply::Coalesce(g.state.coalesce(low, high, *version)?))
+            }
+            Op::Lookup(key) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(Reply::Lookup(g.state.lookup(key)))
+            }
+            Op::PredecessorChain(key, limit) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(Reply::Chain(g.state.predecessor_chain(key, *limit)?))
+            }
+            Op::SuccessorChain(key, limit) => {
+                let g = self.read();
+                Self::check_up(&g)?;
+                Ok(Reply::Chain(g.state.successor_chain(key, *limit)?))
+            }
+        }
+    }
 }
 
 impl RepClient for LocalRep {
@@ -563,39 +509,13 @@ impl RepClient for LocalRep {
         self.id
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        match req {
-            RepRequest::Insert(key, version, value) => {
-                let mut g = self.write();
-                Self::check_up(&g)?;
-                let outcome = g.state.insert(key, version, value.clone())?;
-                Ok(RepReply::Insert(outcome))
-            }
-            RepRequest::Coalesce(low, high, version) => {
-                let mut g = self.write();
-                Self::check_up(&g)?;
-                Ok(RepReply::Coalesce(g.state.coalesce(low, high, version)?))
-            }
-            // Each sub-request takes the lock on its own, as separate
-            // messages would.
-            RepRequest::Batch(parts) => self.execute_parts(parts),
-            RepRequest::Ping => Self::check_up(&self.read()).map(|()| RepReply::Pong),
-            RepRequest::Lookup(key) => {
-                let g = self.read();
-                Self::check_up(&g)?;
-                Ok(RepReply::Lookup(g.state.lookup(key)))
-            }
-            RepRequest::PredecessorChain(key, limit) => {
-                let g = self.read();
-                Self::check_up(&g)?;
-                Ok(RepReply::Chain(g.state.predecessor_chain(key, limit)?))
-            }
-            RepRequest::SuccessorChain(key, limit) => {
-                let g = self.read();
-                Self::check_up(&g)?;
-                Ok(RepReply::Chain(g.state.successor_chain(key, limit)?))
-            }
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        if ops.is_empty() {
+            return Self::check_up(&self.read()).map(|()| Vec::new());
         }
+        // Each operation takes the lock on its own, as separate messages
+        // would.
+        ops.iter().map(|op| self.apply(op)).collect()
     }
 }
 
@@ -696,49 +616,56 @@ mod tests {
         rep.insert(&k("c"), Version::new(2), &Value::from("C"))
             .unwrap();
         let replies = rep
-            .batch(&[
-                BatchRequest::Lookup(k("a")),
-                BatchRequest::SuccessorChain(Key::Low, 3),
-                BatchRequest::PredecessorChain(Key::High, 2),
-                BatchRequest::Lookup(k("b")),
+            .execute(&[
+                Op::Lookup(k("a")),
+                Op::SuccessorChain(Key::Low, 3),
+                Op::PredecessorChain(Key::High, 2),
+                Op::Lookup(k("b")),
             ])
             .unwrap();
         assert_eq!(replies.len(), 4);
-        assert_eq!(replies[0], BatchReply::Lookup(rep.lookup(&k("a")).unwrap()));
+        assert_eq!(replies[0], Reply::Lookup(rep.lookup(&k("a")).unwrap()));
         assert_eq!(
             replies[1],
-            BatchReply::Chain(rep.successor_chain(&Key::Low, 3).unwrap())
+            Reply::Chain(rep.successor_chain(&Key::Low, 3).unwrap())
         );
         assert_eq!(
             replies[2],
-            BatchReply::Chain(rep.predecessor_chain(&Key::High, 2).unwrap())
+            Reply::Chain(rep.predecessor_chain(&Key::High, 2).unwrap())
         );
-        assert_eq!(replies[3], BatchReply::Lookup(rep.lookup(&k("b")).unwrap()));
-        // Write sub-requests apply through the same dispatch.
+        assert_eq!(replies[3], Reply::Lookup(rep.lookup(&k("b")).unwrap()));
+        // Writes apply through the same dispatch.
         let replies = rep
-            .batch(&[BatchRequest::Insert(
-                k("b"),
-                Version::new(3),
-                Value::from("B"),
-            )])
+            .execute(&[Op::Insert(k("b"), Version::new(3), Value::from("B"))])
             .unwrap();
         assert_eq!(
             replies,
-            vec![BatchReply::Insert(InsertOutcome::Created {
+            vec![Reply::Insert(InsertOutcome::Created {
                 split_gap_version: Version::ZERO,
             })]
         );
         let b = rep.lookup(&k("b")).unwrap();
         assert!(b.is_present());
         assert_eq!(b.version(), Version::new(3));
-        // An empty envelope is a no-op.
-        assert_eq!(rep.batch(&[]).unwrap(), vec![]);
-        // The first failing sub-request fails the envelope.
+        // The empty list is the ping: it runs nothing.
+        assert_eq!(rep.execute(&[]).unwrap(), vec![]);
+        // The first failing operation fails the request; an unavailable
+        // member fails the ping too.
+        rep.execute(&[Op::Lookup(k("a")), Op::Lookup(Key::High)])
+            .unwrap();
+        assert_eq!(
+            rep.execute(&[Op::Lookup(k("a")), Op::SuccessorChain(Key::High, 1)]),
+            Err(RepError::SentinelViolation {
+                key: Key::High,
+                op: "successor",
+            })
+        );
         rep.set_available(false);
         assert_eq!(
-            rep.batch(&[BatchRequest::Lookup(k("a"))]),
+            rep.execute(&[Op::Lookup(k("a"))]),
             Err(RepError::Unavailable)
         );
+        assert_eq!(rep.execute(&[]), Err(RepError::Unavailable));
     }
 
     #[test]

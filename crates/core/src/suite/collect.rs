@@ -6,11 +6,10 @@
 //! carries the caller's request when every member of it has a clean record
 //! and pings first otherwise.
 
-use super::wave::Traffic;
-use super::{protocol_violation, DirSuite};
+use super::DirSuite;
 use crate::error::{QuorumKind, RepError, SuiteError};
 use crate::key::Key;
-use crate::rep::{RepClient, RepReply, RepRequest};
+use crate::rep::{Op, RepClient, Reply};
 
 /// Ceiling on wave over-provisioning: a wave may provision at most
 /// `ceil(deficit * MAX_OVERPROVISION)` votes.
@@ -38,16 +37,16 @@ pub struct QuorumSession {
 }
 
 /// What a quorum collection gathered: the members, in preference order,
-/// and each one's reply to the carried request (`Pong` when it was pinged;
-/// none when a held session answered from cache).
+/// and each one's replies to the carried request (empty when it was pinged;
+/// none when a held session answered a ping from cache).
 pub(super) struct Quorum {
     pub(super) members: Vec<usize>,
-    pub(super) replies: Vec<RepReply>,
+    pub(super) replies: Vec<Vec<Reply>>,
 }
 
 impl Quorum {
     /// Arranges arrival-ordered replies by their member's place in `order`.
-    fn arrange(mut gathered: Vec<(usize, RepReply)>, order: &[usize]) -> Self {
+    fn arrange(mut gathered: Vec<(usize, Vec<Reply>)>, order: &[usize]) -> Self {
         gathered.sort_by_key(|&(i, _)| order.iter().position(|&o| o == i));
         let (members, replies) = gathered.into_iter().unzip();
         Quorum { members, replies }
@@ -157,8 +156,8 @@ impl<C: RepClient> DirSuite<C> {
     /// `carry` is the request the caller would send the quorum next. Given
     /// one, collecting *is* sending it — the members that answer it are the
     /// quorum (§3.1) — so neither a point operation nor a bulk one pays a
-    /// ping round. Without one (a public neighbour search, a session
-    /// re-validation) candidates are pinged. Requests go out in *waves*
+    /// ping round. An empty `carry` (a public neighbour search, a session
+    /// re-validation) is the ping itself. Requests go out in *waves*
     /// ([`collect_votes`](Self::collect_votes)); within a wave the first
     /// votes to *arrive* win, and the quorum is then arranged back into
     /// preference order so downstream waves address members
@@ -167,25 +166,19 @@ impl<C: RepClient> DirSuite<C> {
         &mut self,
         kind: QuorumKind,
         hint: Option<&Key>,
-        carry: Option<RepRequest<'_>>,
+        carry: &[Op],
     ) -> Result<Quorum, SuiteError> {
-        // A client answers an empty envelope without a message, so it would
-        // "collect" members nobody contacted.
-        if matches!(carry, Some(RepRequest::Batch([]))) {
-            debug_assert!(false, "an empty envelope cannot stand for a vote");
-            return Err(protocol_violation("empty envelope carried by a collection"));
-        }
         // Session fast path: a bulk operation already collected this quorum
         // and no member has failed since — answer from cache, no pings.
         if let Some(session) = self.session(kind) {
             let members = session.members.clone();
             self.obs.session_reuse.inc();
             return match carry {
-                Some(req) => self.ask_session(kind, members, req),
-                None => Ok(Quorum {
+                [] => Ok(Quorum {
                     members,
                     replies: Vec::new(),
                 }),
+                ops => self.ask_session(kind, members, ops),
             };
         }
         // Late replies of earlier waves inform the policy's ranking.
@@ -197,7 +190,7 @@ impl<C: RepClient> DirSuite<C> {
         Ok(quorum)
     }
 
-    /// Sends `req` to exactly the members of a held session. A member that
+    /// Sends `ops` to exactly the members of a held session. A member that
     /// fails is not replaced: the session is stale, so
     /// [`RepError::Unavailable`] surfaces for
     /// [`with_session_retries`](Self::with_session_retries) to re-validate.
@@ -205,10 +198,10 @@ impl<C: RepClient> DirSuite<C> {
         &mut self,
         kind: QuorumKind,
         members: Vec<usize>,
-        req: RepRequest<'_>,
+        ops: &[Op],
     ) -> Result<Quorum, SuiteError> {
         let needed = self.threshold(kind);
-        let wave = self.vote_wave(req, Traffic::Data, &members, needed);
+        let wave = self.vote_wave(ops, &members, needed);
         match wave.refused {
             Some(e) => Err(SuiteError::Rep(e)),
             None if wave.votes < needed => Err(SuiteError::Rep(RepError::Unavailable)),
@@ -231,7 +224,7 @@ impl<C: RepClient> DirSuite<C> {
         };
         let n = self.members.len();
         order.extend(self.policy.candidates(kind, n, None));
-        let chosen = self.collect_quorum_ordered(kind, order, None)?.members;
+        let chosen = self.collect_quorum_ordered(kind, order, &[])?.members;
         self.store_session(kind, chosen.clone(), epoch);
         Ok(chosen)
     }
@@ -240,7 +233,7 @@ impl<C: RepClient> DirSuite<C> {
         &mut self,
         kind: QuorumKind,
         mut order: Vec<usize>,
-        carry: Option<RepRequest<'_>>,
+        carry: &[Op],
     ) -> Result<Quorum, SuiteError> {
         let n = self.members.len();
         let _collect_span = self.obs.registry.span(match kind {
@@ -283,8 +276,8 @@ impl<C: RepClient> DirSuite<C> {
         &mut self,
         kind: QuorumKind,
         order: &[usize],
-        carry: Option<RepRequest<'_>>,
-    ) -> Result<Vec<(usize, RepReply)>, SuiteError> {
+        carry: &[Op],
+    ) -> Result<Vec<(usize, Vec<Reply>)>, SuiteError> {
         let needed = self.threshold(kind);
         let voting: Vec<usize> = order
             .iter()
@@ -314,7 +307,7 @@ impl<C: RepClient> DirSuite<C> {
             }
             // Every window in the prefix is clean: it is expected to answer
             // in full, and the extension below cannot fire.
-            let carried = carry.filter(|_| expected >= f64::from(provisioned));
+            let carried = !carry.is_empty() && expected >= f64::from(provisioned);
             let cap = provisioned.max((f64::from(deficit) * MAX_OVERPROVISION).ceil() as u32);
             while cursor < voting.len() && expected < f64::from(deficit) && provisioned < cap {
                 provisioned += yields[cursor].0;
@@ -329,17 +322,14 @@ impl<C: RepClient> DirSuite<C> {
                 });
             }
             self.obs.waves.inc();
-            let (req, traffic) = match carried {
-                Some(req) => (req, Traffic::Data),
-                None => (RepRequest::Ping, Traffic::Ping),
-            };
-            let mut wave = self.vote_wave(req, traffic, &voting[first..cursor], deficit);
+            let asked = if carried { carry } else { &[] };
+            let mut wave = self.vote_wave(asked, &voting[first..cursor], deficit);
             // A preferred candidate that was asked and failed to vote: for
             // a sticky policy, a remembered member that stopped responding.
             self.obs.sticky_miss.add(wave.misses);
-            if let (Some(req), None) = (carry, carried) {
+            if !carried && !carry.is_empty() {
                 let ponged: Vec<usize> = wave.replies.iter().map(|&(i, _)| i).collect();
-                wave = self.vote_wave(req, Traffic::Data, &ponged, deficit);
+                wave = self.vote_wave(carry, &ponged, deficit);
                 self.obs.sticky_miss.add(wave.misses);
             }
             if let Some(e) = wave.refused {
@@ -429,9 +419,9 @@ mod tests {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-            let reply = self.inner.execute(req);
-            if req == RepRequest::Ping
+        fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+            let reply = self.inner.execute(ops);
+            if ops.is_empty()
                 && reply.is_ok()
                 && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst)
             {
@@ -469,7 +459,7 @@ mod tests {
         s.insert(&k("a"), &val("A")).unwrap();
         let err = s
             .with_session_scope(|s| {
-                s.collect_quorum(QuorumKind::Read, None, None)?;
+                s.collect_quorum(QuorumKind::Read, None, &[])?;
                 s.member(0).set_available(false);
                 s.member(1).set_available(false);
                 s.revalidate_session(QuorumKind::Read).map(|_| ())
@@ -494,7 +484,7 @@ mod tests {
         s.insert(&k("a"), &val("A")).unwrap();
         let reval = s.obs().counter("suite.session.revalidate");
         s.with_session_scope(|s| -> Result<(), SuiteError> {
-            s.collect_quorum(QuorumKind::Read, None, None)?;
+            s.collect_quorum(QuorumKind::Read, None, &[])?;
             assert_eq!(s.session(QuorumKind::Read).unwrap().epoch, 0);
             assert_eq!(reval.get(), 0, "fresh collection is not a re-validation");
             for expected in 1..=3u64 {
@@ -522,7 +512,7 @@ mod tests {
         let run = |order: &[usize]| {
             let mut s = suite_322(33);
             let chosen = s
-                .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), None)
+                .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), &[])
                 .unwrap()
                 .members;
             (chosen, s.ping_counts())
@@ -543,7 +533,7 @@ mod tests {
             let clients: Vec<LocalRep> = (0..4).map(|i| LocalRep::new(RepId(i))).collect();
             let mut s = DirSuite::new(clients, cfg.clone(), fixed(&[0, 1, 2, 3])).unwrap();
             let chosen = s
-                .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), None)
+                .collect_quorum_ordered(QuorumKind::Read, order.to_vec(), &[])
                 .unwrap()
                 .members;
             (chosen, s.ping_counts())
@@ -650,14 +640,6 @@ mod tests {
         assert_eq!(s.ping_counts(), pings, "still pinging first");
     }
 
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "an empty envelope cannot stand for a vote")]
-    fn empty_envelope_is_never_carried_by_a_collection() {
-        let mut s = suite_322(65);
-        let _ = s.collect_quorum(QuorumKind::Read, None, Some(RepRequest::Batch(&[])));
-    }
-
     /// Forwards to a [`LocalRep`] but panics on the first data RPC after
     /// being armed — the fault-injection client for the session-scope
     /// unwind-safety regression test.
@@ -676,17 +658,12 @@ mod tests {
         fn id(&self) -> RepId {
             self.inner.id()
         }
-        fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-            match req {
-                RepRequest::Batch(parts) => return self.execute_parts(parts),
-                RepRequest::Lookup(_)
-                    if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) =>
-                {
-                    panic!("injected fault: representative panicked mid-lookup")
-                }
-                _ => {}
+        fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+            let lookup = ops.iter().any(|op| matches!(op, Op::Lookup(_)));
+            if lookup && self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("injected fault: representative panicked mid-lookup")
             }
-            self.inner.execute(req)
+            self.inner.execute(ops)
         }
     }
 

@@ -6,7 +6,7 @@ use super::{protocol_violation, BulkWriteOutcome, DeleteOutcome, DirSuite};
 use crate::error::{QuorumKind, SuiteError};
 use crate::gapmap::{CoalesceOutcome, LookupReply};
 use crate::key::Key;
-use crate::rep::{BatchReply, BatchRequest, RepClient, RepId, RepReply, RepRequest};
+use crate::rep::{Op, RepClient, RepId, Reply};
 use crate::value::Value;
 use crate::version::Version;
 
@@ -118,31 +118,23 @@ impl<C: RepClient> DirSuite<C> {
         plans: &mut [Option<DeletePlan>],
     ) -> Result<(), SuiteError> {
         let batch = self.neighbor_batch;
-        let wave_a: Vec<BatchRequest> = (0..keys.len())
+        let wave_a: Vec<Op> = (0..keys.len())
             .filter(|&i| plans[i].is_none())
             .flat_map(|i| {
                 let key = || keys[i].clone();
                 [
-                    BatchRequest::Lookup(key()),
-                    BatchRequest::SuccessorChain(key(), batch),
-                    BatchRequest::PredecessorChain(key(), batch),
+                    Op::Lookup(key()),
+                    Op::SuccessorChain(key(), batch),
+                    Op::PredecessorChain(key(), batch),
                 ]
             })
             .collect();
-        let Some(BatchRequest::Lookup(first)) = wave_a.first() else {
+        let Some(Op::Lookup(first)) = wave_a.first() else {
             return Ok(());
         };
-        let carried = Some(RepRequest::Batch(&wave_a));
-        let read = self.collect_quorum(QuorumKind::Read, Some(first), carried)?;
+        let read = self.collect_quorum(QuorumKind::Read, Some(first), &wave_a)?;
         let readers = read.members;
-        let mut replies = Vec::with_capacity(readers.len());
-        for reply in read.replies {
-            let parts = reply.batch()?;
-            if parts.len() != wave_a.len() {
-                return Err(protocol_violation("delete envelope arity"));
-            }
-            replies.push(parts.into_iter());
-        }
+        let mut replies: Vec<_> = read.replies.into_iter().map(Vec::into_iter).collect();
         for (key, plan) in keys.iter().zip(plans.iter_mut()) {
             if plan.is_some() {
                 continue;
@@ -153,15 +145,15 @@ impl<C: RepClient> DirSuite<C> {
             for (slot, parts) in replies.iter_mut().enumerate() {
                 match (parts.next(), parts.next(), parts.next()) {
                     (
-                        Some(BatchReply::Lookup(vote)),
-                        Some(BatchReply::Chain(after)),
-                        Some(BatchReply::Chain(before)),
+                        Some(Reply::Lookup(vote)),
+                        Some(Reply::Chain(after)),
+                        Some(Reply::Chain(before)),
                     ) => {
                         votes.push((readers[slot], vote));
                         succ.integrate(slot, after);
                         pred.integrate(slot, before);
                     }
-                    _ => return Err(protocol_violation("delete envelope reply")),
+                    _ => return Err(protocol_violation("wave A reply")),
                 }
             }
             let target = self.merge_votes(key, votes);
@@ -185,9 +177,8 @@ impl<C: RepClient> DirSuite<C> {
     /// pairwise disjoint. **B** — the write-quorum collection carries, per
     /// key, a lookup of each real neighbour: who lacks it and, from a holder
     /// of its current version, the value to copy. **C** — every write-quorum
-    /// member gets one envelope: per key the copies it lacks (a neighbour
-    /// two keys share is copied once), then the coalesce — bare for a single
-    /// key at a member that lacks nothing.
+    /// member gets one request: per key the copies it lacks (a neighbour
+    /// two keys share is copied once), then the coalesce.
     ///
     /// Every coalesce reply is handed to `coalesced` with the member that
     /// sent it, writer by writer in group order. Returned are the write
@@ -200,7 +191,7 @@ impl<C: RepClient> DirSuite<C> {
     ) -> Result<(Vec<usize>, Vec<bool>), SuiteError> {
         // "Make sure the predecessor and successor exist in every member of
         // the quorum." Sentinels are probed too (present everywhere, never
-        // copied): an empty envelope would contact nobody.
+        // copied), so every key's probes have a fixed place in the list.
         let neighbor = |n: usize| {
             let plan = &group[n / 2].1;
             let (key, version) = [&plan.succ, &plan.pred][n % 2]
@@ -210,25 +201,17 @@ impl<C: RepClient> DirSuite<C> {
             (key, *version)
         };
         let probed = 2 * group.len();
-        let wave_b: Vec<BatchRequest> = (0..probed)
-            .map(|n| BatchRequest::Lookup(neighbor(n).0.clone()))
+        let wave_b: Vec<Op> = (0..probed)
+            .map(|n| Op::Lookup(neighbor(n).0.clone()))
             .collect();
-        let carried = Some(RepRequest::Batch(&wave_b));
-        let write = self.collect_quorum(QuorumKind::Write, Some(group[0].0), carried)?;
+        let write = self.collect_quorum(QuorumKind::Write, Some(group[0].0), &wave_b)?;
         let writers = write.members;
         let mut lacking = Vec::with_capacity(writers.len() * probed);
-        for reply in &write.replies {
-            match reply {
-                RepReply::Batch(probes) if probes.len() == probed => {
-                    for probe in probes {
-                        let BatchReply::Lookup(found) = probe else {
-                            return Err(protocol_violation("probe envelope missing lookup reply"));
-                        };
-                        lacking.push(!found.is_present());
-                    }
-                }
-                _ => return Err(protocol_violation("probe envelope arity")),
-            }
+        for probe in write.replies.iter().flatten() {
+            let Reply::Lookup(found) = probe else {
+                return Err(protocol_violation("probe missing lookup reply"));
+            };
+            lacking.push(!found.is_present());
         }
         // The value of each neighbour some writer lacks, from a writer that
         // holds its current version: 2W > N puts one in every write quorum;
@@ -236,15 +219,10 @@ impl<C: RepClient> DirSuite<C> {
         let mut copied: Vec<(usize, Value)> = Vec::new();
         for n in (0..probed).filter(|&n| lacking.chunks(probed).any(|lacks| lacks[n])) {
             let (key, current) = neighbor(n);
-            let held = write.replies.iter().find_map(|reply| match reply {
-                RepReply::Batch(probes) => match &probes[n] {
-                    BatchReply::Lookup(LookupReply::Present { version, value })
-                        if *version == current =>
-                    {
-                        Some(value.clone())
-                    }
-                    _ => None,
-                },
+            let held = write.replies.iter().find_map(|probes| match &probes[n] {
+                Reply::Lookup(LookupReply::Present { version, value }) if *version == current => {
+                    Some(value.clone())
+                }
                 _ => None,
             });
             let value = match held {
@@ -257,48 +235,38 @@ impl<C: RepClient> DirSuite<C> {
             copied.push((n, value));
         }
 
-        let wave_c: Vec<Vec<BatchRequest>> = lacking
+        let wave_c: Vec<Vec<Op>> = lacking
             .chunks(probed)
             .map(|lacks| {
-                let mut envelope = Vec::with_capacity(group.len());
+                let mut request = Vec::with_capacity(group.len());
                 for (g, (_, plan)) in group.iter().enumerate() {
                     for n in [2 * g, 2 * g + 1] {
                         let (key, version) = neighbor(n);
-                        let already = |req: &BatchRequest| {
-                            matches!(req, BatchRequest::Insert(copy, ..) if copy == key)
-                        };
-                        if lacks[n] && !envelope.iter().any(already) {
+                        let already = |op: &Op| matches!(op, Op::Insert(copy, ..) if copy == key);
+                        if lacks[n] && !request.iter().any(already) {
                             let (_, value) = copied.iter().find(|(of, _)| *of == n).expect("held");
-                            envelope.push(BatchRequest::Insert(key.clone(), version, value.clone()));
+                            request.push(Op::Insert(key.clone(), version, value.clone()));
                         }
                     }
                     let (low, high) = (neighbor(2 * g + 1).0.clone(), neighbor(2 * g).0.clone());
-                    envelope.push(BatchRequest::Coalesce(low, high, plan.gap_version()));
+                    request.push(Op::Coalesce(low, high, plan.gap_version()));
                 }
-                envelope
+                request
             })
             .collect();
-        let wave_c_ref = &wave_c;
-        let outcomes = self.scatter(&writers, |slot| match &wave_c_ref[slot][..] {
-            [coalesce] => coalesce.as_request(),
-            envelope => RepRequest::Batch(envelope),
-        });
+        let wave_c = &wave_c;
+        let outcomes = self.scatter(&writers, |slot| &wave_c[slot]);
         for (&writer, outcome) in writers.iter().zip(outcomes) {
             let id = self.members[writer].client.id();
-            // The coalesce replies, in group order, whether they came bare
-            // or between the replies to the copies.
-            let (bare, parts) = match outcome? {
-                RepReply::Batch(parts) => (None, parts),
-                bare => (Some(bare.coalesce()?), Vec::new()),
-            };
-            let enveloped = parts.into_iter().filter_map(|part| match part {
-                BatchReply::Coalesce(out) => Some(out),
+            // The coalesce replies, in group order, between the replies to
+            // the copies.
+            let mut replies = outcome?.into_iter().filter_map(|reply| match reply {
+                Reply::Coalesce(out) => Some(out),
                 _ => None,
             });
-            let mut replies = bare.into_iter().chain(enveloped);
             for _ in group {
                 let Some(done) = replies.next() else {
-                    return Err(protocol_violation("copy envelope missing coalesce reply"));
+                    return Err(protocol_violation("wave C missing coalesce reply"));
                 };
                 coalesced(id, done);
             }

@@ -5,7 +5,7 @@ use super::{pick_reply, protocol_violation, BulkWriteOutcome, DirSuite};
 use crate::error::{QuorumKind, SuiteError};
 use crate::gapmap::LookupReply;
 use crate::key::Key;
-use crate::rep::{BatchReply, BatchRequest, RepClient, RepRequest};
+use crate::rep::{Op, RepClient, Reply};
 use crate::value::Value;
 use crate::version::Version;
 
@@ -84,19 +84,14 @@ impl<C: RepClient> DirSuite<C> {
             let need: Vec<usize> = (lo..hi).filter(|&i| assigned[i].is_none()).collect();
             let mut chunk_replies: Vec<Option<LookupReply>> = vec![None; hi - lo];
             if !need.is_empty() {
-                let env: Vec<BatchRequest> = need
+                let env: Vec<Op> = need
                     .iter()
-                    .map(|&i| BatchRequest::Lookup(entries[i].0.clone()))
+                    .map(|&i| Op::Lookup(entries[i].0.clone()))
                     .collect();
-                let carried = Some(RepRequest::Batch(&env));
-                let read = self.collect_quorum(QuorumKind::Read, None, carried)?;
-                for reply in read.replies {
-                    let parts = reply.batch()?;
-                    if parts.len() != env.len() {
-                        return Err(protocol_violation("bulk lookup envelope arity"));
-                    }
+                let read = self.collect_quorum(QuorumKind::Read, None, &env)?;
+                for parts in read.replies {
                     for (&i, part) in need.iter().zip(parts) {
-                        let BatchReply::Lookup(reply) = part else {
+                        let Reply::Lookup(reply) = part else {
                             return Err(protocol_violation("bulk envelope missing lookup reply"));
                         };
                         let merged = &mut chunk_replies[i - lo];
@@ -111,7 +106,7 @@ impl<C: RepClient> DirSuite<C> {
             // Walk the chunk in input order, exactly as the per-key loop
             // would: the first offending key truncates the chunk there, the
             // truncated prefix still applies, and its error surfaces after.
-            let mut writes: Vec<BatchRequest> = Vec::new();
+            let mut writes: Vec<Op> = Vec::new();
             let mut stop = hi;
             let mut pending_err = None;
             let mut seen_in_chunk: std::collections::BTreeSet<&Key> = Default::default();
@@ -144,24 +139,16 @@ impl<C: RepClient> DirSuite<C> {
                         v
                     }
                 };
-                writes.push(BatchRequest::Insert(key.clone(), version, value.clone()));
+                writes.push(Op::Insert(key.clone(), version, value.clone()));
             }
 
             if !writes.is_empty() {
-                let carried = Some(RepRequest::Batch(&writes));
-                let write = self.collect_quorum(QuorumKind::Write, None, carried)?;
-                for reply in write.replies {
-                    let parts = reply.batch()?;
-                    if parts.len() != writes.len() {
-                        return Err(protocol_violation("bulk insert envelope arity"));
-                    }
-                    for part in parts {
-                        if !matches!(part, BatchReply::Insert(_)) {
-                            return Err(protocol_violation("bulk envelope missing insert reply"));
-                        }
-                    }
+                let write = self.collect_quorum(QuorumKind::Write, None, &writes)?;
+                let inserted = |part: &Reply| matches!(part, Reply::Insert(_));
+                if !write.replies.iter().flatten().all(inserted) {
+                    return Err(protocol_violation("bulk envelope missing insert reply"));
                 }
-                self.hint_weak(RepRequest::Batch(&writes));
+                self.hint_weak(&writes);
             }
             // Every write-quorum member acknowledged the whole envelope:
             // the chunk (up to any truncation) is durably applied.

@@ -6,7 +6,7 @@ use super::{DirSuite, LookupOutcome, WriteOutcome};
 use crate::error::{QuorumKind, SuiteError};
 use crate::gapmap::LookupReply;
 use crate::key::Key;
-use crate::rep::{RepClient, RepRequest};
+use crate::rep::{sole, Op, RepClient};
 use crate::value::Value;
 use crate::version::Version;
 
@@ -26,11 +26,12 @@ impl<C: RepClient> DirSuite<C> {
         // The members that answer the lookup *are* the read quorum (§3.1:
         // any set of members whose votes reach R), so the collection carries
         // the request and its replies are the votes to merge.
+        let lookup = [Op::Lookup(key.clone())];
         let Quorum { members, replies } =
-            self.collect_quorum(QuorumKind::Read, Some(key), Some(RepRequest::Lookup(key)))?;
+            self.collect_quorum(QuorumKind::Read, Some(key), &lookup)?;
         let mut votes = Vec::with_capacity(members.len());
         for (&i, reply) in members.iter().zip(replies) {
-            votes.push((i, reply.lookup()?));
+            votes.push((i, sole(reply)?.lookup()?));
         }
         let ids = self.ids_of(&members);
         Ok(match self.merge_votes(key, votes) {
@@ -91,9 +92,9 @@ impl<C: RepClient> DirSuite<C> {
         value: &Value,
     ) -> Result<WriteOutcome, SuiteError> {
         let _span = self.obs.registry.span("suite.write");
-        let insert = RepRequest::Insert(key, version, value);
-        let quorum = self.collect_quorum(QuorumKind::Write, Some(key), Some(insert))?;
-        self.hint_weak(insert);
+        let insert = [Op::Insert(key.clone(), version, value.clone())];
+        let quorum = self.collect_quorum(QuorumKind::Write, Some(key), &insert)?;
+        self.hint_weak(&insert);
         Ok(WriteOutcome {
             version,
             quorum: self.ids_of(&quorum.members),
@@ -102,7 +103,7 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Best-effort copy of a quorum write to the zero-vote (weak)
     /// representatives, when write-through is enabled.
-    pub(super) fn hint_weak(&mut self, write: RepRequest<'_>) {
+    pub(super) fn hint_weak(&mut self, write: &[Op]) {
         if !self.write_through_weak {
             return;
         }

@@ -3,7 +3,7 @@
 
 use super::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
 use crate::key::Key;
-use crate::rep::{LocalRep, RepClient, RepId, RepReply, RepRequest, RepResult};
+use crate::rep::{LocalRep, Op, RepClient, RepId, RepResult, Reply};
 use crate::value::Value;
 
 pub(super) fn k(s: &str) -> Key {
@@ -22,7 +22,7 @@ pub(super) fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
 }
 
 /// Forwards to a [`LocalRep`] but kills the rep once a shared fuse
-/// counts down to zero across data RPCs — the mid-walk failure window
+/// counts down to zero across data operations — the mid-walk failure window
 /// session re-validation exists for. Pings never tick the fuse, so the
 /// fixture controls exactly how deep into a walk the member dies.
 pub(super) struct DiesAfterCalls {
@@ -42,15 +42,18 @@ impl RepClient for DiesAfterCalls {
     fn id(&self) -> RepId {
         self.inner.id()
     }
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        match req {
-            RepRequest::Ping => {}
-            // Every sub-request of an envelope ticks on its own, so a
-            // member can die half-way through one.
-            RepRequest::Batch(parts) => return self.execute_parts(parts),
-            _ => self.tick(),
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        if ops.is_empty() {
+            return self.inner.execute(ops);
         }
-        self.inner.execute(req)
+        // Every operation ticks on its own, so a member can die half-way
+        // through a list.
+        let mut replies = Vec::with_capacity(ops.len());
+        for op in ops {
+            self.tick();
+            replies.extend(self.inner.execute(std::slice::from_ref(op))?);
+        }
+        Ok(replies)
     }
 }
 

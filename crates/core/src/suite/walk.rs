@@ -10,7 +10,7 @@ use super::{protocol_violation, DirSuite, NeighborSearch};
 use crate::error::{QuorumKind, SuiteError};
 use crate::gapmap::{LookupReply, NeighborReply};
 use crate::key::{Key, UserKey};
-use crate::rep::{BatchReply, BatchRequest, RepClient, RepReply, RepRequest};
+use crate::rep::{sole, Op, RepClient, Reply};
 use crate::value::Value;
 use crate::version::Version;
 
@@ -144,11 +144,11 @@ impl Walk {
     }
 
     /// `slot`'s next chain request.
-    fn chain_from(&self, slot: usize) -> BatchRequest {
+    fn chain_from(&self, slot: usize) -> Op {
         let from = self.slots[slot].next_probe.clone();
         match self.dir {
-            Direction::Pred => BatchRequest::PredecessorChain(from, self.batch),
-            Direction::Succ => BatchRequest::SuccessorChain(from, self.batch),
+            Direction::Pred => Op::PredecessorChain(from, self.batch),
+            Direction::Succ => Op::SuccessorChain(from, self.batch),
         }
     }
 
@@ -255,7 +255,7 @@ impl<C: RepClient> DirSuite<C> {
         let _span = self.obs.registry.span("suite.neighbor");
         self.with_session_scope(|s| {
             s.with_session_retries(|s| {
-                let quorum = s.collect_quorum(QuorumKind::Read, Some(key), None)?;
+                let quorum = s.collect_quorum(QuorumKind::Read, Some(key), &[])?;
                 let mut walk = Walk::new(dir, key, quorum.members.len(), s.neighbor_batch);
                 s.run_walks(&quorum.members, &mut [&mut walk])?;
                 let mut found = walk.search();
@@ -326,17 +326,16 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// One wave of chain refills: quorum slot `s` is sent `lead[s]` followed
-    /// by one chain request of every walk that wants more of that member —
-    /// bare when that makes a single request, as one envelope otherwise, not
-    /// at all when there is nothing to ask (a client answers an empty
-    /// envelope itself). The chains are folded into their walks; the replies
-    /// to the lead requests are returned per slot.
+    /// by one chain request of every walk that wants more of that member, as
+    /// one request — not at all when there is nothing to ask. The chains are
+    /// folded into their walks; the replies to the lead requests are
+    /// returned per slot.
     fn refill(
         &mut self,
         quorum: &[usize],
         walks: &mut [&mut Walk],
-        lead: Vec<Vec<BatchRequest>>,
-    ) -> Result<Vec<Vec<BatchReply>>, SuiteError> {
+        lead: Vec<Vec<Op>>,
+    ) -> Result<Vec<Vec<Reply>>, SuiteError> {
         // What each walk asks of each slot is settled before any reply
         // lands: folding one chain in can end the drought that asked.
         let wanted: Vec<(usize, usize)> = walks
@@ -344,37 +343,28 @@ impl<C: RepClient> DirSuite<C> {
             .enumerate()
             .flat_map(|(at, walk)| walk.refills().map(move |slot| (at, slot)))
             .collect();
-        let mut envelopes = lead;
+        let mut requests = lead;
         for &(at, slot) in &wanted {
-            envelopes[slot].push(walks[at].chain_from(slot));
+            requests[slot].push(walks[at].chain_from(slot));
         }
         let mut replies = vec![Vec::new(); quorum.len()];
         let slots: Vec<usize> = (0..quorum.len())
-            .filter(|&slot| !envelopes[slot].is_empty())
+            .filter(|&slot| !requests[slot].is_empty())
             .collect();
         if slots.is_empty() {
             return Ok(replies);
         }
         let targets: Vec<usize> = slots.iter().map(|&slot| quorum[slot]).collect();
-        let (sent, asked) = (&envelopes, &slots);
-        let waves = self.scatter(&targets, |at| match &sent[asked[at]][..] {
-            [only] => only.as_request(),
-            envelope => RepRequest::Batch(envelope),
-        });
+        let (sent, asked) = (&requests, &slots);
+        let waves = self.scatter(&targets, |at| &sent[asked[at]]);
         for (&slot, wave) in slots.iter().zip(waves) {
-            replies[slot] = match wave? {
-                RepReply::Batch(parts) => parts,
-                bare => vec![bare.into_part()?],
-            };
-            if replies[slot].len() != envelopes[slot].len() {
-                return Err(protocol_violation("refill envelope arity"));
-            }
+            replies[slot] = wave?;
         }
         // The chains sit behind the lead replies, in the order asked.
         for &(at, slot) in wanted.iter().rev() {
             match replies[slot].pop() {
-                Some(BatchReply::Chain(chain)) => walks[at].integrate(slot, chain),
-                _ => return Err(protocol_violation("refill envelope missing chain reply")),
+                Some(Reply::Chain(chain)) => walks[at].integrate(slot, chain),
+                _ => return Err(protocol_violation("refill missing chain reply")),
             }
         }
         Ok(replies)
@@ -402,7 +392,7 @@ impl<C: RepClient> DirSuite<C> {
     /// `SuccessorChain(LOW, bulk_chunk)`; candidates are then judged from
     /// the buffered chain heads as the searches judge them
     /// ([`next_real`](Self::next_real)). Whenever a buffer runs dry one wave
-    /// sends each member a single envelope: the lookups of the entries
+    /// sends each member a single request: the lookups of the entries
     /// resolved since the last wave that were assigned to it, and its next
     /// chain request. A last wave fetches the values still owed.
     ///
@@ -412,18 +402,18 @@ impl<C: RepClient> DirSuite<C> {
     /// silently stale listing.
     fn scan_walk(&mut self) -> Result<Vec<(UserKey, Value)>, SuiteError> {
         let chunk = self.bulk_chunk;
-        let carried = Some(RepRequest::SuccessorChain(&Key::Low, chunk));
-        let read = self.collect_quorum(QuorumKind::Read, None, carried)?;
+        let carried = [Op::SuccessorChain(Key::Low, chunk)];
+        let read = self.collect_quorum(QuorumKind::Read, None, &carried)?;
         let quorum = read.members;
         let mut walk = Walk::new(Direction::Succ, &Key::Low, quorum.len(), chunk);
         // Every wave extends every buffer, so the walk waits only as often
         // as the member with the most entries and ghosts runs dry.
         walk.top_up = true;
         for (slot, reply) in read.replies.into_iter().enumerate() {
-            walk.integrate(slot, reply.chain()?);
+            walk.integrate(slot, sole(reply)?.chain()?);
         }
         let mut listed: Vec<(UserKey, Option<Value>)> = Vec::new();
-        // Per quorum slot: the lookups its next envelope carries, and for
+        // Per quorum slot: the lookups its next request carries, and for
         // each the place its value goes and the version it must have.
         let mut asks = vec![Vec::new(); quorum.len()];
         let mut owed = vec![Vec::new(); quorum.len()];
@@ -439,7 +429,7 @@ impl<C: RepClient> DirSuite<C> {
                 let slot = holders
                     .min_by_key(|&slot| asks[slot].len())
                     .expect("the winning version heads a chain");
-                asks[slot].push(BatchRequest::Lookup(candidate.clone()));
+                asks[slot].push(Op::Lookup(candidate.clone()));
                 owed[slot].push((listed.len(), version));
                 listed.push((entry.clone(), None));
                 walk.probe = candidate;
@@ -449,7 +439,7 @@ impl<C: RepClient> DirSuite<C> {
             for (owed, parts) in owed.iter_mut().zip(answers) {
                 for ((at, voted), part) in owed.drain(..).zip(parts) {
                     match part {
-                        BatchReply::Lookup(LookupReply::Present { version, value })
+                        Reply::Lookup(LookupReply::Present { version, value })
                             if version == voted =>
                         {
                             listed[at].1 = Some(value);
@@ -679,7 +669,7 @@ mod tests {
         walk.probe = k("z");
         walk.discard_passed();
         assert_eq!(walk.refills().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(walk.chain_from(0), BatchRequest::SuccessorChain(k("z"), 1));
+        assert_eq!(walk.chain_from(0), Op::SuccessorChain(k("z"), 1));
         walk.integrate(0, vec![]);
         assert_eq!(walk.candidate(), Key::High);
         assert_eq!(walk.refills().count(), 0, "no member can advance past HIGH");

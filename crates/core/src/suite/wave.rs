@@ -1,10 +1,13 @@
 //! The wave executor: every member RPC the suite sends goes through here.
 //!
-//! A *wave* is a set of member requests in flight together. The coordinator
+//! A *wave* is a set of member requests in flight together, each an ordered
+//! list of [`Op`]s — the empty list being the ping. The coordinator
 //! [`issue`](DirSuite::issue)s each one from its own thread through
 //! [`RepClient::start`] and then consumes tagged completions in arrival
 //! order from one queue — no thread is created per wave or per request.
 //! In-process clients complete inline, networked ones from their RPC router.
+//! A reply is checked here, once, to hold one part per operation asked, so
+//! no caller zips a short reply against its request.
 //!
 //! Slot tags are never reused, so a reply can never be taken for another
 //! wave's. A ping wave that reaches its vote threshold simply stops
@@ -16,10 +19,10 @@
 use super::DirSuite;
 use crate::channel::{unbounded, Receiver, Sender};
 use crate::error::RepError;
-use crate::rep::{Completion, Done, RepClient, RepReply, RepRequest, RepResult};
+use crate::rep::{Completion, Done, Op, RepClient, RepResult, Reply};
 
 /// One consumed completion: `(slot within the wave, member, result)`.
-type Arrival = (usize, usize, RepResult<RepReply>);
+type Arrival = (usize, usize, RepResult<Vec<Reply>>);
 
 /// The executor's state; the behaviour lives on [`DirSuite`], which owns the
 /// members and the metrics every completion is accounted to.
@@ -31,8 +34,9 @@ pub(super) struct Executor {
     /// First tag of the open wave; completions tagged below it are
     /// stragglers of earlier waves.
     base: u64,
-    /// `(tag, member)` of every request started and not yet accounted.
-    in_flight: Vec<(u64, usize)>,
+    /// `(tag, member, operations asked)` of every request started and not
+    /// yet accounted.
+    in_flight: Vec<(u64, usize, usize)>,
 }
 
 impl Executor {
@@ -48,20 +52,10 @@ impl Executor {
     }
 }
 
-/// What a wave's requests are: the per-member counter they are charged to,
-/// and whether the wave waits for all of them.
-#[derive(Clone, Copy)]
-pub(super) enum Traffic {
-    /// Quorum-collection pings (`suite.member.{i}.pings`).
-    Ping,
-    /// Data RPCs (`suite.member.{i}.msgs`).
-    Data,
-}
-
 /// What a vote-counting wave gathered.
 pub(super) struct Votes {
     /// Successful replies in arrival order, with the member that sent each.
-    pub(super) replies: Vec<(usize, RepReply)>,
+    pub(super) replies: Vec<(usize, Vec<Reply>)>,
     /// Votes held by those members.
     pub(super) votes: u32,
     /// Failed replies consumed before the wave stopped listening.
@@ -78,7 +72,8 @@ impl<C: RepClient> DirSuite<C> {
     /// quorum is sized so late pongs inform it.
     pub(super) fn harvest(&mut self) {
         while let Ok(done) = self.exec.completions.try_recv() {
-            self.account(&done);
+            // A straggler's reply has no reader left; only its accounting.
+            let _ = self.account(done);
         }
     }
 
@@ -90,35 +85,50 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Records one completion against the member it was issued to and
-    /// returns that member. A failure additionally records the penalty
-    /// sample: a dead member often fails *fast*, so the measured time alone
-    /// would keep it attractive.
-    fn account(&mut self, done: &Done) -> usize {
+    /// returns that member and the result, a reply without exactly one part
+    /// per operation asked turned into a protocol violation. A failure
+    /// additionally records the penalty sample: a dead member often fails
+    /// *fast*, so the measured time alone would keep it attractive.
+    fn account(&mut self, done: Done) -> (usize, RepResult<Vec<Reply>>) {
         let at = self
             .exec
             .in_flight
             .iter()
-            .position(|&(slot, _)| slot == done.slot)
+            .position(|&(slot, ..)| slot == done.slot)
             .expect("every completion answers an issued request");
-        let (_, i) = self.exec.in_flight.swap_remove(at);
+        let (_, i, asked) = self.exec.in_flight.swap_remove(at);
+        let result = done.result.and_then(|replies| match replies.len() {
+            n if n == asked => Ok(replies),
+            n => Err(RepError::Storage(format!(
+                "protocol violation: {n} replies to {asked} operations"
+            ))),
+        });
         if let Some(elapsed) = done.elapsed {
             self.obs.reply[i].record(elapsed);
         }
-        self.obs.avail[i].record(done.result.is_ok());
-        if done.result.is_err() {
+        self.obs.avail[i].record(result.is_ok());
+        if result.is_err() {
             self.obs.reply[i].record(self.penalty_sample);
         }
-        i
+        (i, result)
     }
 
-    /// Puts `req` in flight to member `i` as the open wave's next slot.
-    fn issue(&mut self, i: usize, req: RepRequest<'_>) {
+    /// Puts `ops` in flight to member `i` as the open wave's next slot,
+    /// charged to its ping counter when the list is empty and to its data
+    /// counter otherwise. Counters are bumped here in the coordinator, before
+    /// the reply can land, which keeps the counts exact whatever the reply
+    /// order.
+    fn issue(&mut self, i: usize, ops: &[Op]) {
+        match ops {
+            [] => self.obs.pings[i].inc(),
+            _ => self.obs.msgs[i].inc(),
+        }
         let slot = self.exec.next_slot;
         self.exec.next_slot += 1;
-        self.exec.in_flight.push((slot, i));
+        self.exec.in_flight.push((slot, i, ops.len()));
         let timed = self.obs.registry.timing_armed();
         let done = Completion::new(slot, timed, self.exec.queue.clone());
-        self.members[i].client.start(req, done);
+        self.members[i].client.start(ops, done);
     }
 
     /// The open wave's next completion in arrival order. Stragglers of
@@ -128,41 +138,24 @@ impl<C: RepClient> DirSuite<C> {
             // The executor holds a sender itself, so the queue never closes;
             // callers only block while a request of theirs is outstanding.
             let done = self.exec.completions.recv().expect("queue open");
-            let i = self.account(&done);
-            if done.slot >= self.exec.base {
-                return ((done.slot - self.exec.base) as usize, i, done.result);
+            let slot = done.slot;
+            let (i, result) = self.account(done);
+            if slot >= self.exec.base {
+                return ((slot - self.exec.base) as usize, i, result);
             }
         }
     }
 
-    fn charge(&self, traffic: Traffic, i: usize) {
-        match traffic {
-            Traffic::Ping => self.obs.pings[i].inc(),
-            Traffic::Data => self.obs.msgs[i].inc(),
-        }
-    }
-
-    /// One data wave: `req(slot)` to every target, all awaited, results in
-    /// target order. Counters are bumped here in the coordinator, before the
-    /// wave launches, which keeps the message counts exact whatever the
-    /// reply order. A wave holding an empty envelope is refused whole: a
-    /// client answers one without a message, so it would count a request
-    /// nobody received.
-    pub(super) fn scatter<'r>(
+    /// One data wave: `ops(slot)` to every target, all awaited, results in
+    /// target order.
+    pub(super) fn scatter<'a>(
         &mut self,
         targets: &[usize],
-        req: impl Fn(usize) -> RepRequest<'r>,
-    ) -> Vec<RepResult<RepReply>> {
-        if (0..targets.len()).any(|slot| matches!(req(slot), RepRequest::Batch([]))) {
-            debug_assert!(false, "an empty envelope cannot be scattered");
-            let refusal =
-                || RepError::Storage("protocol violation: empty envelope scattered".into());
-            return targets.iter().map(|_| Err(refusal())).collect();
-        }
+        ops: impl Fn(usize) -> &'a [Op],
+    ) -> Vec<RepResult<Vec<Reply>>> {
         self.open_wave();
         for (slot, &i) in targets.iter().enumerate() {
-            self.charge(Traffic::Data, i);
-            self.issue(i, req(slot));
+            self.issue(i, ops(slot));
         }
         let mut results: Vec<_> = targets.iter().map(|_| None).collect();
         for _ in targets {
@@ -175,24 +168,17 @@ impl<C: RepClient> DirSuite<C> {
             .collect()
     }
 
-    /// One vote-counting wave: `req` to every member of `wave`, replies
+    /// One vote-counting wave: `ops` to every member of `wave`, replies
     /// consumed in arrival order until the members heard from hold `needed`
     /// votes. A data wave keeps listening until every request has settled:
     /// its requests take locks, which must not outlive their operation. A
-    /// ping wave stops at the threshold and leaves its stragglers to be
-    /// accounted later.
-    pub(super) fn vote_wave(
-        &mut self,
-        req: RepRequest<'_>,
-        traffic: Traffic,
-        wave: &[usize],
-        needed: u32,
-    ) -> Votes {
-        let wait_all = matches!(traffic, Traffic::Data);
+    /// ping wave (the empty list) stops at the threshold and leaves its
+    /// stragglers to be accounted later.
+    pub(super) fn vote_wave(&mut self, ops: &[Op], wave: &[usize], needed: u32) -> Votes {
+        let wait_all = !ops.is_empty();
         self.open_wave();
         for &i in wave {
-            self.charge(traffic, i);
-            self.issue(i, req);
+            self.issue(i, ops);
         }
         let mut outstanding = wave.len();
         let mut out = Votes {
@@ -217,19 +203,5 @@ impl<C: RepClient> DirSuite<C> {
             }
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::testkit::*;
-    use super::*;
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "an empty envelope cannot be scattered")]
-    fn empty_envelope_is_never_scattered() {
-        let mut s = suite_322(65);
-        let _ = s.scatter(&[0, 1], |_| RepRequest::Batch(&[]));
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use repdir_core::{RepClient, RepId, RepReply, RepRequest, RepResult};
+use repdir_core::{Op, RepClient, RepId, RepResult, Reply};
 use repdir_txn::TxnId;
 
 use crate::server::TransactionalRep;
@@ -43,25 +43,8 @@ impl RepClient for SessionClient {
         self.rep.id()
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        let (rep, txn) = (&self.rep, self.txn);
-        match req {
-            RepRequest::Ping => rep.ping().map(|()| RepReply::Pong),
-            RepRequest::Lookup(key) => rep.lookup(txn, key).map(RepReply::Lookup),
-            RepRequest::PredecessorChain(key, limit) => {
-                rep.predecessor_chain(txn, key, limit).map(RepReply::Chain)
-            }
-            RepRequest::SuccessorChain(key, limit) => {
-                rep.successor_chain(txn, key, limit).map(RepReply::Chain)
-            }
-            RepRequest::Insert(key, version, value) => {
-                rep.insert(txn, key, version, value).map(RepReply::Insert)
-            }
-            RepRequest::Coalesce(low, high, version) => rep
-                .coalesce(txn, low, high, version)
-                .map(RepReply::Coalesce),
-            RepRequest::Batch(parts) => self.execute_parts(parts),
-        }
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        self.rep.execute(self.txn, ops)
     }
 }
 

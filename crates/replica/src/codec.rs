@@ -4,12 +4,19 @@
 //! little-endian integers) mirroring the write-ahead log's conventions.
 //! Every request and response round-trips exactly; decoding rejects
 //! malformed input rather than panicking, since bytes arrive from the
-//! network.
+//! network, and never allocates in proportion to a length or count field
+//! the frame's bytes cannot back.
+//!
+//! This module is also the only place a list of [`Op`]s meets the wire
+//! enums: [`request_frame`] / [`request_ops`] map a request's list to its
+//! frame and back, [`reply_frame`] / [`reply_list`] its replies. The empty
+//! list is [`Request::Ping`], one operation goes bare, several as one
+//! [`Request::Batch`].
 
 use repdir_core::bytes::{Buf, BufMut};
 use repdir_core::{
-    CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, RemovedEntry, RepError,
-    UserKey, Value, Version,
+    CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, Op, RemovedEntry, RepError,
+    RepResult, Reply, UserKey, Value, Version,
 };
 use repdir_repair::{BucketEntry, BucketView, Digest};
 use repdir_txn::TxnId;
@@ -17,7 +24,7 @@ use repdir_txn::TxnId;
 /// A request to a representative server.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// Liveness probe (quorum collection).
+    /// The empty operation list: a liveness probe (quorum collection).
     Ping,
     /// Register a transaction at this representative.
     Begin(TxnId),
@@ -36,9 +43,11 @@ pub enum Request {
     Commit(TxnId),
     /// Abort the transaction, roll back, release its locks.
     Abort(TxnId),
-    /// A batched scatter envelope: several requests in one message, answered
-    /// by a [`Response::Batch`] with replies in request order. Envelopes do
-    /// not nest.
+    /// A batched scatter envelope: several data operations of one
+    /// transaction in one message, answered by a [`Response::Batch`] with
+    /// replies in request order, or by one [`Response::Err`] for the first
+    /// that failed. Decoding refuses an empty envelope, a nested one, and
+    /// one carrying anything but data operations of one transaction.
     Batch(Vec<Request>),
     /// Anti-entropy: digests of one summary-tree level. Read-only; no
     /// transaction.
@@ -194,6 +203,24 @@ fn get_u8(b: &mut &[u8]) -> DecodeResult<u8> {
     Ok(b.get_u8())
 }
 
+/// Reads an element count, refusing one the remaining bytes cannot hold at
+/// `min` encoded bytes an element: a count never sizes an allocation its
+/// frame cannot back.
+fn get_count(b: &mut &[u8], min: usize) -> DecodeResult<usize> {
+    let n = get_u32(b)? as usize;
+    if n > b.remaining() / min {
+        return err("count exceeds the frame");
+    }
+    Ok(n)
+}
+
+// Smallest encodings of a count-prefixed element: a sentinel key and two
+// versions; a user key, a version, a value and a gap version (empty key and
+// value); two u64s.
+const MIN_NEIGHBOR: usize = 1 + 8 + 8;
+const MIN_ENTRY: usize = 4 + 8 + 4 + 8;
+const MIN_DIGEST: usize = 8 + 8;
+
 // ---- requests ----
 
 const RQ_PING: u8 = 0;
@@ -284,8 +311,30 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on malformed input.
-pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
+/// [`DecodeError`] on malformed input, and on an envelope that is empty,
+/// nested, or carries anything but data operations of one transaction.
+pub fn decode_request(b: &[u8]) -> DecodeResult<Request> {
+    let Some((&RQ_BATCH, body)) = b.split_first() else {
+        return decode_bare_request(b);
+    };
+    let parts = decode_parts(body, decode_bare_request)?;
+    if envelope_txn(&parts).is_none() {
+        return err("envelope must carry data operations of one transaction");
+    }
+    Ok(Request::Batch(parts))
+}
+
+/// An envelope's parts, each decoded without recursion: a part that is
+/// itself an envelope is refused by `decode`, so nesting costs no stack.
+fn decode_parts<T>(body: &[u8], decode: fn(&[u8]) -> DecodeResult<T>) -> DecodeResult<Vec<T>> {
+    let Some(parts) = repdir_net::unpack_parts(body) else {
+        return err("bad batch framing");
+    };
+    parts.iter().map(|part| decode(part)).collect()
+}
+
+/// Decodes any request but an envelope.
+fn decode_bare_request(mut b: &[u8]) -> DecodeResult<Request> {
     let b = &mut b;
     match get_u8(b)? {
         RQ_PING => Ok(Request::Ping),
@@ -315,20 +364,7 @@ pub fn decode_request(mut b: &[u8]) -> DecodeResult<Request> {
         )),
         RQ_COMMIT => Ok(Request::Commit(TxnId(get_u64(b)?))),
         RQ_ABORT => Ok(Request::Abort(TxnId(get_u64(b)?))),
-        RQ_BATCH => {
-            let parts = match repdir_net::unpack_parts(b) {
-                Some(parts) => parts,
-                None => return err("bad batch framing"),
-            };
-            let reqs = parts
-                .iter()
-                .map(|part| decode_request(part))
-                .collect::<DecodeResult<Vec<Request>>>()?;
-            if reqs.iter().any(|r| matches!(r, Request::Batch(_))) {
-                return err("nested batch request");
-            }
-            Ok(Request::Batch(reqs))
-        }
+        RQ_BATCH => err("nested batch request"),
         RQ_SUMMARY => Ok(Request::Summary {
             level: get_u8(b)?,
             path: get_u8(b)?,
@@ -522,7 +558,15 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// # Errors
 ///
 /// [`DecodeError`] on malformed input.
-pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
+pub fn decode_response(b: &[u8]) -> DecodeResult<Response> {
+    let Some((&RS_BATCH, body)) = b.split_first() else {
+        return decode_bare_response(b);
+    };
+    decode_parts(body, decode_bare_response).map(Response::Batch)
+}
+
+/// Decodes any response but an envelope's.
+fn decode_bare_response(mut b: &[u8]) -> DecodeResult<Response> {
     let b = &mut b;
     match get_u8(b)? {
         RS_OK => Ok(Response::Ok),
@@ -534,8 +578,8 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
             gap_version: Version::new(get_u64(b)?),
         })),
         RS_CHAIN => {
-            let n = get_u32(b)? as usize;
-            let mut chain = Vec::with_capacity(n.min(4096));
+            let n = get_count(b, MIN_NEIGHBOR)?;
+            let mut chain = Vec::with_capacity(n);
             for _ in 0..n {
                 chain.push(NeighborReply {
                     key: get_key(b)?,
@@ -554,8 +598,8 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
         })),
         RS_COALESCE => {
             let old_gap_version = Version::new(get_u64(b)?);
-            let n = get_u32(b)? as usize;
-            let mut removed = Vec::with_capacity(n.min(4096));
+            let n = get_count(b, MIN_ENTRY)?;
+            let mut removed = Vec::with_capacity(n);
             for _ in 0..n {
                 removed.push(RemovedEntry {
                     key: get_user_key(b)?,
@@ -570,23 +614,10 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
             }))
         }
         RS_ERR => Ok(Response::Err(get_rep_error(b)?)),
-        RS_BATCH => {
-            let parts = match repdir_net::unpack_parts(b) {
-                Some(parts) => parts,
-                None => return err("bad batch framing"),
-            };
-            let resps = parts
-                .iter()
-                .map(|part| decode_response(part))
-                .collect::<DecodeResult<Vec<Response>>>()?;
-            if resps.iter().any(|r| matches!(r, Response::Batch(_))) {
-                return err("nested batch response");
-            }
-            Ok(Response::Batch(resps))
-        }
+        RS_BATCH => err("nested batch response"),
         RS_SUMMARY => {
-            let n = get_u32(b)? as usize;
-            let mut digests = Vec::with_capacity(n.min(4096));
+            let n = get_count(b, MIN_DIGEST)?;
+            let mut digests = Vec::with_capacity(n);
             for _ in 0..n {
                 digests.push(Digest {
                     hash: get_u64(b)?,
@@ -597,8 +628,8 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
         }
         RS_PULL_RANGE => {
             let lead_gap = Version::new(get_u64(b)?);
-            let n = get_u32(b)? as usize;
-            let mut entries = Vec::with_capacity(n.min(4096));
+            let n = get_count(b, MIN_ENTRY)?;
+            let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
                 entries.push(BucketEntry {
                     key: get_user_key(b)?,
@@ -613,31 +644,144 @@ pub fn decode_response(mut b: &[u8]) -> DecodeResult<Response> {
     }
 }
 
-/// Decodes the reply to a [`Request::Batch`] of `expect` sub-requests.
-///
-/// Accepts exactly a [`Response::Batch`] whose arity matches the request,
-/// or a top-level [`Response::Err`] (the server refusing the envelope as a
-/// whole). Anything else — wrong arity, a nested batch (rejected by
-/// [`decode_response`]), a non-batch reply — is a [`DecodeError`], never a
-/// panic or a silent truncation: a short reply zipped against the request
-/// list would quietly drop the tail sub-requests' outcomes.
+// ---- operation lists ----
+
+/// The wire frame of one request: `ops`, run for `txn`. The empty list is
+/// [`Request::Ping`], one operation goes bare, several as one
+/// [`Request::Batch`]. The inverse of [`request_ops`].
+pub fn request_frame(txn: TxnId, ops: &[Op]) -> Request {
+    // A chain limit past `u32::MAX` asks for at most that many.
+    let limit = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    let wire = |op: &Op| match op.clone() {
+        Op::Lookup(key) => Request::Lookup(txn, key),
+        Op::PredecessorChain(key, n) => Request::PredecessorChain(txn, key, limit(n)),
+        Op::SuccessorChain(key, n) => Request::SuccessorChain(txn, key, limit(n)),
+        Op::Insert(key, version, value) => Request::Insert(txn, key, version, value),
+        Op::Coalesce(low, high, version) => Request::Coalesce(txn, low, high, version),
+    };
+    match ops {
+        [] => Request::Ping,
+        [op] => wire(op),
+        ops => Request::Batch(ops.iter().map(wire).collect()),
+    }
+}
+
+/// The operations a data frame carries and the transaction they run for:
+/// the inverse of [`request_frame`]. A ping names no transaction — it runs
+/// nothing, so the default id it is given is never read. Any other request
+/// (transaction control, anti-entropy, a malformed envelope) is handed back
+/// untouched.
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on malformed input or a reply shape that cannot answer
-/// a batch of `expect` sub-requests.
-pub fn decode_batch_response(bytes: &[u8], expect: usize) -> DecodeResult<Response> {
-    let resp = decode_response(bytes)?;
-    match &resp {
-        Response::Batch(parts) if parts.len() == expect => Ok(resp),
-        Response::Batch(parts) => Err(DecodeError(format!(
-            "batch arity mismatch: {} replies to {} requests",
-            parts.len(),
-            expect
-        ))),
-        Response::Err(_) => Ok(resp),
-        _ => err("non-batch reply to a batch request"),
+/// The request itself when it carries no operation list.
+pub fn request_ops(req: Request) -> Result<(TxnId, Vec<Op>), Request> {
+    match req {
+        Request::Ping => Ok((TxnId::default(), Vec::new())),
+        Request::Batch(parts) => match envelope_txn(&parts) {
+            // Every part is a data operation: `envelope_txn` checked.
+            Some(txn) => Ok((txn, parts.into_iter().filter_map(data_op).collect())),
+            None => Err(Request::Batch(parts)),
+        },
+        bare => match data_txn(&bare) {
+            Some(txn) => Ok((txn, data_op(bare).into_iter().collect())),
+            None => Err(bare),
+        },
     }
+}
+
+/// The transaction a data operation's frame names; `None` for any other
+/// request.
+fn data_txn(req: &Request) -> Option<TxnId> {
+    match req {
+        Request::Lookup(t, ..)
+        | Request::PredecessorChain(t, ..)
+        | Request::SuccessorChain(t, ..)
+        | Request::Insert(t, ..)
+        | Request::Coalesce(t, ..) => Some(*t),
+        _ => None,
+    }
+}
+
+/// The one transaction every part of an envelope names; `None` for an empty
+/// envelope or one with a part that is not a data operation of it.
+fn envelope_txn(parts: &[Request]) -> Option<TxnId> {
+    let txn = data_txn(parts.first()?)?;
+    parts
+        .iter()
+        .all(|part| data_txn(part) == Some(txn))
+        .then_some(txn)
+}
+
+fn data_op(req: Request) -> Option<Op> {
+    Some(match req {
+        Request::Lookup(_, key) => Op::Lookup(key),
+        Request::PredecessorChain(_, key, limit) => Op::PredecessorChain(key, limit as usize),
+        Request::SuccessorChain(_, key, limit) => Op::SuccessorChain(key, limit as usize),
+        Request::Insert(_, key, version, value) => Op::Insert(key, version, value),
+        Request::Coalesce(_, low, high, version) => Op::Coalesce(low, high, version),
+        _ => return None,
+    })
+}
+
+/// The wire frame answering a request: its first failing operation's error
+/// as one [`Response::Err`], or its replies shaped like the request — the
+/// empty list as [`Response::Ok`], one reply bare, several as one
+/// [`Response::Batch`]. The inverse of [`reply_list`].
+pub fn reply_frame(result: RepResult<Vec<Reply>>) -> Response {
+    let wire = |reply| match reply {
+        Reply::Lookup(r) => Response::Lookup(r),
+        Reply::Chain(c) => Response::Chain(c),
+        Reply::Insert(r) => Response::Insert(r),
+        Reply::Coalesce(r) => Response::Coalesce(r),
+    };
+    let mut parts: Vec<Response> = match result {
+        Ok(replies) => replies.into_iter().map(wire).collect(),
+        Err(e) => return Response::Err(e),
+    };
+    match parts.len() {
+        0 => Response::Ok,
+        1 => parts.swap_remove(0),
+        _ => Response::Batch(parts),
+    }
+}
+
+/// The replies a response carries for a request of `asked` operations: the
+/// inverse of [`reply_frame`]. A response that is not exactly the shape of
+/// `asked` replies is a protocol violation, never a silent truncation — a
+/// short envelope zipped against its request would quietly drop the tail
+/// operations' outcomes.
+///
+/// # Errors
+///
+/// The error the response carries, or [`RepError::Storage`] for a protocol
+/// violation.
+pub fn reply_list(resp: Response, asked: usize) -> RepResult<Vec<Reply>> {
+    let parts = match resp {
+        Response::Err(e) => return Err(e),
+        Response::Ok => Vec::new(),
+        Response::Batch(parts) => parts,
+        bare => vec![bare],
+    };
+    if parts.len() != asked {
+        return Err(RepError::Storage(format!(
+            "protocol violation: reply arity {} for {asked} operations",
+            parts.len()
+        )));
+    }
+    parts
+        .into_iter()
+        .map(|part| match part {
+            Response::Lookup(r) => Ok(Reply::Lookup(r)),
+            Response::Chain(c) => Ok(Reply::Chain(c)),
+            Response::Insert(r) => Ok(Reply::Insert(r)),
+            Response::Coalesce(r) => Ok(Reply::Coalesce(r)),
+            Response::Err(e) => Err(e),
+            other => Err(RepError::Storage(format!(
+                "protocol violation: unexpected response {other:?}"
+            ))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -664,7 +808,6 @@ mod tests {
             Request::Coalesce(TxnId(5), k("a"), k("z"), v(3)),
             Request::Commit(TxnId(6)),
             Request::Abort(TxnId(6)),
-            Request::Batch(vec![]),
             Request::Batch(vec![
                 Request::Lookup(TxnId(8), k("q")),
                 Request::SuccessorChain(TxnId(8), k("q"), 4),
@@ -812,22 +955,47 @@ mod tests {
         }
     }
 
+    /// Every strict prefix and every single-byte mutation of `frame`.
+    fn damaged(frame: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let prefixes = (0..frame.len()).map(|cut| frame[..cut].to_vec());
+        let mutations = (0..frame.len()).flat_map(move |at| {
+            (0..=u8::MAX)
+                .filter(move |&byte| byte != frame[at])
+                .map(move |byte| {
+                    let mut mutated = frame.to_vec();
+                    mutated[at] = byte;
+                    mutated
+                })
+        });
+        prefixes.chain(mutations)
+    }
+
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
+        // Any strict prefix or single-byte mutation must decode to `Ok` or
+        // `Err`, never panic — a length or count field turned hostile
+        // included. Some damaged frames decode to a different valid message;
+        // that is acceptable for a length-delimited transport, which never
+        // truncates.
+        let chains = Response::Batch(vec![
+            Response::Chain(vec![
+                NeighborReply {
+                    key: k("chain"),
+                    entry_version: v(1),
+                    gap_version: v(2),
+                };
+                3
+            ]);
+            2
+        ]);
         for req in sample_requests() {
-            let bytes = encode_request(&req);
-            for cut in 1..bytes.len() {
-                // Any strict prefix must decode to an error (no panic). Some
-                // prefixes of variable-length messages may decode to a
-                // different valid message; that is acceptable for a
-                // length-delimited transport, which never truncates.
-                let _ = decode_request(&bytes[..cut]);
+            for frame in damaged(&encode_request(&req)) {
+                let _ = decode_request(&frame);
             }
         }
-        for resp in sample_responses() {
-            let bytes = encode_response(&resp);
-            for cut in 1..bytes.len() {
-                let _ = decode_response(&bytes[..cut]);
+        for resp in sample_responses().into_iter().chain([chains]) {
+            for frame in damaged(&encode_response(&resp)) {
+                let _ = decode_response(&frame);
             }
         }
     }
@@ -924,39 +1092,255 @@ mod tests {
         assert!(decode_request(&bytes).is_err());
     }
 
+    fn arity_violation(result: RepResult<Vec<Reply>>) -> bool {
+        matches!(result, Err(RepError::Storage(msg)) if msg.contains("arity"))
+    }
+
     #[test]
-    fn batch_reply_arity_mismatch_is_a_decode_error() {
-        // A reply carrying one part for a two-request envelope must not zip
+    fn reply_arity_mismatch_is_an_error_not_a_truncation() {
+        // A reply carrying one part for a two-operation envelope must not zip
         // silently — the dropped tail would read as "request had no outcome".
-        let short = encode_response(&Response::Batch(vec![Response::Ok]));
-        let err = decode_batch_response(&short, 2).unwrap_err();
-        assert!(err.0.contains("arity"), "{err}");
+        let absent = || Response::Lookup(LookupReply::Absent { gap_version: v(1) });
+        assert!(arity_violation(reply_list(
+            Response::Batch(vec![absent()]),
+            2
+        )));
         // Extra parts are just as malformed.
-        let long = encode_response(&Response::Batch(vec![Response::Ok, Response::Ok]));
-        let err = decode_batch_response(&long, 1).unwrap_err();
-        assert!(err.0.contains("arity"), "{err}");
-        // The matching arity decodes, as does a whole-envelope refusal.
+        let two = Response::Batch(vec![absent(), absent()]);
+        assert!(arity_violation(reply_list(two.clone(), 1)));
+        assert!(arity_violation(reply_list(two.clone(), 3)));
+        // The matching arity answers, as does a refusal of the whole request.
+        let replies = reply_list(two, 2).unwrap();
+        assert_eq!(replies.len(), 2);
         assert_eq!(
-            decode_batch_response(&long, 2).unwrap(),
-            Response::Batch(vec![Response::Ok, Response::Ok])
-        );
-        let refusal = encode_response(&Response::Err(RepError::Unavailable));
-        assert_eq!(
-            decode_batch_response(&refusal, 3).unwrap(),
-            Response::Err(RepError::Unavailable)
+            reply_list(Response::Err(RepError::Unavailable), 3),
+            Err(RepError::Unavailable)
         );
     }
 
     #[test]
-    fn batch_reply_wrong_shape_is_a_decode_error() {
-        // A nested batch is rejected by the inner decode...
+    fn reply_of_the_wrong_shape_is_an_error() {
+        // A nested batch is rejected by the decode...
         let nested = encode_response(&Response::Batch(vec![Response::Batch(vec![])]));
-        let err = decode_batch_response(&nested, 1).unwrap_err();
+        let err = decode_response(&nested).unwrap_err();
         assert!(err.0.contains("nested"), "{err}");
-        // ...and a non-batch reply cannot answer a batch request at all.
-        let plain = encode_response(&Response::Ok);
-        let err = decode_batch_response(&plain, 1).unwrap_err();
-        assert!(err.0.contains("non-batch"), "{err}");
+        // ...a bare `Ok` answers only the ping, a data reply only one
+        // operation, and an anti-entropy reply none.
+        assert!(arity_violation(reply_list(Response::Ok, 1)));
+        let absent = Response::Lookup(LookupReply::Absent { gap_version: v(1) });
+        assert!(arity_violation(reply_list(absent, 0)));
+        assert!(reply_list(Response::Summary(vec![]), 1).is_err());
+        assert!(reply_list(Response::Batch(vec![Response::Ok; 2]), 2).is_err());
+    }
+
+    #[test]
+    fn envelopes_carry_data_operations_of_one_transaction() {
+        let t = TxnId(3);
+        let insert = |txn| Request::Insert(txn, k("a"), v(1), Value::from("A"));
+        let refused = [
+            vec![],
+            vec![insert(t), Request::Commit(t)],
+            vec![insert(t), Request::Abort(t)],
+            vec![Request::Begin(t), insert(t)],
+            vec![insert(t), Request::Ping],
+            vec![insert(t), Request::Summary { level: 0, path: 0 }],
+            vec![Request::PullRange {
+                after: Key::Low,
+                before: Key::High,
+            }],
+            vec![insert(t), Request::Lookup(TxnId(4), k("b"))],
+        ];
+        for parts in refused {
+            let frame = encode_request(&Request::Batch(parts.clone()));
+            let err = decode_request(&frame).unwrap_err();
+            assert!(err.0.contains("one transaction"), "{parts:?}: {err}");
+            assert!(request_ops(Request::Batch(parts)).is_err());
+        }
+        // The benchmark's `codec.batch64_us` shape — 64 inserts of one
+        // transaction — still round-trips.
+        let batch = Request::Batch(
+            (0..64u64)
+                .map(|i| {
+                    let key = Key::User(UserKey::from_u64(i));
+                    Request::Insert(TxnId(7), key, v(3), Value::from(vec![0xAB; 100]))
+                })
+                .collect(),
+        );
+        assert_eq!(decode_request(&encode_request(&batch)).unwrap(), batch);
+        let (txn, ops) = request_ops(batch.clone()).unwrap();
+        assert_eq!((txn, ops.len()), (TxnId(7), 64));
+        assert_eq!(request_frame(txn, &ops), batch);
+    }
+
+    #[test]
+    fn counts_beyond_the_frame_are_refused() {
+        // Each count-prefixed reply claims a million elements in a frame
+        // that holds at most one: refused before anything is reserved for
+        // them.
+        let million = 1_000_000u32.to_le_bytes();
+        let frames = [
+            [&[RS_CHAIN][..], &million, &[0; 17]].concat(),
+            [&[RS_COALESCE][..], &[0; 8], &million, &[0; 24]].concat(),
+            [&[RS_SUMMARY][..], &million, &[0; 16]].concat(),
+            [&[RS_PULL_RANGE][..], &[0; 8], &million, &[0; 24]].concat(),
+        ];
+        for frame in frames {
+            let err = decode_response(&frame).unwrap_err();
+            assert!(err.0.contains("count exceeds"), "{err}");
+            // The one element's worth of bytes decodes a count of one.
+            let mut one = frame.clone();
+            let count_at = match frame[0] {
+                RS_COALESCE | RS_PULL_RANGE => 9,
+                _ => 1,
+            };
+            one[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
+            assert!(decode_response(&one).is_ok(), "{one:?}");
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn list_frames_keep_their_bytes() {
+        // Frames recorded from the codec as it stood before requests became
+        // lists of operations: the same lists must encode to the same bytes
+        // and decode back to the same lists.
+        let t = TxnId(7);
+        let requests: [(&[Op], &str); 7] = [
+            (&[], "00"),
+            (&[Op::Lookup(k("a"))], "020700000000000000010100000061"),
+            (
+                &[Op::PredecessorChain(k("m"), 3)],
+                "09070000000000000001010000006d03000000",
+            ),
+            (
+                &[Op::SuccessorChain(Key::Low, 64)],
+                "0a07000000000000000040000000",
+            ),
+            (
+                &[Op::Insert(k("key"), v(9), Value::from("val"))],
+                "05070000000000000001030000006b657909000000000000000300000076616c",
+            ),
+            (
+                &[Op::Coalesce(k("a"), Key::High, v(3))],
+                "060700000000000000010100000061020300000000000000",
+            ),
+            (
+                &[
+                    Op::Insert(k("b"), v(2), Value::from("B")),
+                    Op::Lookup(k("c")),
+                    Op::Coalesce(k("a"), k("d"), v(4)),
+                ],
+                "0b030000001c000000050700000000000000010100000062020000000000000001000000420f00\
+                 00000207000000000000000101000000631d00000006070000000000000001010000006101010000\
+                 00640400000000000000",
+            ),
+        ];
+        for (ops, bytes) in requests {
+            let frame = encode_request(&request_frame(t, ops));
+            assert_eq!(hex(&frame), bytes, "{ops:?}");
+            let (txn, back) = request_ops(decode_request(&frame).unwrap()).unwrap();
+            assert_eq!(back, ops);
+            assert!(ops.is_empty() || txn == t);
+        }
+        let replies: [(Vec<Reply>, &str); 8] = [
+            (vec![], "00"),
+            (
+                vec![Reply::Lookup(LookupReply::Present {
+                    version: v(4),
+                    value: Value::from("x"),
+                })],
+                "0104000000000000000100000078",
+            ),
+            (
+                vec![Reply::Lookup(LookupReply::Absent { gap_version: v(2) })],
+                "020200000000000000",
+            ),
+            (
+                vec![Reply::Chain(vec![
+                    NeighborReply {
+                        key: k("n"),
+                        entry_version: v(1),
+                        gap_version: v(2),
+                    },
+                    NeighborReply {
+                        key: Key::High,
+                        entry_version: v(0),
+                        gap_version: v(5),
+                    },
+                ])],
+                "080200000001010000006e01000000000000000200000000000000020000000000000000050000\
+                 0000000000",
+            ),
+            (
+                vec![Reply::Insert(InsertOutcome::Created {
+                    split_gap_version: v(2),
+                })],
+                "040200000000000000",
+            ),
+            (
+                vec![Reply::Insert(InsertOutcome::Updated {
+                    old_version: v(1),
+                    old_value: Value::from("old"),
+                })],
+                "050100000000000000030000006f6c64",
+            ),
+            (
+                vec![Reply::Coalesce(CoalesceOutcome {
+                    removed: vec![RemovedEntry {
+                        key: UserKey::from("g"),
+                        version: v(1),
+                        value: Value::from("G"),
+                        gap_after: v(3),
+                    }],
+                    old_gap_version: v(1),
+                })],
+                "060100000000000000010000000100000067010000000000000001000000470300000000000000",
+            ),
+            (
+                vec![
+                    Reply::Insert(InsertOutcome::Created {
+                        split_gap_version: v(2),
+                    }),
+                    Reply::Lookup(LookupReply::Absent { gap_version: v(2) }),
+                    Reply::Coalesce(CoalesceOutcome {
+                        removed: vec![],
+                        old_gap_version: v(2),
+                    }),
+                ],
+                "090300000009000000040200000000000000090000000202000000000000000d000000060200\
+                 00000000000000000000",
+            ),
+        ];
+        for (list, bytes) in replies {
+            let frame = encode_response(&reply_frame(Ok(list.clone())));
+            assert_eq!(hex(&frame), bytes, "{list:?}");
+            let back = reply_list(decode_response(&frame).unwrap(), list.len());
+            assert_eq!(back, Ok(list));
+        }
+        // A refusal, and the anti-entropy replies, which no list carries.
+        let refusal = reply_frame(Err(RepError::LockTimeout));
+        assert_eq!(hex(&encode_response(&refusal)), "0704");
+        let summary = Response::Summary(vec![Digest { hash: 5, count: 2 }]);
+        assert_eq!(
+            hex(&encode_response(&summary)),
+            "0a0100000005000000000000000200000000000000"
+        );
+        let pulled = Response::PullRange(BucketView {
+            lead_gap: v(7),
+            entries: vec![BucketEntry {
+                key: UserKey::from("p"),
+                version: v(3),
+                value: Value::from("V"),
+                gap_after: v(9),
+            }],
+        });
+        assert_eq!(
+            hex(&encode_response(&pulled)),
+            "0e0700000000000000010000000100000070030000000000000001000000560900000000000000"
+        );
     }
 
     #[test]
@@ -969,5 +1353,141 @@ mod tests {
         assert_eq!(back, e);
         // A name not in the intern table maps to "operation".
         assert_eq!(intern_op(b"whatever"), "operation");
+    }
+
+    mod lists {
+        //! Operation and reply lists round-trip through their frames.
+        //!
+        //! Keys are drawn from four shapes: the two sentinels, the empty
+        //! key, one-byte keys and 8-byte keys (`UserKey::from_u64`). Lists
+        //! run from 0 to 64 operations: the empty ping, a bare operation,
+        //! and envelopes up to the `bulk_chunk` arity of 64.
+        use super::super::*;
+        use repdir_core::proptest_mini::prelude::*;
+
+        fn key() -> impl Strategy<Value = Key> {
+            prop_oneof![
+                (0u8..3)
+                    .prop_map(|pick| [Key::Low, Key::High, Key::from("")][pick as usize].clone()),
+                any::<u8>().prop_map(|byte| Key::User(UserKey::from(vec![byte]))),
+                any::<u64>().prop_map(|n| Key::User(UserKey::from_u64(n))),
+            ]
+        }
+
+        fn value() -> impl Strategy<Value = Value> {
+            proptest::collection::vec(any::<u8>(), 0..24).prop_map(Value::from)
+        }
+
+        fn version() -> impl Strategy<Value = Version> {
+            any::<u64>().prop_map(Version::new)
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                key().prop_map(Op::Lookup),
+                (key(), any::<u32>()).prop_map(|(k, n)| Op::PredecessorChain(k, n as usize)),
+                (key(), any::<u32>()).prop_map(|(k, n)| Op::SuccessorChain(k, n as usize)),
+                (key(), version(), value()).prop_map(|(k, v, z)| Op::Insert(k, v, z)),
+                (key(), key(), version()).prop_map(|(l, h, v)| Op::Coalesce(l, h, v)),
+            ]
+        }
+
+        fn neighbor() -> impl Strategy<Value = NeighborReply> {
+            (key(), version(), version()).prop_map(|(key, entry_version, gap_version)| {
+                NeighborReply {
+                    key,
+                    entry_version,
+                    gap_version,
+                }
+            })
+        }
+
+        fn removed() -> impl Strategy<Value = RemovedEntry> {
+            (any::<u64>(), version(), value(), version()).prop_map(|(k, version, value, gap)| {
+                RemovedEntry {
+                    key: UserKey::from_u64(k),
+                    version,
+                    value,
+                    gap_after: gap,
+                }
+            })
+        }
+
+        fn reply() -> impl Strategy<Value = Reply> {
+            prop_oneof![
+                (version(), value()).prop_map(|(version, value)| {
+                    Reply::Lookup(LookupReply::Present { version, value })
+                }),
+                version()
+                    .prop_map(|gap_version| Reply::Lookup(LookupReply::Absent { gap_version })),
+                proptest::collection::vec(neighbor(), 0..65).prop_map(Reply::Chain),
+                version().prop_map(|split_gap_version| {
+                    Reply::Insert(InsertOutcome::Created { split_gap_version })
+                }),
+                (version(), value()).prop_map(|(old_version, old_value)| {
+                    Reply::Insert(InsertOutcome::Updated {
+                        old_version,
+                        old_value,
+                    })
+                }),
+                (proptest::collection::vec(removed(), 0..8), version()).prop_map(
+                    |(removed, old_gap_version)| {
+                        Reply::Coalesce(CoalesceOutcome {
+                            removed,
+                            old_gap_version,
+                        })
+                    }
+                ),
+            ]
+        }
+
+        /// The replies a member's answer carries after the wire.
+        fn across(result: RepResult<Vec<Reply>>, asked: usize) -> RepResult<Vec<Reply>> {
+            let frame = encode_response(&reply_frame(result));
+            reply_list(decode_response(&frame).expect("well-formed"), asked)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn operation_lists_round_trip(
+                txn in any::<u64>(),
+                ops in proptest::collection::vec(op(), 0..65),
+            ) {
+                let frame = encode_request(&request_frame(TxnId(txn), &ops));
+                let decoded = decode_request(&frame).expect("well-formed");
+                let (back_txn, back) = request_ops(decoded).expect("a data frame");
+                prop_assert_eq!(&back, &ops);
+                prop_assert!(ops.is_empty() || back_txn == TxnId(txn));
+            }
+
+            #[test]
+            fn reply_lists_round_trip(
+                replies in proptest::collection::vec(reply(), 0..65),
+            ) {
+                let asked = replies.len();
+                prop_assert_eq!(across(Ok(replies.clone()), asked), Ok(replies));
+                prop_assert_eq!(
+                    across(Err(RepError::Deadlock), asked),
+                    Err(RepError::Deadlock)
+                );
+            }
+        }
+
+        #[test]
+        fn full_envelope_of_full_chains_round_trips() {
+            let chain = |c: u64| {
+                (0..64u64)
+                    .map(|i| NeighborReply {
+                        key: Key::User(UserKey::from_u64(c * 64 + i)),
+                        entry_version: Version::new(i),
+                        gap_version: Version::new(c),
+                    })
+                    .collect()
+            };
+            let replies: Vec<Reply> = (0..64).map(|c| Reply::Chain(chain(c))).collect();
+            assert_eq!(across(Ok(replies.clone()), 64), Ok(replies));
+        }
     }
 }

@@ -4,17 +4,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::{
-    BatchReply, Completion, RepClient, RepError, RepId, RepReply, RepRequest, RepResult,
-};
+use repdir_core::{Completion, Op, RepClient, RepError, RepId, RepResult, Reply};
 use repdir_net::{serve, Network, NodeId, RpcClient, RpcResult, ServerHandle};
 use repdir_obs::Counter;
 use repdir_repair::MAX_PULL_ENTRIES;
 use repdir_txn::TxnId;
 
 use crate::codec::{
-    decode_batch_response, decode_request, decode_response, encode_request, encode_response,
-    Request, Response,
+    decode_request, decode_response, encode_request, encode_response, reply_frame, reply_list,
+    request_frame, request_ops, Request, Response,
 };
 use crate::server::TransactionalRep;
 
@@ -43,51 +41,25 @@ pub fn serve_rep(net: Arc<Network>, node: NodeId, rep: Arc<TransactionalRep>) ->
 }
 
 fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
+    // A ping, a bare operation or an envelope: one list, one path through
+    // the locks and the log, answered by one error if any operation fails.
+    let control = match request_ops(req) {
+        Ok((txn, ops)) => return reply_frame(rep.execute(txn, &ops)),
+        Err(control) => control,
+    };
     fn wrap<T>(r: RepResult<T>, f: impl FnOnce(T) -> Response) -> Response {
         match r {
             Ok(v) => f(v),
             Err(e) => Response::Err(e),
         }
     }
-    match req {
-        Request::Ping => wrap(rep.ping(), |()| Response::Ok),
-        Request::Begin(t) => wrap(rep.begin(t), |()| Response::Ok),
-        Request::Lookup(t, k) => wrap(rep.lookup(t, &k), Response::Lookup),
-        Request::PredecessorChain(t, k, limit) => wrap(
-            rep.predecessor_chain(t, &k, limit as usize),
-            Response::Chain,
-        ),
-        Request::SuccessorChain(t, k, limit) => {
-            wrap(rep.successor_chain(t, &k, limit as usize), Response::Chain)
-        }
-        Request::Insert(t, k, v, val) => wrap(rep.insert(t, &k, v, &val), Response::Insert),
-        Request::Coalesce(t, l, h, v) => wrap(rep.coalesce(t, &l, &h, v), Response::Coalesce),
-        Request::Commit(t) => wrap(rep.commit(t), |()| Response::Ok),
+    let ack = |()| Response::Ok;
+    match control {
+        Request::Begin(t) => wrap(rep.begin(t), ack),
+        Request::Commit(t) => wrap(rep.commit(t), ack),
         Request::Abort(t) => {
             rep.abort(t);
             Response::Ok
-        }
-        // Sub-requests are dispatched in order and the envelope stops at its
-        // first failure, as `RepClient::execute_parts` does in process: the
-        // parts behind it are not run — no lock is taken for a transaction
-        // about to abort — and answer with the same error, so the reply
-        // keeps the arity the client checks.
-        Request::Batch(reqs) => {
-            let mut failed: Option<RepError> = None;
-            Response::Batch(
-                reqs.into_iter()
-                    .map(|r| match &failed {
-                        Some(e) => Response::Err(e.clone()),
-                        None => {
-                            let part = dispatch(rep, r);
-                            if let Response::Err(e) = &part {
-                                failed = Some(e.clone());
-                            }
-                            part
-                        }
-                    })
-                    .collect(),
-            )
         }
         // Anti-entropy endpoints: read-only, no coordinator transaction.
         Request::Summary { level, path } => {
@@ -97,6 +69,10 @@ fn dispatch(rep: &TransactionalRep, req: Request) -> Response {
             rep.pull_range(&after, &before, MAX_PULL_ENTRIES),
             Response::PullRange,
         ),
+        // Decoding refuses the envelopes `request_ops` hands back.
+        other => Response::Err(RepError::Storage(format!(
+            "protocol violation: unserved request {other:?}"
+        ))),
     }
 }
 
@@ -169,88 +145,33 @@ impl RemoteSessionClient {
         let _ = self.control(Request::Abort(self.txn));
     }
 
-    /// One transaction-control round trip, answered by a bare `Ok`.
+    /// One transaction-control round trip, answered like the empty list.
     fn control(&self, req: Request) -> RepResult<()> {
         let reply = self
             .rpc
             .call(self.server, encode_request(&req), self.timeout);
-        match decode_reply(reply, None)? {
-            RepReply::Pong => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        replies(reply, 0).map(drop)
     }
 
-    /// The wire frame for `req` plus, for an envelope, the number of parts
-    /// its reply must carry. `None` for an empty envelope, which is answered
-    /// without a message.
-    fn frame(&self, req: RepRequest<'_>) -> Option<(Vec<u8>, Option<usize>)> {
-        let t = self.txn;
-        let wire = |req: RepRequest<'_>| match req {
-            RepRequest::Ping => Request::Ping,
-            RepRequest::Lookup(k) => Request::Lookup(t, k.clone()),
-            RepRequest::PredecessorChain(k, limit) => {
-                Request::PredecessorChain(t, k.clone(), limit as u32)
-            }
-            RepRequest::SuccessorChain(k, limit) => {
-                Request::SuccessorChain(t, k.clone(), limit as u32)
-            }
-            RepRequest::Insert(k, v, val) => Request::Insert(t, k.clone(), v, val.clone()),
-            RepRequest::Coalesce(l, h, v) => Request::Coalesce(t, l.clone(), h.clone(), v),
-            RepRequest::Batch(_) => unreachable!("envelopes do not nest"),
-        };
-        match req {
-            RepRequest::Batch([]) => None,
-            // The whole envelope is one `Request::Batch` frame — one message
-            // and one round trip regardless of how many probes it carries.
-            RepRequest::Batch(parts) => {
-                self.batch_calls.inc();
-                self.batch_parts.add(parts.len() as u64);
-                let wired = parts.iter().map(|part| wire(part.as_request())).collect();
-                Some((encode_request(&Request::Batch(wired)), Some(parts.len())))
-            }
-            single => Some((encode_request(&wire(single)), None)),
+    /// The bytes of the request `ops`.
+    fn frame(&self, ops: &[Op]) -> Vec<u8> {
+        if ops.len() > 1 {
+            self.batch_calls.inc();
+            self.batch_parts.add(ops.len() as u64);
         }
+        encode_request(&request_frame(self.txn, ops))
     }
 }
 
-fn unexpected(resp: impl std::fmt::Debug) -> RepError {
-    RepError::Storage(format!("protocol violation: unexpected response {resp:?}"))
-}
-
-/// Turns an RPC outcome into the reply it carries. RPC failures become
-/// [`RepError::Unavailable`]; an envelope's reply (`arity` parts expected) is
-/// decoded through the arity-checking helper, so a reply that cannot answer
-/// exactly that envelope is a protocol violation, never a silent truncation
-/// of the tail sub-requests. Which *kind* of reply answers which request is
-/// checked where the reply is consumed ([`RepReply`]'s typed accessors).
-fn decode_reply(reply: RpcResult, arity: Option<usize>) -> RepResult<RepReply> {
+/// The replies an RPC outcome carries for a request of `asked` operations.
+/// RPC failures become [`RepError::Unavailable`]; which *kind* of reply
+/// answers which operation is checked where the reply is consumed
+/// ([`Reply`]'s typed accessors).
+fn replies(reply: RpcResult, asked: usize) -> RepResult<Vec<Reply>> {
     let bytes = reply.map_err(|_| RepError::Unavailable)?;
-    let decoded = match arity {
-        Some(parts) => decode_batch_response(&bytes, parts),
-        None => decode_response(&bytes),
-    };
-    let resp = decoded.map_err(|e| RepError::Storage(format!("bad response: {e}")))?;
-    match resp {
-        Response::Err(e) => Err(e),
-        Response::Batch(parts) => parts
-            .into_iter()
-            .map(|part| match part {
-                Response::Lookup(r) => Ok(BatchReply::Lookup(r)),
-                Response::Chain(c) => Ok(BatchReply::Chain(c)),
-                Response::Insert(r) => Ok(BatchReply::Insert(r)),
-                Response::Coalesce(r) => Ok(BatchReply::Coalesce(r)),
-                Response::Err(e) => Err(e),
-                other => Err(unexpected(other)),
-            })
-            .collect::<RepResult<_>>()
-            .map(RepReply::Batch),
-        Response::Ok => Ok(RepReply::Pong),
-        Response::Lookup(r) => Ok(RepReply::Lookup(r)),
-        Response::Chain(c) => Ok(RepReply::Chain(c)),
-        Response::Insert(r) => Ok(RepReply::Insert(r)),
-        Response::Coalesce(r) => Ok(RepReply::Coalesce(r)),
-        other => Err(unexpected(other)),
-    }
+    let resp =
+        decode_response(&bytes).map_err(|e| RepError::Storage(format!("bad response: {e}")))?;
+    reply_list(resp, asked)
 }
 
 impl RepClient for RemoteSessionClient {
@@ -258,11 +179,9 @@ impl RepClient for RemoteSessionClient {
         self.rep_id
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        let Some((frame, arity)) = self.frame(req) else {
-            return Ok(RepReply::Batch(Vec::new()));
-        };
-        decode_reply(self.rpc.call(self.server, frame, self.timeout), arity)
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        let reply = self.rpc.call(self.server, self.frame(ops), self.timeout);
+        replies(reply, ops.len())
     }
 
     /// Sends the request and returns: the reply is decoded and `done`
@@ -270,14 +189,12 @@ impl RepClient for RemoteSessionClient {
     /// with the request, so a member that never answers completes `done` as
     /// [`RepError::Unavailable`] at the deadline whether or not anybody is
     /// still waiting.
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        let Some((frame, arity)) = self.frame(req) else {
-            return done.complete(Ok(RepReply::Batch(Vec::new())));
-        };
+    fn start(&self, ops: &[Op], done: Completion) {
+        let asked = ops.len();
         let deadline = Instant::now() + self.timeout;
         self.rpc
-            .start(self.server, frame, Some(deadline), move |reply| {
-                done.complete(decode_reply(reply, arity));
+            .start(self.server, self.frame(ops), Some(deadline), move |reply| {
+                done.complete(replies(reply, asked));
             });
     }
 }
@@ -285,7 +202,7 @@ impl RepClient for RemoteSessionClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repdir_core::{BatchRequest, InsertOutcome, Key, Value, Version};
+    use repdir_core::{InsertOutcome, Key, Value, Version};
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -361,32 +278,26 @@ mod tests {
         client.begin().unwrap();
         let (queue, completions) = unbounded::<Done>();
         let tick = Duration::from_secs(2);
-        // `start` returns before the reply exists; it arrives tagged.
-        client.start(RepRequest::Ping, Completion::new(7, true, queue.clone()));
+        // `start` returns before the reply exists; it arrives tagged. The
+        // empty list is the ping: one message each way.
+        let sent = net.stats().sent;
+        client.start(&[], Completion::new(7, true, queue.clone()));
         client.start(
-            RepRequest::Lookup(&k("a")),
+            &[Op::Lookup(k("a"))],
             Completion::new(8, true, queue.clone()),
         );
         let mut done: Vec<Done> = (0..2)
             .map(|_| completions.recv_timeout(tick).unwrap())
             .collect();
         done.sort_by_key(|d| d.slot);
-        assert_eq!(done[0].result, Ok(RepReply::Pong));
-        assert!(matches!(done[1].result, Ok(RepReply::Lookup(_))));
+        assert_eq!(done[0].result, Ok(Vec::new()));
+        assert!(matches!(done[1].result.as_deref(), Ok([Reply::Lookup(_)])));
         assert!(done.iter().all(|d| d.elapsed.is_some()));
-        // An empty envelope is answered without a message.
-        let sent = net.stats().sent;
-        client.start(
-            RepRequest::Batch(&[]),
-            Completion::new(9, false, queue.clone()),
-        );
-        let empty = completions.try_recv().expect("completed inline");
-        assert_eq!(empty.result, Ok(RepReply::Batch(Vec::new())));
-        assert_eq!(net.stats().sent, sent);
+        assert_eq!(net.stats().sent - sent, 4);
         // Nobody answers: the request completes unavailable at the client's
         // deadline, with nobody waiting on it.
         net.partition(&[&[NodeId(0)], &[NodeId(10)]]);
-        client.start(RepRequest::Ping, Completion::new(10, false, queue));
+        client.start(&[], Completion::new(10, false, queue));
         let late = completions.recv_timeout(tick).unwrap();
         assert_eq!((late.slot, late.result), (10, Err(RepError::Unavailable)));
         net.heal();
@@ -418,30 +329,27 @@ mod tests {
             .unwrap();
         let before = net.stats().sent;
         let replies = client
-            .batch(&[
-                BatchRequest::Lookup(k("a")),
-                BatchRequest::SuccessorChain(k("a"), 2),
-                BatchRequest::PredecessorChain(Key::High, 1),
+            .execute(&[
+                Op::Lookup(k("a")),
+                Op::SuccessorChain(k("a"), 2),
+                Op::PredecessorChain(Key::High, 1),
             ])
             .unwrap();
         // One request plus one response on the fabric for three probes.
         assert_eq!(net.stats().sent - before, 2);
         assert_eq!(replies.len(), 3);
-        assert_eq!(
-            replies[0],
-            BatchReply::Lookup(client.lookup(&k("a")).unwrap())
-        );
+        assert_eq!(replies[0], Reply::Lookup(client.lookup(&k("a")).unwrap()));
         assert_eq!(
             replies[1],
-            BatchReply::Chain(client.successor_chain(&k("a"), 2).unwrap())
+            Reply::Chain(client.successor_chain(&k("a"), 2).unwrap())
         );
         assert_eq!(
             replies[2],
-            BatchReply::Chain(client.predecessor_chain(&Key::High, 1).unwrap())
+            Reply::Chain(client.predecessor_chain(&Key::High, 1).unwrap())
         );
-        // A failing sub-request fails the envelope with its own error.
+        // A failing operation fails the envelope with its own error.
         let err = client
-            .batch(&[BatchRequest::SuccessorChain(Key::High, 1)])
+            .execute(&[Op::Lookup(k("a")), Op::SuccessorChain(Key::High, 1)])
             .unwrap_err();
         assert!(matches!(err, RepError::SentinelViolation { .. }), "{err:?}");
         client.abort();
@@ -454,10 +362,10 @@ mod tests {
         client.begin().unwrap();
         let before = net.stats().sent;
         let replies = client
-            .batch(&[
-                BatchRequest::Insert(k("a"), Version::new(1), Value::from("A")),
-                BatchRequest::Insert(k("b"), Version::new(2), Value::from("B")),
-                BatchRequest::Lookup(k("a")),
+            .execute(&[
+                Op::Insert(k("a"), Version::new(1), Value::from("A")),
+                Op::Insert(k("b"), Version::new(2), Value::from("B")),
+                Op::Lookup(k("a")),
             ])
             .unwrap();
         // Two writes and a probe still ride one request/response pair.
@@ -465,14 +373,14 @@ mod tests {
         assert_eq!(replies.len(), 3);
         assert!(matches!(
             replies[0],
-            BatchReply::Insert(InsertOutcome::Created { .. })
+            Reply::Insert(InsertOutcome::Created { .. })
         ));
         assert!(matches!(
             replies[1],
-            BatchReply::Insert(InsertOutcome::Created { .. })
+            Reply::Insert(InsertOutcome::Created { .. })
         ));
         match &replies[2] {
-            BatchReply::Lookup(r) => {
+            Reply::Lookup(r) => {
                 assert!(r.is_present());
                 assert_eq!(r.version(), Version::new(1));
             }
@@ -497,14 +405,14 @@ mod tests {
         let before = rep.snapshot();
         // A copy, a refused copy, and the coalesce that must not run.
         let envelope = [
-            BatchRequest::Insert(k("a"), Version::new(1), Value::from("A")),
-            BatchRequest::Insert(Key::Low, Version::new(1), Value::empty()),
-            BatchRequest::Coalesce(k("a"), k("d"), Version::new(2)),
+            Op::Insert(k("a"), Version::new(1), Value::from("A")),
+            Op::Insert(Key::Low, Version::new(1), Value::empty()),
+            Op::Coalesce(k("a"), k("d"), Version::new(2)),
         ];
 
-        let remote = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(2));
+        let remote = RemoteSessionClient::new(Arc::clone(&rpc), NodeId(10), RepId(0), TxnId(2));
         remote.begin().unwrap();
-        let refused = remote.batch(&envelope).unwrap_err();
+        let refused = remote.execute(&envelope).unwrap_err();
         assert!(matches!(refused, RepError::SentinelViolation { .. }));
         // The coalesce behind the refusal never ran: no lock on its range,
         // nothing coalesced away, only the two copies' point locks.
@@ -520,12 +428,58 @@ mod tests {
         remote.abort();
         assert_eq!(rep.snapshot(), before);
 
+        // On the wire the failed envelope is answered by its one error, not
+        // by a reply per part.
+        let raw = |req: &Request| {
+            let bytes = rpc.call(NodeId(10), encode_request(req), Duration::from_secs(2));
+            decode_response(&bytes.unwrap()).unwrap()
+        };
+        raw(&Request::Begin(TxnId(4)));
+        let reply = raw(&request_frame(TxnId(4), &envelope));
+        assert_eq!(reply, Response::Err(refused.clone()));
+        raw(&Request::Abort(TxnId(4)));
+
         let local = SessionClient::new(Arc::clone(&rep), TxnId(3));
         rep.begin(TxnId(3)).unwrap();
-        assert_eq!(local.batch(&envelope), Err(refused));
+        assert_eq!(local.execute(&envelope), Err(refused));
         assert_eq!(rep.locks_held(TxnId(3)), held);
         rep.abort(TxnId(3));
         assert_eq!(rep.lock_holders(), vec![]);
+    }
+
+    #[test]
+    fn served_envelope_of_another_shape_is_refused_whole() {
+        let (_net, rep, _handle, rpc) = setup();
+        let raw = |req: &Request| {
+            let bytes = rpc.call(NodeId(10), encode_request(req), Duration::from_secs(2));
+            decode_response(&bytes.unwrap()).unwrap()
+        };
+        let (t, other) = (TxnId(1), TxnId(2));
+        raw(&Request::Begin(t));
+        raw(&Request::Begin(other));
+        let insert = |txn| Request::Insert(txn, k("a"), Version::new(1), Value::from("A"));
+        // A commit riding behind a write would end the transaction inside
+        // the envelope; parts of two transactions would run under one.
+        for envelope in [
+            vec![insert(t), Request::Commit(t)],
+            vec![insert(t), Request::Lookup(other, k("b"))],
+            vec![Request::Begin(t), insert(t)],
+        ] {
+            match raw(&Request::Batch(envelope)) {
+                Response::Err(RepError::Storage(msg)) => {
+                    assert!(msg.contains("bad request"), "{msg}")
+                }
+                reply => panic!("expected a refusal, got {reply:?}"),
+            }
+        }
+        // Nothing applied, no lock left behind, and the transaction is still
+        // open for its next request.
+        assert_eq!(rep.len(), 0);
+        assert_eq!(rep.lock_holders(), vec![]);
+        assert!(matches!(raw(&insert(t)), Response::Insert(_)));
+        raw(&Request::Abort(t));
+        raw(&Request::Abort(other));
+        assert_eq!(rep.len(), 0);
     }
 
     #[test]
@@ -538,15 +492,15 @@ mod tests {
             .unwrap();
         let before = net.stats().sent;
         let mut replies = client
-            .batch(&[
-                BatchRequest::Insert(k("a"), Version::new(1), Value::from("A")),
-                BatchRequest::Insert(k("c"), Version::new(1), Value::from("C")),
-                BatchRequest::Coalesce(k("a"), k("c"), Version::new(2)),
+            .execute(&[
+                Op::Insert(k("a"), Version::new(1), Value::from("A")),
+                Op::Insert(k("c"), Version::new(1), Value::from("C")),
+                Op::Coalesce(k("a"), k("c"), Version::new(2)),
             ])
             .unwrap();
         assert_eq!(net.stats().sent - before, 2);
         match replies.pop() {
-            Some(BatchReply::Coalesce(out)) => assert_eq!(out.removed.len(), 1),
+            Some(Reply::Coalesce(out)) => assert_eq!(out.removed.len(), 1),
             other => panic!("expected coalesce reply, got {other:?}"),
         }
         client.commit().unwrap();
@@ -568,7 +522,7 @@ mod tests {
         let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
         let client = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(1));
         let err = client
-            .batch(&[BatchRequest::Lookup(k("a")), BatchRequest::Lookup(k("b"))])
+            .execute(&[Op::Lookup(k("a")), Op::Lookup(k("b"))])
             .unwrap_err();
         match err {
             RepError::Storage(msg) => assert!(msg.contains("arity"), "{msg}"),

@@ -8,8 +8,8 @@ use std::time::Duration;
 use repdir_core::suite::StaleVote;
 use repdir_core::sync::{Mutex, MutexGuard};
 use repdir_core::{
-    CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, RepId,
-    RepResult, UserKey, Value, Version,
+    CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, Op, RepError, RepId,
+    RepResult, Reply, UserKey, Value, Version,
 };
 use repdir_rangelock::{DeadlockDomain, KeyRange, LockError, LockMode, LockStats, RangeLockTable};
 use repdir_repair::{
@@ -238,6 +238,33 @@ impl TransactionalRep {
         self.check_up()?;
         self.state.lock().begin(txn);
         Ok(())
+    }
+
+    /// Runs one request of `txn` — an ordered list of operations — against
+    /// the locks and the log: each operation takes its Fig. 6 lock as it
+    /// runs, and the list stops at its first failing operation, whose error
+    /// answers the whole request. The operations behind it do not run, so
+    /// no lock is taken for a transaction about to abort. The empty list is
+    /// the ping. In process and across the network alike, every data
+    /// request a member serves comes through here.
+    ///
+    /// # Errors
+    ///
+    /// The first failing operation's error.
+    pub fn execute(&self, txn: TxnId, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        if ops.is_empty() {
+            return self.ping().map(|()| Vec::new());
+        }
+        let run = |op: &Op| match op {
+            Op::Lookup(key) => self.lookup(txn, key).map(Reply::Lookup),
+            Op::PredecessorChain(key, n) => self.predecessor_chain(txn, key, *n).map(Reply::Chain),
+            Op::SuccessorChain(key, n) => self.successor_chain(txn, key, *n).map(Reply::Chain),
+            Op::Insert(key, version, value) => {
+                self.insert(txn, key, *version, value).map(Reply::Insert)
+            }
+            Op::Coalesce(low, high, v) => self.coalesce(txn, low, high, *v).map(Reply::Coalesce),
+        };
+        ops.iter().map(run).collect()
     }
 
     /// `DirRepLookup(x)` under a `RepLookup(x, x)` lock.

@@ -34,8 +34,11 @@
 #    the benchmark drives the stack through a small allow-list of public API
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
 #    `RemoteSessionClient::{new, DEFAULT_TIMEOUT}`, `DirSuite::{new,
-#    in_process, ...}`, `TxnManager::{new, begin, commit}`, ...), so a change
-#    that breaks it fails here instead of in the benchmark pipeline. The
+#    in_process, ...}`, `TxnManager::{new, begin, commit}`, ...) and builds
+#    wire frames by name — `codec::Request::{Begin, Commit, Abort, Lookup,
+#    Insert, Batch}`, `codec::Response::Lookup`, `codec::{encode_request,
+#    decode_request, encode_response, decode_response}` — so a change that
+#    breaks either fails here instead of in the benchmark pipeline. The
 #    smoke sweep's traced `net.msgs_per_op` is then read back from
 #    benchmark/out/results.json and must stay within the point operations'
 #    round budget (a lookup's or quorum write's collection carries the
@@ -49,8 +52,9 @@
 # 11. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
 #    gates 4 to 8 pinned and gate 9's traced net.msgs_per_op. Counts
 #    repeat, so the history shows a budget moving, not noise. Then prints
-#    the code / comment / test line split of crates/core/src/suite
-#    (scripts/suite_loc.sh), for information.
+#    the code / comment / test line split of crates/core/src/suite,
+#    crates/core/src and crates/replica/src (scripts/suite_loc.sh), for
+#    information.
 #
 # Each gate prints its wall-clock duration so a slow regression is
 # attributable to the gate that grew. Exits non-zero on the first violation
@@ -189,4 +193,4 @@ gate_done
 
 echo "ALL CHECKS PASSED"
 echo
-bash scripts/suite_loc.sh
+bash scripts/suite_loc.sh crates/core/src/suite crates/core/src crates/replica/src

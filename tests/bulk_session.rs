@@ -21,7 +21,7 @@ use repdir::baselines::reference::{delete_per_key, insert_per_key, per_hop_scan}
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
-    Completion, Key, RepClient, RepId, RepReply, RepRequest, RepResult, SuiteError, UserKey, Value,
+    Completion, Key, Op as RepOp, RepClient, RepId, RepResult, Reply, SuiteError, UserKey, Value,
     Version,
 };
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
@@ -180,7 +180,7 @@ proptest! {
 }
 
 /// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across batch envelopes, slows the victim nodes to well past
+/// down to zero across envelopes, slows the victim nodes to well past
 /// the RPC timeout — a member partition injected *mid-batch*, after the
 /// session quorums were collected and envelopes acknowledged.
 struct FuseClient {
@@ -191,10 +191,13 @@ struct FuseClient {
 }
 
 impl FuseClient {
-    /// Ticks the fuse on every batch envelope; the one that burns it down
-    /// slows the victims past the RPC timeout.
-    fn tick(&self, req: RepRequest<'_>) {
-        if matches!(req, RepRequest::Batch(_)) && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+    /// Ticks the fuse on every envelope — a request of more than one
+    /// operation, which is exactly what travels as a `Batch` frame. Only a
+    /// one-key ingest chunk changed shape (it now goes bare), and these
+    /// tests send none: their chunks hold 16 and 64 keys. The envelope that
+    /// burns the fuse down slows the victims past the RPC timeout.
+    fn tick(&self, ops: &[RepOp]) {
+        if ops.len() > 1 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
             for v in &self.victims {
                 self.net
                     .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
@@ -207,13 +210,13 @@ impl RepClient for FuseClient {
     fn id(&self) -> RepId {
         self.inner.id()
     }
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        self.tick(req);
-        self.inner.execute(req)
+    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
+        self.tick(ops);
+        self.inner.execute(ops)
     }
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        self.tick(req);
-        self.inner.start(req, done)
+    fn start(&self, ops: &[RepOp], done: Completion) {
+        self.tick(ops);
+        self.inner.start(ops, done)
     }
 }
 

@@ -18,8 +18,8 @@
 
 use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
 use repdir::core::{
-    BatchRequest, Completion, Key, LocalRep, QuorumKind, RepClient, RepError, RepId, RepReply,
-    RepRequest, RepResult, SuiteError, Value, Version,
+    Completion, Key, LocalRep, Op, QuorumKind, RepClient, RepError, RepId, RepResult, Reply,
+    SuiteError, Value, Version,
 };
 use repdir::net::{Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{
@@ -331,20 +331,20 @@ impl RepClient for Double {
         self.inner.id()
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        let ping = req == RepRequest::Ping;
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        let ping = ops.is_empty();
         let seen = if ping { &self.pings } else { &self.data };
         seen.fetch_add(1, Ordering::SeqCst);
         match self.mode.load(Ordering::SeqCst) {
             DOWN | SILENT => Err(RepError::Unavailable),
             DEADLOCKS if !ping => Err(RepError::Deadlock),
             TIMES_OUT if !ping => Err(RepError::LockTimeout),
-            _ => self.inner.execute(req),
+            _ => self.inner.execute(ops),
         }
     }
 
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        let reply = self.execute(req);
+    fn start(&self, ops: &[Op], done: Completion) {
+        let reply = self.execute(ops);
         if self.mode.load(Ordering::SeqCst) == SILENT {
             std::thread::spawn(move || {
                 std::thread::sleep(SILENCE);
@@ -837,16 +837,12 @@ impl RepClient for DiesAtCoalesce {
         self.inner.id()
     }
 
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        let coalesces = match req {
-            RepRequest::Coalesce(..) => true,
-            RepRequest::Batch(parts) => matches!(parts.last(), Some(BatchRequest::Coalesce(..))),
-            _ => false,
-        };
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        let coalesces = matches!(ops.last(), Some(Op::Coalesce(..)));
         if coalesces && self.doomed {
             self.inner.rep().set_available(false);
         }
-        self.inner.execute(req)
+        self.inner.execute(ops)
     }
 }
 

@@ -18,7 +18,7 @@ use repdir::baselines::reference::per_hop_scan;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
-    Completion, Key, QuorumKind, RepClient, RepId, RepReply, RepRequest, RepResult, SuiteError,
+    Completion, Key, Op as RepOp, QuorumKind, RepClient, RepId, RepResult, Reply, SuiteError,
     UserKey, Value,
 };
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
@@ -157,7 +157,7 @@ proptest! {
 }
 
 /// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across batch envelopes, slows the victim nodes to well past
+/// down to zero across envelopes, slows the victim nodes to well past
 /// the RPC timeout — a member death injected *mid-walk*, after the session
 /// quorum was collected and used.
 struct FuseClient {
@@ -168,10 +168,11 @@ struct FuseClient {
 }
 
 impl FuseClient {
-    /// Ticks the fuse on every batch envelope; the one that burns it down
-    /// slows the victims past the RPC timeout.
-    fn tick(&self, req: RepRequest<'_>) {
-        if matches!(req, RepRequest::Batch(_)) && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+    /// Ticks the fuse on every envelope — a request of more than one
+    /// operation, which is exactly what travels as a `Batch` frame — and the
+    /// one that burns it down slows the victims past the RPC timeout.
+    fn tick(&self, ops: &[RepOp]) {
+        if ops.len() > 1 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
             for v in &self.victims {
                 self.net
                     .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
@@ -184,13 +185,13 @@ impl RepClient for FuseClient {
     fn id(&self) -> RepId {
         self.inner.id()
     }
-    fn execute(&self, req: RepRequest<'_>) -> RepResult<RepReply> {
-        self.tick(req);
-        self.inner.execute(req)
+    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
+        self.tick(ops);
+        self.inner.execute(ops)
     }
-    fn start(&self, req: RepRequest<'_>, done: Completion) {
-        self.tick(req);
-        self.inner.start(req, done)
+    fn start(&self, ops: &[RepOp], done: Completion) {
+        self.tick(ops);
+        self.inner.start(ops, done)
     }
 }
 
