@@ -315,7 +315,7 @@ fn main() {
     let mut fx = build(keys, hop, timeout, 0x4E7A);
     fx.diverge(&sparse, &[]);
     let queue = Arc::new(StaleVoteQueue::new());
-    fx.suite.set_stale_vote_sink(Some(Arc::clone(&queue)));
+    fx.suite.set_stale_vote_sink(Arc::clone(&queue));
     fx.suite
         .set_policy(Box::new(FixedPolicy::with_order(vec![0, STALE_MEMBER, 1])));
     let mut passes = 0;

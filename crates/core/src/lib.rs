@@ -66,7 +66,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bytes;
-pub mod channel;
 mod error;
 mod gapmap;
 mod key;

@@ -14,10 +14,10 @@
 //!   simulated network.
 
 use std::fmt;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::channel::Sender;
 use crate::error::RepError;
 use crate::gapmap::{CoalesceOutcome, GapMap, InsertOutcome, LookupReply, NeighborReply};
 use crate::key::Key;

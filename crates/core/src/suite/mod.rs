@@ -48,7 +48,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use repdir_obs::{Avail, Counter, Ewma, Registry};
-use votes::VoteLog;
 use wave::Executor;
 
 /// Result of [`DirSuite::lookup`].
@@ -202,7 +201,7 @@ struct SuiteObs {
 /// Recording a large penalty instead demotes the member until real
 /// successes decay it back. (Resetting the EWMA would be worse: unsampled
 /// members sort *first* in [`LatencyPolicy`]'s order.)
-const FAILED_RPC_PENALTY: std::time::Duration = std::time::Duration::from_secs(1);
+const FAILED_RPC_PENALTY: Duration = Duration::from_secs(1);
 
 impl SuiteObs {
     fn new(registry: Registry, n: usize) -> Self {
@@ -273,21 +272,14 @@ pub struct DirSuite<C: RepClient> {
     /// Nesting depth of bulk-operation scopes; sessions are dropped when it
     /// returns to zero so no quorum outlives the operation that pinned it.
     session_depth: u32,
-    /// Stale votes observed by quorum reads, drained by
-    /// [`take_stale_votes`](DirSuite::take_stale_votes). Coalesced per
-    /// `(member, key)`; unused when a shared sink is installed.
-    stale_votes: VoteLog,
-    /// Shared sink stale votes are routed to instead of the local queue —
-    /// the hand-off to background repair drivers
-    /// ([`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)).
-    stale_sink: Option<Arc<StaleVoteQueue>>,
+    /// Where stale votes observed by quorum reads are queued: a fresh
+    /// queue of the suite's own, or one shared with background repair
+    /// drivers ([`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)).
+    stale_votes: Arc<StaleVoteQueue>,
     /// Per-member repair-health flags attached to [`latency_policy`]
     /// (`DirSuite::latency_policy`) snapshots so readers demote members
     /// whose drivers report unhealed buckets.
     repair_health: Option<Arc<RepairHealth>>,
-    /// EWMA sample recorded when a member RPC fails; defaults to
-    /// [`FAILED_RPC_PENALTY`].
-    penalty_sample: Duration,
     obs: SuiteObs,
     /// In-flight member requests and the queue their completions land on.
     exec: Executor,
@@ -333,10 +325,8 @@ impl<C: RepClient> DirSuite<C> {
             bulk_chunk: 64,
             sessions: [None, None],
             session_depth: 0,
-            stale_votes: VoteLog::default(),
-            stale_sink: None,
+            stale_votes: Arc::new(StaleVoteQueue::new()),
             repair_health: None,
-            penalty_sample: FAILED_RPC_PENALTY,
             obs,
             exec: Executor::new(),
         })
@@ -411,16 +401,6 @@ impl<C: RepClient> DirSuite<C> {
     /// detaches (future snapshots rank purely by latency/availability).
     pub fn set_repair_health(&mut self, health: Option<Arc<RepairHealth>>) {
         self.repair_health = health;
-    }
-
-    /// Overrides the reply-time EWMA sample recorded for a failed member
-    /// RPC (default [`FAILED_RPC_PENALTY`], 1 s). A dead member often fails
-    /// *fast*, so the penalty — not the measured duration — is what demotes
-    /// it in latency-aware quorum selection; tune it to the fabric's actual
-    /// tail so a single miss neither pins a member to the bottom for ages
-    /// nor vanishes into the noise.
-    pub fn set_penalty_sample(&mut self, sample: Duration) {
-        self.penalty_sample = sample;
     }
 
     /// Data RPCs sent to each representative since the last reset (pings
@@ -710,32 +690,6 @@ mod tests {
             asked_after_discovery,
             "a penalized member must sort behind the live ones and not be \
              asked on every collection"
-        );
-    }
-
-    #[test]
-    fn penalty_sample_is_tunable() {
-        let mut s = suite_322(65);
-        s.set_policy(fixed(&[0, 1, 2]));
-        s.set_penalty_sample(Duration::from_millis(5));
-        s.member(0).set_available(false);
-        // Member 0 misses the carried lookup; its EWMA takes the custom 5 ms
-        // penalty, not the 1 s default.
-        s.lookup(&k("x")).unwrap();
-        let ewma = s.member_reply_ewmas()[0].value_us().unwrap();
-        assert!(
-            ewma < 100_000.0,
-            "penalty sample not applied: EWMA {ewma} µs"
-        );
-        // The tunable survives a registry rebind.
-        s.set_obs_registry(Registry::new());
-        s.member(1).set_available(false);
-        s.member(0).set_available(true);
-        s.lookup(&k("x")).unwrap();
-        let ewma = s.member_reply_ewmas()[1].value_us().unwrap();
-        assert!(
-            ewma < 100_000.0,
-            "penalty sample lost on registry rebind: EWMA {ewma} µs"
         );
     }
 }

@@ -37,7 +37,7 @@ pub struct StaleVote {
 /// Stale votes, oldest observation first, coalesced per `(member, key)` in
 /// place through an index: a scan over a lagging member notes one per entry.
 #[derive(Default)]
-pub(super) struct VoteLog {
+struct VoteLog {
     votes: Vec<StaleVote>,
     /// Where in `votes` each `(member, key)` sits.
     slots: std::collections::HashMap<(usize, Key), usize>,
@@ -197,22 +197,22 @@ impl std::fmt::Debug for StaleVoteQueue {
 }
 
 impl<C: RepClient> DirSuite<C> {
-    /// Drains the queue of stale votes observed by quorum reads since the
-    /// last drain, oldest first. Feed these to the repair subsystem; the
-    /// reads that produced them were already correct (the version rule
-    /// masked the stale replies), so draining lazily is safe. Empty while a
-    /// shared sink is installed — the votes went to the sink instead.
-    pub fn take_stale_votes(&mut self) -> Vec<StaleVote> {
-        self.stale_votes.take()
+    /// Drains the suite's stale-vote queue, oldest first: the votes quorum
+    /// reads observed since the last drain. Feed these to the repair
+    /// subsystem; the reads that produced them were already correct (the
+    /// version rule masked the stale replies), so draining lazily is safe.
+    /// With a shared sink installed this drains the sink, votes pushed by
+    /// other suites included.
+    pub fn take_stale_votes(&self) -> Vec<StaleVote> {
+        self.stale_votes.drain_all()
     }
 
-    /// Routes observed stale votes to a shared [`StaleVoteQueue`] instead of
-    /// the suite-local queue — the hook a `ReplicatedDirectory` uses to feed
+    /// Queues observed stale votes on a shared [`StaleVoteQueue`] in place
+    /// of the suite's own — the hook a `ReplicatedDirectory` uses to feed
     /// one queue from every transaction's suite so background repair drivers
-    /// can drain it. `None` restores the local queue. Anything already
-    /// queued locally stays until [`take_stale_votes`] drains it.
-    pub fn set_stale_vote_sink(&mut self, sink: Option<Arc<StaleVoteQueue>>) {
-        self.stale_sink = sink;
+    /// can drain it. Votes already queued on the replaced queue stay there.
+    pub fn set_stale_vote_sink(&mut self, sink: Arc<StaleVoteQueue>) {
+        self.stale_votes = sink;
     }
 
     /// Merges a read quorum's lookup votes — the largest version wins
@@ -247,19 +247,15 @@ impl<C: RepClient> DirSuite<C> {
         for (member, seen) in votes {
             if seen < latest {
                 self.obs.stale_votes.inc();
-                let vote = StaleVote {
+                // Coalesced per (member, key), keeping the latest
+                // observation: a key that is read repeatedly while stale
+                // must cost one targeted pull, not one per read.
+                self.stale_votes.push(StaleVote {
                     member,
                     key: key.clone(),
                     seen,
                     latest,
-                };
-                match &self.stale_sink {
-                    Some(sink) => sink.push(vote),
-                    // Coalesced per (member, key), keeping the latest
-                    // observation: a key that is read repeatedly while
-                    // stale must cost one targeted pull, not one per read.
-                    None => self.stale_votes.note(vote),
-                }
+                });
             }
         }
     }
@@ -359,23 +355,23 @@ mod tests {
                 count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             })),
         );
-        s.set_stale_vote_sink(Some(Arc::clone(&queue)));
+        s.set_stale_vote_sink(Arc::clone(&queue));
         s.set_policy(fixed(&[1, 2]));
         for _ in 0..3 {
             s.lookup(&k("b")).unwrap();
         }
-        // Votes bypass the local queue and land (coalesced) in the sink; the
-        // repeats say nothing new, so the stale member is woken once.
-        assert!(s.take_stale_votes().is_empty());
+        // Votes land (coalesced) in the sink; the repeats say nothing new,
+        // so the stale member is woken once.
         assert_eq!(woken.load(std::sync::atomic::Ordering::SeqCst), 1);
         assert!(queue.drain_member(0).is_empty());
         let votes = queue.drain_member(2);
         assert_eq!(votes.len(), 1);
         assert_eq!(votes[0].key, k("b"));
         assert!(queue.is_empty());
-        // Uninstalling the sink restores the suite-local queue.
-        s.set_stale_vote_sink(None);
+        // Drained, the observation is news again: it wakes the member, and
+        // the suite's own drain empties the sink it queues on.
         s.lookup(&k("b")).unwrap();
+        assert_eq!(woken.load(std::sync::atomic::Ordering::SeqCst), 2);
         assert_eq!(s.take_stale_votes().len(), 1);
         assert!(queue.is_empty());
     }

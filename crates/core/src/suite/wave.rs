@@ -16,8 +16,9 @@
 //! availability, failure penalty) whenever they surface: while a later wave
 //! waits, at the next quorum collection, or when the suite is dropped.
 
-use super::DirSuite;
-use crate::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
+
+use super::{DirSuite, FAILED_RPC_PENALTY};
 use crate::error::RepError;
 use crate::rep::{Completion, Done, Op, RepClient, RepResult, Reply};
 
@@ -41,7 +42,7 @@ pub(super) struct Executor {
 
 impl Executor {
     pub(super) fn new() -> Self {
-        let (queue, completions) = unbounded();
+        let (queue, completions) = mpsc::channel();
         Executor {
             queue,
             completions,
@@ -108,7 +109,7 @@ impl<C: RepClient> DirSuite<C> {
         }
         self.obs.avail[i].record(result.is_ok());
         if result.is_err() {
-            self.obs.reply[i].record(self.penalty_sample);
+            self.obs.reply[i].record(FAILED_RPC_PENALTY);
         }
         (i, result)
     }

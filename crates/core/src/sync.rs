@@ -39,13 +39,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -56,26 +49,6 @@ impl<T: ?Sized> Mutex<T> {
             mutex: &self.inner,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard {
-                mutex: &self.inner,
-                inner: Some(g),
-            }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                mutex: &self.inner,
-                inner: Some(p.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -194,114 +167,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock. Non-poisoning, like [`Mutex`].
-///
-/// # Examples
-///
-/// ```
-/// use repdir_core::sync::RwLock;
-///
-/// let l = RwLock::new(vec![1, 2]);
-/// assert_eq!(l.read().len(), 2);
-/// l.write().push(3);
-/// assert_eq!(*l.read(), vec![1, 2, 3]);
-/// ```
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                inner: p.into_inner(),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// RAII shared-read guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII exclusive-write guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,15 +189,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn mutex_try_lock_contended() {
-        let m = Mutex::new(1);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert_eq!(*m.try_lock().unwrap(), 1);
     }
 
     #[test]
@@ -417,28 +273,5 @@ mod tests {
         *lock.lock() = true;
         cv.notify_all();
         assert!(!h.join().unwrap(), "notified well before the 5s deadline");
-    }
-
-    #[test]
-    fn rwlock_many_readers_one_writer() {
-        let l = Arc::new(RwLock::new(0u32));
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1 + *r2, 0);
-            assert!(l.try_write().is_none(), "readers block writers");
-        }
-        *l.write() += 9;
-        assert_eq!(*l.read(), 9);
-    }
-
-    #[test]
-    fn rwlock_into_inner_and_get_mut() {
-        let mut l = RwLock::new(3);
-        *l.get_mut() += 1;
-        assert_eq!(l.into_inner(), 4);
-        let mut m = Mutex::new(1);
-        *m.get_mut() += 1;
-        assert_eq!(m.into_inner(), 2);
     }
 }

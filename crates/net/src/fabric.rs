@@ -3,10 +3,10 @@
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::channel::{unbounded, Receiver, Sender};
 use repdir_core::rng::StdRng;
 use repdir_core::sync::{Condvar, Mutex, MutexGuard};
 use repdir_obs::Counter;
@@ -244,7 +244,7 @@ impl Network {
     /// Registers a node and returns its endpoint. Re-registering a node
     /// replaces its mailbox (the old endpoint stops receiving).
     pub fn register(&self, node: NodeId) -> Endpoint {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         self.shared.mailboxes.lock().insert(node, tx);
         Endpoint { node, rx }
     }
@@ -474,12 +474,8 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`RecvTimeoutError`](repdir_core::channel::RecvTimeoutError) on
-    /// timeout or disconnect.
-    pub fn recv_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Result<Envelope, repdir_core::channel::RecvTimeoutError> {
+    /// Returns [`RecvTimeoutError`] on timeout or disconnect.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
         self.rx.recv_timeout(timeout)
     }
 

@@ -20,8 +20,8 @@
 //!
 //! Substitution note (see `DESIGN.md`): the repro hint suggests tokio; the
 //! offline crate set excludes it, so replica simulation runs on
-//! `std::thread` + the in-tree `repdir_core::channel` substrate, which
-//! serves laptop-scale suites equally well.
+//! `std::thread` + `std::sync::mpsc`, which serves laptop-scale suites
+//! equally well.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

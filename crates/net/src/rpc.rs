@@ -17,10 +17,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use repdir_core::sync::Mutex;
 use repdir_obs::{Counter, Histogram};
 
@@ -287,7 +287,7 @@ impl RpcClient {
     /// [`RpcError::Unreachable`] if `dst` never registered (detected at
     /// send time; timeouts surface from [`PendingReply::wait`]).
     pub fn call_async(&self, dst: NodeId, payload: Vec<u8>) -> Result<PendingReply, RpcError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let on_done = Box::new(move |reply| {
             // The waiter may have just timed out and dropped its receiver;
             // that loss is indistinguishable from a late reply.
@@ -308,7 +308,7 @@ impl RpcClient {
     /// [`RpcError::Unreachable`]) before any network reply. Further
     /// requests may [`push`](Scatter::push) into the open wave.
     pub fn scatter(&self, requests: Vec<(NodeId, Vec<u8>)>) -> Scatter {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let mut wave = Scatter {
             shared: Arc::clone(&self.shared),
             tx,
@@ -767,7 +767,7 @@ mod tests {
         let net = Arc::new(Network::new(25));
         let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
         let client = RpcClient::new(Arc::clone(&net), NodeId(0));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let start = |payload: Vec<u8>, timeout: Duration| {
             let tx = tx.clone();
             let deadline = Some(Instant::now() + timeout);
@@ -799,7 +799,7 @@ mod tests {
         let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
         let client = RpcClient::new(Arc::clone(&net), NodeId(0));
         net.partition(&[&[NodeId(0)], &[NodeId(1)]]);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         client.start(NodeId(1), vec![1], None, move |reply| {
             let _ = tx.send(reply);
         });

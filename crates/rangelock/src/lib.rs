@@ -9,9 +9,11 @@
 //! * the compatibility relation of the paper's Figure 7
 //!   ([`compatible`]): lookups never conflict with lookups; anything
 //!   involving a modify conflicts exactly when the ranges intersect;
-//! * a blocking [`RangeLockTable`] with waits-for-graph deadlock detection
-//!   (youngest-in-cycle victim) and all-at-once release, giving strict
-//!   two-phase locking when drivers release only at commit/abort.
+//! * a blocking [`RangeLockTable`] with all-at-once release, giving strict
+//!   two-phase locking when drivers release only at commit/abort;
+//! * one deadlock detector, the [`DeadlockDomain`]: the waits-for graph
+//!   every waiter records its edges in (youngest-in-cycle victim), private
+//!   to a table or shared by several so cycles spanning them are found too.
 //!
 //! Combined with two-phase locking this "is sufficiently strong to
 //! guarantee that the actions of transactions operating on a directory

@@ -55,16 +55,9 @@ struct Granted {
     range: KeyRange,
 }
 
-#[derive(Clone, Debug)]
-struct Waiting {
-    mode: LockMode,
-    range: KeyRange,
-}
-
 #[derive(Default)]
 struct State {
     granted: Vec<Granted>,
-    waiting: HashMap<TxnId, Waiting>,
     stats: LockStats,
 }
 
@@ -105,22 +98,24 @@ impl LockObs {
     }
 }
 
-/// How often a waiter attached to a [`DeadlockDomain`] wakes to re-check the
-/// shared graph. A cross-table victim decision cannot notify another table's
-/// condvar, so blocked waiters poll at this cadence while a domain is set.
+/// How often a blocked waiter wakes to re-check its [`DeadlockDomain`]. A
+/// victim chosen by another waiter — at this table or another — is not
+/// notified, so every waiter polls at this cadence.
 const DOMAIN_POLL: Duration = Duration::from_millis(5);
 
-/// A waits-for graph shared by several [`RangeLockTable`]s.
+/// The waits-for graph of one or more [`RangeLockTable`]s — the only
+/// deadlock detector.
 ///
-/// Each table's own [`detect_deadlock`] only sees cycles through its own
-/// locks. When one transaction can block at *several* tables at once — a
-/// directory suite fanning a write wave out to every representative — two
-/// transactions can deadlock with each edge at a different table, invisible
-/// to every per-table graph. A domain aggregates the wait edges of every
-/// joined table ([`RangeLockTable::join_domain`]); a waiter that closes a
-/// cross-table cycle *wounds* the youngest participant, which observes the
-/// wound at its next poll and fails fast with [`LockError::Deadlock`]
-/// instead of burning its full lock timeout.
+/// Every table starts with a private domain, which sees the cycles through
+/// its own locks. When one transaction can block at *several* tables at
+/// once — a directory suite fanning a write wave out to every
+/// representative — two transactions can deadlock with each edge at a
+/// different table; tables that [join](RangeLockTable::join_domain) one
+/// shared domain see those cycles too. A waiter whose request closes a
+/// cycle aborts at once if it is the youngest participant; otherwise it
+/// *wounds* the youngest, which observes the wound at its next poll and
+/// fails fast with [`LockError::Deadlock`] instead of burning its full lock
+/// timeout.
 ///
 /// Edges are keyed by `(transaction, table)` because a fan-out transaction
 /// legitimately waits at several tables simultaneously. A wound outlives its
@@ -182,8 +177,9 @@ impl DeadlockDomain {
                     if victim == owner {
                         return true;
                     }
-                    st.wounded.insert(victim);
-                    repdir_obs::global().counter("lock.wounds").inc();
+                    if st.wounded.insert(victim) {
+                        repdir_obs::global().counter("lock.wounds").inc();
+                    }
                     return false;
                 }
                 Some(next) => {
@@ -201,12 +197,10 @@ impl DeadlockDomain {
         false
     }
 
-    /// Drops every edge and wound belonging to `owner` — called when its
-    /// locks are released (commit or abort ends the transaction's waits).
+    /// Clears `owner`'s wound — called when its locks are released. Its
+    /// edges need no clearing: every exit from a wait drops its own.
     fn forget(&self, owner: TxnId) {
-        let mut st = self.state.lock();
-        st.edges.retain(|(waiter, _), _| *waiter != owner);
-        st.wounded.remove(&owner);
+        self.state.lock().wounded.remove(&owner);
     }
 
     /// Drops every edge registered by `table` — called on table reset
@@ -233,9 +227,9 @@ impl fmt::Debug for DeadlockDomain {
 /// "As specified, the lock compatibility relation is sufficiently strong to
 /// guarantee that the actions of transactions operating on a directory
 /// representative are serializable, providing that two phase locking is
-/// used" (§3.1). The table enforces compatibility; `repdir-txn` enforces the
-/// two phases by releasing only at commit/abort via
-/// [`release_all`](RangeLockTable::release_all).
+/// used" (§3.1). The table enforces compatibility; the transactional
+/// representative (`repdir-replica`) enforces the two phases by releasing
+/// only at commit/abort via [`release_all`](RangeLockTable::release_all).
 ///
 /// # Examples
 ///
@@ -259,7 +253,10 @@ pub struct RangeLockTable {
     id: u64,
     state: Mutex<State>,
     released: Condvar,
-    domain: Mutex<Option<Arc<DeadlockDomain>>>,
+    /// Where this table's waiters record their edges: a private domain
+    /// until [`join_domain`](RangeLockTable::join_domain) swaps in a shared
+    /// one.
+    domain: Mutex<Arc<DeadlockDomain>>,
     obs: LockObs,
 }
 
@@ -278,16 +275,17 @@ impl RangeLockTable {
             id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::new(State::default()),
             released: Condvar::new(),
-            domain: Mutex::new(None),
+            domain: Mutex::new(Arc::new(DeadlockDomain::new())),
             obs: LockObs::new(),
         }
     }
 
     /// Registers this table in a shared [`DeadlockDomain`], enabling
     /// detection of waits-for cycles that span several tables (one edge per
-    /// representative). Replaces any previously joined domain.
+    /// representative). Replaces the table's private domain, or any
+    /// previously joined one.
     pub fn join_domain(&self, domain: &Arc<DeadlockDomain>) {
-        *self.domain.lock() = Some(Arc::clone(domain));
+        *self.domain.lock() = Arc::clone(domain);
     }
 
     /// Attempts to acquire without blocking. On conflict, returns the
@@ -306,13 +304,17 @@ impl RangeLockTable {
         let mut st = self.state.lock();
         let conflicts = conflicts_of(&st.granted, owner, mode, &range);
         if conflicts.is_empty() {
-            st.granted.push(Granted { owner, mode, range });
-            st.stats.granted += 1;
-            self.obs.granted.inc();
+            self.grant(&mut st, Granted { owner, mode, range });
             Ok(())
         } else {
             Err(conflicts)
         }
+    }
+
+    fn grant(&self, st: &mut State, lock: Granted) {
+        st.granted.push(lock);
+        st.stats.granted += 1;
+        self.obs.granted.inc();
     }
 
     /// Acquires a lock, blocking up to `timeout` for conflicting holders to
@@ -322,15 +324,19 @@ impl RangeLockTable {
     /// (re-entrancy), so lock "upgrades" (`Lookup` then `Modify` over the
     /// same range) always succeed locally.
     ///
+    /// A request that has to wait records its edges — who blocks it — in
+    /// the table's [`DeadlockDomain`] and asks whether it must abort, then
+    /// sleeps until a release or [`DOMAIN_POLL`] wakes it to look again.
+    ///
     /// # Errors
     ///
     /// * [`LockError::Deadlock`] if the request would close a waits-for
     ///   cycle — within this table, or across every table of a joined
     ///   [`DeadlockDomain`] — in which this transaction is the youngest
-    ///   participant, or if a cycle check at another table already chose
-    ///   this transaction as the victim.
+    ///   participant, or if an older participant's cycle check already
+    ///   chose this transaction as the victim.
     /// * [`LockError::Timeout`] if the deadline passes first (also breaks
-    ///   cross-representative deadlocks when no domain is joined).
+    ///   cross-representative deadlocks when no domain is shared).
     pub fn acquire(
         &self,
         owner: TxnId,
@@ -338,77 +344,41 @@ impl RangeLockTable {
         range: KeyRange,
         timeout: Duration,
     ) -> Result<(), LockError> {
-        // Lock order everywhere is table state, then domain state.
-        let domain = self.domain.lock().clone();
-        let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
-        let mut waited = false;
+        let mut conflicts = conflicts_of(&st.granted, owner, mode, &range);
+        if conflicts.is_empty() {
+            self.grant(&mut st, Granted { owner, mode, range });
+            return Ok(());
+        }
+        // Lock order everywhere is table state, then domain state.
+        let domain = Arc::clone(&self.domain.lock());
+        let start = Instant::now();
+        let deadline = start + timeout;
         loop {
-            let conflicts = conflicts_of(&st.granted, owner, mode, &range);
-            if conflicts.is_empty() {
-                st.waiting.remove(&owner);
-                if let Some(d) = &domain {
-                    d.clear_waits(self.id, owner);
-                }
-                st.granted.push(Granted { owner, mode, range });
-                st.stats.granted += 1;
-                self.obs.granted.inc();
-                if waited {
-                    st.stats.waited += 1;
-                    self.obs.waited.inc();
-                    if repdir_obs::global().timing_armed() {
-                        // `deadline` was `entry + timeout`, so this is the
-                        // total time spent blocked on conflicting holders.
-                        self.obs.wait_us.record((deadline - timeout).elapsed());
-                    }
-                }
-                return Ok(());
+            domain.set_waits(self.id, owner, conflicts);
+            if domain.must_abort(owner) {
+                domain.clear_waits(self.id, owner);
+                st.stats.deadlocks += 1;
+                self.obs.deadlocks.inc();
+                return Err(LockError::Deadlock);
             }
-            st.waiting.insert(
-                owner,
-                Waiting {
-                    mode,
-                    range: range.clone(),
-                },
-            );
-            if let Some(victim) = detect_deadlock(&st, owner) {
-                if victim == owner {
-                    st.waiting.remove(&owner);
-                    if let Some(d) = &domain {
-                        d.clear_waits(self.id, owner);
-                    }
-                    st.stats.deadlocks += 1;
-                    self.obs.deadlocks.inc();
-                    return Err(LockError::Deadlock);
-                }
-                // Another participant is younger; it will be refused when it
-                // re-checks. Keep waiting (its abort releases our blocker).
-            }
-            if let Some(d) = &domain {
-                d.set_waits(self.id, owner, conflicts);
-                if d.must_abort(owner) {
-                    st.waiting.remove(&owner);
-                    d.clear_waits(self.id, owner);
-                    st.stats.deadlocks += 1;
-                    self.obs.deadlocks.inc();
-                    return Err(LockError::Deadlock);
-                }
-            }
-            waited = true;
-            // A cross-table wound cannot notify this table's condvar, so
-            // domain members wake periodically to re-check the shared graph.
-            let wake = match &domain {
-                Some(_) => std::cmp::min(deadline, Instant::now() + DOMAIN_POLL),
-                None => deadline,
-            };
+            let wake = std::cmp::min(deadline, Instant::now() + DOMAIN_POLL);
             if self.released.wait_until(&mut st, wake).timed_out() && Instant::now() >= deadline {
-                st.waiting.remove(&owner);
-                if let Some(d) = &domain {
-                    d.clear_waits(self.id, owner);
-                }
+                domain.clear_waits(self.id, owner);
                 st.stats.timeouts += 1;
                 self.obs.timeouts.inc();
                 return Err(LockError::Timeout);
+            }
+            conflicts = conflicts_of(&st.granted, owner, mode, &range);
+            if conflicts.is_empty() {
+                domain.clear_waits(self.id, owner);
+                self.grant(&mut st, Granted { owner, mode, range });
+                st.stats.waited += 1;
+                self.obs.waited.inc();
+                if repdir_obs::global().timing_armed() {
+                    self.obs.wait_us.record(start.elapsed());
+                }
+                return Ok(());
             }
         }
     }
@@ -416,30 +386,22 @@ impl RangeLockTable {
     /// Releases every lock held by `owner` and wakes all waiters — the
     /// shrinking phase of strict two-phase locking. Idempotent.
     pub fn release_all(&self, owner: TxnId) {
-        let domain = self.domain.lock().clone();
         let mut st = self.state.lock();
         st.granted.retain(|g| g.owner != owner);
-        st.waiting.remove(&owner);
-        if let Some(d) = &domain {
-            d.forget(owner);
-        }
+        self.domain.lock().forget(owner);
         self.released.notify_all();
     }
 
-    /// Discards every granted lock and waiter registration, waking all
+    /// Discards every granted lock and this table's wait edges, waking all
     /// blocked acquirers (they re-evaluate and typically proceed).
     ///
     /// Models a representative crash: locks are volatile state and do not
     /// survive restarts. Callers are responsible for ensuring the protected
     /// state was recovered first.
     pub fn reset(&self) {
-        let domain = self.domain.lock().clone();
         let mut st = self.state.lock();
         st.granted.clear();
-        st.waiting.clear();
-        if let Some(d) = &domain {
-            d.drop_table(self.id);
-        }
+        self.domain.lock().drop_table(self.id);
         self.released.notify_all();
     }
 
@@ -490,7 +452,6 @@ impl fmt::Debug for RangeLockTable {
         let st = self.state.lock();
         f.debug_struct("RangeLockTable")
             .field("granted", &st.granted.len())
-            .field("waiting", &st.waiting.len())
             .field("stats", &st.stats)
             .finish()
     }
@@ -509,42 +470,6 @@ fn conflicts_of(granted: &[Granted], owner: TxnId, mode: LockMode, range: &KeyRa
     out
 }
 
-/// Searches the waits-for graph for a cycle through `start`. Returns the
-/// chosen victim (the youngest transaction in the first cycle found), or
-/// `None` if `start` is not part of a cycle.
-fn detect_deadlock(st: &State, start: TxnId) -> Option<TxnId> {
-    // Edges: waiter -> holders of conflicting granted locks.
-    let edges = |t: TxnId| -> Vec<TxnId> {
-        match st.waiting.get(&t) {
-            Some(w) => conflicts_of(&st.granted, t, w.mode, &w.range),
-            None => Vec::new(),
-        }
-    };
-    // Depth-first search recording the path; cycles through `start` only
-    // (each blocked thread checks its own cycle, so all cycles are found).
-    let mut stack = vec![(start, edges(start))];
-    let mut path = vec![start];
-    while let Some((_, succs)) = stack.last_mut() {
-        match succs.pop() {
-            Some(next) => {
-                if next == start {
-                    // Found a cycle: path contains every participant.
-                    return path.iter().copied().max();
-                }
-                if !path.contains(&next) {
-                    path.push(next);
-                    stack.push((next, edges(next)));
-                }
-            }
-            None => {
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +482,13 @@ mod tests {
     }
     const SHORT: Duration = Duration::from_millis(25);
     const LONG: Duration = Duration::from_secs(5);
+
+    /// Blocks until some waiter has recorded a wait edge in `domain`.
+    fn await_waiter(domain: &DeadlockDomain) {
+        while domain.state.lock().edges.is_empty() {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn compatible_locks_coexist() {
@@ -612,9 +544,7 @@ mod tests {
             let t1 = Arc::clone(&t1);
             move || t1.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
         });
-        while t1.state.lock().waiting.is_empty() {
-            thread::sleep(Duration::from_millis(1));
-        }
+        await_waiter(&domain);
         // ...then txn1 blocks at table 2, closing the cycle.
         let older = thread::spawn({
             let t2 = Arc::clone(&t2);
@@ -655,9 +585,7 @@ mod tests {
             let t1 = Arc::clone(&t1);
             move || t1.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
         });
-        while t1.state.lock().waiting.is_empty() {
-            thread::sleep(Duration::from_millis(1));
-        }
+        await_waiter(&domain);
         let older = thread::spawn({
             let t2 = Arc::clone(&t2);
             move || t2.acquire(TxnId(1), LockMode::Modify, r("a", "m"), LONG)
@@ -742,6 +670,45 @@ mod tests {
         // the older transaction proceed.
         t.release_all(TxnId(2));
         older.join().unwrap().unwrap();
+    }
+
+    /// The older transaction closes a one-table cycle: it cannot be the
+    /// victim, so it wounds the younger, which must fail fast with
+    /// `Deadlock` rather than wait out its timeout — on a table that never
+    /// joined a shared domain.
+    #[test]
+    fn older_transaction_closing_a_one_table_cycle_wounds_the_younger() {
+        let t = Arc::new(RangeLockTable::new());
+        t.acquire(TxnId(1), LockMode::Modify, r("a", "b"), LONG)
+            .unwrap();
+        t.acquire(TxnId(2), LockMode::Modify, r("y", "z"), LONG)
+            .unwrap();
+        let younger = thread::spawn({
+            let t = Arc::clone(&t);
+            move || t.acquire(TxnId(2), LockMode::Modify, r("a", "b"), LONG)
+        });
+        let private = Arc::clone(&t.domain.lock());
+        await_waiter(&private);
+        let older = thread::spawn({
+            let t = Arc::clone(&t);
+            move || t.acquire(TxnId(1), LockMode::Modify, r("y", "z"), LONG)
+        });
+
+        let start = Instant::now();
+        assert_eq!(younger.join().unwrap(), Err(LockError::Deadlock));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        let stats = t.stats();
+        assert_eq!((stats.deadlocks, stats.timeouts), (1, 0));
+
+        t.release_all(TxnId(2));
+        assert_eq!(older.join().unwrap(), Ok(()));
+        assert_eq!(
+            t.held_by(TxnId(1)),
+            vec![
+                (LockMode::Modify, r("a", "b")),
+                (LockMode::Modify, r("y", "z"))
+            ]
+        );
     }
 
     #[test]

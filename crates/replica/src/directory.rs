@@ -169,7 +169,7 @@ impl ReplicatedDirectory {
             .collect();
         let mut suite = DirSuite::new(clients, self.config.clone(), policy)
             .expect("rep count matches config by construction");
-        suite.set_stale_vote_sink(Some(Arc::clone(&self.stale_votes)));
+        suite.set_stale_vote_sink(Arc::clone(&self.stale_votes));
         suite.set_repair_health(Some(Arc::clone(&self.repair_health)));
         DirTxn {
             dir: self,
@@ -492,7 +492,7 @@ impl DirTxn<'_> {
         for rep in &self.dir.reps {
             rep.abort(self.id);
         }
-        let _ = self.dir.txns.abort(self.id);
+        self.dir.txns.abort(self.id);
     }
 }
 

@@ -270,13 +270,12 @@ mod tests {
 
     #[test]
     fn started_requests_complete_from_the_router_or_at_their_deadline() {
-        use repdir_core::channel::unbounded;
         use repdir_core::{Completion, Done};
         let (net, _rep, _handle, rpc) = setup();
         let mut client = RemoteSessionClient::new(rpc, NodeId(10), RepId(0), TxnId(1));
         client.set_timeout(Duration::from_millis(60));
         client.begin().unwrap();
-        let (queue, completions) = unbounded::<Done>();
+        let (queue, completions) = std::sync::mpsc::channel::<Done>();
         let tick = Duration::from_secs(2);
         // `start` returns before the reply exists; it arrives tagged. The
         // empty list is the ping: one message each way.

@@ -56,7 +56,6 @@ pub struct TransactionalRep {
     id: RepId,
     state: Mutex<DurableState>,
     locks: RangeLockTable,
-    lock_timeout: Duration,
     available: AtomicBool,
     summary: SummaryCache,
     /// Fired whenever this representative comes back — healed from an
@@ -77,9 +76,9 @@ impl std::fmt::Debug for TransactionalRep {
 }
 
 impl TransactionalRep {
-    /// Default time a lock request waits before giving up. Long enough for
-    /// short transactions to drain, short enough to break undetected
-    /// cross-representative deadlocks.
+    /// Time every lock request here waits before giving up. Long enough for
+    /// short transactions to drain, short enough to break the
+    /// cross-representative deadlocks no shared [`DeadlockDomain`] sees.
     pub const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_millis(500);
 
     /// Creates an empty representative on a fresh simulated disk.
@@ -100,7 +99,6 @@ impl TransactionalRep {
             id,
             state: Mutex::new(DurableState::with_backend(disk, backend)),
             locks: RangeLockTable::new(),
-            lock_timeout: Self::DEFAULT_LOCK_TIMEOUT,
             available: AtomicBool::new(true),
             summary: SummaryCache::new(),
             recovery_hook: Mutex::new(None),
@@ -118,7 +116,6 @@ impl TransactionalRep {
             id,
             state: Mutex::new(state),
             locks: RangeLockTable::new(),
-            lock_timeout: Self::DEFAULT_LOCK_TIMEOUT,
             available: AtomicBool::new(true),
             summary: SummaryCache::new(),
             recovery_hook: Mutex::new(None),
@@ -766,7 +763,7 @@ impl TransactionalRep {
 
     fn acquire(&self, txn: TxnId, mode: LockMode, range: KeyRange) -> RepResult<()> {
         self.locks
-            .acquire(txn, mode, range, self.lock_timeout)
+            .acquire(txn, mode, range, Self::DEFAULT_LOCK_TIMEOUT)
             .map_err(|e| match e {
                 LockError::Timeout => RepError::LockTimeout,
                 LockError::Deadlock => RepError::Deadlock,

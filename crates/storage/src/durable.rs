@@ -8,10 +8,10 @@ use repdir_core::{
     CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, UserKey,
     Value, Version,
 };
-use repdir_txn::{undo_for_coalesce, undo_for_insert, TxnId, UndoRecord};
+use repdir_txn::TxnId;
 
 use crate::simdisk::SimDisk;
-use crate::state::{Backend, DirState};
+use crate::state::{apply_undo, undo_for_coalesce, undo_for_insert, Backend, DirState, UndoRecord};
 use crate::wal::{replay, Wal, WalError, WalRecord};
 
 /// A representative's state with full transactional durability:
@@ -283,7 +283,7 @@ impl DurableState {
         let mut undo = self.undo.remove(&txn).unwrap_or_default();
         let undid = !undo.is_empty();
         while let Some(rec) = undo.pop() {
-            apply_undo_dyn(self.state.as_mut(), rec);
+            apply_undo(self.state.as_mut(), rec);
         }
         if undid {
             self.wal.append(&WalRecord::Abort { txn: txn.0 });
@@ -338,41 +338,6 @@ impl DurableState {
     /// The underlying disk (crash injection in tests).
     pub fn disk(&self) -> &Arc<SimDisk> {
         self.wal.disk()
-    }
-}
-
-/// Applies one undo record against any [`DirState`] backend (the trait-
-/// object twin of [`repdir_txn::apply_undo`]).
-fn apply_undo_dyn(state: &mut dyn DirState, record: UndoRecord) {
-    match record {
-        UndoRecord::RemoveEntry { key } => {
-            assert!(
-                state.remove_entry_raw(&key),
-                "undo RemoveEntry: no entry for {key:?}"
-            );
-        }
-        UndoRecord::RestoreEntryValue {
-            key,
-            version,
-            value,
-        } => {
-            assert!(
-                state.update_entry_raw(&key, version, value),
-                "undo RestoreEntryValue: no entry for {key:?}"
-            );
-        }
-        UndoRecord::UndoCoalesce {
-            low,
-            old_gap_version,
-            removed,
-        } => {
-            for r in removed {
-                state.restore_entry(r.key, r.version, r.value, r.gap_after);
-            }
-            state
-                .set_gap_after(&low, old_gap_version)
-                .expect("undo UndoCoalesce: boundary vanished");
-        }
     }
 }
 

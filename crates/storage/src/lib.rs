@@ -12,6 +12,9 @@
 //!   commit-order replay;
 //! * [`DurableState`] — a gap-versioned map wired to the WAL with
 //!   per-transaction undo, commit-time sync, and crash recovery;
+//! * [`UndoRecord`] with [`undo_for_insert`] / [`undo_for_coalesce`] /
+//!   [`apply_undo`] — exact inverses of the two mutating `DirRep*`
+//!   operations, the undo log [`DurableState`] replays in reverse on abort;
 //! * [`GapBTree`] — the B-tree representation the paper prescribes in §5,
 //!   with gap versions stored in their bounding entries, functionally
 //!   interchangeable with [`GapMap`](repdir_core::GapMap);
@@ -31,5 +34,5 @@ pub use crc::crc32;
 pub use durable::DurableState;
 pub use gapbtree::GapBTree;
 pub use simdisk::SimDisk;
-pub use state::{Backend, DirState};
+pub use state::{apply_undo, undo_for_coalesce, undo_for_insert, Backend, DirState, UndoRecord};
 pub use wal::{decode_log, encode_record, replay, stale_votes_after, Wal, WalError, WalRecord};

@@ -5,13 +5,14 @@
 //! with [`DirState`], a representative's durable state can be the
 //! BTreeMap-backed [`GapMap`](repdir_core::GapMap) (simple, the default) or
 //! the explicit [`GapBTree`] (the paper's suggested on-disk layout),
-//! selected by [`Backend`].
+//! selected by [`Backend`]. [`UndoRecord`]s and [`apply_undo`] roll either
+//! one back on abort.
 
 use std::fmt;
 
 use repdir_core::{
-    CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, UserKey,
-    Value, Version,
+    CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RemovedEntry,
+    RepError, UserKey, Value, Version,
 };
 
 use crate::gapbtree::GapBTree;
@@ -270,6 +271,114 @@ impl Backend {
     }
 }
 
+/// One logged inverse operation: the exact inverse of one of the two
+/// mutating `DirRep*` operations, applied in reverse order on abort.
+///
+/// The mutating operations return enough information ([`InsertOutcome`],
+/// [`CoalesceOutcome`]) to construct their inverses; [`undo_for_insert`]
+/// and [`undo_for_coalesce`] do so, and [`apply_undo`] replays an inverse
+/// against representative state.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum UndoRecord {
+    /// Inverse of a `Created` insert: remove the entry, merging the split
+    /// gap back (both halves kept the original version, so removal alone
+    /// restores it).
+    RemoveEntry {
+        /// The key whose entry the insert created.
+        key: UserKey,
+    },
+    /// Inverse of an `Updated` insert: restore the previous version and
+    /// value (the gap structure never changed).
+    RestoreEntryValue {
+        /// The updated key.
+        key: UserKey,
+        /// Version before the update.
+        version: Version,
+        /// Value before the update.
+        value: Value,
+    },
+    /// Inverse of a coalesce: re-create every removed entry with its exact
+    /// record, then restore the old version of the gap after the lower
+    /// boundary.
+    UndoCoalesce {
+        /// The coalesce's lower boundary.
+        low: Key,
+        /// Gap version after `low` before the coalesce.
+        old_gap_version: Version,
+        /// Full records of the removed entries.
+        removed: Vec<RemovedEntry>,
+    },
+}
+
+/// Builds the inverse of an insert from its key and outcome.
+pub fn undo_for_insert(key: &Key, outcome: &InsertOutcome) -> UndoRecord {
+    let user = key
+        .as_user()
+        .expect("insert only succeeds on user keys")
+        .clone();
+    match outcome {
+        InsertOutcome::Created { .. } => UndoRecord::RemoveEntry { key: user },
+        InsertOutcome::Updated {
+            old_version,
+            old_value,
+        } => UndoRecord::RestoreEntryValue {
+            key: user,
+            version: *old_version,
+            value: old_value.clone(),
+        },
+    }
+}
+
+/// Builds the inverse of a coalesce from its lower boundary and outcome.
+pub fn undo_for_coalesce(low: &Key, outcome: &CoalesceOutcome) -> UndoRecord {
+    UndoRecord::UndoCoalesce {
+        low: low.clone(),
+        old_gap_version: outcome.old_gap_version,
+        removed: outcome.removed.clone(),
+    }
+}
+
+/// Applies one inverse operation to representative state, on either
+/// backend.
+///
+/// # Panics
+///
+/// Panics if the record does not match the state (e.g. undoing an insert
+/// whose entry is gone) — that indicates records applied out of order, a
+/// logic error rather than a runtime condition.
+pub fn apply_undo(state: &mut dyn DirState, record: UndoRecord) {
+    match record {
+        UndoRecord::RemoveEntry { key } => {
+            assert!(
+                state.remove_entry_raw(&key),
+                "undo RemoveEntry: no entry for {key:?}"
+            );
+        }
+        UndoRecord::RestoreEntryValue {
+            key,
+            version,
+            value,
+        } => {
+            assert!(
+                state.update_entry_raw(&key, version, value),
+                "undo RestoreEntryValue: no entry for {key:?}"
+            );
+        }
+        UndoRecord::UndoCoalesce {
+            low,
+            old_gap_version,
+            removed,
+        } => {
+            for r in removed {
+                state.restore_entry(r.key, r.version, r.value, r.gap_after);
+            }
+            state
+                .set_gap_after(&low, old_gap_version)
+                .expect("undo UndoCoalesce: boundary vanished");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,5 +489,83 @@ mod tests {
         assert_eq!(Backend::default(), Backend::GapMap);
         let s = Backend::default().new_state();
         assert!(s.is_empty());
+    }
+
+    fn seeded() -> GapMap {
+        let mut m = GapMap::new();
+        for key in ["b", "d", "f"] {
+            m.insert(&k(key), v(1), val(key)).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn insert_created_round_trips() {
+        let mut m = seeded();
+        let before = m.clone();
+        let out = m.insert(&k("c"), v(2), val("C")).unwrap();
+        apply_undo(&mut m, undo_for_insert(&k("c"), &out));
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn insert_updated_round_trips() {
+        let mut m = seeded();
+        let before = m.clone();
+        let out = m.insert(&k("d"), v(9), val("D9")).unwrap();
+        apply_undo(&mut m, undo_for_insert(&k("d"), &out));
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn coalesce_round_trips() {
+        let mut m = seeded();
+        let before = m.clone();
+        let out = m.coalesce(&k("b"), &k("f"), v(5)).unwrap();
+        apply_undo(&mut m, undo_for_coalesce(&k("b"), &out));
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn coalesce_from_low_sentinel_round_trips() {
+        let mut m = seeded();
+        let before = m.clone();
+        let out = m.coalesce(&Key::Low, &Key::High, v(7)).unwrap();
+        apply_undo(&mut m, undo_for_coalesce(&Key::Low, &out));
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn interleaved_ops_undo_in_reverse_order() {
+        let mut m = seeded();
+        let before = m.clone();
+        let mut log = Vec::new();
+
+        let out = m.insert(&k("c"), v(2), val("C")).unwrap();
+        log.push(undo_for_insert(&k("c"), &out));
+        let out = m.insert(&k("d"), v(3), val("D3")).unwrap();
+        log.push(undo_for_insert(&k("d"), &out));
+        let out = m.coalesce(&k("b"), &k("f"), v(6)).unwrap();
+        log.push(undo_for_coalesce(&k("b"), &out));
+        let out = m.insert(&k("e"), v(7), val("E")).unwrap();
+        log.push(undo_for_insert(&k("e"), &out));
+
+        for rec in log.into_iter().rev() {
+            apply_undo(&mut m, rec);
+        }
+        assert_eq!(m, before);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "no entry")]
+    fn out_of_order_undo_panics() {
+        let mut m = GapMap::new();
+        apply_undo(
+            &mut m,
+            UndoRecord::RemoveEntry {
+                key: UserKey::from("ghost"),
+            },
+        );
     }
 }

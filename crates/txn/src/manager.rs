@@ -1,7 +1,6 @@
-//! The transaction manager: id allocation, lifecycle, and per-transaction
-//! undo logs.
+//! The transaction manager: id allocation and lifecycle.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -9,20 +8,18 @@ use repdir_core::sync::Mutex;
 use repdir_core::RepError;
 use repdir_rangelock::TxnId;
 
-use crate::undo::UndoRecord;
-
-/// Allocates transaction ids and tracks each active transaction's undo log.
+/// Allocates transaction ids and tracks which transactions are active.
 ///
 /// The manager is deliberately independent of any particular representative:
 /// in the full system one suite-level transaction spans several
 /// representatives, each holding locks in its own
 /// [`RangeLockTable`](repdir_rangelock::RangeLockTable) and logging undo in
-/// the manager under the same id. Ids are allocated monotonically, so the
-/// lock tables' youngest-victim deadlock policy is well defined across
-/// representatives.
+/// its own `DurableState` under the same id. Ids are allocated
+/// monotonically, so the lock tables' youngest-victim deadlock policy is
+/// well defined across representatives.
 ///
-/// Only *active* transactions are tracked: a transaction's record is dropped
-/// the moment it commits or aborts, so a long-lived manager's footprint is
+/// Only *active* transactions are tracked: a transaction's id is dropped the
+/// moment it commits or aborts, so a long-lived manager's footprint is
 /// bounded by its concurrency, not its history. A finished transaction and
 /// one that never existed look the same.
 ///
@@ -40,8 +37,7 @@ use crate::undo::UndoRecord;
 /// ```
 pub struct TxnManager {
     next: AtomicU64,
-    /// Undo log of every active transaction.
-    txns: Mutex<HashMap<TxnId, Vec<UndoRecord>>>,
+    active: Mutex<HashSet<TxnId>>,
     obs: TxnObs,
 }
 
@@ -75,7 +71,7 @@ impl TxnManager {
     pub fn new() -> Self {
         TxnManager {
             next: AtomicU64::new(1),
-            txns: Mutex::new(HashMap::new()),
+            active: Mutex::new(HashSet::new()),
             obs: TxnObs::new(),
         }
     }
@@ -84,68 +80,43 @@ impl TxnManager {
     pub fn begin(&self) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
         self.obs.begun.inc();
-        self.txns.lock().insert(id, Vec::new());
+        self.active.lock().insert(id);
         id
     }
 
     /// Whether the transaction is currently active (begun and not yet
     /// committed or aborted).
     pub fn is_active(&self, id: TxnId) -> bool {
-        self.txns.lock().contains_key(&id)
+        self.active.lock().contains(&id)
     }
 
-    /// Appends an undo record to an active transaction's log.
-    ///
-    /// # Errors
-    ///
-    /// [`RepError::TransactionAborted`] if the transaction is not active
-    /// (unknown, committed, or aborted).
-    pub fn record_undo(&self, id: TxnId, record: UndoRecord) -> Result<(), RepError> {
-        match self.txns.lock().get_mut(&id) {
-            Some(undo) => {
-                undo.push(record);
-                Ok(())
-            }
-            None => Err(RepError::TransactionAborted),
-        }
-    }
-
-    /// Commits an active transaction, discarding its undo log and
-    /// forgetting it. The caller releases locks afterwards (strict
-    /// two-phase locking: all locks held to commit).
+    /// Commits an active transaction and forgets it. The caller releases
+    /// locks afterwards (strict two-phase locking: all locks held to
+    /// commit).
     ///
     /// # Errors
     ///
     /// [`RepError::TransactionAborted`] if the transaction is not active.
     pub fn commit(&self, id: TxnId) -> Result<(), RepError> {
-        match self.txns.lock().remove(&id) {
-            Some(_) => {
-                self.obs.committed.inc();
-                Ok(())
-            }
-            None => Err(RepError::TransactionAborted),
+        if self.active.lock().remove(&id) {
+            self.obs.committed.inc();
+            Ok(())
+        } else {
+            Err(RepError::TransactionAborted)
         }
     }
 
-    /// Aborts an active transaction and forgets it, returning its undo
-    /// records **in reverse order**, ready to be applied one by one.
-    /// Aborting a non-active transaction returns an empty log (abort is
-    /// idempotent).
-    pub fn abort(&self, id: TxnId) -> Vec<UndoRecord> {
-        match self.txns.lock().remove(&id) {
-            Some(mut undo) => {
-                self.obs.aborted.inc();
-                undo.reverse();
-                undo
-            }
-            None => Vec::new(),
+    /// Aborts an active transaction and forgets it. Aborting a non-active
+    /// transaction does nothing (abort is idempotent).
+    pub fn abort(&self, id: TxnId) {
+        if self.active.lock().remove(&id) {
+            self.obs.aborted.inc();
         }
     }
 
-    /// Number of active transactions — every transaction the manager still
-    /// holds a record for.
+    /// Number of active transactions.
     pub fn active_count(&self) -> usize {
-        self.txns.lock().len()
+        self.active.lock().len()
     }
 }
 
@@ -160,13 +131,6 @@ impl fmt::Debug for TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repdir_core::UserKey;
-
-    fn rec(key: &str) -> UndoRecord {
-        UndoRecord::RemoveEntry {
-            key: UserKey::from(key),
-        }
-    }
 
     #[test]
     fn ids_are_unique_and_monotonic() {
@@ -181,42 +145,24 @@ mod tests {
     fn commit_lifecycle() {
         let mgr = TxnManager::new();
         let t = mgr.begin();
-        mgr.record_undo(t, rec("a")).unwrap();
         mgr.commit(t).unwrap();
         assert!(!mgr.is_active(t));
-        // Double commit is an error; committed undo is gone.
+        // Double commit is an error; a committed transaction cannot abort.
         assert_eq!(mgr.commit(t), Err(RepError::TransactionAborted));
-        assert!(mgr.abort(t).is_empty());
+        mgr.abort(t);
+        assert_eq!(mgr.active_count(), 0);
     }
 
     #[test]
-    fn abort_returns_undo_in_reverse() {
+    fn abort_is_idempotent_and_final() {
         let mgr = TxnManager::new();
         let t = mgr.begin();
-        mgr.record_undo(t, rec("a")).unwrap();
-        mgr.record_undo(t, rec("b")).unwrap();
-        mgr.record_undo(t, rec("c")).unwrap();
-        let undo = mgr.abort(t);
-        assert_eq!(undo, vec![rec("c"), rec("b"), rec("a")]);
+        mgr.abort(t);
         assert!(!mgr.is_active(t));
-        // Idempotent.
-        assert!(mgr.abort(t).is_empty());
-    }
-
-    #[test]
-    fn record_undo_rejected_after_resolution() {
-        let mgr = TxnManager::new();
-        let t = mgr.begin();
-        mgr.commit(t).unwrap();
-        assert_eq!(
-            mgr.record_undo(t, rec("x")),
-            Err(RepError::TransactionAborted)
-        );
+        mgr.abort(t);
+        assert_eq!(mgr.commit(t), Err(RepError::TransactionAborted));
         let unknown = TxnId(999);
-        assert_eq!(
-            mgr.record_undo(unknown, rec("x")),
-            Err(RepError::TransactionAborted)
-        );
+        mgr.abort(unknown);
         assert!(!mgr.is_active(unknown));
     }
 

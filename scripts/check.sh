@@ -52,9 +52,9 @@
 # 11. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
 #    gates 4 to 8 pinned and gate 9's traced net.msgs_per_op. Counts
 #    repeat, so the history shows a budget moving, not noise. Then prints
-#    the code / comment / test line split of crates/core/src/suite,
-#    crates/core/src and crates/replica/src (scripts/suite_loc.sh), for
-#    information.
+#    the code / comment / test line split of crates/core/src/suite and of
+#    every crates/*/src (scripts/suite_loc.sh), the per-crate report every
+#    change gives, for information.
 #
 # Each gate prints its wall-clock duration so a slow regression is
 # attributable to the gate that grew. Exits non-zero on the first violation
@@ -193,4 +193,4 @@ gate_done
 
 echo "ALL CHECKS PASSED"
 echo
-bash scripts/suite_loc.sh crates/core/src/suite crates/core/src crates/replica/src
+bash scripts/suite_loc.sh crates/core/src/suite crates/*/src

@@ -3,8 +3,9 @@
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, SuiteConfig};
 use repdir::core::{GapMap, Key, UserKey, Value, Version};
-use repdir::storage::{decode_log, encode_record, GapBTree, WalRecord};
-use repdir::txn::{apply_undo, undo_for_coalesce, undo_for_insert};
+use repdir::storage::{
+    apply_undo, decode_log, encode_record, undo_for_coalesce, undo_for_insert, GapBTree, WalRecord,
+};
 use std::collections::BTreeMap;
 
 /// An abstract operation over a small key universe.

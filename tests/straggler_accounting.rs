@@ -120,7 +120,6 @@ fn late_reply_still_feeds_ewma_and_availability() {
 #[test]
 fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
     let mut fx = cluster(0x51E7, Duration::from_millis(60));
-    fx.suite.set_penalty_sample(Duration::from_millis(700));
     let ewma = fx.suite.member_reply_ewmas()[2].clone();
     let avail = fx.suite.member_avails()[2].clone();
     ewma.reset();
