@@ -20,16 +20,18 @@
 //! `scripts/check.sh` runs) — and unless the obs-instrumented build (timing
 //! armed: spans and latency samples recorded) stays within 5% of the same
 //! workload with every registry disarmed. Wall-clock and the speed-up over
-//! the serialized run are reported, not gated.
+//! the serialized run are reported, not gated, and so is what a transaction
+//! pays in process beside its quorum work: `DirSuite::new`, and a whole
+//! `ReplicatedDirectory::lookup` at 3-2-2, healthy and with one member down.
 //! Every run rewrites `BENCH_quorum_fanout.json` at the repo root.
 
 use std::time::{Duration, Instant};
 
 use repdir_baselines::reference::Inline;
 use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
-use repdir_core::suite::{DirSuite, FixedPolicy};
-use repdir_core::{Key, RepClient, Value};
-use repdir_replica::RemoteSessionClient;
+use repdir_core::suite::{DirSuite, FixedPolicy, SuiteConfig};
+use repdir_core::{Key, LocalRep, RepClient, RepId, Value};
+use repdir_replica::{RemoteSessionClient, ReplicatedDirectory};
 
 /// One measured configuration: members, read quorum, write quorum.
 type Config = (u32, u32, u32);
@@ -122,6 +124,66 @@ fn measure_overhead(base: Duration, ops: usize) -> Overhead {
     let (armed, detached) = (measure(true), measure(false));
     repdir_obs::global().set_timing_armed(true);
     Overhead { armed, detached }
+}
+
+/// What a transaction pays around its quorum work, in process (3-2-2, no
+/// network): building its `DirSuite`, and a whole
+/// `ReplicatedDirectory::lookup` (begin, suite, lookup, commit), healthy
+/// and with member 2 down. Printed, not gated.
+struct TxnCost {
+    suite_new_ns: u64,
+    lookup_ns: [u64; 2],
+}
+
+fn median_ns(mut samples: Vec<Duration>) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_nanos() as u64
+}
+
+fn measure_txn_cost(quick: bool) -> TxnCost {
+    const BATCH: u32 = 100;
+    let config = SuiteConfig::symmetric(3, 2, 2).expect("3-2-2");
+    let reps: Vec<LocalRep> = (0..3).map(|i| LocalRep::new(RepId(i))).collect();
+    let suite_new = (0..if quick { 20 } else { 100 })
+        .map(|_| {
+            let start = Instant::now();
+            let suites: Vec<_> = (0..BATCH)
+                .map(|_| {
+                    let policy = Box::new(FixedPolicy::new());
+                    DirSuite::new(reps.clone(), config.clone(), policy).expect("3 members")
+                })
+                .collect();
+            let per_suite = start.elapsed() / BATCH;
+            drop(suites);
+            per_suite
+        })
+        .collect();
+
+    let dir = ReplicatedDirectory::new(config, 0x7C).expect("3-2-2");
+    let keys: Vec<Key> = (0..64)
+        .map(|i| Key::from(format!("key{i:02}").as_str()))
+        .collect();
+    for key in &keys {
+        dir.insert(key, &Value::from("v")).expect("insert");
+    }
+    let lookups = if quick { 2_000 } else { 20_000 };
+    let lookup_p50 = || {
+        median_ns(
+            (0..lookups)
+                .map(|i| {
+                    let start = Instant::now();
+                    assert!(dir.lookup(&keys[i % keys.len()]).expect("lookup").present);
+                    start.elapsed()
+                })
+                .collect(),
+        )
+    };
+    let healthy = lookup_p50();
+    dir.reps()[2].set_available(false);
+    TxnCost {
+        suite_new_ns: median_ns(suite_new),
+        lookup_ns: [healthy, lookup_p50()],
+    }
 }
 
 struct Row {
@@ -269,6 +331,15 @@ fn main() {
         overhead.armed.median(),
         overhead.detached.median(),
         overhead.ratio()
+    );
+
+    let txn = measure_txn_cost(quick);
+    println!(
+        "per-transaction cost (3-2-2, in process, not gated): DirSuite::new {}ns; \
+         ReplicatedDirectory::lookup p50 {:.1}us healthy, {:.1}us with one member down",
+        txn.suite_new_ns,
+        txn.lookup_ns[0] as f64 / 1e3,
+        txn.lookup_ns[1] as f64 / 1e3
     );
 
     match write_json(&rows, &overhead, base, quick) {

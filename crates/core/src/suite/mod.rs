@@ -44,7 +44,7 @@ use crate::key::Key;
 use crate::rep::{LocalRep, RepClient, RepId};
 use crate::value::Value;
 use crate::version::Version;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use repdir_obs::{Avail, Counter, Ewma, Registry};
@@ -142,13 +142,20 @@ struct Member<C> {
     votes: u32,
 }
 
-/// Per-suite observability handles, resolved by name once at construction so
-/// the hot path records through lock-free atomics. Each suite owns a fresh
-/// [`Registry`] by default — per-member counters stay exact even when many
-/// suites (or parallel tests) run in one process — and
-/// [`DirSuite::set_obs_registry`] rebinds everything to a shared one.
+/// Per-suite observability handles, recorded through lock-free atomics on
+/// the hot path. A suite builds them unnamed, in a fresh [`Registry`] of its
+/// own — per-member counters stay exact even when many suites (or parallel
+/// tests) run in one process — and registers them under their names only
+/// when [`DirSuite::obs`] first reads that registry, so a transaction that
+/// never reads its metrics never pays for naming them.
+/// [`DirSuite::set_obs_registry`] rebinds everything, by name, to a shared
+/// registry instead.
 struct SuiteObs {
     registry: Registry,
+    /// Set once every handle below is registered under its name in
+    /// `registry`: at construction for a shared registry, by
+    /// [`publish`](SuiteObs::publish) for the suite's own.
+    named: OnceLock<()>,
     /// Data RPCs per member (`suite.member.{i}.msgs`) — the paper's §4
     /// message-count statistic, formerly the ad-hoc `msg_counts` vector.
     msgs: Vec<Counter>,
@@ -203,32 +210,119 @@ struct SuiteObs {
 /// members sort *first* in [`LatencyPolicy`]'s order.)
 const FAILED_RPC_PENALTY: Duration = Duration::from_secs(1);
 
+/// Span ring capacity of a suite's own registry: a transaction records a
+/// few spans per operation, and every operation is a transaction of its
+/// own in the in-process and remote directories.
+const SUITE_SPAN_CAPACITY: usize = 64;
+
+/// The names of `SuiteObs`'s nine scalar counters, in field order.
+const SCALAR_NAMES: [&str; 9] = [
+    "suite.quorum.waves",
+    "suite.rounds",
+    "suite.quorum.sticky_miss",
+    "suite.session.reuse",
+    "suite.session.revalidate",
+    "suite.bulk.ops",
+    "suite.bulk.keys",
+    "suite.bulk.resumed",
+    "repair.stale_votes_observed",
+];
+
+/// The name of member `i`'s `kind` metric: `suite.member.{i}.{kind}`.
+fn member_metric(i: usize, kind: &str) -> String {
+    format!("suite.member.{i}.{kind}")
+}
+
 impl SuiteObs {
-    fn new(registry: Registry, n: usize) -> Self {
-        let handle = |kind: &str, i: usize| format!("suite.member.{i}.{kind}");
+    /// Fresh, unnamed handles for `n` members in a registry of the suite's
+    /// own; nothing is looked up or formatted.
+    fn unnamed(n: usize) -> Self {
+        let [
+            waves, rounds, sticky_miss, session_reuse, session_revalidate,
+            bulk_ops, bulk_keys, bulk_resumed, stale_votes,
+        ]: [Counter; 9] = Default::default();
+        SuiteObs {
+            registry: Registry::with_span_capacity(SUITE_SPAN_CAPACITY),
+            named: OnceLock::new(),
+            msgs: (0..n).map(|_| Counter::new()).collect(),
+            pings: (0..n).map(|_| Counter::new()).collect(),
+            reply: (0..n).map(|_| Ewma::default()).collect(),
+            avail: (0..n).map(|_| Avail::new()).collect(),
+            waves,
+            rounds,
+            sticky_miss,
+            session_reuse,
+            session_revalidate,
+            bulk_ops,
+            bulk_keys,
+            bulk_resumed,
+            stale_votes,
+        }
+    }
+
+    /// Every handle resolved by name in `registry`, so suites sharing it
+    /// aggregate.
+    fn resolved(registry: Registry, n: usize) -> Self {
+        let [
+            waves, rounds, sticky_miss, session_reuse, session_revalidate,
+            bulk_ops, bulk_keys, bulk_resumed, stale_votes,
+        ]: [Counter; 9] = SCALAR_NAMES.map(|name| registry.counter(name));
         SuiteObs {
             msgs: (0..n)
-                .map(|i| registry.counter(&handle("msgs", i)))
+                .map(|i| registry.counter(&member_metric(i, "msgs")))
                 .collect(),
             pings: (0..n)
-                .map(|i| registry.counter(&handle("pings", i)))
+                .map(|i| registry.counter(&member_metric(i, "pings")))
                 .collect(),
             reply: (0..n)
-                .map(|i| registry.ewma(&handle("reply_us", i)))
+                .map(|i| registry.ewma(&member_metric(i, "reply_us")))
                 .collect(),
             avail: (0..n)
-                .map(|i| registry.avail(&handle("avail", i)))
+                .map(|i| registry.avail(&member_metric(i, "avail")))
                 .collect(),
-            waves: registry.counter("suite.quorum.waves"),
-            rounds: registry.counter("suite.rounds"),
-            sticky_miss: registry.counter("suite.quorum.sticky_miss"),
-            session_reuse: registry.counter("suite.session.reuse"),
-            session_revalidate: registry.counter("suite.session.revalidate"),
-            bulk_ops: registry.counter("suite.bulk.ops"),
-            bulk_keys: registry.counter("suite.bulk.keys"),
-            bulk_resumed: registry.counter("suite.bulk.resumed"),
-            stale_votes: registry.counter("repair.stale_votes_observed"),
             registry,
+            named: OnceLock::from(()),
+            waves,
+            rounds,
+            sticky_miss,
+            session_reuse,
+            session_revalidate,
+            bulk_ops,
+            bulk_keys,
+            bulk_resumed,
+            stale_votes,
+        }
+    }
+
+    /// The registry, with every handle registered under its name the first
+    /// time it is read; later reads register nothing.
+    fn registry(&self) -> &Registry {
+        self.named.get_or_init(|| self.publish());
+        &self.registry
+    }
+
+    /// Registers every handle under its name in the suite's own registry.
+    fn publish(&self) {
+        let registry = &self.registry;
+        for i in 0..self.msgs.len() {
+            registry.register_counter(&member_metric(i, "msgs"), &self.msgs[i]);
+            registry.register_counter(&member_metric(i, "pings"), &self.pings[i]);
+            registry.register_ewma(&member_metric(i, "reply_us"), &self.reply[i]);
+            registry.register_avail(&member_metric(i, "avail"), &self.avail[i]);
+        }
+        let scalars = [
+            &self.waves,
+            &self.rounds,
+            &self.sticky_miss,
+            &self.session_reuse,
+            &self.session_revalidate,
+            &self.bulk_ops,
+            &self.bulk_keys,
+            &self.bulk_resumed,
+            &self.stale_votes,
+        ];
+        for (name, counter) in SCALAR_NAMES.into_iter().zip(scalars) {
+            registry.register_counter(name, counter);
         }
     }
 }
@@ -313,7 +407,7 @@ impl<C: RepClient> DirSuite<C> {
                 votes: config.votes_of(i),
             })
             .collect();
-        let obs = SuiteObs::new(Registry::new(), n);
+        let obs = SuiteObs::unnamed(n);
         let mut policy = policy;
         policy.observe_availability(&obs.avail);
         Ok(DirSuite {
@@ -425,20 +519,24 @@ impl<C: RepClient> DirSuite<C> {
         self.obs.pings.iter().for_each(Counter::reset);
     }
 
-    /// The suite's metric registry: per-member message/ping counters and
-    /// reply-time EWMAs, quorum wave counters, and the spans recorded by
-    /// every operation. Fresh per suite unless rebound with
-    /// [`set_obs_registry`](DirSuite::set_obs_registry).
+    /// The suite's metric registry: per-member message/ping counters,
+    /// reply-time EWMAs and availability trackers, quorum wave counters,
+    /// and the spans recorded by every operation. Fresh per suite unless
+    /// rebound with [`set_obs_registry`](DirSuite::set_obs_registry); a
+    /// fresh one holds only spans until this is first called, which
+    /// registers every metric under its name, live values included.
     pub fn obs(&self) -> &Registry {
-        &self.obs.registry
+        self.obs.registry()
     }
 
     /// Rebinds the suite's metrics to `registry` (e.g. the process-wide
     /// [`repdir_obs::global`] registry, or a disarmed one for overhead
-    /// baselines). Counter readings restart from the registry's existing
-    /// values — rebind before running a workload, not mid-measurement.
+    /// baselines), resolving every handle by name there, so suites sharing
+    /// one registry aggregate into the same metrics. Counter readings
+    /// restart from the registry's existing values — rebind before running
+    /// a workload, not mid-measurement.
     pub fn set_obs_registry(&mut self, registry: Registry) {
-        self.obs = SuiteObs::new(registry, self.members.len());
+        self.obs = SuiteObs::resolved(registry, self.members.len());
         // The old registry's handles are dead; re-offer the live ones.
         self.policy.observe_availability(&self.obs.avail);
     }
@@ -597,6 +695,71 @@ mod tests {
             assert_eq!(snap.counter(&format!("suite.member.{i}.msgs")), 0);
             assert_eq!(snap.counter(&format!("suite.member.{i}.pings")), 0);
         }
+    }
+
+    #[test]
+    fn construction_and_operations_name_no_metric() {
+        // Naming 4n + 9 metrics used to cost more than the quorum work of a
+        // transaction's lookup. Until `obs()` is read, the suite's registry
+        // holds spans only.
+        let mut s = suite_322(13);
+        s.insert(&k("a"), &val("A")).unwrap();
+        assert!(s.lookup(&k("a")).unwrap().present);
+        let snap = s.obs.registry.snapshot();
+        assert_eq!(snap.counters().len(), 0, "{:?}", snap.counters());
+        assert_eq!(snap.ewmas().len(), 0, "{:?}", snap.ewmas());
+        assert_eq!(snap.avails().len(), 0, "{:?}", snap.avails());
+        assert!(s.message_counts().iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn first_obs_read_names_the_live_handles_once() {
+        // Member 2 misses the insert, so the lookup through {1, 2} sees it
+        // vote stale.
+        let mut s = suite_322(14);
+        s.set_policy(fixed(&[0, 1]));
+        s.insert(&k("b"), &val("B")).unwrap();
+        s.set_policy(fixed(&[1, 2]));
+        s.lookup(&k("b")).unwrap();
+        // One sample through a clone taken before the registry was read.
+        let ewmas = s.member_reply_ewmas();
+        ewmas[2].record_us(5_000.0);
+
+        let snap = s.obs().snapshot();
+        assert_eq!(snap.counters().len(), 2 * 3 + 9);
+        assert_eq!(snap.ewmas().len(), 3);
+        assert_eq!(snap.avails().len(), 3);
+        let (msgs, avails) = (s.message_counts(), s.member_avails());
+        for i in 0..3 {
+            let name = |kind| format!("suite.member.{i}.{kind}");
+            assert_eq!(snap.counter(&name("msgs")), msgs[i]);
+            assert_eq!(snap.ewma(&name("reply_us")), ewmas[i].value_us());
+            assert!(snap.ewma(&name("reply_us")).is_some());
+            assert_eq!(snap.avail(&name("avail")), avails[i].rate());
+            assert!(snap.avail(&name("avail")).is_some());
+        }
+        assert_eq!(snap.counter("repair.stale_votes_observed"), 1);
+        assert_eq!(snap.counter("suite.rounds"), 3);
+
+        // A second read neither resets nor duplicates, and the named
+        // handles are the ones the suite keeps recording through.
+        assert_eq!(s.obs().snapshot(), snap);
+        s.lookup(&k("b")).unwrap();
+        let again = s.obs().snapshot();
+        assert_eq!(again.counters().len(), 2 * 3 + 9);
+        assert_eq!(again.counter("repair.stale_votes_observed"), 2);
+        assert_eq!(again.counter("suite.member.2.msgs"), msgs[2] + 1);
+
+        // Rebinding after the first read still resolves every handle in
+        // the shared registry.
+        let shared = Registry::new();
+        shared.counter("repair.stale_votes_observed").add(10);
+        s.set_obs_registry(shared.clone());
+        s.lookup(&k("b")).unwrap();
+        assert_eq!(shared.counter("repair.stale_votes_observed").get(), 11);
+        assert_eq!(shared.counter("suite.member.2.msgs").get(), 1);
+        assert_eq!(s.message_counts(), vec![0, 1, 1]);
+        assert_eq!(s.obs().snapshot(), shared.snapshot());
     }
 
     #[test]

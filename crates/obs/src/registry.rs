@@ -2,11 +2,13 @@
 //! plus one span ring, with text/JSON export and snapshot diffing.
 //!
 //! Handles are resolved by name once (a lock + map lookup) and recorded
-//! through lock-free afterwards. Two registries matter in practice: the
-//! process-wide [`global`] registry that the subsystem crates (net,
-//! rangelock, storage, txn, replica) record into, and per-suite registries
-//! (`DirSuite` creates its own) so per-member counters stay exact when many
-//! suites — or many parallel tests — run in one process.
+//! through lock-free afterwards; a handle created unnamed can be registered
+//! under a name later (`register_counter` and its twins). Two registries
+//! matter in practice: the process-wide [`global`] registry that the
+//! subsystem crates (net, rangelock, storage, txn, replica) record into,
+//! and per-suite registries (`DirSuite` creates its own, and names its
+//! handles there only when it is first read) so per-member counters stay
+//! exact when many suites — or many parallel tests — run in one process.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,60 +106,42 @@ impl Registry {
 
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.counters.read().expect("obs lock").get(name) {
-            return c.clone();
-        }
-        self.inner
-            .counters
-            .write()
-            .expect("obs lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        resolve(&self.inner.counters, name)
     }
 
     /// The histogram registered under `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.histograms.read().expect("obs lock").get(name) {
-            return h.clone();
-        }
-        self.inner
-            .histograms
-            .write()
-            .expect("obs lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        resolve(&self.inner.histograms, name)
     }
 
     /// The EWMA registered under `name` (default smoothing), created on
     /// first use.
     pub fn ewma(&self, name: &str) -> Ewma {
-        if let Some(e) = self.inner.ewmas.read().expect("obs lock").get(name) {
-            return e.clone();
-        }
-        self.inner
-            .ewmas
-            .write()
-            .expect("obs lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        resolve(&self.inner.ewmas, name)
     }
 
     /// The availability tracker registered under `name`, created empty on
     /// first use.
     pub fn avail(&self, name: &str) -> Avail {
-        if let Some(a) = self.inner.avails.read().expect("obs lock").get(name) {
-            return a.clone();
-        }
-        self.inner
-            .avails
-            .write()
-            .expect("obs lock")
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        resolve(&self.inner.avails, name)
+    }
+
+    /// Registers an existing counter under `name` if the name is free, so
+    /// a handle created unnamed is read by name from then on. A taken name
+    /// keeps the counter it has.
+    pub fn register_counter(&self, name: &str, counter: &Counter) {
+        register(&self.inner.counters, name, counter);
+    }
+
+    /// [`register_counter`](Registry::register_counter) for an EWMA.
+    pub fn register_ewma(&self, name: &str, ewma: &Ewma) {
+        register(&self.inner.ewmas, name, ewma);
+    }
+
+    /// [`register_counter`](Registry::register_counter) for an
+    /// availability tracker.
+    pub fn register_avail(&self, name: &str, avail: &Avail) {
+        register(&self.inner.avails, name, avail);
     }
 
     /// Opens an untagged scoped timer (see the [`span!`](crate::span)
@@ -360,6 +344,26 @@ impl Registry {
     }
 }
 
+/// The handle under `name` in `map`, inserted as `T::default()` if absent.
+fn resolve<T: Clone + Default>(map: &RwLock<BTreeMap<String, T>>, name: &str) -> T {
+    if let Some(handle) = map.read().expect("obs lock").get(name) {
+        return handle.clone();
+    }
+    map.write()
+        .expect("obs lock")
+        .entry(name.to_string())
+        .or_default()
+        .clone()
+}
+
+/// Inserts `handle` under `name` in `map` unless the name is taken.
+fn register<T: Clone>(map: &RwLock<BTreeMap<String, T>>, name: &str, handle: &T) {
+    map.write()
+        .expect("obs lock")
+        .entry(name.to_string())
+        .or_insert_with(|| handle.clone());
+}
+
 fn push_entries<T>(
     out: &mut String,
     items: impl Iterator<Item = T>,
@@ -401,6 +405,16 @@ impl Snapshot {
     /// All counters, name-ordered.
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
+    }
+
+    /// All EWMAs, name-ordered (`None` for an unsampled one).
+    pub fn ewmas(&self) -> &BTreeMap<String, Option<f64>> {
+        &self.ewmas
+    }
+
+    /// All availability rates, name-ordered (`None` without outcomes).
+    pub fn avails(&self) -> &BTreeMap<String, Option<f64>> {
+        &self.avails
     }
 
     /// The named histogram's snapshot, if it has been registered.
@@ -637,6 +651,35 @@ mod tests {
         assert!(json.contains("\"m.avail\": 0.667"));
         assert!(!json.contains("quiet"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn registered_handles_are_read_by_name_and_taken_names_keep_theirs() {
+        let reg = Registry::new();
+        let (counter, ewma, avail) = (Counter::new(), Ewma::default(), Avail::new());
+        counter.add(4);
+        ewma.record_us(50.0);
+        avail.record(false);
+        reg.register_counter("c", &counter);
+        reg.register_ewma("e", &ewma);
+        reg.register_avail("a", &avail);
+        // The registry holds the handles themselves, not copies.
+        counter.inc();
+        reg.counter("c").inc();
+        assert_eq!(counter.get(), 6);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("c"), 6);
+        assert_eq!(snap.ewma("e"), Some(50.0));
+        assert_eq!(snap.avail("a"), Some(0.0));
+        assert_eq!((snap.ewmas().len(), snap.avails().len()), (1, 1));
+
+        // A taken name is left alone: its existing handle stays registered.
+        let other = Counter::new();
+        other.add(100);
+        reg.register_counter("c", &other);
+        reg.register_ewma("e", &Ewma::default());
+        reg.register_avail("a", &Avail::new());
+        assert_eq!(reg.snapshot(), snap);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Serving a representative over the simulated network, and the matching
 //! remote client.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use repdir_core::{Completion, Op, RepClient, RepError, RepId, RepResult, Reply};
@@ -90,10 +90,20 @@ pub struct RemoteSessionClient {
     rep_id: RepId,
     txn: TxnId,
     timeout: Duration,
-    /// `rpc.batch.calls` / `rpc.batch.parts`, resolved once: envelopes ride
-    /// every scan hop.
-    batch_calls: Counter,
-    batch_parts: Counter,
+}
+
+/// `rpc.batch.calls` / `rpc.batch.parts` in the global registry, resolved
+/// once per process: a remote transaction builds a client per member, and
+/// envelopes ride every scan hop.
+fn batch_counters() -> &'static (Counter, Counter) {
+    static BATCH: OnceLock<(Counter, Counter)> = OnceLock::new();
+    BATCH.get_or_init(|| {
+        let obs = repdir_obs::global();
+        (
+            obs.counter("rpc.batch.calls"),
+            obs.counter("rpc.batch.parts"),
+        )
+    })
 }
 
 impl RemoteSessionClient {
@@ -103,15 +113,12 @@ impl RemoteSessionClient {
     /// Creates a client for representative `rep_id` served at `server`,
     /// acting for transaction `txn`.
     pub fn new(rpc: Arc<RpcClient>, server: NodeId, rep_id: RepId, txn: TxnId) -> Self {
-        let obs = repdir_obs::global();
         RemoteSessionClient {
             rpc,
             server,
             rep_id,
             txn,
             timeout: Self::DEFAULT_TIMEOUT,
-            batch_calls: obs.counter("rpc.batch.calls"),
-            batch_parts: obs.counter("rpc.batch.parts"),
         }
     }
 
@@ -156,8 +163,9 @@ impl RemoteSessionClient {
     /// The bytes of the request `ops`.
     fn frame(&self, ops: &[Op]) -> Vec<u8> {
         if ops.len() > 1 {
-            self.batch_calls.inc();
-            self.batch_parts.add(ops.len() as u64);
+            let (calls, parts) = batch_counters();
+            calls.inc();
+            parts.add(ops.len() as u64);
         }
         encode_request(&request_frame(self.txn, ops))
     }
