@@ -7,13 +7,16 @@
 //! per entry on a uniform fabric. The session scan collects its quorum once
 //! ([`QuorumSession`](repdir_core::QuorumSession)) with the collection
 //! carrying the first chain request, judges every entry from the buffered
-//! chain heads without a message, and sends one `Batch` envelope per member
-//! per `bulk_chunk` entries (value lookups plus the next chain request) —
-//! ⌈(entries + 1) / 64⌉ waves, plus one for the values still owed.
+//! chain heads without a message, and reads every value of at most
+//! `INLINE_VALUE_MAX` bytes off the chain head that named it: one chain
+//! request per member per `bulk_chunk` entries — ⌈(entries + 1) / 64⌉
+//! waves. A larger value costs a `Lookup` riding the next wave, and the
+//! values still owed after the last chain one more wave.
 //!
 //! The fixture is a 3-member suite (R=2, W=2) of networked transactional
 //! representatives behind a fixed per-message latency, scanning a directory
-//! of `ENTRIES` entries. Both scans run on the same populated suite.
+//! of `ENTRIES` entries. Every quorum is members {0, 1}, so both members a
+//! scan reads hold every entry. Both scans run on the same populated suite.
 //!
 //! ```text
 //! cargo run --release -p repdir-bench --bin scan_bench [-- --quick] [--check]
@@ -22,21 +25,28 @@
 //! `--check` exits nonzero unless a scan of the 64 entries costs exactly its
 //! pinned budget — 2 rounds, R requests each, 8 fabric messages, no ping, no
 //! re-validation (the `scripts/check.sh` gate). Wall-clock and the speed-up
-//! over the per-hop reference are reported, not gated.
+//! over the per-hop reference are reported, not gated, and so is what one
+//! scan of 64 entries costs at value sizes on both sides of the inline
+//! bound: rounds, requests, `Lookup`s and fabric bytes.
 //! Every run rewrites `BENCH_scan.json` at the repo root.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repdir_baselines::reference::per_hop_scan;
 use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
-use repdir_core::suite::{DirSuite, RandomPolicy};
-use repdir_core::{Key, SuiteError, UserKey, Value};
+use repdir_core::suite::{DirSuite, FixedPolicy};
+use repdir_core::{Completion, Key, Op, RepClient, RepId, RepResult, Reply, SuiteError, UserKey};
+use repdir_core::{Value, INLINE_VALUE_MAX};
 use repdir_replica::RemoteSessionClient;
 
 const MEMBERS: u32 = 3;
 const READ_QUORUM: u32 = 2;
 const WRITE_QUORUM: u32 = 2;
 const ENTRIES: usize = 64;
+/// Value sizes the byte sweep lists a directory of, around the inline bound.
+const VALUE_SIZES: [usize; 4] = [16, INLINE_VALUE_MAX, INLINE_VALUE_MAX + 1, 256];
 
 type Suite = DirSuite<RemoteSessionClient>;
 
@@ -58,6 +68,60 @@ fn run_scans(
         times
     });
     (Samples::from_durations(times), spent)
+}
+
+/// Forwards to a [`RemoteSessionClient`], counting the `Lookup`s it sends.
+struct CountsLookups {
+    inner: RemoteSessionClient,
+    lookups: Arc<AtomicU64>,
+}
+
+impl CountsLookups {
+    fn count(&self, ops: &[Op]) {
+        let lookups = ops.iter().filter(|op| matches!(op, Op::Lookup(_))).count();
+        self.lookups.fetch_add(lookups as u64, Ordering::Relaxed);
+    }
+}
+
+impl RepClient for CountsLookups {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        self.count(ops);
+        self.inner.execute(ops)
+    }
+    fn start(&self, ops: &[Op], done: Completion) {
+        self.count(ops);
+        self.inner.start(ops, done)
+    }
+}
+
+/// What one scan of `ENTRIES` entries of `size`-byte values costs on a
+/// zero-latency fabric: its rounds and requests, the `Lookup`s it sends and
+/// the payload bytes the fabric carries, requests and replies.
+fn by_value_size(size: usize) -> (Spent, u64, u64) {
+    let lookups = Arc::new(AtomicU64::new(0));
+    let quorums = (MEMBERS, READ_QUORUM, WRITE_QUORUM);
+    let (timeout, policy) = (Duration::from_secs(10), Box::new(FixedPolicy::new()));
+    let net = lossless(0x5CA7, Duration::ZERO);
+    let counter = Arc::clone(&lookups);
+    let mut fx = Fixture::new(net, quorums, timeout, policy, move |inner| CountsLookups {
+        inner,
+        lookups: Arc::clone(&counter),
+    });
+    let entries: Vec<(Key, Value)> = (0..ENTRIES)
+        .map(|i| {
+            let key = Key::from(format!("entry{i:03}").as_str());
+            (key, Value::from(vec![b'v'; size]))
+        })
+        .collect();
+    fx.suite.insert_many(&entries).expect("insert_many");
+    let (bytes, asked) = (fx.net.stats().bytes, lookups.load(Ordering::Relaxed));
+    let (listed, spent) = fx.spent(|suite| suite.scan().expect("scan"));
+    assert_eq!(listed.len(), ENTRIES, "scan must list every entry");
+    let bytes = fx.net.stats().bytes - bytes;
+    (spent, lookups.load(Ordering::Relaxed) - asked, bytes)
 }
 
 fn main() {
@@ -83,7 +147,7 @@ fn main() {
     println!();
 
     let quorums = (MEMBERS, READ_QUORUM, WRITE_QUORUM);
-    let (timeout, policy) = (Duration::from_secs(10), Box::new(RandomPolicy::new(0x5CA7)));
+    let (timeout, policy) = (Duration::from_secs(10), Box::new(FixedPolicy::new()));
     let mut fx = Fixture::new(lossless(0x5CA7, hop), quorums, timeout, policy, |client| {
         client
     });
@@ -125,6 +189,31 @@ fn main() {
     println!("re-validations: {revalidate}");
     println!("speedup (per-hop median / suite median): {speedup:.2}x");
 
+    println!();
+    println!(
+        "one scan of {ENTRIES} entries by value size (chains carry values of at most \
+         {INLINE_VALUE_MAX} B; reported, not gated):"
+    );
+    println!(
+        "{:>8} {:>8} {:>9} {:>12} {:>8} {:>13}",
+        "value B", "rounds", "requests", "fabric msgs", "lookups", "fabric bytes"
+    );
+    let mut sizes = Vec::new();
+    for size in VALUE_SIZES {
+        let (spent, lookups, bytes) = by_value_size(size);
+        println!(
+            "{:>8} {:>8} {:>9} {:>12} {:>8} {:>13}",
+            size, spent.rounds, spent.requests, spent.fabric_msgs, lookups, bytes
+        );
+        sizes.push(format!(
+            concat!(
+                "{{\"value_bytes\": {}, \"rounds\": {}, \"requests\": {}, ",
+                "\"fabric_msgs\": {}, \"lookups\": {}, \"fabric_bytes\": {}}}"
+            ),
+            size, spent.rounds, spent.requests, spent.fabric_msgs, lookups, bytes
+        ));
+    }
+
     let doc = format!(
         concat!(
             "{{\n  \"bench\": \"scan\",\n  \"mode\": \"{}\",\n",
@@ -133,6 +222,7 @@ fn main() {
             "  \"rounds_per_scan\": {}, \"requests_per_scan\": {}, \"pings_per_scan\": {},\n",
             "  \"fabric_msgs_per_scan\": {{\"per_hop\": {}, \"session\": {}}},\n",
             "  \"session_revalidate\": {},\n",
+            "  \"by_value_size\": [\n    {}\n  ],\n",
             "  \"per_hop\": {},\n  \"session\": {},\n",
             "  \"speedup_median\": {:.3}\n}}\n"
         ),
@@ -149,6 +239,7 @@ fn main() {
         per_scan(per_hop.fabric_msgs),
         per_scan(cost.fabric_msgs),
         revalidate,
+        sizes.join(",\n    "),
         baseline.json(),
         session.json(),
         speedup
@@ -165,8 +256,8 @@ fn main() {
     }
 
     if check {
-        // 64 entries and HIGH are two chains of 64: the carried one, then one
-        // riding with the value lookups.
+        // 64 entries and HIGH are two chains of 64: the carried one, then
+        // one more. Every value rides them, so nothing is owed.
         let rounds = (ENTRIES as u64 + 1).div_ceil(64);
         let budget = Spent::fault_free(rounds, rounds * u64::from(READ_QUORUM));
         if cost != budget.times(scans as u64) || revalidate != 0 {

@@ -68,8 +68,16 @@ impl LookupReply {
     }
 }
 
+/// The largest value, in bytes, a [`NeighborReply`] carries. Inclusive: a
+/// value of exactly this many bytes rides its chain.
+pub const INLINE_VALUE_MAX: usize = 64;
+
 /// Reply to a predecessor/successor query (paper Fig. 6,
-/// `DirRepPredecessor` / `DirRepSuccessor`).
+/// `DirRepPredecessor` / `DirRepSuccessor`), extended with the neighbour's
+/// value when that value is small. Key, versions and value are one read
+/// under one range lock, so a scan lists a small entry straight off its
+/// chain, with no `DirRepLookup` of its own (the nrfs idea of embedding
+/// small files inside their directory).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborReply {
     /// The neighboring entry's key; may be a sentinel.
@@ -78,6 +86,33 @@ pub struct NeighborReply {
     pub entry_version: Version,
     /// The version of the gap between the queried key and the neighbor.
     pub gap_version: Version,
+    /// The neighboring entry's value when it is at most
+    /// [`INLINE_VALUE_MAX`] bytes; `None` for a larger value and for
+    /// sentinels.
+    pub value: Option<Value>,
+}
+
+impl NeighborReply {
+    /// The reply naming the stored entry `key`, carrying `value` when it is
+    /// at most [`INLINE_VALUE_MAX`] bytes.
+    pub fn entry(key: &UserKey, version: Version, value: &Value, gap_version: Version) -> Self {
+        NeighborReply {
+            key: Key::User(key.clone()),
+            entry_version: version,
+            gap_version,
+            value: (value.len() <= INLINE_VALUE_MAX).then(|| value.clone()),
+        }
+    }
+
+    /// The reply naming a sentinel: version zero, no value.
+    pub fn sentinel(key: Key, gap_version: Version) -> Self {
+        NeighborReply {
+            key,
+            entry_version: Version::ZERO,
+            gap_version,
+            value: None,
+        }
+    }
 }
 
 /// Outcome of [`GapMap::insert`].
@@ -278,18 +313,15 @@ impl GapMap {
             .range::<[u8], _>((Bound::Unbounded, below))
             .next_back()
         {
-            Some((k, rec)) => Ok(NeighborReply {
-                key: Key::User(k.clone()),
-                entry_version: rec.version,
-                // No entries lie between the predecessor and `x`, so the gap
-                // between them is exactly the gap after the predecessor.
-                gap_version: rec.gap_after,
-            }),
-            None => Ok(NeighborReply {
-                key: Key::Low,
-                entry_version: Version::ZERO,
-                gap_version: self.low_gap,
-            }),
+            // No entries lie between the predecessor and `x`, so the gap
+            // between them is exactly the gap after the predecessor.
+            Some((k, rec)) => Ok(NeighborReply::entry(
+                k,
+                rec.version,
+                &rec.value,
+                rec.gap_after,
+            )),
+            None => Ok(NeighborReply::sentinel(Key::Low, self.low_gap)),
         }
     }
 
@@ -327,16 +359,13 @@ impl GapMap {
             .range::<[u8], _>((above, Bound::Unbounded))
             .next()
         {
-            Some((k, rec)) => Ok(NeighborReply {
-                key: Key::User(k.clone()),
-                entry_version: rec.version,
+            Some((k, rec)) => Ok(NeighborReply::entry(
+                k,
+                rec.version,
+                &rec.value,
                 gap_version,
-            }),
-            None => Ok(NeighborReply {
-                key: Key::High,
-                entry_version: Version::ZERO,
-                gap_version,
-            }),
+            )),
+            None => Ok(NeighborReply::sentinel(Key::High, gap_version)),
         }
     }
 

@@ -80,6 +80,7 @@ mod version;
 pub use error::{ConfigError, QuorumKind, RepError, SuiteError};
 pub use gapmap::{
     CoalesceOutcome, GapInfo, GapMap, InsertOutcome, LookupReply, NeighborReply, RemovedEntry,
+    INLINE_VALUE_MAX,
 };
 pub use key::{Key, UserKey};
 pub use rep::{Completion, Done, LocalRep, Op, RepClient, RepId, RepResult, Reply};

@@ -667,6 +667,17 @@ mod tests {
         }
     }
 
+    fn panicking_clients() -> DirSuite<PanicsOnLookup> {
+        let clients: Vec<PanicsOnLookup> = (0..3)
+            .map(|i| PanicsOnLookup {
+                inner: LocalRep::new(RepId(i)),
+                armed: std::sync::atomic::AtomicBool::new(false),
+            })
+            .collect();
+        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap()
+    }
+
     #[test]
     fn panicking_client_propagates_and_does_not_leak_the_session_scope() {
         // An in-process client completes inline, so its panic unwinds
@@ -675,16 +686,10 @@ mod tests {
         // Regression: the old session_begin/session_end pair leaked
         // session_depth when the body unwound, pinning a stale quorum
         // session for the suite's lifetime. The RAII scope guard must
-        // restore depth and clear sessions on panic.
-        let clients: Vec<PanicsOnLookup> = (0..3)
-            .map(|i| PanicsOnLookup {
-                inner: LocalRep::new(RepId(i)),
-                armed: std::sync::atomic::AtomicBool::new(false),
-            })
-            .collect();
-        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
-        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        s.insert(&k("a"), &val("A")).unwrap();
+        // restore depth and clear sessions on panic. The value is too large
+        // to ride the chain, so the scan sends the lookup that panics.
+        let mut s = panicking_clients();
+        s.insert(&k("a"), &big("A")).unwrap();
         s.member(0).arm();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = s.scan();
@@ -707,5 +712,19 @@ mod tests {
         // And the suite still answers correctly afterwards.
         let listed = s.scan().unwrap();
         assert_eq!(listed.len(), 1);
+    }
+
+    #[test]
+    fn small_value_scan_sends_no_lookup_to_panic_on() {
+        // Twin of the test above with a value that rides the chain: the
+        // scan lists it without a lookup, so the armed client stays armed.
+        let mut s = panicking_clients();
+        s.insert(&k("a"), &val("A")).unwrap();
+        s.member(0).arm();
+        let listed = s.scan().unwrap();
+        assert_eq!(listed, vec![(crate::key::UserKey::from("a"), val("A"))]);
+        let armed = s.member(0).armed.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(armed, "the scan sent no lookup");
+        assert!(s.session(QuorumKind::Read).is_none());
     }
 }

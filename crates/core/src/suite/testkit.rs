@@ -2,6 +2,7 @@
 //! Fixtures the suite's unit tests share.
 
 use super::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
+use crate::gapmap::INLINE_VALUE_MAX;
 use crate::key::Key;
 use crate::rep::{LocalRep, Op, RepClient, RepId, RepResult, Reply};
 use crate::value::Value;
@@ -11,6 +12,14 @@ pub(super) fn k(s: &str) -> Key {
 }
 pub(super) fn val(s: &str) -> Value {
     Value::from(s)
+}
+
+/// `s` padded to one byte more than a chain carries: a value a scan must
+/// fetch with a `Lookup`.
+pub(super) fn big(s: &str) -> Value {
+    let mut bytes = s.as_bytes().to_vec();
+    bytes.resize(INLINE_VALUE_MAX + 1, b'.');
+    Value::from(bytes)
 }
 
 pub(super) fn suite_322(seed: u64) -> DirSuite<LocalRep> {
@@ -61,6 +70,16 @@ pub(super) fn fused_suite() -> (
     DirSuite<DiesAfterCalls>,
     Vec<std::sync::Arc<std::sync::atomic::AtomicI64>>,
 ) {
+    fused_suite_of(val)
+}
+
+/// [`fused_suite`] whose entry for `key` holds `value(key)`.
+pub(super) fn fused_suite_of(
+    value: fn(&str) -> Value,
+) -> (
+    DirSuite<DiesAfterCalls>,
+    Vec<std::sync::Arc<std::sync::atomic::AtomicI64>>,
+) {
     // Fuses start deeply negative: effectively disarmed through setup.
     let fuses: Vec<std::sync::Arc<std::sync::atomic::AtomicI64>> = (0..3)
         .map(|_| std::sync::Arc::new(std::sync::atomic::AtomicI64::new(i64::MIN / 2)))
@@ -76,7 +95,7 @@ pub(super) fn fused_suite() -> (
     let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
     let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
     for key in ["a", "b", "c", "d", "e", "f"] {
-        s.insert(&k(key), &val(key)).unwrap();
+        s.insert(&k(key), &value(key)).unwrap();
     }
     (s, fuses)
 }

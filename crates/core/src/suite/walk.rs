@@ -2,7 +2,10 @@
 //! real-neighbour searches, delete's plans (through [`DirSuite::run_walks`])
 //! and the scan. One loop ([`DirSuite::next_real`]) judges candidates from
 //! buffered chain heads; one wave shape ([`DirSuite::refill`]) extends the
-//! buffers that ran dry.
+//! buffers that ran dry. A chain head carries its entry's value when that
+//! value is at most [`INLINE_VALUE_MAX`](crate::gapmap::INLINE_VALUE_MAX)
+//! bytes, so the searches and the scan read small values off the walk and
+//! send a `Lookup` only for a larger one.
 
 use std::collections::VecDeque;
 
@@ -205,13 +208,22 @@ impl Walk {
         })
     }
 
-    /// The finished walk as a public search result; it carries no value.
+    /// The value a chain head at `candidate` and `version` carried: every
+    /// holder read the same entry, so any holder's head will do. `None` when
+    /// the value was too large to ride, and for sentinels.
+    fn carried(&self, candidate: &Key, version: Version) -> Option<Value> {
+        let mut heads = self.holders(candidate, version);
+        heads.find_map(|slot| self.slots[slot].chain.front()?.value.clone())
+    }
+
+    /// The finished walk as a public search result, with the value its chain
+    /// heads carried, if any.
     fn search(self) -> NeighborSearch {
-        let (key, version) = self.found.expect("the walk has run");
+        let (key, version) = self.found.clone().expect("the walk has run");
         NeighborSearch {
+            value: self.carried(&key, version),
             key,
             version,
-            value: None,
             max_gap_version: self.max_gap_version,
             steps: self.steps,
             rpc_calls: self.rpc_calls,
@@ -250,7 +262,9 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// A public Fig. 12 search: collect the read quorum, resolve the real
-    /// neighbour from the members' chains, fetch its value with one lookup.
+    /// neighbour from the members' chains, and take its value off the chain
+    /// head that named it, or fetch it with one lookup when it was too large
+    /// to ride (and for a sentinel).
     fn neighbor_search(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
         let _span = self.obs.registry.span("suite.neighbor");
         self.with_session_scope(|s| {
@@ -259,7 +273,9 @@ impl<C: RepClient> DirSuite<C> {
                 let mut walk = Walk::new(dir, key, quorum.members.len(), s.neighbor_batch);
                 s.run_walks(&quorum.members, &mut [&mut walk])?;
                 let mut found = walk.search();
-                found.value = s.lookup(&found.key)?.value;
+                if found.value.is_none() {
+                    found.value = s.lookup(&found.key)?.value;
+                }
                 Ok(found)
             })
         })
@@ -391,15 +407,19 @@ impl<C: RepClient> DirSuite<C> {
     /// `O(entries / bulk_chunk)` waves. The read-quorum collection carries
     /// `SuccessorChain(LOW, bulk_chunk)`; candidates are then judged from
     /// the buffered chain heads as the searches judge them
-    /// ([`next_real`](Self::next_real)). Whenever a buffer runs dry one wave
-    /// sends each member a single request: the lookups of the entries
+    /// ([`next_real`](Self::next_real)). A winning chain head that carried
+    /// its value lists the entry on the spot: value and version are one
+    /// read under one range lock. Whenever a buffer runs dry one wave sends
+    /// each member a single request: the lookups of the larger values
     /// resolved since the last wave that were assigned to it, and its next
-    /// chain request. A last wave fetches the values still owed.
+    /// chain request. A last wave fetches the large values still owed, so a
+    /// scan of small values is ⌈(entries + ghosts + 1) / chunk⌉ chain waves
+    /// and nothing else.
     ///
-    /// A value is asked of the least loaded member whose chain head voted
-    /// the winning version and must come back at that version — both reads
-    /// sit under the member's range locks — or the scan fails: never a
-    /// silently stale listing.
+    /// A large value is asked of the least loaded member whose chain head
+    /// voted the winning version and must come back at that version — both
+    /// reads sit under the member's range locks — or the scan fails: never
+    /// a silently stale listing.
     fn scan_walk(&mut self) -> Result<Vec<(UserKey, Value)>, SuiteError> {
         let chunk = self.bulk_chunk;
         let carried = [Op::SuccessorChain(Key::Low, chunk)];
@@ -425,13 +445,16 @@ impl<C: RepClient> DirSuite<C> {
                     walk.found = Some((candidate, version));
                     break;
                 };
-                let holders = walk.holders(&candidate, version);
-                let slot = holders
-                    .min_by_key(|&slot| asks[slot].len())
-                    .expect("the winning version heads a chain");
-                asks[slot].push(Op::Lookup(candidate.clone()));
-                owed[slot].push((listed.len(), version));
-                listed.push((entry.clone(), None));
+                let value = walk.carried(&candidate, version);
+                if value.is_none() {
+                    let holders = walk.holders(&candidate, version);
+                    let slot = holders
+                        .min_by_key(|&slot| asks[slot].len())
+                        .expect("the winning version heads a chain");
+                    asks[slot].push(Op::Lookup(candidate.clone()));
+                    owed[slot].push((listed.len(), version));
+                }
+                listed.push((entry.clone(), value));
                 walk.probe = candidate;
             }
             let lead = std::mem::replace(&mut asks, vec![Vec::new(); quorum.len()]);
@@ -606,12 +629,12 @@ mod tests {
     fn scan_session_pays_one_quorum_collection() {
         // A failure-free session scan collects its read quorum exactly once
         // — the collection carries the first chain request, so nobody is
-        // pinged — and five entries fit one chain: a second wave fetches
-        // their values and that is all.
+        // pinged — and five entries fit one chain: their values are too
+        // large to ride it, so a second wave fetches them and that is all.
         let mut s = suite_322(31);
         s.set_policy(fixed(&[0, 1, 2]));
         for key in ["a", "b", "c", "d", "e"] {
-            s.insert(&k(key), &val(key)).unwrap();
+            s.insert(&k(key), &big(key)).unwrap();
         }
         s.reset_message_counts();
         let before = s.obs().snapshot();
@@ -641,6 +664,54 @@ mod tests {
     }
 
     #[test]
+    fn small_value_scan_is_its_carried_chain_alone() {
+        // Twin of the test above with values that ride the chain: the
+        // carried chain lists all five entries and there is no second wave.
+        let mut s = suite_322(31);
+        s.set_policy(fixed(&[0, 1, 2]));
+        for key in ["a", "b", "c", "d", "e"] {
+            s.insert(&k(key), &val(key)).unwrap();
+        }
+        s.reset_message_counts();
+        let before = s.obs().snapshot();
+        let listed = s.scan().unwrap();
+        let expect: Vec<(UserKey, Value)> = ["a", "b", "c", "d", "e"]
+            .map(|key| (UserKey::from(key), val(key)))
+            .into();
+        assert_eq!(listed, expect);
+        let after = s.obs().snapshot();
+        let spent = |name: &str| after.counter(name) - before.counter(name);
+        assert_eq!(spent("suite.quorum.waves"), 1);
+        assert_eq!(spent("suite.rounds"), 1, "the carried chain only");
+        assert_eq!(spent("suite.session.revalidate"), 0);
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
+        assert_eq!(s.message_counts(), vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn search_takes_a_small_value_off_the_chain() {
+        // The public search reads a small neighbour's value off the chain
+        // head that named it: after the ping collection, one chain request
+        // per quorum member. A large value, or a sentinel, still costs the
+        // suite lookup's R requests more.
+        let mut s = suite_322(41);
+        s.set_policy(fixed(&[0, 1, 2]));
+        s.insert(&k("b"), &val("B")).unwrap();
+        s.insert(&k("d"), &big("D")).unwrap();
+        for (from, key, value, msgs) in [
+            ("a", k("b"), val("B"), [1, 1, 0]),
+            ("c", k("d"), big("D"), [2, 2, 0]),
+            ("d", Key::High, Value::empty(), [2, 2, 0]),
+        ] {
+            s.reset_message_counts();
+            let found = s.real_successor(&k(from)).unwrap();
+            assert_eq!((found.key, found.value), (key, Some(value)), "{from}");
+            assert_eq!(s.message_counts(), msgs, "{from}");
+            assert_eq!(s.ping_counts(), vec![1, 1, 0], "{from}");
+        }
+    }
+
+    #[test]
     fn walk_ghost_skip_reaches_high() {
         // The chain buffers at the keyspace's edge: one member still buffers
         // a trailing ghost, the other is exhausted. The ghost is the
@@ -652,6 +723,7 @@ mod tests {
             key: key.clone(),
             entry_version: Version::from(ev),
             gap_version: Version::from(gv),
+            value: None,
         };
         let mut walk = Walk::new(Direction::Succ, &k("w"), 2, 1);
         walk.integrate(0, vec![reply(&k("z"), 3, 5)]);
@@ -680,7 +752,7 @@ mod tests {
     #[test]
     fn mid_scan_member_failure_revalidates_once_and_completes() {
         use std::sync::atomic::Ordering;
-        let (mut s, fuses) = fused_suite();
+        let (mut s, fuses) = fused_suite_of(big);
         // Member 0 dies three data RPCs into the scan: after the session
         // quorum {0, 1} was collected and already used for a hop or two.
         fuses[0].store(3, Ordering::SeqCst);
@@ -705,10 +777,52 @@ mod tests {
     #[test]
     fn dead_majority_mid_scan_surfaces_quorum_unavailable() {
         use std::sync::atomic::Ordering;
-        let (mut s, fuses) = fused_suite();
+        let (mut s, fuses) = fused_suite_of(big);
         // Members 0 and 1 both die early in the scan: re-validation finds
         // only member 2 alive (one vote of the two needed) and the scan
         // must fail with QuorumUnavailable rather than hang or loop.
+        fuses[0].store(2, Ordering::SeqCst);
+        fuses[1].store(2, Ordering::SeqCst);
+        let err = s.scan().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SuiteError::QuorumUnavailable {
+                    kind: QuorumKind::Read,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn mid_scan_member_failure_over_small_values_revalidates_once() {
+        // Twin of the test above with values that ride the chain: no
+        // lookups, so chains of two stretch the walk over four waves and
+        // member 0 dies at its third chain request, mid-walk.
+        use std::sync::atomic::Ordering;
+        let (mut s, fuses) = fused_suite();
+        s.set_bulk_chunk(2);
+        fuses[0].store(3, Ordering::SeqCst);
+        let listed = s.scan().unwrap();
+        let expect: Vec<(UserKey, Value)> = ["a", "b", "c", "d", "e", "f"]
+            .map(|key| (UserKey::from(key), val(key)))
+            .into();
+        assert_eq!(listed, expect);
+        assert!(fuses[0].load(Ordering::SeqCst) <= 0, "member 0 died");
+        let snap = s.obs().snapshot();
+        assert_eq!(snap.counter("suite.session.revalidate"), 1);
+        assert!(s.session(QuorumKind::Read).is_none());
+    }
+
+    #[test]
+    fn dead_majority_mid_scan_over_small_values_surfaces_quorum_unavailable() {
+        // Twin of the test above: members 0 and 1 die at their second chain
+        // request, after the carried collection.
+        use std::sync::atomic::Ordering;
+        let (mut s, fuses) = fused_suite();
+        s.set_bulk_chunk(2);
         fuses[0].store(2, Ordering::SeqCst);
         fuses[1].store(2, Ordering::SeqCst);
         let err = s.scan().unwrap_err();

@@ -94,6 +94,8 @@ impl Default for FaultPlan {
 pub struct NetStats {
     /// Messages submitted to the fabric.
     pub sent: u64,
+    /// Payload bytes of the messages submitted.
+    pub bytes: u64,
     /// Messages handed to a destination mailbox.
     pub delivered: u64,
     /// Messages dropped by fault injection.
@@ -174,6 +176,7 @@ struct Faults {
 #[derive(Default)]
 struct Stats {
     sent: AtomicU64,
+    bytes: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
     partitioned: AtomicU64,
@@ -319,6 +322,8 @@ impl Network {
     pub fn send(&self, src: NodeId, dst: NodeId, kind: MsgKind, payload: Vec<u8>) -> bool {
         let shared = &self.shared;
         shared.stats.sent.fetch_add(1, Ordering::Relaxed);
+        let bytes = payload.len() as u64;
+        shared.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
         shared.obs.sent.inc();
         let (latency, drop_prob, duplicate_prob) = {
             let faults = shared.faults.lock();
@@ -383,6 +388,7 @@ impl Network {
         let stats = &self.shared.stats;
         NetStats {
             sent: stats.sent.load(Ordering::Relaxed),
+            bytes: stats.bytes.load(Ordering::Relaxed),
             delivered: stats.delivered.load(Ordering::Relaxed),
             dropped: stats.dropped.load(Ordering::Relaxed),
             partitioned: stats.partitioned.load(Ordering::Relaxed),
@@ -648,6 +654,27 @@ mod tests {
         assert!(b.recv_timeout(Duration::from_millis(30)).is_err());
         assert_eq!(net.stats().dropped, 1);
         assert_eq!(net.stats().delivered, 0);
+    }
+
+    #[test]
+    fn bytes_count_the_payloads_submitted() {
+        // Counted beside `sent`: a dropped message was still submitted, and
+        // a duplicate's second copy was not.
+        let net = Network::new(6);
+        let _b = net.register(NodeId(1));
+        net.send(NodeId(0), NodeId(1), MsgKind::Request(1), vec![1, 2, 3]);
+        net.set_fault_plan(FaultPlan {
+            drop_prob: 1.0,
+            ..FaultPlan::default()
+        });
+        net.send(NodeId(0), NodeId(1), MsgKind::Request(2), vec![4; 5]);
+        net.set_fault_plan(FaultPlan {
+            duplicate_prob: 1.0,
+            ..FaultPlan::default()
+        });
+        net.send(NodeId(0), NodeId(1), MsgKind::Request(3), vec![6; 7]);
+        let stats = net.stats();
+        assert_eq!((stats.sent, stats.bytes), (3, 3 + 5 + 7));
     }
 
     #[test]

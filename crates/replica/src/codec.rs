@@ -177,9 +177,10 @@ fn get_value(b: &mut &[u8]) -> DecodeResult<Value> {
     if b.remaining() < n {
         return err("short value");
     }
-    let bytes = b[..n].to_vec();
+    // Straight into the value's shared buffer: one allocation and one copy.
+    let value = Value::from(&b[..n]);
     b.advance(n);
-    Ok(Value::from(bytes))
+    Ok(value)
 }
 
 fn get_u64(b: &mut &[u8]) -> DecodeResult<u64> {
@@ -214,10 +215,10 @@ fn get_count(b: &mut &[u8], min: usize) -> DecodeResult<usize> {
     Ok(n)
 }
 
-// Smallest encodings of a count-prefixed element: a sentinel key and two
-// versions; a user key, a version, a value and a gap version (empty key and
-// value); two u64s.
-const MIN_NEIGHBOR: usize = 1 + 8 + 8;
+// Smallest encodings of a count-prefixed element: a sentinel key, two
+// versions and a value flag; a user key, a version, a value and a gap version
+// (empty key and value); two u64s.
+const MIN_NEIGHBOR: usize = 1 + 8 + 8 + 1;
 const MIN_ENTRY: usize = 4 + 8 + 4 + 8;
 const MIN_DIGEST: usize = 8 + 8;
 
@@ -496,6 +497,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 put_key(&mut b, &n.key);
                 b.put_u64_le(n.entry_version.get());
                 b.put_u64_le(n.gap_version.get());
+                match &n.value {
+                    None => b.put_u8(0),
+                    Some(value) => {
+                        b.put_u8(1);
+                        put_value(&mut b, value);
+                    }
+                }
             }
         }
         Response::Insert(InsertOutcome::Created { split_gap_version }) => {
@@ -585,6 +593,11 @@ fn decode_bare_response(mut b: &[u8]) -> DecodeResult<Response> {
                     key: get_key(b)?,
                     entry_version: Version::new(get_u64(b)?),
                     gap_version: Version::new(get_u64(b)?),
+                    value: match get_u8(b)? {
+                        0 => None,
+                        1 => Some(get_value(b)?),
+                        _ => return err("bad value flag"),
+                    },
                 });
             }
             Ok(Response::Chain(chain))
@@ -846,11 +859,19 @@ mod tests {
                     key: k("n"),
                     entry_version: v(1),
                     gap_version: v(2),
+                    value: Some(Value::from("N")),
+                },
+                NeighborReply {
+                    key: k("m"),
+                    entry_version: v(3),
+                    gap_version: v(1),
+                    value: None,
                 },
                 NeighborReply {
                     key: Key::Low,
                     entry_version: v(0),
                     gap_version: v(0),
+                    value: None,
                 },
             ]),
             Response::Chain(vec![]),
@@ -902,6 +923,7 @@ mod tests {
                     key: Key::High,
                     entry_version: v(0),
                     gap_version: v(6),
+                    value: None,
                 }]),
                 Response::Err(RepError::Unavailable),
             ]),
@@ -983,9 +1005,19 @@ mod tests {
                     key: k("chain"),
                     entry_version: v(1),
                     gap_version: v(2),
+                    value: None,
                 };
                 3
             ]);
+            2
+        ]);
+        let carried = Response::Chain(vec![
+            NeighborReply {
+                key: k("small"),
+                entry_version: v(1),
+                gap_version: v(2),
+                value: Some(Value::from("value")),
+            };
             2
         ]);
         for req in sample_requests() {
@@ -993,7 +1025,7 @@ mod tests {
                 let _ = decode_request(&frame);
             }
         }
-        for resp in sample_responses().into_iter().chain([chains]) {
+        for resp in sample_responses().into_iter().chain([chains, carried]) {
             for frame in damaged(&encode_response(&resp)) {
                 let _ = decode_response(&frame);
             }
@@ -1179,7 +1211,7 @@ mod tests {
         // them.
         let million = 1_000_000u32.to_le_bytes();
         let frames = [
-            [&[RS_CHAIN][..], &million, &[0; 17]].concat(),
+            [&[RS_CHAIN][..], &million, &[0; 18]].concat(),
             [&[RS_COALESCE][..], &[0; 8], &million, &[0; 24]].concat(),
             [&[RS_SUMMARY][..], &million, &[0; 16]].concat(),
             [&[RS_PULL_RANGE][..], &[0; 8], &million, &[0; 24]].concat(),
@@ -1198,6 +1230,21 @@ mod tests {
         }
     }
 
+    #[test]
+    fn chain_value_flag_other_than_zero_or_one_is_refused() {
+        // The flag is the element's last fixed byte: `tag | count | key tag |
+        // two versions`, then the flag.
+        let chain = Response::Chain(vec![NeighborReply::sentinel(Key::High, v(3))]);
+        let mut frame = encode_response(&chain);
+        let flag = 1 + 4 + 1 + 8 + 8;
+        assert_eq!((frame.len(), frame[flag]), (flag + 1, 0));
+        for bad in [2, 0xff] {
+            frame[flag] = bad;
+            let err = decode_response(&frame).unwrap_err();
+            assert!(err.0.contains("bad value flag"), "{err}");
+        }
+    }
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -1206,7 +1253,9 @@ mod tests {
     fn list_frames_keep_their_bytes() {
         // Frames recorded from the codec as it stood before requests became
         // lists of operations: the same lists must encode to the same bytes
-        // and decode back to the same lists.
+        // and decode back to the same lists. The chain frames are newer: each
+        // element ends in a value flag, and a set flag is followed by the
+        // value's length and bytes.
         let t = TxnId(7);
         let requests: [(&[Op], &str); 7] = [
             (&[], "00"),
@@ -1245,7 +1294,7 @@ mod tests {
             assert_eq!(back, ops);
             assert!(ops.is_empty() || txn == t);
         }
-        let replies: [(Vec<Reply>, &str); 8] = [
+        let replies: [(Vec<Reply>, &str); 9] = [
             (vec![], "00"),
             (
                 vec![Reply::Lookup(LookupReply::Present {
@@ -1264,15 +1313,26 @@ mod tests {
                         key: k("n"),
                         entry_version: v(1),
                         gap_version: v(2),
+                        value: None,
                     },
                     NeighborReply {
                         key: Key::High,
                         entry_version: v(0),
                         gap_version: v(5),
+                        value: None,
                     },
                 ])],
-                "080200000001010000006e01000000000000000200000000000000020000000000000000050000\
-                 0000000000",
+                "080200000001010000006e0100000000000000020000000000000000020000000000000000050000\
+                 000000000000",
+            ),
+            (
+                vec![Reply::Chain(vec![NeighborReply {
+                    key: k("n"),
+                    entry_version: v(1),
+                    gap_version: v(2),
+                    value: Some(Value::from("N")),
+                }])],
+                "080100000001010000006e0100000000000000020000000000000001010000004e",
             ),
             (
                 vec![Reply::Insert(InsertOutcome::Created {
@@ -1364,6 +1424,7 @@ mod tests {
         //! and envelopes up to the `bulk_chunk` arity of 64.
         use super::super::*;
         use repdir_core::proptest_mini::prelude::*;
+        use repdir_core::INLINE_VALUE_MAX;
 
         fn key() -> impl Strategy<Value = Key> {
             prop_oneof![
@@ -1392,14 +1453,22 @@ mod tests {
             ]
         }
 
+        /// No value, or one on either side of `INLINE_VALUE_MAX`: the codec
+        /// frames whatever value it is given.
+        fn carried() -> impl Strategy<Value = Option<Value>> {
+            (any::<bool>(), 0..2 * INLINE_VALUE_MAX, any::<u8>())
+                .prop_map(|(some, len, byte)| some.then(|| Value::from(vec![byte; len])))
+        }
+
         fn neighbor() -> impl Strategy<Value = NeighborReply> {
-            (key(), version(), version()).prop_map(|(key, entry_version, gap_version)| {
-                NeighborReply {
+            (key(), version(), version(), carried()).prop_map(
+                |(key, entry_version, gap_version, value)| NeighborReply {
                     key,
                     entry_version,
                     gap_version,
-                }
-            })
+                    value,
+                },
+            )
         }
 
         fn removed() -> impl Strategy<Value = RemovedEntry> {
@@ -1483,6 +1552,7 @@ mod tests {
                         key: Key::User(UserKey::from_u64(c * 64 + i)),
                         entry_version: Version::new(i),
                         gap_version: Version::new(c),
+                        value: None,
                     })
                     .collect()
             };

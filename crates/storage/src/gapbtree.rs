@@ -186,16 +186,8 @@ impl GapBTree {
             }
         };
         Ok(match succ_entry {
-            Some((k, rec)) => NeighborReply {
-                key: Key::User(k.clone()),
-                entry_version: rec.version,
-                gap_version,
-            },
-            None => NeighborReply {
-                key: Key::High,
-                entry_version: Version::ZERO,
-                gap_version,
-            },
+            Some((k, rec)) => NeighborReply::entry(k, rec.version, &rec.value, gap_version),
+            None => NeighborReply::sentinel(Key::High, gap_version),
         })
     }
 
@@ -597,16 +589,8 @@ impl GapBTree {
 
     fn pred_reply(&self, bound: Option<&UserKey>) -> NeighborReply {
         match self.pred_of(&self.root, bound) {
-            Some((k, rec)) => NeighborReply {
-                key: Key::User(k.clone()),
-                entry_version: rec.version,
-                gap_version: rec.gap_after,
-            },
-            None => NeighborReply {
-                key: Key::Low,
-                entry_version: Version::ZERO,
-                gap_version: self.low_gap,
-            },
+            Some((k, rec)) => NeighborReply::entry(k, rec.version, &rec.value, rec.gap_after),
+            None => NeighborReply::sentinel(Key::Low, self.low_gap),
         }
     }
 
@@ -1057,7 +1041,7 @@ fn check_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repdir_core::GapMap;
+    use repdir_core::{GapMap, INLINE_VALUE_MAX};
 
     fn k(s: &str) -> Key {
         Key::from(s)
@@ -1122,10 +1106,21 @@ mod tests {
     fn neighbors_match_gapmap_semantics() {
         let mut t = GapBTree::new(3);
         let mut m = GapMap::new();
+        // "j" holds a value of exactly the inline bound, "l" one byte more.
+        let sized = |key: &str| match key {
+            "j" => Value::from(vec![b'j'; INLINE_VALUE_MAX]),
+            "l" => Value::from(vec![b'l'; INLINE_VALUE_MAX + 1]),
+            _ => val(key),
+        };
         for key in ["b", "d", "f", "h", "j", "l", "n"] {
-            t.insert(&k(key), v(1), val(key)).unwrap();
-            m.insert(&k(key), v(1), val(key)).unwrap();
+            t.insert(&k(key), v(1), sized(key)).unwrap();
+            m.insert(&k(key), v(1), sized(key)).unwrap();
         }
+        assert_eq!(t.successor(&k("i")).unwrap().value, Some(sized("j")));
+        assert_eq!(t.predecessor(&k("m")).unwrap().value, None);
+        assert_eq!(t.successor(&k("k")).unwrap().value, None);
+        assert_eq!(t.successor(&k("m")).unwrap().value, Some(val("n")));
+        assert_eq!(t.successor(&k("n")).unwrap().value, None, "HIGH");
         t.coalesce(&k("d"), &k("h"), v(5)).unwrap();
         m.coalesce(&k("d"), &k("h"), v(5)).unwrap();
         for probe in ["a", "b", "c", "e", "g", "h", "i", "m", "n", "z"] {

@@ -9,7 +9,8 @@
 //! collection carries the neighbour probes — over the fabric and in
 //! process — and those of the bulk operations, which cost
 //! `O(n / bulk_chunk)` waves: a scan ⌈(entries + ghosts + 1) / chunk⌉ chain
-//! waves plus at most one for the values still owed, `insert_many` two per
+//! waves, which carry every value of at most `INLINE_VALUE_MAX` bytes, plus
+//! at most one for the larger values still owed, `insert_many` two per
 //! chunk, `delete_many` three per group of keys whose neighbour ranges are
 //! disjoint. They also pin what happens when a carried request fails:
 //! an unreachable member's vote is re-collected inside the call, a member
@@ -19,7 +20,7 @@
 use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
 use repdir::core::{
     Completion, Key, LocalRep, Op, QuorumKind, RepClient, RepError, RepId, RepResult, Reply,
-    SuiteError, Value, Version,
+    SuiteError, Value, Version, INLINE_VALUE_MAX,
 };
 use repdir::net::{Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{
@@ -36,6 +37,11 @@ fn k(s: &str) -> Key {
 
 fn val(s: &str) -> Value {
     Value::from(s)
+}
+
+/// A value one byte too large to ride a chain.
+fn big() -> Value {
+    Value::from(vec![b'v'; INLINE_VALUE_MAX + 1])
 }
 
 fn order(members: &[usize]) -> Box<dyn QuorumPolicy + Send> {
@@ -79,12 +85,59 @@ impl Cluster {
 
     /// A 3-2-2 suite acting for `txn`, begun at every member.
     fn suite(&self, txn: TxnId) -> DirSuite<RemoteSessionClient> {
+        self.suite_of(txn, |client| client)
+    }
+
+    /// [`suite`](Cluster::suite) with every client wrapped by `wrap`.
+    fn suite_of<C: RepClient>(
+        &self,
+        txn: TxnId,
+        wrap: fn(RemoteSessionClient) -> C,
+    ) -> DirSuite<C> {
         let clients: Vec<_> = (0..3).map(|i| self.client(i, txn)).collect();
         for client in &clients {
             client.begin().expect("healthy fabric");
         }
         let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        let clients = clients.into_iter().map(wrap).collect();
         DirSuite::new(clients, config, order(&[0, 1, 2])).unwrap()
+    }
+}
+
+/// Forwards to `C`, counting the `Lookup` operations it is sent.
+struct Counted<C> {
+    inner: C,
+    lookups: AtomicU64,
+}
+
+impl<C> Counted<C> {
+    fn new(inner: C) -> Counted<C> {
+        Counted {
+            inner,
+            lookups: AtomicU64::new(0),
+        }
+    }
+
+    fn count(&self, ops: &[Op]) {
+        let lookups = ops.iter().filter(|op| matches!(op, Op::Lookup(_)));
+        self.lookups
+            .fetch_add(lookups.count() as u64, Ordering::SeqCst);
+    }
+}
+
+impl<C: RepClient> RepClient for Counted<C> {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+
+    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+        self.count(ops);
+        self.inner.execute(ops)
+    }
+
+    fn start(&self, ops: &[Op], done: Completion) {
+        self.count(ops);
+        self.inner.start(ops, done)
     }
 }
 
@@ -482,12 +535,13 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
 /// A local and a remote 3-2-2 suite whose quorums are {0, 1}: whatever
 /// `check` pins must hold on both.
 fn on_every_fixture(seed: u64, check: impl Fn(&mut dyn Fixture)) {
-    let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-    local.set_policy(order(&[0, 1, 2]));
+    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+    let clients = (0..3).map(|i| Counted::new(LocalRep::new(RepId(i))));
+    let mut local = DirSuite::new(clients.collect(), config, order(&[0, 1, 2])).unwrap();
     check(&mut (&mut local, None));
 
     let cluster = Cluster::new(seed);
-    let mut remote = cluster.suite(TxnId(1));
+    let mut remote = cluster.suite_of(TxnId(1), Counted::new);
     check(&mut (&mut remote, Some(&*cluster.net)));
 }
 
@@ -495,9 +549,15 @@ fn on_every_fixture(seed: u64, check: impl Fn(&mut dyn Fixture)) {
 trait Fixture {
     fn set_orders(&mut self, read: &[usize], write: &[usize]);
     fn set_chunk(&mut self, chunk: usize);
-    fn insert_many(&mut self, keys: &[Key]) -> Spent;
+    /// Inserts every key with `value`.
+    fn insert_valued(&mut self, keys: &[Key], value: &Value) -> Spent;
+    fn insert_many(&mut self, keys: &[Key]) -> Spent {
+        self.insert_valued(keys, &val("v"))
+    }
     fn delete_many(&mut self, keys: &[Key]) -> Spent;
     fn scan(&mut self) -> (Vec<Key>, Spent);
+    /// `Lookup` operations the suite's clients have been sent so far.
+    fn lookups(&self) -> u64;
 }
 
 /// Per-member data requests, pings, message rounds and collections of one
@@ -510,7 +570,7 @@ struct Spent {
     collections: u64,
 }
 
-impl<C: RepClient> Fixture for (&mut DirSuite<C>, Option<&Network>) {
+impl<C: RepClient> Fixture for (&mut DirSuite<Counted<C>>, Option<&Network>) {
     fn set_orders(&mut self, read: &[usize], write: &[usize]) {
         self.0.set_policy(Box::new(PerKind {
             read: read.to_vec(),
@@ -522,8 +582,11 @@ impl<C: RepClient> Fixture for (&mut DirSuite<C>, Option<&Network>) {
         self.0.set_bulk_chunk(chunk);
     }
 
-    fn insert_many(&mut self, keys: &[Key]) -> Spent {
-        let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
+    fn insert_valued(&mut self, keys: &[Key], value: &Value) -> Spent {
+        let entries: Vec<(Key, Value)> = keys
+            .iter()
+            .map(|key| (key.clone(), value.clone()))
+            .collect();
         spent(self, |s| s.insert_many(&entries).map(drop).unwrap())
     }
 
@@ -538,6 +601,11 @@ impl<C: RepClient> Fixture for (&mut DirSuite<C>, Option<&Network>) {
             listed = entries.into_iter().map(|(key, _)| Key::User(key)).collect();
         });
         (listed, spent)
+    }
+
+    fn lookups(&self) -> u64 {
+        let members = (0..3).map(|i| self.0.member(i));
+        members.map(|c| c.lookups.load(Ordering::SeqCst)).sum()
     }
 }
 
@@ -578,7 +646,8 @@ fn scan_costs_one_wave_per_chunk_of_chain_and_one_for_the_last_values() {
     // extends every buffer, so the member with the most to list sets the
     // pace — ⌈(N + g + 1) / chunk⌉ chain waves — and only values resolved
     // from the last chain cost one more. Nobody is pinged; a member with
-    // nothing to be asked gets no message.
+    // nothing to be asked gets no message. Every value is too large to ride
+    // a chain, so each is fetched with a lookup.
     for (n, ghosts) in [(0, 0), (5, 0), (5, 3), (64, 0), (64, 3), (200, 3)] {
         for chunk in [4u32, 64] {
             on_every_fixture(0x5CA0 + u64::from(n), |fx| {
@@ -587,8 +656,8 @@ fn scan_costs_one_wave_per_chunk_of_chain_and_one_for_the_last_values() {
                 // Ghosts sort among the first entries: member 0's
                 // buffers run dry at other keys than member 1's.
                 let doomed = keys(0..ghosts, "e000g");
-                fx.insert_many(&entries);
-                fx.insert_many(&doomed);
+                fx.insert_valued(&entries, &big());
+                fx.insert_valued(&doomed, &big());
                 fx.set_orders(&[0, 1, 2], &[1, 2, 0]);
                 if !doomed.is_empty() {
                     fx.delete_many(&doomed);
@@ -620,6 +689,48 @@ fn scan_costs_one_wave_per_chunk_of_chain_and_one_for_the_last_values() {
                     assert_eq!(
                         (spent.rounds, &spent.msgs[..]),
                         (3, &[3, 2, 0][..]),
+                        "{case}"
+                    );
+                }
+            });
+        }
+    }
+}
+
+#[test]
+fn scan_of_small_values_is_chain_waves_only() {
+    // (a) over values that ride the chains: the same N, g and chunk as
+    // above cost exactly ⌈(N + g + 1) / chunk⌉ chain waves, at most R
+    // requests a wave, no lookup, no ping and no closing wave.
+    for (n, ghosts) in [(0, 0), (5, 0), (5, 3), (64, 0), (64, 3), (200, 3)] {
+        for chunk in [4u32, 64] {
+            on_every_fixture(0x5CA1 + u64::from(n), |fx| {
+                fx.set_chunk(chunk as usize);
+                let entries = keys(0..n, "e");
+                let doomed = keys(0..ghosts, "e000g");
+                let small = Value::from(vec![b'v'; INLINE_VALUE_MAX]);
+                fx.insert_valued(&entries, &small);
+                fx.insert_valued(&doomed, &small);
+                fx.set_orders(&[0, 1, 2], &[1, 2, 0]);
+                if !doomed.is_empty() {
+                    fx.delete_many(&doomed);
+                }
+                fx.set_orders(&[0, 1, 2], &[0, 1, 2]);
+                let lookups = fx.lookups();
+                let (listed, spent) = fx.scan();
+                assert_eq!(listed, entries);
+                let chains = u64::from((n + ghosts + 1).div_ceil(chunk));
+                let case = format!("N={n} g={ghosts} chunk={chunk}: {spent:?}");
+                assert_eq!(spent.rounds, chains, "{case}");
+                assert_eq!((spent.pings, spent.collections), (0, 1), "{case}");
+                assert_eq!(fx.lookups() - lookups, 0, "{case}");
+                assert_eq!(spent.msgs[2], 0, "{case}");
+                assert!(spent.msgs.iter().sum::<u64>() <= 2 * spent.rounds, "{case}");
+                if [(5, 0, 4), (64, 0, 64)].contains(&(n, ghosts, chunk)) {
+                    // Owed one wave above; here the chains are all.
+                    assert_eq!(
+                        (spent.rounds, &spent.msgs[..]),
+                        (2, &[2, 2, 0][..]),
                         "{case}"
                     );
                 }
@@ -715,7 +826,7 @@ fn carried_bulk_waves_follow_the_carried_request_rules() {
     // member that refuses is the operation's error.
     let entries = |range| -> Vec<(Key, Value)> {
         let keys = keys(range, "k").into_iter();
-        keys.map(|key| (key, val("v"))).collect()
+        keys.map(|key| (key, big())).collect()
     };
     let mut suite = doubles();
     suite.insert_many(&entries(0..6)).unwrap();
@@ -753,6 +864,33 @@ fn carried_bulk_waves_follow_the_carried_request_rules() {
         let mut suite = doubles();
         suite.member(refusing).set(TIMES_OUT);
         assert_eq!(suite.insert_many(&entries(6..9)).map(drop), refused);
+        assert_eq!(suite.ping_counts(), vec![0, 0, 0]);
+    }
+}
+
+#[test]
+fn carried_small_value_scan_follows_the_carried_request_rules() {
+    // (d) over values that ride the chains: the substitute's chain and
+    // member 1's are the whole scan, one request each; a member that
+    // refuses is still the scan's error.
+    let entries: Vec<(Key, Value)> = keys(0..6, "k")
+        .into_iter()
+        .map(|key| (key, val("v")))
+        .collect();
+    let mut suite = doubles();
+    suite.insert_many(&entries).unwrap();
+    suite.member(0).set(DOWN);
+    let (out, msgs, pings, waves) = cost(&mut suite, |s| s.scan());
+    assert_eq!(out.unwrap().len(), 6);
+    assert_eq!((msgs, pings), (vec![1, 1, 1], vec![0, 0, 0]));
+    assert_eq!(waves, 2, "the carried chain and its substitute");
+
+    for refusing in [0, 1] {
+        let mut suite = doubles();
+        suite.insert_many(&entries).unwrap();
+        suite.member(refusing).set(TIMES_OUT);
+        let refused = Err(SuiteError::Rep(RepError::LockTimeout));
+        assert_eq!(suite.scan().map(drop), refused);
         assert_eq!(suite.ping_counts(), vec![0, 0, 0]);
     }
 }

@@ -9,23 +9,31 @@
 //! entry-for-entry, while the session side pays exactly one collection and
 //! no ping per failure-free scan and strictly fewer data RPCs.
 //!
+//! A second property straddles the inline bound: values of 0, 1, 63, 64, 65
+//! and 300 bytes in one directory, spread keys, with and without ghosts.
+//! The scan lists the model, sends exactly one `Lookup` per value over
+//! `INLINE_VALUE_MAX` bytes, and when no value is that large it is its
+//! ⌈(entries + ghosts + 1) / chunk⌉ chain waves and nothing more.
+//!
 //! The fault-injection tests run the networked stack and kill a session
 //! member mid-walk: the scan must re-validate exactly once and complete
 //! correctly, and a dead majority must surface `QuorumUnavailable` in
-//! bounded time rather than hang.
+//! bounded time rather than hang. Each runs twice: over values too large to
+//! ride a chain, whose waves are envelopes of lookups and the next chain,
+//! and over small values, whose waves are bare chain requests.
 
 use repdir::baselines::reference::per_hop_scan;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
-    Completion, Key, Op as RepOp, QuorumKind, RepClient, RepId, RepResult, Reply, SuiteError,
-    UserKey, Value,
+    Completion, Key, LocalRep, Op as RepOp, QuorumKind, RepClient, RepId, RepResult, Reply,
+    SuiteError, UserKey, Value, INLINE_VALUE_MAX,
 };
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -156,23 +164,132 @@ proptest! {
     }
 }
 
+/// A [`LocalRep`] that counts the `Lookup` operations it is sent.
+struct CountsLookups {
+    inner: LocalRep,
+    lookups: AtomicU64,
+}
+
+impl RepClient for CountsLookups {
+    fn id(&self) -> RepId {
+        self.inner.id()
+    }
+    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
+        let lookups = ops.iter().filter(|op| matches!(op, RepOp::Lookup(_)));
+        self.lookups
+            .fetch_add(lookups.count() as u64, Ordering::SeqCst);
+        self.inner.execute(ops)
+    }
+}
+
+/// Value sizes on both sides of `INLINE_VALUE_MAX`; the first four ride a
+/// chain.
+const SIZES: [usize; 6] = [0, 1, 63, 64, 65, 300];
+
+/// The `i`th of `count` distinct keys drawn from `seed`: an odd stride
+/// through 2^14 slots, each slot `<< 50` so the keys fall across all 256
+/// leading-byte buckets.
+fn spread_key(seed: u64, i: u64) -> UserKey {
+    let slot = (seed >> 14).wrapping_add(i.wrapping_mul(seed | 1)) & 0x3fff;
+    UserKey::from_u64(slot << 50)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A scan over values straddling the inline bound lists the model,
+    /// sends one `Lookup` per value too large to ride, and costs exactly
+    /// its chain waves when no value is.
+    #[test]
+    fn scan_straddling_the_inline_bound_matches_model(
+        seed in any::<u64>(),
+        n_pick in 0usize..4,
+        ghosts in 0u64..6,
+        wide_chunk in any::<bool>(),
+        small_only in any::<bool>(),
+    ) {
+        let n = [63u64, 64, 65, 129][n_pick];
+        let chunk = if wide_chunk { 64 } else { 4 };
+        let sizes = if small_only { &SIZES[..4] } else { &SIZES[..] };
+        let case = format!("seed {seed:#x} N={n} g={ghosts} chunk={chunk} small_only={small_only}");
+        let clients = (0..3)
+            .map(|i| CountsLookups {
+                inner: LocalRep::new(RepId(i)),
+                lookups: AtomicU64::new(0),
+            })
+            .collect();
+        let config = SuiteConfig::symmetric(3, 2, 2).expect("legal config");
+        let order = |o: [usize; 3]| Box::new(FixedPolicy::with_order(o.to_vec()));
+        let mut suite = DirSuite::new(clients, config, order([0, 1, 2])).expect("suite");
+        suite.set_bulk_chunk(chunk);
+
+        let mut model = BTreeMap::new();
+        let entries: Vec<(Key, Value)> = (0..n)
+            .map(|i| {
+                let size = sizes[(seed.rotate_left(i as u32) ^ i) as usize % sizes.len()];
+                let value = Value::from(vec![i as u8; size]);
+                model.insert(spread_key(seed, i), value.clone());
+                (Key::User(spread_key(seed, i)), value)
+            })
+            .collect();
+        // Ghosts: written through {0, 1}, deleted through {1, 2}, so member 0
+        // of the scan's read quorum {0, 1} still holds them.
+        let doomed: Vec<(Key, Value)> = (n..n + ghosts)
+            .map(|i| (Key::User(spread_key(seed, i)), Value::from(vec![0; 300])))
+            .collect();
+        for batch in [&entries, &doomed] {
+            if !batch.is_empty() {
+                suite.insert_many(batch).expect("insert_many");
+            }
+        }
+        if !doomed.is_empty() {
+            suite.set_policy(order([1, 2, 0]));
+            let keys: Vec<Key> = doomed.iter().map(|(key, _)| key.clone()).collect();
+            suite.delete_many(&keys).expect("delete_many");
+            suite.set_policy(order([0, 1, 2]));
+        }
+
+        let lookups = |suite: &DirSuite<CountsLookups>| -> u64 {
+            (0..3).map(|i| suite.member(i).lookups.load(Ordering::SeqCst)).sum()
+        };
+        let rounds = suite.obs().counter("suite.rounds");
+        let (rounds_before, lookups_before) = (rounds.get(), lookups(&suite));
+        let listed = suite.scan().expect("scan");
+        let spent = rounds.get() - rounds_before;
+
+        let expect: Vec<(UserKey, Value)> = model.into_iter().collect();
+        prop_assert_eq!(&listed, &expect, "{}", case);
+        let large = expect.iter().filter(|(_, v)| v.len() > INLINE_VALUE_MAX).count();
+        prop_assert_eq!(lookups(&suite) - lookups_before, large as u64, "{}", case);
+        let chains = (n + ghosts + 1).div_ceil(chunk as u64);
+        if large == 0 {
+            prop_assert_eq!(spent, chains, "{}", case);
+        } else {
+            prop_assert!((chains..=chains + 1).contains(&spent), "{} rounds={}", case, spent);
+        }
+    }
+}
+
 /// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across envelopes, slows the victim nodes to well past
-/// the RPC timeout — a member death injected *mid-walk*, after the session
-/// quorum was collected and used.
+/// down to zero across requests of at least `ticks_at` operations, slows
+/// the victim nodes to well past the RPC timeout — a member death injected
+/// *mid-walk*, after the session quorum was collected and used.
 struct FuseClient {
     inner: RemoteSessionClient,
     fuse: Arc<AtomicI64>,
     net: Arc<Network>,
     victims: Vec<NodeId>,
+    ticks_at: usize,
 }
 
 impl FuseClient {
-    /// Ticks the fuse on every envelope — a request of more than one
-    /// operation, which is exactly what travels as a `Batch` frame — and the
-    /// one that burns it down slows the victims past the RPC timeout.
+    /// Ticks the fuse on every request of at least `ticks_at` operations —
+    /// 2 for the envelopes, which travel as `Batch` frames, 1 for every
+    /// data request — and the one that burns it down slows the victims past
+    /// the RPC timeout.
     fn tick(&self, ops: &[RepOp]) {
-        if ops.len() > 1 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
+        let ticks = ops.len() >= self.ticks_at;
+        if ticks && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
             for v in &self.victims {
                 self.net
                     .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
@@ -202,8 +319,15 @@ struct Fixture {
 }
 
 /// Three networked representatives under a fixed quorum order: the session
-/// quorum is always {0, 1}, and `victims` are the nodes the fuse slows.
+/// quorum is always {0, 1}, `victims` are the nodes the fuse slows, and the
+/// fuse ticks on envelopes.
 fn networked_suite(victims: Vec<NodeId>) -> Fixture {
+    networked_suite_ticking_at(victims, 2)
+}
+
+/// [`networked_suite`] whose fuse ticks on requests of at least `ticks_at`
+/// operations.
+fn networked_suite_ticking_at(victims: Vec<NodeId>, ticks_at: usize) -> Fixture {
     let net = Arc::new(Network::new(0xFA17));
     net.set_fault_plan(FaultPlan {
         drop_prob: 0.0,
@@ -227,6 +351,7 @@ fn networked_suite(victims: Vec<NodeId>) -> Fixture {
             fuse: Arc::clone(&fuse),
             net: Arc::clone(&net),
             victims: victims.clone(),
+            ticks_at,
         });
     }
     let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
@@ -238,12 +363,17 @@ fn networked_suite(victims: Vec<NodeId>) -> Fixture {
     }
 }
 
+/// A value one byte too large to ride a chain.
+fn big() -> Value {
+    Value::from(vec![b'v'; INLINE_VALUE_MAX + 1])
+}
+
 #[test]
 fn mid_scan_partitioned_member_revalidates_once_and_completes() {
     let mut fx = networked_suite(vec![NodeId(101)]);
     let keys: Vec<Key> = (0..8u64).map(|i| Key::User(UserKey::from_u64(i))).collect();
     for key in &keys {
-        fx.suite.insert(key, &Value::from("v")).unwrap();
+        fx.suite.insert(key, &big()).unwrap();
     }
 
     // Chains of two: the collection carries the first (a bare request), and
@@ -275,7 +405,7 @@ fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
     let mut fx = networked_suite(vec![NodeId(101), NodeId(102)]);
     for i in 0..8u64 {
         fx.suite
-            .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
+            .insert(&Key::User(UserKey::from_u64(i)), &big())
             .unwrap();
     }
 
@@ -301,4 +431,58 @@ fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
         started.elapsed() < Duration::from_secs(30),
         "failure must surface within the RPC-timeout budget"
     );
+}
+
+#[test]
+fn mid_scan_partitioned_member_over_small_values_revalidates_once() {
+    // Twin of the test above over values that ride the chains: every wave
+    // is one bare chain request per member, so the fuse ticks on every data
+    // request. The collection sends two; the third opens the second wave
+    // and slows node 101 before member 1's request leaves.
+    let mut fx = networked_suite_ticking_at(vec![NodeId(101)], 1);
+    for i in 0..8u64 {
+        fx.suite
+            .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
+            .unwrap();
+    }
+    fx.suite.set_bulk_chunk(2);
+    fx.fuse.store(3, Ordering::SeqCst);
+    let listed = fx.suite.scan().expect("scan must survive one member loss");
+    let expect: Vec<(UserKey, Value)> = (0..8u64)
+        .map(|i| (UserKey::from_u64(i), Value::from("v")))
+        .collect();
+    assert_eq!(listed, expect);
+    assert!(
+        fx.fuse.load(Ordering::SeqCst) <= 0,
+        "the fuse burned mid-walk"
+    );
+    let snap = fx.suite.obs().snapshot();
+    assert_eq!(snap.counter("suite.session.revalidate"), 1);
+    assert!(fx.suite.session(QuorumKind::Read).is_none());
+}
+
+#[test]
+fn dead_majority_mid_scan_over_small_values_fails_fast() {
+    // Twin of the dead-majority test over values that ride the chains.
+    let mut fx = networked_suite_ticking_at(vec![NodeId(101), NodeId(102)], 1);
+    for i in 0..8u64 {
+        fx.suite
+            .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
+            .unwrap();
+    }
+    fx.suite.set_bulk_chunk(2);
+    fx.fuse.store(3, Ordering::SeqCst);
+    let started = Instant::now();
+    let err = fx.suite.scan().expect_err("majority is dead");
+    assert!(
+        matches!(
+            err,
+            SuiteError::QuorumUnavailable {
+                kind: QuorumKind::Read,
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(30));
 }
