@@ -18,24 +18,41 @@
 //! cargo run --release -p repdir-bench --bin ingest_bench [-- --quick] [--check]
 //! ```
 //!
+//! Beside the ingest, an in-process probe prices the `delete_many` that
+//! follows it in the benchmark's `bulk_scan` cycle: 512 keys preloaded at
+//! every 32nd slot of 2^14, then 200 batches of 64 fresh random odd slots,
+//! each inserted and deleted again. Adjacent doomed keys are one run and the
+//! runs of a sorted batch share their waves, so a batch is wave A, any
+//! shared ghost refills, then waves B and C.
+//!
 //! `--check` exits nonzero unless an ingest of the 64 keys costs exactly its
 //! pinned budget — 2 rounds, R + W requests, 8 fabric messages, no ping, no
-//! re-validation (the `scripts/check.sh` gate). Wall-clock and the speed-up
-//! over the per-key reference are reported, not gated. Every run rewrites
+//! re-validation — and unless the probe's deletes average at most 4 rounds
+//! under fixed quorums {0, 1} (the `scripts/check.sh` gate). The probe under
+//! random quorums, fabric bytes, wall-clock and the speed-up over the
+//! per-key reference are reported, not gated. Every run rewrites
 //! `BENCH_ingest.json` at the repo root.
 
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use repdir_baselines::reference::insert_per_key;
 use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
-use repdir_core::suite::{DirSuite, RandomPolicy};
-use repdir_core::{BulkWriteOutcome, Key, SuiteError, Value};
+use repdir_core::rng::SplitMix64;
+use repdir_core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
+use repdir_core::{BulkWriteOutcome, Key, SuiteError, UserKey, Value};
 use repdir_replica::RemoteSessionClient;
 
 const MEMBERS: u32 = 3;
 const READ_QUORUM: u32 = 2;
 const WRITE_QUORUM: u32 = 2;
 const KEYS: usize = 64;
+/// The delete probe's key space, preload and batch count.
+const PROBE_SLOTS: u64 = 1 << 14;
+const PROBE_PRELOAD: u64 = 512;
+const PROBE_BATCHES: usize = 200;
+/// The most rounds a probe delete may average under fixed quorums.
+const PROBE_ROUNDS_MAX: f64 = 4.0;
 
 type Suite = DirSuite<RemoteSessionClient>;
 
@@ -67,6 +84,44 @@ fn run_ingests(
         times
     });
     (Samples::from_durations(times), spent)
+}
+
+/// Rounds per `delete_many` of the `bulk_scan`-shaped probe, in process:
+/// `PROBE_PRELOAD` keys at every 32nd slot of `PROBE_SLOTS`, then
+/// `PROBE_BATCHES` times `KEYS` fresh random odd slots, sorted, inserted
+/// and deleted again; only the deletes are counted. Quorums are {0, 1}
+/// when `fixed`, random per operation otherwise.
+fn delete_probe(fixed: bool) -> f64 {
+    let config = SuiteConfig::symmetric(MEMBERS, READ_QUORUM, WRITE_QUORUM).expect("legal");
+    let mut suite = DirSuite::in_process(config, 0xDE1E).expect("three members");
+    if fixed {
+        suite.set_policy(Box::new(FixedPolicy::new()));
+    }
+    let key = |slot: u64| Key::User(UserKey::from_u64(slot));
+    let stride = PROBE_SLOTS / PROBE_PRELOAD;
+    let preload: Vec<(Key, Value)> = (0..PROBE_PRELOAD)
+        .map(|i| (key(i * stride), Value::from("v")))
+        .collect();
+    for chunk in preload.chunks(KEYS) {
+        suite.insert_many(chunk).expect("preload");
+    }
+    let mut rng = SplitMix64::new(0xDE1E);
+    let rounds = suite.obs().counter("suite.rounds");
+    let mut spent = 0;
+    for _ in 0..PROBE_BATCHES {
+        let mut slots = BTreeSet::new();
+        while slots.len() < KEYS {
+            slots.insert(2 * rng.next_below(PROBE_SLOTS / 2) + 1);
+        }
+        let entries: Vec<(Key, Value)> =
+            slots.iter().map(|&s| (key(s), Value::from("v"))).collect();
+        suite.insert_many(&entries).expect("insert_many");
+        let keys: Vec<Key> = entries.into_iter().map(|(key, _)| key).collect();
+        let before = rounds.get();
+        suite.delete_many(&keys).expect("delete_many");
+        spent += rounds.get() - before;
+    }
+    spent as f64 / PROBE_BATCHES as f64
 }
 
 fn main() {
@@ -112,12 +167,12 @@ fn main() {
     let speedup = baseline.median() as f64 / bulk.median().max(1) as f64;
     let per_ingest = |count: u64| count as f64 / rounds as f64;
     println!(
-        "{:<10} {:>14} {:>14} {:>14} {:>8} {:>9} {:>6} {:>12}",
-        "ingest", "median", "mean", "p90", "rounds", "requests", "pings", "fabric msgs"
+        "{:<10} {:>14} {:>14} {:>14} {:>8} {:>9} {:>6} {:>12} {:>12}",
+        "ingest", "median", "mean", "p90", "rounds", "requests", "pings", "fabric msgs", "fabric B"
     );
     for (name, s, cost) in [("per-key", &baseline, &per_key), ("bulk", &bulk, &cost)] {
         println!(
-            "{:<10} {:>12}us {:>12}us {:>12}us {:>8} {:>9} {:>6} {:>12}",
+            "{:<10} {:>12}us {:>12}us {:>12}us {:>8} {:>9} {:>6} {:>12} {:>12}",
             name,
             s.median(),
             s.mean(),
@@ -125,12 +180,25 @@ fn main() {
             per_ingest(cost.rounds),
             per_ingest(cost.requests),
             per_ingest(cost.pings),
-            per_ingest(cost.fabric_msgs)
+            per_ingest(cost.fabric_msgs),
+            per_ingest(cost.fabric_bytes)
         );
     }
     println!();
     println!("re-validations: {revalidate}, resumed batches: {resumed}");
     println!("speedup (per-key median / bulk median): {speedup:.2}x");
+
+    let probe = [delete_probe(true), delete_probe(false)];
+    println!();
+    println!(
+        "delete probe ({PROBE_PRELOAD} keys every {} slots of {PROBE_SLOTS}, \
+         {PROBE_BATCHES} batches of {KEYS} random odd slots, in process): \
+         {} rounds per delete_many with fixed quorums (gated <= {PROBE_ROUNDS_MAX}), \
+         {} with random quorums",
+        PROBE_SLOTS / PROBE_PRELOAD,
+        probe[0],
+        probe[1]
+    );
 
     let doc = format!(
         concat!(
@@ -139,6 +207,9 @@ fn main() {
             "  \"keys\": {}, \"hop_us\": {}, \"rounds\": {},\n",
             "  \"rounds_per_ingest\": {}, \"requests_per_ingest\": {}, \"pings_per_ingest\": {},\n",
             "  \"fabric_msgs_per_ingest\": {{\"per_key\": {}, \"bulk\": {}}},\n",
+            "  \"fabric_bytes_per_ingest\": {{\"per_key\": {}, \"bulk\": {}}},\n",
+            "  \"delete_many_rounds_per_ingest\": ",
+            "{{\"fixed_quorums\": {}, \"random_quorums\": {}}},\n",
             "  \"session_revalidate\": {}, \"bulk_resumed\": {},\n",
             "  \"per_key\": {},\n  \"bulk\": {},\n",
             "  \"speedup_median\": {:.3}\n}}\n"
@@ -155,6 +226,10 @@ fn main() {
         per_ingest(cost.pings),
         per_ingest(per_key.fabric_msgs),
         per_ingest(cost.fabric_msgs),
+        per_ingest(per_key.fabric_bytes),
+        per_ingest(cost.fabric_bytes),
+        probe[0],
+        probe[1],
         revalidate,
         resumed,
         baseline.json(),
@@ -178,7 +253,7 @@ fn main() {
         let chunks = KEYS.div_ceil(64) as u64;
         let requests = chunks * u64::from(READ_QUORUM + WRITE_QUORUM);
         let budget = Spent::fault_free(2 * chunks, requests);
-        if cost != budget.times(rounds as u64) || revalidate != 0 {
+        if cost.counts() != budget.times(rounds as u64) || revalidate != 0 {
             eprintln!(
                 "FAIL: {rounds} ingests spent {cost:?} and {revalidate} re-validations; \
                  budget per ingest {budget:?} and 0"
@@ -186,5 +261,17 @@ fn main() {
             std::process::exit(1);
         }
         println!("check passed: ingest of {KEYS} = {budget:?}, no re-validation");
+        if probe[0] > PROBE_ROUNDS_MAX {
+            eprintln!(
+                "FAIL: the delete probe averaged {} rounds per delete_many with fixed \
+                 quorums; budget {PROBE_ROUNDS_MAX}",
+                probe[0]
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check passed: delete probe {} rounds per delete_many <= {PROBE_ROUNDS_MAX}",
+            probe[0]
+        );
     }
 }

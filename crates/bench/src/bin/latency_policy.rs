@@ -247,7 +247,7 @@ fn main() {
         let budget =
             Spent::fault_free(2, u64::from(READ_QUORUM + WRITE_QUORUM)).times(warmup as u64);
         for (name, run) in [("random", &random), ("latency", &latency)] {
-            if run.warmup != budget {
+            if run.warmup.counts() != budget {
                 eprintln!(
                     "FAIL: the {name} warm-up spent {:?}, budget {budget:?}",
                     run.warmup

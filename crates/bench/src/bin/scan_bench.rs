@@ -22,12 +22,19 @@
 //! cargo run --release -p repdir-bench --bin scan_bench [-- --quick] [--check]
 //! ```
 //!
+//! A second fixture writes and scans through quorums drawn at random, over
+//! values one byte too large to ride a chain: every value is a `Lookup`
+//! riding a wave, so the value wave is counted too.
+//!
 //! `--check` exits nonzero unless a scan of the 64 entries costs exactly its
 //! pinned budget — 2 rounds, R requests each, 8 fabric messages, no ping, no
-//! re-validation (the `scripts/check.sh` gate). Wall-clock and the speed-up
-//! over the per-hop reference are reported, not gated, and so is what one
-//! scan of 64 entries costs at value sizes on both sides of the inline
-//! bound: rounds, requests, `Lookup`s and fabric bytes.
+//! re-validation — and unless a scan of the second fixture costs 2 rounds,
+//! R requests each, 8 fabric messages, one `Lookup` per entry, no ping and
+//! no re-validation (the `scripts/check.sh` gate). Fabric bytes,
+//! wall-clock and the speed-up over the per-hop reference are reported, not
+//! gated, and so is what one scan of 64 entries costs at value sizes on
+//! both sides of the inline bound: rounds, requests, `Lookup`s and fabric
+//! bytes.
 //! Every run rewrites `BENCH_scan.json` at the repo root.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use repdir_baselines::reference::per_hop_scan;
 use repdir_bench::fabric::{lossless, Fixture, Samples, Spent};
-use repdir_core::suite::{DirSuite, FixedPolicy};
+use repdir_core::suite::{DirSuite, FixedPolicy, QuorumPolicy, RandomPolicy};
 use repdir_core::{Completion, Key, Op, RepClient, RepId, RepResult, Reply, SuiteError, UserKey};
 use repdir_core::{Value, INLINE_VALUE_MAX};
 use repdir_replica::RemoteSessionClient;
@@ -97,15 +104,19 @@ impl RepClient for CountsLookups {
     }
 }
 
-/// What one scan of `ENTRIES` entries of `size`-byte values costs on a
-/// zero-latency fabric: its rounds and requests, the `Lookup`s it sends and
-/// the payload bytes the fabric carries, requests and replies.
-fn by_value_size(size: usize) -> (Spent, u64, u64) {
+/// A zero-latency fixture under `policy` whose clients count their
+/// `Lookup`s, holding `ENTRIES` entries of `size`-byte values written by
+/// one `insert_many`, or by one `insert` each when `per_key`.
+fn counted_fixture(
+    policy: Box<dyn QuorumPolicy + Send>,
+    size: usize,
+    per_key: bool,
+) -> (Fixture<CountsLookups>, Arc<AtomicU64>) {
     let lookups = Arc::new(AtomicU64::new(0));
     let quorums = (MEMBERS, READ_QUORUM, WRITE_QUORUM);
-    let (timeout, policy) = (Duration::from_secs(10), Box::new(FixedPolicy::new()));
     let net = lossless(0x5CA7, Duration::ZERO);
     let counter = Arc::clone(&lookups);
+    let timeout = Duration::from_secs(10);
     let mut fx = Fixture::new(net, quorums, timeout, policy, move |inner| CountsLookups {
         inner,
         lookups: Arc::clone(&counter),
@@ -116,12 +127,42 @@ fn by_value_size(size: usize) -> (Spent, u64, u64) {
             (key, Value::from(vec![b'v'; size]))
         })
         .collect();
-    fx.suite.insert_many(&entries).expect("insert_many");
-    let (bytes, asked) = (fx.net.stats().bytes, lookups.load(Ordering::Relaxed));
-    let (listed, spent) = fx.spent(|suite| suite.scan().expect("scan"));
-    assert_eq!(listed.len(), ENTRIES, "scan must list every entry");
-    let bytes = fx.net.stats().bytes - bytes;
-    (spent, lookups.load(Ordering::Relaxed) - asked, bytes)
+    if per_key {
+        for (key, value) in &entries {
+            fx.suite.insert(key, value).expect("insert");
+        }
+    } else {
+        fx.suite.insert_many(&entries).expect("insert_many");
+    }
+    (fx, lookups)
+}
+
+/// `scans` scans of a counted fixture: what they spent, the `Lookup`s they
+/// sent and the re-validations they needed.
+fn counted_scans(
+    fx: &mut Fixture<CountsLookups>,
+    lookups: &AtomicU64,
+    scans: usize,
+) -> (Spent, u64, u64) {
+    let asked = lookups.load(Ordering::Relaxed);
+    let (_, spent) = fx.spent(|suite| {
+        for _ in 0..scans {
+            let listed = suite.scan().expect("scan");
+            assert_eq!(listed.len(), ENTRIES, "scan must list every entry");
+        }
+    });
+    let revalidate = fx.suite.obs().counter("suite.session.revalidate").get();
+    (spent, lookups.load(Ordering::Relaxed) - asked, revalidate)
+}
+
+/// What one scan of `ENTRIES` entries of `size`-byte values costs on a
+/// zero-latency fabric under quorums {0, 1}: its rounds and requests, the
+/// `Lookup`s it sends and the payload bytes the fabric carries, requests
+/// and replies.
+fn by_value_size(size: usize) -> (Spent, u64) {
+    let (mut fx, lookups) = counted_fixture(Box::new(FixedPolicy::new()), size, false);
+    let (spent, asked, _) = counted_scans(&mut fx, &lookups, 1);
+    (spent, asked)
 }
 
 fn main() {
@@ -169,12 +210,12 @@ fn main() {
     let speedup = baseline.median() as f64 / session.median().max(1) as f64;
     let per_scan = |count: u64| count as f64 / scans as f64;
     println!(
-        "{:<10} {:>14} {:>14} {:>14} {:>8} {:>9} {:>6} {:>12}",
-        "scan", "median", "mean", "p90", "rounds", "requests", "pings", "fabric msgs"
+        "{:<10} {:>14} {:>14} {:>14} {:>8} {:>9} {:>6} {:>12} {:>12}",
+        "scan", "median", "mean", "p90", "rounds", "requests", "pings", "fabric msgs", "fabric B"
     );
     for (name, s, cost) in [("per-hop", &baseline, &per_hop), ("suite", &session, &cost)] {
         println!(
-            "{:<10} {:>12}us {:>12}us {:>12}us {:>8} {:>9} {:>6} {:>12}",
+            "{:<10} {:>12}us {:>12}us {:>12}us {:>8} {:>9} {:>6} {:>12} {:>12}",
             name,
             s.median(),
             s.mean(),
@@ -182,13 +223,30 @@ fn main() {
             per_scan(cost.rounds),
             per_scan(cost.requests),
             per_scan(cost.pings),
-            per_scan(cost.fabric_msgs)
+            per_scan(cost.fabric_msgs),
+            per_scan(cost.fabric_bytes)
         );
     }
     println!();
     println!("re-validations: {revalidate}");
     println!("speedup (per-hop median / suite median): {speedup:.2}x");
 
+    let policy = Box::new(RandomPolicy::new(0x5CA8));
+    let (mut fx, lookups) = counted_fixture(policy, INLINE_VALUE_MAX + 1, true);
+    let (random, random_lookups, random_revalidate) = counted_scans(&mut fx, &lookups, scans);
+    drop(fx);
+    println!();
+    println!(
+        "random quorums, {} B values (reported per scan): {} rounds, {} requests, {} pings, \
+         {} fabric msgs, {} lookups, {} fabric B, {random_revalidate} re-validations",
+        INLINE_VALUE_MAX + 1,
+        per_scan(random.rounds),
+        per_scan(random.requests),
+        per_scan(random.pings),
+        per_scan(random.fabric_msgs),
+        per_scan(random_lookups),
+        per_scan(random.fabric_bytes)
+    );
     println!();
     println!(
         "one scan of {ENTRIES} entries by value size (chains carry values of at most \
@@ -200,7 +258,8 @@ fn main() {
     );
     let mut sizes = Vec::new();
     for size in VALUE_SIZES {
-        let (spent, lookups, bytes) = by_value_size(size);
+        let (spent, lookups) = by_value_size(size);
+        let bytes = spent.fabric_bytes;
         println!(
             "{:>8} {:>8} {:>9} {:>12} {:>8} {:>13}",
             size, spent.rounds, spent.requests, spent.fabric_msgs, lookups, bytes
@@ -221,7 +280,11 @@ fn main() {
             "  \"entries\": {}, \"hop_us\": {}, \"scans\": {},\n",
             "  \"rounds_per_scan\": {}, \"requests_per_scan\": {}, \"pings_per_scan\": {},\n",
             "  \"fabric_msgs_per_scan\": {{\"per_hop\": {}, \"session\": {}}},\n",
+            "  \"fabric_bytes_per_scan\": {{\"per_hop\": {}, \"session\": {}}},\n",
             "  \"session_revalidate\": {},\n",
+            "  \"random_quorums_65b_per_scan\": {{\"rounds\": {}, \"requests\": {}, ",
+            "\"pings\": {}, \"fabric_msgs\": {}, \"lookups\": {}, \"fabric_bytes\": {}, ",
+            "\"session_revalidate\": {}}},\n",
             "  \"by_value_size\": [\n    {}\n  ],\n",
             "  \"per_hop\": {},\n  \"session\": {},\n",
             "  \"speedup_median\": {:.3}\n}}\n"
@@ -238,7 +301,16 @@ fn main() {
         per_scan(cost.pings),
         per_scan(per_hop.fabric_msgs),
         per_scan(cost.fabric_msgs),
+        per_scan(per_hop.fabric_bytes),
+        per_scan(cost.fabric_bytes),
         revalidate,
+        per_scan(random.rounds),
+        per_scan(random.requests),
+        per_scan(random.pings),
+        per_scan(random.fabric_msgs),
+        per_scan(random_lookups),
+        per_scan(random.fabric_bytes),
+        random_revalidate,
         sizes.join(",\n    "),
         baseline.json(),
         session.json(),
@@ -260,7 +332,7 @@ fn main() {
         // one more. Every value rides them, so nothing is owed.
         let rounds = (ENTRIES as u64 + 1).div_ceil(64);
         let budget = Spent::fault_free(rounds, rounds * u64::from(READ_QUORUM));
-        if cost != budget.times(scans as u64) || revalidate != 0 {
+        if cost.counts() != budget.times(scans as u64) || revalidate != 0 {
             eprintln!(
                 "FAIL: {scans} scans spent {cost:?} and {revalidate} re-validations; \
                  budget per scan {budget:?} and 0"
@@ -268,5 +340,24 @@ fn main() {
             std::process::exit(1);
         }
         println!("check passed: scan of {ENTRIES} = {budget:?}, no re-validation");
+        // No value rides: the carried chain, then one wave of every entry's
+        // `Lookup` together with whatever chain is still needed to reach HIGH.
+        let budget = Spent::fault_free(2, 2 * u64::from(READ_QUORUM));
+        let lookups = ENTRIES as u64;
+        if random.counts() != budget.times(scans as u64)
+            || random_lookups != lookups * scans as u64
+            || random_revalidate != 0
+        {
+            eprintln!(
+                "FAIL: {scans} scans under random quorums spent {random:?}, \
+                 {random_lookups} lookups and {random_revalidate} re-validations; \
+                 budget per scan {budget:?}, {lookups} and 0"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "check passed: scan of {ENTRIES} large values under random quorums = \
+             {budget:?} and {lookups} lookups, no re-validation"
+        );
     }
 }

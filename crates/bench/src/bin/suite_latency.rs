@@ -7,7 +7,8 @@
 //! runs one `DirSuite` workload over a latency fabric twice — through
 //! `reference::Inline` clients, which serialize every wave, and through the
 //! remote clients as shipped — and counts what each operation spent: waves
-//! (`suite.rounds`), per-member data requests and pings, fabric messages.
+//! (`suite.rounds`), per-member data requests and pings, fabric messages and
+//! their payload bytes.
 //!
 //! ```text
 //! cargo run --release -p repdir-bench --bin suite_latency [-- --quick] [--check]
@@ -19,8 +20,8 @@
 //! R + 2W, no ping, two fabric messages per request (the gate
 //! `scripts/check.sh` runs) — and unless the obs-instrumented build (timing
 //! armed: spans and latency samples recorded) stays within 5% of the same
-//! workload with every registry disarmed. Wall-clock and the speed-up over
-//! the serialized run are reported, not gated, and so is what a transaction
+//! workload with every registry disarmed. Fabric bytes, wall-clock and the
+//! speed-up over the serialized run are reported, not gated, and so is what a transaction
 //! pays in process beside its quorum work: `DirSuite::new`, and a whole
 //! `ReplicatedDirectory::lookup` at 3-2-2, healthy and with one member down.
 //! Every run rewrites `BENCH_quorum_fanout.json` at the repo root.
@@ -224,6 +225,7 @@ fn write_json(
                 "\"timed_ops\": {},\n     \"rounds_per_op\": {},\n",
                 "     \"requests_per_op\": {},\n     \"pings_per_op\": {},\n",
                 "     \"fabric_msgs_per_op\": {},\n",
+                "     \"fabric_bytes_per_op\": {},\n",
                 "     \"serialized\": {},\n     \"fanout\": {},\n",
                 "     \"speedup_median\": {:.3}}}"
             ),
@@ -235,6 +237,7 @@ fn write_json(
             json_per_op(&row.costs[1], |s| s.requests),
             json_per_op(&row.costs[1], |s| s.pings),
             json_per_op(&row.costs[1], |s| s.fabric_msgs),
+            json_per_op(&row.costs[1], |s| s.fabric_bytes),
             row.serialized.json(),
             row.fanout.json(),
             row.speedup()
@@ -314,11 +317,13 @@ fn main() {
         for (kind, &(ops, spent)) in KINDS.iter().zip(&row.costs[1]) {
             let per_op = |count: u64| count as f64 / ops.max(1) as f64;
             println!(
-                "    {kind}: {} rounds, {} requests, {} pings, {} fabric messages per op",
+                "    {kind}: {} rounds, {} requests, {} pings, {} fabric messages \
+                 ({} B) per op",
                 per_op(spent.rounds),
                 per_op(spent.requests),
                 per_op(spent.pings),
-                per_op(spent.fabric_msgs)
+                per_op(spent.fabric_msgs),
+                per_op(spent.fabric_bytes)
             );
         }
         rows.push(row);
@@ -359,7 +364,8 @@ fn main() {
         let mut ok = true;
         for row in &rows {
             for (run, costs) in ["serialized", "fanout"].iter().zip(&row.costs) {
-                if *costs != budget(row.cfg, costs) {
+                let counts = costs.map(|(ops, spent)| (ops, spent.counts()));
+                if counts != budget(row.cfg, costs) {
                     eprintln!(
                         "FAIL: config {:?} {run} run spent {costs:?}, budget {:?}",
                         row.cfg,

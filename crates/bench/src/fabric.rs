@@ -1,8 +1,9 @@
 //! What the fabric benches share: latency samples, a suite of remote clients
 //! over the simulated network, and the count of what a piece of work spent
-//! there — rounds, member requests, pings, fabric messages. Counts repeat
-//! exactly from run to run, so they are what the benches gate; wall-clock
-//! over injected sleeps is reported beside them.
+//! there — rounds, member requests, pings, fabric messages and their payload
+//! bytes. Counts repeat exactly from run to run, so they are what the benches
+//! gate; bytes, which follow key and value sizes, and wall-clock over
+//! injected sleeps are reported beside them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,6 +93,9 @@ pub struct Spent {
     pub pings: u64,
     /// Messages the fabric carried: a request and its reply each.
     pub fabric_msgs: u64,
+    /// Payload bytes of those messages (`NetStats::bytes`): reported, not
+    /// gated.
+    pub fabric_bytes: u64,
 }
 
 impl Spent {
@@ -102,6 +106,15 @@ impl Spent {
             requests: self.requests * count,
             pings: self.pings * count,
             fabric_msgs: self.fabric_msgs * count,
+            fabric_bytes: self.fabric_bytes * count,
+        }
+    }
+
+    /// The counts a gate pins: everything but the bytes.
+    pub fn counts(self) -> Spent {
+        Spent {
+            fabric_bytes: 0,
+            ..self
         }
     }
 
@@ -113,6 +126,7 @@ impl Spent {
             requests,
             pings: 0,
             fabric_msgs: 2 * requests,
+            fabric_bytes: 0,
         }
     }
 }
@@ -123,6 +137,7 @@ impl std::ops::AddAssign for Spent {
         self.requests += other.requests;
         self.pings += other.pings;
         self.fabric_msgs += other.fabric_msgs;
+        self.fabric_bytes += other.fabric_bytes;
     }
 }
 
@@ -165,14 +180,15 @@ impl<C: RepClient> Fixture<C> {
     /// counters first.
     pub fn spent<R>(&mut self, work: impl FnOnce(&mut DirSuite<C>) -> R) -> (R, Spent) {
         let rounds = self.suite.obs().counter("suite.rounds");
-        let (rounds_before, sent_before) = (rounds.get(), self.net.stats().sent);
+        let (rounds_before, net_before) = (rounds.get(), self.net.stats());
         self.suite.reset_message_counts();
         let out = work(&mut self.suite);
         let spent = Spent {
             rounds: rounds.get() - rounds_before,
             requests: self.suite.message_counts().iter().sum(),
             pings: self.suite.ping_counts().iter().sum(),
-            fabric_msgs: self.net.stats().sent - sent_before,
+            fabric_msgs: self.net.stats().sent - net_before.sent,
+            fabric_bytes: self.net.stats().bytes - net_before.bytes,
         };
         (out, spent)
     }

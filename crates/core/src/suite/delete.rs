@@ -1,5 +1,6 @@
-//! `DirSuiteDelete` (Fig. 13) in three waves, for one key or for a group of
-//! keys whose neighbour ranges do not touch.
+//! `DirSuiteDelete` (Fig. 13) in three waves, for one key or for a window of
+//! keys. Adjacent doomed keys are one *run*, coalesced as one range (Fig. 6's
+//! `DirRepCoalesce(low, high, v)`), and the runs of a window share the waves.
 
 use super::walk::{Direction, Walk};
 use super::{protocol_violation, BulkWriteOutcome, DeleteOutcome, DirSuite};
@@ -28,22 +29,71 @@ impl DeletePlan {
         searched.max(self.version).next()
     }
 
-    /// The key's neighbour range `(predecessor, successor)`; none when its
-    /// walks never ran (an absent key).
-    fn range(&self) -> Option<(&Key, &Key)> {
-        Some((&self.pred.found.as_ref()?.0, &self.succ.found.as_ref()?.0))
+    /// A present key's real predecessor and real successor, at their
+    /// versions.
+    fn neighbors(&self) -> [&(Key, Version); 2] {
+        [&self.pred, &self.succ].map(|walk| walk.found.as_ref().expect("a present key's walks ran"))
+    }
+}
+
+/// One Fig. 6 coalesce: a maximal stretch of consecutive input keys that
+/// are also consecutive real entries, all in one direction, by wave A's
+/// merged chains.
+struct Run<'k> {
+    keys: &'k [Key],
+    /// The real predecessor of the run's lowest key and the real successor
+    /// of its highest, at their versions: the range coalesced, and the
+    /// entries copied into writers that lack them.
+    low: (Key, Version),
+    high: (Key, Version),
+    /// Per key, the gap version the per-key loop gives it. Strict 2PL hides
+    /// the states in between, so only the last is written.
+    versions: Vec<Version>,
+}
+
+impl<'k> Run<'k> {
+    /// The run that `keys[0]` opens, read off their `plans`; none when the
+    /// key is absent. The loop gives key i the max of key i − 1's gap
+    /// version, key i's own version and the gap versions its walks saw, plus
+    /// one — and the range key i − 1 coalesced holds nothing newer than key
+    /// i − 1's gap version, so that is key i's `gap_version` folded with the
+    /// version before it.
+    fn open(keys: &'k [Key], plans: &[Option<DeletePlan>]) -> Option<Run<'k>> {
+        let plans: Vec<&DeletePlan> = plans
+            .iter()
+            .map_while(|p| p.as_ref().filter(|p| p.present))
+            .collect();
+        // Key i + 1 is key i's real successor and key i its real predecessor
+        // (`up`), or the other way round.
+        let linked = |i: usize, up: bool| {
+            let side = usize::from(up);
+            let back = plans[i + 1].neighbors()[1 - side];
+            plans[i].neighbors()[side].0 == keys[i + 1] && back.0 == keys[i]
+        };
+        let up = plans.len() < 2 || linked(0, true);
+        let links = (0..plans.len().saturating_sub(1)).take_while(|&i| linked(i, up));
+        let len = 1 + links.count();
+        let (first, last) = (*plans.first()?, plans[len - 1]);
+        let (lowest, highest) = if up { (first, last) } else { (last, first) };
+        let versions = plans[..len].iter().scan(Version::ZERO, |prior, plan| {
+            *prior = prior.next().max(plan.gap_version());
+            Some(*prior)
+        });
+        Some(Run {
+            keys: &keys[..len],
+            low: lowest.neighbors()[0].clone(),
+            high: highest.neighbors()[1].clone(),
+            versions: versions.collect(),
+        })
     }
 
-    /// Whether the two keys' neighbour ranges overlap as open intervals.
-    /// Ranges that merely share an endpoint do not: that entry survives both
-    /// coalesces.
-    fn overlaps(&self, other: &DeletePlan) -> bool {
-        match (self.range(), other.range()) {
-            (Some((low, high)), Some((other_low, other_high))) => {
-                low < other_high && other_low < high
-            }
-            _ => false,
-        }
+    /// Whether the run's range and the one between `low` and `high` overlap
+    /// as open intervals. Ranges that merely share an endpoint do not: that
+    /// entry survives both coalesces. A plan whose range overlaps a
+    /// coalesced run read an entry the run deleted — the batch is unsorted
+    /// or repeats a key — and is read again.
+    fn overlaps(&self, [low, high]: [&(Key, Version); 2]) -> bool {
+        self.low.0 < high.0 && low.0 < self.high.0
     }
 }
 
@@ -68,38 +118,37 @@ impl<C: RepClient> DirSuite<C> {
         // One scope: a value lookup, should one be needed, asks wave A's
         // read quorum.
         self.with_session_scope(|s| {
+            let keys = std::slice::from_ref(key);
             let mut plan = [None];
-            s.read_plans(std::slice::from_ref(key), &[false], &mut plan)?;
-            match plan {
-                [Some(plan)] if plan.present => {
-                    let group = [(key, plan)];
-                    let mut entries_in_range = Vec::new();
-                    let mut ghosts_deleted = 0;
-                    let (writers, lacking) = s.apply_deletes(&group, |id, done| {
-                        entries_in_range.push((id, done.removed.len()));
-                        let ghosts = done.removed.iter();
-                        ghosts_deleted +=
-                            ghosts.filter(|r| key.as_user() != Some(&r.key)).count() as u32;
-                    })?;
-                    let [(_, plan)] = group;
-                    let gap_version = plan.gap_version();
-                    let DeletePlan { succ, pred, .. } = plan;
-                    Ok(DeleteOutcome {
-                        predecessor: pred.found.expect("planned").0,
-                        successor: succ.found.expect("planned").0,
-                        gap_version,
-                        copies_inserted: lacking.iter().filter(|&&lacks| lacks).count() as u32,
-                        entries_in_range,
-                        ghosts_deleted,
-                        pred_steps: pred.steps,
-                        succ_steps: succ.steps,
-                        pred_rpcs: pred.rpc_calls,
-                        succ_rpcs: succ.rpc_calls,
-                        quorum: s.ids_of(&writers),
-                    })
-                }
-                _ => Err(SuiteError::NotFound { key: key.clone() }),
-            }
+            s.read_plans(keys, &mut plan)?;
+            let Some(run) = Run::open(keys, &plan) else {
+                return Err(SuiteError::NotFound { key: key.clone() });
+            };
+            let mut entries_in_range = Vec::new();
+            let mut ghosts_deleted = 0;
+            let (writers, lacking) =
+                s.apply_deletes(key, std::slice::from_ref(&run), |id, done| {
+                    entries_in_range.push((id, done.removed.len()));
+                    let ghosts = done.removed.iter();
+                    ghosts_deleted +=
+                        ghosts.filter(|r| key.as_user() != Some(&r.key)).count() as u32;
+                })?;
+            let [Some(DeletePlan { succ, pred, .. })] = plan else {
+                unreachable!("a run opens at a planned key")
+            };
+            Ok(DeleteOutcome {
+                predecessor: run.low.0,
+                successor: run.high.0,
+                gap_version: run.versions[0],
+                copies_inserted: lacking.iter().filter(|&&lacks| lacks).count() as u32,
+                entries_in_range,
+                ghosts_deleted,
+                pred_steps: pred.steps,
+                succ_steps: succ.steps,
+                pred_rpcs: pred.rpc_calls,
+                succ_rpcs: succ.rpc_calls,
+                quorum: s.ids_of(&writers),
+            })
         })
     }
 
@@ -107,14 +156,11 @@ impl<C: RepClient> DirSuite<C> {
     /// read-quorum collection carries, per key, its lookup and the first
     /// chain request of both Fig. 12 walks, which then resolve together on
     /// those chains; only a ghost that leaves a buffer dry costs a further
-    /// round. A key that reads absent and was never `attempted` gets a plan
-    /// whose walks do not run ([`SuiteError::NotFound`] before anything is
-    /// written); an attempted key may be half-coalesced and is planned
-    /// whatever its lookup answers.
+    /// round. A key that reads absent gets a plan whose walks do not run
+    /// ([`SuiteError::NotFound`] before anything is written).
     fn read_plans(
         &mut self,
         keys: &[Key],
-        attempted: &[bool],
         plans: &mut [Option<DeletePlan>],
     ) -> Result<(), SuiteError> {
         let batch = self.neighbor_batch;
@@ -166,48 +212,48 @@ impl<C: RepClient> DirSuite<C> {
         }
         let mut walks: Vec<&mut Walk> = plans
             .iter_mut()
-            .zip(attempted)
-            .filter_map(|(plan, &attempted)| plan.as_mut().filter(|p| p.present || attempted))
+            .filter_map(|plan| plan.as_mut().filter(|plan| plan.present))
             .flat_map(|plan| [&mut plan.succ, &mut plan.pred])
             .collect();
         self.run_walks(&readers, &mut walks)
     }
 
-    /// Waves B and C of Fig. 13 for planned keys whose neighbour ranges are
-    /// pairwise disjoint. **B** — the write-quorum collection carries, per
-    /// key, a lookup of each real neighbour: who lacks it and, from a holder
-    /// of its current version, the value to copy. **C** — every write-quorum
-    /// member gets one request: per key the copies it lacks (a neighbour
-    /// two keys share is copied once), then the coalesce.
+    /// Waves B and C of Fig. 13 for runs whose ranges are pairwise disjoint
+    /// as open intervals. **B** — the write-quorum collection, hinted at
+    /// `hint`, carries per run a lookup of each outer neighbour: who lacks
+    /// it and, from a holder of its current version, the value to copy. The
+    /// loop probes every key of a run of two or more as the neighbour of the
+    /// key beside it, so wave B asks those too (their answers are not
+    /// needed) and the batch holds every lock the loop holds. **C** — every
+    /// write-quorum member gets one request: per run the copies it lacks (a
+    /// neighbour two runs share is copied once), then the coalesce of the
+    /// run's range at its last version.
     ///
     /// Every coalesce reply is handed to `coalesced` with the member that
     /// sent it, writer by writer in group order. Returned are the write
     /// quorum and, writer by writer, which neighbours it lacked: neighbour
-    /// `2g` is group key `g`'s successor, `2g + 1` its predecessor.
+    /// `2g` is run `g`'s successor, `2g + 1` its predecessor.
     fn apply_deletes(
         &mut self,
-        group: &[(&Key, DeletePlan)],
+        hint: &Key,
+        group: &[Run<'_>],
         mut coalesced: impl FnMut(RepId, CoalesceOutcome),
     ) -> Result<(Vec<usize>, Vec<bool>), SuiteError> {
         // "Make sure the predecessor and successor exist in every member of
         // the quorum." Sentinels are probed too (present everywhere, never
-        // copied), so every key's probes have a fixed place in the list.
-        let neighbor = |n: usize| {
-            let plan = &group[n / 2].1;
-            let (key, version) = [&plan.succ, &plan.pred][n % 2]
-                .found
-                .as_ref()
-                .expect("planned");
-            (key, *version)
-        };
-        let probed = 2 * group.len();
-        let wave_b: Vec<Op> = (0..probed)
-            .map(|n| Op::Lookup(neighbor(n).0.clone()))
+        // copied), so every run's probes have a fixed place in the list.
+        let neighbors: Vec<&(Key, Version)> =
+            group.iter().flat_map(|run| [&run.high, &run.low]).collect();
+        let probed = neighbors.len();
+        let inner = group.iter().filter(|run| run.keys.len() > 1);
+        let wave_b: Vec<Op> = (neighbors.iter().map(|(key, _)| key))
+            .chain(inner.flat_map(|run| run.keys))
+            .map(|key| Op::Lookup(key.clone()))
             .collect();
-        let write = self.collect_quorum(QuorumKind::Write, Some(group[0].0), &wave_b)?;
+        let write = self.collect_quorum(QuorumKind::Write, Some(hint), &wave_b)?;
         let writers = write.members;
         let mut lacking = Vec::with_capacity(writers.len() * probed);
-        for probe in write.replies.iter().flatten() {
+        for probe in write.replies.iter().flat_map(|probes| &probes[..probed]) {
             let Reply::Lookup(found) = probe else {
                 return Err(protocol_violation("probe missing lookup reply"));
             };
@@ -216,40 +262,39 @@ impl<C: RepClient> DirSuite<C> {
         // The value of each neighbour some writer lacks, from a writer that
         // holds its current version: 2W > N puts one in every write quorum;
         // should none have answered, the read quorum has it.
-        let mut copied: Vec<(usize, Value)> = Vec::new();
+        let mut copied: Vec<Option<Value>> = vec![None; probed];
         for n in (0..probed).filter(|&n| lacking.chunks(probed).any(|lacks| lacks[n])) {
-            let (key, current) = neighbor(n);
+            let (key, current) = neighbors[n];
             let held = write.replies.iter().find_map(|probes| match &probes[n] {
-                Reply::Lookup(LookupReply::Present { version, value }) if *version == current => {
+                Reply::Lookup(LookupReply::Present { version, value }) if version == current => {
                     Some(value.clone())
                 }
                 _ => None,
             });
-            let value = match held {
+            copied[n] = Some(match held {
                 Some(value) => value,
                 None => self
                     .lookup(key)?
                     .value
                     .expect("a real neighbor has a value"),
-            };
-            copied.push((n, value));
+            });
         }
 
         let wave_c: Vec<Vec<Op>> = lacking
             .chunks(probed)
             .map(|lacks| {
                 let mut request = Vec::with_capacity(group.len());
-                for (g, (_, plan)) in group.iter().enumerate() {
+                for (g, run) in group.iter().enumerate() {
                     for n in [2 * g, 2 * g + 1] {
-                        let (key, version) = neighbor(n);
+                        let (key, version) = neighbors[n];
                         let already = |op: &Op| matches!(op, Op::Insert(copy, ..) if copy == key);
                         if lacks[n] && !request.iter().any(already) {
-                            let (_, value) = copied.iter().find(|(of, _)| *of == n).expect("held");
-                            request.push(Op::Insert(key.clone(), version, value.clone()));
+                            let value = copied[n].clone().expect("held");
+                            request.push(Op::Insert(key.clone(), *version, value));
                         }
                     }
-                    let (low, high) = (neighbor(2 * g + 1).0.clone(), neighbor(2 * g).0.clone());
-                    request.push(Op::Coalesce(low, high, plan.gap_version()));
+                    let last = *run.versions.last().expect("a run has a key");
+                    request.push(Op::Coalesce(run.low.0.clone(), run.high.0.clone(), last));
                 }
                 request
             })
@@ -275,26 +320,29 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Bulk delete: the Fig. 13 flow for every key in `keys` under one
-    /// session scope, keys that do not touch each other sharing the three
-    /// waves of [`delete`](DirSuite::delete). Per window of
+    /// session scope. Per window of
     /// [`set_bulk_chunk`](DirSuite::set_bulk_chunk) keys, wave A is read
-    /// once for every key and the Fig. 12 walks advance together; the
-    /// longest input-order run of keys whose neighbour ranges
-    /// `(predecessor, successor)` are pairwise disjoint as open intervals
-    /// then shares one wave B and one wave C. A key that overlaps an earlier
-    /// one of its group, or that is absent, closes the group, and only the
-    /// plans a coalesced range overlaps are read again: 64 keys with a
-    /// surviving entry between every pair cost three waves, adjacent keys
-    /// three each (DESIGN.md §11 has the argument).
+    /// once for every key and the Fig. 12 walks advance together. The
+    /// window then splits into *runs*: maximal stretches of consecutive
+    /// input keys that are also consecutive real entries, in one direction.
+    /// A run is one range from the real predecessor of its lowest key to the
+    /// real successor of its highest, coalesced once, and runs whose ranges
+    /// touch at most at a surviving endpoint share one wave B and one wave
+    /// C. A sorted window is therefore three waves however its keys sit:
+    /// 64 adjacent keys are one run, 64 keys with a survivor between every
+    /// pair 64 runs of one. Only a run whose range overlaps an earlier one
+    /// of its group — an unsorted batch or a repeated key — or an absent key
+    /// closes the group, and only the plans a coalesced range overlaps are
+    /// read again (DESIGN.md §11 has the argument).
     ///
     /// Semantics are exactly a sequential per-key loop of
     /// [`delete`](DirSuite::delete) — same versions, same final replicas;
     /// the first failing key surfaces its error with every earlier key
     /// deleted and no later one. On a mid-batch member failure the session
-    /// is re-validated and the walk resumes at the first unacknowledged
-    /// group; a half-coalesced key is re-driven through the mutation phase,
-    /// whose coalesce removes whatever remains of the entry, so the resume
-    /// never reports a key deleted that is not.
+    /// is re-validated and the group in flight is driven again as it was
+    /// planned, at the versions it was given: a coalesce replayed at its own
+    /// version is an idempotent overwrite, so a half-coalesced run is
+    /// neither reported `NotFound` nor given new versions.
     ///
     /// # Errors
     ///
@@ -304,7 +352,7 @@ impl<C: RepClient> DirSuite<C> {
         self.obs.bulk_ops.inc();
         self.obs.bulk_keys.add(keys.len() as u64);
         let mut versions = Vec::with_capacity(keys.len());
-        let mut attempted = vec![false; keys.len()];
+        let mut in_flight = Vec::new();
         let mut attempts = 0u32;
         self.with_session_scope(|s| {
             s.with_session_retries(|s| {
@@ -312,22 +360,26 @@ impl<C: RepClient> DirSuite<C> {
                 if attempts > 1 {
                     s.obs.bulk_resumed.inc();
                 }
-                s.delete_many_walk(keys, &mut versions, &mut attempted)
+                s.delete_many_walk(keys, &mut versions, &mut in_flight)
             })
         })?;
         Ok(BulkWriteOutcome { versions })
     }
 
     /// One attempt at the bulk-delete walk, resuming at the first key whose
-    /// gap version has not been recorded yet. `attempted[i]` is set once key
-    /// `i` joins a group: from then on it may be half-coalesced, so a later
-    /// attempt drives it through whatever its lookup answers.
-    fn delete_many_walk(
+    /// gap version has not been recorded yet. `group` holds the runs whose
+    /// waves B and C were sent but not acknowledged: a later attempt drives
+    /// them again before it reads anything.
+    fn delete_many_walk<'k>(
         &mut self,
-        keys: &[Key],
+        keys: &'k [Key],
         versions: &mut Vec<Version>,
-        attempted: &mut [bool],
+        group: &mut Vec<Run<'k>>,
     ) -> Result<(), SuiteError> {
+        if !group.is_empty() {
+            self.apply_deletes(&keys[versions.len()], group, |_, _| {})?;
+            versions.extend(group.drain(..).flat_map(|run| run.versions));
+        }
         while versions.len() < keys.len() {
             let lo = versions.len();
             self.require_user_key(&keys[lo])?;
@@ -338,36 +390,29 @@ impl<C: RepClient> DirSuite<C> {
             let mut plans: Vec<Option<DeletePlan>> = (lo..hi).map(|_| None).collect();
             while versions.len() < hi {
                 let first = versions.len();
-                self.read_plans(
-                    &keys[first..hi],
-                    &attempted[first..hi],
-                    &mut plans[first - lo..],
-                )?;
-                let mut group: Vec<(&Key, DeletePlan)> = Vec::new();
-                for i in first..hi {
-                    let plan = plans[i - lo].as_ref().expect("wave A planned the window");
-                    let found = plan.present || attempted[i];
-                    if !found || group.iter().any(|(_, earlier)| earlier.overlaps(plan)) {
+                self.read_plans(&keys[first..hi], &mut plans[first - lo..])?;
+                let mut next = first;
+                while let Some(run) = Run::open(&keys[next..hi], &plans[next - lo..]) {
+                    if group
+                        .iter()
+                        .any(|earlier| earlier.overlaps([&run.low, &run.high]))
+                    {
                         break;
                     }
-                    attempted[i] = true;
-                    let plan = plans[i - lo].take().expect("just inspected");
-                    group.push((&keys[i], plan));
+                    next += run.keys.len();
+                    group.push(run);
                 }
                 if group.is_empty() {
                     let key = keys[first].clone();
                     return Err(SuiteError::NotFound { key });
                 }
-                self.apply_deletes(&group, |_, _| {})?;
-                versions.extend(group.iter().map(|(_, plan)| plan.gap_version()));
-                // Disjoint ranges never read each other's writes: only the
-                // plans a coalesced range overlaps are read again.
-                for plan in &mut plans[versions.len() - lo..] {
-                    let stale = |p: &DeletePlan| group.iter().any(|(_, done)| done.overlaps(p));
-                    if plan.as_ref().is_some_and(stale) {
-                        *plan = None;
-                    }
+                self.apply_deletes(&keys[first], group, |_, _| {})?;
+                for plan in &mut plans[next - lo..] {
+                    plan.take_if(|p| {
+                        p.present && group.iter().any(|run| run.overlaps(p.neighbors()))
+                    });
                 }
+                versions.extend(group.drain(..).flat_map(|run| run.versions));
             }
         }
         Ok(())
@@ -477,12 +522,13 @@ mod tests {
     fn mid_batch_delete_failure_resumes_without_false_not_found() {
         use std::sync::atomic::Ordering;
         let (mut s, fuses) = fused_suite();
-        // Member 0 dies as the first group's coalesce reaches it. Wave A
-        // plans all three keys (9 ticks, carried by the read collection);
-        // "b" overlaps "a", so "a" is a group of its own: two probes, then
-        // the twelfth request is its coalesce — which member 1 applies, so
-        // the key is left half-coalesced under the held sessions.
-        fuses[0].store(12, Ordering::SeqCst);
+        // Member 0 dies as the first coalesce reaches it. Wave A plans all
+        // three keys (9 ticks, carried by the read collection); "a", "b"
+        // and "c" are one run, whose wave B probes its two neighbours and,
+        // as the loop does, its three keys (5 ticks); the fifteenth request
+        // is the run's coalesce — which member 1 applies, so the run is left
+        // half-coalesced under the held sessions.
+        fuses[0].store(15, Ordering::SeqCst);
         let keys = [k("a"), k("b"), k("c")];
         s.delete_many(&keys).unwrap();
         for key in &keys {
@@ -500,5 +546,35 @@ mod tests {
         let snap = s.obs().snapshot();
         assert!(snap.counter("suite.session.revalidate") >= 1);
         assert!(snap.counter("suite.bulk.resumed") >= 1);
+    }
+
+    #[test]
+    fn member_dying_at_a_long_runs_coalesce_resumes_at_the_loops_versions() {
+        use std::sync::atomic::Ordering;
+        let keys = [k("b"), k("c"), k("d"), k("e")];
+        // The per-key loop on a twin whose members never die.
+        let (mut looped, _) = fused_suite();
+        let expect: Vec<Version> = keys
+            .iter()
+            .map(|key| looped.delete(key).unwrap().gap_version)
+            .collect();
+        let (mut s, fuses) = fused_suite();
+        // One run from "a" to "f": wave A is 12 ticks at member 0, wave B
+        // 2 neighbour probes and 4 key probes, and the nineteenth request
+        // is the run's coalesce. Member 1 applies it, member 0 dies: every
+        // key reads absent through member 1 at the run's last version.
+        fuses[0].store(19, Ordering::SeqCst);
+        let out = s.delete_many(&keys).unwrap();
+        assert!(fuses[0].load(Ordering::SeqCst) <= 0, "member 0 died");
+        assert_eq!(out.versions, expect, "the loop's versions");
+        for key in &keys {
+            assert!(!s.lookup(key).unwrap().present, "{key:?} survived");
+        }
+        let listed = s.scan().unwrap();
+        let listed: Vec<String> = listed.iter().map(|(u, _)| u.to_string()).collect();
+        assert_eq!(listed, ["a", "f"], "only the batch was deleted");
+        let snap = s.obs().snapshot();
+        assert!(snap.counter("suite.session.revalidate") >= 1);
+        assert_eq!(snap.counter("suite.bulk.resumed"), 1);
     }
 }

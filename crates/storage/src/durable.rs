@@ -311,7 +311,7 @@ impl DurableState {
         let disk = self.wal.disk();
         let history = disk.retained_len() + disk.volatile_len();
         self.wal
-            .append(&WalRecord::checkpoint_of(&self.state.to_gapmap()));
+            .append(&WalRecord::checkpoint_of(self.state.as_ref()));
         self.wal.sync();
         let disk = self.wal.disk();
         disk.discard_prefix(history);

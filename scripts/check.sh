@@ -9,7 +9,8 @@
 #    costs 1 round of R requests, an insert 2 of R + W, a delete 3 of R + 2W,
 #    with no ping, through remote clients and serialized (`reference::Inline`)
 #    ones alike, AND the obs-instrumented build (timing armed) stays within
-#    5% of the disarmed baseline. The speed-up over serialized is reported.
+#    5% of the disarmed baseline. Fabric bytes per operation and the
+#    speed-up over serialized are reported.
 # 5. Runs the latency_policy bench in quick mode on a 5-member R=2/W=4
 #    fabric with two slow members, which fails unless each run's 6 clean
 #    warm-up inserts cost exactly 6 x (R + W) = 36 data requests and no ping,
@@ -18,10 +19,16 @@
 #    RandomPolicy is reported, not gated.
 # 6. Runs the scan_bench in quick mode, which fails unless a scan of N=64
 #    entries at R=2 costs 2 rounds, 4 requests, 8 fabric messages, no ping and
-#    zero re-validations; the speed-up over the per-hop reference is reported.
+#    zero re-validations, under quorums {0, 1} over small values and under
+#    random quorums over 65-byte values, whose 64 lookups are counted too;
+#    fabric bytes and the speed-up over the per-hop reference are reported.
 # 7. Runs the ingest_bench in quick mode, which fails unless a 64-key
 #    insert_many at R=2/W=2 costs 2 rounds, 4 requests, 8 fabric messages, no
-#    ping and zero re-validations; the per-key reference's speed-up is reported.
+#    ping and zero re-validations, and unless a bulk_scan-shaped delete_many
+#    (in process, 512 keys at every 32nd slot of 2^14, 200 batches of 64
+#    random odd slots) averages at most 4 rounds under fixed quorums {0, 1};
+#    the same probe under random quorums, fabric bytes and the per-key
+#    reference's speed-up are reported.
 # 8. Runs the repair_bench in quick mode, which fails unless the repair
 #    driver converges a stale member byte-identically at exactly its pinned
 #    fabric messages and entries pulled on three passes: a sweep of a member
@@ -118,11 +125,11 @@ gate "latency_policy --quick --check (warm-up 36 requests / 0 pings; timed looku
 cargo run --release --offline -p repdir-bench --bin latency_policy -- --quick --check
 gate_done
 
-gate "scan_bench --quick --check (scan of N=64 at R=2 = 2 rounds, 8 fabric messages)"
+gate "scan_bench --quick --check (scan of N=64 at R=2 = 2 rounds, 8 fabric messages; random quorums over 65-B values = the same and 64 lookups)"
 cargo run --release --offline -p repdir-bench --bin scan_bench -- --quick --check
 gate_done
 
-gate "ingest_bench --quick --check (insert_many of N=64 = 2 rounds, 8 fabric messages)"
+gate "ingest_bench --quick --check (insert_many of N=64 = 2 rounds, 8 fabric messages; bulk_scan-shaped delete_many <= 4 rounds)"
 cargo run --release --offline -p repdir-bench --bin ingest_bench -- --quick --check
 gate_done
 
@@ -134,8 +141,9 @@ gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-li
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
 # With delete's nine rounds in place of three: 17.1 / 26.3-26.5 / 30.8-31.2.
-# bulk_scan reads 135-142 in smoke mode; with a round per scanned entry and
-# three per deleted key it read 582.
+# bulk_scan reads ~25 in smoke mode since adjacent doomed keys coalesce as
+# one run (135-142 before); with a round per scanned entry and three per
+# deleted key it read 582.
 python3 - <<'PY'
 import json, sys
 caps = {"read_mostly": 17.5, "write_mix": 22.0, "wan_quorum": 29.0, "bulk_scan": 180.0}

@@ -309,11 +309,14 @@ fn mid_bulk_delete_partition_resumes_cleanly() {
             .unwrap();
     }
 
-    // The batch deletes the first eight keys; node 101 goes dark inside one
-    // of the neighbor-search envelope waves, possibly leaving that key
-    // half-coalesced at the survivors. The resume must re-drive it, not
-    // report it NotFound and not leave a ghost.
-    fx.fuse.store(10, Ordering::SeqCst);
+    // The batch deletes the first eight keys, two windows of four. Each
+    // window is one run: a wave A and a wave B envelope per member, then a
+    // bare coalesce. Node 101 goes dark inside the second window's wave A,
+    // under the held sessions, after the first window's run was coalesced.
+    // The resume must re-drive the rest, not report a key NotFound and not
+    // leave a ghost.
+    fx.suite.set_bulk_chunk(4);
+    fx.fuse.store(5, Ordering::SeqCst);
     let keys: Vec<Key> = (0..8u64).map(|i| Key::User(UserKey::from_u64(i))).collect();
     fx.suite
         .delete_many(&keys)

@@ -1,9 +1,10 @@
 //! The grouped bulk delete and the chain-resolved scan against what they
 //! replace.
 //!
-//! `DirSuite::delete_many` plans a window of keys at once and lets keys whose
-//! neighbour ranges are disjoint share their three waves; `DirSuite::scan`
-//! judges entries from chain heads and fetches each value from one member.
+//! `DirSuite::delete_many` plans a window of keys at once, coalesces each run
+//! of adjacent keys as one range and lets runs share their three waves;
+//! `DirSuite::scan` judges entries from chain heads and fetches each value
+//! from one member.
 //! That changes what they cost, never what they do. Over random histories on
 //! 3-2-2 and 5-2-4 suites — random quorums per operation, so ghosts, members
 //! lacking a neighbour and stale members occur — a `delete_many` on one set
@@ -14,11 +15,14 @@
 //! unbatched Fig. 12 walk, which reads no further than its real neighbour —
 //! covers every range the loop locks, in its mode. Batches carry duplicates,
 //! missing keys and unsorted adjacent keys. A `scan` must list the model,
-//! each value being what `lookup` returns for its key.
+//! each value being what `lookup` returns for its key. A second property
+//! draws runs shaped to straddle every partition the delete path has and
+//! checks them against `reference::delete_per_key`.
 
+use repdir::baselines::reference::delete_per_key;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, QuorumPolicy, SuiteConfig};
-use repdir::core::{Key, QuorumKind, RepId, SuiteError, UserKey, Value, Version};
+use repdir::core::{Key, QuorumKind, RepId, SuiteError, UserKey, Value, Version, INLINE_VALUE_MAX};
 use repdir::rangelock::{KeyRange, LockMode};
 use repdir::replica::{SessionClient, TransactionalRep};
 use repdir::txn::TxnId;
@@ -297,5 +301,221 @@ proptest! {
         let everyone: Vec<usize> = (0..n as usize).collect();
         let (listed, _) = batch.transact(&everyone, &everyone, |s| s.scan());
         prop_assert_eq!(listed, Ok(expect));
+    }
+}
+
+/// Where a run's ghosts sit.
+#[derive(Clone, Copy, Debug)]
+enum Ghosts {
+    None,
+    /// One between every two keys of the run.
+    Inside,
+    /// One between each outer neighbour and the key beside it.
+    AtTheEnds,
+}
+
+/// What breaks a run in the middle of the batch.
+#[derive(Clone, Copy, Debug)]
+enum Flaw {
+    None,
+    /// A key that was never inserted.
+    Absent,
+    /// A repeat of a key the batch deleted earlier.
+    Duplicate,
+}
+
+/// The key shapes the run property draws from. Every shape is one run of
+/// `len` adjacent keys between two surviving outer neighbours, with one
+/// more survivor beyond each.
+#[derive(Clone, Debug)]
+struct Shape {
+    /// 1, 63, 64, 65 or 129: one key, and one short of, at, one past and
+    /// two windows past `bulk_chunk` = 64.
+    len: usize,
+    ghosts: Ghosts,
+    flaw: Flaw,
+    /// Keys spread evenly over the whole key space, across as many of the
+    /// 256 leading-byte buckets as there are slots (all of them once the
+    /// shape has 256 slots), rather than packed into bucket 0.
+    spread: bool,
+    /// The batch lists the run from its highest key down.
+    down: bool,
+    /// The outer neighbours' values are `INLINE_VALUE_MAX + 1` bytes, one
+    /// too many to ride a chain, rather than `INLINE_VALUE_MAX`.
+    large_neighbours: bool,
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    (0usize..5, 0usize..3, 0usize..3, any::<u8>()).prop_map(|(len, ghosts, flaw, bits)| Shape {
+        len: [1, 63, 64, 65, 129][len],
+        ghosts: [Ghosts::None, Ghosts::Inside, Ghosts::AtTheEnds][ghosts],
+        flaw: [Flaw::None, Flaw::Absent, Flaw::Duplicate][flaw],
+        spread: bits & 1 != 0,
+        down: bits & 2 != 0,
+        large_neighbours: bits & 4 != 0,
+    })
+}
+
+/// The keys of a [`Shape`], in key order.
+struct Layout {
+    /// Survivors: the two outer neighbours and one key beyond each.
+    kept: Vec<Key>,
+    /// The run, lowest key first.
+    run: Vec<Key>,
+    ghosts: Vec<Key>,
+}
+
+impl Shape {
+    fn layout(&self) -> Layout {
+        let ghost_inside = matches!(self.ghosts, Ghosts::Inside);
+        let ghost_ends = matches!(self.ghosts, Ghosts::AtTheEnds);
+        // Slot by slot, lowest first: what each one holds.
+        let mut slots: Vec<u8> = vec![b'k', b'k'];
+        if ghost_ends {
+            slots.push(b'g');
+        }
+        for i in 0..self.len {
+            if i > 0 && ghost_inside {
+                slots.push(b'g');
+            }
+            slots.push(b'r');
+        }
+        if ghost_ends {
+            slots.push(b'g');
+        }
+        slots.extend([b'k', b'k']);
+        let step = match self.spread {
+            true => u64::MAX / slots.len() as u64,
+            false => 1,
+        };
+        let mut layout = Layout {
+            kept: Vec::new(),
+            run: Vec::new(),
+            ghosts: Vec::new(),
+        };
+        for (i, kind) in slots.into_iter().enumerate() {
+            let key = Key::User(UserKey::from_u64(i as u64 * step));
+            match kind {
+                b'k' => layout.kept.push(key),
+                b'r' => layout.run.push(key),
+                _ => layout.ghosts.push(key),
+            }
+        }
+        layout
+    }
+
+    /// The batch: the run in the order drawn, flawed in its middle.
+    fn batch(&self, run: &[Key], absent: &Key) -> Vec<Key> {
+        let mut batch = run.to_vec();
+        if self.down {
+            batch.reverse();
+        }
+        let middle = batch.len() / 2;
+        match self.flaw {
+            Flaw::None => {}
+            Flaw::Absent => batch.insert(middle, absent.clone()),
+            Flaw::Duplicate => batch.insert(middle, batch[middle / 2].clone()),
+        }
+        batch
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Runs that straddle every partition the delete path has — the
+    /// `bulk_chunk` window, the 256 summary buckets, the inline value bound
+    /// — deleted in one batch and by the per-key loop: equal versions or the
+    /// equal first error with the equal prefix deleted, byte-identical
+    /// replicas, the `BTreeMap` model listed, and no `RepModify` lock the
+    /// loop does not take. Every operation draws its own quorums.
+    #[test]
+    fn runs_straddling_every_partition_delete_as_the_per_key_loop(
+        shape in shape_strategy(),
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+        neighbor_batch in 1usize..3,
+    ) {
+        let (n, w) = if wide { (5, 4) } else { (3, 2) };
+        let config = SuiteConfig::symmetric(n, 2, w).expect("legal config");
+        let mut batch = World::new(&config, neighbor_batch, 64);
+        let mut looped = World::new(&config, neighbor_batch, 64);
+        let layout = shape.layout();
+        // An absent key sits in the run's middle: never inserted, so it
+        // breaks the run and is the batch's first error.
+        let absent = match shape.flaw {
+            Flaw::Absent => layout.run[layout.run.len() / 2].clone(),
+            _ => Key::User(UserKey::from_u64(u64::MAX)),
+        };
+        let doomed: Vec<Key> = layout.run.iter().filter(|key| **key != absent).cloned().collect();
+        let neighbour_bytes = INLINE_VALUE_MAX + usize::from(shape.large_neighbours);
+        let small = Value::from("v");
+        let entries = |keys: &[Key], value: &Value| -> Vec<(Key, Value)> {
+            keys.iter().map(|key| (key.clone(), value.clone())).collect()
+        };
+        let neighbours = [&layout.kept[1], &layout.kept[2]];
+        let mut setup: Vec<Vec<(Key, Value)>> = vec![entries(&doomed, &small)];
+        // Each outer neighbour alone, so some writer may lack it.
+        for key in neighbours {
+            setup.push(vec![(key.clone(), Value::from(vec![b'n'; neighbour_bytes]))]);
+        }
+        let outer = [layout.kept[0].clone(), layout.kept[3].clone()];
+        setup.push(entries(&outer, &small));
+        setup.push(entries(&layout.ghosts, &small));
+        let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+        let mut draws = seed;
+        let mut quorums = || {
+            draws = draws.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let read = permutation(n as usize, draws);
+            (read, permutation(n as usize, draws.rotate_left(17) ^ 0xD1))
+        };
+        for insert in &setup {
+            let (read, write) = quorums();
+            for world in [&mut batch, &mut looped] {
+                let (out, _) = world.transact(&read, &write, |s| s.insert_many(insert));
+                prop_assert!(out.is_ok(), "{:?} setup: {:?}", shape, out);
+            }
+            model.extend(insert.iter().cloned());
+        }
+        // The ghosts are deleted through a quorum that leaves them behind at
+        // the members outside it.
+        let (read, write) = quorums();
+        for world in [&mut batch, &mut looped] {
+            let (out, _) = world.transact(&read, &write, |s| s.delete_many(&layout.ghosts));
+            prop_assert!(out.is_ok(), "{:?} ghosts: {:?}", shape, out);
+        }
+        for ghost in &layout.ghosts {
+            model.remove(ghost);
+        }
+
+        let keys = shape.batch(&doomed, &absent);
+        let (read, write) = quorums();
+        let (a, held_a) = batch.transact(&read, &write, |s| s.delete_many(&keys));
+        let (b, held_b) = looped.transact(&read, &write, |s| delete_per_key(s, &keys));
+        prop_assert_eq!(&a, &b, "{:?}", shape);
+        let mut expect = Ok(());
+        for key in &keys {
+            if model.remove(key).is_none() {
+                expect = Err(SuiteError::NotFound { key: key.clone() });
+                break;
+            }
+        }
+        prop_assert_eq!(a.map(drop), expect, "{:?}", shape);
+        for (i, (batch, looped)) in held_a.iter().zip(&held_b).enumerate() {
+            for lock in batch.iter().filter(|(mode, _)| *mode == LockMode::Modify) {
+                prop_assert!(
+                    looped.contains(lock),
+                    "member {} modified {:?} beyond the loop for {:?}", i, lock, shape
+                );
+            }
+        }
+        for (a, b) in batch.reps.iter().zip(&looped.reps) {
+            prop_assert!(a.snapshot() == b.snapshot(), "{:?} diverged for {:?}", a.id(), shape);
+        }
+        let listed: Vec<(Key, Value)> = model.into_iter().collect();
+        let everyone: Vec<usize> = (0..n as usize).collect();
+        let (scanned, _) = batch.transact(&everyone, &everyone, |s| s.scan());
+        let scanned = scanned.map(|l| l.into_iter().map(|(k, v)| (Key::User(k), v)).collect());
+        prop_assert_eq!(scanned, Ok(listed), "{:?}", shape);
     }
 }

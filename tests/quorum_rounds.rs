@@ -11,9 +11,10 @@
 //! `O(n / bulk_chunk)` waves: a scan ⌈(entries + ghosts + 1) / chunk⌉ chain
 //! waves, which carry every value of at most `INLINE_VALUE_MAX` bytes, plus
 //! at most one for the larger values still owed, `insert_many` two per
-//! chunk, `delete_many` three per group of keys whose neighbour ranges are
-//! disjoint. They also pin what happens when a carried request fails:
-//! an unreachable member's vote is re-collected inside the call, a member
+//! chunk, `delete_many` three per window of sorted keys, adjacent or not:
+//! adjacent doomed keys are one run, coalesced as one range. They also pin
+//! what happens when a carried request fails: an unreachable member's vote
+//! is re-collected inside the call, a member
 //! with a recorded miss is pinged before it is trusted with data, and a
 //! member that refuses is the operation's error, never substituted.
 
@@ -503,12 +504,12 @@ impl QuorumPolicy for PerKind {
 
 #[test]
 fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
-    // (c) 64 mutually adjacent keys: each key's neighbour range overlaps
-    // the one before, so every key is a group of its own. The window's wave
-    // A and the first group's wave B collect the quorums; each later key has
-    // its plan read again under the held session, then its two waves. 64 × 3
-    // rounds of R, W and W requests — never more than the per-key loop — two
-    // collections, no ping.
+    // (c) 64 mutually adjacent keys are one run: one range from the real
+    // predecessor of the first to the real successor of the last, coalesced
+    // once. The window's wave A and the run's wave B collect the quorums,
+    // and wave C is one coalesce per writer: 3 rounds of R, W and W
+    // requests, as for keys that do not touch — two collections, no ping.
+    // (The name predates runs and overstates the cost.)
     let keys: Vec<Key> = (0..64).map(|i| k(&format!("key{i:02}"))).collect();
     let entries: Vec<(Key, Value)> = keys.iter().map(|key| (key.clone(), val("v"))).collect();
     let cluster = Cluster::new(0xC64);
@@ -521,8 +522,8 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
         let collections = waves.get();
         let (out, msgs, pings, spent) = rounds(suite, |s| s.delete_many(keys));
         assert_eq!(out.unwrap().versions.len(), 64);
-        assert_eq!((msgs, pings), (vec![192, 192, 0], vec![0, 0, 0]));
-        assert_eq!(spent, 192);
+        assert_eq!((msgs, pings), (vec![3, 3, 0], vec![0, 0, 0]));
+        assert_eq!(spent, 3);
         assert_eq!(waves.get() - collections, 2);
         assert_eq!(suite.scan().unwrap(), vec![]);
     }
