@@ -39,12 +39,13 @@ pub enum RepError {
     /// The representative is down, partitioned away, or timed out. Quorum
     /// collection skips such representatives.
     Unavailable,
-    /// A lock could not be granted within the deadline (possible deadlock or
-    /// long-running conflicting transaction); the caller should abort and
-    /// retry.
+    /// A lock could not be granted within the deadline: a younger (or
+    /// same-age) conflicting transaction held it throughout. The caller
+    /// should abort and retry.
     LockTimeout,
-    /// The lock manager detected that granting the lock would deadlock and
-    /// chose this transaction as the victim.
+    /// An older transaction holds a conflicting lock, so this one was
+    /// refused rather than allowed to wait (wait-die: no cycle of waits can
+    /// form). The caller should abort and retry under the same age.
     Deadlock,
     /// The enclosing transaction was already aborted.
     TransactionAborted,
@@ -66,7 +67,9 @@ impl fmt::Display for RepError {
             }
             RepError::Unavailable => f.write_str("representative unavailable"),
             RepError::LockTimeout => f.write_str("lock wait timed out"),
-            RepError::Deadlock => f.write_str("deadlock detected; transaction chosen as victim"),
+            RepError::Deadlock => {
+                f.write_str("deadlock avoided; an older transaction holds the lock")
+            }
             RepError::TransactionAborted => f.write_str("transaction already aborted"),
             RepError::Storage(msg) => write!(f, "storage failure: {msg}"),
         }

@@ -11,9 +11,10 @@
 //!   involving a modify conflicts exactly when the ranges intersect;
 //! * a blocking [`RangeLockTable`] with all-at-once release, giving strict
 //!   two-phase locking when drivers release only at commit/abort;
-//! * one deadlock detector, the [`DeadlockDomain`]: the waits-for graph
-//!   every waiter records its edges in (youngest-in-cycle victim), private
-//!   to a table or shared by several so cycles spanning them are found too.
+//! * wait-die deadlock prevention, decided from the table's own holders: a
+//!   request waits only for holders no older than it ([`TxnId::age`]) and
+//!   fails at once on an older one, so no cycle of waits can form, inside
+//!   one table or across representatives that share nothing.
 //!
 //! Combined with two-phase locking this "is sufficiently strong to
 //! guarantee that the actions of transactions operating on a directory
@@ -28,4 +29,4 @@ mod range;
 mod table;
 
 pub use range::{compatible, KeyRange, LockMode};
-pub use table::{DeadlockDomain, LockError, LockStats, RangeLockTable, TxnId};
+pub use table::{LockError, LockStats, RangeLockTable, TxnId};

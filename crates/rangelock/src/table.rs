@@ -1,10 +1,7 @@
-//! The range-lock table: blocking acquisition, two-phase release, deadlock
-//! detection.
+//! The range-lock table: blocking acquisition, two-phase release, and
+//! wait-die deadlock prevention.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repdir_core::sync::{Condvar, Mutex};
@@ -12,14 +9,43 @@ use repdir_obs::{Counter, Histogram};
 
 use crate::range::{compatible, KeyRange, LockMode};
 
-/// Identifies a lock-holding transaction.
+/// Identifies a lock-holding transaction and carries its age.
 ///
-/// `repdir-txn` assigns these; the lock table only needs identity. Ids are
-/// also used as deadlock-victim tie-breakers (the *youngest* — largest id —
-/// transaction in a cycle is chosen, a wound-wait-style policy that cannot
-/// starve old transactions).
+/// The high 56 bits are the transaction's *age* (smaller is older), the low
+/// 8 bits its *attempt*. `repdir-txn` hands every new transaction a fresh
+/// age and every retry the next attempt of the same age, so a transaction
+/// that keeps losing keeps its place in line and eventually becomes the
+/// oldest. The lock table reads only the age: a request waits only for
+/// holders no older than itself and dies on any older one (wait-die), so
+/// waits run from older to younger and no cycle of waits can form.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TxnId(pub u64);
+
+impl TxnId {
+    const ATTEMPT_BITS: u32 = 8;
+
+    /// The first attempt of the transaction of age `age`.
+    pub fn of_age(age: u64) -> TxnId {
+        TxnId(age << Self::ATTEMPT_BITS)
+    }
+
+    /// The transaction's age: smaller is older. Every attempt of one
+    /// transaction has the same age.
+    pub fn age(self) -> u64 {
+        self.0 >> Self::ATTEMPT_BITS
+    }
+
+    /// Which attempt of its transaction this id is, from 0.
+    pub fn attempt(self) -> u8 {
+        self.0 as u8
+    }
+
+    /// The same transaction's next attempt: a fresh id of the same age (the
+    /// attempt wraps within its 8 bits).
+    pub fn next_attempt(self) -> TxnId {
+        TxnId(Self::of_age(self.age()).0 | u64::from(self.attempt().wrapping_add(1)))
+    }
+}
 
 impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,10 +56,11 @@ impl fmt::Display for TxnId {
 /// Why a lock could not be granted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LockError {
-    /// The deadline elapsed while waiting for conflicting holders.
+    /// The deadline elapsed while waiting for younger (or same-age)
+    /// conflicting holders.
     Timeout,
-    /// Granting the request would close a waits-for cycle, and the requester
-    /// was chosen as the victim.
+    /// A conflicting holder is older than the requester, so the requester
+    /// dies rather than wait (wait-die): its transaction aborts and retries.
     Deadlock,
 }
 
@@ -98,131 +125,10 @@ impl LockObs {
     }
 }
 
-/// How often a blocked waiter wakes to re-check its [`DeadlockDomain`]. A
-/// victim chosen by another waiter — at this table or another — is not
-/// notified, so every waiter polls at this cadence.
-const DOMAIN_POLL: Duration = Duration::from_millis(5);
-
-/// The waits-for graph of one or more [`RangeLockTable`]s — the only
-/// deadlock detector.
-///
-/// Every table starts with a private domain, which sees the cycles through
-/// its own locks. When one transaction can block at *several* tables at
-/// once — a directory suite fanning a write wave out to every
-/// representative — two transactions can deadlock with each edge at a
-/// different table; tables that [join](RangeLockTable::join_domain) one
-/// shared domain see those cycles too. A waiter whose request closes a
-/// cycle aborts at once if it is the youngest participant; otherwise it
-/// *wounds* the youngest, which observes the wound at its next poll and
-/// fails fast with [`LockError::Deadlock`] instead of burning its full lock
-/// timeout.
-///
-/// Edges are keyed by `(transaction, table)` because a fan-out transaction
-/// legitimately waits at several tables simultaneously. A wound outlives its
-/// first observation (all of the victim's in-flight waiters must abort, not
-/// just one) and is cleared when the victim's locks are released.
-#[derive(Default)]
-pub struct DeadlockDomain {
-    state: Mutex<DomainState>,
-}
-
-#[derive(Default)]
-struct DomainState {
-    /// (waiting txn, table id) -> holders blocking it at that table.
-    edges: HashMap<(TxnId, u64), Vec<TxnId>>,
-    /// Chosen victims; each aborts at its next wound check.
-    wounded: HashSet<TxnId>,
-}
-
-impl DeadlockDomain {
-    /// Creates an empty domain; share it via `Arc` and
-    /// [`RangeLockTable::join_domain`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn set_waits(&self, table: u64, owner: TxnId, holders: Vec<TxnId>) {
-        self.state.lock().edges.insert((owner, table), holders);
-    }
-
-    fn clear_waits(&self, table: u64, owner: TxnId) {
-        self.state.lock().edges.remove(&(owner, table));
-    }
-
-    /// Checks whether `owner` must abort: either it was already wounded, or
-    /// its current waits close a cycle in which it is the youngest
-    /// participant. A cycle whose youngest participant is someone else
-    /// wounds that transaction and lets `owner` keep waiting (the victim's
-    /// abort releases the blocking locks).
-    fn must_abort(&self, owner: TxnId) -> bool {
-        let mut st = self.state.lock();
-        if st.wounded.contains(&owner) {
-            return true;
-        }
-        // Union adjacency across all tables.
-        let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        for ((waiter, _), holders) in &st.edges {
-            adj.entry(*waiter)
-                .or_default()
-                .extend(holders.iter().copied());
-        }
-        let edges = |t: TxnId| adj.get(&t).cloned().unwrap_or_default();
-        let mut stack = vec![(owner, edges(owner))];
-        let mut path = vec![owner];
-        while let Some((_, succs)) = stack.last_mut() {
-            match succs.pop() {
-                Some(next) if next == owner => {
-                    // Cycle found; `path` holds every participant.
-                    let victim = path.iter().copied().max().unwrap_or(owner);
-                    if victim == owner {
-                        return true;
-                    }
-                    if st.wounded.insert(victim) {
-                        repdir_obs::global().counter("lock.wounds").inc();
-                    }
-                    return false;
-                }
-                Some(next) => {
-                    if !path.contains(&next) {
-                        path.push(next);
-                        stack.push((next, edges(next)));
-                    }
-                }
-                None => {
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        false
-    }
-
-    /// Clears `owner`'s wound — called when its locks are released. Its
-    /// edges need no clearing: every exit from a wait drops its own.
-    fn forget(&self, owner: TxnId) {
-        self.state.lock().wounded.remove(&owner);
-    }
-
-    /// Drops every edge registered by `table` — called on table reset
-    /// (representative crash: its waiters are woken and re-evaluate).
-    fn drop_table(&self, table: u64) {
-        self.state.lock().edges.retain(|(_, t), _| *t != table);
-    }
-}
-
-impl fmt::Debug for DeadlockDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
-        f.debug_struct("DeadlockDomain")
-            .field("edges", &st.edges.len())
-            .field("wounded", &st.wounded.len())
-            .finish()
-    }
-}
-
 /// A table of range locks over one directory representative, implementing
-/// the paper's Figure 7 compatibility with blocking waits, deadlock
-/// detection, and all-at-once release for strict two-phase locking.
+/// the paper's Figure 7 compatibility with blocking waits, wait-die
+/// deadlock prevention, and all-at-once release for strict two-phase
+/// locking.
 ///
 /// "As specified, the lock compatibility relation is sufficiently strong to
 /// guarantee that the actions of transactions operating on a directory
@@ -249,18 +155,10 @@ impl fmt::Debug for DeadlockDomain {
 /// # Ok::<(), repdir_rangelock::LockError>(())
 /// ```
 pub struct RangeLockTable {
-    /// Distinguishes this table's edges inside a [`DeadlockDomain`].
-    id: u64,
     state: Mutex<State>,
     released: Condvar,
-    /// Where this table's waiters record their edges: a private domain
-    /// until [`join_domain`](RangeLockTable::join_domain) swaps in a shared
-    /// one.
-    domain: Mutex<Arc<DeadlockDomain>>,
     obs: LockObs,
 }
-
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl Default for RangeLockTable {
     fn default() -> Self {
@@ -272,49 +170,10 @@ impl RangeLockTable {
     /// Creates an empty lock table.
     pub fn new() -> Self {
         RangeLockTable {
-            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::new(State::default()),
             released: Condvar::new(),
-            domain: Mutex::new(Arc::new(DeadlockDomain::new())),
             obs: LockObs::new(),
         }
-    }
-
-    /// Registers this table in a shared [`DeadlockDomain`], enabling
-    /// detection of waits-for cycles that span several tables (one edge per
-    /// representative). Replaces the table's private domain, or any
-    /// previously joined one.
-    pub fn join_domain(&self, domain: &Arc<DeadlockDomain>) {
-        *self.domain.lock() = Arc::clone(domain);
-    }
-
-    /// Attempts to acquire without blocking. On conflict, returns the
-    /// holders that block the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns the conflicting transaction ids (deduplicated) if the lock
-    /// cannot be granted immediately.
-    pub fn try_acquire(
-        &self,
-        owner: TxnId,
-        mode: LockMode,
-        range: KeyRange,
-    ) -> Result<(), Vec<TxnId>> {
-        let mut st = self.state.lock();
-        let conflicts = conflicts_of(&st.granted, owner, mode, &range);
-        if conflicts.is_empty() {
-            self.grant(&mut st, Granted { owner, mode, range });
-            Ok(())
-        } else {
-            Err(conflicts)
-        }
-    }
-
-    fn grant(&self, st: &mut State, lock: Granted) {
-        st.granted.push(lock);
-        st.stats.granted += 1;
-        self.obs.granted.inc();
     }
 
     /// Acquires a lock, blocking up to `timeout` for conflicting holders to
@@ -324,19 +183,22 @@ impl RangeLockTable {
     /// (re-entrancy), so lock "upgrades" (`Lookup` then `Modify` over the
     /// same range) always succeed locally.
     ///
-    /// A request that has to wait records its edges — who blocks it — in
-    /// the table's [`DeadlockDomain`] and asks whether it must abort, then
-    /// sleeps until a release or [`DOMAIN_POLL`] wakes it to look again.
+    /// A conflict is decided from the ages of the conflicting holders
+    /// alone (wait-die): the request waits only if no holder is older than
+    /// it, sleeping until a release at this table or its deadline, and
+    /// decides afresh on every wake. Waits therefore run only from older to
+    /// younger transactions, here and at every other table, so no cycle of
+    /// waits can form, whether its edges sit in one table or in several
+    /// representatives' tables that share nothing.
     ///
     /// # Errors
     ///
-    /// * [`LockError::Deadlock`] if the request would close a waits-for
-    ///   cycle — within this table, or across every table of a joined
-    ///   [`DeadlockDomain`] — in which this transaction is the youngest
-    ///   participant, or if an older participant's cycle check already
-    ///   chose this transaction as the victim.
-    /// * [`LockError::Timeout`] if the deadline passes first (also breaks
-    ///   cross-representative deadlocks when no domain is shared).
+    /// * [`LockError::Deadlock`] if a conflicting holder is older than
+    ///   `owner` — when the request arrives, or when it wakes to find an
+    ///   older transaction granted ahead of it.
+    /// * [`LockError::Timeout`] if the deadline passes first. Only holders
+    ///   of the same age or younger are waited for, so this means a holder
+    ///   that kept its locks for the whole `timeout`.
     pub fn acquire(
         &self,
         owner: TxnId,
@@ -345,40 +207,44 @@ impl RangeLockTable {
         timeout: Duration,
     ) -> Result<(), LockError> {
         let mut st = self.state.lock();
-        let mut conflicts = conflicts_of(&st.granted, owner, mode, &range);
-        if conflicts.is_empty() {
-            self.grant(&mut st, Granted { owner, mode, range });
-            return Ok(());
-        }
-        // Lock order everywhere is table state, then domain state.
-        let domain = Arc::clone(&self.domain.lock());
-        let start = Instant::now();
-        let deadline = start + timeout;
+        let mut waiting_since: Option<Instant> = None;
         loop {
-            domain.set_waits(self.id, owner, conflicts);
-            if domain.must_abort(owner) {
-                domain.clear_waits(self.id, owner);
-                st.stats.deadlocks += 1;
-                self.obs.deadlocks.inc();
-                return Err(LockError::Deadlock);
+            let oldest = st
+                .granted
+                .iter()
+                .filter(|g| g.owner != owner && !compatible(g.mode, &g.range, mode, &range))
+                .map(|g| g.owner.age())
+                .min();
+            match oldest {
+                None => {
+                    st.granted.push(Granted { owner, mode, range });
+                    st.stats.granted += 1;
+                    self.obs.granted.inc();
+                    if let Some(start) = waiting_since {
+                        st.stats.waited += 1;
+                        self.obs.waited.inc();
+                        if repdir_obs::global().timing_armed() {
+                            self.obs.wait_us.record(start.elapsed());
+                        }
+                    }
+                    return Ok(());
+                }
+                Some(age) if age < owner.age() => {
+                    st.stats.deadlocks += 1;
+                    self.obs.deadlocks.inc();
+                    return Err(LockError::Deadlock);
+                }
+                Some(_) => {}
             }
-            let wake = std::cmp::min(deadline, Instant::now() + DOMAIN_POLL);
-            if self.released.wait_until(&mut st, wake).timed_out() && Instant::now() >= deadline {
-                domain.clear_waits(self.id, owner);
+            let start = *waiting_since.get_or_insert_with(Instant::now);
+            if self
+                .released
+                .wait_until(&mut st, start + timeout)
+                .timed_out()
+            {
                 st.stats.timeouts += 1;
                 self.obs.timeouts.inc();
                 return Err(LockError::Timeout);
-            }
-            conflicts = conflicts_of(&st.granted, owner, mode, &range);
-            if conflicts.is_empty() {
-                domain.clear_waits(self.id, owner);
-                self.grant(&mut st, Granted { owner, mode, range });
-                st.stats.waited += 1;
-                self.obs.waited.inc();
-                if repdir_obs::global().timing_armed() {
-                    self.obs.wait_us.record(start.elapsed());
-                }
-                return Ok(());
             }
         }
     }
@@ -388,12 +254,11 @@ impl RangeLockTable {
     pub fn release_all(&self, owner: TxnId) {
         let mut st = self.state.lock();
         st.granted.retain(|g| g.owner != owner);
-        self.domain.lock().forget(owner);
         self.released.notify_all();
     }
 
-    /// Discards every granted lock and this table's wait edges, waking all
-    /// blocked acquirers (they re-evaluate and typically proceed).
+    /// Discards every granted lock, waking all blocked acquirers (they
+    /// re-evaluate and typically proceed).
     ///
     /// Models a representative crash: locks are volatile state and do not
     /// survive restarts. Callers are responsible for ensuring the protected
@@ -401,7 +266,6 @@ impl RangeLockTable {
     pub fn reset(&self) {
         let mut st = self.state.lock();
         st.granted.clear();
-        self.domain.lock().drop_table(self.id);
         self.released.notify_all();
     }
 
@@ -457,19 +321,6 @@ impl fmt::Debug for RangeLockTable {
     }
 }
 
-/// Owners whose granted locks are incompatible with the request
-/// (deduplicated; the requester's own locks never conflict).
-fn conflicts_of(granted: &[Granted], owner: TxnId, mode: LockMode, range: &KeyRange) -> Vec<TxnId> {
-    let mut out: Vec<TxnId> = granted
-        .iter()
-        .filter(|g| g.owner != owner && !compatible(g.mode, &g.range, mode, range))
-        .map(|g| g.owner)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,11 +334,20 @@ mod tests {
     const SHORT: Duration = Duration::from_millis(25);
     const LONG: Duration = Duration::from_secs(5);
 
-    /// Blocks until some waiter has recorded a wait edge in `domain`.
-    fn await_waiter(domain: &DeadlockDomain) {
-        while domain.state.lock().edges.is_empty() {
-            thread::sleep(Duration::from_millis(1));
-        }
+    #[test]
+    fn ids_carry_age_and_attempt() {
+        let first = TxnId::of_age(7);
+        assert_eq!((first.age(), first.attempt()), (7, 0));
+        let retry = first.next_attempt();
+        assert_eq!((retry.age(), retry.attempt()), (7, 1));
+        assert!(
+            first < retry && retry < TxnId::of_age(8),
+            "a retry keeps its age"
+        );
+        let last = TxnId(first.0 | 0xFF);
+        assert_eq!(last.next_attempt(), first, "the attempt wraps in its bits");
+        // Small raw ids are attempts of age 0: siblings, not elders.
+        assert_eq!((TxnId(1).age(), TxnId(2).age()), (0, 0));
     }
 
     #[test]
@@ -520,105 +380,60 @@ mod tests {
         assert_eq!(t.stats().timeouts, 2);
     }
 
-    /// Two transactions deadlock with one edge at each of two tables — the
-    /// shape a suite write wave produces across representatives, invisible
-    /// to either per-table graph. The shared domain wounds the younger
-    /// transaction well before the lock timeout, and after its abort the
-    /// survivor's blocked acquire completes.
+    /// Two transactions lock two tables that share nothing — the shape a
+    /// suite write wave produces across representatives, networked ones
+    /// included — in opposite orders. The younger dies at once instead of
+    /// closing the cycle, and after its abort the older's wait completes.
     #[test]
-    fn domain_breaks_cross_table_deadlock() {
+    fn wait_die_breaks_cross_table_deadlock() {
         let t1 = Arc::new(RangeLockTable::new());
         let t2 = Arc::new(RangeLockTable::new());
-        let domain = Arc::new(DeadlockDomain::new());
-        t1.join_domain(&domain);
-        t2.join_domain(&domain);
-
-        // txn1 holds the range at table 1, txn2 holds it at table 2.
-        t1.acquire(TxnId(1), LockMode::Modify, r("a", "m"), LONG)
+        let (older, younger) = (TxnId::of_age(1), TxnId::of_age(2));
+        t1.acquire(older, LockMode::Modify, r("a", "m"), LONG)
             .unwrap();
-        t2.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
+        t2.acquire(younger, LockMode::Modify, r("a", "m"), LONG)
             .unwrap();
 
-        // txn2 blocks at table 1 (first cross-table edge)...
-        let younger = thread::spawn({
-            let t1 = Arc::clone(&t1);
-            move || t1.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
-        });
-        await_waiter(&domain);
-        // ...then txn1 blocks at table 2, closing the cycle.
-        let older = thread::spawn({
+        // The older waits at table 2 for the younger...
+        let waiter = thread::spawn({
             let t2 = Arc::clone(&t2);
-            move || t2.acquire(TxnId(1), LockMode::Modify, r("a", "m"), LONG)
+            move || t2.acquire(older, LockMode::Modify, r("a", "m"), LONG)
         });
-
-        // The younger transaction is wounded promptly (well under LONG).
+        // ...which dies at table 1 rather than wait for the older.
         let start = Instant::now();
-        assert_eq!(younger.join().unwrap(), Err(LockError::Deadlock));
-        assert!(start.elapsed() < Duration::from_secs(1));
+        let e = t1.acquire(younger, LockMode::Modify, r("a", "m"), LONG);
+        assert_eq!(e, Err(LockError::Deadlock));
+        assert!(start.elapsed() < Duration::from_millis(100));
 
         // Its abort releases table 2; the survivor then completes.
-        t1.release_all(TxnId(2));
-        t2.release_all(TxnId(2));
-        assert_eq!(older.join().unwrap(), Ok(()));
+        t1.release_all(younger);
+        t2.release_all(younger);
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        assert_eq!((t1.stats().deadlocks, t2.stats().timeouts), (1, 0));
         t1.check_invariants().unwrap();
         t2.check_invariants().unwrap();
     }
 
-    /// A wound persists until release: every in-flight waiter of the victim
-    /// aborts, and a fresh transaction id is unaffected.
+    /// A waiter decides afresh on every wake: when the younger holder it
+    /// waited for releases, an older transaction granted meanwhile on an
+    /// overlapping range kills it.
     #[test]
-    fn wound_covers_all_waiters_and_clears_on_release() {
-        let t1 = Arc::new(RangeLockTable::new());
-        let t2 = Arc::new(RangeLockTable::new());
-        let domain = Arc::new(DeadlockDomain::new());
-        t1.join_domain(&domain);
-        t2.join_domain(&domain);
-
-        t1.acquire(TxnId(1), LockMode::Modify, r("a", "m"), LONG)
+    fn waiter_dies_when_an_older_transaction_is_granted_ahead_of_it() {
+        let t = Arc::new(RangeLockTable::new());
+        let (oldest, middle, youngest) = (TxnId::of_age(1), TxnId::of_age(2), TxnId::of_age(3));
+        t.acquire(youngest, LockMode::Modify, r("a", "a"), LONG)
             .unwrap();
-        t2.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
-            .unwrap();
-        // txn2 waits at table 1; txn1 closes the cycle at table 2 from a
-        // second thread. txn2 is wounded; while still wounded, its second
-        // acquire (same transaction, new thread) must also fail fast.
-        let w1 = thread::spawn({
-            let t1 = Arc::clone(&t1);
-            move || t1.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG)
+        let waiter = thread::spawn({
+            let t = Arc::clone(&t);
+            move || t.acquire(middle, LockMode::Modify, r("a", "c"), LONG)
         });
-        await_waiter(&domain);
-        let older = thread::spawn({
-            let t2 = Arc::clone(&t2);
-            move || t2.acquire(TxnId(1), LockMode::Modify, r("a", "m"), LONG)
-        });
-        assert_eq!(w1.join().unwrap(), Err(LockError::Deadlock));
-        // Still wounded until its locks are released: a further conflicting
-        // wait by txn2 aborts at its first domain check.
-        let e = t1.acquire(TxnId(2), LockMode::Modify, r("a", "m"), LONG);
-        assert_eq!(e, Err(LockError::Deadlock));
-
-        t1.release_all(TxnId(2));
-        t2.release_all(TxnId(2));
-        assert_eq!(older.join().unwrap(), Ok(()));
-        t1.release_all(TxnId(1));
-        t2.release_all(TxnId(1));
-
-        // The id is clean again once released: no stale wound.
-        t1.acquire(TxnId(2), LockMode::Modify, r("x", "z"), SHORT)
+        thread::sleep(Duration::from_millis(30));
+        // Granted at once: it does not overlap the holder's lock.
+        t.acquire(oldest, LockMode::Modify, r("c", "c"), LONG)
             .unwrap();
-        t1.release_all(TxnId(2));
-    }
-
-    #[test]
-    fn try_acquire_reports_conflicting_holders() {
-        let t = RangeLockTable::new();
-        t.try_acquire(TxnId(1), LockMode::Modify, r("a", "c"))
-            .unwrap();
-        t.try_acquire(TxnId(2), LockMode::Modify, r("d", "f"))
-            .unwrap();
-        let holders = t
-            .try_acquire(TxnId(3), LockMode::Lookup, r("b", "e"))
-            .unwrap_err();
-        assert_eq!(holders, vec![TxnId(1), TxnId(2)]);
+        t.release_all(youngest);
+        assert_eq!(waiter.join().unwrap(), Err(LockError::Deadlock));
+        assert_eq!(t.holders(), vec![oldest]);
     }
 
     #[test]
@@ -634,6 +449,8 @@ mod tests {
         assert_eq!(t.granted_count(), 0);
     }
 
+    /// Same-age ids (attempts of one transaction; small raw ids are all age
+    /// 0) wait for each other rather than die.
     #[test]
     fn release_wakes_waiter() {
         let t = Arc::new(RangeLockTable::new());
@@ -648,50 +465,24 @@ mod tests {
         assert_eq!(t.holders(), vec![TxnId(2)]);
     }
 
-    #[test]
-    fn deadlock_detected_and_youngest_aborted() {
-        // T1 holds [a..b], T2 holds [y..z]; then each requests the other's
-        // range. Whichever closes the cycle must see Deadlock, and the
-        // victim is the younger (larger-id) transaction, T2.
-        let t = Arc::new(RangeLockTable::new());
-        t.acquire(TxnId(1), LockMode::Modify, r("a", "b"), LONG)
-            .unwrap();
-        t.acquire(TxnId(2), LockMode::Modify, r("y", "z"), LONG)
-            .unwrap();
-
-        let t1 = Arc::clone(&t);
-        let older =
-            thread::spawn(move || t1.acquire(TxnId(1), LockMode::Modify, r("y", "z"), LONG));
-        thread::sleep(Duration::from_millis(30));
-        let res2 = t.acquire(TxnId(2), LockMode::Modify, r("a", "b"), LONG);
-        assert_eq!(res2, Err(LockError::Deadlock));
-        assert_eq!(t.stats().deadlocks, 1);
-        // Victim aborts: its transaction manager calls release_all, letting
-        // the older transaction proceed.
-        t.release_all(TxnId(2));
-        older.join().unwrap().unwrap();
-    }
-
-    /// The older transaction closes a one-table cycle: it cannot be the
-    /// victim, so it wounds the younger, which must fail fast with
-    /// `Deadlock` rather than wait out its timeout — on a table that never
-    /// joined a shared domain.
+    /// The cycle an older transaction would close on one table: the
+    /// younger's request against the older's lock fails fast with
+    /// `Deadlock` rather than wait out its timeout, and the older's request
+    /// against the younger's lock waits for its abort.
     #[test]
     fn older_transaction_closing_a_one_table_cycle_wounds_the_younger() {
         let t = Arc::new(RangeLockTable::new());
-        t.acquire(TxnId(1), LockMode::Modify, r("a", "b"), LONG)
+        t.acquire(TxnId::of_age(1), LockMode::Modify, r("a", "b"), LONG)
             .unwrap();
-        t.acquire(TxnId(2), LockMode::Modify, r("y", "z"), LONG)
+        t.acquire(TxnId::of_age(2), LockMode::Modify, r("y", "z"), LONG)
             .unwrap();
         let younger = thread::spawn({
             let t = Arc::clone(&t);
-            move || t.acquire(TxnId(2), LockMode::Modify, r("a", "b"), LONG)
+            move || t.acquire(TxnId::of_age(2), LockMode::Modify, r("a", "b"), LONG)
         });
-        let private = Arc::clone(&t.domain.lock());
-        await_waiter(&private);
         let older = thread::spawn({
             let t = Arc::clone(&t);
-            move || t.acquire(TxnId(1), LockMode::Modify, r("y", "z"), LONG)
+            move || t.acquire(TxnId::of_age(1), LockMode::Modify, r("y", "z"), LONG)
         });
 
         let start = Instant::now();
@@ -700,10 +491,10 @@ mod tests {
         let stats = t.stats();
         assert_eq!((stats.deadlocks, stats.timeouts), (1, 0));
 
-        t.release_all(TxnId(2));
+        t.release_all(TxnId::of_age(2));
         assert_eq!(older.join().unwrap(), Ok(()));
         assert_eq!(
-            t.held_by(TxnId(1)),
+            t.held_by(TxnId::of_age(1)),
             vec![
                 (LockMode::Modify, r("a", "b")),
                 (LockMode::Modify, r("y", "z"))
@@ -715,28 +506,29 @@ mod tests {
     fn deadlock_cycle_of_three() {
         // T1 -> T2 -> T3 -> T1 around three ranges.
         let t = Arc::new(RangeLockTable::new());
-        t.acquire(TxnId(1), LockMode::Modify, r("a", "a"), LONG)
+        t.acquire(TxnId::of_age(1), LockMode::Modify, r("a", "a"), LONG)
             .unwrap();
-        t.acquire(TxnId(2), LockMode::Modify, r("b", "b"), LONG)
+        t.acquire(TxnId::of_age(2), LockMode::Modify, r("b", "b"), LONG)
             .unwrap();
-        t.acquire(TxnId(3), LockMode::Modify, r("c", "c"), LONG)
+        t.acquire(TxnId::of_age(3), LockMode::Modify, r("c", "c"), LONG)
             .unwrap();
-        let spawn_wait = |id: u64, range: KeyRange| {
+        let spawn_wait = |age: u64, range: KeyRange| {
             let tt = Arc::clone(&t);
-            thread::spawn(move || tt.acquire(TxnId(id), LockMode::Modify, range, LONG))
+            thread::spawn(move || tt.acquire(TxnId::of_age(age), LockMode::Modify, range, LONG))
         };
         let h1 = spawn_wait(1, r("b", "b"));
         thread::sleep(Duration::from_millis(30));
         let h2 = spawn_wait(2, r("c", "c"));
         thread::sleep(Duration::from_millis(30));
-        // T3 closes the cycle and is the youngest: it must be the victim.
-        let res3 = t.acquire(TxnId(3), LockMode::Modify, r("a", "a"), LONG);
+        // T3 would close the cycle and is the youngest: it must be the
+        // victim.
+        let res3 = t.acquire(TxnId::of_age(3), LockMode::Modify, r("a", "a"), LONG);
         assert_eq!(res3, Err(LockError::Deadlock));
-        t.release_all(TxnId(3));
+        t.release_all(TxnId::of_age(3));
         // T2 gets [c..c]; when T2 later releases, T1 gets [b..b]. Unblock
         // them by finishing T2.
         h2.join().unwrap().unwrap();
-        t.release_all(TxnId(2));
+        t.release_all(TxnId::of_age(2));
         h1.join().unwrap().unwrap();
     }
 
@@ -832,8 +624,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// The table's grant/deny decisions match an independent model
-            /// applying Figure 7 directly, and incompatible grants never
-            /// coexist.
+            /// applying Figure 7 directly, a denial is wait-die's (death iff
+            /// a conflicting holder is older), and incompatible grants
+            /// never coexist.
             #[test]
             fn table_matches_figure7_model(ops in proptest::collection::vec(op(), 1..60)) {
                 let table = RangeLockTable::new();
@@ -841,26 +634,27 @@ mod tests {
                 for operation in ops {
                     match operation {
                         LockOp::Acquire { owner, modify, lo, hi } => {
-                            let owner = TxnId(owner as u64);
+                            let owner = TxnId::of_age(owner as u64);
                             let mode = if modify { LockMode::Modify } else { LockMode::Lookup };
                             let range = range_of(lo, hi);
-                            let model_ok = model.iter().all(|(o, m, r)| {
-                                *o == owner || compatible(*m, r, mode, &range)
-                            });
-                            match table.try_acquire(owner, mode, range.clone()) {
+                            let holders: Vec<TxnId> = (model.iter())
+                                .filter(|(o, m, r)| *o != owner && !compatible(*m, r, mode, &range))
+                                .map(|(o, _, _)| *o)
+                                .collect();
+                            match table.acquire(owner, mode, range.clone(), Duration::ZERO) {
                                 Ok(()) => {
-                                    prop_assert!(model_ok, "table granted what Fig. 7 denies");
+                                    prop_assert!(holders.is_empty(), "table granted what Fig. 7 denies");
                                     model.push((owner, mode, range));
                                 }
-                                Err(holders) => {
-                                    prop_assert!(!model_ok, "table denied what Fig. 7 allows");
-                                    prop_assert!(!holders.is_empty());
-                                    prop_assert!(!holders.contains(&owner));
+                                Err(e) => {
+                                    prop_assert!(!holders.is_empty(), "table denied what Fig. 7 allows");
+                                    let dies = holders.iter().any(|h| h.age() < owner.age());
+                                    prop_assert_eq!(e, if dies { LockError::Deadlock } else { LockError::Timeout });
                                 }
                             }
                         }
                         LockOp::ReleaseAll { owner } => {
-                            let owner = TxnId(owner as u64);
+                            let owner = TxnId::of_age(owner as u64);
                             table.release_all(owner);
                             model.retain(|(o, _, _)| *o != owner);
                         }

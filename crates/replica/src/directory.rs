@@ -28,7 +28,7 @@ use repdir_storage::{Backend, SimDisk};
 /// spans the representatives: Figure-6 range locks are held at every touched
 /// representative until commit (strict two-phase locking), mutations are
 /// durable through each representative's write-ahead log, and deadlock or
-/// lock-timeout victims are retried with a fresh transaction.
+/// lock-timeout victims are retried as the same transaction's next attempt.
 ///
 /// # Examples
 ///
@@ -112,13 +112,6 @@ impl ReplicatedDirectory {
                 votes: config.member_count(),
             });
         }
-        // Concurrent write waves acquire locks at several representatives
-        // at once, so deadlock cycles can span representatives; a shared
-        // domain lets them be detected instead of timed out.
-        let domain = Arc::new(repdir_rangelock::DeadlockDomain::new());
-        for rep in &reps {
-            rep.join_deadlock_domain(&domain);
-        }
         Ok(ReplicatedDirectory {
             reps,
             config,
@@ -149,13 +142,20 @@ impl ReplicatedDirectory {
     /// Begins an explicit transaction with a freshly seeded random quorum
     /// policy. Most callers use [`run`](ReplicatedDirectory::run) instead.
     pub fn begin(&self) -> DirTxn<'_> {
+        self.begin_as(self.txns.begin(), self.random_policy())
+    }
+
+    fn random_policy(&self) -> Box<dyn QuorumPolicy + Send> {
         let seed = self.policy_seed.fetch_add(1, Ordering::Relaxed);
-        self.begin_with_policy(Box::new(RandomPolicy::new(seed)))
+        Box::new(RandomPolicy::new(seed))
     }
 
     /// Begins a transaction with an explicit quorum policy.
     pub fn begin_with_policy(&self, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_> {
-        let id = self.txns.begin();
+        self.begin_as(self.txns.begin(), policy)
+    }
+
+    fn begin_as(&self, id: repdir_txn::TxnId, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_> {
         let clients: Vec<SessionClient> = self
             .reps
             .iter()
@@ -180,8 +180,14 @@ impl ReplicatedDirectory {
     }
 
     /// Runs `body` in a transaction, committing on success. Deadlock and
-    /// lock-timeout victims are aborted and retried (fresh transaction, new
-    /// quorums) with exponential backoff, up to an attempt limit.
+    /// lock-timeout victims are aborted and retried with exponential
+    /// backoff, up to an attempt limit. A retry is the transaction's next
+    /// attempt ([`TxnManager::next_attempt`]): a fresh id with new quorums
+    /// but the first attempt's age, so under the lock tables' wait-die
+    /// policy it keeps its place behind older transactions and ahead of
+    /// younger ones, and one that keeps dying eventually becomes the oldest
+    /// and waits instead. A younger transaction facing a long-lived older
+    /// holder therefore gives up after the backoff schedule (~0.2–0.4 s).
     /// [`RepError::Unavailable`] is retried the same way. A lookup or a
     /// quorum write never produces it — the members that answer the request
     /// are the quorum, and a lost vote is re-collected inside the call — so
@@ -201,8 +207,9 @@ impl ReplicatedDirectory {
         mut body: impl FnMut(&mut DirSuite<SessionClient>) -> Result<R, SuiteError>,
     ) -> Result<R, SuiteError> {
         let mut attempt = 0;
+        let mut id = self.txns.begin();
         loop {
-            let mut txn = self.begin();
+            let mut txn = self.begin_as(id, self.random_policy());
             match body(txn.suite_mut()) {
                 Ok(out) => {
                     txn.commit();
@@ -232,6 +239,7 @@ impl ReplicatedDirectory {
                     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                     let jitter = (z ^ (z >> 31)) % base;
                     std::thread::sleep(Duration::from_millis(base + jitter));
+                    id = self.txns.next_attempt(id);
                 }
             }
         }
@@ -663,14 +671,16 @@ mod tests {
     #[test]
     fn run_retries_lock_timeouts() {
         // A transaction that holds a conflicting lock for a while: run()
-        // must retry the victim until it succeeds.
+        // must retry the victim until it succeeds. The holder is younger
+        // than the run, so the run waits for it rather than dying.
         let dir = Arc::new(dir_322(5));
         dir.insert(&k("contended"), &val("0")).unwrap();
 
         let holder = {
             let dir = Arc::clone(&dir);
             std::thread::spawn(move || {
-                let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::new()));
+                let younger = repdir_txn::TxnId::of_age(1 << 40);
+                let mut txn = dir.begin_as(younger, Box::new(FixedPolicy::new()));
                 txn.suite_mut()
                     .update(&k("contended"), &val("held"))
                     .unwrap();
@@ -685,6 +695,41 @@ mod tests {
         dir.run(|suite| suite.update(&k("contended"), &val("winner")).map(drop))
             .unwrap();
         holder.join().unwrap();
+        let got = dir.lookup(&k("contended")).unwrap().value.unwrap();
+        assert_eq!(got, val("winner"), "second writer committed last");
+    }
+
+    #[test]
+    fn run_outlasts_a_short_older_holder_through_deadlock_retries() {
+        // The twin of the test above with the ages swapped: the run is
+        // younger than the holder, so every conflicting attempt dies at
+        // once, and the backoff between attempts outlasts the short hold.
+        let dir = dir_322(5);
+        dir.insert(&k("contended"), &val("0")).unwrap();
+        let mut attempts = 0;
+        std::thread::scope(|scope| {
+            let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::new()));
+            txn.suite_mut()
+                .update(&k("contended"), &val("held"))
+                .unwrap();
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(60));
+                txn.commit();
+            });
+            dir.run(|suite| {
+                attempts += 1;
+                suite.update(&k("contended"), &val("winner")).map(drop)
+            })
+            .unwrap();
+        });
+        let stats = dir.reps().iter().map(|rep| rep.lock_stats());
+        let (deadlocks, timeouts) =
+            stats.fold((0, 0), |(d, t), s| (d + s.deadlocks, t + s.timeouts));
+        assert!(attempts > 1 && deadlocks >= 1, "{attempts} attempts");
+        assert_eq!(
+            timeouts, 0,
+            "a younger transaction never waits out a timeout"
+        );
         let got = dir.lookup(&k("contended")).unwrap().value.unwrap();
         assert_eq!(got, val("winner"), "second writer committed last");
     }

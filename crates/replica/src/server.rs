@@ -11,7 +11,7 @@ use repdir_core::{
     CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, Op, RepError, RepId,
     RepResult, Reply, UserKey, Value, Version,
 };
-use repdir_rangelock::{DeadlockDomain, KeyRange, LockError, LockMode, LockStats, RangeLockTable};
+use repdir_rangelock::{KeyRange, LockError, LockMode, LockStats, RangeLockTable};
 use repdir_repair::{
     bucket_high, bucket_low, entry_digest, low_gap_digest, ApplyStats, BucketEntry, BucketView,
     Digest, RepairPlan, SummaryCache,
@@ -21,9 +21,11 @@ use repdir_txn::TxnId;
 
 /// Transaction ids for internal repair transactions, carved out of the top
 /// of the id space so they never collide with coordinator-assigned ids.
+/// Each is a fresh age, so repair transactions are the youngest there are:
+/// they die on a coordinator's lock instead of holding up its transaction.
 fn next_repair_txn() -> TxnId {
-    static NEXT: AtomicU64 = AtomicU64::new(1 << 62);
-    TxnId(NEXT.fetch_add(1, Ordering::Relaxed))
+    static NEXT_AGE: AtomicU64 = AtomicU64::new(1 << 54);
+    TxnId::of_age(NEXT_AGE.fetch_add(1, Ordering::Relaxed))
 }
 
 /// A directory representative with the paper's full §3.1 semantics:
@@ -76,9 +78,12 @@ impl std::fmt::Debug for TransactionalRep {
 }
 
 impl TransactionalRep {
-    /// Time every lock request here waits before giving up. Long enough for
-    /// short transactions to drain, short enough to break the
-    /// cross-representative deadlocks no shared [`DeadlockDomain`] sees.
+    /// Time every lock request here waits before giving up. A request
+    /// waits only for younger (or same-age) holders — an older one kills it
+    /// at once — so this bounds how long an older transaction waits for a
+    /// younger one to finish: long enough for short transactions to drain,
+    /// short enough that a holder whose coordinator vanished (a lost
+    /// `Abort`) costs its waiters half a second, not forever.
     pub const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_millis(500);
 
     /// Creates an empty representative on a fresh simulated disk.
@@ -172,18 +177,6 @@ impl TransactionalRep {
     /// aid: an operation's lock footprint).
     pub fn locks_held(&self, txn: TxnId) -> Vec<(LockMode, KeyRange)> {
         self.locks.held_by(txn)
-    }
-
-    /// Registers this representative's lock table in a shared
-    /// [`DeadlockDomain`]. A suite's parallel write waves can block at
-    /// several representatives at once, so two transactions can deadlock
-    /// with each waits-for edge at a *different* representative — invisible
-    /// to every per-table cycle check. Joining all of a directory's
-    /// representatives into one domain lets such cycles be detected and a
-    /// victim wounded in milliseconds instead of waiting out the lock
-    /// timeout.
-    pub fn join_deadlock_domain(&self, domain: &Arc<DeadlockDomain>) {
-        self.locks.join_domain(domain);
     }
 
     /// A detached copy of current state (test/statistics aid).
@@ -1332,12 +1325,13 @@ mod tests {
         rep.begin(t).unwrap();
         rep.insert(t, &k("k999"), v(99), &val("uncommitted"))
             .unwrap();
-        // The writer's lock covers the interval: the pull blocks on it
-        // rather than leaking uncommitted data.
+        // The writer's lock covers the interval: the pull, a repair
+        // transaction younger than any writer, dies on it rather than
+        // leaking uncommitted data.
         let err = rep
             .pull_range(&k("k998"), &Key::High, usize::MAX)
             .unwrap_err();
-        assert_eq!(err, RepError::LockTimeout);
+        assert_eq!(err, RepError::Deadlock);
         rep.abort(t);
         let view = rep.pull_range(&k("k998"), &Key::High, usize::MAX).unwrap();
         assert!(view.entries.is_empty());

@@ -13,8 +13,9 @@
 //! * [`TxnManager`] — id allocation and the set of active transactions (a
 //!   finished one is forgotten);
 //! * re-exported [`TxnId`] — the lock-owner identity shared with
-//!   `repdir-rangelock`, whose youngest-victim deadlock policy relies on
-//!   this crate's monotonic id allocation.
+//!   `repdir-rangelock`, whose wait-die policy reads the age this crate
+//!   gives each transaction: a fresh one per [`TxnManager::begin`], the
+//!   same one for every retry ([`TxnManager::next_attempt`]).
 //!
 //! Undo and durability (the undo log, write-ahead logging, crash recovery)
 //! live in `repdir-storage`; the wiring of locks + storage into a serving

@@ -14,9 +14,12 @@ use repdir_rangelock::TxnId;
 /// in the full system one suite-level transaction spans several
 /// representatives, each holding locks in its own
 /// [`RangeLockTable`](repdir_rangelock::RangeLockTable) and logging undo in
-/// its own `DurableState` under the same id. Ids are allocated
-/// monotonically, so the lock tables' youngest-victim deadlock policy is
-/// well defined across representatives.
+/// its own `DurableState` under the same id. Every [`begin`](TxnManager::begin)
+/// hands out a fresh [age](TxnId::age), in increasing order, and a retry
+/// ([`next_attempt`](TxnManager::next_attempt)) keeps its transaction's age,
+/// so the lock tables' wait-die policy lets the oldest transaction wait
+/// while younger ones die, and a transaction that keeps losing eventually
+/// becomes the oldest.
 ///
 /// Only *active* transactions are tracked: a transaction's id is dropped the
 /// moment it commits or aborts, so a long-lived manager's footprint is
@@ -36,7 +39,8 @@ use repdir_rangelock::TxnId;
 /// # Ok::<(), repdir_core::RepError>(())
 /// ```
 pub struct TxnManager {
-    next: AtomicU64,
+    /// The age the next [`begin`](TxnManager::begin) hands out.
+    next_age: AtomicU64,
     active: Mutex<HashSet<TxnId>>,
     obs: TxnObs,
 }
@@ -67,18 +71,29 @@ impl Default for TxnManager {
 }
 
 impl TxnManager {
-    /// Creates a manager; the first transaction gets id 1.
+    /// Creates a manager; the first transaction gets age 1.
     pub fn new() -> Self {
         TxnManager {
-            next: AtomicU64::new(1),
+            next_age: AtomicU64::new(1),
             active: Mutex::new(HashSet::new()),
             obs: TxnObs::new(),
         }
     }
 
-    /// Starts a new transaction and returns its id.
+    /// Starts a new transaction, younger than every one begun before it,
+    /// and returns its first attempt's id.
     pub fn begin(&self) -> TxnId {
-        let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
+        self.start(TxnId::of_age(self.next_age.fetch_add(1, Ordering::Relaxed)))
+    }
+
+    /// Starts the next attempt of `id`'s transaction — a fresh id with the
+    /// same age, so a retry keeps its place among older and younger
+    /// transactions. The caller has finished `id` first.
+    pub fn next_attempt(&self, id: TxnId) -> TxnId {
+        self.start(id.next_attempt())
+    }
+
+    fn start(&self, id: TxnId) -> TxnId {
         self.obs.begun.inc();
         self.active.lock().insert(id);
         id
@@ -139,6 +154,19 @@ mod tests {
         let b = mgr.begin();
         assert!(a < b);
         assert_eq!(mgr.active_count(), 2);
+    }
+
+    #[test]
+    fn each_begin_is_younger_and_retries_keep_their_age() {
+        let mgr = TxnManager::new();
+        let first = mgr.begin();
+        let second = mgr.begin();
+        assert!(first.age() < second.age());
+        mgr.abort(first);
+        let retry = mgr.next_attempt(first);
+        assert!(mgr.is_active(retry));
+        assert_eq!((retry.age(), retry.attempt()), (first.age(), 1));
+        assert!(retry.age() < second.age(), "the retry stays the elder");
     }
 
     #[test]

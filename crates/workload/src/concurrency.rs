@@ -8,7 +8,8 @@
 //! * **Threaded throughput** of the full transactional stack
 //!   ([`ReplicatedDirectory`]) with writers on *disjoint* key ranges versus
 //!   all writers hammering *one* key — disjoint writers scale, hotspot
-//!   writers serialize on range locks.
+//!   writers serialize on range locks, the younger ones dying and retrying
+//!   (wait-die).
 //! * **Interleaved conflict counting** for the single-version file baseline:
 //!   overlapped read-modify-write rounds conflict in proportion to the
 //!   number of concurrent clients, even when the clients touch different
@@ -29,8 +30,17 @@ use repdir_replica::ReplicatedDirectory;
 /// Throughput measurement result.
 #[derive(Clone, Debug)]
 pub struct ThroughputReport {
-    /// Operations completed across all threads.
+    /// Operations committed across all threads.
     pub ops: u64,
+    /// Operations whose transaction gave up with a member error — in a run
+    /// with every representative up, a lock conflict that outlasted every
+    /// retry.
+    pub exhausted: u64,
+    /// Attempts that aborted (a retried conflict, or an exhausted
+    /// operation's last attempt).
+    pub aborts: u64,
+    /// The most attempts one operation's transaction used.
+    pub max_attempts: u32,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Lock acquisitions that had to wait, summed over representatives.
@@ -50,6 +60,11 @@ impl ThroughputReport {
             self.ops as f64 / self.elapsed.as_secs_f64()
         }
     }
+
+    /// Aborted attempts per committed operation.
+    pub fn aborts_per_commit(&self) -> f64 {
+        self.aborts as f64 / self.ops.max(1) as f64
+    }
 }
 
 /// Runs `threads` writers against a 3-2-2 transactional directory.
@@ -59,10 +74,13 @@ impl ThroughputReport {
 /// every thread updates the same single key (the serialized worst case —
 /// equivalent to what a whole-directory version imposes on *all* keys).
 ///
+/// Every operation is one [`ReplicatedDirectory::run`]; one that gives up
+/// is counted in [`ThroughputReport::exhausted`], not in `ops`.
+///
 /// # Panics
 ///
-/// Panics if a worker hits a non-retryable error (all representatives stay
-/// up for the run).
+/// Panics if a worker hits an error other than a member's
+/// (`SuiteError::Rep`): all representatives stay up for the run.
 pub fn repdir_throughput(
     threads: usize,
     ops_per_thread: u64,
@@ -93,23 +111,31 @@ pub fn repdir_throughput(
             } else {
                 hot_key()
             };
+            // Per operation: attempts used, and whether it committed.
+            let mut outcomes: Vec<(u32, bool)> = Vec::new();
             for i in 0..ops_per_thread {
                 let value = Value::from(i.to_le_bytes().to_vec());
-                match dir.update(&key, &value) {
-                    Ok(()) => {}
-                    // Retries exhausted under extreme contention: count the
-                    // op as done-with-difficulty rather than aborting the
-                    // whole experiment.
-                    Err(SuiteError::Rep(_)) => {}
+                let mut attempts = 0;
+                let outcome = dir.run(|suite| {
+                    attempts += 1;
+                    suite.update(&key, &value).map(drop)
+                });
+                let committed = match outcome {
+                    Ok(()) => true,
+                    Err(SuiteError::Rep(_)) => false,
                     Err(e) => panic!("worker error: {e}"),
-                }
+                };
+                outcomes.push((attempts, committed));
             }
+            outcomes
         }));
     }
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
+    let outcomes: Vec<(u32, bool)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("worker panicked"))
+        .collect();
     let elapsed = start.elapsed();
+    let ops = outcomes.iter().filter(|(_, committed)| *committed).count() as u64;
 
     let mut lock_waits = 0;
     let mut deadlocks = 0;
@@ -121,7 +147,17 @@ pub fn repdir_throughput(
         timeouts += s.timeouts;
     }
     ThroughputReport {
-        ops: threads as u64 * ops_per_thread,
+        ops,
+        exhausted: outcomes.len() as u64 - ops,
+        aborts: outcomes
+            .iter()
+            .map(|&(attempts, committed)| u64::from(attempts) - u64::from(committed))
+            .sum(),
+        max_attempts: outcomes
+            .iter()
+            .map(|&(attempts, _)| attempts)
+            .max()
+            .unwrap_or(0),
         elapsed,
         lock_waits,
         deadlocks,
@@ -306,6 +342,10 @@ mod tests {
     fn repdir_disjoint_writers_avoid_lock_waits() {
         let report = repdir_throughput(4, 25, true, 4);
         assert_eq!(report.ops, 100);
+        assert_eq!(
+            (report.exhausted, report.aborts, report.max_attempts),
+            (0, 0, 1)
+        );
         assert_eq!(report.deadlocks, 0);
         // Disjoint ranges: directory-level data locks never collide. (A
         // handful of waits can still occur on metadata-free paths; none
@@ -317,8 +357,9 @@ mod tests {
     #[test]
     fn repdir_hotspot_writers_contend() {
         // Deterministic contention: one transaction holds the hot key's
-        // range lock while another thread updates it — the second must
-        // wait until the first commits.
+        // range lock while another thread updates it. The second is the
+        // younger, so it dies on the lock (wait-die) and retries until the
+        // first commits; no attempt waits out a lock timeout.
         let dir = Arc::new(
             ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 5).unwrap(),
         );
@@ -334,11 +375,12 @@ mod tests {
         std::thread::sleep(Duration::from_millis(80));
         txn.commit();
         waiter.join().unwrap().unwrap();
-        let waits: u64 = dir.reps().iter().map(|r| r.lock_stats().waited).sum();
+        let deadlocks: u64 = dir.reps().iter().map(|r| r.lock_stats().deadlocks).sum();
         let timeouts: u64 = dir.reps().iter().map(|r| r.lock_stats().timeouts).sum();
         assert!(
-            waits + timeouts > 0,
-            "hotspot writer must queue on the range lock"
+            deadlocks >= 1 && timeouts == 0,
+            "the younger hotspot writer must die on the range lock, not wait it out \
+             ({deadlocks} deadlocks, {timeouts} timeouts)"
         );
         assert_eq!(
             dir.lookup(&hot_key()).unwrap().value,

@@ -36,7 +36,11 @@
 #    pass over the same divergence (12, 6), and a sweep of a member whose
 #    buckets 0..87 are dirty (16, 76). The 256-bucket full-copy reference
 #    is reported, not gated.
-# 9. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
+# 9. Runs the concurrency experiment (`--bin concurrency`), which exits
+#    non-zero if any operation of its threaded writers, disjoint or on one
+#    hot key, exhausted ReplicatedDirectory::run's attempts; its rows print
+#    aborts per committed transaction and the most attempts one used.
+# 10. Runs the benchmark crate's unit tests and `benchmark/run.sh --smoke`
 #    (a separate workspace under benchmark/, built against this checkout):
 #    the benchmark drives the stack through a small allow-list of public API
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
@@ -54,10 +58,10 @@
 #    1.3x what the O(n / bulk_chunk)-wave bulk operations measure in smoke
 #    mode, so a per-entry or per-key round cannot come back unnoticed.
 #    Nothing under benchmark/ is edited by this gate.
-# 10. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
+# 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
-# 11. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
-#    gates 4 to 8 pinned and gate 9's traced net.msgs_per_op. Counts
+# 12. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
+#    gates 4 to 8 pinned and gate 10's traced net.msgs_per_op. Counts
 #    repeat, so the history shows a budget moving, not noise. Then prints
 #    the code / comment / test line split of crates/core/src/suite and of
 #    every crates/*/src (scripts/suite_loc.sh), the per-crate report every
@@ -135,6 +139,10 @@ gate_done
 
 gate "repair_bench --quick --check (sparse sweep 26 msgs / 6 entries, vote pass 12 / 6, dense sweep 16 / 76)"
 cargo run --release --offline -p repdir-bench --bin repair_bench -- --quick --check
+gate_done
+
+gate "concurrency (no threaded writer's operation exhausts its retries)"
+cargo run --release --offline -p repdir-bench --bin concurrency
 gate_done
 
 gate "benchmark crate: unit tests + run.sh --smoke (the benchmark's API allow-list still builds and runs; msgs/op within the round budget)"

@@ -12,7 +12,7 @@
 //! |--------|----------|
 //! | [`obs`] | zero-dependency metrics and tracing: counters, histograms, EWMAs, spans |
 //! | [`core`] | keys/versions/values, the gap-versioned map, the suite algorithm |
-//! | [`rangelock`] | Figure-7 range locking, two-phase locking, deadlock detection |
+//! | [`rangelock`] | Figure-7 range locking, two-phase locking, wait-die deadlock prevention |
 //! | [`txn`] | transaction ids, lifecycle, undo |
 //! | [`storage`] | simulated disk, write-ahead log, recovery, gap-versioned B-tree |
 //! | [`net`] | simulated network with latency/drops/partitions and RPC |
