@@ -25,7 +25,8 @@ impl<C: RepClient> RepClient for Inline<C> {
 }
 
 /// Lists the suite one `real_successor` search per entry: a quorum
-/// collection, a chain wave and a value lookup per hop.
+/// collection and a chain wave per hop, and a value lookup for an entry
+/// whose value is too large to ride the chain.
 ///
 /// # Errors
 ///

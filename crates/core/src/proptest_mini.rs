@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline with zero external crates, so this module
 //! replaces the subset of `proptest` the test suite uses: strategies for
-//! scalars, ranges, tuples and vectors, `prop_map`, weighted
+//! scalars, ranges, tuples and vectors, [`Just`], `prop_map`, weighted
 //! [`prop_oneof!`], a [`proptest!`] test macro, and *shrinking-lite* — on
 //! failure, the harness minimises the failing input by dropping list
 //! elements and walking scalars toward their lower bound, then reports the
@@ -263,6 +263,17 @@ impl Strategy for Range<f64> {
         } else {
             Vec::new()
         }
+    }
+}
+
+/// The strategy that always yields one value (cf. `proptest::strategy::Just`).
+#[derive(Clone, Copy, Debug)]
+pub struct Just<T>(pub T);
+
+impl<T: Clone + Debug> Strategy for Just<T> {
+    type Value = T;
+    fn generate(&self, _rng: &mut SplitMix64) -> T {
+        self.0.clone()
     }
 }
 
@@ -614,7 +625,7 @@ macro_rules! proptest {
 /// against the upstream crate (`proptest::collection::vec(...)`) compile
 /// unchanged.
 pub mod prelude {
-    pub use super::{any, Arbitrary, BoxedStrategy, ProptestConfig, Strategy, Union};
+    pub use super::{any, Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, Union};
     pub use crate::proptest_mini as proptest;
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
 }

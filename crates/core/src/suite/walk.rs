@@ -217,11 +217,15 @@ impl Walk {
     }
 
     /// The finished walk as a public search result, with the value its chain
-    /// heads carried, if any.
+    /// heads carried, if any. A sentinel's value is always empty.
     fn search(self) -> NeighborSearch {
         let (key, version) = self.found.clone().expect("the walk has run");
+        let value = match key.is_sentinel() {
+            true => Some(Value::empty()),
+            false => self.carried(&key, version),
+        };
         NeighborSearch {
-            value: self.carried(&key, version),
+            value,
             key,
             version,
             max_gap_version: self.max_gap_version,
@@ -264,7 +268,7 @@ impl<C: RepClient> DirSuite<C> {
     /// A public Fig. 12 search: collect the read quorum, resolve the real
     /// neighbour from the members' chains, and take its value off the chain
     /// head that named it, or fetch it with one lookup when it was too large
-    /// to ride (and for a sentinel).
+    /// to ride. A sentinel needs neither: its value is always empty.
     fn neighbor_search(&mut self, key: &Key, dir: Direction) -> Result<NeighborSearch, SuiteError> {
         let _span = self.obs.registry.span("suite.neighbor");
         self.with_session_scope(|s| {
@@ -692,8 +696,8 @@ mod tests {
     fn search_takes_a_small_value_off_the_chain() {
         // The public search reads a small neighbour's value off the chain
         // head that named it: after the ping collection, one chain request
-        // per quorum member. A large value, or a sentinel, still costs the
-        // suite lookup's R requests more.
+        // per quorum member. A large value still costs the suite lookup's R
+        // requests more; a sentinel's empty value costs nothing.
         let mut s = suite_322(41);
         s.set_policy(fixed(&[0, 1, 2]));
         s.insert(&k("b"), &val("B")).unwrap();
@@ -701,7 +705,7 @@ mod tests {
         for (from, key, value, msgs) in [
             ("a", k("b"), val("B"), [1, 1, 0]),
             ("c", k("d"), big("D"), [2, 2, 0]),
-            ("d", Key::High, Value::empty(), [2, 2, 0]),
+            ("d", Key::High, Value::empty(), [1, 1, 0]),
         ] {
             s.reset_message_counts();
             let found = s.real_successor(&k(from)).unwrap();

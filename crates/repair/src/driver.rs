@@ -5,7 +5,8 @@
 //! ROADMAP left open: *what* to repair and *when*. It drains a stale-vote
 //! source (the evidence quorum reads collect for free), coalesces the
 //! votes into distinct summary buckets, and issues bucket-targeted pulls —
-//! no summary walk, two fabric messages per divergent bucket. Only when
+//! no summary walk, two fabric messages per divergent bucket; a bucket
+//! whose pull lost a lock conflict is carried to the next tick. Only when
 //! the queue is dry does it fall back to periodic summary sweeps (one
 //! [`Repairer::run_round`]: a walk, then one range pull per run of dirty
 //! buckets), and the sweep interval adapts ([`Pacing`]): geometric backoff
@@ -27,7 +28,7 @@ use std::time::Duration;
 use repdir_core::suite::StaleVote;
 use repdir_core::Key;
 
-use crate::repairer::{ApplyStats, Repairer, RoundStats};
+use crate::repairer::{ApplyStats, RepairError, Repairer, RoundStats};
 use crate::summary::bucket_of;
 
 /// Adaptive pacing bounds for a repair driver.
@@ -148,10 +149,18 @@ pub struct TickStats {
     pub pulls: u64,
     /// Pull attempts that failed with a transient error.
     pub errors: u64,
-    /// Buckets every peer failed on; their evidence is dropped — the next
-    /// read of a still-stale key re-queues it, and the fallback sweep
-    /// covers divergence nothing reads.
+    /// Buckets every peer failed on. Those in `carried` are pulled again by
+    /// the next drain; for the rest the evidence is dropped — the next read
+    /// of a still-stale key re-queues it, and the fallback sweep covers
+    /// divergence nothing reads.
     pub unrepaired: u64,
+    /// Unrepaired buckets a pull failed on with a lock conflict
+    /// ([`RepairError::Contended`]). A repair transaction is younger than
+    /// any client's, so it dies on a client's lock (the voting read's own,
+    /// for one, whose transaction is still open when its vote wakes the
+    /// driver); the bucket is kept for the next drain rather than dropped
+    /// with its spent votes.
+    pub carried: u64,
     /// What the applied plans changed.
     pub applied: ApplyStats,
 }
@@ -253,6 +262,9 @@ pub struct RepairDriver {
     next_peer: usize,
     /// Something was applied since the last checkpoint.
     unsaved: bool,
+    /// Buckets whose last pull lost a lock conflict; the next drain pulls
+    /// them with whatever buckets its votes name.
+    contended: BTreeSet<u8>,
 }
 
 impl RepairDriver {
@@ -266,6 +278,7 @@ impl RepairDriver {
             pacing,
             next_peer: 0,
             unsaved: false,
+            contended: BTreeSet::new(),
         }
     }
 
@@ -289,22 +302,24 @@ impl RepairDriver {
 
     /// Synchronously drains the vote source and issues one targeted bucket
     /// pull per distinct divergent bucket, rotating to the next peer when
-    /// one fails mid-pull. This is the exact work a background tick does
-    /// when votes are pending; it is public so tests and benches can drive
-    /// it deterministically.
+    /// one fails mid-pull. Buckets the previous drain carried (a pull lost a
+    /// lock conflict) are pulled again with the new votes' buckets. This is
+    /// the exact work a background tick does when votes are pending; it is
+    /// public so tests and benches can drive it deterministically.
     pub fn drain_and_pull(&mut self) -> TickStats {
         let mut tick = TickStats::default();
         let Some(source) = self.votes.as_mut() else {
             return tick;
         };
         let votes = source();
-        if votes.is_empty() {
+        if votes.is_empty() && self.contended.is_empty() {
             return tick;
         }
         tick.votes = votes.len() as u64;
         // Coalesce per bucket: ten stale keys under one leading byte cost
         // one pull, which ships the whole bucket anyway.
-        let buckets: BTreeSet<u8> = votes.iter().map(|v| vote_bucket(&v.key)).collect();
+        let mut buckets = std::mem::take(&mut self.contended);
+        buckets.extend(votes.iter().map(|v| vote_bucket(&v.key)));
         tick.buckets = buckets.len() as u64;
         let reg = repdir_obs::global();
         let targeted = reg.counter("repair.driver.targeted_pulls");
@@ -312,6 +327,7 @@ impl RepairDriver {
         let peer_count = self.repairer.peer_count();
         for bucket in buckets {
             let mut repaired = false;
+            let mut contended = false;
             for attempt in 0..peer_count {
                 let peer = (self.next_peer + attempt) % peer_count;
                 targeted.inc();
@@ -324,7 +340,8 @@ impl RepairDriver {
                         repaired = true;
                         break;
                     }
-                    Err(_) => {
+                    Err(e) => {
+                        contended |= e == RepairError::Contended;
                         tick.errors += 1;
                         peer_errors.inc();
                     }
@@ -332,6 +349,10 @@ impl RepairDriver {
             }
             if !repaired {
                 tick.unrepaired += 1;
+                if contended {
+                    tick.carried += 1;
+                    self.contended.insert(bucket);
+                }
             }
         }
         self.unsaved |= tick.applied.total() > 0;
@@ -428,7 +449,7 @@ impl RepairDriver {
                                 sink(true);
                             }
                         } else if unhealthy
-                            && ((tick.votes > 0 && tick.errors == 0) || (swept && !swept_errors))
+                            && ((tick.buckets > 0 && tick.errors == 0) || (swept && !swept_errors))
                         {
                             unhealthy = false;
                             sink(false);
@@ -456,6 +477,11 @@ impl RepairDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::{BucketEntry, BucketView, RepairPlan};
+    use crate::repairer::{RepairPeer, RepairTarget};
+    use crate::summary::{Digest, FANOUT};
+    use repdir_core::{UserKey, Value, Version};
+    use std::sync::{Arc, Mutex};
 
     fn pacing(floor_ms: u64, cap_ms: u64, factor: f64) -> Pacing {
         Pacing {
@@ -563,9 +589,116 @@ mod tests {
         );
     }
 
+    /// A target that holds nothing and reports every planned install.
+    struct EmptyTarget;
+
+    impl RepairTarget for EmptyTarget {
+        fn children(&self, _: u8, _: u8) -> Result<Vec<Digest>, RepairError> {
+            Ok(vec![Digest::default(); FANOUT])
+        }
+        fn span(&self, _: u8, _: u8) -> Result<(Key, Key), RepairError> {
+            Ok((Key::Low, Key::High))
+        }
+        fn range(&self, _: &Key, _: &Key) -> Result<BucketView, RepairError> {
+            Ok(BucketView::default())
+        }
+        fn apply(&self, plan: &RepairPlan) -> Result<ApplyStats, RepairError> {
+            Ok(ApplyStats {
+                installed: plan.installs.len() as u64,
+                ..ApplyStats::default()
+            })
+        }
+    }
+
+    /// A peer that fails a pull with each queued error in turn, and then
+    /// serves one entry, "apple".
+    struct FlakyPeer(Arc<Mutex<Vec<RepairError>>>);
+
+    impl RepairPeer for FlakyPeer {
+        fn summary(&self, _: u8, _: u8) -> Result<Vec<Digest>, RepairError> {
+            Ok(vec![Digest::default(); FANOUT])
+        }
+        fn pull_range(&self, _: &Key, _: &Key) -> Result<BucketView, RepairError> {
+            if let Some(error) = self.0.lock().unwrap().pop() {
+                return Err(error);
+            }
+            let entry = BucketEntry {
+                key: UserKey::new(*b"apple"),
+                version: Version::new(1),
+                value: Value::from("A"),
+                gap_after: Version::new(0),
+            };
+            Ok(BucketView {
+                lead_gap: Version::new(0),
+                entries: vec![entry],
+            })
+        }
+    }
+
+    #[test]
+    fn a_contended_bucket_is_carried_until_a_later_drain_repairs_it() {
+        let vote = |key: &str| StaleVote {
+            member: 0,
+            key: Key::from(key),
+            seen: Version::new(0),
+            latest: Version::new(1),
+        };
+        let votes = Arc::new(Mutex::new(vec![vote("apple")]));
+        let errors = Arc::new(Mutex::new(vec![RepairError::Contended; 3]));
+        let peer = FlakyPeer(Arc::clone(&errors));
+        let repairer = Repairer::new(Arc::new(EmptyTarget), vec![Box::new(peer)]);
+        let source = Arc::clone(&votes);
+        let mut driver =
+            RepairDriver::new(repairer, Pacing::default()).with_vote_source(Box::new(move || {
+                std::mem::take(&mut *source.lock().unwrap())
+            }));
+        let contended = TickStats {
+            buckets: 1,
+            pulls: 1,
+            errors: 1,
+            unrepaired: 1,
+            carried: 1,
+            ..TickStats::default()
+        };
+        let voted = TickStats {
+            votes: 1,
+            ..contended
+        };
+        // The vote's drain loses the conflict; the bucket outlives its vote.
+        assert_eq!(driver.drain_and_pull(), voted);
+        // A drain with no votes pulls the carried bucket alone.
+        assert_eq!(driver.drain_and_pull(), contended);
+        // A new vote in the same bucket coalesces with the carried one.
+        votes.lock().unwrap().push(vote("avocado"));
+        assert_eq!(driver.drain_and_pull(), voted);
+        // The conflict is gone: one pull repairs the bucket, and nothing is
+        // left to carry.
+        let applied = ApplyStats {
+            installed: 1,
+            ..ApplyStats::default()
+        };
+        let repaired = TickStats {
+            buckets: 1,
+            pulls: 1,
+            applied,
+            ..TickStats::default()
+        };
+        assert_eq!(driver.drain_and_pull(), repaired);
+        assert_eq!(driver.drain_and_pull(), TickStats::default());
+        // A pull that fails for another reason drops its bucket with its
+        // votes: the next drain has nothing to pull.
+        errors.lock().unwrap().push(RepairError::Unavailable);
+        votes.lock().unwrap().push(vote("apple"));
+        let dropped = TickStats {
+            carried: 0,
+            ..voted
+        };
+        assert_eq!(driver.drain_and_pull(), dropped);
+        assert_eq!(driver.drain_and_pull(), TickStats::default());
+    }
+
     #[test]
     fn vote_buckets_cover_sentinel_keys() {
-        use repdir_core::UserKey;
         assert_eq!(vote_bucket(&Key::Low), 0);
         assert_eq!(vote_bucket(&Key::High), 255);
         assert_eq!(vote_bucket(&Key::User(UserKey::new(vec![0x41, 1]))), 0x41);

@@ -15,7 +15,7 @@
 //!   number of concurrent clients, even when the clients touch different
 //!   keys.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use repdir_baselines::{BaselineError, FileSuite, StaticPartitionDirectory};
@@ -101,16 +101,20 @@ pub fn repdir_throughput(
         dir.insert(&hot_key(), &Value::from("0")).expect("setup");
     }
 
-    let start = Instant::now();
+    // Every worker waits at the barrier, so their operations overlap from
+    // the first; the clock starts when the barrier releases them.
+    let barrier = Arc::new(Barrier::new(threads + 1));
     let mut handles = Vec::new();
     for t in 0..threads {
         let dir = Arc::clone(&dir);
+        let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             let key = if disjoint {
                 worker_key(t, 0)
             } else {
                 hot_key()
             };
+            barrier.wait();
             // Per operation: attempts used, and whether it committed.
             let mut outcomes: Vec<(u32, bool)> = Vec::new();
             for i in 0..ops_per_thread {
@@ -130,6 +134,8 @@ pub fn repdir_throughput(
             outcomes
         }));
     }
+    barrier.wait();
+    let start = Instant::now();
     let outcomes: Vec<(u32, bool)> = handles
         .into_iter()
         .flat_map(|h| h.join().expect("worker panicked"))

@@ -18,7 +18,12 @@
 //!   the single-version file baseline's conflict behaviour;
 //! * [`adapter`] — the paper's algorithm behind the baselines'
 //!   [`DirectoryOps`](repdir_baselines::DirectoryOps) interface, plus an
-//!   empirical availability driver.
+//!   empirical availability driver;
+//! * [`spec`] — the directory's executable sequential specification
+//!   ([`Spec`](spec::Spec), one [`Op`](spec::Op) type, the suite's per-key
+//!   error rules) and the named key [`Shape`](spec::Shape)s property tests
+//!   draw from, including shapes that straddle the summary buckets, the
+//!   64-entry chunk, the 512-entry pull cap and the 64-byte inline bound.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,6 +35,7 @@ pub mod concurrency;
 pub mod keys;
 pub mod locality;
 pub mod sim;
+pub mod spec;
 pub mod stats;
 
 pub use adapter::{empirical_availability, SuiteDirectory, TrialOutcome};

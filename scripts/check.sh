@@ -4,7 +4,8 @@
 # 1. Greps every Cargo.toml for dependencies that are not in-workspace
 #    `repdir-*` path crates (the zero-external-dependency policy, DESIGN.md §6).
 # 2. Builds the whole workspace offline (release, all targets).
-# 3. Runs the full test suite offline.
+# 3. Runs the full test suite offline, timing it (the debug test build
+#    included) and counting the tests that passed.
 # 4. Runs the suite_latency bench in quick mode, which fails unless a lookup
 #    costs 1 round of R requests, an insert 2 of R + W, a delete 3 of R + 2W,
 #    with no ping, through remote clients and serialized (`reference::Inline`)
@@ -61,8 +62,10 @@
 # 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
 #    and lint-clean.
 # 12. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
-#    gates 4 to 8 pinned and gate 10's traced net.msgs_per_op. Counts
-#    repeat, so the history shows a budget moving, not noise. Then prints
+#    gates 4 to 8 pinned, gate 10's traced net.msgs_per_op, and gate 3's
+#    passed-test count and wall time (test_wall_s, seconds). Counts repeat,
+#    so the history shows a budget moving, not noise; the wall time is the
+#    one timing in it, for a change's before/after on one machine. Then prints
 #    the code / comment / test line split of crates/core/src/suite and of
 #    every crates/*/src (scripts/suite_loc.sh), the per-crate report every
 #    change gives, for information.
@@ -114,7 +117,13 @@ cargo build --release --offline --workspace --all-targets
 gate_done
 
 gate "cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+test_log=$(mktemp)
+trap 'rm -f "$test_log"' EXIT
+test_started=$(date +%s.%N)
+cargo test -q --offline --workspace 2>&1 | tee "$test_log"
+test_wall_s=$(python3 -c "print(round($(date +%s.%N) - $test_started, 1))")
+tests_passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$test_log")
+echo "    $tests_passed tests passed in ${test_wall_s}s"
 gate_done
 
 gate "cargo build --offline --examples"
@@ -181,7 +190,7 @@ gate_done
 
 gate "BENCH_history.jsonl: this run's counts, keyed by commit"
 commit=$(git rev-parse --short HEAD)$(git diff --quiet HEAD -- . ':!BENCH_*' || echo "-dirty")
-python3 - "$commit" <<'PY'
+python3 - "$commit" "$tests_passed" "$test_wall_s" <<'PY'
 import json, sys
 load = lambda name: json.load(open(f"BENCH_{name}.json"))
 counts = lambda bench, unit: {k: v for k, v in bench.items() if k.endswith("_per_" + unit)}
@@ -200,6 +209,8 @@ line = {
     },
     "repair": counts(load("repair"), "pass"),
     "net.msgs_per_op": {r["workload"]: r["metrics"]["net.msgs_per_op"]["value"] for r in runs if r["traced"]},
+    "tests_passed": int(sys.argv[2]),
+    "test_wall_s": float(sys.argv[3]),
 }
 with open("BENCH_history.jsonl", "a") as history:
     history.write(json.dumps(line, sort_keys=True) + "\n")

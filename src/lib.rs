@@ -19,7 +19,7 @@
 //! | [`replica`] | the transactional representative server and clients |
 //! | [`repair`] | anti-entropy: summary trees, range pulls bounded by the receiver's own keys, merge planning, the background repair driver |
 //! | [`baselines`] | unanimous update, primary copy, Gifford file voting, static partitions, naive per-entry versions |
-//! | [`workload`] | simulation driver, statistics, availability and locality experiments |
+//! | [`workload`] | simulation driver, statistics, availability and locality experiments, the sequential spec and key shapes property tests check against |
 //!
 //! ## Quickstart
 //!

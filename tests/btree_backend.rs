@@ -2,12 +2,12 @@
 //! representation instead of the default map — same semantics, byte-level
 //! different storage.
 
-use repdir::core::rng::StdRng;
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::SuiteConfig;
 use repdir::core::{Key, UserKey, Value};
 use repdir::replica::ReplicatedDirectory;
 use repdir::storage::Backend;
-use std::collections::BTreeMap;
+use repdir::workload::spec::{Shape, Spec, POINT};
 
 fn btree_dir(seed: u64, order: usize) -> ReplicatedDirectory {
     ReplicatedDirectory::with_backend(
@@ -52,49 +52,29 @@ fn btree_backend_survives_crash_recovery() {
     }
 }
 
+/// The same seeded workload against both backends: every reply must match
+/// the sequential spec. Shapes: `dense_u8` and `spread`.
 #[test]
 fn btree_and_map_backends_agree_on_a_random_workload() {
-    // The same seeded workload against both backends; every observable
-    // answer must match (and match the model).
-    let map_dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 7).unwrap();
-    let tree_dir = btree_dir(7, 4);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-    let mut rng = StdRng::seed_from_u64(99);
-    for _ in 0..400 {
-        let k = rng.gen_range(0u8..20);
-        let key = Key::User(UserKey::from_u64(k as u64));
-        let v: u8 = rng.gen();
-        match rng.gen_range(0..4u8) {
-            0 if !model.contains_key(&k) => {
-                map_dir.insert(&key, &Value::from(vec![v])).unwrap();
-                tree_dir.insert(&key, &Value::from(vec![v])).unwrap();
-                model.insert(k, v);
-            }
-            1 if model.contains_key(&k) => {
-                map_dir.update(&key, &Value::from(vec![v])).unwrap();
-                tree_dir.update(&key, &Value::from(vec![v])).unwrap();
-                model.insert(k, v);
-            }
-            2 if model.contains_key(&k) => {
-                map_dir.delete(&key).unwrap();
-                tree_dir.delete(&key).unwrap();
-                model.remove(&k);
-            }
-            _ => {
-                let a = map_dir.lookup(&key).unwrap();
-                let b = tree_dir.lookup(&key).unwrap();
-                assert_eq!(a.present, model.contains_key(&k));
-                assert_eq!(b.present, model.contains_key(&k));
-                if let Some(mv) = model.get(&k) {
-                    assert_eq!(a.value, Some(Value::from(vec![*mv])));
-                    assert_eq!(b.value, Some(Value::from(vec![*mv])));
-                }
+    for shape in [Shape::DenseU8(20), Shape::Spread(20)] {
+        let map_dir =
+            ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 7).unwrap();
+        let tree_dir = btree_dir(7, 4);
+        let mut spec = Spec::new();
+        let mut rng = SplitMix64::new(99);
+        let draws = shape.op(POINT);
+        for step in 0..400 {
+            let op = draws.draw(&mut rng);
+            let expect = spec.apply(&op);
+            for dir in [&map_dir, &tree_dir] {
+                let reply = dir.run(|suite| op.run(suite));
+                assert_eq!(reply, expect, "{shape:?} step {step}: {op:?}");
             }
         }
-    }
-    // Snapshot invariants hold on every B-tree-backed representative.
-    for rep in tree_dir.reps() {
-        rep.snapshot().check_invariants().unwrap();
+        // Snapshot invariants hold on every B-tree-backed representative.
+        for rep in tree_dir.reps() {
+            rep.snapshot().check_invariants().unwrap();
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! instead of per-key round trips — never *what* they do. The property test
 //! pins that: over randomized bulk batches, `insert_many`/`delete_many`
 //! under session quorums, the per-key baseline (`reference::*_per_key`),
-//! and a `BTreeMap` model replaying the sequential loop agree on every
+//! and the sequential spec replaying the loop agree on every
 //! outcome, while each successful session batch pays exactly one read and
 //! one write collection and no ping: an ingest's collections carry its
 //! discovery and write envelopes, a bulk delete's its first window's wave A
@@ -17,255 +17,103 @@
 //! first unacknowledged key, and leave every key applied exactly once at
 //! its originally assigned version — no lost write, no double-apply.
 
+mod support;
+
 use repdir::baselines::reference::{delete_per_key, insert_per_key, per_hop_scan};
+use repdir::core::proptest_mini::collection::vec;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir::core::{
-    Completion, Key, Op as RepOp, RepClient, RepId, RepResult, Reply, SuiteError, UserKey, Value,
-    Version,
-};
-use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir::txn::TxnId;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use repdir::core::{Key, UserKey, Value, Version};
+use repdir::net::NodeId;
+use repdir::workload::spec::{self, Answer, Kind, Op, Shape, Spec, CHUNK_STRADDLE};
+use std::sync::atomic::Ordering;
+use support::{networked_suite, waves_and_pings, Fixture};
 
-#[derive(Clone, Debug)]
-enum Op {
-    InsertMany(Vec<(u8, u8)>),
-    DeleteMany(Vec<u8>),
-}
+/// Bulk ≡ per-key baseline ≡ sequential spec, with the exact coordination
+/// price pinned: every successful nonempty session batch collects exactly
+/// one read and one write quorum. Shapes: `dense_u8` (48 cases),
+/// `chunk_straddle` and `inline_straddle`.
+#[test]
+fn bulk_ops_match_per_key_baseline_and_model() {
+    let mut shapes = vec![(Shape::DenseU8(12), 48), (Shape::InlineStraddle(12), 3)];
+    shapes.extend(CHUNK_STRADDLE.map(|n| (Shape::ChunkStraddle(n), 3)));
+    const BULK: &[(u32, Kind)] = &[(1, Kind::InsertMany), (1, Kind::DeleteMany)];
+    spec::check(
+        &shapes,
+        |shape| {
+            (
+                vec(shape.op(BULK).batch(0..12), 1..8),
+                any::<u64>(),
+                0usize..3,
+            )
+        },
+        |_, (ops, seed, cfg_choice)| {
+            let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
+            let config = SuiteConfig::symmetric(n, r, w).expect("legal config");
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        proptest::collection::vec((any::<u8>(), any::<u8>()), 0..12)
-            .prop_map(|kvs| Op::InsertMany(kvs.into_iter().map(|(k, v)| (k % 12, v)).collect())),
-        proptest::collection::vec(any::<u8>(), 0..12)
-            .prop_map(|ks| Op::DeleteMany(ks.into_iter().map(|k| k % 12).collect())),
-    ]
-}
+            // Both suites follow the same seed-derived fixed quorum order,
+            // so they hold identical representative states and the
+            // comparison is exact rather than confounded by quorum choice.
+            let rot = (seed % n as u64) as usize;
+            let order: Vec<usize> = (0..n as usize).map(|i| (i + rot) % n as usize).collect();
+            let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
+            session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
+            let mut baseline = DirSuite::in_process(config, seed).expect("suite");
+            baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
+            let mut spec = Spec::new();
 
-fn key_of(k: u8) -> Key {
-    Key::User(UserKey::from_u64(k as u64))
-}
-
-fn value_of(v: u8) -> Value {
-    Value::from(vec![v])
-}
-
-fn waves_and_pings(suite: &DirSuite<impl RepClient + 'static>) -> (u64, u64) {
-    let snap = suite.obs().snapshot();
-    (
-        snap.counter("suite.quorum.waves"),
-        suite.ping_counts().iter().sum(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Bulk ≡ per-key baseline ≡ sequential-loop model, with the exact
-    /// coordination price pinned: every successful nonempty session batch
-    /// collects exactly one read and one write quorum.
-    #[test]
-    fn bulk_ops_match_per_key_baseline_and_model(
-        ops in proptest::collection::vec(op_strategy(), 1..8),
-        seed in any::<u64>(),
-        cfg_choice in 0usize..3,
-    ) {
-        let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
-        let config = SuiteConfig::symmetric(n, r, w).expect("legal config");
-
-        // Both suites follow the same seed-derived fixed quorum order, so
-        // they hold identical representative states and the comparison is
-        // exact rather than confounded by quorum choice.
-        let rot = (seed % n as u64) as usize;
-        let order: Vec<usize> = (0..n as usize).map(|i| (i + rot) % n as usize).collect();
-        let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
-        session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
-        let mut baseline = DirSuite::in_process(config, seed).expect("suite");
-        baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
-        let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-
-        for op in &ops {
-            match op {
-                Op::InsertMany(kvs) => {
-                    let entries: Vec<(Key, Value)> = kvs
-                        .iter()
-                        .map(|&(k, v)| (key_of(k), value_of(v)))
-                        .collect();
-                    let (waves0, pings0) = waves_and_pings(&session);
-                    let a = session.insert_many(&entries);
-                    let (waves1, pings1) = waves_and_pings(&session);
-                    let b = insert_per_key(&mut baseline, &entries);
-                    prop_assert_eq!(&a, &b, "bulk insert vs per-key loop");
-
-                    // Replay the sequential loop against the model: the
-                    // first offending key errors with the prefix applied.
-                    let mut expect_err: Option<Key> = None;
-                    for &(k, v) in kvs {
-                        if model.contains_key(&k) {
-                            expect_err = Some(key_of(k));
-                            break;
-                        }
-                        model.insert(k, v);
-                    }
-                    match expect_err {
-                        Some(key) => {
-                            prop_assert_eq!(a, Err(SuiteError::AlreadyExists { key }));
-                        }
-                        None => {
-                            prop_assert!(a.is_ok(), "all-fresh batch must succeed: {:?}", a);
-                            if !kvs.is_empty() {
-                                prop_assert_eq!(
-                                    waves1 - waves0, 2,
-                                    "one read + one write collection per batch"
-                                );
-                                prop_assert_eq!(
-                                    pings1 - pings0, 0,
-                                    "the collections carry the discovery and write envelopes"
-                                );
-                            }
-                        }
-                    }
-                }
-                Op::DeleteMany(ks) => {
-                    let keys: Vec<Key> = ks.iter().map(|&k| key_of(k)).collect();
-                    let (waves0, pings0) = waves_and_pings(&session);
-                    let a = session.delete_many(&keys);
-                    let (waves1, pings1) = waves_and_pings(&session);
-                    let b = delete_per_key(&mut baseline, &keys);
-                    prop_assert_eq!(&a, &b, "bulk delete vs per-key loop");
-
-                    let mut expect_err: Option<Key> = None;
-                    for &k in ks {
-                        if model.remove(&k).is_none() {
-                            expect_err = Some(key_of(k));
-                            break;
-                        }
-                    }
-                    match expect_err {
-                        Some(key) => {
-                            prop_assert_eq!(a, Err(SuiteError::NotFound { key }));
-                        }
-                        None => {
-                            prop_assert!(a.is_ok(), "all-present batch must succeed: {:?}", a);
-                            if !ks.is_empty() {
-                                prop_assert_eq!(
-                                    waves1 - waves0, 2,
-                                    "one read + one write collection per batch"
-                                );
-                                prop_assert_eq!(
-                                    pings1 - pings0, 0,
-                                    "the collections ride wave A and the first \
-                                     group's neighbour probes"
-                                );
-                            }
-                        }
-                    }
+            for op in &ops {
+                let (waves0, pings0) = waves_and_pings(&session);
+                let (a, b, carried) = match op {
+                    Op::InsertMany(entries) => (
+                        session.insert_many(entries),
+                        insert_per_key(&mut baseline, entries),
+                        "the collections carry the discovery and write envelopes",
+                    ),
+                    Op::DeleteMany(keys) => (
+                        session.delete_many(keys),
+                        delete_per_key(&mut baseline, keys),
+                        "the collections ride wave A and the first group's neighbour probes",
+                    ),
+                    op => unreachable!("{op:?} is not a bulk operation"),
+                };
+                let (waves1, pings1) = waves_and_pings(&session);
+                prop_assert_eq!(&a, &b, "bulk vs per-key loop: {:?}", op);
+                // The spec replays the sequential loop: the first offending
+                // key errors with the prefix applied.
+                let reply = a.as_ref().map(|_| Answer::Done).map_err(Clone::clone);
+                prop_assert_eq!(reply, spec.apply(op), "{:?}", op);
+                if a.as_ref().is_ok_and(|out| !out.versions.is_empty()) {
+                    prop_assert_eq!(
+                        waves1 - waves0,
+                        2,
+                        "one read + one write collection per batch"
+                    );
+                    prop_assert_eq!(pings1 - pings0, 0, "{}", carried);
                 }
             }
-        }
 
-        // Final audit: both suites list exactly the model.
-        let expect: Vec<(UserKey, Value)> = model
-            .iter()
-            .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), value_of(*mv)))
-            .collect();
-        prop_assert_eq!(&session.scan().expect("session scan"), &expect);
-        prop_assert_eq!(&per_hop_scan(&mut baseline).expect("baseline scan"), &expect);
-    }
+            // Final audit: both suites list exactly the spec.
+            prop_assert_eq!(&session.scan().expect("session scan"), &spec.scan());
+            prop_assert_eq!(
+                &per_hop_scan(&mut baseline).expect("baseline scan"),
+                &spec.scan()
+            );
+        },
+    );
 }
 
-/// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across envelopes, slows the victim nodes to well past
-/// the RPC timeout — a member partition injected *mid-batch*, after the
-/// session quorums were collected and envelopes acknowledged.
-struct FuseClient {
-    inner: RemoteSessionClient,
-    fuse: Arc<AtomicI64>,
-    net: Arc<Network>,
-    victims: Vec<NodeId>,
-}
-
-impl FuseClient {
-    /// Ticks the fuse on every envelope — a request of more than one
-    /// operation, which is exactly what travels as a `Batch` frame. Only a
-    /// one-key ingest chunk changed shape (it now goes bare), and these
-    /// tests send none: their chunks hold 16 and 64 keys. The envelope that
-    /// burns the fuse down slows the victims past the RPC timeout.
-    fn tick(&self, ops: &[RepOp]) {
-        if ops.len() > 1 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for v in &self.victims {
-                self.net
-                    .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
-            }
-        }
-    }
-}
-
-impl RepClient for FuseClient {
-    fn id(&self) -> RepId {
-        self.inner.id()
-    }
-    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
-        self.tick(ops);
-        self.inner.execute(ops)
-    }
-    fn start(&self, ops: &[RepOp], done: Completion) {
-        self.tick(ops);
-        self.inner.start(ops, done)
-    }
-}
-
-struct Fixture {
-    suite: DirSuite<FuseClient>,
-    fuse: Arc<AtomicI64>,
-    _handles: Vec<ServerHandle>,
-}
-
-/// Three networked representatives under a fixed quorum order: the session
-/// quorums are always {0, 1}, and `victims` are the nodes the fuse slows.
-fn networked_suite(victims: Vec<NodeId>) -> Fixture {
-    let net = Arc::new(Network::new(0xB07C));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(Duration::from_micros(50)),
-    });
-    // Fuse starts deeply negative: disarmed until a test arms it.
-    let fuse = Arc::new(AtomicI64::new(i64::MIN / 2));
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    let mut handles = Vec::new();
-    let mut clients = Vec::new();
-    for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-        let mut inner =
-            RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
-        inner.set_timeout(Duration::from_millis(300));
-        inner.begin().expect("begin on a healthy fabric");
-        clients.push(FuseClient {
-            inner,
-            fuse: Arc::clone(&fuse),
-            net: Arc::clone(&net),
-            victims: victims.clone(),
-        });
-    }
-    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
-    let suite = DirSuite::new(clients, config, Box::new(FixedPolicy::new())).unwrap();
-    Fixture {
-        suite,
-        fuse,
-        _handles: handles,
-    }
+/// The fused suite of these tests: it ticks on every envelope — a request
+/// of more than one operation, which is exactly what travels as a `Batch`
+/// frame. Only a one-key ingest chunk goes bare, and these tests send
+/// none: their chunks hold 16 and 64 keys.
+fn fused(victims: Vec<NodeId>) -> Fixture {
+    networked_suite(0xB07C, victims, 2)
 }
 
 #[test]
 fn mid_ingest_partition_resumes_without_lost_or_double_applied_writes() {
-    let mut fx = networked_suite(vec![NodeId(101)]);
+    let mut fx = fused(vec![NodeId(101)]);
     let entries: Vec<(Key, Value)> = (0..64u64)
         .map(|i| (Key::User(UserKey::from_u64(i)), Value::from("v")))
         .collect();
@@ -302,7 +150,7 @@ fn mid_ingest_partition_resumes_without_lost_or_double_applied_writes() {
 
 #[test]
 fn mid_bulk_delete_partition_resumes_cleanly() {
-    let mut fx = networked_suite(vec![NodeId(101)]);
+    let mut fx = fused(vec![NodeId(101)]);
     for i in 0..16u64 {
         fx.suite
             .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
@@ -342,7 +190,7 @@ fn mid_bulk_delete_partition_resumes_cleanly() {
 
 #[test]
 fn mid_group_partition_re_drives_the_group_and_reports_nothing_undeleted() {
-    let mut fx = networked_suite(vec![NodeId(101)]);
+    let mut fx = fused(vec![NodeId(101)]);
     let key = |i: u64| Key::User(UserKey::from_u64(i));
     let entries: Vec<(Key, Value)> = (0..16).map(|i| (key(i), Value::from("v"))).collect();
     fx.suite.insert_many(&entries).unwrap();

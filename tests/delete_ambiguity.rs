@@ -3,24 +3,16 @@
 //! replicas, losing availability), while the gap-versioned algorithm
 //! answers from any legal read quorum.
 
+mod support;
+
 use repdir::baselines::{BaselineError, DirectoryOps, NaiveEntryDirectory};
-use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
-use repdir::core::{Key, LocalRep, RepId, UserKey, Value, Version};
+use repdir::core::suite::{DirSuite, SuiteConfig};
+use repdir::core::{LocalRep, RepId, UserKey, Version};
+use support::{fixed, k, val};
 
-fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
-    Box::new(FixedPolicy::with_order(order.to_vec()))
-}
-
-fn k(s: &str) -> Key {
-    Key::from(s)
-}
 fn uk(s: &str) -> UserKey {
     UserKey::from(s)
 }
-fn val(s: &str) -> Value {
-    Value::from(s)
-}
-
 /// The schedule of Figures 1-3: insert b at {A, B}, delete via {B, C}.
 struct Schedule;
 

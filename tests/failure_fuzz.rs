@@ -1,191 +1,146 @@
 //! Randomized failure injection against the full transactional stack:
 //! representatives flap up and down between operations; operations either
-//! succeed (and must be correct) or fail cleanly (and must leave no trace).
+//! succeed (and must answer as the sequential spec does) or fail cleanly
+//! (and must leave no trace).
 
-use repdir::core::rng::StdRng;
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::SuiteConfig;
-use repdir::core::{Key, SuiteError, UserKey, Value};
+use repdir::core::SuiteError;
 use repdir::replica::ReplicatedDirectory;
-use std::collections::BTreeMap;
+use repdir::workload::spec::{Kind, Shape, Spec};
 
-fn run_flapping(seed: u64, rep_up_prob: f64, ops: u32) {
+/// Every shape a run draws from: the old dense keys, spread keys, values
+/// on both sides of the inline bound, and bulk batches one past a chunk.
+const SHAPES: [Shape; 4] = [
+    Shape::DenseU8(16),
+    Shape::Spread(16),
+    Shape::InlineStraddle(16),
+    Shape::ChunkStraddle(65),
+];
+
+fn heal(dir: &ReplicatedDirectory) {
+    for rep in dir.reps() {
+        rep.set_available(true);
+    }
+}
+
+fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
+    const MIX: &[(u32, Kind)] = &[
+        (1, Kind::Insert),
+        (1, Kind::Update),
+        (1, Kind::Delete),
+        (1, Kind::Scan),
+        (1, Kind::Lookup),
+        (1, Kind::InsertMany),
+        (1, Kind::DeleteMany),
+    ];
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    let mut rng = SplitMix64::new(seed);
+    let draws = shape.op(MIX).batch(1..5);
+    let mut spec = Spec::new();
     let mut succeeded = 0u32;
     let mut unavailable = 0u32;
 
     for step in 0..ops {
         // Flap representatives.
         for rep in dir.reps() {
-            rep.set_available(rng.gen_bool(rep_up_prob));
+            rep.set_available(rng.next_bool(rep_up_prob));
         }
-        let k = rng.gen_range(0u8..16);
-        let key = Key::User(UserKey::from_u64(k as u64));
-        let v: u8 = rng.gen();
-        let value = Value::from(vec![v]);
-        let in_model = model.contains_key(&k);
-        // The keys a failed op must leave untouched (bulk ops widen this).
-        let mut touched: Vec<u8> = vec![k];
-
-        let result: Result<(), SuiteError> = match rng.gen_range(0..7u8) {
-            0 if !in_model => dir.insert(&key, &value).map(|_| {
-                model.insert(k, v);
-            }),
-            1 if in_model => dir.update(&key, &value).map(|_| {
-                model.insert(k, v);
-            }),
-            2 if in_model => dir.delete(&key).map(|_| {
-                model.remove(&k);
-            }),
-            3 => dir.scan().map(|listed| {
-                // A scan that succeeds through flapping members (session
-                // re-validation routing around the dead) must still list
-                // exactly the model's contents, in order.
-                let expect: Vec<(UserKey, Value)> = model
-                    .iter()
-                    .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), Value::from(vec![*mv])))
-                    .collect();
-                assert_eq!(listed, expect, "step {step}: scan disagreed with the model");
-            }),
-            5 => {
-                // Bulk insert of up to four keys absent from the model; the
-                // directory wrapper makes the batch transactional, so on Ok
-                // every key landed and on Err none did.
-                let fresh: Vec<u8> = (0..4u8)
-                    .map(|d| k.wrapping_add(d) % 16)
-                    .filter(|kk| !model.contains_key(kk))
-                    .collect();
-                touched = fresh.clone();
-                let entries: Vec<(Key, Value)> = fresh
-                    .iter()
-                    .map(|&kk| {
-                        (
-                            Key::User(UserKey::from_u64(kk as u64)),
-                            Value::from(vec![v]),
-                        )
-                    })
-                    .collect();
-                dir.insert_many(&entries).map(|_| {
-                    for &kk in &fresh {
-                        model.insert(kk, v);
-                    }
-                })
-            }
-            6 => {
-                // Bulk delete of up to four keys currently in the model.
-                let present: Vec<u8> = model.keys().copied().take(4).collect();
-                touched = present.clone();
-                let keys: Vec<Key> = present
-                    .iter()
-                    .map(|&kk| Key::User(UserKey::from_u64(kk as u64)))
-                    .collect();
-                dir.delete_many(&keys).map(|_| {
-                    for &kk in &present {
-                        model.remove(&kk);
-                    }
-                })
-            }
-            _ => dir.lookup(&key).map(|out| {
-                assert_eq!(
-                    out.present, in_model,
-                    "step {step}: lookup({k}) disagreed with the model"
-                );
-                if let Some(mv) = model.get(&k) {
-                    assert_eq!(out.value, Some(Value::from(vec![*mv])));
-                }
-            }),
-        };
-        match result {
-            Ok(()) => succeeded += 1,
+        // Narrowed, every write would land: a batch is a real multi-key
+        // write, which the members' failure must roll back whole.
+        let op = spec.narrow(draws.draw(&mut rng));
+        match dir.run(|suite| op.run(suite)) {
             Err(SuiteError::QuorumUnavailable { .. }) | Err(SuiteError::Rep(_)) => {
                 unavailable += 1;
                 // Failed operations must leave no logical trace; verify by
-                // healing and re-reading every key the op touched.
-                for rep in dir.reps() {
-                    rep.set_available(true);
-                }
-                for &kk in &touched {
-                    let key = Key::User(UserKey::from_u64(kk as u64));
-                    let out = dir.lookup(&key).expect("lookup with all up");
-                    assert_eq!(
-                        out.present,
-                        model.contains_key(&kk),
-                        "step {step}: failed op left residue on {kk}"
-                    );
-                }
+                // healing and listing every entry.
+                heal(&dir);
+                let listed = dir.scan().expect("scan with all up");
+                let ctx = format!("{shape:?} step {step}: failed {op:?} left residue");
+                assert_eq!(listed, spec.scan(), "{ctx}");
             }
-            Err(e) => panic!("step {step}: unexpected error {e}"),
+            reply => {
+                succeeded += u32::from(reply.is_ok());
+                assert_eq!(reply, spec.apply(&op), "{shape:?} step {step}: {op:?}");
+            }
         }
     }
 
     // Final audit with everything healed.
-    for rep in dir.reps() {
-        rep.set_available(true);
-    }
-    for k in 0u8..16 {
-        let key = Key::User(UserKey::from_u64(k as u64));
-        let out = dir.lookup(&key).expect("final lookup");
-        assert_eq!(out.present, model.contains_key(&k), "final audit of {k}");
+    heal(&dir);
+    for key in shape.keys() {
+        let found = dir.lookup(&key).expect("lookup with all up").value;
+        assert_eq!(
+            found,
+            spec.lookup(&key),
+            "{shape:?}: final audit of {key:?}"
+        );
     }
     let listed = dir.scan().expect("final scan with all up");
-    let expect: Vec<(UserKey, Value)> = model
-        .iter()
-        .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), Value::from(vec![*mv])))
-        .collect();
-    assert_eq!(listed, expect, "final scan audit");
+    assert_eq!(listed, spec.scan(), "{shape:?}: final scan audit");
     // Sanity on the mix: with p=0.8 both outcomes should appear.
     if rep_up_prob < 0.95 {
-        assert!(succeeded > 0, "nothing succeeded");
-        assert!(unavailable > 0, "nothing failed — flapping ineffective?");
+        assert!(succeeded > 0, "{shape:?}: nothing succeeded");
+        assert!(
+            unavailable > 0,
+            "{shape:?}: nothing failed — flapping ineffective?"
+        );
     }
 }
 
+/// Shapes: `dense_u8`, `spread`, `inline_straddle` and `chunk_straddle`
+/// (65).
 #[test]
 fn flapping_reps_at_80_percent() {
-    run_flapping(0xF1A9, 0.8, 300);
+    for shape in SHAPES {
+        run_flapping(shape, 0xF1A9, 0.8, 300);
+    }
 }
 
+/// Shapes: `dense_u8`, `spread`, `inline_straddle` and `chunk_straddle`
+/// (65).
 #[test]
 fn flapping_reps_at_60_percent() {
-    run_flapping(0xF1AA, 0.6, 300);
+    for shape in SHAPES {
+        run_flapping(shape, 0xF1AA, 0.6, 300);
+    }
 }
 
+/// Shapes: `dense_u8`, `spread`, `inline_straddle` and `chunk_straddle`
+/// (65).
 #[test]
 fn flapping_reps_at_95_percent_multiple_seeds() {
     for seed in 0..4 {
-        run_flapping(0xF200 + seed, 0.95, 200);
+        for shape in SHAPES {
+            run_flapping(shape, 0xF200 + seed, 0.95, 200);
+        }
     }
 }
 
 /// Crash-recover a representative *between* operations of the same
-/// workload: recovery must agree with the model exactly.
+/// workload: recovery must agree with the spec exactly. Shapes: `dense_u8`,
+/// `spread` and `inline_straddle`.
 #[test]
 fn random_crashes_between_operations() {
-    let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0xCAFE).unwrap();
-    let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-    for _ in 0..250 {
-        if rng.gen_bool(0.1) {
-            let victim = rng.gen_range(0..3usize);
-            dir.reps()[victim].crash_and_recover().unwrap();
-        }
-        let k = rng.gen_range(0u8..12);
-        let key = Key::User(UserKey::from_u64(k as u64));
-        let v: u8 = rng.gen();
-        match rng.gen_range(0..3u8) {
-            0 if !model.contains_key(&k) => {
-                dir.insert(&key, &Value::from(vec![v])).unwrap();
-                model.insert(k, v);
+    const MIX: &[(u32, Kind)] = &[(1, Kind::Insert), (1, Kind::Delete), (1, Kind::Lookup)];
+    for shape in [
+        Shape::DenseU8(12),
+        Shape::Spread(12),
+        Shape::InlineStraddle(12),
+    ] {
+        let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        let dir = ReplicatedDirectory::new(config, 0xCAFE).unwrap();
+        let mut rng = SplitMix64::new(0xCAFE);
+        let draws = shape.op(MIX);
+        let mut spec = Spec::new();
+        for step in 0..250 {
+            if rng.next_bool(0.1) {
+                let victim = rng.next_below(3) as usize;
+                dir.reps()[victim].crash_and_recover().unwrap();
             }
-            1 if model.contains_key(&k) => {
-                dir.delete(&key).unwrap();
-                model.remove(&k);
-            }
-            _ => {
-                let out = dir.lookup(&key).unwrap();
-                assert_eq!(out.present, model.contains_key(&k));
-            }
+            let op = draws.draw(&mut rng);
+            let reply = dir.run(|suite| op.run(suite));
+            assert_eq!(reply, spec.apply(&op), "{shape:?} step {step}: {op:?}");
         }
     }
 }

@@ -4,48 +4,23 @@
 //! every wave is the same RPC set a sequential walk would issue, replies
 //! merge through order-independent folds (`pick_reply`, vote counting,
 //! per-slot chain integration), and counters are bumped by the coordinator
-//! before each wave. These tests pin that claim: op-for-op agreement with a
-//! sequential `BTreeMap` model, exact transcript and counter agreement
+//! before each wave. These tests pin that claim: op-for-op agreement with
+//! the sequential spec, exact transcript and counter agreement
 //! between remote clients whose completions race on a zero-delay fabric and
 //! the same clients serialized (`reference::Inline`), and a multi-thread
 //! stress run against one shared fabric.
 
 use repdir::baselines::reference::Inline;
+use repdir::core::proptest_mini::collection::vec;
 use repdir::core::proptest_mini::prelude::*;
 use repdir::core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
-use repdir::core::{Key, RepClient, RepId, UserKey, Value};
+use repdir::core::{RepClient, RepId};
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::TxnId;
-use std::collections::BTreeMap;
+use repdir::workload::spec::{self, Op, Shape, Spec, POINT};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// An abstract operation over a small key universe.
-#[derive(Clone, Debug)]
-enum Op {
-    Insert(u8, u8),
-    Update(u8, u8),
-    Delete(u8),
-    Lookup(u8),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Insert(k % 16, v)),
-        (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Update(k % 16, v)),
-        any::<u8>().prop_map(|k| Op::Delete(k % 16)),
-        any::<u8>().prop_map(|k| Op::Lookup(k % 16)),
-    ]
-}
-
-fn key_of(k: u8) -> Key {
-    Key::User(UserKey::from_u64(k as u64))
-}
-
-fn value_of(v: u8) -> Value {
-    Value::from(vec![v])
-}
 
 /// Replays `ops` through one transaction's remote clients, each wrapped by
 /// `wrap`, against fresh representatives served over a zero-delay fabric,
@@ -83,11 +58,12 @@ fn replay<C: RepClient>(
     suite.set_neighbor_batch(batch);
     let mut log = Vec::with_capacity(ops.len());
     for op in ops {
-        let outcome = match *op {
-            Op::Insert(k, v) => format!("{:?}", suite.insert(&key_of(k), &value_of(v))),
-            Op::Update(k, v) => format!("{:?}", suite.update(&key_of(k), &value_of(v))),
-            Op::Delete(k) => format!("{:?}", suite.delete(&key_of(k))),
-            Op::Lookup(k) => format!("{:?}", suite.lookup(&key_of(k))),
+        let outcome = match op {
+            Op::Insert(k, v) => format!("{:?}", suite.insert(k, v)),
+            Op::Update(k, v) => format!("{:?}", suite.update(k, v)),
+            Op::Delete(k) => format!("{:?}", suite.delete(k)),
+            Op::Lookup(k) => format!("{:?}", suite.lookup(k)),
+            op => unreachable!("{op:?} is not a point operation"),
         };
         log.push(outcome);
     }
@@ -98,75 +74,49 @@ fn replay<C: RepClient>(
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// The suite agrees op-for-op with the sequential spec, and remote clients
+/// whose completions race agree with the same clients serialized on every
+/// outcome *and* on the exact per-member message/ping counters: waves are
+/// the same RPC sets whether they run concurrently or one by one. Shapes:
+/// `dense_u8` (96 cases), `spread` and `inline_straddle`.
+#[test]
+fn fanout_matches_model_and_sequential_counters() {
+    spec::check(
+        &[
+            (Shape::DenseU8(16), 96),
+            (Shape::Spread(16), 12),
+            (Shape::InlineStraddle(16), 12),
+        ],
+        |shape| {
+            (
+                vec(shape.op(POINT), 1..80),
+                any::<u64>(),
+                0usize..3,
+                1usize..4,
+            )
+        },
+        |_, (ops, seed, cfg_choice, batch)| {
+            let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
+            let config = SuiteConfig::symmetric(n, r, w).expect("legal");
 
-    /// The suite agrees op-for-op with a sequential `BTreeMap` model, and
-    /// remote clients whose completions race agree with the same clients
-    /// serialized on every outcome *and* on the exact per-member
-    /// message/ping counters: waves are the same RPC sets whether they run
-    /// concurrently or one by one.
-    #[test]
-    fn fanout_matches_model_and_sequential_counters(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
-        seed in any::<u64>(),
-        cfg_choice in 0usize..3,
-        batch in 1usize..4,
-    ) {
-        let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
-        let config = SuiteConfig::symmetric(n, r, w).expect("legal");
-
-        // In-process run, checked against the abstract model op for op.
-        let mut suite = DirSuite::in_process(config.clone(), seed).expect("suite");
-        suite.set_neighbor_batch(batch);
-        let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-        for op in &ops {
-            match *op {
-                Op::Insert(k, v) => {
-                    let result = suite.insert(&key_of(k), &value_of(v));
-                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
-                        prop_assert!(result.is_ok());
-                        e.insert(v);
-                    } else {
-                        prop_assert!(result.is_err());
-                    }
-                }
-                Op::Update(k, v) => {
-                    let result = suite.update(&key_of(k), &value_of(v));
-                    if let std::collections::btree_map::Entry::Occupied(mut e) = model.entry(k) {
-                        prop_assert!(result.is_ok());
-                        e.insert(v);
-                    } else {
-                        prop_assert!(result.is_err());
-                    }
-                }
-                Op::Delete(k) => {
-                    let result = suite.delete(&key_of(k));
-                    if model.remove(&k).is_some() {
-                        prop_assert!(result.is_ok());
-                    } else {
-                        prop_assert!(result.is_err());
-                    }
-                }
-                Op::Lookup(k) => {
-                    let out = suite.lookup(&key_of(k)).expect("lookup");
-                    prop_assert_eq!(out.present, model.contains_key(&k));
-                    if let Some(v) = model.get(&k) {
-                        prop_assert_eq!(out.value.clone(), Some(value_of(*v)));
-                    }
-                }
+            // In-process run, checked against the spec op for op.
+            let mut suite = DirSuite::in_process(config.clone(), seed).expect("suite");
+            suite.set_neighbor_batch(batch);
+            let mut spec = Spec::new();
+            for op in &ops {
+                prop_assert_eq!(op.run(&mut suite), spec.apply(op), "{:?}", op);
             }
-        }
 
-        // Same seed, racing and serialized completions: identical
-        // transcripts, identical per-member counters (hence identical
-        // totals).
-        let (log_fan, msgs_fan, pings_fan) = replay(&ops, seed, config.clone(), batch, |c| c);
-        let (log_seq, msgs_seq, pings_seq) = replay(&ops, seed, config, batch, Inline);
-        prop_assert_eq!(log_fan, log_seq);
-        prop_assert_eq!(msgs_fan, msgs_seq);
-        prop_assert_eq!(pings_fan, pings_seq);
-    }
+            // Same seed, racing and serialized completions: identical
+            // transcripts, identical per-member counters (hence identical
+            // totals).
+            let (log_fan, msgs_fan, pings_fan) = replay(&ops, seed, config.clone(), batch, |c| c);
+            let (log_seq, msgs_seq, pings_seq) = replay(&ops, seed, config, batch, Inline);
+            prop_assert_eq!(log_fan, log_seq);
+            prop_assert_eq!(msgs_fan, msgs_seq);
+            prop_assert_eq!(pings_fan, pings_seq);
+        },
+    );
 }
 
 /// Multiple threads drive concurrent fan-out operations over one shared
@@ -195,6 +145,7 @@ fn concurrent_fanout_suites_share_one_fabric() {
     }
     let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
     let txn = TxnId(1);
+    let shape = Shape::DenseU8((THREADS * KEYS_PER_THREAD) as usize);
     let make_suite = || {
         let clients: Vec<RemoteSessionClient> = (0..3u32)
             .map(|i| {
@@ -223,12 +174,12 @@ fn concurrent_fanout_suites_share_one_fabric() {
     // Phase 1: every thread inserts its own key range, concurrently.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let make_suite = &make_suite;
+            let (make_suite, shape) = (&make_suite, &shape);
             scope.spawn(move || {
                 let mut suite = make_suite();
                 for i in 0..KEYS_PER_THREAD {
-                    let key = key_of((t * KEYS_PER_THREAD + i) as u8);
-                    suite.insert(&key, &value_of(t as u8)).unwrap();
+                    let key = shape.key((t * KEYS_PER_THREAD + i) as usize);
+                    suite.insert(&key, &shape.value(t as u8)).unwrap();
                     assert!(suite.lookup(&key).unwrap().present);
                 }
             });
@@ -241,13 +192,13 @@ fn concurrent_fanout_suites_share_one_fabric() {
     // concurrent deletes are disjoint.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let make_suite = &make_suite;
+            let (make_suite, shape) = (&make_suite, &shape);
             scope.spawn(move || {
                 let mut suite = make_suite();
-                let first = key_of((t * KEYS_PER_THREAD) as u8);
+                let first = shape.key((t * KEYS_PER_THREAD) as usize);
                 suite.delete(&first).unwrap();
                 assert!(!suite.lookup(&first).unwrap().present);
-                suite.insert(&first, &value_of(0xFF)).unwrap();
+                suite.insert(&first, &shape.value(0xFF)).unwrap();
             });
         }
     });
@@ -256,7 +207,7 @@ fn concurrent_fanout_suites_share_one_fabric() {
     let mut verify = make_suite();
     for t in 0..THREADS {
         for i in 0..KEYS_PER_THREAD {
-            let key = key_of((t * KEYS_PER_THREAD + i) as u8);
+            let key = shape.key((t * KEYS_PER_THREAD + i) as usize);
             assert!(verify.lookup(&key).unwrap().present, "{key:?}");
         }
     }

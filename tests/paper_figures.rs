@@ -1,12 +1,11 @@
 //! Integration tests replaying every worked figure of the paper against
 //! the public API.
 
-use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
-use repdir::core::{GapMap, Key, LocalRep, RepId, Value, Version};
+mod support;
 
-fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
-    Box::new(FixedPolicy::with_order(order.to_vec()))
-}
+use repdir::core::suite::{DirSuite, SuiteConfig};
+use repdir::core::{GapMap, Key, LocalRep, RepId, Version};
+use support::{fixed, k, val};
 
 fn suite_322(order: &[usize]) -> DirSuite<LocalRep> {
     let clients: Vec<LocalRep> = (0..3).map(|i| LocalRep::new(RepId(i))).collect();
@@ -16,13 +15,6 @@ fn suite_322(order: &[usize]) -> DirSuite<LocalRep> {
         fixed(order),
     )
     .expect("suite")
-}
-
-fn k(s: &str) -> Key {
-    Key::from(s)
-}
-fn val(s: &str) -> Value {
-    Value::from(s)
 }
 
 /// Figure 1's representative layout arises from plain inserts: entries at

@@ -18,7 +18,9 @@
 //! with a recorded miss is pinged before it is trusted with data, and a
 //! member that refuses is the operation's error, never substituted.
 
-use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
+mod support;
+
+use repdir::core::suite::{DirSuite, SuiteConfig};
 use repdir::core::{
     Completion, Key, LocalRep, Op, QuorumKind, RepClient, RepError, RepId, RepResult, Reply,
     SuiteError, Value, Version, INLINE_VALUE_MAX,
@@ -31,23 +33,7 @@ use repdir::txn::TxnId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn k(s: &str) -> Key {
-    Key::from(s)
-}
-
-fn val(s: &str) -> Value {
-    Value::from(s)
-}
-
-/// A value one byte too large to ride a chain.
-fn big() -> Value {
-    Value::from(vec![b'v'; INLINE_VALUE_MAX + 1])
-}
-
-fn order(members: &[usize]) -> Box<dyn QuorumPolicy + Send> {
-    Box::new(FixedPolicy::with_order(members.to_vec()))
-}
+use support::{big, fixed, k, val, Counted, PerKind};
 
 /// Three representatives served over a zero-latency fabric.
 struct Cluster {
@@ -101,44 +87,7 @@ impl Cluster {
         }
         let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
         let clients = clients.into_iter().map(wrap).collect();
-        DirSuite::new(clients, config, order(&[0, 1, 2])).unwrap()
-    }
-}
-
-/// Forwards to `C`, counting the `Lookup` operations it is sent.
-struct Counted<C> {
-    inner: C,
-    lookups: AtomicU64,
-}
-
-impl<C> Counted<C> {
-    fn new(inner: C) -> Counted<C> {
-        Counted {
-            inner,
-            lookups: AtomicU64::new(0),
-        }
-    }
-
-    fn count(&self, ops: &[Op]) {
-        let lookups = ops.iter().filter(|op| matches!(op, Op::Lookup(_)));
-        self.lookups
-            .fetch_add(lookups.count() as u64, Ordering::SeqCst);
-    }
-}
-
-impl<C: RepClient> RepClient for Counted<C> {
-    fn id(&self) -> RepId {
-        self.inner.id()
-    }
-
-    fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
-        self.count(ops);
-        self.inner.execute(ops)
-    }
-
-    fn start(&self, ops: &[Op], done: Completion) {
-        self.count(ops);
-        self.inner.start(ops, done)
+        DirSuite::new(clients, config, fixed(&[0, 1, 2])).unwrap()
     }
 }
 
@@ -249,7 +198,7 @@ fn assert_fault_free_budgets<C: RepClient>(suite: &mut DirSuite<C>, net: Option<
     // 0, which the delete above did not write. Deleting "a" through {0, 1}
     // steps over it — member 1's chain head already says the gap around "c"
     // is newer — for one chain refill at member 0, and no lookup.
-    suite.set_policy(order(&[0, 1, 2]));
+    suite.set_policy(fixed(&[0, 1, 2]));
     let (out, msgs, pings, spent) = rounds(suite, |s| s.delete(&k("a")));
     let out = out.unwrap();
     assert_eq!((out.predecessor, out.successor), (Key::Low, k("d")));
@@ -273,7 +222,7 @@ fn assert_fault_free_budgets<C: RepClient>(suite: &mut DirSuite<C>, net: Option<
 #[test]
 fn fault_free_point_operations_send_no_pings() {
     let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 1).unwrap();
-    local.set_policy(order(&[0, 1, 2]));
+    local.set_policy(fixed(&[0, 1, 2]));
     assert_fault_free_budgets(&mut local, None);
 
     let cluster = Cluster::new(0xA11);
@@ -307,7 +256,7 @@ fn unreachable_member_is_substituted_inside_the_call() {
     );
 
     let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 2).unwrap();
-    local.set_policy(order(&[0, 1, 2]));
+    local.set_policy(fixed(&[0, 1, 2]));
     local.member(0).set_available(false);
     let (out, msgs, pings, _) = cost(&mut local, |s| s.lookup(&k("a")));
     assert_eq!(out.unwrap().quorum, vec![RepId(1), RepId(2)]);
@@ -412,7 +361,7 @@ impl RepClient for Double {
 
 fn doubles() -> DirSuite<Double> {
     let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
-    DirSuite::new((0..3).map(Double::new).collect(), config, order(&[0, 1, 2])).unwrap()
+    DirSuite::new((0..3).map(Double::new).collect(), config, fixed(&[0, 1, 2])).unwrap()
 }
 
 #[test]
@@ -487,21 +436,6 @@ fn refused_request_is_the_operations_error_and_is_not_resent() {
     }
 }
 
-/// One preference order for read quorums, another for write quorums.
-struct PerKind {
-    read: Vec<usize>,
-    write: Vec<usize>,
-}
-
-impl QuorumPolicy for PerKind {
-    fn candidates(&mut self, kind: QuorumKind, _n: usize, _hint: Option<&Key>) -> Vec<usize> {
-        match kind {
-            QuorumKind::Read => self.read.clone(),
-            QuorumKind::Write => self.write.clone(),
-        }
-    }
-}
-
 #[test]
 fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
     // (c) 64 mutually adjacent keys are one run: one range from the real
@@ -515,7 +449,7 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
     let cluster = Cluster::new(0xC64);
     let mut remote = cluster.suite(TxnId(1));
     let mut local = DirSuite::in_process(SuiteConfig::symmetric(3, 2, 2).unwrap(), 3).unwrap();
-    local.set_policy(order(&[0, 1, 2]));
+    local.set_policy(fixed(&[0, 1, 2]));
     fn check<C: RepClient>(suite: &mut DirSuite<C>, entries: &[(Key, Value)], keys: &[Key]) {
         suite.insert_many(entries).unwrap();
         let waves = suite.obs().counter("suite.quorum.waves");
@@ -538,7 +472,7 @@ fn delete_many_pays_three_rounds_per_key_under_its_held_sessions() {
 fn on_every_fixture(seed: u64, check: impl Fn(&mut dyn Fixture)) {
     let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
     let clients = (0..3).map(|i| Counted::new(LocalRep::new(RepId(i))));
-    let mut local = DirSuite::new(clients.collect(), config, order(&[0, 1, 2])).unwrap();
+    let mut local = DirSuite::new(clients.collect(), config, fixed(&[0, 1, 2])).unwrap();
     check(&mut (&mut local, None));
 
     let cluster = Cluster::new(seed);
@@ -993,7 +927,7 @@ fn member_failing_the_coalesce_round_aborts_cleanly_and_is_retried() {
     // — a fresh transaction over the survivors — completes the delete.
     let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
     let dir = ReplicatedDirectory::new(config.clone(), 0xE).unwrap();
-    let mut setup = dir.begin_with_policy(order(&[0, 1, 2]));
+    let mut setup = dir.begin_with_policy(fixed(&[0, 1, 2]));
     for key in ["a", "b", "c"] {
         setup.suite_mut().insert(&k(key), &val(key)).unwrap();
     }
@@ -1015,7 +949,7 @@ fn member_failing_the_coalesce_round_aborts_cleanly_and_is_retried() {
                     doomed: i == 2,
                 })
                 .collect();
-            let mut doomed = DirSuite::new(clients, config.clone(), order(&[1, 2, 0])).unwrap();
+            let mut doomed = DirSuite::new(clients, config.clone(), fixed(&[1, 2, 0])).unwrap();
             let failed = doomed.delete(&k("b")).unwrap_err();
             assert_eq!(failed, SuiteError::Rep(RepError::Unavailable));
             assert!(dir.reps()[1].snapshot() != before[1], "member 1 coalesced");

@@ -1,8 +1,8 @@
 //! Anti-entropy convergence property: partition an arbitrary member during
 //! a random workload, heal, run the repairers to quiescence — and every
-//! representative must be byte-identical to the others and agree with a
-//! model of the directory, without spending a single quorum collection on
-//! the repair itself.
+//! representative must be byte-identical to the others and agree with the
+//! directory's sequential spec, without spending a single quorum collection
+//! on the repair itself.
 //!
 //! The soundness claim under test is the paper's version rule: a version
 //! number pins the exact content of an entry or gap, so a representative
@@ -11,90 +11,112 @@
 //! [`LocalRepairPeer`]) — no `DirSuite`, no quorum, no votes — which is the
 //! structural form of the "zero quorum collections" requirement.
 //!
-//! Every history runs under two key shapes: dense keys that all share
-//! summary bucket 0, and spread keys one per bucket, ten buckets apart, so
-//! that repair coalesces reach across bucket edges.
+//! Every history runs under the key shapes of `repdir::workload::spec`:
+//! `dense_u8` keys that all share summary bucket 0, `spread` keys about ten
+//! buckets apart, so that repair coalesces reach across bucket edges, and,
+//! on fewer seeds, `bucket_straddle` keys on both sides of bucket edges
+//! from bucket 0 to bucket 255 and `pull_cap_straddle` batches of around
+//! one pull's 512 entries.
 
-use repdir::core::rng::StdRng;
+mod support;
+
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::{FixedPolicy, SuiteConfig};
-use repdir::core::{Key, SuiteError, UserKey, Value};
+use repdir::core::{Key, Value};
 use repdir::repair::{RepairPeer, Repairer};
-use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory};
-use std::collections::BTreeMap;
+use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
+use repdir::workload::spec::{Kind, Ops, Shape, Spec, POINT, PULL_CAP_STRADDLE};
 use std::sync::Arc;
+use support::step;
 
-/// How a workload key value becomes a directory key.
-type Shape = fn(u8) -> UserKey;
+/// The shapes every seed runs.
+const SHAPES: [Shape; 2] = [Shape::DenseU8(24), Shape::Spread(24)];
 
-/// Every key in summary bucket 0.
-fn dense(k: u8) -> UserKey {
-    UserKey::from_u64(k as u64)
+/// The straddling shapes a seed runs.
+fn straddling(seed: u64) -> [Shape; 2] {
+    let cap = PULL_CAP_STRADDLE[seed as usize % PULL_CAP_STRADDLE.len()];
+    [Shape::BucketStraddle(12), Shape::PullCapStraddle(cap)]
 }
 
-/// Key `k` in bucket `10k`.
-fn spread(k: u8) -> UserKey {
-    UserKey::new(vec![k * 10, 1])
-}
-
-/// One random workload step against the directory and the model. During
-/// the partition the suite keeps answering from the two live members
-/// (R = W = 2 of 3), so every step must succeed.
-fn step(
-    dir: &ReplicatedDirectory,
-    shape: Shape,
-    model: &mut BTreeMap<u8, u8>,
-    rng: &mut StdRng,
-) -> Result<(), SuiteError> {
-    let k = rng.gen_range(0u8..24);
-    let key = Key::User(shape(k));
-    let v: u8 = rng.gen();
-    match rng.gen_range(0..4u8) {
-        0 if !model.contains_key(&k) => dir.insert(&key, &Value::from(vec![v])).map(|_| {
-            model.insert(k, v);
-        }),
-        1 if model.contains_key(&k) => dir.update(&key, &Value::from(vec![v])).map(|_| {
-            model.insert(k, v);
-        }),
-        2 if model.contains_key(&k) => dir.delete(&key).map(|_| {
-            model.remove(&k);
-        }),
-        _ => dir.lookup(&key).map(|out| {
-            assert_eq!(out.present, model.contains_key(&k));
-        }),
+/// Point operations over a shape; a pull-cap shape's writes also come in
+/// batches of around one pull.
+fn workload(shape: Shape) -> Ops {
+    const BATCHES: &[(u32, Kind)] = &[
+        (2, Kind::Insert),
+        (2, Kind::Update),
+        (2, Kind::Delete),
+        (2, Kind::Lookup),
+        (1, Kind::InsertMany),
+        (1, Kind::DeleteMany),
+    ];
+    match shape {
+        Shape::PullCapStraddle(_) => shape.op(BATCHES),
+        _ => shape.op(POINT),
     }
 }
 
-fn listing(shape: Shape, model: &BTreeMap<u8, u8>) -> Vec<(UserKey, Value)> {
-    model
-        .iter()
-        .map(|(mk, mv)| (shape(*mk), Value::from(vec![*mv])))
+/// One repairer per representative, each pulling from the other two
+/// through representative-level APIs.
+fn fleet(reps: &[Arc<TransactionalRep>]) -> Vec<Repairer> {
+    (0..reps.len())
+        .map(|i| {
+            let peers: Vec<Box<dyn RepairPeer>> = (0..reps.len())
+                .filter(|&j| j != i)
+                .map(|j| {
+                    Box::new(LocalRepairPeer::new(Arc::clone(&reps[j]))) as Box<dyn RepairPeer>
+                })
+                .collect();
+            Repairer::new(Arc::new(RepTarget::new(Arc::clone(&reps[i]))), peers)
+        })
         .collect()
+}
+
+/// Sweeps `repairers` until a pass applies nothing and fails nothing,
+/// returning the passes that did work.
+fn quiesce(repairers: &[Repairer], ctx: &str) -> u32 {
+    let mut passes = 0;
+    loop {
+        let mut applied = 0u64;
+        let mut errors = 0u64;
+        for r in repairers {
+            let sweep = r.run_sweep();
+            applied += sweep.applied.total();
+            errors += sweep.errors;
+        }
+        if errors == 0 && applied == 0 {
+            return passes;
+        }
+        passes += 1;
+        assert!(passes < 16, "{ctx}: repair failed to quiesce");
+    }
 }
 
 fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    let mut rng = SplitMix64::new(seed);
+    let draws = workload(shape);
+    let mut spec = Spec::new();
+    let ctx = format!("seed {seed:#x}, {shape:?}");
 
     // Healthy prefix: all three representatives absorb quorum writes.
     for _ in 0..ops_before {
-        step(&dir, shape, &mut model, &mut rng).expect("op with all members up");
+        step(&dir, &draws, &mut spec, &mut rng);
     }
 
     // Partition an arbitrary member; the workload continues through the
     // surviving write quorum and the victim silently goes stale.
-    let victim = rng.gen_range(0..3usize);
+    let victim = rng.next_below(3) as usize;
     dir.reps()[victim].set_available(false);
     for _ in 0..ops_during {
-        step(&dir, shape, &mut model, &mut rng).expect("op with one member partitioned");
+        step(&dir, &draws, &mut spec, &mut rng);
     }
     dir.reps()[victim].set_available(true);
     // Quorum reads are right before any repair: the divergence is the
     // repair plane's to heal, not the read path's.
     assert_eq!(
         dir.scan().expect("scan before repair"),
-        listing(shape, &model),
-        "seed {seed:#x}: quorum scan before repair != model"
+        spec.scan(),
+        "{ctx}: quorum scan before repair != spec"
     );
 
     let reps = dir.reps();
@@ -104,37 +126,9 @@ fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
     // peers through representative-level APIs. Nothing here touches a
     // DirSuite, so no quorum is collected for any of it.
     let rounds_before = repdir::obs::global().counter("repair.rounds").get();
-    let repairers: Vec<Repairer> = (0..3)
-        .map(|i| {
-            let peers: Vec<Box<dyn RepairPeer>> = (0..3)
-                .filter(|&j| j != i)
-                .map(|j| {
-                    Box::new(LocalRepairPeer::new(Arc::clone(&reps[j]))) as Box<dyn RepairPeer>
-                })
-                .collect();
-            Repairer::new(Arc::new(RepTarget::new(Arc::clone(&reps[i]))), peers)
-        })
-        .collect();
-    let mut passes = 0;
-    loop {
-        let mut applied = 0u64;
-        let mut errors = 0u64;
-        for r in &repairers {
-            let sweep = r.run_sweep();
-            applied += sweep.applied.total();
-            errors += sweep.errors;
-        }
-        if errors == 0 && applied == 0 {
-            break;
-        }
-        passes += 1;
-        assert!(passes < 16, "seed {seed:#x}: repair failed to quiesce");
-    }
+    let passes = quiesce(&fleet(reps), &ctx);
     if diverged {
-        assert!(
-            passes > 0,
-            "seed {seed:#x}: divergence healed without repair?"
-        );
+        assert!(passes > 0, "{ctx}: divergence healed without repair?");
     }
     assert!(
         repdir::obs::global().counter("repair.rounds").get() > rounds_before,
@@ -142,13 +136,13 @@ fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
     );
 
     // Every representative is byte-identical — same entries, same
-    // versions, same gap versions — and holds exactly the model's keys.
+    // versions, same gap versions — and holds exactly the spec's entries.
     let canonical = reps[0].snapshot();
     for (i, rep) in reps.iter().enumerate().skip(1) {
         assert_eq!(
             canonical,
             rep.snapshot(),
-            "seed {seed:#x}: representative {i} differs after repair"
+            "{ctx}: representative {i} differs after repair"
         );
     }
     let mut stored = Vec::new();
@@ -157,8 +151,8 @@ fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
     });
     assert_eq!(
         stored,
-        listing(shape, &model),
-        "seed {seed:#x}: replicas converged on a state that is not the model's"
+        spec.scan(),
+        "{ctx}: replicas converged on a state that is not the spec's"
     );
     // And their summary trees agree, so a further round finds nothing.
     let root = reps[0].summary_children(0, 0).unwrap();
@@ -166,27 +160,32 @@ fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
         assert_eq!(root, rep.summary_children(0, 0).unwrap());
     }
 
-    // The converged state matches the model through the normal read path.
+    // The converged state matches the spec through the normal read path.
     let listed = dir.scan().expect("final scan");
-    assert_eq!(
-        listed,
-        listing(shape, &model),
-        "seed {seed:#x}: converged state != model"
-    );
+    assert_eq!(listed, spec.scan(), "{ctx}: converged state != spec");
 }
 
+/// Shapes: `dense_u8`, `spread`, `bucket_straddle` and `pull_cap_straddle`.
 #[test]
 fn partitioned_member_converges_by_anti_entropy() {
-    for shape in [dense as Shape, spread] {
+    for shape in SHAPES.into_iter().chain(straddling(0)) {
         run_convergence(0x0009_E9A1, 60, 60, shape);
     }
 }
 
+/// Shapes: `dense_u8` and `spread` (64 seeds), `bucket_straddle` and
+/// `pull_cap_straddle` (3 seeds, half as many operations: a pull-cap
+/// history writes in batches of about 512 keys).
 #[test]
 fn convergence_holds_across_random_histories() {
     for seed in 0..64u64 {
-        for shape in [dense as Shape, spread] {
+        for shape in SHAPES {
             run_convergence(0xA11_0000 + seed, 40, 40, shape);
+        }
+    }
+    for seed in 0..3u64 {
+        for shape in straddling(seed) {
+            run_convergence(0xA11_0000 + seed, 20, 20, shape);
         }
     }
 }
@@ -194,12 +193,22 @@ fn convergence_holds_across_random_histories() {
 #[test]
 fn repair_is_idempotent_on_identical_replicas() {
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0x1DE).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut model = BTreeMap::new();
+    let mut rng = SplitMix64::new(7);
+    let draws = workload(Shape::DenseU8(24));
+    let mut spec = Spec::new();
+    // Every write and read goes to members 0 and 1, so member 2 alone lags;
+    // its own repairer levels it, and the repairer under test never runs
+    // before the sweep it is judged by.
     for _ in 0..40 {
-        step(&dir, dense, &mut model, &mut rng).expect("healthy op");
+        let op = spec.narrow(draws.draw(&mut rng));
+        let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(vec![0, 1, 2])));
+        let reply = op.run(txn.suite_mut());
+        txn.commit();
+        assert_eq!(reply, spec.apply(&op), "{op:?}");
     }
     let reps = dir.reps();
+    quiesce(&fleet(reps)[2..], "levelling member 2");
+    assert!(reps.iter().all(|rep| rep.snapshot() == reps[0].snapshot()));
     let repairer = Repairer::new(
         Arc::new(RepTarget::new(Arc::clone(&reps[0]))),
         vec![

@@ -11,26 +11,19 @@
 //! fabric backs the driver off instead of spinning it, and a recovery
 //! signal snaps a capped-out driver back to work.
 
-use repdir::core::rng::StdRng;
+mod support;
+
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::{FixedPolicy, StaleVote, StaleVoteQueue, SuiteConfig};
-use repdir::core::{Key, RepId, SuiteError, UserKey, Value, Version};
+use repdir::core::{Key, RepId, Value, Version};
 use repdir::repair::{Pacing, RepairDriver, Repairer};
 use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
 use repdir::storage::SimDisk;
 use repdir::txn::TxnId;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use repdir::workload::spec::{Op, Shape, Spec, POINT};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Counter-exact tests share one process-global obs registry, so they must
-/// not interleave with each other's drivers.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
-    SERIAL
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use support::{serial, step};
 
 /// Pacing whose floor exceeds any test deadline: the timer can never fire,
 /// so the only way a driver acts is a vote (or recovery) wake.
@@ -42,37 +35,14 @@ fn never_ticks() -> Pacing {
     }
 }
 
-const KEYSPACE: u8 = 24;
+/// The shapes of the vote-driven property: the old dense keys, and keys
+/// on both sides of summary-bucket edges, where every vote targets a pull
+/// at a bucket's end.
+const VOTED: [Shape; 2] = [Shape::DenseU8(24), Shape::BucketStraddle(12)];
 
-fn user_key(k: u8) -> Key {
-    Key::User(UserKey::from_u64(k as u64))
-}
-
-/// One random workload step against the directory and a model (same shape
-/// as the repair_convergence suite).
-fn step(
-    dir: &ReplicatedDirectory,
-    model: &mut BTreeMap<u8, u8>,
-    rng: &mut StdRng,
-) -> Result<(), SuiteError> {
-    let k = rng.gen_range(0u8..KEYSPACE);
-    let key = user_key(k);
-    let v: u8 = rng.gen();
-    match rng.gen_range(0..4u8) {
-        0 if !model.contains_key(&k) => dir.insert(&key, &Value::from(vec![v])).map(|_| {
-            model.insert(k, v);
-        }),
-        1 if model.contains_key(&k) => dir.update(&key, &Value::from(vec![v])).map(|_| {
-            model.insert(k, v);
-        }),
-        2 if model.contains_key(&k) => dir.delete(&key).map(|_| {
-            model.remove(&k);
-        }),
-        _ => dir.lookup(&key).map(|out| {
-            assert_eq!(out.present, model.contains_key(&k));
-        }),
-    }
-}
+/// Keys spread over the summary buckets, about ten apart, so that a
+/// catch-up is several range pulls.
+const SPREAD: Shape = Shape::Spread(24);
 
 /// Reads `key` through a read quorum whose member preference starts at
 /// `first`: with R = 2 of 3 the quorum is {first, first+1}, so the read
@@ -102,15 +72,23 @@ fn all_reps_identical(dir: &ReplicatedDirectory) -> bool {
         .all(|rep| rep.snapshot() == canonical)
 }
 
-fn await_convergence(dir: &ReplicatedDirectory, deadline: Duration, context: &str) {
+/// Whether the replicas read identical within `wait`.
+fn levels_within(dir: &ReplicatedDirectory, wait: Duration) -> bool {
     let start = Instant::now();
     while !all_reps_identical(dir) {
-        assert!(
-            start.elapsed() < deadline,
-            "{context}: replicas still diverged after {deadline:?}"
-        );
+        if start.elapsed() >= wait {
+            return false;
+        }
         std::thread::sleep(Duration::from_millis(5));
     }
+    true
+}
+
+fn await_convergence(dir: &ReplicatedDirectory, deadline: Duration, context: &str) {
+    assert!(
+        levels_within(dir, deadline),
+        "{context}: replicas still diverged after {deadline:?}"
+    );
 }
 
 /// The tentpole property. A member is partitioned through a random
@@ -119,19 +97,21 @@ fn await_convergence(dir: &ReplicatedDirectory, deadline: Duration, context: &st
 /// `run_sweep`/`run_round` calls: the driver fleet is paced so the timer
 /// never fires, and the only stimulus is ordinary reads pushing stale
 /// votes into the shared queue.
-fn run_vote_driven_convergence(seed: u64) {
+fn run_vote_driven_convergence(seed: u64, shape: Shape) {
     let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    let mut rng = SplitMix64::new(seed);
+    let draws = shape.op(POINT);
+    let mut spec = Spec::new();
+    let ctx = format!("seed {seed:#x}, {shape:?}");
 
     for _ in 0..40 {
-        step(&dir, &mut model, &mut rng).expect("op with all members up");
+        step(&dir, &draws, &mut spec, &mut rng);
     }
-    let victim = rng.gen_range(0..3usize);
+    let victim = rng.next_below(3) as usize;
     dir.reps()[victim].set_available(false);
     for _ in 0..40 {
-        step(&dir, &mut model, &mut rng).expect("op with one member partitioned");
+        step(&dir, &draws, &mut spec, &mut rng);
     }
     dir.reps()[victim].set_available(true);
     let diverged = !all_reps_identical(&dir);
@@ -149,50 +129,66 @@ fn run_vote_driven_convergence(seed: u64) {
     // member in turn. W = 2 of 3 means even the healthy prefix left some
     // member stale per key, so every member's divergence gets read across
     // and voted on — exactly the evidence trail a live workload produces.
-    for first in 0..3 {
-        for k in 0..KEYSPACE {
-            read_straddling(&dir, first, &user_key(k));
+    // A pull that loses a lock conflict (to the read that voted, or to
+    // another driver's repair) is carried to its driver's next drain, and
+    // here only a later vote brings one; so, like a live workload's, the
+    // reads go on, pass after pass, until the replicas level.
+    let deadline = Duration::from_secs(30);
+    let start = Instant::now();
+    loop {
+        for first in 0..3 {
+            for key in shape.keys() {
+                read_straddling(&dir, first, &key);
+            }
         }
+        if levels_within(&dir, Duration::from_millis(500)) {
+            break;
+        }
+        assert!(
+            start.elapsed() < deadline,
+            "{ctx}: replicas still diverged after {deadline:?}"
+        );
     }
-
-    await_convergence(&dir, Duration::from_secs(30), &format!("seed {seed:#x}"));
     dir.stop_repair_drivers();
 
     assert_eq!(
         g.counter("repair.driver.sweeps").get(),
         sweeps_before,
-        "seed {seed:#x}: a fallback sweep fired — convergence was not vote-driven"
+        "{ctx}: a fallback sweep fired — convergence was not vote-driven"
     );
     assert_eq!(
         g.counter("repair.rounds").get(),
         rounds_before,
-        "seed {seed:#x}: a summary round ran — convergence was not vote-driven"
+        "{ctx}: a summary round ran — convergence was not vote-driven"
     );
     if diverged {
         assert!(
             g.counter("repair.driver.targeted_pulls").get() > targeted_before,
-            "seed {seed:#x}: divergence healed without any targeted pull?"
+            "{ctx}: divergence healed without any targeted pull?"
         );
     }
 
-    // Converged state matches the model through the normal read path.
+    // Converged state matches the spec through the normal read path.
     let listed = dir.scan().expect("final scan");
-    let expect: Vec<(UserKey, Value)> = model
-        .iter()
-        .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), Value::from(vec![*mv])))
-        .collect();
-    assert_eq!(listed, expect, "seed {seed:#x}: converged state != model");
+    assert_eq!(listed, spec.scan(), "{ctx}: converged state != spec");
 }
 
+/// Shapes: `dense_u8` and `bucket_straddle`.
 #[test]
 fn partitioned_member_converges_by_stale_votes_alone() {
-    run_vote_driven_convergence(0x0D81_AE01);
+    for shape in VOTED {
+        run_vote_driven_convergence(0x0D81_AE01, shape);
+    }
 }
 
+/// Shapes: `dense_u8` (4 seeds) and `bucket_straddle` (2 seeds).
 #[test]
 fn vote_driven_convergence_holds_across_random_histories() {
     for seed in 0..4u64 {
-        run_vote_driven_convergence(0xD81_0000 + seed);
+        run_vote_driven_convergence(0xD81_0000 + seed, VOTED[0]);
+    }
+    for seed in 0..2u64 {
+        run_vote_driven_convergence(0xD81_0000 + seed, VOTED[1]);
     }
 }
 
@@ -420,7 +416,7 @@ fn recovery_signal_snaps_a_capped_driver_back_to_work() {
     for i in 0..10u8 {
         let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(vec![0, 1, 2])));
         txn.suite_mut()
-            .insert(&user_key(i), &Value::from(vec![i]))
+            .insert(&VOTED[0].key(usize::from(i)), &Value::from(vec![i]))
             .unwrap();
         txn.commit();
     }
@@ -453,7 +449,7 @@ fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
             for k in 0..24u8 {
                 rep.insert(
                     txn,
-                    &spread_key(k),
+                    &SPREAD.key(usize::from(k)),
                     Version::new(round),
                     &Value::from(vec![k]),
                 )
@@ -467,7 +463,12 @@ fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
     fresh.begin(txn).unwrap();
     for k in [3u8, 11] {
         fresh
-            .insert(txn, &spread_key(k), Version::new(11), &Value::from("new"))
+            .insert(
+                txn,
+                &SPREAD.key(usize::from(k)),
+                Version::new(11),
+                &Value::from("new"),
+            )
             .unwrap();
     }
     fresh.commit(txn).unwrap();
@@ -478,7 +479,7 @@ fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
     })));
     queue.push(StaleVote {
         member: 0,
-        key: spread_key(3),
+        key: SPREAD.key(3),
         seen: Version::new(10),
         latest: Version::new(11),
     });
@@ -516,46 +517,46 @@ fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
     assert_eq!(disk.retained_len(), retained);
 }
 
-/// Keys `k * 10 | 1`: each in its own summary bucket, ten buckets apart,
-/// so a catch-up is several range pulls.
-fn spread_key(k: u8) -> Key {
-    Key::User(UserKey::new(vec![k * 10, 1]))
-}
-
 /// The outage loop the benchmark's `member_outage` runs, without its wait
 /// for quiet: member 2 is taken down again the moment the three replicas
 /// read equal, whatever its driver is doing then. Every catch-up must
-/// converge within a deadline, the closing state must equal the model, and
-/// once the member reads equal the drivers' pulls must stop.
+/// converge within a deadline, the closing state must equal the spec, and
+/// once the member reads equal the drivers' pulls must stop. Shapes:
+/// `spread` (200 outages) and `bucket_straddle` (40).
 #[test]
 fn member_failed_again_the_moment_it_levels_keeps_catching_up() {
+    run_outages(SPREAD, 200);
+    run_outages(Shape::BucketStraddle(12), 40);
+}
+
+fn run_outages(shape: Shape, outages: u32) {
     let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0x3ED6E).unwrap();
-    let mut rng = StdRng::seed_from_u64(0x3ED6E);
-    let mut model: BTreeMap<u8, u8> = BTreeMap::new();
+    let mut rng = SplitMix64::new(0x3ED6E);
+    let mut spec = Spec::new();
     dir.spawn_repair_drivers(Pacing {
         floor: Duration::from_millis(1),
         cap: Duration::from_millis(20),
         factor: 2.0,
     });
-    for outage in 0..200 {
+    for outage in 0..outages {
         dir.reps()[2].set_available(false);
         let writes = if outage % 2 == 0 { 3 } else { 24 };
         for _ in 0..writes {
-            let k = rng.gen_range(0u8..24);
-            let v: u8 = rng.gen();
-            let key = spread_key(k);
-            if model.contains_key(&k) && rng.gen_range(0..3u8) == 0 {
-                dir.delete(&key).unwrap();
-                model.remove(&k);
-            } else if model.insert(k, v).is_some() {
-                dir.update(&key, &Value::from(vec![v])).unwrap();
-            } else {
-                dir.insert(&key, &Value::from(vec![v])).unwrap();
-            }
+            // Every write lands: a present key is deleted one time in
+            // three and updated otherwise, an absent one inserted.
+            let key = shape.key(rng.next_below(shape.slots() as u64) as usize);
+            let value = shape.value(rng.next_u64() as u8);
+            let op = match spec.lookup(&key).is_some() {
+                true if rng.next_below(3) == 0 => Op::Delete(key),
+                true => Op::Update(key, value),
+                false => Op::Insert(key, value),
+            };
+            assert_eq!(dir.run(|suite| op.run(suite)), spec.apply(&op), "{op:?}");
         }
         dir.reps()[2].set_available(true);
-        await_convergence(&dir, Duration::from_secs(20), &format!("outage {outage}"));
+        let ctx = format!("{shape:?} outage {outage}");
+        await_convergence(&dir, Duration::from_secs(20), &ctx);
     }
 
     // In-flight sweeps finish within a few floors; after that nothing is
@@ -568,15 +569,11 @@ fn member_failed_again_the_moment_it_levels_keeps_catching_up() {
     assert_eq!(
         pulls(),
         settled,
-        "drivers kept pulling after the member levelled"
+        "{shape:?}: drivers kept pulling after the member levelled"
     );
     dir.stop_repair_drivers();
 
     let listed = dir.scan().expect("final scan");
-    let expect: Vec<(UserKey, Value)> = model
-        .iter()
-        .map(|(k, v)| (UserKey::new(vec![k * 10, 1]), Value::from(vec![*v])))
-        .collect();
-    assert_eq!(listed, expect, "converged state != model");
+    assert_eq!(listed, spec.scan(), "{shape:?}: converged state != spec");
     assert!(all_reps_identical(&dir));
 }

@@ -5,9 +5,10 @@
 //! and one envelope per member per `bulk_chunk` entries — never *what* it
 //! returns. The property test pins that: over randomized insert/delete/scan
 //! interleavings, the session scan, the per-hop baseline
-//! (`reference::per_hop_scan`), and a `BTreeMap` model agree
+//! (`reference::per_hop_scan`), and the sequential spec agree
 //! entry-for-entry, while the session side pays exactly one collection and
-//! no ping per failure-free scan and strictly fewer data RPCs.
+//! no ping per failure-free scan and strictly fewer data RPCs (as many,
+//! when the directory is empty).
 //!
 //! A second property straddles the inline bound: values of 0, 1, 63, 64, 65
 //! and 300 bytes in one directory, spread keys, with and without ghosts.
@@ -22,220 +23,167 @@
 //! ride a chain, whose waves are envelopes of lookups and the next chain,
 //! and over small values, whose waves are bare chain requests.
 
+mod support;
+
 use repdir::baselines::reference::per_hop_scan;
+use repdir::core::proptest_mini::collection::vec;
 use repdir::core::proptest_mini::prelude::*;
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
 use repdir::core::{
-    Completion, Key, LocalRep, Op as RepOp, QuorumKind, RepClient, RepId, RepResult, Reply,
-    SuiteError, UserKey, Value, INLINE_VALUE_MAX,
+    Key, LocalRep, QuorumKind, RepId, SuiteError, UserKey, Value, INLINE_VALUE_MAX,
 };
-use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir::txn::TxnId;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use repdir::net::NodeId;
+use repdir::workload::spec::{self, Kind, Op, Shape, Spec, CHUNK_STRADDLE};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+use support::{big, networked_suite, waves_and_pings, Counted, Fixture};
 
-#[derive(Clone, Debug)]
-enum Op {
-    Insert(u8, u8),
-    Delete(u8),
-    Scan,
-}
+/// Session+batched scan ≡ per-hop baseline ≡ sequential spec, with the
+/// exact coordination price pinned: every failure-free session scan
+/// collects exactly one quorum (carried, so nobody is pinged) and sends
+/// fewer data RPCs than the baseline scan of the same state — as many, one
+/// chain round each, when the directory is empty. Shapes: `dense_u8` (64
+/// cases), `chunk_straddle` and `inline_straddle`.
+#[test]
+fn session_scan_matches_baseline_and_model() {
+    let mut shapes = vec![(Shape::DenseU8(12), 64), (Shape::InlineStraddle(12), 3)];
+    shapes.extend(CHUNK_STRADDLE.map(|n| (Shape::ChunkStraddle(n), 3)));
+    const MIX: &[(u32, Kind)] = &[
+        (2, Kind::Insert),
+        (2, Kind::Delete),
+        (2, Kind::Scan),
+        (1, Kind::InsertMany),
+        (1, Kind::DeleteMany),
+    ];
+    spec::check(
+        &shapes,
+        |shape| (vec(shape.op(MIX), 1..60), any::<u64>(), 0usize..3),
+        |_, (ops, seed, cfg_choice)| {
+            let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
+            let config = SuiteConfig::symmetric(n, r, w).expect("legal config");
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Insert(k % 12, v)),
-        any::<u8>().prop_map(|k| Op::Delete(k % 12)),
-        any::<u8>().prop_map(|_| Op::Scan),
-    ]
-}
+            // Both suites follow the same seed-derived fixed quorum order,
+            // so they hold identical representative states (same write
+            // quorums) and their scans read the same members — making the
+            // data-RPC comparison exact rather than confounded by quorum
+            // choice.
+            let rot = (seed % n as u64) as usize;
+            let order: Vec<usize> = (0..n as usize).map(|i| (i + rot) % n as usize).collect();
+            let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
+            session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
+            let mut baseline = DirSuite::in_process(config, seed).expect("suite");
+            baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
+            let mut spec = Spec::new();
 
-fn key_of(k: u8) -> Key {
-    Key::User(UserKey::from_u64(k as u64))
-}
-
-fn value_of(v: u8) -> Value {
-    Value::from(vec![v])
-}
-
-fn waves_and_pings(suite: &DirSuite<impl RepClient + 'static>) -> (u64, u64) {
-    let snap = suite.obs().snapshot();
-    (
-        snap.counter("suite.quorum.waves"),
-        suite.ping_counts().iter().sum(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Session+batched scan ≡ per-hop baseline ≡ `BTreeMap` model, with the
-    /// exact coordination price pinned: every failure-free session scan
-    /// collects exactly one quorum (carried, so nobody is pinged) and sends
-    /// strictly fewer data RPCs than the baseline scan of the same state.
-    #[test]
-    fn session_scan_matches_baseline_and_model(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        seed in any::<u64>(),
-        cfg_choice in 0usize..3,
-    ) {
-        let (n, r, w) = [(3, 2, 2), (4, 2, 3), (5, 3, 3)][cfg_choice];
-        let config = SuiteConfig::symmetric(n, r, w).expect("legal config");
-
-        // Both suites follow the same seed-derived fixed quorum order, so
-        // they hold identical representative states (same write quorums)
-        // and their scans read the same members — making the data-RPC
-        // comparison exact rather than confounded by quorum choice.
-        let rot = (seed % n as u64) as usize;
-        let order: Vec<usize> = (0..n as usize).map(|i| (i + rot) % n as usize).collect();
-        let mut session = DirSuite::in_process(config.clone(), seed).expect("suite");
-        session.set_policy(Box::new(FixedPolicy::with_order(order.clone())));
-        let mut baseline = DirSuite::in_process(config, seed).expect("suite");
-        baseline.set_policy(Box::new(FixedPolicy::with_order(order)));
-        let mut model: BTreeMap<u8, u8> = BTreeMap::new();
-
-        for op in &ops {
-            match *op {
-                Op::Insert(k, v) => {
-                    let a = session.insert(&key_of(k), &value_of(v));
-                    let b = baseline.insert(&key_of(k), &value_of(v));
-                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(k) {
-                        prop_assert!(a.is_ok() && b.is_ok());
-                        e.insert(v);
-                    } else {
-                        prop_assert!(a.is_err() && b.is_err());
-                    }
+            for op in &ops {
+                if *op != Op::Scan {
+                    let expect = spec.apply(op);
+                    prop_assert_eq!(op.run(&mut session), expect.clone(), "{:?}", op);
+                    prop_assert_eq!(op.run(&mut baseline), expect, "{:?}", op);
+                    continue;
                 }
-                Op::Delete(k) => {
-                    let a = session.delete(&key_of(k));
-                    let b = baseline.delete(&key_of(k));
-                    if model.remove(&k).is_some() {
-                        prop_assert!(a.is_ok() && b.is_ok());
-                    } else {
-                        prop_assert!(a.is_err() && b.is_err());
-                    }
-                }
-                Op::Scan => {
-                    let (s_waves0, s_pings0) = waves_and_pings(&session);
-                    let s_msgs0: u64 = session.message_counts().iter().sum();
-                    let listed = session.scan().expect("session scan");
+                let (s_waves0, s_pings0) = waves_and_pings(&session);
+                let s_msgs0: u64 = session.message_counts().iter().sum();
+                let listed = session.scan().expect("session scan");
 
-                    let (s_waves1, s_pings1) = waves_and_pings(&session);
-                    prop_assert_eq!(
-                        s_waves1 - s_waves0, 1,
-                        "failure-free session scan must collect exactly one quorum"
-                    );
-                    prop_assert_eq!(
-                        s_pings1 - s_pings0, 0,
-                        "the collection carries the first chain request"
-                    );
-                    let s_msgs: u64 =
-                        session.message_counts().iter().sum::<u64>() - s_msgs0;
+                let (s_waves1, s_pings1) = waves_and_pings(&session);
+                prop_assert_eq!(
+                    s_waves1 - s_waves0,
+                    1,
+                    "failure-free session scan must collect exactly one quorum"
+                );
+                prop_assert_eq!(
+                    s_pings1 - s_pings0,
+                    0,
+                    "the collection carries the first chain request"
+                );
+                let s_msgs: u64 = session.message_counts().iter().sum::<u64>() - s_msgs0;
 
-                    let b_msgs0: u64 = baseline.message_counts().iter().sum();
-                    let (b_waves0, _) = waves_and_pings(&baseline);
-                    let from_baseline = per_hop_scan(&mut baseline).expect("baseline scan");
-                    let (b_waves1, _) = waves_and_pings(&baseline);
-                    let b_msgs: u64 =
-                        baseline.message_counts().iter().sum::<u64>() - b_msgs0;
+                let b_msgs0: u64 = baseline.message_counts().iter().sum();
+                let (b_waves0, _) = waves_and_pings(&baseline);
+                let from_baseline = per_hop_scan(&mut baseline).expect("baseline scan");
+                let (b_waves1, _) = waves_and_pings(&baseline);
+                let b_msgs: u64 = baseline.message_counts().iter().sum::<u64>() - b_msgs0;
 
-                    prop_assert_eq!(
-                        b_waves1 - b_waves0, model.len() as u64 + 1,
-                        "baseline collects once per hop"
-                    );
+                prop_assert_eq!(
+                    b_waves1 - b_waves0,
+                    spec.scan().len() as u64 + 1,
+                    "baseline collects once per hop"
+                );
+                if spec.scan().is_empty() {
+                    // One chain round each: the search's sentinel costs no
+                    // lookup.
+                    prop_assert_eq!(s_msgs, b_msgs, "an empty scan");
+                } else {
                     prop_assert!(
                         s_msgs < b_msgs,
                         "session scan must send fewer data RPCs ({} vs {})",
-                        s_msgs, b_msgs
+                        s_msgs,
+                        b_msgs
                     );
-
-                    let expect: Vec<(UserKey, Value)> = model
-                        .iter()
-                        .map(|(mk, mv)| (UserKey::from_u64(*mk as u64), value_of(*mv)))
-                        .collect();
-                    prop_assert_eq!(&listed, &expect, "session scan vs model");
-                    prop_assert_eq!(&from_baseline, &expect, "baseline scan vs model");
                 }
+
+                let expect = spec.scan();
+                prop_assert_eq!(&listed, &expect, "session scan vs spec");
+                prop_assert_eq!(&from_baseline, &expect, "baseline scan vs spec");
             }
-        }
-        let _ = w;
-    }
-}
-
-/// A [`LocalRep`] that counts the `Lookup` operations it is sent.
-struct CountsLookups {
-    inner: LocalRep,
-    lookups: AtomicU64,
-}
-
-impl RepClient for CountsLookups {
-    fn id(&self) -> RepId {
-        self.inner.id()
-    }
-    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
-        let lookups = ops.iter().filter(|op| matches!(op, RepOp::Lookup(_)));
-        self.lookups
-            .fetch_add(lookups.count() as u64, Ordering::SeqCst);
-        self.inner.execute(ops)
-    }
+        },
+    );
 }
 
 /// Value sizes on both sides of `INLINE_VALUE_MAX`; the first four ride a
 /// chain.
 const SIZES: [usize; 6] = [0, 1, 63, 64, 65, 300];
 
-/// The `i`th of `count` distinct keys drawn from `seed`: an odd stride
-/// through 2^14 slots, each slot `<< 50` so the keys fall across all 256
-/// leading-byte buckets.
-fn spread_key(seed: u64, i: u64) -> UserKey {
-    let slot = (seed >> 14).wrapping_add(i.wrapping_mul(seed | 1)) & 0x3fff;
-    UserKey::from_u64(slot << 50)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A scan over values straddling the inline bound lists the model,
+    /// A scan over values straddling the inline bound lists the spec,
     /// sends one `Lookup` per value too large to ride, and costs exactly
-    /// its chain waves when no value is.
+    /// its chain waves when no value is. Shapes: `spread` keys, as many
+    /// entries as `chunk_straddle` draws, with ghosts among them, and
+    /// values of `SIZES`.
     #[test]
     fn scan_straddling_the_inline_bound_matches_model(
         seed in any::<u64>(),
-        n_pick in 0usize..4,
-        ghosts in 0u64..6,
+        n_pick in 0usize..CHUNK_STRADDLE.len(),
+        ghosts in 0usize..6,
         wide_chunk in any::<bool>(),
         small_only in any::<bool>(),
     ) {
-        let n = [63u64, 64, 65, 129][n_pick];
+        let n = CHUNK_STRADDLE[n_pick];
         let chunk = if wide_chunk { 64 } else { 4 };
         let sizes = if small_only { &SIZES[..4] } else { &SIZES[..] };
         let case = format!("seed {seed:#x} N={n} g={ghosts} chunk={chunk} small_only={small_only}");
         let clients = (0..3)
-            .map(|i| CountsLookups {
-                inner: LocalRep::new(RepId(i)),
-                lookups: AtomicU64::new(0),
-            })
+            .map(|i| Counted::new(LocalRep::new(RepId(i))))
             .collect();
         let config = SuiteConfig::symmetric(3, 2, 2).expect("legal config");
         let order = |o: [usize; 3]| Box::new(FixedPolicy::with_order(o.to_vec()));
         let mut suite = DirSuite::new(clients, config, order([0, 1, 2])).expect("suite");
         suite.set_bulk_chunk(chunk);
 
-        let mut model = BTreeMap::new();
-        let entries: Vec<(Key, Value)> = (0..n)
-            .map(|i| {
-                let size = sizes[(seed.rotate_left(i as u32) ^ i) as usize % sizes.len()];
-                let value = Value::from(vec![i as u8; size]);
-                model.insert(spread_key(seed, i), value.clone());
-                (Key::User(spread_key(seed, i)), value)
+        // The shape's slots in an order drawn from the seed: the first `n`
+        // are entries, the rest ghosts among them.
+        let shape = Shape::Spread(n + ghosts);
+        let mut slots: Vec<usize> = (0..n + ghosts).collect();
+        SplitMix64::new(seed).shuffle(&mut slots);
+        let entries: Vec<(Key, Value)> = slots[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, &slot)| {
+                let size = sizes[(seed.rotate_left(i as u32) ^ i as u64) as usize % sizes.len()];
+                (shape.key(slot), Value::from(vec![i as u8; size]))
             })
             .collect();
+        let mut spec = Spec::new();
+        spec.insert_many(&entries).expect("distinct keys");
         // Ghosts: written through {0, 1}, deleted through {1, 2}, so member 0
         // of the scan's read quorum {0, 1} still holds them.
-        let doomed: Vec<(Key, Value)> = (n..n + ghosts)
-            .map(|i| (Key::User(spread_key(seed, i)), Value::from(vec![0; 300])))
+        let doomed: Vec<(Key, Value)> = slots[n..]
+            .iter()
+            .map(|&slot| (shape.key(slot), Value::from(vec![0; 300])))
             .collect();
         for batch in [&entries, &doomed] {
             if !batch.is_empty() {
@@ -249,7 +197,7 @@ proptest! {
             suite.set_policy(order([0, 1, 2]));
         }
 
-        let lookups = |suite: &DirSuite<CountsLookups>| -> u64 {
+        let lookups = |suite: &DirSuite<Counted<LocalRep>>| -> u64 {
             (0..3).map(|i| suite.member(i).lookups.load(Ordering::SeqCst)).sum()
         };
         let rounds = suite.obs().counter("suite.rounds");
@@ -257,11 +205,11 @@ proptest! {
         let listed = suite.scan().expect("scan");
         let spent = rounds.get() - rounds_before;
 
-        let expect: Vec<(UserKey, Value)> = model.into_iter().collect();
+        let expect = spec.scan();
         prop_assert_eq!(&listed, &expect, "{}", case);
         let large = expect.iter().filter(|(_, v)| v.len() > INLINE_VALUE_MAX).count();
         prop_assert_eq!(lookups(&suite) - lookups_before, large as u64, "{}", case);
-        let chains = (n + ghosts + 1).div_ceil(chunk as u64);
+        let chains = (n + ghosts + 1).div_ceil(chunk) as u64;
         if large == 0 {
             prop_assert_eq!(spent, chains, "{}", case);
         } else {
@@ -270,107 +218,15 @@ proptest! {
     }
 }
 
-/// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
-/// down to zero across requests of at least `ticks_at` operations, slows
-/// the victim nodes to well past the RPC timeout — a member death injected
-/// *mid-walk*, after the session quorum was collected and used.
-struct FuseClient {
-    inner: RemoteSessionClient,
-    fuse: Arc<AtomicI64>,
-    net: Arc<Network>,
-    victims: Vec<NodeId>,
-    ticks_at: usize,
-}
-
-impl FuseClient {
-    /// Ticks the fuse on every request of at least `ticks_at` operations —
-    /// 2 for the envelopes, which travel as `Batch` frames, 1 for every
-    /// data request — and the one that burns it down slows the victims past
-    /// the RPC timeout.
-    fn tick(&self, ops: &[RepOp]) {
-        let ticks = ops.len() >= self.ticks_at;
-        if ticks && self.fuse.fetch_sub(1, Ordering::SeqCst) == 1 {
-            for v in &self.victims {
-                self.net
-                    .set_node_latency(*v, LatencyModel::fixed(Duration::from_secs(2)));
-            }
-        }
-    }
-}
-
-impl RepClient for FuseClient {
-    fn id(&self) -> RepId {
-        self.inner.id()
-    }
-    fn execute(&self, ops: &[RepOp]) -> RepResult<Vec<Reply>> {
-        self.tick(ops);
-        self.inner.execute(ops)
-    }
-    fn start(&self, ops: &[RepOp], done: Completion) {
-        self.tick(ops);
-        self.inner.start(ops, done)
-    }
-}
-
-struct Fixture {
-    suite: DirSuite<FuseClient>,
-    fuse: Arc<AtomicI64>,
-    _handles: Vec<ServerHandle>,
-}
-
-/// Three networked representatives under a fixed quorum order: the session
-/// quorum is always {0, 1}, `victims` are the nodes the fuse slows, and the
-/// fuse ticks on envelopes.
-fn networked_suite(victims: Vec<NodeId>) -> Fixture {
-    networked_suite_ticking_at(victims, 2)
-}
-
-/// [`networked_suite`] whose fuse ticks on requests of at least `ticks_at`
-/// operations.
-fn networked_suite_ticking_at(victims: Vec<NodeId>, ticks_at: usize) -> Fixture {
-    let net = Arc::new(Network::new(0xFA17));
-    net.set_fault_plan(FaultPlan {
-        drop_prob: 0.0,
-        duplicate_prob: 0.0,
-        latency: LatencyModel::fixed(Duration::from_micros(50)),
-    });
-    // Fuse starts deeply negative: disarmed until a test arms it.
-    let fuse = Arc::new(AtomicI64::new(i64::MIN / 2));
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    let mut handles = Vec::new();
-    let mut clients = Vec::new();
-    for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-        let mut inner =
-            RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
-        inner.set_timeout(Duration::from_millis(300));
-        inner.begin().expect("begin on a healthy fabric");
-        clients.push(FuseClient {
-            inner,
-            fuse: Arc::clone(&fuse),
-            net: Arc::clone(&net),
-            victims: victims.clone(),
-            ticks_at,
-        });
-    }
-    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
-    let suite = DirSuite::new(clients, config, Box::new(FixedPolicy::new())).unwrap();
-    Fixture {
-        suite,
-        fuse,
-        _handles: handles,
-    }
-}
-
-/// A value one byte too large to ride a chain.
-fn big() -> Value {
-    Value::from(vec![b'v'; INLINE_VALUE_MAX + 1])
+/// The fused suite of these tests, ticking on requests of at least
+/// `ticks_at` operations: 2 for the envelopes, 1 for every data request.
+fn fused(victims: Vec<NodeId>, ticks_at: usize) -> Fixture {
+    networked_suite(0xFA17, victims, ticks_at)
 }
 
 #[test]
 fn mid_scan_partitioned_member_revalidates_once_and_completes() {
-    let mut fx = networked_suite(vec![NodeId(101)]);
+    let mut fx = fused(vec![NodeId(101)], 2);
     let keys: Vec<Key> = (0..8u64).map(|i| Key::User(UserKey::from_u64(i))).collect();
     for key in &keys {
         fx.suite.insert(key, &big()).unwrap();
@@ -402,7 +258,7 @@ fn mid_scan_partitioned_member_revalidates_once_and_completes() {
 
 #[test]
 fn dead_majority_mid_scan_fails_fast_with_quorum_unavailable() {
-    let mut fx = networked_suite(vec![NodeId(101), NodeId(102)]);
+    let mut fx = fused(vec![NodeId(101), NodeId(102)], 2);
     for i in 0..8u64 {
         fx.suite
             .insert(&Key::User(UserKey::from_u64(i)), &big())
@@ -439,7 +295,7 @@ fn mid_scan_partitioned_member_over_small_values_revalidates_once() {
     // is one bare chain request per member, so the fuse ticks on every data
     // request. The collection sends two; the third opens the second wave
     // and slows node 101 before member 1's request leaves.
-    let mut fx = networked_suite_ticking_at(vec![NodeId(101)], 1);
+    let mut fx = fused(vec![NodeId(101)], 1);
     for i in 0..8u64 {
         fx.suite
             .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))
@@ -464,7 +320,7 @@ fn mid_scan_partitioned_member_over_small_values_revalidates_once() {
 #[test]
 fn dead_majority_mid_scan_over_small_values_fails_fast() {
     // Twin of the dead-majority test over values that ride the chains.
-    let mut fx = networked_suite_ticking_at(vec![NodeId(101), NodeId(102)], 1);
+    let mut fx = fused(vec![NodeId(101), NodeId(102)], 1);
     for i in 0..8u64 {
         fx.suite
             .insert(&Key::User(UserKey::from_u64(i)), &Value::from("v"))

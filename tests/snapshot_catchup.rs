@@ -14,29 +14,20 @@
 //! before the partition, and once with a receiver that holds nothing, whose
 //! first interval is the whole key space.
 
-use repdir::core::rng::StdRng;
+mod support;
+
+use repdir::core::rng::SplitMix64;
 use repdir::core::suite::{FixedPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, SuiteError, UserKey, Value, Version};
+use repdir::core::{Key, RepId, UserKey, Value, Version};
 use repdir::repair::{
     bucket_of, BucketView, Digest, RepairError, RepairPeer, Repairer, MAX_PULL_ENTRIES,
 };
 use repdir::replica::{LocalRepairPeer, RepTarget, ReplicatedDirectory, TransactionalRep};
 use repdir::txn::TxnId;
-use std::collections::BTreeMap;
+use repdir::workload::spec::{Op, Shape, Spec};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Counter-exact tests share one process-global obs registry, so they must
-/// not interleave with each other's quorum traffic.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
-    SERIAL
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-const KEYSPACE: u8 = 48;
+use std::sync::{Arc, Mutex};
+use support::serial;
 
 /// Single-byte keys, so every key value is its own summary bucket and the
 /// keys a workload leaves untouched split the dirty buckets into runs.
@@ -44,41 +35,36 @@ fn user_key(k: u8) -> Key {
     Key::User(UserKey::new(vec![k]))
 }
 
-/// One random workload step against the directory and a model, with the
-/// quorum pinned to `order`.
+/// The workload's keys: 48 single-byte keys, or the `bucket_straddle`
+/// shape's 48 keys on both sides of 24 bucket edges.
+fn keyspace(straddle: bool) -> Vec<Key> {
+    match straddle {
+        false => (0..48).map(user_key).collect(),
+        true => Shape::BucketStraddle(24).keys().collect(),
+    }
+}
+
+/// One random workload step against the directory and the spec, with the
+/// quorum pinned to `order`, narrowed so that every write lands.
 fn step(
     dir: &ReplicatedDirectory,
     order: &[usize],
-    model: &mut BTreeMap<Vec<u8>, u8>,
-    rng: &mut StdRng,
-) -> Result<(), SuiteError> {
-    let k = rng.gen_range(0u8..KEYSPACE);
-    let key = user_key(k);
-    let v: u8 = rng.gen();
+    keys: &[Key],
+    spec: &mut Spec,
+    rng: &mut SplitMix64,
+) {
+    let key = keys[rng.next_below(keys.len() as u64) as usize].clone();
+    let value = Value::from(vec![rng.next_u64() as u8]);
+    let op = spec.narrow(match rng.next_below(4) {
+        0 => Op::Insert(key, value),
+        1 => Op::Update(key, value),
+        2 => Op::Delete(key),
+        _ => Op::Lookup(key),
+    });
     let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(order.to_vec())));
-    let known = model.contains_key(&vec![k]);
-    let out = match rng.gen_range(0..4u8) {
-        0 if !known => txn
-            .suite_mut()
-            .insert(&key, &Value::from(vec![v]))
-            .map(|_| {
-                model.insert(vec![k], v);
-            }),
-        1 if known => txn
-            .suite_mut()
-            .update(&key, &Value::from(vec![v]))
-            .map(|_| {
-                model.insert(vec![k], v);
-            }),
-        2 if known => txn.suite_mut().delete(&key).map(|_| {
-            model.remove(&vec![k]);
-        }),
-        _ => txn.suite_mut().lookup(&key).map(|out| {
-            assert_eq!(out.present, known);
-        }),
-    };
+    let reply = op.run(txn.suite_mut());
     txn.commit();
-    out
+    assert_eq!(reply, spec.apply(&op), "{op:?}");
 }
 
 /// A repair peer that dies (once) after a configured number of range
@@ -178,12 +164,13 @@ enum Receiver {
     Empty,
 }
 
-fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
+fn run_crashy_catchup(seed: u64, receiver_shape: Receiver, straddle: bool) {
     let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model: BTreeMap<Vec<u8>, u8> = BTreeMap::new();
-    let victim = rng.gen_range(0..3usize);
+    let mut rng = SplitMix64::new(seed);
+    let keys = keyspace(straddle);
+    let mut spec = Spec::new();
+    let victim = rng.next_below(3) as usize;
     let source_member = (victim + 1) % 3;
     // The victim last in the order never takes a write; first, it takes
     // every write. The source holds everything either way.
@@ -197,7 +184,6 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
     let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::with_order(healthy.to_vec())));
     let entries: Vec<(Key, Value)> = (0..floor)
         .map(|i| {
-            model.insert(floor_key(i), i as u8);
             (
                 Key::User(UserKey::new(floor_key(i))),
                 Value::from(vec![i as u8]),
@@ -206,12 +192,13 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
         .collect();
     txn.suite_mut().insert_many(&entries).unwrap();
     txn.commit();
+    spec.insert_many(&entries).unwrap();
     for _ in 0..40 {
-        step(&dir, &healthy, &mut model, &mut rng).expect("op with all members up");
+        step(&dir, &healthy, &keys, &mut spec, &mut rng);
     }
     dir.reps()[victim].set_available(false);
     for _ in 0..100 {
-        step(&dir, &partitioned, &mut model, &mut rng).expect("op with one member partitioned");
+        step(&dir, &partitioned, &keys, &mut spec, &mut rng);
     }
     dir.reps()[victim].set_available(true);
 
@@ -219,7 +206,7 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
     let waves_before = g.counter("suite.quorum.waves").get();
     let source = &dir.reps()[source_member];
     let receiver = &dir.reps()[victim];
-    let ctx = format!("seed {seed:#x}, {receiver_shape:?} receiver");
+    let ctx = format!("seed {seed:#x}, {receiver_shape:?} receiver, straddle {straddle}");
     if let Receiver::Empty = receiver_shape {
         assert!(receiver.snapshot().is_empty(), "{ctx}: victim took a write");
     }
@@ -274,7 +261,7 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
     );
 
     // Byte-identical convergence: receiver == source, equal summary trees,
-    // and both match the model byte for byte.
+    // and both match the spec byte for byte.
     assert_eq!(
         source.snapshot(),
         receiver.snapshot(),
@@ -290,11 +277,7 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
         .range_scan(None, None, &mut |k, _, v, _| {
             stored.push((k.clone(), v.clone()));
         });
-    let expect: Vec<(UserKey, Value)> = model
-        .iter()
-        .map(|(mk, mv)| (UserKey::new(mk.clone()), Value::from(vec![*mv])))
-        .collect();
-    assert_eq!(stored, expect, "{ctx}: converged state != model");
+    assert_eq!(stored, spec.scan(), "{ctx}: converged state != spec");
 
     // Idempotent re-run: a fresh repairer finds nothing and applies nothing.
     let again = repairer_from(receiver, vec![KillablePeer::new(source, u64::MAX)]).run_round(0);
@@ -315,18 +298,24 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver) {
     );
 }
 
+/// Shapes: single-byte keys and `bucket_straddle`.
 #[test]
 fn interrupted_snapshot_catchup_resumes_and_converges() {
-    for shape in [Receiver::Seeded, Receiver::Empty] {
-        run_crashy_catchup(0x5AFE_0001, shape);
+    for straddle in [false, true] {
+        for shape in [Receiver::Seeded, Receiver::Empty] {
+            run_crashy_catchup(0x5AFE_0001, shape, straddle);
+        }
     }
 }
 
+/// Shapes: single-byte keys (4 seeds) and `bucket_straddle` (2 seeds).
 #[test]
 fn snapshot_catchup_holds_across_random_histories() {
-    for seed in 0..4u64 {
-        for shape in [Receiver::Seeded, Receiver::Empty] {
-            run_crashy_catchup(0x5AFE_1000 + seed, shape);
+    for (seeds, straddle) in [(0..4u64, false), (0..2, true)] {
+        for seed in seeds {
+            for shape in [Receiver::Seeded, Receiver::Empty] {
+                run_crashy_catchup(0x5AFE_1000 + seed, shape, straddle);
+            }
         }
     }
 }

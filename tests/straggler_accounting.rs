@@ -10,7 +10,9 @@
 //! a later wave is accounted to its member and otherwise ignored — it can
 //! never be taken for one of that wave's replies.
 
-use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, SuiteConfig};
+mod support;
+
+use repdir::core::suite::{DirSuite, SuiteConfig};
 use repdir::core::{Key, RepId, UserKey, Value};
 use repdir::net::{LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::obs::{Avail, Registry};
@@ -18,13 +20,10 @@ use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::fixed;
 
 fn key(i: u64) -> Key {
     Key::User(UserKey::from_u64(i))
-}
-
-fn order(members: &[usize]) -> Box<dyn QuorumPolicy + Send> {
-    Box::new(FixedPolicy::with_order(members.to_vec()))
 }
 
 struct Fixture {
@@ -57,7 +56,7 @@ fn cluster(seed: u64, timeout: Duration) -> Fixture {
         })
         .collect();
     let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
-    let mut suite = DirSuite::new(clients, config, order(&[0, 1, 2])).unwrap();
+    let mut suite = DirSuite::new(clients, config, fixed(&[0, 1, 2])).unwrap();
     for i in 0..8 {
         suite.insert(&key(i), &Value::from(vec![i as u8])).unwrap();
     }
@@ -78,11 +77,11 @@ fn successes(avail: &Avail) -> u64 {
 /// at the pongs of {0, 1} with the ping to member 2 still in flight, and
 /// sends the lookup to {0, 1}.
 fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
-    suite.set_policy(order(&[2, 0, 1]));
+    suite.set_policy(fixed(&[2, 0, 1]));
     let out = suite.lookup(&key(3)).unwrap();
     assert_eq!(out.value, Some(Value::from(vec![3])));
     assert_eq!(out.quorum, vec![RepId(0), RepId(1)]);
-    suite.set_policy(order(&[0, 1, 2]));
+    suite.set_policy(fixed(&[0, 1, 2]));
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Integration tests for weighted votes and weak representatives (§2) at
 //! the suite level.
 
-use repdir::core::suite::{DirSuite, FixedPolicy, QuorumPolicy, RandomPolicy, SuiteConfig};
-use repdir::core::{Key, LocalRep, QuorumKind, RepId, SuiteError, Value};
-use repdir::workload::weighted_availability;
+mod support;
 
-fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
-    Box::new(FixedPolicy::with_order(order.to_vec()))
-}
+use repdir::core::suite::{DirSuite, QuorumPolicy, RandomPolicy, SuiteConfig};
+use repdir::core::{Key, LocalRep, QuorumKind, RepId, SuiteError, Value};
+use repdir::workload::spec::{Op, Spec};
+use repdir::workload::weighted_availability;
+use support::fixed;
 
 fn suite(
     votes: Vec<u32>,
@@ -51,36 +51,26 @@ fn heavy_representative_dominates_quorums() {
     );
 }
 
+/// A fixed upsert / lookup / delete schedule over 20 keys: every reply is
+/// the sequential spec's.
 #[test]
 fn full_workload_on_weighted_suite_stays_correct() {
     let mut dir = suite(vec![2, 1, 1], 2, 3, Box::new(RandomPolicy::new(5)));
-    let mut model = std::collections::BTreeMap::new();
+    let mut spec = Spec::new();
+    let key = |i: u64| Key::from(format!("k{:02}", i % 20).as_str());
     for i in 0..120u64 {
-        let key = Key::from(format!("k{:02}", i % 20).as_str());
-        match i % 3 {
-            0 => {
-                if model.insert(i % 20, i).is_some() {
-                    dir.update(&key, &Value::from(i.to_string().as_str()))
-                        .unwrap();
-                } else {
-                    dir.insert(&key, &Value::from(i.to_string().as_str()))
-                        .unwrap();
-                }
-            }
-            1 => {
-                let out = dir.lookup(&key).unwrap();
-                assert_eq!(out.present, model.contains_key(&(i % 20)));
-            }
-            _ => {
-                if model.remove(&(i % 20)).is_some() {
-                    dir.delete(&key).unwrap();
-                }
-            }
-        }
+        let value = Value::from(i.to_string().as_str());
+        let op = spec.narrow(match i % 3 {
+            0 if spec.lookup(&key(i)).is_some() => Op::Update(key(i), value),
+            0 => Op::Insert(key(i), value),
+            1 => Op::Lookup(key(i)),
+            _ => Op::Delete(key(i)),
+        });
+        assert_eq!(op.run(&mut dir), spec.apply(&op), "{op:?}");
     }
-    for k in 0..20u64 {
-        let key = Key::from(format!("k{k:02}").as_str());
-        assert_eq!(dir.lookup(&key).unwrap().present, model.contains_key(&k));
+    for i in 0..20u64 {
+        let op = Op::Lookup(key(i));
+        assert_eq!(op.run(&mut dir), spec.apply(&op), "{op:?}");
     }
 }
 
