@@ -15,9 +15,6 @@ use repdir_core::suite::SuiteConfig;
 use repdir_workload::{run_sim, PolicyKind, SimParams};
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     println!("Ablation: quorum stickiness vs deletion overhead (3-2-2, ~100");
     println!("entries, 10 000 ops per point)");
     println!();

@@ -13,9 +13,6 @@ use repdir_workload::{
 };
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let ps = [0.5, 0.8, 0.9, 0.95, 0.99];
     let configs: &[(u32, u32, u32)] = &[(3, 2, 2), (3, 1, 3), (5, 3, 3), (5, 2, 4), (5, 1, 5)];
 

@@ -14,9 +14,6 @@ use repdir_core::suite::SuiteConfig;
 use repdir_workload::{run_sim, SimParams};
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     println!("Neighbor-RPC cost per delete vs chain batch size");
     println!("(3-2-2 suite, ~100 entries, 10 000 ops, random quorums)");
     println!();

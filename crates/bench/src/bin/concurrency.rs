@@ -10,9 +10,6 @@
 use repdir_workload::{gifford_interleaved_conflicts, repdir_throughput};
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     println!("Part 1: single-version file baseline — interleaved read-modify-write");
     println!("rounds; every client edits a DIFFERENT directory entry, yet they");
     println!("conflict because the whole directory shares one version number.");

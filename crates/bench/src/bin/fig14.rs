@@ -10,9 +10,6 @@ use repdir_core::suite::SuiteConfig;
 use repdir_workload::{analytic_delete_stats, run_sim, SimParams};
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let configs: &[(u32, u32, u32)] = &[
         (1, 1, 1),
         (2, 1, 2),

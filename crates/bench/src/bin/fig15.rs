@@ -38,9 +38,6 @@ const PAPER: &[PaperRow] = &[
 ];
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     println!("Figure 15: three 3-2-2 directory suites, 100 000 ops each");
     println!();
     let sizes = [100usize, 1_000, 10_000];

@@ -12,9 +12,6 @@
 use repdir_workload::run_locality;
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let ops = 20_000;
     println!("Figure 16: locality-aware quorum assignment on a 4-2-3 suite");
     println!("reps: A1=0, A2=1 (local to Type A), B1=2, B2=3 (local to Type B)");

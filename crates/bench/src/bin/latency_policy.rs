@@ -115,9 +115,6 @@ fn run_workload(fx: &mut Fixture, warmup: usize, reads: usize) -> Run {
 }
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");

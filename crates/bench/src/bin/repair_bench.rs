@@ -19,7 +19,8 @@
 //! all three representatives start byte-identical and member 2 is
 //! partitioned for the burst. Messages are counted by the fabric itself
 //! (`NetStats::sent`), requests and replies alike, and entries pulled by
-//! the `repair.keys_pulled` counter. Both repeat exactly from run to run.
+//! the `repair.keys_pulled` counter in the pass's repairer's own registry.
+//! Both repeat exactly from run to run.
 //! After the sparse sweep, every one of the 256 buckets is pulled once more
 //! as the *full-copy reference*: what resynchronising without the summary
 //! tree would ship.
@@ -39,6 +40,7 @@ use std::time::{Duration, Instant};
 use repdir_core::suite::{DirSuite, FixedPolicy, RandomPolicy, StaleVoteQueue, SuiteConfig};
 use repdir_core::{Key, RepId, UserKey, Value, Version};
 use repdir_net::{Network, NodeId, RpcClient, ServerHandle};
+use repdir_obs::Counter;
 use repdir_repair::{Pacing, RepairDriver, Repairer};
 use repdir_replica::{
     serve_rep, RemoteRepairPeer, RemoteSessionClient, RepTarget, TransactionalRep,
@@ -214,10 +216,10 @@ impl Fixture {
         }
     }
 
-    /// Runs `pass`, returning what it spent and how long it took, and
+    /// Runs `pass`, returning what it spent (entries as `pulled`, the
+    /// pass's `repair.keys_pulled`, counts them) and how long it took, and
     /// asserts it converged the stale member.
-    fn measure(&self, what: &str, pass: impl FnOnce()) -> (Cost, Duration) {
-        let pulled = repdir_obs::global().counter("repair.keys_pulled");
+    fn measure(&self, what: &str, pulled: &Counter, pass: impl FnOnce()) -> (Cost, Duration) {
         let (msgs, entries) = (self.net.stats().sent, pulled.get());
         let t = Instant::now();
         pass();
@@ -235,6 +237,11 @@ impl Fixture {
     }
 }
 
+/// The entries `driver`'s repairer has pulled.
+fn keys_pulled(driver: &RepairDriver) -> Counter {
+    driver.repairer().registry().counter("repair.keys_pulled")
+}
+
 /// Number of summary buckets on which two representatives disagree
 /// (computed in-process; costs no fabric messages).
 fn divergent_buckets(a: &TransactionalRep, b: &TransactionalRep) -> usize {
@@ -248,9 +255,6 @@ fn divergent_buckets(a: &TransactionalRep, b: &TransactionalRep) -> usize {
 }
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval metrics
-    // flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
@@ -292,13 +296,14 @@ fn main() {
     fx.release();
     let sparse_dirty = divergent_buckets(&fx.reps[0], &fx.reps[STALE_MEMBER]);
     let mut driver = fx.driver(None);
-    let (sparse_cost, sparse_elapsed) = fx.measure("the sparse sweep", || {
+    let pulled = keys_pulled(&driver);
+    let (sparse_cost, sparse_elapsed) = fx.measure("the sparse sweep", &pulled, || {
         driver.sweep();
     });
 
     // The full-copy reference: every bucket pulled once, no walk.
     let repairer = driver.repairer();
-    let (copy_cost, copy_elapsed) = fx.measure("the full-copy reference", || {
+    let (copy_cost, copy_elapsed) = fx.measure("the full-copy reference", &pulled, || {
         for bucket in 0..=u8::MAX {
             repairer
                 .pull_buckets(0, bucket, bucket)
@@ -333,8 +338,9 @@ fn main() {
     }
     fx.release();
     let mut driver = fx.driver(Some(queue));
+    let pulled = keys_pulled(&driver);
     let mut tick = Default::default();
-    let (vote_cost, vote_elapsed) = fx.measure("the vote pass", || {
+    let (vote_cost, vote_elapsed) = fx.measure("the vote pass", &pulled, || {
         tick = driver.drain_and_pull();
     });
     assert_eq!(tick.unrepaired, 0, "driver left voted buckets unrepaired");
@@ -345,7 +351,8 @@ fn main() {
     fx.release();
     let dense_dirty = divergent_buckets(&fx.reps[0], &fx.reps[STALE_MEMBER]);
     let mut driver = fx.driver(None);
-    let (dense_cost, dense_elapsed) = fx.measure("the dense sweep", || {
+    let pulled = keys_pulled(&driver);
+    let (dense_cost, dense_elapsed) = fx.measure("the dense sweep", &pulled, || {
         driver.sweep();
     });
 

@@ -14,9 +14,6 @@
 use repdir_workload::skewed_contention;
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     println!("Concurrent RMW conflict rate: static partitions vs per-entry ranges");
     println!("(8 clients/round, 500 rounds, 1000 keys, 3-2-2 replication)");
     println!();

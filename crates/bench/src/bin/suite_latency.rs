@@ -100,10 +100,10 @@ fn run_workload<C: RepClient>(fx: &mut Fixture<C>, ops: usize) -> (Samples, Cost
     (Samples::from_durations(times), costs)
 }
 
-/// The obs-overhead measurement: one workload timed with metrics timing
-/// armed and once with every registry (the suite's and the global
-/// one) disarmed. Disarmed skips every clock read and span record — the
-/// pre-obs baseline — so the ratio is the instrumentation's cost.
+/// The obs-overhead measurement: one workload timed with the suite
+/// registry's timing armed and once with it disarmed. Disarmed skips every
+/// clock read and span record — the pre-obs baseline — so the ratio is the
+/// instrumentation's cost.
 struct Overhead {
     armed: Samples,
     detached: Samples,
@@ -119,11 +119,9 @@ fn measure_overhead(base: Duration, ops: usize) -> Overhead {
     let measure = |arm: bool| {
         let mut fx = build((3, 2, 2), base, 0x0B5 + u64::from(arm), |client| client);
         fx.suite.obs().set_timing_armed(arm);
-        repdir_obs::global().set_timing_armed(arm);
         run_workload(&mut fx, ops).0
     };
     let (armed, detached) = (measure(true), measure(false));
-    repdir_obs::global().set_timing_armed(true);
     Overhead { armed, detached }
 }
 
@@ -265,9 +263,6 @@ fn write_json(
 }
 
 fn main() {
-    // `REPDIR_OBS_FLUSH=stderr|json|<path>` attaches an interval
-    // metrics flusher to the global registry for the whole run.
-    let _flush = repdir_obs::Flusher::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");

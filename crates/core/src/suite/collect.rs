@@ -615,6 +615,53 @@ mod tests {
         );
     }
 
+    /// Forwards to a [`LocalRep`] but refuses its first data request with
+    /// `Deadlock`: a member that was reached and said no.
+    struct RefusesOnce {
+        inner: LocalRep,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl RepClient for RefusesOnce {
+        fn id(&self) -> RepId {
+            self.inner.id()
+        }
+        fn execute(&self, ops: &[Op]) -> RepResult<Vec<Reply>> {
+            let armed = || self.armed.swap(false, std::sync::atomic::Ordering::SeqCst);
+            if !ops.is_empty() && armed() {
+                return Err(RepError::Deadlock);
+            }
+            self.inner.execute(ops)
+        }
+    }
+
+    #[test]
+    fn member_that_refused_scores_no_miss_and_is_not_pinged() {
+        // A refusal fails the operation, but the member answered: its
+        // availability window stays clean, its reply-time EWMA takes no
+        // penalty sample (timing is off, so it takes none at all), and the
+        // next lookup carries its request to it with no ping first.
+        let clients: Vec<RefusesOnce> = (0..3)
+            .map(|i| RefusesOnce {
+                inner: LocalRep::new(RepId(i)),
+                armed: std::sync::atomic::AtomicBool::new(i == 0),
+            })
+            .collect();
+        let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
+        s.obs().set_timing_armed(false);
+        assert_eq!(
+            s.lookup(&k("a")).unwrap_err(),
+            SuiteError::Rep(RepError::Deadlock)
+        );
+        assert_eq!(s.member_avails()[0].rate(), Some(1.0));
+        assert_eq!(s.member_reply_ewmas()[0].value_us(), None);
+        s.reset_message_counts();
+        assert!(!s.lookup(&k("a")).unwrap().present);
+        assert_eq!(s.ping_counts(), vec![0, 0, 0]);
+        assert_eq!(s.message_counts(), vec![1, 1, 0]);
+    }
+
     #[test]
     fn member_that_missed_once_is_carried_to_again_after_the_window_turns_over() {
         let mut s = suite_322(64);

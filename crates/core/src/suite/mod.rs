@@ -529,12 +529,12 @@ impl<C: RepClient> DirSuite<C> {
         self.obs.registry()
     }
 
-    /// Rebinds the suite's metrics to `registry` (e.g. the process-wide
-    /// [`repdir_obs::global`] registry, or a disarmed one for overhead
-    /// baselines), resolving every handle by name there, so suites sharing
-    /// one registry aggregate into the same metrics. Counter readings
-    /// restart from the registry's existing values — rebind before running
-    /// a workload, not mid-measurement.
+    /// Rebinds the suite's metrics to `registry` (e.g. one several suites
+    /// share, or a disarmed one for overhead baselines), resolving every
+    /// handle by name there, so suites sharing one registry aggregate into
+    /// the same metrics. Counter readings restart from the registry's
+    /// existing values — rebind before running a workload, not
+    /// mid-measurement.
     pub fn set_obs_registry(&mut self, registry: Registry) {
         self.obs = SuiteObs::resolved(registry, self.members.len());
         // The old registry's handles are dead; re-offer the live ones.

@@ -87,9 +87,11 @@ impl<C: RepClient> DirSuite<C> {
 
     /// Records one completion against the member it was issued to and
     /// returns that member and the result, a reply without exactly one part
-    /// per operation asked turned into a protocol violation. A failure
-    /// additionally records the penalty sample: a dead member often fails
-    /// *fast*, so the measured time alone would keep it attractive.
+    /// per operation asked turned into a protocol violation. Only a member
+    /// that could not be reached ([`RepError::Unavailable`]) scores an
+    /// availability miss and the penalty sample — a dead member often fails
+    /// *fast*, so the measured time alone would keep it attractive. A
+    /// refusal (`Deadlock`, `LockTimeout`, …) is an answer: the member is up.
     fn account(&mut self, done: Done) -> (usize, RepResult<Vec<Reply>>) {
         let at = self
             .exec
@@ -107,8 +109,9 @@ impl<C: RepClient> DirSuite<C> {
         if let Some(elapsed) = done.elapsed {
             self.obs.reply[i].record(elapsed);
         }
-        self.obs.avail[i].record(result.is_ok());
-        if result.is_err() {
+        let unreachable = matches!(result, Err(RepError::Unavailable));
+        self.obs.avail[i].record(!unreachable);
+        if unreachable {
             self.obs.reply[i].record(FAILED_RPC_PENALTY);
         }
         (i, result)

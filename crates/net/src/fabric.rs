@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use repdir_core::rng::StdRng;
 use repdir_core::sync::{Condvar, Mutex, MutexGuard};
-use repdir_obs::Counter;
 
 /// Identifies one node on the simulated network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -133,30 +132,6 @@ impl Ord for Scheduled {
     }
 }
 
-/// Fabric counters mirrored into the process-wide obs registry (`net.*`),
-/// resolved once per network. [`NetStats`] stays the per-network exact
-/// record; these aggregate across every network in the process.
-struct FabricObs {
-    sent: Counter,
-    delivered: Counter,
-    dropped: Counter,
-    partitioned: Counter,
-    duplicated: Counter,
-}
-
-impl FabricObs {
-    fn new() -> Self {
-        let g = repdir_obs::global();
-        FabricObs {
-            sent: g.counter("net.sent"),
-            delivered: g.counter("net.delivered"),
-            dropped: g.counter("net.dropped"),
-            partitioned: g.counter("net.partitioned"),
-            duplicated: g.counter("net.duplicated"),
-        }
-    }
-}
-
 /// Everything fault injection is configured with, behind one lock: a send
 /// reads all of it at once.
 #[derive(Default)]
@@ -186,7 +161,6 @@ struct Stats {
 struct Shared {
     mailboxes: Mutex<HashMap<NodeId, Sender<Envelope>>>,
     faults: Mutex<Faults>,
-    obs: FabricObs,
     rng: Mutex<StdRng>,
     stats: Stats,
     queue: Mutex<BinaryHeap<Scheduled>>,
@@ -228,7 +202,6 @@ impl Network {
         let shared = Arc::new(Shared {
             mailboxes: Mutex::new(HashMap::new()),
             faults: Mutex::new(Faults::default()),
-            obs: FabricObs::new(),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             stats: Stats::default(),
             queue: Mutex::new(BinaryHeap::new()),
@@ -324,12 +297,10 @@ impl Network {
         shared.stats.sent.fetch_add(1, Ordering::Relaxed);
         let bytes = payload.len() as u64;
         shared.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-        shared.obs.sent.inc();
         let (latency, drop_prob, duplicate_prob) = {
             let faults = shared.faults.lock();
             if faults.blocked.contains(&(src, dst)) {
                 shared.stats.partitioned.fetch_add(1, Ordering::Relaxed);
-                shared.obs.partitioned.inc();
                 return true; // silently eaten, like a real partition
             }
             let plan = &faults.plan;
@@ -359,7 +330,6 @@ impl Network {
             };
         if dropped {
             shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            shared.obs.dropped.inc();
             return true;
         }
         let delay = latency.base + Duration::from_nanos(extra_ns);
@@ -371,7 +341,6 @@ impl Network {
         };
         let copies = if duplicate {
             shared.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            shared.obs.duplicated.inc();
             2
         } else {
             1
@@ -429,7 +398,6 @@ fn deliver_now(shared: &Shared, env: Envelope) -> bool {
     match tx {
         Some(tx) if tx.send(env).is_ok() => {
             shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
-            shared.obs.delivered.inc();
             true
         }
         _ => false,

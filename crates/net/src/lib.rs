@@ -15,7 +15,7 @@
 //! * [`RpcClient`] / [`serve`] — correlated request/response with deadlines,
 //!   stale-reply discarding, and scatter-gather concurrency: a router thread
 //!   demultiplexes replies by correlation id, so one client supports any
-//!   number of concurrent in-flight calls ([`RpcClient::call_async`]) and
+//!   number of concurrent in-flight calls ([`RpcClient::start`]) and
 //!   N-way fan-out with replies in arrival order ([`RpcClient::scatter`]).
 //!
 //! Substitution note (see `DESIGN.md`): the repro hint suggests tokio; the
@@ -31,6 +31,5 @@ mod rpc;
 
 pub use fabric::{Endpoint, Envelope, FaultPlan, LatencyModel, MsgKind, NetStats, Network, NodeId};
 pub use rpc::{
-    pack_parts, serve, unpack_parts, PendingReply, RpcClient, RpcError, RpcResult, Scatter,
-    ServerHandle,
+    pack_parts, serve, unpack_parts, RpcClient, RpcError, RpcResult, Scatter, ServerHandle,
 };

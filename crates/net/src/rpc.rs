@@ -8,7 +8,7 @@
 //! owns the node's mailbox and demultiplexes responses to per-call channels
 //! by correlation id, so any number of threads can [`call`](RpcClient::call)
 //! through one client at once, and a single thread can put N requests in
-//! flight with [`call_async`](RpcClient::call_async) or
+//! flight with [`start`](RpcClient::start) or
 //! [`scatter`](RpcClient::scatter) and gather replies as they arrive. This
 //! turns a quorum round from sum-of-member-latencies into
 //! max-of-member-latencies — the cost model the paper's §3–§4 accounting
@@ -22,7 +22,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repdir_core::sync::Mutex;
-use repdir_obs::{Counter, Histogram};
 
 use crate::fabric::{Endpoint, MsgKind, Network, NodeId};
 
@@ -63,37 +62,11 @@ struct PendingSlot {
     /// When the router gives up on the request and answers it with
     /// [`RpcError::Timeout`]; `None` leaves the deadline to the waiter.
     deadline: Option<Instant>,
-    /// Send-time stamp; `None` when the global registry has timing off.
-    started: Option<Instant>,
     on_done: OnDone,
 }
 
-/// Client-side RPC counters mirrored into the process-wide obs registry
-/// (`rpc.*`), shared by every call/scatter handle of one client.
-#[derive(Debug)]
-struct RpcObs {
-    calls: Counter,
-    replies: Counter,
-    timeouts: Counter,
-    unreachable: Counter,
-    reply_us: Histogram,
-}
-
-impl RpcObs {
-    fn new() -> Self {
-        let g = repdir_obs::global();
-        RpcObs {
-            calls: g.counter("rpc.calls"),
-            replies: g.counter("rpc.replies"),
-            timeouts: g.counter("rpc.timeouts"),
-            unreachable: g.counter("rpc.unreachable"),
-            reply_us: g.histogram("rpc.reply_us"),
-        }
-    }
-}
-
 /// State shared between the client handle, its router thread, and
-/// outstanding [`PendingReply`]/[`Scatter`] handles.
+/// outstanding [`Scatter`] handles.
 struct ClientShared {
     net: Arc<Network>,
     node: NodeId,
@@ -102,7 +75,6 @@ struct ClientShared {
     /// exited: nothing sent after that could ever be answered.
     pending: Mutex<Option<HashMap<u64, PendingSlot>>>,
     shutdown: AtomicBool,
-    obs: RpcObs,
 }
 
 impl ClientShared {
@@ -121,14 +93,7 @@ impl ClientShared {
         on_done: OnDone,
     ) -> Result<u64, RpcError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.obs.calls.inc();
-        let slot = PendingSlot {
-            deadline,
-            // Stamped only while the global registry has timing armed
-            // (counters stay live either way).
-            started: repdir_obs::global().timing_armed().then(Instant::now),
-            on_done,
-        };
+        let slot = PendingSlot { deadline, on_done };
         let refused = match self.pending.lock().as_mut() {
             Some(slots) => slots.insert(id, slot),
             None => Some(slot),
@@ -138,7 +103,6 @@ impl ClientShared {
         } else if self.net.send(self.node, dst, MsgKind::Request(id), payload) {
             None
         } else {
-            self.obs.unreachable.inc();
             self.take(id).map(|slot| (slot, RpcError::Unreachable(dst)))
         };
         match failed {
@@ -164,10 +128,6 @@ impl ClientShared {
     /// a stale response to an abandoned call, or a duplicate.
     fn deliver(&self, id: u64, payload: Vec<u8>) {
         if let Some(slot) = self.take(id) {
-            self.obs.replies.inc();
-            if let Some(started) = slot.started {
-                self.obs.reply_us.record(started.elapsed());
-            }
             (slot.on_done)(Ok(payload));
         }
     }
@@ -189,7 +149,6 @@ impl ClientShared {
             }
         }
         for slot in expired {
-            self.obs.timeouts.inc();
             (slot.on_done)(Err(RpcError::Timeout));
         }
         wait
@@ -214,9 +173,9 @@ impl ClientShared {
 /// dropped at the router, so a late reply can never be mistaken for the
 /// answer to a newer call.
 ///
-/// Every way of calling — [`call`](RpcClient::call),
-/// [`call_async`](RpcClient::call_async), [`scatter`](RpcClient::scatter) —
-/// is a thin user of one primitive, [`start`](RpcClient::start).
+/// Both other ways of calling — [`call`](RpcClient::call) and
+/// [`scatter`](RpcClient::scatter) — are thin users of one primitive,
+/// [`start`](RpcClient::start).
 pub struct RpcClient {
     shared: Arc<ClientShared>,
 }
@@ -232,7 +191,6 @@ impl RpcClient {
             next_id: AtomicU64::new(1),
             pending: Mutex::new(Some(HashMap::new())),
             shutdown: AtomicBool::new(false),
-            obs: RpcObs::new(),
         });
         let router = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -275,18 +233,6 @@ impl RpcClient {
     /// [`RpcError::Timeout`] if no matching response arrives in time;
     /// [`RpcError::Unreachable`] if `dst` never registered.
     pub fn call(&self, dst: NodeId, payload: Vec<u8>, timeout: Duration) -> RpcResult {
-        self.call_async(dst, payload)?.wait(timeout)
-    }
-
-    /// Sends `payload` to `dst` without waiting; the returned handle
-    /// collects the response later. Any number of calls may be in flight
-    /// at once.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Unreachable`] if `dst` never registered (detected at
-    /// send time; timeouts surface from [`PendingReply::wait`]).
-    pub fn call_async(&self, dst: NodeId, payload: Vec<u8>) -> Result<PendingReply, RpcError> {
         let (tx, rx) = mpsc::channel();
         let on_done = Box::new(move |reply| {
             // The waiter may have just timed out and dropped its receiver;
@@ -294,11 +240,13 @@ impl RpcClient {
             let _ = tx.send(reply);
         });
         let id = self.shared.start(dst, payload, None, on_done)?;
-        Ok(PendingReply {
-            id,
-            rx,
-            shared: Arc::clone(&self.shared),
-        })
+        if let Ok(reply) = rx.recv_timeout(timeout) {
+            return reply;
+        }
+        // Unregistered: a later reply is discarded at the router. One routed
+        // between the timeout and the cancel still counts as delivered.
+        self.shared.cancel(id);
+        rx.try_recv().unwrap_or(Err(RpcError::Timeout))
     }
 
     /// Opens a wave with every request in flight at once and returns its
@@ -356,51 +304,6 @@ fn route_responses(endpoint: Endpoint, shared: Arc<ClientShared>) {
         wait = shared.expire(Instant::now());
     }
     shared.close();
-}
-
-/// One in-flight call created by [`RpcClient::call_async`].
-///
-/// Dropping the handle abandons the call; its eventual response is
-/// discarded at the router by correlation id.
-pub struct PendingReply {
-    id: u64,
-    rx: Receiver<RpcResult>,
-    shared: Arc<ClientShared>,
-}
-
-impl PendingReply {
-    /// Blocks until the response arrives or `timeout` elapses.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Timeout`] if no response arrived in time (the call is
-    /// unregistered; a later reply will be discarded).
-    pub fn wait(&self, timeout: Duration) -> RpcResult {
-        if let Ok(reply) = self.rx.recv_timeout(timeout) {
-            return reply;
-        }
-        self.shared.cancel(self.id);
-        // A response routed between the timeout and the cancel above still
-        // counts as delivered.
-        self.rx.try_recv().unwrap_or_else(|_| {
-            self.shared.obs.timeouts.inc();
-            Err(RpcError::Timeout)
-        })
-    }
-}
-
-impl Drop for PendingReply {
-    fn drop(&mut self) {
-        self.shared.cancel(self.id);
-    }
-}
-
-impl fmt::Debug for PendingReply {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PendingReply")
-            .field("id", &self.id)
-            .finish()
-    }
 }
 
 /// Where one request of a [`Scatter`] stands.
@@ -488,7 +391,6 @@ impl Scatter {
                 _ => None,
             })?;
         self.shared.cancel(id);
-        self.shared.obs.timeouts.inc();
         self.slots[index] = Slot::Yielded;
         self.outstanding -= 1;
         Some((index, Err(RpcError::Timeout)))
@@ -550,7 +452,6 @@ where
     let endpoint = net.register(node);
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let served = repdir_obs::global().counter("rpc.served");
     std::thread::Builder::new()
         .name(format!("repdir-rpc-{node}"))
         .spawn(move || loop {
@@ -560,7 +461,6 @@ where
             match endpoint.recv_timeout(Duration::from_millis(25)) {
                 Ok(env) => {
                     if let MsgKind::Request(id) = env.kind {
-                        served.inc();
                         let reply = handler(&env.payload);
                         net.send(node, env.src, MsgKind::Response(id), reply);
                     }
@@ -684,8 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn call_async_overlaps_requests() {
-        // Two calls in flight at once over a latency fabric: total wall
+    fn started_requests_overlap() {
+        // Two requests in flight at once over a latency fabric: total wall
         // clock is ~one latency, not two.
         let net = Arc::new(Network::new(21));
         let _server = serve(Arc::clone(&net), NodeId(1), |req| req.to_vec());
@@ -695,10 +595,17 @@ mod tests {
             ..FaultPlan::default()
         });
         let start = Instant::now();
-        let a = client.call_async(NodeId(1), vec![1]).unwrap();
-        let b = client.call_async(NodeId(1), vec![2]).unwrap();
-        assert_eq!(a.wait(TICK).unwrap(), vec![1]);
-        assert_eq!(b.wait(TICK).unwrap(), vec![2]);
+        let (tx, rx) = mpsc::channel();
+        for payload in [1u8, 2] {
+            let tx = tx.clone();
+            client.start(NodeId(1), vec![payload], None, move |reply| {
+                tx.send(reply).unwrap();
+            });
+        }
+        let mut replies =
+            [rx.recv_timeout(TICK), rx.recv_timeout(TICK)].map(|r| r.unwrap().unwrap());
+        replies.sort();
+        assert_eq!(replies, [vec![1], vec![2]]);
         let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_millis(150),
@@ -892,10 +799,9 @@ mod tests {
     fn client_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         fn assert_send<T: Send>() {}
-        // The client itself is shared across fan-out threads; the one-shot
-        // handles only move to a single waiter.
+        // The client itself is shared across fan-out threads; a wave's
+        // gather handle only moves to a single waiter.
         assert_send_sync::<RpcClient>();
-        assert_send::<PendingReply>();
         assert_send::<Scatter>();
     }
 

@@ -1,9 +1,7 @@
 //! Interval metrics flusher: a background thread that wakes every
 //! `interval`, diffs the registry's [`Snapshot`] against the previous wake,
-//! and writes what moved (text or JSON lines) to stderr or a file. Long
-//! running workload binaries become observable without code changes:
-//! [`Flusher::from_env`] reads `REPDIR_OBS_FLUSH` and attaches to the
-//! [`global`](crate::global) registry.
+//! and writes what moved (text or JSON lines) to stderr or a file: a long
+//! running binary attaches one to the registry it wants to watch.
 //!
 //! Dropping the flusher stops the thread and writes one final diff, so even
 //! a short-lived binary emits its totals.
@@ -50,14 +48,6 @@ impl Output {
         };
     }
 }
-
-/// The environment variable [`Flusher::from_env`] reads: `stderr`,
-/// `stderr:json`, or a file path (a `.json` suffix selects JSON lines).
-pub const FLUSH_ENV: &str = "REPDIR_OBS_FLUSH";
-
-/// Optional override for the flush interval, in milliseconds
-/// (default 1000).
-pub const FLUSH_INTERVAL_ENV: &str = "REPDIR_OBS_FLUSH_MS";
 
 /// A background interval flusher over one [`Registry`]. Stops (with a final
 /// flush) when dropped.
@@ -120,42 +110,6 @@ impl Flusher {
             stop: Some(stop),
             handle: Some(handle),
         })
-    }
-
-    /// Starts a flusher over the [`global`](crate::global) registry if
-    /// [`FLUSH_ENV`] is set: `stderr`, `stderr:json`, or a file path (JSON
-    /// lines when the path ends in `.json`). [`FLUSH_INTERVAL_ENV`] overrides
-    /// the 1s interval. Returns `None` when unset, empty, or the sink cannot
-    /// be opened — a broken flush config must not take the workload down.
-    pub fn from_env() -> Option<Flusher> {
-        let target = std::env::var(FLUSH_ENV).ok()?;
-        if target.is_empty() {
-            return None;
-        }
-        let (sink, format) = match target.as_str() {
-            "stderr" => (FlushSink::Stderr, FlushFormat::Text),
-            "stderr:json" => (FlushSink::Stderr, FlushFormat::Json),
-            path => (
-                FlushSink::File(PathBuf::from(path)),
-                if path.ends_with(".json") {
-                    FlushFormat::Json
-                } else {
-                    FlushFormat::Text
-                },
-            ),
-        };
-        let interval_ms = std::env::var(FLUSH_INTERVAL_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1000)
-            .max(1);
-        Flusher::new(
-            crate::global(),
-            Duration::from_millis(interval_ms),
-            sink,
-            format,
-        )
-        .ok()
     }
 }
 
@@ -264,13 +218,5 @@ mod tests {
             "quiet intervals write nothing: {written}"
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn from_env_without_config_is_none() {
-        // The test harness never sets the env var; a missing/empty config
-        // must disable flushing rather than erroring.
-        std::env::remove_var(FLUSH_ENV);
-        assert!(Flusher::from_env().is_none());
     }
 }

@@ -14,9 +14,8 @@
 //! * [`Avail`] — a windowed success-rate tracker; the suite keeps one per
 //!   member (`suite.member.{i}.avail`), fed by every ping/RPC outcome, and
 //!   sizes adaptive quorum waves by the expected yield it reports.
-//! * [`Flusher`] — an interval thread that writes snapshot *diffs* (text or
-//!   JSON lines) to stderr or a file; `Flusher::from_env` wires it into any
-//!   binary via the `REPDIR_OBS_FLUSH` env var.
+//! * [`Flusher`] — an interval thread that writes one registry's snapshot
+//!   *diffs* (text or JSON lines) to stderr or a file.
 //! * [`SpanRing`] + [`span!`] — a lock-free-ish ring buffer of scoped-timer
 //!   events (`span!(reg, "quorum.collect", member = i)`) with monotonic
 //!   timestamps; torn slots are detected and skipped on read, never locked
@@ -53,9 +52,9 @@ mod metrics;
 mod registry;
 mod span;
 
-pub use flush::{FlushFormat, FlushSink, Flusher, FLUSH_ENV, FLUSH_INTERVAL_ENV};
+pub use flush::{FlushFormat, FlushSink, Flusher};
 pub use metrics::{Avail, Counter, Ewma, Histogram, HistogramSnapshot, AVAIL_WINDOW, BUCKET_COUNT};
-pub use registry::{global, Registry, Snapshot};
+pub use registry::{Registry, Snapshot};
 pub use span::{SpanEvent, SpanGuard, SpanRing};
 
 /// Opens a scoped timer on a [`Registry`]: the span is recorded into the

@@ -3,16 +3,16 @@
 //!
 //! Handles are resolved by name once (a lock + map lookup) and recorded
 //! through lock-free afterwards; a handle created unnamed can be registered
-//! under a name later (`register_counter` and its twins). Two registries
-//! matter in practice: the process-wide [`global`] registry that the
-//! subsystem crates (net, rangelock, storage, txn, replica) record into,
-//! and per-suite registries (`DirSuite` creates its own, and names its
-//! handles there only when it is first read) so per-member counters stay
-//! exact when many suites — or many parallel tests — run in one process.
+//! under a name later (`register_counter` and its twins). There is no
+//! process-wide registry: each recording object owns one and hands it out
+//! (`DirSuite` creates its own, and names its handles there only when it is
+//! first read; each `Repairer` creates one its driver shares), so counts
+//! stay exact when many directories — or many parallel tests — run in one
+//! process.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use crate::metrics::{bucket_bound_us, Avail, Counter, Ewma, Histogram, HistogramSnapshot};
@@ -51,12 +51,6 @@ impl std::fmt::Debug for Registry {
             .field("spans", &self.inner.spans)
             .finish_non_exhaustive()
     }
-}
-
-/// The process-wide registry the subsystem crates record into.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 impl Registry {
@@ -680,13 +674,6 @@ mod tests {
         reg.register_ewma("e", &Ewma::default());
         reg.register_avail("a", &Avail::new());
         assert_eq!(reg.snapshot(), snap);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = global().counter("obs.test.global");
-        global().counter("obs.test.global").add(2);
-        assert!(a.get() >= 2, "same underlying counter");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use repdir_core::sync::{Condvar, Mutex};
-use repdir_obs::{Counter, Histogram};
 
 use crate::range::{compatible, KeyRange, LockMode};
 
@@ -101,30 +100,6 @@ pub struct LockStats {
     pub timeouts: u64,
 }
 
-/// Lock-table counters mirrored into the process-wide obs registry
-/// (`lock.*`). [`LockStats`] stays the per-table exact record; these
-/// aggregate across every table in the process.
-struct LockObs {
-    granted: Counter,
-    waited: Counter,
-    deadlocks: Counter,
-    timeouts: Counter,
-    wait_us: Histogram,
-}
-
-impl LockObs {
-    fn new() -> Self {
-        let g = repdir_obs::global();
-        LockObs {
-            granted: g.counter("lock.granted"),
-            waited: g.counter("lock.waited"),
-            deadlocks: g.counter("lock.deadlocks"),
-            timeouts: g.counter("lock.timeouts"),
-            wait_us: g.histogram("lock.wait_us"),
-        }
-    }
-}
-
 /// A table of range locks over one directory representative, implementing
 /// the paper's Figure 7 compatibility with blocking waits, wait-die
 /// deadlock prevention, and all-at-once release for strict two-phase
@@ -157,7 +132,6 @@ impl LockObs {
 pub struct RangeLockTable {
     state: Mutex<State>,
     released: Condvar,
-    obs: LockObs,
 }
 
 impl Default for RangeLockTable {
@@ -172,7 +146,6 @@ impl RangeLockTable {
         RangeLockTable {
             state: Mutex::new(State::default()),
             released: Condvar::new(),
-            obs: LockObs::new(),
         }
     }
 
@@ -219,19 +192,13 @@ impl RangeLockTable {
                 None => {
                     st.granted.push(Granted { owner, mode, range });
                     st.stats.granted += 1;
-                    self.obs.granted.inc();
-                    if let Some(start) = waiting_since {
+                    if waiting_since.is_some() {
                         st.stats.waited += 1;
-                        self.obs.waited.inc();
-                        if repdir_obs::global().timing_armed() {
-                            self.obs.wait_us.record(start.elapsed());
-                        }
                     }
                     return Ok(());
                 }
                 Some(age) if age < owner.age() => {
                     st.stats.deadlocks += 1;
-                    self.obs.deadlocks.inc();
                     return Err(LockError::Deadlock);
                 }
                 Some(_) => {}
@@ -243,7 +210,6 @@ impl RangeLockTable {
                 .timed_out()
             {
                 st.stats.timeouts += 1;
-                self.obs.timeouts.inc();
                 return Err(LockError::Timeout);
             }
         }

@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use repdir_core::suite::StaleVote;
 use repdir_core::Key;
+use repdir_obs::Registry;
 
 use crate::repairer::{ApplyStats, RepairError, Repairer, RoundStats};
 use crate::summary::bucket_of;
@@ -200,9 +201,15 @@ impl DriverWaker {
 pub struct DriverHandle {
     tx: Option<mpsc::Sender<Msg>>,
     join: Option<JoinHandle<()>>,
+    registry: Registry,
 }
 
 impl DriverHandle {
+    /// The driven repairer's registry ([`Repairer::registry`]).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
     /// A waker for this driver (stale-vote queue and recovery hooks).
     pub fn waker(&self) -> DriverWaker {
         DriverWaker {
@@ -321,7 +328,7 @@ impl RepairDriver {
         let mut buckets = std::mem::take(&mut self.contended);
         buckets.extend(votes.iter().map(|v| vote_bucket(&v.key)));
         tick.buckets = buckets.len() as u64;
-        let reg = repdir_obs::global();
+        let reg = self.repairer.registry();
         let targeted = reg.counter("repair.driver.targeted_pulls");
         let peer_errors = reg.counter("repair.peer_errors");
         let peer_count = self.repairer.peer_count();
@@ -388,10 +395,11 @@ impl RepairDriver {
     /// wake endpoints for the stale-vote queue and the recovery hook.
     pub fn spawn(mut self) -> DriverHandle {
         let (tx, rx) = mpsc::channel::<Msg>();
+        let registry = self.repairer.registry().clone();
         let join = std::thread::Builder::new()
             .name("repdir-repair-driver".into())
             .spawn(move || {
-                let reg = repdir_obs::global();
+                let reg = self.repairer.registry();
                 let wakes = reg.counter("repair.driver.wakes");
                 let sweeps = reg.counter("repair.driver.sweeps");
                 let backoff_ms = reg.counter("repair.driver.backoff_ms");
@@ -470,6 +478,7 @@ impl RepairDriver {
         DriverHandle {
             tx: Some(tx),
             join: Some(join),
+            registry,
         }
     }
 }

@@ -31,6 +31,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use repdir_core::{Key, UserKey};
+use repdir_obs::Registry;
 
 use crate::driver::{DriverHandle, Pacing, RepairDriver};
 use crate::merge::{diff_bucket, BucketView, RepairPlan};
@@ -190,11 +191,22 @@ fn bucket_below(b: u8, before: &Key) -> bool {
 pub struct Repairer {
     target: Arc<dyn RepairTarget>,
     peers: Vec<Box<dyn RepairPeer>>,
+    registry: Registry,
 }
 
 impl Repairer {
     pub fn new(target: Arc<dyn RepairTarget>, peers: Vec<Box<dyn RepairPeer>>) -> Self {
-        Repairer { target, peers }
+        Repairer {
+            target,
+            peers,
+            registry: Registry::new(),
+        }
+    }
+
+    /// This repairer's own `repair.*` metrics, shared with the driver
+    /// that runs it.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     pub fn peer_count(&self) -> usize {
@@ -217,9 +229,7 @@ impl Repairer {
     /// already applied is pulled again. Failures are counted in
     /// [`RoundStats::errors`].
     pub fn run_round(&self, peer_idx: usize) -> RoundStats {
-        let reg = repdir_obs::global();
-        let _span = reg.span("repair.round");
-        reg.counter("repair.rounds").inc();
+        self.registry.counter("repair.rounds").inc();
         let mut stats = RoundStats::default();
         let result = self.peer(peer_idx).and_then(|peer| {
             let dirty = self.walk(peer, &mut stats)?;
@@ -246,7 +256,7 @@ impl Repairer {
             Ok(())
         });
         if result.is_err() {
-            reg.counter("repair.peer_errors").inc();
+            self.registry.counter("repair.peer_errors").inc();
             stats.errors += 1;
         }
         stats
@@ -277,7 +287,7 @@ impl Repairer {
         let local = self.target.children(level, path)?;
         stats.summaries += 1;
         stats.bytes += SUMMARY_WIRE_BYTES;
-        repdir_obs::global().counter("repair.subtrees_walked").inc();
+        self.registry.counter("repair.subtrees_walked").inc();
         if remote.len() != local.len() || remote.len() != FANOUT {
             return Err(RepairError::Protocol(format!(
                 "summary level {level}/{path}: got {} digests, expected {FANOUT}",
@@ -323,7 +333,7 @@ impl Repairer {
         last: u8,
         stats: &mut RoundStats,
     ) -> Result<Key, RepairError> {
-        let reg = repdir_obs::global();
+        let reg = &self.registry;
         let (mut after, before) = self.target.span(first, last)?;
         loop {
             let mut remote = peer.pull_range(&after, &before)?;

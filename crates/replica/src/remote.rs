@@ -1,12 +1,11 @@
 //! Serving a representative over the simulated network, and the matching
 //! remote client.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repdir_core::{Completion, Op, RepClient, RepError, RepId, RepResult, Reply};
 use repdir_net::{serve, Network, NodeId, RpcClient, RpcResult, ServerHandle};
-use repdir_obs::Counter;
 use repdir_repair::MAX_PULL_ENTRIES;
 use repdir_txn::TxnId;
 
@@ -19,22 +18,10 @@ use crate::server::TransactionalRep;
 /// Runs a [`TransactionalRep`] as an RPC server at `node`. Returns the
 /// handle that stops the serving thread.
 pub fn serve_rep(net: Arc<Network>, node: NodeId, rep: Arc<TransactionalRep>) -> ServerHandle {
-    let obs = repdir_obs::global();
-    let requests = obs.counter("rep.requests");
-    let batch_served = obs.counter("rpc.batch.served");
-    let batch_parts = obs.counter("rpc.batch.served_parts");
     serve(net, node, move |payload| {
-        requests.inc();
-        let _span = obs.span("rep.handle");
         let response = match decode_request(payload) {
             Err(e) => Response::Err(RepError::Storage(format!("bad request: {e}"))),
-            Ok(req) => {
-                if let Request::Batch(parts) = &req {
-                    batch_served.inc();
-                    batch_parts.add(parts.len() as u64);
-                }
-                dispatch(&rep, req)
-            }
+            Ok(req) => dispatch(&rep, req),
         };
         encode_response(&response)
     })
@@ -90,20 +77,6 @@ pub struct RemoteSessionClient {
     rep_id: RepId,
     txn: TxnId,
     timeout: Duration,
-}
-
-/// `rpc.batch.calls` / `rpc.batch.parts` in the global registry, resolved
-/// once per process: a remote transaction builds a client per member, and
-/// envelopes ride every scan hop.
-fn batch_counters() -> &'static (Counter, Counter) {
-    static BATCH: OnceLock<(Counter, Counter)> = OnceLock::new();
-    BATCH.get_or_init(|| {
-        let obs = repdir_obs::global();
-        (
-            obs.counter("rpc.batch.calls"),
-            obs.counter("rpc.batch.parts"),
-        )
-    })
 }
 
 impl RemoteSessionClient {
@@ -162,11 +135,6 @@ impl RemoteSessionClient {
 
     /// The bytes of the request `ops`.
     fn frame(&self, ops: &[Op]) -> Vec<u8> {
-        if ops.len() > 1 {
-            let (calls, parts) = batch_counters();
-            calls.inc();
-            parts.add(ops.len() as u64);
-        }
         encode_request(&request_frame(self.txn, ops))
     }
 }

@@ -406,10 +406,6 @@ pub fn decode_log(mut data: &[u8]) -> (Vec<WalRecord>, bool) {
 pub fn replay(records: &[WalRecord]) -> Result<GapMap, WalError> {
     use std::collections::HashMap;
 
-    let g = repdir_obs::global();
-    g.counter("wal.recoveries").inc();
-    g.counter("wal.replayed_records").add(records.len() as u64);
-
     // Start from the last checkpoint, if any.
     let start = records
         .iter()
@@ -513,30 +509,21 @@ fn apply(map: &mut GapMap, op: &WalRecord) -> Result<(), WalError> {
 #[derive(Debug)]
 pub struct Wal {
     disk: std::sync::Arc<SimDisk>,
-    appends: repdir_obs::Counter,
-    syncs: repdir_obs::Counter,
 }
 
 impl Wal {
     /// Creates a log writing to `disk`.
     pub fn new(disk: std::sync::Arc<SimDisk>) -> Self {
-        let g = repdir_obs::global();
-        Wal {
-            disk,
-            appends: g.counter("wal.appends"),
-            syncs: g.counter("wal.syncs"),
-        }
+        Wal { disk }
     }
 
     /// Appends a record (not yet durable).
     pub fn append(&self, record: &WalRecord) {
-        self.appends.inc();
         self.disk.append(&encode_record(record));
     }
 
     /// Makes everything appended so far durable.
     pub fn sync(&self) {
-        self.syncs.inc();
         self.disk.sync();
     }
 

@@ -42,26 +42,6 @@ pub struct TxnManager {
     /// The age the next [`begin`](TxnManager::begin) hands out.
     next_age: AtomicU64,
     active: Mutex<HashSet<TxnId>>,
-    obs: TxnObs,
-}
-
-/// Lifecycle counters mirrored into the process-wide obs registry
-/// (`txn.*`), aggregated across every manager in the process.
-struct TxnObs {
-    begun: repdir_obs::Counter,
-    committed: repdir_obs::Counter,
-    aborted: repdir_obs::Counter,
-}
-
-impl TxnObs {
-    fn new() -> Self {
-        let g = repdir_obs::global();
-        TxnObs {
-            begun: g.counter("txn.begun"),
-            committed: g.counter("txn.committed"),
-            aborted: g.counter("txn.aborted"),
-        }
-    }
 }
 
 impl Default for TxnManager {
@@ -76,7 +56,6 @@ impl TxnManager {
         TxnManager {
             next_age: AtomicU64::new(1),
             active: Mutex::new(HashSet::new()),
-            obs: TxnObs::new(),
         }
     }
 
@@ -94,7 +73,6 @@ impl TxnManager {
     }
 
     fn start(&self, id: TxnId) -> TxnId {
-        self.obs.begun.inc();
         self.active.lock().insert(id);
         id
     }
@@ -114,7 +92,6 @@ impl TxnManager {
     /// [`RepError::TransactionAborted`] if the transaction is not active.
     pub fn commit(&self, id: TxnId) -> Result<(), RepError> {
         if self.active.lock().remove(&id) {
-            self.obs.committed.inc();
             Ok(())
         } else {
             Err(RepError::TransactionAborted)
@@ -124,9 +101,7 @@ impl TxnManager {
     /// Aborts an active transaction and forgets it. Aborting a non-active
     /// transaction does nothing (abort is idempotent).
     pub fn abort(&self, id: TxnId) {
-        if self.active.lock().remove(&id) {
-            self.obs.aborted.inc();
-        }
+        self.active.lock().remove(&id);
     }
 
     /// Number of active transactions.

@@ -2,13 +2,13 @@
 //!
 //! Runs a handful of operations against a 3-2-2 suite — including a brief
 //! partition so reads observe stale votes (`repair.stale_votes_observed`)
-//! — then an anti-entropy round between two representatives (the global
-//! `repair.rounds` / `repair.subtrees_walked` / `repair.keys_pulled` /
-//! `repair.bytes` counters and the `repair.round` span), and prints the
-//! suite's own registry (per-member message/ping counters, reply-time
-//! EWMAs, quorum wave counts, operation spans) followed by the
-//! process-global registry the subsystem crates (net, rangelock, storage,
-//! txn, replica, repair) record into.
+//! — then an anti-entropy catch-up between two representatives, and prints
+//! the two registries that recorded them: the suite's own (per-member
+//! message/ping counters, reply-time EWMAs, quorum wave counts, operation
+//! spans) and the repairer's own (`repair.rounds` /
+//! `repair.subtrees_walked` / `repair.pulls` / `repair.keys_pulled` /
+//! `repair.bytes`). There is no process-wide registry: each object that
+//! records owns its registry and hands it out.
 //!
 //! ```text
 //! cargo run --example obs_dump            # human-readable text
@@ -48,9 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let stale = dir.take_stale_votes();
 
-    // One anti-entropy round between two representatives fills in the
-    // global `repair.*` counters: a fresh rep pulls the whole directory
-    // from a seeded peer through the summary tree.
+    // Anti-entropy between two representatives fills in the repairer's
+    // `repair.*` counters: a fresh rep pulls the whole directory from a
+    // seeded peer through the summary tree.
     let fresh = TransactionalRep::new(RepId(10));
     let seeded = TransactionalRep::new(RepId(11));
     let txn = TxnId(1);
@@ -74,16 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // numbers back `message_counts()` / `ping_counts()` /
     // `member_reply_ewmas()`.
     let suite_obs = dir.obs();
-    // Process-global registry: what the subsystem crates recorded. An
-    // in-process suite skips the network, so this mostly shows txn/lock
-    // activity here; a networked fixture fills in net.* and rpc.* too.
-    let global = repdir::obs::global();
+    // The repairer's registry: what the catch-up walked and pulled.
+    let repair_obs = repairer.registry();
 
     if json {
         println!(
-            "{{\"suite\": {}, \"global\": {}}}",
+            "{{\"suite\": {}, \"repair\": {}}}",
             suite_obs.render_json(),
-            global.render_json()
+            repair_obs.render_json()
         );
     } else {
         println!(
@@ -92,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             quiesce.sweeps
         );
         println!("== suite registry ==\n{}", suite_obs.render_text());
-        println!("== global registry ==\n{}", global.render_text());
+        println!("== repairer registry ==\n{}", repair_obs.render_text());
     }
     Ok(())
 }

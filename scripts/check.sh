@@ -9,9 +9,10 @@
 # 4. Runs the suite_latency bench in quick mode, which fails unless a lookup
 #    costs 1 round of R requests, an insert 2 of R + W, a delete 3 of R + 2W,
 #    with no ping, through remote clients and serialized (`reference::Inline`)
-#    ones alike, AND the obs-instrumented build (timing armed) stays within
-#    5% of the disarmed baseline. Fabric bytes per operation and the
-#    speed-up over serialized are reported.
+#    ones alike, AND the workload with the suite registry's timing armed (the
+#    only registry a suite operation records into) stays within 5% of it
+#    disarmed. Fabric bytes per operation and the speed-up over serialized
+#    are reported.
 # 5. Runs the latency_policy bench in quick mode on a 5-member R=2/W=4
 #    fabric with two slow members, which fails unless each run's 6 clean
 #    warm-up inserts cost exactly 6 x (R + W) = 36 data requests and no ping,
@@ -32,7 +33,8 @@
 #    reference's speed-up are reported.
 # 8. Runs the repair_bench in quick mode, which fails unless the repair
 #    driver converges a stale member byte-identically at exactly its pinned
-#    fabric messages and entries pulled on three passes: a sweep of a member
+#    fabric messages and entries pulled (each pass's `repair.keys_pulled`,
+#    read from its repairer's own registry) on three passes: a sweep of a member
 #    that missed ~5% of the keys (26 messages, 6 entries), the stale-vote
 #    pass over the same divergence (12, 6), and a sweep of a member whose
 #    buckets 0..87 are dirty (16, 76). The 256-bucket full-copy reference

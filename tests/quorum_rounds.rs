@@ -420,9 +420,7 @@ fn refused_request_is_the_operations_error_and_is_not_resent() {
         assert_eq!(waves, 1);
 
         // A carried write is refused the same way: the lookup is answered by
-        // {0, 2}, the insert is carried to {0, 1} and not re-sent to 2. (A
-        // fresh suite: the refusal above is a recorded miss, and a member
-        // with one is pinged first.)
+        // {0, 2}, the insert is carried to {0, 1} and not re-sent to 2.
         let mut suite = doubles();
         suite.insert(&k("a"), &val("A")).unwrap();
         suite.member(1).set(mode);

@@ -125,15 +125,19 @@ fn run_convergence(seed: u64, ops_before: u32, ops_during: u32, shape: Shape) {
     // Heal by anti-entropy alone: each representative repairs from its two
     // peers through representative-level APIs. Nothing here touches a
     // DirSuite, so no quorum is collected for any of it.
-    let rounds_before = repdir::obs::global().counter("repair.rounds").get();
-    let passes = quiesce(&fleet(reps), &ctx);
+    let repairers = fleet(reps);
+    let passes = quiesce(&repairers, &ctx);
     if diverged {
         assert!(passes > 0, "{ctx}: divergence healed without repair?");
     }
-    assert!(
-        repdir::obs::global().counter("repair.rounds").get() > rounds_before,
-        "repair rounds were not accounted"
-    );
+    // Every pass, the clean one included, swept each repairer's two peers.
+    for (i, repairer) in repairers.iter().enumerate() {
+        assert_eq!(
+            repairer.registry().counter("repair.rounds").get(),
+            2 * (u64::from(passes) + 1),
+            "{ctx}: repairer {i}'s rounds were not accounted"
+        );
+    }
 
     // Every representative is byte-identical — same entries, same
     // versions, same gap versions — and holds exactly the spec's entries.

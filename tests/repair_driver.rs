@@ -23,7 +23,7 @@ use repdir::txn::TxnId;
 use repdir::workload::spec::{Op, Shape, Spec, POINT};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{serial, step};
+use support::step;
 
 /// Pacing whose floor exceeds any test deadline: the timer can never fire,
 /// so the only way a driver acts is a vote (or recovery) wake.
@@ -98,7 +98,6 @@ fn await_convergence(dir: &ReplicatedDirectory, deadline: Duration, context: &st
 /// never fires, and the only stimulus is ordinary reads pushing stale
 /// votes into the shared queue.
 fn run_vote_driven_convergence(seed: u64, shape: Shape) {
-    let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
     let mut rng = SplitMix64::new(seed);
     let draws = shape.op(POINT);
@@ -116,14 +115,11 @@ fn run_vote_driven_convergence(seed: u64, shape: Shape) {
     dir.reps()[victim].set_available(true);
     let diverged = !all_reps_identical(&dir);
 
-    let g = repdir::obs::global();
-    let rounds_before = g.counter("repair.rounds").get();
-    let sweeps_before = g.counter("repair.driver.sweeps").get();
-    let targeted_before = g.counter("repair.driver.targeted_pulls").get();
-
     // Spawned after the heal: the recovery hook is not yet installed when
     // availability flips, so no recovery wake contaminates the experiment.
     dir.spawn_repair_drivers(never_ticks());
+    let registries = dir.repair_registries();
+    assert_eq!(registries.len(), 3, "one registry per member");
 
     // The stimulus: read every key through a quorum starting at each
     // member in turn. W = 2 of 3 means even the healthy prefix left some
@@ -151,19 +147,25 @@ fn run_vote_driven_convergence(seed: u64, shape: Shape) {
     }
     dir.stop_repair_drivers();
 
-    assert_eq!(
-        g.counter("repair.driver.sweeps").get(),
-        sweeps_before,
-        "{ctx}: a fallback sweep fired — convergence was not vote-driven"
-    );
-    assert_eq!(
-        g.counter("repair.rounds").get(),
-        rounds_before,
-        "{ctx}: a summary round ran — convergence was not vote-driven"
-    );
+    for (member, reg) in registries.iter().enumerate() {
+        assert_eq!(
+            reg.counter("repair.driver.sweeps").get(),
+            0,
+            "{ctx}: member {member}'s fallback sweep fired — convergence was not vote-driven"
+        );
+        assert_eq!(
+            reg.counter("repair.rounds").get(),
+            0,
+            "{ctx}: member {member} ran a summary round — convergence was not vote-driven"
+        );
+    }
     if diverged {
+        let targeted: u64 = registries
+            .iter()
+            .map(|reg| reg.counter("repair.driver.targeted_pulls").get())
+            .sum();
         assert!(
-            g.counter("repair.driver.targeted_pulls").get() > targeted_before,
+            targeted > 0,
             "{ctx}: divergence healed without any targeted pull?"
         );
     }
@@ -197,7 +199,6 @@ fn vote_driven_convergence_holds_across_random_histories() {
 /// exact — no panic, no dropped bucket.
 #[test]
 fn driver_rotates_to_a_live_peer_when_one_dies_mid_pull() {
-    let _guard = serial();
     let stale = TransactionalRep::new(RepId(0));
     let dead = TransactionalRep::new(RepId(1));
     let fresh = TransactionalRep::new(RepId(2));
@@ -233,8 +234,6 @@ fn driver_rotates_to_a_live_peer_when_one_dies_mid_pull() {
     let mut driver = RepairDriver::new(repairer, never_ticks())
         .with_vote_source(Box::new(move || source_queue.drain_member(0)));
 
-    let g = repdir::obs::global();
-    let targeted_before = g.counter("repair.driver.targeted_pulls").get();
     let tick = driver.drain_and_pull();
 
     assert_eq!(tick.votes, 2);
@@ -246,11 +245,13 @@ fn driver_rotates_to_a_live_peer_when_one_dies_mid_pull() {
     assert_eq!(tick.errors, 1);
     assert_eq!(tick.unrepaired, 0);
     assert_eq!(tick.applied.installed, 2);
+    let reg = driver.repairer().registry();
     assert_eq!(
-        g.counter("repair.driver.targeted_pulls").get() - targeted_before,
+        reg.counter("repair.driver.targeted_pulls").get(),
         3,
         "targeted-pull counter disagrees with tick accounting"
     );
+    assert_eq!(reg.counter("repair.peer_errors").get(), 1);
     assert_eq!(stale.snapshot(), fresh.snapshot());
     assert!(queue.is_empty(), "votes consumed exactly once");
 
@@ -279,7 +280,6 @@ fn driver_rotates_to_a_live_peer_when_one_dies_mid_pull() {
 /// zero summary sweeps — the observation was not lost.
 #[test]
 fn spilled_stale_votes_survive_a_crash_between_observe_and_pull() {
-    let _guard = serial();
     let stale = TransactionalRep::new(RepId(0));
     let fresh = TransactionalRep::new(RepId(1));
     let t = TxnId(1);
@@ -325,13 +325,13 @@ fn spilled_stale_votes_survive_a_crash_between_observe_and_pull() {
     let source = Arc::clone(&revived);
     let mut driver = RepairDriver::new(repairer, never_ticks())
         .with_vote_source(Box::new(move || source.drain_member(0)));
-    let g = repdir::obs::global();
-    let sweeps_before = g.counter("repair.driver.sweeps").get();
     let tick = driver.drain_and_pull();
     assert_eq!(tick.votes, 1);
     assert_eq!(tick.unrepaired, 0);
     assert_eq!(tick.applied.installed, 1);
-    assert_eq!(g.counter("repair.driver.sweeps").get(), sweeps_before);
+    let reg = driver.repairer().registry();
+    assert_eq!(reg.counter("repair.driver.sweeps").get(), 0);
+    assert_eq!(reg.counter("repair.driver.targeted_pulls").get(), 1);
     assert_eq!(stale.snapshot(), fresh.snapshot());
 
     // A checkpoint retires the consumed evidence: it must not be replayed
@@ -345,7 +345,6 @@ fn spilled_stale_votes_survive_a_crash_between_observe_and_pull() {
 /// attempts at the floor.
 #[test]
 fn dead_majority_backs_the_driver_off_instead_of_spinning() {
-    let _guard = serial();
     let target = TransactionalRep::new(RepId(0));
     let peer_a = TransactionalRep::new(RepId(1));
     let peer_b = TransactionalRep::new(RepId(2));
@@ -364,8 +363,8 @@ fn dead_majority_backs_the_driver_off_instead_of_spinning() {
         cap: Duration::from_millis(100),
         factor: 2.0,
     };
-    let g = repdir::obs::global();
     let handle = RepairDriver::new(repairer, pacing).spawn();
+    let g = handle.registry().clone();
 
     // The backoff gauge must climb to the cap: consecutive error ticks back
     // off like quiescent ones.
@@ -396,7 +395,6 @@ fn dead_majority_backs_the_driver_off_instead_of_spinning() {
 /// promptly — no stale votes involved.
 #[test]
 fn recovery_signal_snaps_a_capped_driver_back_to_work() {
-    let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0x5EC0).unwrap();
     // A huge factor sends a driver from the floor to the cap after a
     // single quiescent tick; the cap dwarfs the test, so only a recovery
@@ -436,7 +434,6 @@ fn recovery_signal_snaps_a_capped_driver_back_to_work() {
 /// and the retained log shrinks to the caught-up image.
 #[test]
 fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
-    let _guard = serial();
     let disk = Arc::new(SimDisk::new());
     let stale = TransactionalRep::with_disk(RepId(0), Arc::clone(&disk));
     let fresh = TransactionalRep::new(RepId(1));
@@ -530,7 +527,6 @@ fn member_failed_again_the_moment_it_levels_keeps_catching_up() {
 }
 
 fn run_outages(shape: Shape, outages: u32) {
-    let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), 0x3ED6E).unwrap();
     let mut rng = SplitMix64::new(0x3ED6E);
     let mut spec = Spec::new();
@@ -561,8 +557,11 @@ fn run_outages(shape: Shape, outages: u32) {
 
     // In-flight sweeps finish within a few floors; after that nothing is
     // dirty, so nothing is pulled however often the drivers wake.
-    let g = repdir::obs::global();
-    let pulls = || g.counter("repair.pulls").get();
+    let registries = dir.repair_registries();
+    let pulls = || {
+        let per_member = registries.iter().map(|r| r.counter("repair.pulls").get());
+        per_member.sum::<u64>()
+    };
     std::thread::sleep(Duration::from_millis(50));
     let settled = pulls();
     std::thread::sleep(Duration::from_millis(300));

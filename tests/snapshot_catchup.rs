@@ -27,7 +27,6 @@ use repdir::txn::TxnId;
 use repdir::workload::spec::{Op, Shape, Spec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use support::serial;
 
 /// Single-byte keys, so every key value is its own summary bucket and the
 /// keys a workload leaves untouched split the dirty buckets into runs.
@@ -155,6 +154,15 @@ fn floor_key(i: u16) -> Vec<u8> {
     vec![200 + (i / 100) as u8, (i % 100) as u8]
 }
 
+/// The age the directory's next transaction gets. A quorum collection
+/// runs inside a directory transaction, so an age that moves only by this
+/// probe's own transaction means nothing collected a quorum in between.
+fn next_txn_age(dir: &ReplicatedDirectory) -> u64 {
+    let probe = dir.txn_manager().begin();
+    dir.txn_manager().abort(probe);
+    probe.age()
+}
+
 /// A victim holding everything written before the partition (a few
 /// single-key runs to pull), or one that never took a write (its first
 /// interval is `(LOW, HIGH)` over more than two replies' worth of keys).
@@ -165,7 +173,6 @@ enum Receiver {
 }
 
 fn run_crashy_catchup(seed: u64, receiver_shape: Receiver, straddle: bool) {
-    let _guard = serial();
     let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
     let mut rng = SplitMix64::new(seed);
     let keys = keyspace(straddle);
@@ -202,8 +209,7 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver, straddle: bool) {
     }
     dir.reps()[victim].set_available(true);
 
-    let g = repdir::obs::global();
-    let waves_before = g.counter("suite.quorum.waves").get();
+    let age_before = next_txn_age(&dir);
     let source = &dir.reps()[source_member];
     let receiver = &dir.reps()[victim];
     let ctx = format!("seed {seed:#x}, {receiver_shape:?} receiver, straddle {straddle}");
@@ -292,8 +298,8 @@ fn run_crashy_catchup(seed: u64, receiver_shape: Receiver, straddle: bool) {
     // spent zero quorum collections: range pulls move committed facts at
     // pinned versions, which is sound without any vote.
     assert_eq!(
-        g.counter("suite.quorum.waves").get(),
-        waves_before,
+        next_txn_age(&dir),
+        age_before + 1,
         "{ctx}: catch-up collected a quorum"
     );
 }

@@ -18,7 +18,7 @@ use repdir::replica::{
 use repdir::txn::TxnId;
 use repdir::workload::spec::{Ops, Spec};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub fn k(s: &str) -> Key {
@@ -37,16 +37,6 @@ pub fn big() -> Value {
 /// Quorums drawn from the members in `order`.
 pub fn fixed(order: &[usize]) -> Box<dyn QuorumPolicy + Send> {
     Box::new(FixedPolicy::with_order(order.to_vec()))
-}
-
-/// Counter-exact tests share one process-global obs registry, so they must
-/// not interleave with each other's quorum traffic or drivers.
-pub fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
-    SERIAL
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
 }
 
 /// The suite's quorum collections and pings so far.
