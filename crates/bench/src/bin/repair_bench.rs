@@ -42,10 +42,10 @@ use repdir_core::{Key, RepId, UserKey, Value, Version};
 use repdir_net::{Network, NodeId, RpcClient, ServerHandle};
 use repdir_obs::Counter;
 use repdir_repair::{Pacing, RepairDriver, Repairer};
+use repdir_replica::txn::TxnId;
 use repdir_replica::{
     serve_rep, RemoteRepairPeer, RemoteSessionClient, RepTarget, TransactionalRep,
 };
-use repdir_txn::TxnId;
 
 const MEMBERS: u32 = 3;
 const READ_QUORUM: u32 = 2;

@@ -11,8 +11,8 @@ use std::time::Duration;
 use repdir_core::suite::{DirSuite, QuorumPolicy, SuiteConfig};
 use repdir_core::{RepClient, RepId};
 use repdir_net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
+use repdir_replica::txn::TxnId;
 use repdir_replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir_txn::TxnId;
 
 /// Sorted latency samples, in microseconds.
 pub struct Samples {

@@ -148,13 +148,10 @@ struct Member<C> {
 /// tests) run in one process — and registers them under their names only
 /// when [`DirSuite::obs`] first reads that registry, so a transaction that
 /// never reads its metrics never pays for naming them.
-/// [`DirSuite::set_obs_registry`] rebinds everything, by name, to a shared
-/// registry instead.
 struct SuiteObs {
     registry: Registry,
-    /// Set once every handle below is registered under its name in
-    /// `registry`: at construction for a shared registry, by
-    /// [`publish`](SuiteObs::publish) for the suite's own.
+    /// Set once [`publish`](SuiteObs::publish) has registered every handle
+    /// below under its name in `registry`.
     named: OnceLock<()>,
     /// Data RPCs per member (`suite.member.{i}.msgs`) — the paper's §4
     /// message-count statistic, formerly the ad-hoc `msg_counts` vector.
@@ -248,40 +245,6 @@ impl SuiteObs {
             pings: (0..n).map(|_| Counter::new()).collect(),
             reply: (0..n).map(|_| Ewma::default()).collect(),
             avail: (0..n).map(|_| Avail::new()).collect(),
-            waves,
-            rounds,
-            sticky_miss,
-            session_reuse,
-            session_revalidate,
-            bulk_ops,
-            bulk_keys,
-            bulk_resumed,
-            stale_votes,
-        }
-    }
-
-    /// Every handle resolved by name in `registry`, so suites sharing it
-    /// aggregate.
-    fn resolved(registry: Registry, n: usize) -> Self {
-        let [
-            waves, rounds, sticky_miss, session_reuse, session_revalidate,
-            bulk_ops, bulk_keys, bulk_resumed, stale_votes,
-        ]: [Counter; 9] = SCALAR_NAMES.map(|name| registry.counter(name));
-        SuiteObs {
-            msgs: (0..n)
-                .map(|i| registry.counter(&member_metric(i, "msgs")))
-                .collect(),
-            pings: (0..n)
-                .map(|i| registry.counter(&member_metric(i, "pings")))
-                .collect(),
-            reply: (0..n)
-                .map(|i| registry.ewma(&member_metric(i, "reply_us")))
-                .collect(),
-            avail: (0..n)
-                .map(|i| registry.avail(&member_metric(i, "avail")))
-                .collect(),
-            registry,
-            named: OnceLock::from(()),
             waves,
             rounds,
             sticky_miss,
@@ -521,24 +484,11 @@ impl<C: RepClient> DirSuite<C> {
 
     /// The suite's metric registry: per-member message/ping counters,
     /// reply-time EWMAs and availability trackers, quorum wave counters,
-    /// and the spans recorded by every operation. Fresh per suite unless
-    /// rebound with [`set_obs_registry`](DirSuite::set_obs_registry); a
-    /// fresh one holds only spans until this is first called, which
-    /// registers every metric under its name, live values included.
+    /// and the spans recorded by every operation. Fresh per suite; it holds
+    /// only spans until this is first called, which registers every metric
+    /// under its name, live values included.
     pub fn obs(&self) -> &Registry {
         self.obs.registry()
-    }
-
-    /// Rebinds the suite's metrics to `registry` (e.g. one several suites
-    /// share, or a disarmed one for overhead baselines), resolving every
-    /// handle by name there, so suites sharing one registry aggregate into
-    /// the same metrics. Counter readings restart from the registry's
-    /// existing values — rebind before running a workload, not
-    /// mid-measurement.
-    pub fn set_obs_registry(&mut self, registry: Registry) {
-        self.obs = SuiteObs::resolved(registry, self.members.len());
-        // The old registry's handles are dead; re-offer the live ones.
-        self.policy.observe_availability(&self.obs.avail);
     }
 
     /// Clones of the per-member reply-time EWMA handles, in member order.
@@ -749,17 +699,6 @@ mod tests {
         assert_eq!(again.counters().len(), 2 * 3 + 9);
         assert_eq!(again.counter("repair.stale_votes_observed"), 2);
         assert_eq!(again.counter("suite.member.2.msgs"), msgs[2] + 1);
-
-        // Rebinding after the first read still resolves every handle in
-        // the shared registry.
-        let shared = Registry::new();
-        shared.counter("repair.stale_votes_observed").add(10);
-        s.set_obs_registry(shared.clone());
-        s.lookup(&k("b")).unwrap();
-        assert_eq!(shared.counter("repair.stale_votes_observed").get(), 11);
-        assert_eq!(shared.counter("suite.member.2.msgs").get(), 1);
-        assert_eq!(s.message_counts(), vec![0, 1, 1]);
-        assert_eq!(s.obs().snapshot(), shared.snapshot());
     }
 
     #[test]

@@ -265,14 +265,11 @@ impl<C: RepClient> DirSuite<C> {
 mod tests {
     use super::super::testkit::*;
     use super::*;
-    use repdir_obs::Registry;
     use std::time::Duration;
 
     #[test]
     fn stale_vote_observed_when_read_quorum_straddles_the_write() {
         let mut s = suite_322(61);
-        let registry = Registry::new();
-        s.set_obs_registry(registry.clone());
         // Write lands on members {0, 1}; the read quorum {1, 2} includes
         // member 2, which never saw the insert.
         s.set_policy(fixed(&[0, 1]));
@@ -291,7 +288,7 @@ mod tests {
                 latest: Version::new(1),
             }]
         );
-        assert_eq!(registry.counter("repair.stale_votes_observed").get(), 1);
+        assert_eq!(s.obs().snapshot().counter("repair.stale_votes_observed"), 1);
         // Drained: a second drain without new reads yields nothing.
         assert!(s.take_stale_votes().is_empty());
         // A fresh read re-observes the still-stale member.
@@ -306,8 +303,6 @@ mod tests {
         // bucket pull per read. The queue must coalesce per (member, key),
         // keeping the latest observation.
         let mut s = suite_322(66);
-        let registry = Registry::new();
-        s.set_obs_registry(registry.clone());
         s.set_policy(fixed(&[0, 1]));
         s.insert(&k("b"), &val("B")).unwrap();
         s.set_policy(fixed(&[1, 2]));
@@ -315,7 +310,7 @@ mod tests {
             s.lookup(&k("b")).unwrap();
         }
         // Every observation is counted, but the queue holds one vote.
-        assert_eq!(registry.counter("repair.stale_votes_observed").get(), 5);
+        assert_eq!(s.obs().snapshot().counter("repair.stale_votes_observed"), 5);
         let votes = s.take_stale_votes();
         assert_eq!(
             votes,

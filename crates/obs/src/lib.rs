@@ -14,20 +14,18 @@
 //! * [`Avail`] — a windowed success-rate tracker; the suite keeps one per
 //!   member (`suite.member.{i}.avail`), fed by every ping/RPC outcome, and
 //!   sizes adaptive quorum waves by the expected yield it reports.
-//! * [`Flusher`] — an interval thread that writes one registry's snapshot
-//!   *diffs* (text or JSON lines) to stderr or a file.
 //! * [`SpanRing`] + [`span!`] — a lock-free-ish ring buffer of scoped-timer
 //!   events (`span!(reg, "quorum.collect", member = i)`) with monotonic
 //!   timestamps; torn slots are detected and skipped on read, never locked
 //!   against.
 //! * [`Registry`] — a named collection of all of the above with text and
-//!   JSON exporters and a [`Snapshot`] diff API for tests.
+//!   JSON exporters and point-in-time [`Snapshot`]s.
 //!
 //! # Overhead model
 //!
 //! Counters are single relaxed atomic adds and are always live. Everything
 //! that needs a clock read (spans, timed EWMA samples) is gated on the
-//! registry's *armed* flag — one relaxed load when disarmed — so a detached
+//! registry's *armed* flag — one relaxed load when disarmed — so a disarmed
 //! registry makes the instrumentation effectively free. `scripts/check.sh`
 //! holds the armed build to within 5% of the disarmed baseline.
 //!
@@ -47,12 +45,10 @@
 //! println!("{}", reg.render_text());
 //! ```
 
-mod flush;
 mod metrics;
 mod registry;
 mod span;
 
-pub use flush::{FlushFormat, FlushSink, Flusher};
 pub use metrics::{Avail, Counter, Ewma, Histogram, HistogramSnapshot, AVAIL_WINDOW, BUCKET_COUNT};
 pub use registry::{Registry, Snapshot};
 pub use span::{SpanEvent, SpanGuard, SpanRing};

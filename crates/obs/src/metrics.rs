@@ -154,7 +154,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`], diffable for tests.
+/// Plain-data copy of a [`Histogram`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.
@@ -163,22 +163,6 @@ pub struct HistogramSnapshot {
     pub sum_us: u64,
     /// Per-bucket sample counts (see [`BUCKET_COUNT`]).
     pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Bucket-wise `self - earlier` (saturating), for windowed assertions.
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum_us: self.sum_us.saturating_sub(earlier.sum_us),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(earlier.buckets.iter().chain(std::iter::repeat(&0)))
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
-    }
 }
 
 /// Number of outcomes after which an [`Avail`] window halves both counters,
@@ -397,19 +381,6 @@ mod tests {
         // p99 rounds up into the outlier's bucket (3000 <= 4096).
         assert_eq!(h.quantile_us(0.99), Some(4096));
         assert!((h.mean_us().unwrap() - 390.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_snapshot_diff_windows() {
-        let h = Histogram::new();
-        h.record_us(10);
-        let before = h.snapshot();
-        h.record_us(10);
-        h.record_us(2000);
-        let delta = h.snapshot().diff(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum_us, 2010);
-        assert_eq!(delta.buckets.iter().sum::<u64>(), 2);
     }
 
     #[test]

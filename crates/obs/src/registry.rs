@@ -1,5 +1,5 @@
 //! The [`Registry`]: a named collection of counters, histograms, and EWMAs
-//! plus one span ring, with text/JSON export and snapshot diffing.
+//! plus one span ring, with text/JSON export and snapshots.
 //!
 //! Handles are resolved by name once (a lock + map lookup) and recorded
 //! through lock-free afterwards; a handle created unnamed can be registered
@@ -72,15 +72,6 @@ impl Registry {
                 spans: SpanRing::new(capacity),
             }),
         }
-    }
-
-    /// A disarmed registry: counters still count, but spans and
-    /// [`time`](Registry::time) skip the clock entirely. This is the
-    /// "no exporter attached" configuration the overhead gate measures.
-    pub fn detached() -> Self {
-        let reg = Registry::new();
-        reg.set_timing_armed(false);
-        reg
     }
 
     /// Whether timing instrumentation (spans, timed samples) is live.
@@ -169,27 +160,9 @@ impl Registry {
         }
     }
 
-    /// Times `f` and feeds the duration to `sample` (typically
-    /// `|d| ewma.record(d)`), skipping the clock when disarmed. Returns
-    /// `f`'s result either way.
-    pub fn time<T>(&self, sample: impl FnOnce(std::time::Duration), f: impl FnOnce() -> T) -> T {
-        if !self.timing_armed() {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        sample(start.elapsed());
-        out
-    }
-
     /// The events currently retained in the span ring (oldest first).
     pub fn spans(&self) -> Vec<SpanEvent> {
         self.inner.spans.events()
-    }
-
-    /// The underlying span ring (capacity/recorded/dropped introspection).
-    pub fn span_ring(&self) -> &SpanRing {
-        &self.inner.spans
     }
 
     /// A point-in-time copy of every named metric. Values are read
@@ -379,8 +352,7 @@ fn bucket_bounds() -> Vec<u64> {
     (0..crate::BUCKET_COUNT).map(bucket_bound_us).collect()
 }
 
-/// Plain-data copy of a registry's metrics, with windowed diffing for
-/// tests: `after.diff(&before)` isolates exactly what a code path recorded.
+/// Plain-data copy of a registry's metrics.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
@@ -426,112 +398,6 @@ impl Snapshot {
     pub fn avail(&self, name: &str) -> Option<f64> {
         self.avails.get(name).copied().flatten()
     }
-
-    /// Counter- and bucket-wise `self - earlier` (saturating). EWMAs and
-    /// availability rates are levels, not totals, so the diff keeps `self`'s
-    /// values.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| {
-                    let base = earlier.histograms.get(k);
-                    (
-                        k.clone(),
-                        match base {
-                            Some(b) => v.diff(b),
-                            None => v.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            ewmas: self.ewmas.clone(),
-            avails: self.avails.clone(),
-        }
-    }
-
-    /// Human-readable dump of the snapshot itself (no spans — those live in
-    /// the registry's ring). Quiet metrics (zero counters, empty histograms)
-    /// are skipped so interval diffs from the [`Flusher`](crate::Flusher)
-    /// show only what moved.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            if *v != 0 {
-                out.push_str(&format!("{name} = {v}\n"));
-            }
-        }
-        for (name, h) in &self.histograms {
-            if h.count != 0 {
-                out.push_str(&format!(
-                    "{name}: count={} mean_us={:.0}\n",
-                    h.count,
-                    h.sum_us as f64 / h.count as f64
-                ));
-            }
-        }
-        for (name, e) in &self.ewmas {
-            if let Some(v) = e {
-                out.push_str(&format!("{name} = {v:.1}us\n"));
-            }
-        }
-        for (name, a) in &self.avails {
-            if let Some(v) = a {
-                out.push_str(&format!("{name} = {v:.3}\n"));
-            }
-        }
-        out
-    }
-
-    /// Machine-readable one-object dump of the snapshot (no spans), same
-    /// quiet-metric skipping as [`render_text`](Snapshot::render_text).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\": {");
-        push_entries(
-            &mut out,
-            self.counters.iter().filter(|(_, v)| **v != 0),
-            |out, (name, v)| {
-                out.push_str(&format!("\"{}\": {v}", escape(name)));
-            },
-        );
-        out.push_str("}, \"histograms\": {");
-        push_entries(
-            &mut out,
-            self.histograms.iter().filter(|(_, h)| h.count != 0),
-            |out, (name, h)| {
-                out.push_str(&format!(
-                    "\"{}\": {{\"count\": {}, \"sum_us\": {}}}",
-                    escape(name),
-                    h.count,
-                    h.sum_us
-                ));
-            },
-        );
-        out.push_str("}, \"ewmas\": {");
-        push_entries(
-            &mut out,
-            self.ewmas.iter().filter(|(_, e)| e.is_some()),
-            |out, (name, e)| {
-                out.push_str(&format!("\"{}\": {:.3}", escape(name), e.unwrap()));
-            },
-        );
-        out.push_str("}, \"avail\": {");
-        push_entries(
-            &mut out,
-            self.avails.iter().filter(|(_, a)| a.is_some()),
-            |out, (name, a)| {
-                out.push_str(&format!("\"{}\": {:.3}", escape(name), a.unwrap()));
-            },
-        );
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -548,27 +414,12 @@ mod tests {
         assert_eq!(snap.counter("a"), 5);
         assert_eq!(snap.counter("b"), 1);
         assert_eq!(snap.counter("missing"), 0);
-    }
 
-    #[test]
-    fn snapshot_diff_isolates_a_window() {
-        let reg = Registry::new();
-        reg.counter("ops").add(10);
-        reg.histogram("lat").record_us(5);
-        reg.ewma("avg").record_us(100.0);
-        let before = reg.snapshot();
-
-        reg.counter("ops").add(7);
-        reg.counter("new").inc();
-        reg.histogram("lat").record_us(6);
-        reg.ewma("avg").record_us(0.0);
-        let delta = reg.snapshot().diff(&before);
-
-        assert_eq!(delta.counter("ops"), 7);
-        assert_eq!(delta.counter("new"), 1);
-        assert_eq!(delta.histogram("lat").unwrap().count, 1);
-        // EWMA is a level: diff carries the latest value through.
-        assert!(delta.ewma("avg").unwrap() < 100.0);
+        reg.avail("m.avail").record(true);
+        reg.avail("m.avail").record(true);
+        reg.avail("m.avail").record(false);
+        assert_eq!(reg.snapshot().avail("m.avail"), Some(2.0 / 3.0));
+        assert_eq!(reg.snapshot().avail("missing"), None);
     }
 
     #[test]
@@ -591,14 +442,13 @@ mod tests {
     }
 
     #[test]
-    fn detached_registry_skips_spans_but_keeps_counters() {
-        let reg = Registry::detached();
+    fn disarmed_registry_skips_spans_but_keeps_counters() {
+        let reg = Registry::new();
+        reg.set_timing_armed(false);
         {
             let _s = reg.span("never.recorded");
         }
         reg.counter("still.counts").inc();
-        let timed = reg.time(|_| panic!("sample must not run"), || 42);
-        assert_eq!(timed, 42);
         assert!(reg.spans().is_empty());
         assert_eq!(reg.snapshot().counter("still.counts"), 1);
 
@@ -607,44 +457,6 @@ mod tests {
             let _s = reg.span("recorded");
         }
         assert_eq!(reg.spans().len(), 1);
-    }
-
-    #[test]
-    fn time_feeds_sample_when_armed() {
-        let reg = Registry::new();
-        let e = reg.ewma("reply");
-        let out = reg.time(|d| e.record(d), || "ok");
-        assert_eq!(out, "ok");
-        assert!(e.value_us().is_some());
-    }
-
-    #[test]
-    fn avail_handles_shared_and_snapshot_renders_diffs() {
-        let reg = Registry::new();
-        reg.avail("m.avail").record(true);
-        reg.avail("m.avail").record(true);
-        reg.avail("m.avail").record(false);
-        assert_eq!(reg.snapshot().avail("m.avail"), Some(2.0 / 3.0));
-        assert_eq!(reg.snapshot().avail("missing"), None);
-
-        let before = reg.snapshot();
-        reg.counter("ops").add(3);
-        reg.counter("quiet").reset();
-        reg.histogram("lat").record_us(10);
-        let delta = reg.snapshot().diff(&before);
-        // Levels carry through a diff; totals subtract.
-        assert_eq!(delta.avail("m.avail"), Some(2.0 / 3.0));
-        assert_eq!(delta.counter("ops"), 3);
-
-        let text = delta.render_text();
-        assert!(text.contains("ops = 3"));
-        assert!(text.contains("m.avail = 0.667"));
-        assert!(!text.contains("quiet"), "zero counters are skipped: {text}");
-        let json = delta.render_json();
-        assert!(json.contains("\"ops\": 3"));
-        assert!(json.contains("\"m.avail\": 0.667"));
-        assert!(!json.contains("quiet"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

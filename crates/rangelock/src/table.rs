@@ -11,10 +11,10 @@ use crate::range::{compatible, KeyRange, LockMode};
 /// Identifies a lock-holding transaction and carries its age.
 ///
 /// The high 56 bits are the transaction's *age* (smaller is older), the low
-/// 8 bits its *attempt*. `repdir-txn` hands every new transaction a fresh
-/// age and every retry the next attempt of the same age, so a transaction
-/// that keeps losing keeps its place in line and eventually becomes the
-/// oldest. The lock table reads only the age: a request waits only for
+/// 8 bits its *attempt*. `repdir_replica::txn::TxnManager` hands every new
+/// transaction a fresh age and every retry the next attempt of the same age,
+/// so a transaction that keeps losing keeps its place in line and eventually
+/// becomes the oldest. The lock table reads only the age: a request waits only for
 /// holders no older than itself and dies on any older one (wait-die), so
 /// waits run from older to younger and no cycle of waits can form.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]

@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
+use crate::txn::TxnId;
 use repdir_core::{Op, RepClient, RepId, RepResult, Reply};
-use repdir_txn::TxnId;
 
 use crate::server::TransactionalRep;
 

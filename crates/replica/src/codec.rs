@@ -13,13 +13,13 @@
 //! list is [`Request::Ping`], one operation goes bare, several as one
 //! [`Request::Batch`].
 
+use crate::txn::TxnId;
 use repdir_core::bytes::{Buf, BufMut};
 use repdir_core::{
     CoalesceOutcome, InsertOutcome, Key, LookupReply, NeighborReply, Op, RemovedEntry, RepError,
     RepResult, Reply, UserKey, Value, Version,
 };
 use repdir_repair::{BucketEntry, BucketView, Digest};
-use repdir_txn::TxnId;
 
 /// A request to a representative server.
 #[derive(Clone, Debug, PartialEq, Eq)]

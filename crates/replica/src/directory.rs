@@ -1,5 +1,6 @@
-//! A ready-to-use replicated directory: representatives, transactions, and
-//! deadlock-retry wrapped around the core suite algorithm.
+//! A ready-to-use replicated directory: transactions over the members,
+//! wait-die retry and the repair plane wrapped around the core suite
+//! algorithm, for members in this process or across the network.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,18 +12,109 @@ use repdir_core::suite::{
     DirSuite, QuorumPolicy, RandomPolicy, RepairHealth, StaleVote, StaleVoteQueue, SuiteConfig,
 };
 use repdir_core::sync::Mutex;
-use repdir_core::{ConfigError, Key, RepError, RepId, SuiteError, UserKey, Value};
+use repdir_core::{ConfigError, Key, RepClient, RepError, RepId, SuiteError, UserKey, Value};
 use repdir_obs::Registry;
 use repdir_repair::{DriverHandle, Pacing, RepairDriver, RepairPeer, Repairer};
-use repdir_txn::TxnManager;
 
 use crate::client::SessionClient;
 use crate::repair::{LocalRepairPeer, RepTarget};
 use crate::server::TransactionalRep;
+use crate::txn::{TxnId, TxnManager};
 use repdir_storage::{Backend, SimDisk};
 
+/// Attempts [`ReplicatedDirectory::run`] makes before it returns the body's
+/// retryable error.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// How a [`ReplicatedDirectory`] reaches its members: it opens a
+/// transaction at every member, one [`RepClient`] each, and finishes it
+/// there. [`InProcess`] calls representatives in this process;
+/// [`Networked`](crate::Networked) reaches `serve_rep` members by RPC.
+pub trait Members: Send + Sync {
+    /// One transaction's handle to one member.
+    type Client: RepClient;
+
+    /// Registers `txn` at every member and returns one client per member,
+    /// in member order. A member that cannot register it keeps its client
+    /// and refuses every request of the transaction, so the suite routes
+    /// around it even if it heals mid-flight.
+    fn open(&self, txn: TxnId) -> Vec<Self::Client>;
+
+    /// Commits `txn` at every member. A member that failed mid-transaction
+    /// cannot commit; it never saw the transaction's writes (the suite
+    /// routed around it), so skipping it is sound.
+    fn commit(&self, txn: TxnId);
+
+    /// Aborts `txn` at every member: its locks release and its mutations
+    /// roll back.
+    fn abort(&self, txn: TxnId);
+}
+
+/// Representatives in this process, each called directly, one after
+/// another on the calling thread: a member's commit is a short critical
+/// section, far cheaper than a thread to run it on.
+pub struct InProcess {
+    reps: Vec<Arc<TransactionalRep>>,
+    /// The running repair fleet, if any.
+    fleet: Mutex<Option<RepairFleet>>,
+}
+
+impl Members for InProcess {
+    type Client = SessionClient;
+
+    fn open(&self, txn: TxnId) -> Vec<SessionClient> {
+        self.reps
+            .iter()
+            .map(|rep| {
+                let _ = rep.begin(txn);
+                SessionClient::new(Arc::clone(rep), txn)
+            })
+            .collect()
+    }
+
+    fn commit(&self, txn: TxnId) {
+        for rep in &self.reps {
+            let _ = rep.commit(txn);
+        }
+    }
+
+    fn abort(&self, txn: TxnId) {
+        for rep in &self.reps {
+            rep.abort(txn);
+        }
+    }
+}
+
+impl fmt::Debug for InProcess {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InProcess")
+            .field("reps", &self.reps.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// One repair driver per member, and the hooks that wake them. Dropping the
+/// fleet unhooks the wakers, then joins every driver thread.
+struct RepairFleet {
+    reps: Vec<Arc<TransactionalRep>>,
+    stale_votes: Arc<StaleVoteQueue>,
+    handles: Vec<DriverHandle>,
+}
+
+impl Drop for RepairFleet {
+    fn drop(&mut self) {
+        self.stale_votes.set_spill(None);
+        for (member, rep) in self.reps.iter().enumerate() {
+            self.stale_votes.set_waker(member, None);
+            rep.set_recovery_hook(None);
+        }
+        // `handles` drops next, joining each driver thread.
+    }
+}
+
 /// A complete replicated directory service over transactional
-/// representatives.
+/// representatives, in this process ([`InProcess`], the default) or
+/// behind `serve_rep` ([`Networked`](crate::Networked)).
 ///
 /// Each user operation (or multi-operation closure passed to
 /// [`run`](ReplicatedDirectory::run)) executes inside a transaction that
@@ -44,12 +136,11 @@ use repdir_storage::{Backend, SimDisk};
 /// dir.delete(&Key::from("motd"))?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct ReplicatedDirectory {
-    reps: Vec<Arc<TransactionalRep>>,
+pub struct ReplicatedDirectory<M: Members = InProcess> {
+    members: M,
     config: SuiteConfig,
-    txns: Arc<TxnManager>,
+    txns: TxnManager,
     policy_seed: AtomicU64,
-    max_attempts: u32,
     /// Shared stale-vote sink. Per-transaction suites are ephemeral, so
     /// every suite this directory creates routes its stale votes here —
     /// the evidence outlives the transaction that observed it and feeds
@@ -60,7 +151,6 @@ pub struct ReplicatedDirectory {
     /// directory's suites build — a member known to be behind is ranked
     /// last, not first, however fast it replies.
     repair_health: Arc<RepairHealth>,
-    repair_drivers: Mutex<Vec<DriverHandle>>,
 }
 
 impl ReplicatedDirectory {
@@ -89,7 +179,7 @@ impl ReplicatedDirectory {
             .map(|i| {
                 TransactionalRep::with_disk_and_backend(
                     RepId(i as u32),
-                    std::sync::Arc::new(SimDisk::new()),
+                    Arc::new(SimDisk::new()),
                     backend,
                 )
             })
@@ -107,21 +197,121 @@ impl ReplicatedDirectory {
         config: SuiteConfig,
         seed: u64,
     ) -> Result<Self, ConfigError> {
-        if reps.len() != config.member_count() {
+        let members = InProcess {
+            reps,
+            fleet: Mutex::new(None),
+        };
+        Self::with_members(members.reps.len(), members, config, seed)
+    }
+
+    /// The representative servers (failure injection, inspection).
+    pub fn reps(&self) -> &[Arc<TransactionalRep>] {
+        &self.members.reps
+    }
+
+    /// Starts one background [`RepairDriver`] per representative: each
+    /// drains this directory's stale-vote queue for its member into
+    /// bucket-targeted pulls from the other representatives, falling back
+    /// to adaptively paced summary sweeps when the queue is dry, and
+    /// checkpointing its member once a sweep finds it level after repairs
+    /// (which also retires the stale votes spilled to its log). The queue
+    /// wakes a driver the moment a read observes its member voting stale,
+    /// and each representative's recovery hook snaps its driver's pacing
+    /// back to the floor. Idempotent: a second call replaces the fleet.
+    pub fn spawn_repair_drivers(&self, pacing: Pacing) {
+        self.stop_repair_drivers();
+        let reps = &self.members.reps;
+        // Reseed the queue from each representative's WAL sidecar: votes
+        // spilled before a crash survive it and re-enter the queue here
+        // (coalesced, no re-spill, no waker — the fleet below drains them).
+        for rep in reps {
+            for vote in rep.spilled_stale_votes() {
+                self.stale_votes.restore(vote);
+            }
+        }
+        // From now on every pushed vote is spilled to the stale member's
+        // WAL before it becomes observable in the queue, so the
+        // observe-then-pull window has no durability hole.
+        let spill_reps = reps.clone();
+        self.stale_votes.set_spill(Some(Box::new(move |vote| {
+            if let Some(rep) = spill_reps.get(vote.member) {
+                // Best-effort: an unavailable member just misses the hint.
+                let _ = rep.spill_stale_vote(vote);
+            }
+        })));
+        let mut handles = Vec::with_capacity(reps.len());
+        for (member, rep) in reps.iter().enumerate() {
+            let target = Arc::new(RepTarget::new(Arc::clone(rep)));
+            let peers: Vec<Box<dyn RepairPeer>> = reps
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != member)
+                .map(|(_, peer)| {
+                    Box::new(LocalRepairPeer::new(Arc::clone(peer))) as Box<dyn RepairPeer>
+                })
+                .collect();
+            let queue = Arc::clone(&self.stale_votes);
+            let health = Arc::clone(&self.repair_health);
+            let driver = RepairDriver::new(Repairer::new(target, peers), pacing)
+                .with_vote_source(Box::new(move || queue.drain_member(member)))
+                .with_health_sink(Box::new(move |unrepaired| {
+                    health.set_unrepaired(member, unrepaired);
+                }));
+            let handle = driver.spawn();
+            let vote_waker = handle.waker();
+            self.stale_votes
+                .set_waker(member, Some(Box::new(move || vote_waker.wake_votes())));
+            let recovery_waker = handle.waker();
+            rep.set_recovery_hook(Some(Box::new(move || recovery_waker.wake_recovery())));
+            handles.push(handle);
+        }
+        *self.members.fleet.lock() = Some(RepairFleet {
+            reps: reps.clone(),
+            stale_votes: Arc::clone(&self.stale_votes),
+            handles,
+        });
+    }
+
+    /// The running repair fleet's registries, one per member in member
+    /// order (empty with no fleet): each holds its own driver's and
+    /// repairer's `repair.*` metrics.
+    pub fn repair_registries(&self) -> Vec<Registry> {
+        let fleet = self.members.fleet.lock();
+        let handles = fleet.iter().flat_map(|fleet| &fleet.handles);
+        handles.map(|h| h.registry().clone()).collect()
+    }
+
+    /// Stops the repair-driver fleet: unhooks the wakers, then joins every
+    /// driver thread. Queued stale votes are kept — a later fleet (or
+    /// [`take_stale_votes`](ReplicatedDirectory::take_stale_votes)) can
+    /// still consume them.
+    pub fn stop_repair_drivers(&self) {
+        let fleet = self.members.fleet.lock().take();
+        drop(fleet);
+    }
+}
+
+impl<M: Members> ReplicatedDirectory<M> {
+    /// A directory over `members`, of which there are `count`.
+    pub(crate) fn with_members(
+        count: usize,
+        members: M,
+        config: SuiteConfig,
+        seed: u64,
+    ) -> Result<Self, ConfigError> {
+        if count != config.member_count() {
             return Err(ConfigError::MemberCountMismatch {
-                clients: reps.len(),
+                clients: count,
                 votes: config.member_count(),
             });
         }
         Ok(ReplicatedDirectory {
-            reps,
+            members,
             config,
-            txns: Arc::new(TxnManager::new()),
+            txns: TxnManager::new(),
             policy_seed: AtomicU64::new(seed),
-            max_attempts: 8,
             stale_votes: Arc::new(StaleVoteQueue::new()),
             repair_health: Arc::new(RepairHealth::new()),
-            repair_drivers: Mutex::new(Vec::new()),
         })
     }
 
@@ -130,19 +320,14 @@ impl ReplicatedDirectory {
         &self.config
     }
 
-    /// The representative servers (failure injection, inspection).
-    pub fn reps(&self) -> &[Arc<TransactionalRep>] {
-        &self.reps
-    }
-
-    /// The shared transaction manager.
-    pub fn txn_manager(&self) -> &Arc<TxnManager> {
+    /// The transaction manager that numbers this directory's transactions.
+    pub fn txn_manager(&self) -> &TxnManager {
         &self.txns
     }
 
     /// Begins an explicit transaction with a freshly seeded random quorum
     /// policy. Most callers use [`run`](ReplicatedDirectory::run) instead.
-    pub fn begin(&self) -> DirTxn<'_> {
+    pub fn begin(&self) -> DirTxn<'_, M> {
         self.begin_as(self.txns.begin(), self.random_policy())
     }
 
@@ -152,24 +337,14 @@ impl ReplicatedDirectory {
     }
 
     /// Begins a transaction with an explicit quorum policy.
-    pub fn begin_with_policy(&self, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_> {
+    pub fn begin_with_policy(&self, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_, M> {
         self.begin_as(self.txns.begin(), policy)
     }
 
-    fn begin_as(&self, id: repdir_txn::TxnId, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_> {
-        let clients: Vec<SessionClient> = self
-            .reps
-            .iter()
-            .map(|rep| {
-                // Unavailable representatives cannot register the
-                // transaction; they stay unusable for it even if they heal
-                // mid-flight (the suite routes around them).
-                let _ = rep.begin(id);
-                SessionClient::new(Arc::clone(rep), id)
-            })
-            .collect();
+    fn begin_as(&self, id: TxnId, policy: Box<dyn QuorumPolicy + Send>) -> DirTxn<'_, M> {
+        let clients = self.members.open(id);
         let mut suite = DirSuite::new(clients, self.config.clone(), policy)
-            .expect("rep count matches config by construction");
+            .expect("member count matches config by construction");
         suite.set_stale_vote_sink(Arc::clone(&self.stale_votes));
         suite.set_repair_health(Some(Arc::clone(&self.repair_health)));
         DirTxn {
@@ -205,7 +380,7 @@ impl ReplicatedDirectory {
     /// [`SuiteError`].
     pub fn run<R>(
         &self,
-        mut body: impl FnMut(&mut DirSuite<SessionClient>) -> Result<R, SuiteError>,
+        mut body: impl FnMut(&mut DirSuite<M::Client>) -> Result<R, SuiteError>,
     ) -> Result<R, SuiteError> {
         let mut attempt = 0;
         let mut id = self.txns.begin();
@@ -225,7 +400,7 @@ impl ReplicatedDirectory {
                             | SuiteError::Rep(RepError::LockTimeout)
                             | SuiteError::Rep(RepError::Unavailable)
                     );
-                    if !retryable || attempt >= self.max_attempts {
+                    if !retryable || attempt >= MAX_ATTEMPTS {
                         return Err(e);
                     }
                     // Exponential backoff with jitter, capped. The jitter
@@ -332,103 +507,12 @@ impl ReplicatedDirectory {
     pub fn take_stale_votes(&self) -> Vec<StaleVote> {
         self.stale_votes.drain_all()
     }
-
-    /// Starts one background [`RepairDriver`] per representative: each
-    /// drains this directory's stale-vote queue for its member into
-    /// bucket-targeted pulls from the other representatives, falling back
-    /// to adaptively paced summary sweeps when the queue is dry, and
-    /// checkpointing its member once a sweep finds it level after repairs
-    /// (which also retires the stale votes spilled to its log). The queue
-    /// wakes a driver the moment a read observes its member voting stale,
-    /// and each representative's recovery hook snaps its driver's pacing
-    /// back to the floor. Idempotent: a second call replaces the fleet.
-    pub fn spawn_repair_drivers(&self, pacing: Pacing) {
-        self.stop_repair_drivers();
-        // Reseed the queue from each representative's WAL sidecar: votes
-        // spilled before a crash survive it and re-enter the queue here
-        // (coalesced, no re-spill, no waker — the fleet below drains them).
-        for rep in &self.reps {
-            for vote in rep.spilled_stale_votes() {
-                self.stale_votes.restore(vote);
-            }
-        }
-        // From now on every pushed vote is spilled to the stale member's
-        // WAL before it becomes observable in the queue, so the
-        // observe-then-pull window has no durability hole.
-        let spill_reps = self.reps.clone();
-        self.stale_votes.set_spill(Some(Box::new(move |vote| {
-            if let Some(rep) = spill_reps.get(vote.member) {
-                // Best-effort: an unavailable member just misses the hint.
-                let _ = rep.spill_stale_vote(vote);
-            }
-        })));
-        let mut handles = Vec::with_capacity(self.reps.len());
-        for (member, rep) in self.reps.iter().enumerate() {
-            let target = Arc::new(RepTarget::new(Arc::clone(rep)));
-            let peers: Vec<Box<dyn RepairPeer>> = self
-                .reps
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != member)
-                .map(|(_, peer)| {
-                    Box::new(LocalRepairPeer::new(Arc::clone(peer))) as Box<dyn RepairPeer>
-                })
-                .collect();
-            let queue = Arc::clone(&self.stale_votes);
-            let health = Arc::clone(&self.repair_health);
-            let driver = RepairDriver::new(Repairer::new(target, peers), pacing)
-                .with_vote_source(Box::new(move || queue.drain_member(member)))
-                .with_health_sink(Box::new(move |unrepaired| {
-                    health.set_unrepaired(member, unrepaired);
-                }));
-            let handle = driver.spawn();
-            let vote_waker = handle.waker();
-            self.stale_votes
-                .set_waker(member, Some(Box::new(move || vote_waker.wake_votes())));
-            let recovery_waker = handle.waker();
-            rep.set_recovery_hook(Some(Box::new(move || recovery_waker.wake_recovery())));
-            handles.push(handle);
-        }
-        *self.repair_drivers.lock() = handles;
-    }
-
-    /// The running repair fleet's registries, one per member in member
-    /// order (empty with no fleet): each holds its own driver's and
-    /// repairer's `repair.*` metrics.
-    pub fn repair_registries(&self) -> Vec<Registry> {
-        let handles = self.repair_drivers.lock();
-        handles.iter().map(|h| h.registry().clone()).collect()
-    }
-
-    /// Stops the repair-driver fleet: unhooks the wakers, then joins every
-    /// driver thread. Queued stale votes are kept — a later fleet (or
-    /// [`take_stale_votes`](ReplicatedDirectory::take_stale_votes)) can
-    /// still consume them.
-    pub fn stop_repair_drivers(&self) {
-        let handles = std::mem::take(&mut *self.repair_drivers.lock());
-        if handles.is_empty() {
-            return;
-        }
-        self.stale_votes.set_spill(None);
-        for (member, rep) in self.reps.iter().enumerate() {
-            self.stale_votes.set_waker(member, None);
-            rep.set_recovery_hook(None);
-        }
-        drop(handles); // joins each driver thread
-    }
 }
 
-impl Drop for ReplicatedDirectory {
-    fn drop(&mut self) {
-        self.stop_repair_drivers();
-    }
-}
-
-impl fmt::Debug for ReplicatedDirectory {
+impl<M: Members> fmt::Debug for ReplicatedDirectory<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReplicatedDirectory")
             .field("config", &self.config)
-            .field("reps", &self.reps.len())
             .finish_non_exhaustive()
     }
 }
@@ -437,22 +521,22 @@ impl fmt::Debug for ReplicatedDirectory {
 ///
 /// Dropping an unfinished transaction aborts it (locks release, mutations
 /// roll back).
-pub struct DirTxn<'a> {
-    dir: &'a ReplicatedDirectory,
-    id: repdir_txn::TxnId,
-    suite: DirSuite<SessionClient>,
+pub struct DirTxn<'a, M: Members = InProcess> {
+    dir: &'a ReplicatedDirectory<M>,
+    id: TxnId,
+    suite: DirSuite<M::Client>,
     finished: bool,
 }
 
-impl DirTxn<'_> {
+impl<M: Members> DirTxn<'_, M> {
     /// The transaction's id.
-    pub fn id(&self) -> repdir_txn::TxnId {
+    pub fn id(&self) -> TxnId {
         self.id
     }
 
     /// The suite to operate through. All operations share this
     /// transaction's locks.
-    pub fn suite_mut(&mut self) -> &mut DirSuite<SessionClient> {
+    pub fn suite_mut(&mut self) -> &mut DirSuite<M::Client> {
         &mut self.suite
     }
 
@@ -482,44 +566,29 @@ impl DirTxn<'_> {
         self.suite.delete_many(keys)
     }
 
-    /// Commits at every representative (write-ahead-log sync per member)
-    /// and releases locks, one representative after another on the calling
-    /// thread: a member's commit is a short critical section, far cheaper
-    /// than a thread to run it on.
+    /// Commits at every member (write-ahead-log sync per member) and
+    /// releases locks.
     pub fn commit(mut self) {
         self.finished = true;
-        for rep in &self.dir.reps {
-            // A representative that failed mid-transaction cannot commit;
-            // it never saw the transaction's writes (the suite routed
-            // around it), so skipping is sound.
-            let _ = rep.commit(self.id);
-        }
-        let _ = self.dir.txns.commit(self.id);
+        self.dir.members.commit(self.id);
     }
 
-    /// Aborts at every representative and releases locks.
+    /// Aborts at every member and releases locks.
     pub fn abort(mut self) {
         self.finished = true;
-        self.rollback();
-    }
-
-    fn rollback(&self) {
-        for rep in &self.dir.reps {
-            rep.abort(self.id);
-        }
-        self.dir.txns.abort(self.id);
+        self.dir.members.abort(self.id);
     }
 }
 
-impl Drop for DirTxn<'_> {
+impl<M: Members> Drop for DirTxn<'_, M> {
     fn drop(&mut self) {
         if !self.finished {
-            self.rollback();
+            self.dir.members.abort(self.id);
         }
     }
 }
 
-impl fmt::Debug for DirTxn<'_> {
+impl<M: Members> fmt::Debug for DirTxn<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DirTxn")
             .field("id", &self.id)
@@ -567,7 +636,7 @@ mod tests {
         txn.suite_mut().insert(&k("y"), &val("Y")).unwrap();
         let id = txn.id();
         txn.commit();
-        assert!(!dir.txn_manager().is_active(id));
+        assert!(dir.reps().iter().all(|rep| rep.locks_held(id).is_empty()));
         assert!(dir.lookup(&k("x")).unwrap().present);
         assert!(dir.lookup(&k("y")).unwrap().present);
     }
@@ -609,7 +678,7 @@ mod tests {
         let id = txn.id();
         txn.commit();
 
-        assert!(!dir.txn_manager().is_active(id));
+        assert!(dir.reps().iter().all(|rep| rep.locks_held(id).is_empty()));
         // Each quorum member saw the write and must have applied it once
         // commit returned.
         for rep_id in out.quorum {
@@ -676,7 +745,7 @@ mod tests {
         let holder = {
             let dir = Arc::clone(&dir);
             std::thread::spawn(move || {
-                let younger = repdir_txn::TxnId::of_age(1 << 40);
+                let younger = TxnId::of_age(1 << 40);
                 let mut txn = dir.begin_as(younger, Box::new(FixedPolicy::new()));
                 txn.suite_mut()
                     .update(&k("contended"), &val("held"))

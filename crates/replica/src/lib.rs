@@ -1,15 +1,15 @@
 //! # repdir-replica
 //!
-//! The full directory-representative server and the client plumbing that
-//! connects it to the core suite algorithm.
+//! The full directory-representative server, the transactions that span
+//! representatives, and the client plumbing that connects both to the core
+//! suite algorithm.
 //!
-//! A [`TransactionalRep`] combines the three substrates the paper assumes a
+//! A [`TransactionalRep`] combines the substrates the paper assumes a
 //! representative to have (§3.1):
 //!
-//! * gap-versioned state, durable through a write-ahead log
-//!   (`repdir-storage`),
-//! * the Figure-6/Figure-7 range locking discipline (`repdir-rangelock`),
-//! * transactional undo and lifecycle (`repdir-txn`).
+//! * gap-versioned state with transactional undo, durable through a
+//!   write-ahead log (`repdir-storage`),
+//! * the Figure-6/Figure-7 range locking discipline (`repdir-rangelock`).
 //!
 //! [`SessionClient`] exposes one transaction's view of a representative as a
 //! [`RepClient`](repdir_core::RepClient), so the generic
@@ -18,13 +18,19 @@
 //! network (`repdir-net`), using the binary wire [`codec`].
 //!
 //! [`ReplicatedDirectory`] packages everything into a service with
-//! begin/commit/abort transactions, deadlock-victim retry, failure
-//! injection, and crash recovery.
+//! begin/commit/abort transactions numbered by [`txn::TxnManager`],
+//! wait-die retry, failure injection and crash recovery. One
+//! [`run`](ReplicatedDirectory::run)/[`begin`](ReplicatedDirectory::begin)/
+//! [`DirTxn`] path serves members of either kind ([`Members`]):
+//! [`InProcess`] representatives, called directly, or [`Networked`] ones
+//! behind `serve_rep`, whose `Begin`, `Commit` and `Abort` are one RPC
+//! scatter round each.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod codec;
+pub mod txn;
 
 mod client;
 mod directory;
@@ -33,7 +39,7 @@ mod repair;
 mod server;
 
 pub use client::SessionClient;
-pub use directory::{DirTxn, ReplicatedDirectory};
-pub use remote::{serve_rep, RemoteSessionClient};
+pub use directory::{DirTxn, InProcess, Members, ReplicatedDirectory};
+pub use remote::{serve_rep, Networked, RemoteSessionClient};
 pub use repair::{LocalRepairPeer, RemoteRepairPeer, RepTarget};
 pub use server::TransactionalRep;

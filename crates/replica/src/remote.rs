@@ -1,19 +1,21 @@
-//! Serving a representative over the simulated network, and the matching
-//! remote client.
+//! Serving a representative over the simulated network, the matching
+//! remote client, and the members of a networked directory.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use repdir_core::{Completion, Op, RepClient, RepError, RepId, RepResult, Reply};
+use repdir_core::suite::SuiteConfig;
+use repdir_core::{Completion, ConfigError, Op, RepClient, RepError, RepId, RepResult, Reply};
 use repdir_net::{serve, Network, NodeId, RpcClient, RpcResult, ServerHandle};
 use repdir_repair::MAX_PULL_ENTRIES;
-use repdir_txn::TxnId;
 
 use crate::codec::{
     decode_request, decode_response, encode_request, encode_response, reply_frame, reply_list,
     request_frame, request_ops, Request, Response,
 };
+use crate::directory::{Members, ReplicatedDirectory};
 use crate::server::TransactionalRep;
+use crate::txn::TxnId;
 
 /// Runs a [`TransactionalRep`] as an RPC server at `node`. Returns the
 /// handle that stops the serving thread.
@@ -172,6 +174,83 @@ impl RepClient for RemoteSessionClient {
             .start(self.server, self.frame(ops), Some(deadline), move |reply| {
                 done.complete(replies(reply, asked));
             });
+    }
+}
+
+/// Members behind [`serve_rep`], reached through one [`RpcClient`]: member
+/// `i` is `RepId(i)`, served at the `i`-th node. `Begin`, `Commit` and
+/// `Abort` are one scatter round each, and every call, those rounds
+/// included, gives up after the timeout the directory was built with.
+#[derive(Debug)]
+pub struct Networked {
+    rpc: Arc<RpcClient>,
+    servers: Vec<NodeId>,
+    timeout: Duration,
+}
+
+impl Networked {
+    /// One scatter round of `request` to every member. Replies are not
+    /// inspected: a member that cannot register, commit or abort is one
+    /// the suite routes around, as in process.
+    fn round(&self, request: Request) {
+        let payload = encode_request(&request);
+        let requests = self
+            .servers
+            .iter()
+            .map(|&server| (server, payload.clone()))
+            .collect();
+        drop(self.rpc.scatter(requests).gather(self.timeout));
+    }
+}
+
+impl Members for Networked {
+    type Client = RemoteSessionClient;
+
+    fn open(&self, txn: TxnId) -> Vec<RemoteSessionClient> {
+        self.round(Request::Begin(txn));
+        let member = |(i, &server): (usize, &NodeId)| RemoteSessionClient {
+            rpc: Arc::clone(&self.rpc),
+            server,
+            rep_id: RepId(i as u32),
+            txn,
+            timeout: self.timeout,
+        };
+        self.servers.iter().enumerate().map(member).collect()
+    }
+
+    fn commit(&self, txn: TxnId) {
+        self.round(Request::Commit(txn));
+    }
+
+    fn abort(&self, txn: TxnId) {
+        self.round(Request::Abort(txn));
+    }
+}
+
+impl ReplicatedDirectory<Networked> {
+    /// A directory whose members are served at `servers` (member `i` at
+    /// `servers[i]`, as `RepId(i)`) and reached from `rpc`'s node. Every
+    /// member call gives up after `timeout` and counts as
+    /// [`RepError::Unavailable`].
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::MemberCountMismatch`] if `servers` and `config`
+    /// count different members.
+    pub fn networked(
+        rpc: Arc<RpcClient>,
+        servers: Vec<NodeId>,
+        timeout: Duration,
+        config: SuiteConfig,
+        seed: u64,
+    ) -> Result<Self, ConfigError> {
+        let count = servers.len();
+        let members = Networked {
+            rpc,
+            servers,
+            timeout,
+        };
+        Self::with_members(count, members, config, seed)
     }
 }
 
@@ -545,42 +624,47 @@ mod tests {
     }
 
     #[test]
-    fn suite_runs_over_remote_clients() {
-        use repdir_core::suite::{DirSuite, FixedPolicy, SuiteConfig};
+    fn directory_runs_over_networked_members() {
+        use repdir_core::suite::FixedPolicy;
         let net = Arc::new(Network::new(12));
-        let mut handles = Vec::new();
-        let mut reps = Vec::new();
-        for i in 0..3u32 {
-            let rep = TransactionalRep::new(RepId(i));
-            handles.push(serve_rep(
-                Arc::clone(&net),
-                NodeId(100 + i),
-                Arc::clone(&rep),
-            ));
-            reps.push(rep);
-        }
-        let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-        let txn = TxnId(1);
-        let clients: Vec<RemoteSessionClient> = (0..3u32)
-            .map(|i| RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), txn))
+        let reps: Vec<_> = (0..3u32).map(|i| TransactionalRep::new(RepId(i))).collect();
+        let handles: Vec<_> = (0..3u32)
+            .map(|i| {
+                serve_rep(
+                    Arc::clone(&net),
+                    NodeId(100 + i),
+                    Arc::clone(&reps[i as usize]),
+                )
+            })
             .collect();
-        for c in &clients {
-            c.begin().unwrap();
+        let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
+        let servers = (100..103).map(NodeId).collect();
+        let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        let timeout = Duration::from_millis(200);
+        let dir = ReplicatedDirectory::networked(rpc, servers, timeout, config, 1).unwrap();
+        dir.insert(&k("net"), &Value::from("works")).unwrap();
+        assert!(dir.lookup(&k("net")).unwrap().present);
+        dir.delete(&k("net")).unwrap();
+        assert!(!dir.lookup(&k("net")).unwrap().present);
+
+        // An explicit transaction: its writes land at its quorum members
+        // when it commits, and nothing of an aborted one stays anywhere.
+        let mut txn = dir.begin_with_policy(Box::new(FixedPolicy::new()));
+        txn.suite_mut().insert(&k("a"), &Value::from("A")).unwrap();
+        let id = txn.id();
+        txn.commit();
+        assert!(reps[0].snapshot().lookup(&k("a")).is_present());
+        assert!(reps[1].snapshot().lookup(&k("a")).is_present());
+        let mut txn = dir.begin();
+        txn.suite_mut().insert(&k("b"), &Value::from("B")).unwrap();
+        txn.abort();
+        for rep in &reps {
+            assert!(rep.locks_held(id).is_empty());
+            assert!(!rep.snapshot().lookup(&k("b")).is_present());
+            assert_eq!(rep.lock_holders(), vec![]);
         }
-        let mut suite = DirSuite::new(
-            clients,
-            SuiteConfig::symmetric(3, 2, 2).unwrap(),
-            Box::new(FixedPolicy::new()),
-        )
-        .unwrap();
-        suite.insert(&k("net"), &Value::from("works")).unwrap();
-        assert!(suite.lookup(&k("net")).unwrap().present);
-        suite.delete(&k("net")).unwrap();
-        assert!(!suite.lookup(&k("net")).unwrap().present);
-        for i in 0..3 {
-            suite.member(i).commit().unwrap();
+        for handle in &handles {
+            handle.stop();
         }
-        // Reps 0 and 1 were the fixed quorum: both saw the traffic.
-        assert!(reps[0].snapshot().is_empty());
     }
 }

@@ -164,10 +164,10 @@ impl RepairTarget for RepTarget {
 mod tests {
     use super::*;
     use crate::remote::serve_rep;
+    use crate::txn::TxnId;
     use repdir_core::{RepId, Value, Version};
     use repdir_net::Network;
     use repdir_repair::Repairer;
-    use repdir_txn::TxnId;
 
     fn k(s: &str) -> Key {
         Key::from(s)

@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::txn::TxnId;
 use repdir_core::suite::StaleVote;
 use repdir_core::sync::{Mutex, MutexGuard};
 use repdir_core::{
@@ -17,7 +18,6 @@ use repdir_repair::{
     Digest, RepairPlan, SummaryCache,
 };
 use repdir_storage::{decode_log, stale_votes_after, Backend, DurableState, SimDisk};
-use repdir_txn::TxnId;
 
 /// Transaction ids for internal repair transactions, carved out of the top
 /// of the id space so they never collide with coordinator-assigned ids.
@@ -45,7 +45,7 @@ fn next_repair_txn() -> TxnId {
 /// ```
 /// use repdir_core::{Key, Value, Version};
 /// use repdir_replica::TransactionalRep;
-/// use repdir_txn::TxnId;
+/// use repdir_replica::txn::TxnId;
 ///
 /// let rep = TransactionalRep::new(repdir_core::RepId(0));
 /// let t = TxnId(1);

@@ -8,7 +8,7 @@ use repdir_core::{
     CoalesceOutcome, GapMap, InsertOutcome, Key, LookupReply, NeighborReply, RepError, UserKey,
     Value, Version,
 };
-use repdir_txn::TxnId;
+use repdir_rangelock::TxnId;
 
 use crate::simdisk::SimDisk;
 use crate::state::{apply_undo, undo_for_coalesce, undo_for_insert, Backend, DirState, UndoRecord};
@@ -39,7 +39,7 @@ use crate::wal::{replay, Wal, WalError, WalRecord};
 /// ```
 /// use repdir_core::{Key, Value, Version};
 /// use repdir_storage::{DurableState, SimDisk};
-/// use repdir_txn::TxnId;
+/// use repdir_rangelock::TxnId;
 /// use std::sync::Arc;
 ///
 /// let disk = Arc::new(SimDisk::new());

@@ -8,11 +8,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, SuiteError, Value};
+use repdir::core::suite::SuiteConfig;
+use repdir::core::{Key, RepId, Value};
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir::txn::TxnId;
+use repdir::replica::{serve_rep, ReplicatedDirectory, TransactionalRep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = Arc::new(Network::new(99));
@@ -25,86 +24,52 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // Three representative servers on nodes 100..103.
-    let mut reps = Vec::new();
-    let mut servers = Vec::new();
-    for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        servers.push(serve_rep(
-            Arc::clone(&net),
-            NodeId(100 + i),
-            Arc::clone(&rep),
-        ));
-        reps.push(rep);
-    }
+    let nodes: Vec<NodeId> = (100..103).map(NodeId).collect();
+    let servers: Vec<_> = nodes
+        .iter()
+        .zip(0..)
+        .map(|(&node, i)| serve_rep(Arc::clone(&net), node, TransactionalRep::new(RepId(i))))
+        .collect();
     println!("3 representatives serving over the simulated network (2-5 ms latency)");
 
-    // One client node; per-transaction session clients.
+    // One client node. Every operation is a transaction: `Begin` to every
+    // member, the suite's quorum waves, then `Commit`. A member the client
+    // cannot reach misses the transaction and is routed around.
     let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(1)));
-    let run_txn =
-        |txn: TxnId,
-         body: &mut dyn FnMut(&mut DirSuite<RemoteSessionClient>) -> Result<(), SuiteError>|
-         -> Result<(), Box<dyn std::error::Error>> {
-            let clients: Vec<RemoteSessionClient> = (0..3u32)
-                .map(|i| {
-                    let mut c =
-                        RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), txn);
-                    c.set_timeout(Duration::from_millis(250));
-                    c
-                })
-                .collect();
-            for c in &clients {
-                // Best effort: a partitioned representative simply misses the
-                // transaction and is routed around.
-                let _ = c.begin();
-            }
-            let mut suite = DirSuite::new(
-                clients,
-                SuiteConfig::symmetric(3, 2, 2)?,
-                Box::new(FixedPolicy::new()),
-            )?;
-            body(&mut suite)?;
-            for i in 0..3 {
-                let _ = suite.member(i).commit();
-            }
-            Ok(())
-        };
+    let timeout = Duration::from_millis(250);
+    let dir =
+        ReplicatedDirectory::networked(rpc, nodes, timeout, SuiteConfig::symmetric(3, 2, 2)?, 7)?;
 
-    run_txn(TxnId(1), &mut |suite| {
+    dir.run(|suite| {
         suite.insert(&Key::from("config/leader"), &Value::from("node-a"))?;
-        suite.insert(&Key::from("config/epoch"), &Value::from("1"))?;
-        Ok(())
+        suite.insert(&Key::from("config/epoch"), &Value::from("1"))
     })?;
     println!("wrote two keys through remote RPC");
 
     // Partition the client + two representatives away from the third:
     // quorums of 2 still form, traffic flows.
     net.partition(&[&[NodeId(1), NodeId(100), NodeId(101)], &[NodeId(102)]]);
-    run_txn(TxnId(2), &mut |suite| {
+    let leader = dir.run(|suite| {
         let out = suite.lookup(&Key::from("config/leader"))?;
-        println!(
-            "minority-partitioned rep C: lookup still answers {:?}",
-            out.value
-                .map(|v| String::from_utf8_lossy(v.as_bytes()).into_owned())
-        );
         suite.update(&Key::from("config/epoch"), &Value::from("2"))?;
-        Ok(())
+        Ok(out.value)
     })?;
+    println!(
+        "minority-partitioned rep C: lookup still answers {:?}",
+        leader.map(|v| String::from_utf8_lossy(v.as_bytes()).into_owned())
+    );
     println!("writes succeeded during the partition (C routed around)");
 
     // Now isolate the client with only ONE representative: no quorum.
     net.partition(&[&[NodeId(1), NodeId(100)], &[NodeId(101), NodeId(102)]]);
-    let err = run_txn(TxnId(3), &mut |suite| {
-        suite.lookup(&Key::from("config/leader")).map(drop)
-    })
-    .expect_err("one reachable representative cannot form a read quorum");
+    let err = dir
+        .lookup(&Key::from("config/leader"))
+        .expect_err("one reachable representative cannot form a read quorum");
     println!("client + 1 rep partition: {err}");
 
     net.heal();
-    run_txn(TxnId(4), &mut |suite| {
-        let out = suite.lookup(&Key::from("config/epoch"))?;
-        assert_eq!(out.value, Some(Value::from("2")));
-        Ok(())
-    })?;
+    let out = dir.lookup(&Key::from("config/epoch"))?;
+    assert_eq!(out.value, Some(Value::from("2")));
     println!("healed: epoch reads back as 2 everywhere it matters");
 
     let stats = net.stats();

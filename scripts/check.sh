@@ -5,7 +5,10 @@
 #    `repdir-*` path crates (the zero-external-dependency policy, DESIGN.md §6).
 # 2. Builds the whole workspace offline (release, all targets).
 # 3. Runs the full test suite offline, timing it (the debug test build
-#    included) and counting the tests that passed.
+#    included) and counting the tests that passed. Then builds the examples
+#    and runs `networked_suite`, so every check runs the library's remote
+#    transactions end to end (ReplicatedDirectory over serve_rep members):
+#    a partition routed around, a no-quorum refusal and a heal.
 # 4. Runs the suite_latency bench in quick mode, which fails unless a lookup
 #    costs 1 round of R requests, an insert 2 of R + W, a delete 3 of R + 2W,
 #    with no ping, through remote clients and serialized (`reference::Inline`)
@@ -48,7 +51,8 @@
 #    the benchmark drives the stack through a small allow-list of public API
 #    (`RpcClient::{new, call, scatter}`, `Scatter::gather`,
 #    `RemoteSessionClient::{new, DEFAULT_TIMEOUT}`, `DirSuite::{new,
-#    in_process, ...}`, `TxnManager::{new, begin, commit}`, ...) and builds
+#    in_process, ...}`, `TxnManager::{new, begin, commit}` (in
+#    `repdir_replica::txn`, re-exported as `repdir::txn`), ...) and builds
 #    wire frames by name — `codec::Request::{Begin, Commit, Abort, Lookup,
 #    Insert, Batch}`, `codec::Response::Lookup`, `codec::{encode_request,
 #    decode_request, encode_response, decode_response}` — so a change that
@@ -128,8 +132,9 @@ tests_passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$test_log"
 echo "    $tests_passed tests passed in ${test_wall_s}s"
 gate_done
 
-gate "cargo build --offline --examples"
+gate "cargo build --offline --examples; run networked_suite (remote transactions: partition, no quorum, heal)"
 cargo build --offline --examples
+cargo run --offline --example networked_suite
 gate_done
 
 gate "suite_latency --quick --check (lookup 1 round, insert 2, delete 3, no ping; obs overhead <= 5%)"

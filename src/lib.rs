@@ -13,10 +13,10 @@
 //! | [`obs`] | zero-dependency metrics and tracing: counters, histograms, EWMAs, spans |
 //! | [`core`] | keys/versions/values, the gap-versioned map, the suite algorithm |
 //! | [`rangelock`] | Figure-7 range locking, two-phase locking, wait-die deadlock prevention |
-//! | [`txn`] | transaction ids, lifecycle, undo |
+//! | [`txn`] | transaction ids and their allocator (from [`replica`]) |
 //! | [`storage`] | simulated disk, write-ahead log, recovery, gap-versioned B-tree |
 //! | [`net`] | simulated network with latency/drops/partitions and RPC |
-//! | [`replica`] | the transactional representative server and clients |
+//! | [`replica`] | the transactional representative server and clients, and `ReplicatedDirectory` over in-process or networked members |
 //! | [`repair`] | anti-entropy: summary trees, range pulls bounded by the receiver's own keys, merge planning, the background repair driver |
 //! | [`baselines`] | unanimous update, primary copy, Gifford file voting, static partitions, naive per-entry versions |
 //! | [`workload`] | simulation driver, statistics, availability and locality experiments, the sequential spec and key shapes property tests check against |
@@ -40,6 +40,6 @@ pub use repdir_obs as obs;
 pub use repdir_rangelock as rangelock;
 pub use repdir_repair as repair;
 pub use repdir_replica as replica;
+pub use repdir_replica::txn;
 pub use repdir_storage as storage;
-pub use repdir_txn as txn;
 pub use repdir_workload as workload;

@@ -2,81 +2,38 @@
 //! representatives served across the simulated network, with latency,
 //! partitions, crashes, and recovery — all layers at once.
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use repdir::core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
+use repdir::core::suite::{FixedPolicy, SuiteConfig};
 use repdir::core::{Key, NeighborReply, RepClient, RepId, SuiteError, Value, Version};
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient};
-use repdir::replica::{serve_rep, RemoteSessionClient, ReplicatedDirectory, TransactionalRep};
+use repdir::replica::{RemoteSessionClient, ReplicatedDirectory};
 use repdir::txn::TxnId;
+use support::Served;
 
-struct Cluster {
-    net: Arc<Network>,
-    /// Kept alive so the serving threads' representatives outlive the test.
-    #[allow(dead_code)]
-    reps: Vec<Arc<TransactionalRep>>,
-    rpc: Arc<RpcClient>,
-    next_txn: u64,
-}
-
-impl Cluster {
-    fn new(seed: u64) -> Self {
-        let net = Arc::new(Network::new(seed));
-        let mut reps = Vec::new();
-        for i in 0..3u32 {
-            let rep = TransactionalRep::new(RepId(i));
-            serve_rep(Arc::clone(&net), NodeId(100 + i), Arc::clone(&rep));
-            reps.push(rep);
-        }
-        let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(1)));
-        Cluster {
-            net,
-            reps,
-            rpc,
-            next_txn: 1,
-        }
-    }
-
-    fn txn_suite(&mut self) -> (TxnId, DirSuite<RemoteSessionClient>) {
-        let txn = TxnId(self.next_txn);
-        self.next_txn += 1;
-        let clients: Vec<RemoteSessionClient> = (0..3u32)
-            .map(|i| {
-                let mut c =
-                    RemoteSessionClient::new(Arc::clone(&self.rpc), NodeId(100 + i), RepId(i), txn);
-                c.set_timeout(Duration::from_millis(150));
-                let _ = c.begin();
-                c
-            })
-            .collect();
-        let suite = DirSuite::new(
-            clients,
-            SuiteConfig::symmetric(3, 2, 2).unwrap(),
-            Box::new(RandomPolicy::new(self.next_txn)),
-        )
-        .unwrap();
-        (txn, suite)
-    }
-
-    fn commit(&self, suite: &DirSuite<RemoteSessionClient>) {
-        for i in 0..3 {
-            let _ = suite.member(i).commit();
-        }
-    }
+/// Three served representatives on a fabric seeded `seed`, and a directory
+/// reaching them from node 1 whose member calls give up after 150 ms.
+fn cluster(seed: u64) -> (Arc<Network>, Served) {
+    let net = Arc::new(Network::new(seed));
+    let served = Served::new(&net, NodeId(1), Duration::from_millis(150), seed);
+    (net, served)
 }
 
 #[test]
 fn crud_over_the_network_with_latency() {
-    let mut cluster = Cluster::new(1);
-    cluster.net.set_fault_plan(FaultPlan {
+    let (net, cluster) = cluster(1);
+    net.set_fault_plan(FaultPlan {
         latency: LatencyModel {
             base: Duration::from_millis(1),
             jitter: Duration::from_millis(2),
         },
         ..FaultPlan::default()
     });
-    let (_, mut suite) = cluster.txn_suite();
+    let mut txn = cluster.dir.begin();
+    let suite = txn.suite_mut();
     suite.insert(&Key::from("k1"), &Value::from("v1")).unwrap();
     suite.insert(&Key::from("k2"), &Value::from("v2")).unwrap();
     suite.update(&Key::from("k1"), &Value::from("v1b")).unwrap();
@@ -84,60 +41,57 @@ fn crud_over_the_network_with_latency() {
     let out = suite.lookup(&Key::from("k1")).unwrap();
     assert_eq!(out.value, Some(Value::from("v1b")));
     assert!(!suite.lookup(&Key::from("k2")).unwrap().present);
-    cluster.commit(&suite);
+    txn.commit();
 }
 
 #[test]
 fn partitioned_minority_is_routed_around_and_catches_up_via_delete_copies() {
-    let mut cluster = Cluster::new(2);
+    let (net, cluster) = cluster(2);
     {
-        let (_, mut suite) = cluster.txn_suite();
+        let mut txn = cluster.dir.begin();
+        let suite = txn.suite_mut();
         for key in ["a", "b", "c"] {
             suite.insert(&Key::from(key), &Value::from(key)).unwrap();
         }
-        cluster.commit(&suite);
+        txn.commit();
     }
     // Cut rep C (node 102) off from the client.
-    cluster
-        .net
-        .partition(&[&[NodeId(1), NodeId(100), NodeId(101)], &[NodeId(102)]]);
+    net.partition(&[&[NodeId(1), NodeId(100), NodeId(101)], &[NodeId(102)]]);
     {
-        let (_, mut suite) = cluster.txn_suite();
+        let mut txn = cluster.dir.begin();
+        let suite = txn.suite_mut();
         suite.update(&Key::from("a"), &Value::from("a2")).unwrap();
         suite.delete(&Key::from("b")).unwrap();
         assert!(suite.lookup(&Key::from("a")).unwrap().present);
-        cluster.commit(&suite);
+        txn.commit();
     }
-    cluster.net.heal();
+    net.heal();
     {
-        let (_, mut suite) = cluster.txn_suite();
         // Force quorums that include the healed C: answers must be current.
-        suite.set_policy(Box::new(FixedPolicy::with_order(vec![2, 0, 1])));
+        let order = FixedPolicy::with_order(vec![2, 0, 1]);
+        let mut txn = cluster.dir.begin_with_policy(Box::new(order));
+        let suite = txn.suite_mut();
         let out = suite.lookup(&Key::from("a")).unwrap();
         assert_eq!(out.value, Some(Value::from("a2")));
         assert!(!suite.lookup(&Key::from("b")).unwrap().present);
-        cluster.commit(&suite);
+        txn.commit();
     }
 }
 
 #[test]
 fn client_side_quorum_failure_reports_unavailable() {
-    let mut cluster = Cluster::new(3);
-    {
-        let (_, mut suite) = cluster.txn_suite();
-        suite.insert(&Key::from("x"), &Value::from("1")).unwrap();
-        cluster.commit(&suite);
-    }
+    let (net, cluster) = cluster(3);
     cluster
-        .net
-        .partition(&[&[NodeId(1), NodeId(100)], &[NodeId(101), NodeId(102)]]);
-    let (_, mut suite) = cluster.txn_suite();
-    let err = suite.lookup(&Key::from("x")).unwrap_err();
+        .dir
+        .insert(&Key::from("x"), &Value::from("1"))
+        .unwrap();
+    net.partition(&[&[NodeId(1), NodeId(100)], &[NodeId(101), NodeId(102)]]);
+    let err = cluster.dir.lookup(&Key::from("x")).unwrap_err();
     assert!(
         matches!(err, SuiteError::QuorumUnavailable { .. }),
         "{err:?}"
     );
-    cluster.net.heal();
+    net.heal();
 }
 
 #[test]
@@ -167,21 +121,20 @@ fn in_process_stack_survives_rolling_crashes_mid_workload() {
 
 #[test]
 fn dropped_messages_surface_as_unavailability_not_corruption() {
-    let mut cluster = Cluster::new(5);
-    {
-        let (_, mut suite) = cluster.txn_suite();
-        suite.insert(&Key::from("safe"), &Value::from("1")).unwrap();
-        cluster.commit(&suite);
-    }
+    let (net, cluster) = cluster(5);
+    cluster
+        .dir
+        .insert(&Key::from("safe"), &Value::from("1"))
+        .unwrap();
     // Heavy loss: operations may fail, but whatever succeeds must be right.
-    cluster.net.set_fault_plan(FaultPlan {
+    net.set_fault_plan(FaultPlan {
         drop_prob: 0.35,
         ..FaultPlan::default()
     });
     let mut successes = 0;
     for _ in 0..20 {
-        let (_, mut suite) = cluster.txn_suite();
-        match suite.lookup(&Key::from("safe")) {
+        let mut txn = cluster.dir.begin();
+        match txn.suite_mut().lookup(&Key::from("safe")) {
             Ok(out) => {
                 assert!(out.present);
                 assert_eq!(out.value, Some(Value::from("1")));
@@ -190,7 +143,7 @@ fn dropped_messages_surface_as_unavailability_not_corruption() {
             Err(SuiteError::Rep(_)) | Err(SuiteError::QuorumUnavailable { .. }) => {}
             Err(e) => panic!("unexpected error class: {e:?}"),
         }
-        cluster.commit(&suite);
+        txn.commit();
     }
     assert!(successes > 0, "some lookups should get through 35% loss");
 }
@@ -201,9 +154,9 @@ fn chain_request_with_a_hostile_limit_returns_the_whole_chain() {
     // representative that reserved room for that many results aborted its
     // process on `SuccessorChain(LOW, u32::MAX)`; it must walk to the
     // sentinel and answer with what is there.
-    let cluster = Cluster::new(0x11417);
-    let client =
-        RemoteSessionClient::new(Arc::clone(&cluster.rpc), NodeId(100), RepId(0), TxnId(1));
+    let (net, _cluster) = cluster(0x11417);
+    let rpc = Arc::new(RpcClient::new(net, NodeId(2)));
+    let client = RemoteSessionClient::new(rpc, NodeId(100), RepId(0), TxnId(1));
     client.begin().unwrap();
     let keys: Vec<Key> = ["a", "b", "c"].into_iter().map(Key::from).collect();
     for key in &keys {

@@ -1,13 +1,21 @@
 //! Randomized failure injection against the full transactional stack:
 //! representatives flap up and down between operations; operations either
 //! succeed (and must answer as the sequential spec does) or fail cleanly
-//! (and must leave no trace).
+//! (and must leave no trace) — over representatives in this process and
+//! over representatives behind `serve_rep`.
+
+mod support;
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use repdir::core::rng::SplitMix64;
 use repdir::core::suite::SuiteConfig;
 use repdir::core::SuiteError;
-use repdir::replica::ReplicatedDirectory;
+use repdir::net::{Network, NodeId};
+use repdir::replica::{Members, ReplicatedDirectory, TransactionalRep};
 use repdir::workload::spec::{Kind, Shape, Spec};
+use support::Served;
 
 /// Every shape a run draws from: the old dense keys, spread keys, values
 /// on both sides of the inline bound, and bulk batches one past a chunk.
@@ -18,13 +26,33 @@ const SHAPES: [Shape; 4] = [
     Shape::ChunkStraddle(65),
 ];
 
-fn heal(dir: &ReplicatedDirectory) {
-    for rep in dir.reps() {
+fn heal(reps: &[Arc<TransactionalRep>]) {
+    for rep in reps {
         rep.set_available(true);
     }
 }
 
 fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
+    let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
+    flap(&dir, dir.reps(), shape, seed, rep_up_prob, ops);
+}
+
+/// [`run_flapping`] over three representatives behind `serve_rep`.
+fn run_flapping_networked(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
+    let net = Arc::new(Network::new(seed));
+    let cluster = Served::new(&net, NodeId(1), Duration::from_secs(2), seed);
+    flap(&cluster.dir, &cluster.reps, shape, seed, rep_up_prob, ops);
+}
+
+/// Flaps `reps`, the members of `dir`, before each of `ops` operations.
+fn flap<M: Members>(
+    dir: &ReplicatedDirectory<M>,
+    reps: &[Arc<TransactionalRep>],
+    shape: Shape,
+    seed: u64,
+    rep_up_prob: f64,
+    ops: u32,
+) {
     const MIX: &[(u32, Kind)] = &[
         (1, Kind::Insert),
         (1, Kind::Update),
@@ -34,7 +62,6 @@ fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
         (1, Kind::InsertMany),
         (1, Kind::DeleteMany),
     ];
-    let dir = ReplicatedDirectory::new(SuiteConfig::symmetric(3, 2, 2).unwrap(), seed).unwrap();
     let mut rng = SplitMix64::new(seed);
     let draws = shape.op(MIX).batch(1..5);
     let mut spec = Spec::new();
@@ -43,7 +70,7 @@ fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
 
     for step in 0..ops {
         // Flap representatives.
-        for rep in dir.reps() {
+        for rep in reps {
             rep.set_available(rng.next_bool(rep_up_prob));
         }
         // Narrowed, every write would land: a batch is a real multi-key
@@ -54,7 +81,7 @@ fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
                 unavailable += 1;
                 // Failed operations must leave no logical trace; verify by
                 // healing and listing every entry.
-                heal(&dir);
+                heal(reps);
                 let listed = dir.scan().expect("scan with all up");
                 let ctx = format!("{shape:?} step {step}: failed {op:?} left residue");
                 assert_eq!(listed, spec.scan(), "{ctx}");
@@ -67,7 +94,7 @@ fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
     }
 
     // Final audit with everything healed.
-    heal(&dir);
+    heal(reps);
     for key in shape.keys() {
         let found = dir.lookup(&key).expect("lookup with all up").value;
         assert_eq!(
@@ -89,11 +116,12 @@ fn run_flapping(shape: Shape, seed: u64, rep_up_prob: f64, ops: u32) {
 }
 
 /// Shapes: `dense_u8`, `spread`, `inline_straddle` and `chunk_straddle`
-/// (65).
+/// (65), in process and networked.
 #[test]
 fn flapping_reps_at_80_percent() {
     for shape in SHAPES {
         run_flapping(shape, 0xF1A9, 0.8, 300);
+        run_flapping_networked(shape, 0xF1A9, 0.8, 300);
     }
 }
 

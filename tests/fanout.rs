@@ -10,17 +10,20 @@
 //! the same clients serialized (`reference::Inline`), and a multi-thread
 //! stress run against one shared fabric.
 
+mod support;
+
 use repdir::baselines::reference::Inline;
 use repdir::core::proptest_mini::collection::vec;
 use repdir::core::proptest_mini::prelude::*;
-use repdir::core::suite::{DirSuite, FixedPolicy, RandomPolicy, SuiteConfig};
+use repdir::core::suite::{DirSuite, RandomPolicy, SuiteConfig};
 use repdir::core::{RepClient, RepId};
-use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
+use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient};
+use repdir::replica::RemoteSessionClient;
 use repdir::txn::TxnId;
 use repdir::workload::spec::{self, Op, Shape, Spec, POINT};
 use std::sync::Arc;
 use std::time::Duration;
+use support::{serve_reps, Served};
 
 /// Replays `ops` through one transaction's remote clients, each wrapped by
 /// `wrap`, against fresh representatives served over a zero-delay fabric,
@@ -34,16 +37,7 @@ fn replay<C: RepClient>(
 ) -> (Vec<String>, Vec<u64>, Vec<u64>) {
     let net = Arc::new(Network::new(seed));
     let members = 0..config.member_count() as u32;
-    let _servers: Vec<ServerHandle> = members
-        .clone()
-        .map(|i| {
-            serve_rep(
-                Arc::clone(&net),
-                NodeId(100 + i),
-                TransactionalRep::new(RepId(i)),
-            )
-        })
-        .collect();
+    let (_, _servers) = serve_reps(&net, members.end);
     let rpc = Arc::new(RpcClient::new(net, NodeId(0)));
     let clients = members
         .map(|i| {
@@ -120,9 +114,9 @@ fn fanout_matches_model_and_sequential_counters() {
 }
 
 /// Multiple threads drive concurrent fan-out operations over one shared
-/// fabric: every thread owns a suite of remote clients multiplexed through
-/// a single `RpcClient`, all ops share one transaction at the three shared
-/// representatives, and the fabric adds latency so in-flight RPCs from
+/// fabric: every thread runs its operations, each a transaction of its own,
+/// through one networked directory whose members are reached through a
+/// single `RpcClient`, and the fabric adds latency so in-flight RPCs from
 /// different threads genuinely overlap in the router.
 #[test]
 fn concurrent_fanout_suites_share_one_fabric() {
@@ -138,49 +132,19 @@ fn concurrent_fanout_suites_share_one_fabric() {
             jitter: Duration::from_micros(300),
         },
     });
-    let mut handles = Vec::new();
-    for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
-    }
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    let txn = TxnId(1);
+    let cluster = Served::new(&net, NodeId(0), Duration::from_secs(10), 77);
+    let dir = &cluster.dir;
     let shape = Shape::DenseU8((THREADS * KEYS_PER_THREAD) as usize);
-    let make_suite = || {
-        let clients: Vec<RemoteSessionClient> = (0..3u32)
-            .map(|i| {
-                let mut c =
-                    RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), txn);
-                c.set_timeout(Duration::from_secs(10));
-                c
-            })
-            .collect();
-        DirSuite::new(
-            clients,
-            SuiteConfig::symmetric(3, 2, 2).unwrap(),
-            Box::new(FixedPolicy::new()),
-        )
-        .unwrap()
-    };
-
-    // Register the shared transaction once at every representative.
-    {
-        let suite = make_suite();
-        for i in 0..3 {
-            suite.member(i).begin().unwrap();
-        }
-    }
 
     // Phase 1: every thread inserts its own key range, concurrently.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (make_suite, shape) = (&make_suite, &shape);
+            let shape = &shape;
             scope.spawn(move || {
-                let mut suite = make_suite();
                 for i in 0..KEYS_PER_THREAD {
                     let key = shape.key((t * KEYS_PER_THREAD + i) as usize);
-                    suite.insert(&key, &shape.value(t as u8)).unwrap();
-                    assert!(suite.lookup(&key).unwrap().present);
+                    dir.insert(&key, &shape.value(t as u8)).unwrap();
+                    assert!(dir.lookup(&key).unwrap().present);
                 }
             });
         }
@@ -192,28 +156,23 @@ fn concurrent_fanout_suites_share_one_fabric() {
     // concurrent deletes are disjoint.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (make_suite, shape) = (&make_suite, &shape);
+            let shape = &shape;
             scope.spawn(move || {
-                let mut suite = make_suite();
                 let first = shape.key((t * KEYS_PER_THREAD) as usize);
-                suite.delete(&first).unwrap();
-                assert!(!suite.lookup(&first).unwrap().present);
-                suite.insert(&first, &shape.value(0xFF)).unwrap();
+                dir.delete(&first).unwrap();
+                assert!(!dir.lookup(&first).unwrap().present);
+                dir.insert(&first, &shape.value(0xFF)).unwrap();
             });
         }
     });
 
-    // Every thread's keys are visible through a fresh suite afterwards.
-    let mut verify = make_suite();
+    // Every thread's keys are visible to later transactions.
     for t in 0..THREADS {
         for i in 0..KEYS_PER_THREAD {
             let key = shape.key((t * KEYS_PER_THREAD + i) as usize);
-            assert!(verify.lookup(&key).unwrap().present, "{key:?}");
+            assert!(dir.lookup(&key).unwrap().present, "{key:?}");
         }
     }
-    let listed = verify.scan().unwrap();
+    let listed = dir.scan().unwrap();
     assert_eq!(listed.len(), (THREADS * KEYS_PER_THREAD) as usize);
-    for i in 0..3 {
-        verify.member(i).commit().unwrap();
-    }
 }

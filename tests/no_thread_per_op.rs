@@ -1,9 +1,10 @@
 //! No thread per operation.
 //!
 //! The wave executor issues every member request of a wave from the calling
-//! thread and waits on completions, and a transaction commits at its
-//! representatives one after another — so neither a remote 3-2-2 cluster nor
-//! an in-process `ReplicatedDirectory` creates a thread to run an operation.
+//! thread and waits on completions, and a transaction begins and commits at
+//! its members from that thread too — one after another in process, one
+//! scatter round over the network — so a `ReplicatedDirectory` creates no
+//! thread to run an operation, over remote members or in-process ones.
 //! The process's thread count (`/proc/self/task`) is read before and after a
 //! mixed workload *and* sampled throughout it, because a thread that lives
 //! for a hundred microseconds is gone again by the time the workload ends.
@@ -11,13 +12,16 @@
 //! One `#[test]` on purpose: the count is process-wide, and tests of one
 //! file share a process.
 
-use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, UserKey, Value};
-use repdir::net::{Network, NodeId, RpcClient};
-use repdir::replica::{serve_rep, RemoteSessionClient, ReplicatedDirectory, TransactionalRep};
-use repdir::txn::TxnId;
+mod support;
+
+use repdir::core::suite::SuiteConfig;
+use repdir::core::{Key, UserKey, Value};
+use repdir::net::{Network, NodeId};
+use repdir::replica::{Members, ReplicatedDirectory};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+use support::Served;
 
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -55,31 +59,25 @@ fn watch(workload: impl FnOnce()) -> (usize, usize, usize) {
 }
 
 /// 500 mixed point operations over a rolling window of keys, then one
-/// `scan`, `insert_many(64)` and `delete_many(64)`, through `ops`.
-struct Ops<'a> {
-    lookup: &'a mut dyn FnMut(&Key) -> bool,
-    insert: &'a mut dyn FnMut(&Key),
-    update: &'a mut dyn FnMut(&Key),
-    delete: &'a mut dyn FnMut(&Key),
-}
-
-fn mixed(ops: Ops<'_>) {
+/// `scan`, `insert_many(64)` and `delete_many(64)`, each operation a
+/// transaction of its own.
+fn mixed<M: Members>(dir: &ReplicatedDirectory<M>) {
+    let v = Value::from("v");
     for i in 0..125u64 {
-        (ops.insert)(&key(i));
-        assert!((ops.lookup)(&key(i)));
-        (ops.update)(&key(i));
+        dir.insert(&key(i), &v).unwrap();
+        assert!(dir.lookup(&key(i)).unwrap().present);
+        dir.update(&key(i), &v).unwrap();
         if i >= 8 {
-            (ops.delete)(&key(i - 8));
+            dir.delete(&key(i - 8)).unwrap();
         } else {
-            assert!(!(ops.lookup)(&key(1000 + i)));
+            assert!(!dir.lookup(&key(1000 + i)).unwrap().present);
         }
     }
-}
-
-fn bulk_entries() -> Vec<(Key, Value)> {
-    (5000..5064u64)
-        .map(|i| (key(i), Value::from("v")))
-        .collect()
+    assert_eq!(dir.scan().unwrap().len(), 8);
+    let entries: Vec<(Key, Value)> = (5000..5064u64).map(|i| (key(i), v.clone())).collect();
+    dir.insert_many(&entries).unwrap();
+    let keys: Vec<Key> = entries.into_iter().map(|(k, _)| k).collect();
+    dir.delete_many(&keys).unwrap();
 }
 
 #[test]
@@ -88,73 +86,24 @@ fn operations_create_no_threads() {
         eprintln!("skipped: no procfs");
         return;
     }
-    let v = Value::from("v");
-
     // Remote 3-2-2 cluster: three serving threads, the fabric's delivery
     // thread and the client's router exist before the count starts.
     let net = Arc::new(Network::new(0x7EAD));
-    let _servers: Vec<_> = (0..3u32)
-        .map(|i| {
-            serve_rep(
-                Arc::clone(&net),
-                NodeId(100 + i),
-                TransactionalRep::new(RepId(i)),
-            )
-        })
-        .collect();
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    let clients: Vec<RemoteSessionClient> = (0..3u32)
-        .map(|i| RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1)))
-        .collect();
-    for client in &clients {
-        client.begin().expect("healthy fabric");
-    }
-    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
-    let suite = std::cell::RefCell::new(
-        DirSuite::new(clients, config.clone(), Box::new(FixedPolicy::new())).unwrap(),
-    );
+    let cluster = Served::new(&net, NodeId(0), Duration::from_secs(2), 7);
     // Warm up whatever starts lazily.
-    suite.borrow_mut().lookup(&key(0)).unwrap();
-    let (before, peak, after) = watch(|| {
-        mixed(Ops {
-            lookup: &mut |k| suite.borrow_mut().lookup(k).unwrap().present,
-            insert: &mut |k| drop(suite.borrow_mut().insert(k, &v).unwrap()),
-            update: &mut |k| drop(suite.borrow_mut().update(k, &v).unwrap()),
-            delete: &mut |k| drop(suite.borrow_mut().delete(k).unwrap()),
-        });
-        let mut suite = suite.borrow_mut();
-        assert_eq!(suite.scan().unwrap().len(), 8);
-        let entries = bulk_entries();
-        suite.insert_many(&entries).unwrap();
-        let keys: Vec<Key> = entries.into_iter().map(|(k, _)| k).collect();
-        suite.delete_many(&keys).unwrap();
-    });
+    cluster.dir.lookup(&key(0)).unwrap();
+    let (before, peak, after) = watch(|| mixed(&cluster.dir));
     assert_eq!(
         (peak, after),
         (before, before),
         "remote cluster, from {before}"
     );
-    for i in 0..3 {
-        suite.borrow().member(i).commit().unwrap();
-    }
 
-    // In-process directory: every operation is its own transaction,
-    // committed at all three representatives.
+    // In-process directory, committed at all three representatives.
+    let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
     let dir = ReplicatedDirectory::new(config, 7).unwrap();
     dir.lookup(&key(0)).unwrap();
-    let (before, peak, after) = watch(|| {
-        mixed(Ops {
-            lookup: &mut |k| dir.lookup(k).unwrap().present,
-            insert: &mut |k| dir.insert(k, &v).unwrap(),
-            update: &mut |k| dir.update(k, &v).unwrap(),
-            delete: &mut |k| dir.delete(k).unwrap(),
-        });
-        assert_eq!(dir.scan().unwrap().len(), 8);
-        let entries = bulk_entries();
-        dir.insert_many(&entries).unwrap();
-        let keys: Vec<Key> = entries.into_iter().map(|(k, _)| k).collect();
-        dir.delete_many(&keys).unwrap();
-    });
+    let (before, peak, after) = watch(|| mixed(&dir));
     assert_eq!(
         (peak, after),
         (before, before),

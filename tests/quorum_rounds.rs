@@ -26,14 +26,12 @@ use repdir::core::{
     SuiteError, Value, Version, INLINE_VALUE_MAX,
 };
 use repdir::net::{Network, NodeId, RpcClient, ServerHandle};
-use repdir::replica::{
-    serve_rep, RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep,
-};
+use repdir::replica::{RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::{big, fixed, k, val, Counted, PerKind};
+use support::{big, fixed, k, serve_reps, val, Counted, PerKind};
 
 /// Three representatives served over a zero-latency fabric.
 struct Cluster {
@@ -46,12 +44,7 @@ struct Cluster {
 impl Cluster {
     fn new(seed: u64) -> Cluster {
         let net = Arc::new(Network::new(seed));
-        let reps: Vec<_> = (0..3).map(|i| TransactionalRep::new(RepId(i))).collect();
-        let servers = reps
-            .iter()
-            .zip(100..)
-            .map(|(rep, node)| serve_rep(Arc::clone(&net), NodeId(node), Arc::clone(rep)))
-            .collect();
+        let (reps, servers) = serve_reps(&net, 3);
         let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
         Cluster {
             net,

@@ -3,55 +3,28 @@
 //! durable log, and resumes serving the same node — clients only observe a
 //! blip.
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use repdir::core::suite::{DirSuite, FixedPolicy, SuiteConfig};
-use repdir::core::{Key, RepId, Value};
-use repdir::net::{Network, NodeId, RpcClient};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
-use repdir::txn::TxnId;
-
-fn remote_suite(
-    rpc: &Arc<RpcClient>,
-    txn: TxnId,
-    order: &[usize],
-) -> DirSuite<RemoteSessionClient> {
-    let clients: Vec<RemoteSessionClient> = (0..3u32)
-        .map(|i| {
-            let mut c = RemoteSessionClient::new(Arc::clone(rpc), NodeId(200 + i), RepId(i), txn);
-            c.set_timeout(Duration::from_millis(200));
-            let _ = c.begin();
-            c
-        })
-        .collect();
-    DirSuite::new(
-        clients,
-        SuiteConfig::symmetric(3, 2, 2).unwrap(),
-        Box::new(FixedPolicy::with_order(order.to_vec())),
-    )
-    .unwrap()
-}
+use repdir::core::{Key, Value};
+use repdir::net::{Network, NodeId};
+use support::{fixed, Served};
 
 #[test]
 fn representative_crash_recovery_behind_a_live_server() {
     let net = Arc::new(Network::new(recover_seed()));
-    let mut reps = Vec::new();
-    for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        serve_rep(Arc::clone(&net), NodeId(200 + i), Arc::clone(&rep));
-        reps.push(rep);
-    }
-    let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(9)));
+    let cluster = Served::new(&net, NodeId(9), Duration::from_millis(200), 1);
+    let (dir, reps) = (&cluster.dir, &cluster.reps);
 
     // Commit data through reps {A, B}.
     {
-        let mut suite = remote_suite(&rpc, TxnId(1), &[0, 1, 2]);
+        let mut txn = dir.begin_with_policy(fixed(&[0, 1, 2]));
+        let suite = txn.suite_mut();
         suite.insert(&Key::from("k1"), &Value::from("v1")).unwrap();
         suite.insert(&Key::from("k2"), &Value::from("v2")).unwrap();
-        for i in 0..3 {
-            let _ = suite.member(i).commit();
-        }
+        txn.commit();
     }
 
     // Rep A's process "dies" and recovers from its WAL, while the server
@@ -60,32 +33,30 @@ fn representative_crash_recovery_behind_a_live_server() {
 
     // A fresh transaction reading through A sees the committed data.
     {
-        let mut suite = remote_suite(&rpc, TxnId(2), &[0, 1, 2]);
+        let mut txn = dir.begin_with_policy(fixed(&[0, 1, 2]));
+        let suite = txn.suite_mut();
         let out = suite.lookup(&Key::from("k1")).unwrap();
         assert!(out.present);
         assert_eq!(out.value, Some(Value::from("v1")));
         // Writes keep working through the recovered representative.
         suite.update(&Key::from("k2"), &Value::from("v2b")).unwrap();
         suite.delete(&Key::from("k1")).unwrap();
-        for i in 0..3 {
-            let _ = suite.member(i).commit();
-        }
+        txn.commit();
     }
 
     // Crash everything; the directory's committed state survives in full.
-    for rep in &reps {
+    for rep in reps {
         rep.crash_and_recover().unwrap();
     }
     {
-        let mut suite = remote_suite(&rpc, TxnId(3), &[0, 1, 2]);
+        let mut txn = dir.begin_with_policy(fixed(&[0, 1, 2]));
+        let suite = txn.suite_mut();
         assert!(!suite.lookup(&Key::from("k1")).unwrap().present);
         assert_eq!(
             suite.lookup(&Key::from("k2")).unwrap().value,
             Some(Value::from("v2b"))
         );
-        for i in 0..3 {
-            let _ = suite.member(i).commit();
-        }
+        txn.commit();
     }
 }
 

@@ -15,12 +15,12 @@ mod support;
 use repdir::core::suite::{DirSuite, SuiteConfig};
 use repdir::core::{Key, RepId, UserKey, Value};
 use repdir::net::{LatencyModel, Network, NodeId, RpcClient, ServerHandle};
-use repdir::obs::{Avail, Registry};
-use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
+use repdir::obs::Avail;
+use repdir::replica::RemoteSessionClient;
 use repdir::txn::TxnId;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use support::fixed;
+use support::{fixed, serve_reps};
 
 fn key(i: u64) -> Key {
     Key::User(UserKey::from_u64(i))
@@ -36,15 +36,7 @@ struct Fixture {
 /// and 1; member RPCs give up after `timeout`.
 fn cluster(seed: u64, timeout: Duration) -> Fixture {
     let net = Arc::new(Network::new(seed));
-    let servers = (0..3u32)
-        .map(|i| {
-            serve_rep(
-                Arc::clone(&net),
-                NodeId(100 + i),
-                TransactionalRep::new(RepId(i)),
-            )
-        })
-        .collect();
+    let (_, servers) = serve_reps(&net, 3);
     let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
     let clients: Vec<RemoteSessionClient> = (0..3u32)
         .map(|i| {
@@ -87,10 +79,10 @@ fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
 #[test]
 fn late_reply_still_feeds_ewma_and_availability() {
     let mut fx = cluster(0x57A6, Duration::from_secs(2));
-    let registry = Registry::new();
-    fx.suite.set_obs_registry(registry.clone());
-    let ewma = registry.ewma("suite.member.2.reply_us");
-    let avail = registry.avail("suite.member.2.avail");
+    let ewma = fx.suite.member_reply_ewmas()[2].clone();
+    let avail = fx.suite.member_avails()[2].clone();
+    ewma.reset();
+    avail.reset();
     avail.record(false);
     let slow = LatencyModel::fixed(Duration::from_millis(50));
     fx.net.set_node_latency(NodeId(102), slow);

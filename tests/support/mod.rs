@@ -1,6 +1,7 @@
 //! Harness pieces several root test files share: key and value helpers,
-//! quorum policies, the one-transaction-per-operation world, and the fused
-//! networked suite.
+//! quorum policies, the one-transaction-per-operation world, served
+//! representatives and the directory over them, and the fused networked
+//! suite.
 
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
@@ -13,7 +14,7 @@ use repdir::core::{
 use repdir::net::{FaultPlan, LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::rangelock::{KeyRange, LockMode};
 use repdir::replica::{
-    serve_rep, RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep,
+    serve_rep, Networked, RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep,
 };
 use repdir::txn::TxnId;
 use repdir::workload::spec::{Ops, Spec};
@@ -177,6 +178,48 @@ impl World {
     }
 }
 
+/// `n` fresh representatives served on `net`, member `i` at node `100 + i`,
+/// and the handles that stop their serving threads.
+pub fn serve_reps(net: &Arc<Network>, n: u32) -> (Vec<Arc<TransactionalRep>>, Vec<ServerHandle>) {
+    (0..n)
+        .map(|i| {
+            let rep = TransactionalRep::new(RepId(i));
+            let server = serve_rep(Arc::clone(net), NodeId(100 + i), Arc::clone(&rep));
+            (rep, server)
+        })
+        .unzip()
+}
+
+/// A 3-2-2 directory over three representatives served on a fabric (see
+/// [`serve_reps`]). Dropping it stops the servers.
+pub struct Served {
+    pub dir: ReplicatedDirectory<Networked>,
+    pub reps: Vec<Arc<TransactionalRep>>,
+    servers: Vec<ServerHandle>,
+}
+
+impl Served {
+    /// Serves three fresh representatives on `net`; the directory reaches
+    /// them from node `client`, and its member calls give up after
+    /// `timeout`.
+    pub fn new(net: &Arc<Network>, client: NodeId, timeout: Duration, seed: u64) -> Served {
+        let (reps, servers) = serve_reps(net, 3);
+        let rpc = Arc::new(RpcClient::new(Arc::clone(net), client));
+        let nodes = (0..3).map(|i| NodeId(100 + i)).collect();
+        let config = SuiteConfig::symmetric(3, 2, 2).unwrap();
+        let dir = ReplicatedDirectory::networked(rpc, nodes, timeout, config, seed).unwrap();
+        Served { dir, reps, servers }
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        for server in &self.servers {
+            server.stop();
+        }
+    }
+}
+
 /// Forwards to a [`RemoteSessionClient`] but, when a shared fuse counts
 /// down to zero across requests of at least `ticks_at` operations, slows
 /// the victim nodes to well past the RPC timeout — a member loss injected
@@ -239,11 +282,9 @@ pub fn networked_suite(seed: u64, victims: Vec<NodeId>, ticks_at: usize) -> Fixt
     // Fuse starts deeply negative: disarmed until a test arms it.
     let fuse = Arc::new(AtomicI64::new(i64::MIN / 2));
     let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
-    let mut handles = Vec::new();
+    let (_, handles) = serve_reps(&net, 3);
     let mut clients = Vec::new();
     for i in 0..3u32 {
-        let rep = TransactionalRep::new(RepId(i));
-        handles.push(serve_rep(Arc::clone(&net), NodeId(100 + i), rep));
         let mut inner =
             RemoteSessionClient::new(Arc::clone(&rpc), NodeId(100 + i), RepId(i), TxnId(1));
         inner.set_timeout(Duration::from_millis(300));

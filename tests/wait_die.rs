@@ -5,6 +5,8 @@
 //! with `Deadlock`, where a per-table waits-for graph sees no cycle and
 //! both sides wait out the 500 ms lock timeout.
 
+mod support;
+
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -12,6 +14,7 @@ use repdir::core::{Key, RepClient, RepError, RepId, Value, Version};
 use repdir::net::{Network, NodeId, RpcClient};
 use repdir::replica::{serve_rep, RemoteSessionClient, TransactionalRep};
 use repdir::txn::{TxnId, TxnManager};
+use support::Served;
 
 /// Well inside `TransactionalRep::DEFAULT_LOCK_TIMEOUT` (500 ms).
 const PROMPT: Duration = Duration::from_millis(100);
@@ -139,5 +142,52 @@ fn networked_younger_locker_is_refused_promptly() {
     }
     for handle in &handles {
         handle.stop();
+    }
+}
+
+/// A younger `dir.insert` over networked members meets the key an open,
+/// older `DirTxn` is deleting: every attempt dies at once (no member's
+/// serving thread waits on a lock), `run` retries under the same age, and
+/// the insert commits once the older transaction has committed.
+#[test]
+fn networked_younger_insert_dies_and_commits_after_the_older() {
+    let net = Arc::new(Network::new(42));
+    let cluster = Served::new(&net, NodeId(1), Duration::from_secs(2), 42);
+    let (dir, reps) = (&cluster.dir, &cluster.reps);
+    let key = Key::from("k");
+    dir.insert(&key, &Value::from("old")).unwrap();
+    let deadlocks = || {
+        reps.iter()
+            .map(|rep| rep.lock_stats().deadlocks)
+            .sum::<u64>()
+    };
+
+    let mut older = dir.begin();
+    older.suite_mut().delete(&key).unwrap();
+    let attempts = std::thread::scope(|scope| {
+        let younger = scope.spawn(|| {
+            let mut attempts = 0;
+            dir.run(|suite| {
+                attempts += 1;
+                suite.insert(&key, &Value::from("young"))
+            })
+            .map(|_| attempts)
+        });
+        let start = Instant::now();
+        while deadlocks() == 0 {
+            assert!(start.elapsed() < PROMPT, "the younger never died");
+            std::thread::yield_now();
+        }
+        older.commit();
+        younger.join().unwrap()
+    });
+
+    let attempts = attempts.expect("the younger commits once the older has");
+    assert!(attempts > 1, "{attempts} attempts");
+    let timeouts: u64 = reps.iter().map(|rep| rep.lock_stats().timeouts).sum();
+    assert_eq!(timeouts, 0, "a younger transaction never waits");
+    assert_eq!(dir.lookup(&key).unwrap().value, Some(Value::from("young")));
+    for rep in reps {
+        assert_eq!(rep.lock_holders(), vec![], "{:?} holds locks", rep.id());
     }
 }
