@@ -18,7 +18,7 @@
 //!   delete ambiguity of Figures 1–3, the widen-the-quorum mitigation, its
 //!   reduced availability, and a history where stale data resurrects.
 //!
-//! [`reference`] holds the slower forms of the paper's own algorithm that
+//! [`reference`](mod@reference) holds the slower forms of the paper's own algorithm that
 //! tests and benches compare `DirSuite` against: serialized waves, a scan
 //! of one search per entry, per-key bulk writes.
 

@@ -8,10 +8,11 @@
 //! drawing slow members into read quorums.
 //!
 //! The fixture is a 5-member suite (R=2, W=4) where two members sit behind
-//! a per-node latency override ([`Network::set_node_latency`]). With R=2
-//! out of 5 and 2 slow members, a random pair includes a slow member 70%
-//! of the time, so the random read median is slow-bound; the latency
-//! policy converges on the three fast members after a couple of
+//! a per-node latency override
+//! ([`Network::set_node_latency`](repdir_net::Network::set_node_latency)).
+//! With R=2 out of 5 and 2 slow members, a random pair includes a slow
+//! member 70% of the time, so the random read median is slow-bound; the
+//! latency policy converges on the three fast members after a couple of
 //! self-exploring probe rounds and reads at the fast round-trip.
 //!
 //! ```text

@@ -209,9 +209,7 @@ impl Fixture {
         );
         let driver = RepairDriver::new(repairer, Pacing::default());
         match votes {
-            Some(queue) => {
-                driver.with_vote_source(Box::new(move || queue.drain_member(STALE_MEMBER)))
-            }
+            Some(queue) => driver.with_votes(queue, STALE_MEMBER),
             None => driver,
         }
     }

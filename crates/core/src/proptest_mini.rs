@@ -3,16 +3,16 @@
 //! The workspace builds offline with zero external crates, so this module
 //! replaces the subset of `proptest` the test suite uses: strategies for
 //! scalars, ranges, tuples and vectors, [`Just`], `prop_map`, weighted
-//! [`prop_oneof!`], a [`proptest!`] test macro, and *shrinking-lite* — on
-//! failure, the harness minimises the failing input by dropping list
-//! elements and walking scalars toward their lower bound, then reports the
-//! smallest still-failing case.
+//! [`prop_oneof!`](crate::prop_oneof), a [`proptest!`](crate::proptest)
+//! test macro, and *shrinking-lite* — on failure, the harness minimises the
+//! failing input by dropping list elements and walking scalars toward their
+//! lower bound, then reports the smallest still-failing case.
 //!
 //! Determinism: every case is derived from [`ProptestConfig::seed`] via the
-//! in-tree [`SplitMix64`](crate::rng::SplitMix64) generator. The same seed
-//! always produces the same case sequence, so a failure report's seed can be
-//! pinned in a regression test. Set the `REPDIR_PROPTEST_SEED` environment
-//! variable to explore other schedules without editing code.
+//! in-tree [`SplitMix64`] generator. The same seed always produces the
+//! same case sequence, so a failure report's seed can be pinned in a
+//! regression test. Set the `REPDIR_PROPTEST_SEED` environment variable to
+//! explore other schedules without editing code.
 //!
 //! # Examples
 //!
@@ -116,7 +116,7 @@ pub trait Strategy {
         Map { inner: self, f }
     }
 
-    /// Type-erases the strategy (used by [`prop_oneof!`]).
+    /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof)).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
         Self: Sized + 'static,
@@ -328,7 +328,8 @@ impl<V: Clone + Debug> Strategy for BoxedStrategy<V> {
     }
 }
 
-/// A weighted choice among strategies (built by [`prop_oneof!`]).
+/// A weighted choice among strategies (built by
+/// [`prop_oneof!`](crate::prop_oneof)).
 #[derive(Clone, Debug)]
 pub struct Union<V> {
     arms: Vec<(u32, BoxedStrategy<V>)>,
@@ -400,7 +401,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,
@@ -483,8 +484,9 @@ fn fails<V: Clone>(test: &impl Fn(V), value: &V) -> Option<String> {
 }
 
 /// Runs `test` against `config.cases` generated inputs, shrinking and
-/// reporting the minimal failing case. Used by the [`proptest!`] macro; call
-/// directly for programmatic harnesses.
+/// reporting the minimal failing case. Used by the
+/// [`proptest!`](crate::proptest) macro; call directly for programmatic
+/// harnesses.
 ///
 /// # Panics
 ///

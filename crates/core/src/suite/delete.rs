@@ -104,8 +104,7 @@ impl<C: RepClient> DirSuite<C> {
     /// every version previously associated with any key in the range.
     ///
     /// Three waves, each needing the answers to the one before: A is
-    /// [`read_plans`](Self::read_plans), B and C
-    /// [`apply_deletes`](Self::apply_deletes).
+    /// `read_plans`, B and C `apply_deletes`.
     ///
     /// # Errors
     ///

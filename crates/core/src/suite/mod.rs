@@ -32,8 +32,7 @@ mod wave;
 pub use collect::QuorumSession;
 pub use config::SuiteConfig;
 pub use quorum::{
-    FixedPolicy, LatencyPolicy, LocalityPolicy, QuorumPolicy, RandomPolicy, RepairHealth,
-    StickyPolicy,
+    FixedPolicy, LatencyPolicy, LocalityPolicy, QuorumPolicy, RandomPolicy, StickyPolicy,
 };
 pub use set::DirSet;
 pub use votes::{StaleVote, StaleVoteQueue, VoteSpill, VoteWaker};
@@ -333,10 +332,6 @@ pub struct DirSuite<C: RepClient> {
     /// queue of the suite's own, or one shared with background repair
     /// drivers ([`set_stale_vote_sink`](DirSuite::set_stale_vote_sink)).
     stale_votes: Arc<StaleVoteQueue>,
-    /// Per-member repair-health flags attached to [`latency_policy`]
-    /// (`DirSuite::latency_policy`) snapshots so readers demote members
-    /// whose drivers report unhealed buckets.
-    repair_health: Option<Arc<RepairHealth>>,
     obs: SuiteObs,
     /// In-flight member requests and the queue their completions land on.
     exec: Executor,
@@ -383,7 +378,6 @@ impl<C: RepClient> DirSuite<C> {
             sessions: [None, None],
             session_depth: 0,
             stale_votes: Arc::new(StaleVoteQueue::new()),
-            repair_health: None,
             obs,
             exec: Executor::new(),
         })
@@ -452,14 +446,6 @@ impl<C: RepClient> DirSuite<C> {
         self.bulk_chunk = chunk;
     }
 
-    /// Attaches shared per-member repair-health flags: subsequent
-    /// [`latency_policy`](DirSuite::latency_policy) snapshots demote any
-    /// member its repair driver flags as holding unhealed buckets. `None`
-    /// detaches (future snapshots rank purely by latency/availability).
-    pub fn set_repair_health(&mut self, health: Option<Arc<RepairHealth>>) {
-        self.repair_health = health;
-    }
-
     /// Data RPCs sent to each representative since the last reset (pings
     /// excluded; the request a collection carries is data). Index `i`
     /// corresponds to member `i`. A view over the
@@ -506,18 +492,11 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// A [`LatencyPolicy`] wired to this suite's reply-time EWMAs and
-    /// availability trackers — and, when
-    /// [`set_repair_health`](DirSuite::set_repair_health) attached flags,
-    /// to the repair drivers' unhealed-bucket reports. Install with
+    /// availability trackers. Install with
     /// [`set_policy`](DirSuite::set_policy) to route reads to the measured
     /// R fastest members, discounted by how often each actually answers.
     pub fn latency_policy(&self) -> LatencyPolicy {
-        let policy =
-            LatencyPolicy::with_availability(self.member_reply_ewmas(), self.member_avails());
-        match &self.repair_health {
-            Some(health) => policy.with_repair_health(Arc::clone(health)),
-            None => policy,
-        }
+        LatencyPolicy::with_availability(self.member_reply_ewmas(), self.member_avails())
     }
 
     fn require_user_key(&self, key: &Key) -> Result<(), SuiteError> {

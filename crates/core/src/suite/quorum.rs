@@ -17,9 +17,6 @@
 //!   members by their measured reply-time EWMA, so a read quorum costs the
 //!   R-th *fastest* member's latency instead of a random draw's.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use crate::error::QuorumKind;
 use crate::key::Key;
 use crate::rng::SplitMix64;
@@ -209,50 +206,6 @@ impl QuorumPolicy for LocalityPolicy {
     }
 }
 
-/// Shared per-member repair-health flags, set by the repair drivers and
-/// read by [`LatencyPolicy`].
-///
-/// A member whose driver reports unhealed buckets (`TickStats.unrepaired >
-/// 0`) is *known* to hold stale data that repair could not yet fix: every
-/// read that lands on it collects another stale vote and re-queues a pull
-/// that will fail the same way. Flagging the member demotes it to the back
-/// of the quorum ordering until its driver reports the buckets healed —
-/// reads route around the known-stale member during the repair window
-/// without ever affecting correctness (quorum intersection holds for any
-/// ordering).
-#[derive(Debug, Default)]
-pub struct RepairHealth {
-    unhealed: crate::sync::Mutex<Vec<Arc<AtomicBool>>>,
-}
-
-impl RepairHealth {
-    /// All members healthy.
-    pub fn new() -> Self {
-        RepairHealth::default()
-    }
-
-    fn flag(&self, member: usize) -> Arc<AtomicBool> {
-        let mut flags = self.unhealed.lock();
-        while flags.len() <= member {
-            flags.push(Arc::new(AtomicBool::new(false)));
-        }
-        Arc::clone(&flags[member])
-    }
-
-    /// Marks (or clears) `member` as holding buckets repair could not heal.
-    pub fn set_unrepaired(&self, member: usize, unrepaired: bool) {
-        self.flag(member).store(unrepaired, Ordering::Relaxed);
-    }
-
-    /// Whether `member` is currently flagged unhealed.
-    pub fn is_unrepaired(&self, member: usize) -> bool {
-        self.unhealed
-            .lock()
-            .get(member)
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-}
-
 /// Latency-aware quorum selection, driven by the suite's per-member
 /// reply-time EWMAs (see `DirSuite::latency_policy`).
 ///
@@ -271,16 +224,10 @@ impl RepairHealth {
 /// dropping half its requests ranks like a 2 ms member — the expected cost of
 /// getting an answer out of it — so flaky members sink below merely slow
 /// ones without waiting for the failure-penalty EWMA to saturate.
-///
-/// Given a [`RepairHealth`] handle ([`LatencyPolicy::with_repair_health`]),
-/// a member whose repair driver reports unhealed buckets is demoted to the
-/// back of the ordering outright — reads stop re-collecting stale votes
-/// from a member that is *known* to be behind until its driver heals it.
 #[derive(Clone, Debug)]
 pub struct LatencyPolicy {
     ewmas: Vec<Ewma>,
     avails: Vec<Avail>,
-    health: Option<Arc<RepairHealth>>,
 }
 
 /// Floor applied to the availability divisor so a member observed at zero
@@ -296,7 +243,6 @@ impl LatencyPolicy {
         LatencyPolicy {
             ewmas,
             avails: Vec::new(),
-            health: None,
         }
     }
 
@@ -306,33 +252,13 @@ impl LatencyPolicy {
     /// (`DirSuite::member_reply_ewmas` / `DirSuite::member_avails`), or use
     /// `DirSuite::latency_policy`, which wires them for you.
     pub fn with_availability(ewmas: Vec<Ewma>, avails: Vec<Avail>) -> Self {
-        LatencyPolicy {
-            ewmas,
-            avails,
-            health: None,
-        }
+        LatencyPolicy { ewmas, avails }
     }
 
-    /// Attaches shared repair-health flags: a member flagged unhealed by
-    /// its repair driver ranks last (key `+∞`) until the flag clears.
-    #[must_use]
-    pub fn with_repair_health(mut self, health: Arc<RepairHealth>) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// The ranking key: members flagged unhealed by their repair driver
-    /// sort after everyone else; otherwise unsampled members sort before
-    /// every sampled one, and sampled members sort by EWMA divided by
-    /// observed availability (1.0 when no availability handle or no
-    /// outcome has been recorded).
+    /// The ranking key: unsampled members sort before every sampled one,
+    /// and sampled members sort by EWMA divided by observed availability
+    /// (1.0 when no availability handle or no outcome has been recorded).
     fn key(&self, i: usize) -> f64 {
-        if self.health.as_ref().is_some_and(|h| h.is_unrepaired(i)) {
-            // Known-stale beats merely slow or unsampled: +∞ sorts after
-            // every finite key (and after NEG_INFINITY probes) under
-            // total_cmp, before only NaN.
-            return f64::INFINITY;
-        }
         let base = self
             .ewmas
             .get(i)
@@ -575,48 +501,5 @@ mod tests {
         let mut fixed: Box<dyn QuorumPolicy> = Box::new(FixedPolicy::new());
         fixed.observe_availability(&[]);
         assert_eq!(fixed.candidates(QuorumKind::Read, 2, None), vec![0, 1]);
-    }
-
-    #[test]
-    fn repair_health_demotes_unhealed_member_to_last() {
-        let ewmas: Vec<Ewma> = (0..3).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(10.0); // fastest
-        ewmas[1].record_us(50.0);
-        ewmas[2].record_us(200.0);
-        let health = Arc::new(RepairHealth::new());
-        let mut p = LatencyPolicy::new(ewmas).with_repair_health(Arc::clone(&health));
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![0, 1, 2]);
-        // The fastest member's driver reports unhealed buckets: known-stale
-        // beats fast, so it sorts dead last until the flag clears.
-        health.set_unrepaired(0, true);
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![1, 2, 0]);
-        health.set_unrepaired(0, false);
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn repair_health_overrides_unsampled_probe_priority() {
-        let ewmas: Vec<Ewma> = (0..3).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(10.0);
-        ewmas[2].record_us(20.0);
-        let health = Arc::new(RepairHealth::new());
-        health.set_unrepaired(1, true);
-        let mut p = LatencyPolicy::new(ewmas).with_repair_health(Arc::clone(&health));
-        // Member 1 has never been sampled (would normally probe first), but
-        // its repair driver says it holds stale buckets: don't send readers
-        // at it just to collect another stale vote.
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![0, 2, 1]);
-        health.set_unrepaired(1, false);
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn repair_health_flags_are_shared_across_clones() {
-        let health = Arc::new(RepairHealth::new());
-        assert!(!health.is_unrepaired(5)); // out-of-range reads are healthy
-        health.set_unrepaired(5, true);
-        assert!(health.is_unrepaired(5));
-        // Members below the grown index default to healthy.
-        assert!(!health.is_unrepaired(0));
     }
 }

@@ -84,11 +84,6 @@ impl Registry {
         self.inner.armed.store(armed, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since this registry's epoch (monotonic).
-    pub fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
         resolve(&self.inner.counters, name)

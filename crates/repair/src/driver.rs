@@ -2,30 +2,31 @@
 //! adaptive pacing.
 //!
 //! A [`RepairDriver`] wraps a [`Repairer`] with the policy layer the
-//! ROADMAP left open: *what* to repair and *when*. It drains a stale-vote
-//! source (the evidence quorum reads collect for free), coalesces the
-//! votes into distinct summary buckets, and issues bucket-targeted pulls —
-//! no summary walk, two fabric messages per divergent bucket; a bucket
-//! whose pull lost a lock conflict is carried to the next tick. Only when
-//! the queue is dry does it fall back to periodic summary sweeps (one
-//! [`Repairer::run_round`]: a walk, then one range pull per run of dirty
-//! buckets), and the sweep interval adapts ([`Pacing`]): geometric backoff
-//! while sweeps quiesce, snap-back to the floor on evidence of work (stale
-//! votes, applied changes, a member-recovery signal, or a *fresh* peer
-//! error). A sweep that finds its member level after repairs checkpoints
-//! it.
+//! ROADMAP left open: *what* to repair and *when*. It drains its member's
+//! votes from a [`StaleVoteQueue`] (the evidence quorum reads collect for
+//! free), coalesces them into distinct summary buckets, and issues
+//! bucket-targeted pulls — no summary walk, two fabric messages per
+//! divergent bucket; a bucket whose pull lost a lock conflict is carried to
+//! the next tick. Only when the queue is dry does it fall back to periodic
+//! summary sweeps (one [`Repairer::run_round`]: a walk, then one range pull
+//! per run of dirty buckets), and the sweep interval adapts ([`Pacing`]):
+//! geometric backoff while sweeps quiesce, snap-back to the floor on
+//! evidence of work (stale votes, applied changes, a member-recovery
+//! signal, or a *fresh* peer error). A sweep that finds its member level
+//! after repairs checkpoints it.
 //!
 //! The driver runs on a background thread behind a [`DriverHandle`] that
-//! stops and joins on drop, and is woken early through [`DriverWaker`]s —
-//! one wired to the stale-vote queue, one to the representative's recovery
-//! hook.
+//! stops and joins on drop. The queue wakes it early through the waker it
+//! installs for its member at spawn and removes at stop; a [`DriverWaker`]
+//! wired to the representative's recovery hook wakes it too.
 
 use std::collections::BTreeSet;
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use repdir_core::suite::StaleVote;
+use repdir_core::suite::StaleVoteQueue;
 use repdir_core::Key;
 use repdir_obs::Registry;
 
@@ -63,8 +64,7 @@ impl Default for Pacing {
 }
 
 impl Pacing {
-    /// A non-adaptive configuration: every tick `interval` apart — the
-    /// pre-driver `Repairer::spawn` behaviour.
+    /// A non-adaptive configuration: every tick `interval` apart.
     pub fn fixed(interval: Duration) -> Self {
         Pacing {
             floor: interval,
@@ -186,7 +186,7 @@ pub struct DriverWaker {
 
 impl DriverWaker {
     /// Signals that stale votes are available to drain.
-    pub fn wake_votes(&self) {
+    fn wake_votes(&self) {
         let _ = self.tx.send(Msg::Votes);
     }
 
@@ -202,6 +202,8 @@ pub struct DriverHandle {
     tx: Option<mpsc::Sender<Msg>>,
     join: Option<JoinHandle<()>>,
     registry: Registry,
+    /// The queue and member the driver's vote waker is installed for.
+    votes: Option<(Arc<StaleVoteQueue>, usize)>,
 }
 
 impl DriverHandle {
@@ -210,19 +212,23 @@ impl DriverHandle {
         &self.registry
     }
 
-    /// A waker for this driver (stale-vote queue and recovery hooks).
+    /// A waker for this driver (the representative's recovery hook).
     pub fn waker(&self) -> DriverWaker {
         DriverWaker {
             tx: self.tx.clone().expect("driver running"),
         }
     }
 
-    /// Stops the driver and waits for the in-flight tick to finish.
+    /// Removes the driver's vote waker, then stops the driver and waits for
+    /// the in-flight tick to finish. Votes queued afterwards stay queued.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
+        if let Some((queue, member)) = self.votes.take() {
+            queue.set_waker(member, None);
+        }
         if let Some(tx) = self.tx.take() {
             let _ = tx.send(Msg::Shutdown);
         }
@@ -237,16 +243,6 @@ impl Drop for DriverHandle {
         self.shutdown();
     }
 }
-
-/// Source of stale votes for one driver — typically a closure draining a
-/// `StaleVoteQueue` for the driver's member.
-pub type VoteSource = Box<dyn FnMut() -> Vec<StaleVote> + Send>;
-
-/// Sink for the driver's repair-health transitions — typically a closure
-/// flipping this member's `RepairHealth` flag so `LatencyPolicy` demotes it
-/// while buckets stay unhealed. Called with `true` when a tick leaves
-/// buckets unrepaired, `false` once a later tick heals cleanly.
-pub type HealthSink = Box<dyn Fn(bool) + Send>;
 
 /// The summary bucket a stale vote names. Sentinel keys map to the edge
 /// buckets (`Low` lives in bucket 0 with the leading gap; `High`'s
@@ -263,8 +259,8 @@ fn vote_bucket(key: &Key) -> u8 {
 /// first, adaptively paced summary sweeps as the fallback.
 pub struct RepairDriver {
     repairer: Repairer,
-    votes: Option<VoteSource>,
-    health_sink: Option<HealthSink>,
+    /// The queue this driver drains, and the member whose votes it takes.
+    votes: Option<(Arc<StaleVoteQueue>, usize)>,
     pacing: Pacing,
     next_peer: usize,
     /// Something was applied since the last checkpoint.
@@ -275,13 +271,12 @@ pub struct RepairDriver {
 }
 
 impl RepairDriver {
-    /// A driver over `repairer` with no vote source: every tick is a
+    /// A driver over `repairer` with no vote queue: every tick is a
     /// summary sweep round, paced by `pacing`.
     pub fn new(repairer: Repairer, pacing: Pacing) -> Self {
         RepairDriver {
             repairer,
             votes: None,
-            health_sink: None,
             pacing,
             next_peer: 0,
             unsaved: false,
@@ -289,16 +284,11 @@ impl RepairDriver {
         }
     }
 
-    /// Attaches the stale-vote source this driver drains on every tick.
-    pub fn with_vote_source(mut self, votes: VoteSource) -> Self {
-        self.votes = Some(votes);
-        self
-    }
-
-    /// Attaches the repair-health sink this driver reports unhealed-bucket
-    /// transitions to (quorum demotion; see `RepairHealth`).
-    pub fn with_health_sink(mut self, sink: HealthSink) -> Self {
-        self.health_sink = Some(sink);
+    /// Drains `member`'s votes from `queue` on every tick. Once spawned,
+    /// the driver is also woken by every vote queued for `member`: a queue
+    /// holds one waker per member, so one driver per member runs at a time.
+    pub fn with_votes(mut self, queue: Arc<StaleVoteQueue>, member: usize) -> Self {
+        self.votes = Some((queue, member));
         self
     }
 
@@ -307,7 +297,7 @@ impl RepairDriver {
         &self.repairer
     }
 
-    /// Synchronously drains the vote source and issues one targeted bucket
+    /// Synchronously drains the vote queue and issues one targeted bucket
     /// pull per distinct divergent bucket, rotating to the next peer when
     /// one fails mid-pull. Buckets the previous drain carried (a pull lost a
     /// lock conflict) are pulled again with the new votes' buckets. This is
@@ -315,10 +305,10 @@ impl RepairDriver {
     /// public so tests and benches can drive it deterministically.
     pub fn drain_and_pull(&mut self) -> TickStats {
         let mut tick = TickStats::default();
-        let Some(source) = self.votes.as_mut() else {
+        let Some((queue, member)) = &self.votes else {
             return tick;
         };
-        let votes = source();
+        let votes = queue.drain_member(*member);
         if votes.is_empty() && self.contended.is_empty() {
             return tick;
         }
@@ -390,12 +380,15 @@ impl RepairDriver {
         stats
     }
 
-    /// Runs the driver on a background thread. The returned handle stops
-    /// and joins the thread on drop; [`DriverHandle::waker`] produces the
-    /// wake endpoints for the stale-vote queue and the recovery hook.
+    /// Runs the driver on a background thread and installs its waker on
+    /// the vote queue, which fires at once over a backlog. The returned
+    /// handle removes the waker, then stops and joins the thread, on drop;
+    /// [`DriverHandle::waker`] produces the wake endpoint for the recovery
+    /// hook.
     pub fn spawn(mut self) -> DriverHandle {
         let (tx, rx) = mpsc::channel::<Msg>();
         let registry = self.repairer.registry().clone();
+        let votes = self.votes.clone();
         let join = std::thread::Builder::new()
             .name("repdir-repair-driver".into())
             .spawn(move || {
@@ -405,9 +398,6 @@ impl RepairDriver {
                 let backoff_ms = reg.counter("repair.driver.backoff_ms");
                 let mut pacer = Pacer::new(self.pacing);
                 backoff_ms.set(pacer.delay().as_millis() as u64);
-                // Tracks the last state reported to the health sink so
-                // transitions fire once, not every tick.
-                let mut unhealthy = false;
                 loop {
                     let first = rx.recv_timeout(pacer.delay());
                     let mut timed_out = false;
@@ -431,7 +421,6 @@ impl RepairDriver {
                     }
                     wakes.inc();
                     let tick = self.drain_and_pull();
-                    let mut swept = false;
                     let mut swept_errors = false;
                     let mut swept_applied = 0;
                     // Dry queue on a timer tick → fall back to a summary
@@ -441,27 +430,8 @@ impl RepairDriver {
                     if timed_out && tick.votes == 0 {
                         sweeps.inc();
                         let stats = self.sweep();
-                        swept = true;
                         swept_errors = stats.errors > 0;
                         swept_applied = stats.applied.total();
-                    }
-                    // Report unhealed-bucket transitions: flag this member
-                    // the moment a tick leaves buckets it could not heal
-                    // (`unrepaired > 0`); clear once a later tick repairs
-                    // everything its votes asked for or an error-free
-                    // summary sweep confirms the member caught up.
-                    if let Some(sink) = &self.health_sink {
-                        if tick.unrepaired > 0 {
-                            if !unhealthy {
-                                unhealthy = true;
-                                sink(true);
-                            }
-                        } else if unhealthy
-                            && ((tick.buckets > 0 && tick.errors == 0) || (swept && !swept_errors))
-                        {
-                            unhealthy = false;
-                            sink(false);
-                        }
                     }
                     if recovered || tick.votes > 0 || tick.applied.total() > 0 || swept_applied > 0
                     {
@@ -475,10 +445,15 @@ impl RepairDriver {
                 }
             })
             .expect("spawn repair driver thread");
+        if let Some((queue, member)) = &votes {
+            let waker = DriverWaker { tx: tx.clone() };
+            queue.set_waker(*member, Some(Box::new(move || waker.wake_votes())));
+        }
         DriverHandle {
             tx: Some(tx),
             join: Some(join),
             registry,
+            votes,
         }
     }
 }
@@ -489,8 +464,10 @@ mod tests {
     use crate::merge::{BucketEntry, BucketView, RepairPlan};
     use crate::repairer::{RepairPeer, RepairTarget};
     use crate::summary::{Digest, FANOUT};
+    use repdir_core::suite::StaleVote;
     use repdir_core::{UserKey, Value, Version};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
+    use std::time::Instant;
 
     fn pacing(floor_ms: u64, cap_ms: u64, factor: f64) -> Pacing {
         Pacing {
@@ -644,23 +621,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_contended_bucket_is_carried_until_a_later_drain_repairs_it() {
-        let vote = |key: &str| StaleVote {
+    fn vote(key: &str) -> StaleVote {
+        StaleVote {
             member: 0,
             key: Key::from(key),
             seen: Version::new(0),
             latest: Version::new(1),
-        };
-        let votes = Arc::new(Mutex::new(vec![vote("apple")]));
+        }
+    }
+
+    #[test]
+    fn a_contended_bucket_is_carried_until_a_later_drain_repairs_it() {
+        let votes = Arc::new(StaleVoteQueue::new());
+        votes.push(vote("apple"));
         let errors = Arc::new(Mutex::new(vec![RepairError::Contended; 3]));
         let peer = FlakyPeer(Arc::clone(&errors));
         let repairer = Repairer::new(Arc::new(EmptyTarget), vec![Box::new(peer)]);
-        let source = Arc::clone(&votes);
         let mut driver =
-            RepairDriver::new(repairer, Pacing::default()).with_vote_source(Box::new(move || {
-                std::mem::take(&mut *source.lock().unwrap())
-            }));
+            RepairDriver::new(repairer, Pacing::default()).with_votes(Arc::clone(&votes), 0);
         let contended = TickStats {
             buckets: 1,
             pulls: 1,
@@ -678,7 +656,7 @@ mod tests {
         // A drain with no votes pulls the carried bucket alone.
         assert_eq!(driver.drain_and_pull(), contended);
         // A new vote in the same bucket coalesces with the carried one.
-        votes.lock().unwrap().push(vote("avocado"));
+        votes.push(vote("avocado"));
         assert_eq!(driver.drain_and_pull(), voted);
         // The conflict is gone: one pull repairs the bucket, and nothing is
         // left to carry.
@@ -697,13 +675,55 @@ mod tests {
         // A pull that fails for another reason drops its bucket with its
         // votes: the next drain has nothing to pull.
         errors.lock().unwrap().push(RepairError::Unavailable);
-        votes.lock().unwrap().push(vote("apple"));
+        votes.push(vote("apple"));
         let dropped = TickStats {
             carried: 0,
             ..voted
         };
         assert_eq!(driver.drain_and_pull(), dropped);
         assert_eq!(driver.drain_and_pull(), TickStats::default());
+    }
+
+    /// Waits until `registry`'s `repair.driver.targeted_pulls` reaches 1.
+    fn await_targeted_pull(registry: &Registry) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let pulls = registry.counter("repair.driver.targeted_pulls");
+        while pulls.get() == 0 {
+            assert!(Instant::now() < deadline, "the driver never woke");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_spawned_driver_owns_its_vote_waker_until_it_stops() {
+        // The timer cannot fire within the test: only a vote wakes a driver.
+        let idle = Pacing::fixed(Duration::from_secs(3600));
+        let driver = |queue: &Arc<StaleVoteQueue>| {
+            let peer = FlakyPeer(Arc::default());
+            let repairer = Repairer::new(Arc::new(EmptyTarget), vec![Box::new(peer)]);
+            RepairDriver::new(repairer, idle).with_votes(Arc::clone(queue), 0)
+        };
+        let queue = Arc::new(StaleVoteQueue::new());
+        // Queued before any driver runs: the waker spawn installs fires
+        // over the backlog, and the first wake drains it.
+        queue.push(vote("apple"));
+        let first = driver(&queue).spawn();
+        let registry = first.registry().clone();
+        await_targeted_pull(&registry);
+        assert_eq!(registry.counter("repair.driver.sweeps").get(), 0);
+        assert!(queue.is_empty());
+        let wakes = registry.counter("repair.driver.wakes").get();
+        // Stopped, the driver leaves no waker behind: a new vote stays
+        // queued and wakes nobody.
+        first.stop();
+        queue.push(vote("apple"));
+        assert_eq!(queue.len(), 1);
+        assert_eq!(registry.counter("repair.driver.wakes").get(), wakes);
+        // A later driver over the same member finds the vote and drains it.
+        let second = driver(&queue).spawn();
+        await_targeted_pull(second.registry());
+        assert_eq!(second.registry().counter("repair.driver.sweeps").get(), 0);
+        assert!(queue.is_empty());
     }
 
     #[test]

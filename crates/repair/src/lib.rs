@@ -22,13 +22,13 @@
 //!   an interval and [`plan_bucket`] turns it into a [`RepairPlan`] of
 //!   entry installs at **pinned** version numbers, ghost removals, and
 //!   gap-version raises;
-//! * a [`RepairDriver`] closes the loop automatically: it drains the
-//!   suite's stale-vote queue into bucket-targeted pulls (two messages per
-//!   divergent bucket, no walk), falls back to summary sweeps when the
-//!   queue is dry — the same pull, one per run of dirty buckets — and
-//!   adapts the sweep interval ([`Pacing`]) — geometric backoff while
-//!   quiescent, snap-back to the floor on stale votes, applied repairs, or
-//!   a member-recovery signal.
+//! * a [`RepairDriver`] closes the loop automatically: it drains its
+//!   member's votes from the shared stale-vote queue, which wakes it, into
+//!   bucket-targeted pulls (two messages per divergent bucket, no walk),
+//!   falls back to summary sweeps when the queue is dry — the same pull,
+//!   one per run of dirty buckets — and adapts the sweep interval
+//!   ([`Pacing`]) — geometric backoff while quiescent, snap-back to the
+//!   floor on stale votes, applied repairs, or a member-recovery signal.
 //!
 //! Soundness rests on the paper's version-number update rule: at every
 //! point of the key space the version only grows, a higher version always
@@ -47,9 +47,7 @@ mod merge;
 mod repairer;
 mod summary;
 
-pub use driver::{
-    DriverHandle, DriverWaker, HealthSink, Pacer, Pacing, RepairDriver, TickStats, VoteSource,
-};
+pub use driver::{DriverHandle, DriverWaker, Pacer, Pacing, RepairDriver, TickStats};
 pub use merge::{diff_bucket, merge_bucket, plan_bucket, BucketEntry, BucketView, RepairPlan};
 pub use repairer::{
     ApplyStats, RepairError, RepairPeer, RepairTarget, Repairer, RoundStats, MAX_PULL_ENTRIES,

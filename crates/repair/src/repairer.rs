@@ -33,7 +33,6 @@ use std::sync::Arc;
 use repdir_core::{Key, UserKey};
 use repdir_obs::Registry;
 
-use crate::driver::{DriverHandle, Pacing, RepairDriver};
 use crate::merge::{diff_bucket, BucketView, RepairPlan};
 use crate::summary::{bucket_high, Digest, FANOUT};
 
@@ -409,21 +408,12 @@ impl Repairer {
         }
         out
     }
-
-    /// Runs the repairer on a background thread: one summary-sweep round
-    /// against the next peer (round-robin) per tick, paced by `pacing`.
-    /// Errors are absorbed into the `repair.peer_errors` counter and
-    /// retried on a later tick. This is the vote-less configuration of
-    /// [`RepairDriver`]; attach a stale-vote source via
-    /// [`RepairDriver::with_vote_source`] to get targeted pulls too.
-    pub fn spawn(self, pacing: Pacing) -> DriverHandle {
-        RepairDriver::new(self, pacing).spawn()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Pacing, RepairDriver};
     use crate::merge::BucketEntry;
     use crate::summary::{bucket_high, bucket_low, entry_digest, low_gap_digest, SummaryCache};
     use repdir_core::{GapMap, UserKey, Value, Version};
@@ -769,7 +759,7 @@ mod tests {
             b.insert(&[i as u8 + 40, 1], i + 1);
         }
         let repairer = Repairer::new(a.clone(), vec![Box::new(b.clone())]);
-        let handle = repairer.spawn(Pacing::fixed(Duration::from_millis(1)));
+        let handle = RepairDriver::new(repairer, Pacing::fixed(Duration::from_millis(1))).spawn();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while !digests_equal(&a, &b) {
             assert!(

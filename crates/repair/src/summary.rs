@@ -165,7 +165,7 @@ impl SummaryCache {
     /// The digests of one tree level's children under `path`, refreshing
     /// dirty leaves through `recompute`.
     ///
-    /// * `level` 0: the root's children — [`GROUPS`] folded group digests
+    /// * `level` 0: the root's children — `GROUPS` folded group digests
     ///   (`path` ignored, conventionally 0).
     /// * `level` 1: the [`FANOUT`] leaf digests of group `path`.
     ///

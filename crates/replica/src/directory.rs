@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use repdir_core::suite::LookupOutcome;
 use repdir_core::suite::{
-    DirSuite, QuorumPolicy, RandomPolicy, RepairHealth, StaleVote, StaleVoteQueue, SuiteConfig,
+    DirSuite, QuorumPolicy, RandomPolicy, StaleVote, StaleVoteQueue, SuiteConfig,
 };
 use repdir_core::sync::Mutex;
 use repdir_core::{ConfigError, Key, RepClient, RepError, RepId, SuiteError, UserKey, Value};
@@ -93,8 +93,9 @@ impl fmt::Debug for InProcess {
     }
 }
 
-/// One repair driver per member, and the hooks that wake them. Dropping the
-/// fleet unhooks the wakers, then joins every driver thread.
+/// One repair driver per member, and the hooks that feed them. Dropping the
+/// fleet unhooks the spill and the recovery hooks, then stops every driver,
+/// which removes its own vote waker.
 struct RepairFleet {
     reps: Vec<Arc<TransactionalRep>>,
     stale_votes: Arc<StaleVoteQueue>,
@@ -104,11 +105,10 @@ struct RepairFleet {
 impl Drop for RepairFleet {
     fn drop(&mut self) {
         self.stale_votes.set_spill(None);
-        for (member, rep) in self.reps.iter().enumerate() {
-            self.stale_votes.set_waker(member, None);
+        for rep in &self.reps {
             rep.set_recovery_hook(None);
         }
-        // `handles` drops next, joining each driver thread.
+        // `handles` drops next: each driver removes its vote waker and joins.
     }
 }
 
@@ -146,11 +146,6 @@ pub struct ReplicatedDirectory<M: Members = InProcess> {
     /// the evidence outlives the transaction that observed it and feeds
     /// the repair drivers.
     stale_votes: Arc<StaleVoteQueue>,
-    /// Per-member "has unhealed buckets" flags, fed by the repair drivers'
-    /// health sinks and consulted by every latency-based quorum policy the
-    /// directory's suites build — a member known to be behind is ranked
-    /// last, not first, however fast it replies.
-    repair_health: Arc<RepairHealth>,
 }
 
 impl ReplicatedDirectory {
@@ -250,17 +245,9 @@ impl ReplicatedDirectory {
                     Box::new(LocalRepairPeer::new(Arc::clone(peer))) as Box<dyn RepairPeer>
                 })
                 .collect();
-            let queue = Arc::clone(&self.stale_votes);
-            let health = Arc::clone(&self.repair_health);
-            let driver = RepairDriver::new(Repairer::new(target, peers), pacing)
-                .with_vote_source(Box::new(move || queue.drain_member(member)))
-                .with_health_sink(Box::new(move |unrepaired| {
-                    health.set_unrepaired(member, unrepaired);
-                }));
-            let handle = driver.spawn();
-            let vote_waker = handle.waker();
-            self.stale_votes
-                .set_waker(member, Some(Box::new(move || vote_waker.wake_votes())));
+            let handle = RepairDriver::new(Repairer::new(target, peers), pacing)
+                .with_votes(Arc::clone(&self.stale_votes), member)
+                .spawn();
             let recovery_waker = handle.waker();
             rep.set_recovery_hook(Some(Box::new(move || recovery_waker.wake_recovery())));
             handles.push(handle);
@@ -281,8 +268,9 @@ impl ReplicatedDirectory {
         handles.map(|h| h.registry().clone()).collect()
     }
 
-    /// Stops the repair-driver fleet: unhooks the wakers, then joins every
-    /// driver thread. Queued stale votes are kept — a later fleet (or
+    /// Stops the repair-driver fleet: unhooks the spill and recovery hooks,
+    /// then stops every driver, which removes its vote waker and joins.
+    /// Queued stale votes are kept — a later fleet (or
     /// [`take_stale_votes`](ReplicatedDirectory::take_stale_votes)) can
     /// still consume them.
     pub fn stop_repair_drivers(&self) {
@@ -311,7 +299,6 @@ impl<M: Members> ReplicatedDirectory<M> {
             txns: TxnManager::new(),
             policy_seed: AtomicU64::new(seed),
             stale_votes: Arc::new(StaleVoteQueue::new()),
-            repair_health: Arc::new(RepairHealth::new()),
         })
     }
 
@@ -346,7 +333,6 @@ impl<M: Members> ReplicatedDirectory<M> {
         let mut suite = DirSuite::new(clients, self.config.clone(), policy)
             .expect("member count matches config by construction");
         suite.set_stale_vote_sink(Arc::clone(&self.stale_votes));
-        suite.set_repair_health(Some(Arc::clone(&self.repair_health)));
         DirTxn {
             dir: self,
             id,
@@ -490,16 +476,6 @@ impl<M: Members> ReplicatedDirectory<M> {
     /// As [`DirSuite::scan`], after retries.
     pub fn scan(&self) -> Result<Vec<(UserKey, Value)>, SuiteError> {
         self.run(|suite| suite.scan())
-    }
-
-    /// The shared stale-vote queue every transaction's suite reports into.
-    pub fn stale_vote_queue(&self) -> &Arc<StaleVoteQueue> {
-        &self.stale_votes
-    }
-
-    /// The per-member repair-health flags quorum policies consult.
-    pub fn repair_health(&self) -> &Arc<RepairHealth> {
-        &self.repair_health
     }
 
     /// Drains every queued stale vote (for inspection or a hand-rolled

@@ -66,7 +66,9 @@
 #    mode, so a per-entry or per-key round cannot come back unnoticed.
 #    Nothing under benchmark/ is edited by this gate.
 # 11. cargo fmt --check and cargo clippy -D warnings keep the tree formatted
-#    and lint-clean.
+#    and lint-clean, and `cargo doc` with RUSTDOCFLAGS="-D warnings" keeps
+#    every doc link resolving, so a deleted name cannot survive as a
+#    dangling link.
 # 12. Appends one line, keyed by commit, to BENCH_history.jsonl: the counts
 #    gates 4 to 8 pinned, gate 10's traced net.msgs_per_op, and gate 3's
 #    passed-test count and wall time (test_wall_s, seconds). Counts repeat,
@@ -193,6 +195,10 @@ gate_done
 
 gate "cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+gate_done
+
+gate "RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 gate_done
 
 gate "BENCH_history.jsonl: this run's counts, keyed by commit"

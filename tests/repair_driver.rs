@@ -230,9 +230,7 @@ fn driver_rotates_to_a_live_peer_when_one_dies_mid_pull() {
             Box::new(LocalRepairPeer::new(Arc::clone(&fresh))),
         ],
     );
-    let source_queue = Arc::clone(&queue);
-    let mut driver = RepairDriver::new(repairer, never_ticks())
-        .with_vote_source(Box::new(move || source_queue.drain_member(0)));
+    let mut driver = RepairDriver::new(repairer, never_ticks()).with_votes(Arc::clone(&queue), 0);
 
     let tick = driver.drain_and_pull();
 
@@ -322,9 +320,7 @@ fn spilled_stale_votes_survive_a_crash_between_observe_and_pull() {
         Arc::new(RepTarget::new(Arc::clone(&stale))),
         vec![Box::new(LocalRepairPeer::new(Arc::clone(&fresh)))],
     );
-    let source = Arc::clone(&revived);
-    let mut driver = RepairDriver::new(repairer, never_ticks())
-        .with_vote_source(Box::new(move || source.drain_member(0)));
+    let mut driver = RepairDriver::new(repairer, never_ticks()).with_votes(Arc::clone(&revived), 0);
     let tick = driver.drain_and_pull();
     assert_eq!(tick.votes, 1);
     assert_eq!(tick.unrepaired, 0);
@@ -487,9 +483,7 @@ fn level_sweep_after_catch_up_checkpoints_and_retires_spilled_votes() {
         Arc::new(RepTarget::new(Arc::clone(&stale))),
         vec![Box::new(LocalRepairPeer::new(Arc::clone(&fresh)))],
     );
-    let source = Arc::clone(&queue);
-    let mut driver = RepairDriver::new(repairer, never_ticks())
-        .with_vote_source(Box::new(move || source.drain_member(0)));
+    let mut driver = RepairDriver::new(repairer, never_ticks()).with_votes(Arc::clone(&queue), 0);
     // The vote consumes the spill, but no checkpoint lands mid-catch-up.
     assert_eq!(driver.drain_and_pull().applied.installed, 1);
     assert_eq!(stale.spilled_stale_votes().len(), 1);
