@@ -79,12 +79,6 @@ impl ProptestConfig {
             ..Default::default()
         }
     }
-
-    /// Pins the master seed (overrides the environment).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// A generator of test inputs with optional shrink candidates.

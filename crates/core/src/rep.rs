@@ -16,7 +16,6 @@
 use std::fmt;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
 
 use crate::error::RepError;
 use crate::gapmap::{CoalesceOutcome, GapMap, InsertOutcome, LookupReply, NeighborReply};
@@ -158,10 +157,6 @@ pub struct Done {
     /// The replies, one per operation in request order, or why there are
     /// none.
     pub result: RepResult<Vec<Reply>>,
-    /// Time from start to completion, measured where the reply landed (so a
-    /// completion harvested late still reports the member's real latency).
-    /// `None` when the wave runs untimed.
-    pub elapsed: Option<Duration>,
 }
 
 /// The one-shot handle a started request is answered through: whoever ends
@@ -173,17 +168,14 @@ pub struct Done {
 #[derive(Debug)]
 pub struct Completion {
     slot: u64,
-    started: Option<Instant>,
     queue: Option<Sender<Done>>,
 }
 
 impl Completion {
-    /// A completion delivering to `queue` under the tag `slot`; `timed`
-    /// stamps the start so the [`Done`] carries the elapsed time.
-    pub fn new(slot: u64, timed: bool, queue: Sender<Done>) -> Self {
+    /// A completion delivering to `queue` under the tag `slot`.
+    pub fn new(slot: u64, queue: Sender<Done>) -> Self {
         Completion {
             slot,
-            started: timed.then(Instant::now),
             queue: Some(queue),
         }
     }
@@ -199,7 +191,6 @@ impl Completion {
             let _ = queue.send(Done {
                 slot: self.slot,
                 result,
-                elapsed: self.started.map(|at| at.elapsed()),
             });
         }
     }

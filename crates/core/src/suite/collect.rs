@@ -638,9 +638,8 @@ mod tests {
     #[test]
     fn member_that_refused_scores_no_miss_and_is_not_pinged() {
         // A refusal fails the operation, but the member answered: its
-        // availability window stays clean, its reply-time EWMA takes no
-        // penalty sample (timing is off, so it takes none at all), and the
-        // next lookup carries its request to it with no ping first.
+        // availability window stays clean, and the next lookup carries its
+        // request to it with no ping first.
         let clients: Vec<RefusesOnce> = (0..3)
             .map(|i| RefusesOnce {
                 inner: LocalRep::new(RepId(i)),
@@ -649,13 +648,11 @@ mod tests {
             .collect();
         let cfg = SuiteConfig::symmetric(3, 2, 2).unwrap();
         let mut s = DirSuite::new(clients, cfg, fixed(&[0, 1, 2])).unwrap();
-        s.obs().set_timing_armed(false);
         assert_eq!(
             s.lookup(&k("a")).unwrap_err(),
             SuiteError::Rep(RepError::Deadlock)
         );
         assert_eq!(s.member_avails()[0].rate(), Some(1.0));
-        assert_eq!(s.member_reply_ewmas()[0].value_us(), None);
         s.reset_message_counts();
         assert!(!s.lookup(&k("a")).unwrap().present);
         assert_eq!(s.ping_counts(), vec![0, 0, 0]);

@@ -31,9 +31,7 @@ mod wave;
 
 pub use collect::QuorumSession;
 pub use config::SuiteConfig;
-pub use quorum::{
-    FixedPolicy, LatencyPolicy, LocalityPolicy, QuorumPolicy, RandomPolicy, StickyPolicy,
-};
+pub use quorum::{FixedPolicy, LocalityPolicy, QuorumPolicy, RandomPolicy, StickyPolicy};
 pub use set::DirSet;
 pub use votes::{StaleVote, StaleVoteQueue, VoteSpill, VoteWaker};
 
@@ -44,9 +42,8 @@ use crate::rep::{LocalRep, RepClient, RepId};
 use crate::value::Value;
 use crate::version::Version;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
-use repdir_obs::{Avail, Counter, Ewma, Registry};
+use repdir_obs::{Avail, Counter, Registry};
 use wave::Executor;
 
 /// Result of [`DirSuite::lookup`].
@@ -157,13 +154,8 @@ struct SuiteObs {
     msgs: Vec<Counter>,
     /// Quorum-collection pings per member (`suite.member.{i}.pings`).
     pings: Vec<Counter>,
-    /// Reply-time EWMA per member (`suite.member.{i}.reply_us`), fed by
-    /// every timed ping and data RPC; [`LatencyPolicy`] orders quorum
-    /// candidates by it.
-    reply: Vec<Ewma>,
     /// Windowed success rate per member (`suite.member.{i}.avail`), fed by
-    /// every ping and data RPC outcome; pinged waves are provisioned by it and
-    /// [`LatencyPolicy`] discounts by it.
+    /// every ping and data RPC outcome; pinged waves are provisioned by it.
     avail: Vec<Avail>,
     /// Collection waves issued by `collect_quorum`, carried or pinged
     /// (`suite.quorum.waves`).
@@ -194,17 +186,6 @@ struct SuiteObs {
     /// one entry queued for inline read-repair.
     stale_votes: Counter,
 }
-
-/// Sample recorded into a member's reply-time EWMA when an RPC to it fails.
-///
-/// A dead member often fails *fast* (a refused connection returns quicker
-/// than a healthy reply), so the measured duration of a failed call says
-/// nothing about the member's health — left alone it keeps a stale-fast
-/// EWMA attractive and [`LatencyPolicy`] keeps routing quorums at a corpse.
-/// Recording a large penalty instead demotes the member until real
-/// successes decay it back. (Resetting the EWMA would be worse: unsampled
-/// members sort *first* in [`LatencyPolicy`]'s order.)
-const FAILED_RPC_PENALTY: Duration = Duration::from_secs(1);
 
 /// Span ring capacity of a suite's own registry: a transaction records a
 /// few spans per operation, and every operation is a transaction of its
@@ -242,7 +223,6 @@ impl SuiteObs {
             named: OnceLock::new(),
             msgs: (0..n).map(|_| Counter::new()).collect(),
             pings: (0..n).map(|_| Counter::new()).collect(),
-            reply: (0..n).map(|_| Ewma::default()).collect(),
             avail: (0..n).map(|_| Avail::new()).collect(),
             waves,
             rounds,
@@ -269,7 +249,6 @@ impl SuiteObs {
         for i in 0..self.msgs.len() {
             registry.register_counter(&member_metric(i, "msgs"), &self.msgs[i]);
             registry.register_counter(&member_metric(i, "pings"), &self.pings[i]);
-            registry.register_ewma(&member_metric(i, "reply_us"), &self.reply[i]);
             registry.register_avail(&member_metric(i, "avail"), &self.avail[i]);
         }
         let scalars = [
@@ -365,9 +344,6 @@ impl<C: RepClient> DirSuite<C> {
                 votes: config.votes_of(i),
             })
             .collect();
-        let obs = SuiteObs::unnamed(n);
-        let mut policy = policy;
-        policy.observe_availability(&obs.avail);
         Ok(DirSuite {
             members,
             config,
@@ -378,7 +354,7 @@ impl<C: RepClient> DirSuite<C> {
             sessions: [None, None],
             session_depth: 0,
             stale_votes: Arc::new(StaleVoteQueue::new()),
-            obs,
+            obs: SuiteObs::unnamed(n),
             exec: Executor::new(),
         })
     }
@@ -403,12 +379,8 @@ impl<C: RepClient> DirSuite<C> {
     }
 
     /// Replaces the quorum policy (e.g. to script specific quorums in tests
-    /// or to switch from random to sticky selection mid-run). The suite's
-    /// per-member availability handles are offered to the new policy
-    /// ([`QuorumPolicy::observe_availability`]); availability-aware
-    /// policies start discounting immediately.
-    pub fn set_policy(&mut self, mut policy: Box<dyn QuorumPolicy + Send>) {
-        policy.observe_availability(&self.obs.avail);
+    /// or to switch from random to sticky selection mid-run).
+    pub fn set_policy(&mut self, policy: Box<dyn QuorumPolicy + Send>) {
         self.policy = policy;
     }
 
@@ -468,20 +440,13 @@ impl<C: RepClient> DirSuite<C> {
         self.obs.pings.iter().for_each(Counter::reset);
     }
 
-    /// The suite's metric registry: per-member message/ping counters,
-    /// reply-time EWMAs and availability trackers, quorum wave counters,
-    /// and the spans recorded by every operation. Fresh per suite; it holds
-    /// only spans until this is first called, which registers every metric
-    /// under its name, live values included.
+    /// The suite's metric registry: per-member message/ping counters and
+    /// availability trackers, quorum wave counters, and the spans recorded
+    /// by every operation. Fresh per suite; it holds only spans until this
+    /// is first called, which registers every metric under its name, live
+    /// values included.
     pub fn obs(&self) -> &Registry {
         self.obs.registry()
-    }
-
-    /// Clones of the per-member reply-time EWMA handles, in member order.
-    /// Feed these to [`LatencyPolicy`] so quorum selection tracks measured
-    /// reply times; samples accumulate from every timed ping and data RPC.
-    pub fn member_reply_ewmas(&self) -> Vec<Ewma> {
-        self.obs.reply.clone()
     }
 
     /// Clones of the per-member availability handles
@@ -489,14 +454,6 @@ impl<C: RepClient> DirSuite<C> {
     /// fed by every ping and data RPC outcome.
     pub fn member_avails(&self) -> Vec<Avail> {
         self.obs.avail.clone()
-    }
-
-    /// A [`LatencyPolicy`] wired to this suite's reply-time EWMAs and
-    /// availability trackers. Install with
-    /// [`set_policy`](DirSuite::set_policy) to route reads to the measured
-    /// R fastest members, discounted by how often each actually answers.
-    pub fn latency_policy(&self) -> LatencyPolicy {
-        LatencyPolicy::with_availability(self.member_reply_ewmas(), self.member_avails())
     }
 
     fn require_user_key(&self, key: &Key) -> Result<(), SuiteError> {
@@ -628,7 +585,7 @@ mod tests {
 
     #[test]
     fn construction_and_operations_name_no_metric() {
-        // Naming 4n + 9 metrics used to cost more than the quorum work of a
+        // Naming 3n + 9 metrics used to cost more than the quorum work of a
         // transaction's lookup. Until `obs()` is read, the suite's registry
         // holds spans only.
         let mut s = suite_322(13);
@@ -636,7 +593,6 @@ mod tests {
         assert!(s.lookup(&k("a")).unwrap().present);
         let snap = s.obs.registry.snapshot();
         assert_eq!(snap.counters().len(), 0, "{:?}", snap.counters());
-        assert_eq!(snap.ewmas().len(), 0, "{:?}", snap.ewmas());
         assert_eq!(snap.avails().len(), 0, "{:?}", snap.avails());
         assert!(s.message_counts().iter().sum::<u64>() > 0);
     }
@@ -650,20 +606,14 @@ mod tests {
         s.insert(&k("b"), &val("B")).unwrap();
         s.set_policy(fixed(&[1, 2]));
         s.lookup(&k("b")).unwrap();
-        // One sample through a clone taken before the registry was read.
-        let ewmas = s.member_reply_ewmas();
-        ewmas[2].record_us(5_000.0);
 
         let snap = s.obs().snapshot();
         assert_eq!(snap.counters().len(), 2 * 3 + 9);
-        assert_eq!(snap.ewmas().len(), 3);
         assert_eq!(snap.avails().len(), 3);
         let (msgs, avails) = (s.message_counts(), s.member_avails());
         for i in 0..3 {
             let name = |kind| format!("suite.member.{i}.{kind}");
             assert_eq!(snap.counter(&name("msgs")), msgs[i]);
-            assert_eq!(snap.ewma(&name("reply_us")), ewmas[i].value_us());
-            assert!(snap.ewma(&name("reply_us")).is_some());
             assert_eq!(snap.avail(&name("avail")), avails[i].rate());
             assert!(snap.avail(&name("avail")).is_some());
         }
@@ -739,38 +689,5 @@ mod tests {
     fn zero_neighbor_batch_rejected() {
         let mut s = suite_322(0);
         s.set_neighbor_batch(0);
-    }
-
-    #[test]
-    fn failed_member_ewma_is_penalized_so_latency_policy_demotes_it() {
-        // Regression: a dead member kept its stale fast reply-time EWMA, so
-        // LatencyPolicy kept ordering it first and every collection burned a
-        // request on the corpse. A failed RPC (or ping miss) now records a
-        // penalty sample, demoting the member below any live one.
-        let mut s = suite_322(77);
-        let policy = s.latency_policy();
-        s.set_policy(Box::new(policy));
-        s.insert(&k("a"), &val("A")).unwrap();
-        // Unsampled members sort first, so a few lookups sample all three.
-        for _ in 0..6 {
-            s.lookup(&k("a")).unwrap();
-        }
-        let favorite = s.lookup(&k("a")).unwrap().quorum[0];
-        let dead = favorite.0 as usize;
-        s.member(dead).set_available(false);
-        // Discovery: the stale-fast favorite is asked once more, misses,
-        // and its EWMA takes the failure penalty.
-        let asked = |s: &DirSuite<LocalRep>| s.message_counts()[dead] + s.ping_counts()[dead];
-        s.lookup(&k("a")).unwrap();
-        let asked_after_discovery = asked(&s);
-        for _ in 0..8 {
-            assert!(s.lookup(&k("a")).unwrap().present);
-        }
-        assert_eq!(
-            asked(&s),
-            asked_after_discovery,
-            "a penalized member must sort behind the live ones and not be \
-             asked on every collection"
-        );
     }
 }

@@ -12,15 +12,11 @@
 //! * [`FixedPolicy`] always prefers the same ordering (a degenerate sticky
 //!   policy — a true primary-copy-like assignment);
 //! * [`LocalityPolicy`] reproduces Figure 16: transactions pick quorums near
-//!   their key range so reads are local and remote writes spread evenly;
-//! * [`LatencyPolicy`] closes the loop with the obs subsystem: it orders
-//!   members by their measured reply-time EWMA, so a read quorum costs the
-//!   R-th *fastest* member's latency instead of a random draw's.
+//!   their key range so reads are local and remote writes spread evenly.
 
 use crate::error::QuorumKind;
 use crate::key::Key;
 use crate::rng::SplitMix64;
-use repdir_obs::{Avail, Ewma};
 
 /// Chooses the order in which representatives are asked to join a quorum.
 ///
@@ -34,22 +30,11 @@ pub trait QuorumPolicy {
     /// `hint` is the key the operation concerns, when there is one, enabling
     /// locality-aware choices.
     fn candidates(&mut self, kind: QuorumKind, n: usize, hint: Option<&Key>) -> Vec<usize>;
-
-    /// Offers the policy live per-member availability handles (member `i`
-    /// described by `avails[i]`). `DirSuite::set_policy` calls this with the
-    /// suite's windowed success-rate trackers; availability-aware policies
-    /// ([`LatencyPolicy`]) keep the handles and discount their ranking,
-    /// everything else ignores the hint.
-    fn observe_availability(&mut self, _avails: &[Avail]) {}
 }
 
 impl<P: QuorumPolicy + ?Sized> QuorumPolicy for Box<P> {
     fn candidates(&mut self, kind: QuorumKind, n: usize, hint: Option<&Key>) -> Vec<usize> {
         (**self).candidates(kind, n, hint)
-    }
-
-    fn observe_availability(&mut self, avails: &[Avail]) {
-        (**self).observe_availability(avails)
     }
 }
 
@@ -206,90 +191,6 @@ impl QuorumPolicy for LocalityPolicy {
     }
 }
 
-/// Latency-aware quorum selection, driven by the suite's per-member
-/// reply-time EWMAs (see `DirSuite::latency_policy`).
-///
-/// Members the policy has never seen a sample for sort *first*: they get
-/// pinged, earn a sample, and from then on compete on measured latency.
-/// After a few operations every member has been probed and quorums settle
-/// on the R (or W) lowest-EWMA members — the fan-out wave then costs the
-/// R-th fastest member's reply time. Samples keep flowing from the quorums
-/// the policy itself selects, so a member that degrades is re-ranked and a
-/// recovered member is re-discovered the next time the ranking probes it.
-///
-/// Given availability handles ([`LatencyPolicy::with_availability`] or
-/// [`QuorumPolicy::observe_availability`]), the ranking key becomes
-/// *availability-discounted* latency: `ewma / max(avail, floor)`. A member
-/// answering in 1 ms but
-/// dropping half its requests ranks like a 2 ms member — the expected cost of
-/// getting an answer out of it — so flaky members sink below merely slow
-/// ones without waiting for the failure-penalty EWMA to saturate.
-#[derive(Clone, Debug)]
-pub struct LatencyPolicy {
-    ewmas: Vec<Ewma>,
-    avails: Vec<Avail>,
-}
-
-/// Floor applied to the availability divisor so a member observed at zero
-/// availability gets a huge-but-finite key instead of dividing by zero.
-const AVAIL_FLOOR: f64 = 1.0 / 64.0;
-
-impl LatencyPolicy {
-    /// Creates a policy over per-member EWMA handles (member `i` is ranked
-    /// by `ewmas[i]`). Clone the handles out of the suite with
-    /// `DirSuite::member_reply_ewmas`, or construct synthetic ones in
-    /// tests.
-    pub fn new(ewmas: Vec<Ewma>) -> Self {
-        LatencyPolicy {
-            ewmas,
-            avails: Vec::new(),
-        }
-    }
-
-    /// Creates a policy that ranks by availability-discounted latency:
-    /// member `i`'s EWMA is divided by `avails[i]`'s observed success rate.
-    /// Clone both handle vectors out of the suite
-    /// (`DirSuite::member_reply_ewmas` / `DirSuite::member_avails`), or use
-    /// `DirSuite::latency_policy`, which wires them for you.
-    pub fn with_availability(ewmas: Vec<Ewma>, avails: Vec<Avail>) -> Self {
-        LatencyPolicy { ewmas, avails }
-    }
-
-    /// The ranking key: unsampled members sort before every sampled one,
-    /// and sampled members sort by EWMA divided by observed availability
-    /// (1.0 when no availability handle or no outcome has been recorded).
-    fn key(&self, i: usize) -> f64 {
-        let base = self
-            .ewmas
-            .get(i)
-            .and_then(Ewma::value_us)
-            .unwrap_or(f64::NEG_INFINITY);
-        match self.avails.get(i).and_then(Avail::rate) {
-            // NEG_INFINITY / rate stays NEG_INFINITY: an unsampled member
-            // still probes first even once availability data exists.
-            Some(rate) => base / rate.max(AVAIL_FLOOR),
-            None => base,
-        }
-    }
-}
-
-impl QuorumPolicy for LatencyPolicy {
-    fn candidates(&mut self, _kind: QuorumKind, n: usize, _hint: Option<&Key>) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..n).collect();
-        // Stable sort under a total order: ties (and the unsampled) keep
-        // index order, and a NaN key (conceivable only from a poisoned EWMA
-        // sample) sorts deterministically last instead of making the
-        // comparator inconsistent, which `partial_cmp`'s `Equal` fallback
-        // silently did.
-        order.sort_by(|&a, &b| self.key(a).total_cmp(&self.key(b)));
-        order
-    }
-
-    fn observe_availability(&mut self, avails: &[Avail]) {
-        self.avails = avails.to_vec();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,113 +294,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_policy_orders_by_ewma_ascending() {
-        let ewmas: Vec<Ewma> = (0..4).map(|_| Ewma::new(0.5)).collect();
-        ewmas[0].record_us(300.0);
-        ewmas[1].record_us(50.0);
-        ewmas[2].record_us(9000.0);
-        ewmas[3].record_us(120.0);
-        let mut p = LatencyPolicy::new(ewmas);
-        assert_eq!(p.candidates(QuorumKind::Read, 4, None), vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    fn latency_policy_probes_unsampled_members_first() {
-        let ewmas: Vec<Ewma> = (0..4).map(|_| Ewma::new(0.5)).collect();
-        ewmas[0].record_us(10.0);
-        ewmas[2].record_us(20.0);
-        let mut p = LatencyPolicy::new(ewmas);
-        // 1 and 3 have no samples: they lead (in index order) so the suite
-        // pings them and they earn one.
-        assert_eq!(p.candidates(QuorumKind::Read, 4, None), vec![1, 3, 0, 2]);
-        // Once sampled, ranking is purely by measured latency.
-        p.ewmas[1].record_us(15.0);
-        p.ewmas[3].record_us(5.0);
-        assert_eq!(p.candidates(QuorumKind::Read, 4, None), vec![3, 0, 1, 2]);
-    }
-
-    #[test]
-    fn latency_policy_tracks_ewma_updates() {
-        let ewmas: Vec<Ewma> = (0..2).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(10.0);
-        ewmas[1].record_us(20.0);
-        let mut p = LatencyPolicy::new(ewmas);
-        assert_eq!(p.candidates(QuorumKind::Write, 2, None), vec![0, 1]);
-        // Member 0 degrades: the very next selection re-ranks.
-        p.ewmas[0].record_us(500.0);
-        assert_eq!(p.candidates(QuorumKind::Write, 2, None), vec![1, 0]);
-    }
-
-    #[test]
     fn boxed_policy_is_a_policy() {
         let mut p: Box<dyn QuorumPolicy> = Box::new(FixedPolicy::new());
         assert_eq!(p.candidates(QuorumKind::Read, 2, None), vec![0, 1]);
-    }
-
-    #[test]
-    fn latency_policy_discounts_by_availability() {
-        let ewmas: Vec<Ewma> = (0..3).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(100.0);
-        ewmas[1].record_us(150.0);
-        ewmas[2].record_us(400.0);
-        let avails: Vec<Avail> = (0..3).map(|_| Avail::new()).collect();
-        for a in &avails {
-            a.record(true);
-        }
-        let mut p = LatencyPolicy::with_availability(ewmas, avails.clone());
-        // Fully available: pure latency order.
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![0, 1, 2]);
-        // Member 0 starts dropping three quarters of its requests: its
-        // discounted cost (100 / 0.25 = 400) ties the genuinely slow member
-        // and the stable sort puts it after the healthy ones.
-        for _ in 0..3 {
-            avails[0].record(false);
-        }
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn latency_policy_discount_keeps_unsampled_first() {
-        let ewmas: Vec<Ewma> = (0..3).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(10.0);
-        ewmas[2].record_us(20.0);
-        let avails: Vec<Avail> = (0..3).map(|_| Avail::new()).collect();
-        avails[1].record(false); // failed before ever earning an EWMA sample
-        let mut p = LatencyPolicy::with_availability(ewmas, avails);
-        // NEG_INFINITY / rate is still NEG_INFINITY: member 1 probes first.
-        assert_eq!(p.candidates(QuorumKind::Read, 3, None), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn latency_policy_total_cmp_survives_nan_keys() {
-        let ewmas: Vec<Ewma> = (0..3).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(f64::NAN);
-        ewmas[1].record_us(10.0);
-        ewmas[2].record_us(20.0);
-        let mut p = LatencyPolicy::new(ewmas);
-        // A poisoned (NaN) EWMA must not panic or scramble the order:
-        // total_cmp ranks NaN after every finite key, so the healthy
-        // members come first and the result stays a permutation.
-        let order = p.candidates(QuorumKind::Read, 3, None);
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn observe_availability_wires_the_discount() {
-        let ewmas: Vec<Ewma> = (0..2).map(|_| Ewma::new(1.0)).collect();
-        ewmas[0].record_us(100.0);
-        ewmas[1].record_us(120.0);
-        let avails: Vec<Avail> = (0..2).map(|_| Avail::new()).collect();
-        avails[0].record(false);
-        avails[1].record(true);
-        let mut p = LatencyPolicy::new(ewmas);
-        assert_eq!(p.candidates(QuorumKind::Read, 2, None), vec![0, 1]);
-        // The suite hands the handles over; the ranking flips.
-        p.observe_availability(&avails);
-        assert_eq!(p.candidates(QuorumKind::Read, 2, None), vec![1, 0]);
-        // Policies without an override ignore the hint entirely.
-        let mut fixed: Box<dyn QuorumPolicy> = Box::new(FixedPolicy::new());
-        fixed.observe_availability(&[]);
-        assert_eq!(fixed.candidates(QuorumKind::Read, 2, None), vec![0, 1]);
     }
 }

@@ -12,13 +12,13 @@
 //! Slot tags are never reused, so a reply can never be taken for another
 //! wave's. A ping wave that reaches its vote threshold simply stops
 //! listening; the stragglers' completions — a late reply, or the failure
-//! their per-request deadline produces — are accounted (reply EWMA,
-//! availability, failure penalty) whenever they surface: while a later wave
-//! waits, at the next quorum collection, or when the suite is dropped.
+//! their per-request deadline produces — are accounted to the member's
+//! availability window whenever they surface: while a later wave waits, at
+//! the next quorum collection, or when the suite is dropped.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 
-use super::{DirSuite, FAILED_RPC_PENALTY};
+use super::DirSuite;
 use crate::error::RepError;
 use crate::rep::{Completion, Done, Op, RepClient, RepResult, Reply};
 
@@ -89,9 +89,8 @@ impl<C: RepClient> DirSuite<C> {
     /// returns that member and the result, a reply without exactly one part
     /// per operation asked turned into a protocol violation. Only a member
     /// that could not be reached ([`RepError::Unavailable`]) scores an
-    /// availability miss and the penalty sample — a dead member often fails
-    /// *fast*, so the measured time alone would keep it attractive. A
-    /// refusal (`Deadlock`, `LockTimeout`, …) is an answer: the member is up.
+    /// availability miss. A refusal (`Deadlock`, `LockTimeout`, …) is an
+    /// answer: the member is up.
     fn account(&mut self, done: Done) -> (usize, RepResult<Vec<Reply>>) {
         let at = self
             .exec
@@ -106,14 +105,8 @@ impl<C: RepClient> DirSuite<C> {
                 "protocol violation: {n} replies to {asked} operations"
             ))),
         });
-        if let Some(elapsed) = done.elapsed {
-            self.obs.reply[i].record(elapsed);
-        }
-        let unreachable = matches!(result, Err(RepError::Unavailable));
-        self.obs.avail[i].record(!unreachable);
-        if unreachable {
-            self.obs.reply[i].record(FAILED_RPC_PENALTY);
-        }
+        let reached = !matches!(result, Err(RepError::Unavailable));
+        self.obs.avail[i].record(reached);
         (i, result)
     }
 
@@ -130,8 +123,7 @@ impl<C: RepClient> DirSuite<C> {
         let slot = self.exec.next_slot;
         self.exec.next_slot += 1;
         self.exec.in_flight.push((slot, i, ops.len()));
-        let timed = self.obs.registry.timing_armed();
-        let done = Completion::new(slot, timed, self.exec.queue.clone());
+        let done = Completion::new(slot, self.exec.queue.clone());
         self.members[i].client.start(ops, done);
     }
 

@@ -232,8 +232,7 @@ impl Network {
 
     /// Overrides delivery latency for messages *destined to* `node`,
     /// modelling a slow or distant replica on an otherwise uniform fabric
-    /// (the plan's drop/duplicate probabilities still apply). The
-    /// `latency_policy` bench builds its skewed fabric from this.
+    /// (the plan's drop/duplicate probabilities still apply).
     pub fn set_node_latency(&self, node: NodeId, latency: LatencyModel) {
         self.shared.faults.lock().node_latency.insert(node, latency);
     }

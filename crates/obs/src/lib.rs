@@ -8,9 +8,6 @@
 //! * [`Counter`] — a shared atomic event counter.
 //! * [`Histogram`] — a fixed-bucket (power-of-two microsecond) latency
 //!   histogram with approximate quantiles.
-//! * [`Ewma`] — an exponentially weighted moving average of reply times;
-//!   the suite keeps one per member and `LatencyPolicy` orders quorum
-//!   candidates by it.
 //! * [`Avail`] — a windowed success-rate tracker; the suite keeps one per
 //!   member (`suite.member.{i}.avail`), fed by every ping/RPC outcome, and
 //!   sizes adaptive quorum waves by the expected yield it reports.
@@ -24,10 +21,10 @@
 //! # Overhead model
 //!
 //! Counters are single relaxed atomic adds and are always live. Everything
-//! that needs a clock read (spans, timed EWMA samples) is gated on the
-//! registry's *armed* flag — one relaxed load when disarmed — so a disarmed
-//! registry makes the instrumentation effectively free. `scripts/check.sh`
-//! holds the armed build to within 5% of the disarmed baseline.
+//! that needs a clock read (spans) is gated on the registry's *armed* flag —
+//! one relaxed load when disarmed — so a disarmed registry makes the
+//! instrumentation effectively free. `scripts/check.sh` holds the armed
+//! build to within 5% of the disarmed baseline.
 //!
 //! # Example
 //!
@@ -49,7 +46,7 @@ mod metrics;
 mod registry;
 mod span;
 
-pub use metrics::{Avail, Counter, Ewma, Histogram, HistogramSnapshot, AVAIL_WINDOW, BUCKET_COUNT};
+pub use metrics::{Avail, Counter, Histogram, HistogramSnapshot, AVAIL_WINDOW, BUCKET_COUNT};
 pub use registry::{Registry, Snapshot};
 pub use span::{SpanEvent, SpanGuard, SpanRing};
 

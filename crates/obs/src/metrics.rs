@@ -1,7 +1,7 @@
 //! Shared atomic metric primitives: counters, fixed-bucket latency
-//! histograms, and reply-time EWMAs. Every handle is a cheap `Arc` clone of
-//! the underlying atomics, so instrumented code resolves a name once and
-//! records lock-free afterwards.
+//! histograms, and windowed availability trackers. Every handle is a cheap
+//! `Arc` clone of the underlying atomics, so instrumented code resolves a
+//! name once and records lock-free afterwards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,8 +174,7 @@ pub const AVAIL_WINDOW: u64 = 64;
 /// (successes in the high 32 bits, total in the low 32), updated by CAS so
 /// concurrent recorders never lock; when the window fills, the total and
 /// the misses halve (a lone miss rounds away, so it is forgotten after one
-/// window of successes), giving an exponential decay with the same flavor
-/// as [`Ewma`] but over boolean outcomes.
+/// window of successes), giving an exponential decay over boolean outcomes.
 #[derive(Clone, Debug, Default)]
 pub struct Avail(Arc<AtomicU64>);
 
@@ -239,85 +238,6 @@ impl Avail {
     /// Forgets all outcomes.
     pub fn reset(&self) {
         self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Sentinel bit pattern for "no sample yet" (a NaN, never produced by
-/// recording non-negative samples).
-const EWMA_EMPTY: u64 = u64::MAX;
-
-#[derive(Debug)]
-struct EwmaInner {
-    bits: AtomicU64,
-    alpha: f64,
-}
-
-/// An exponentially weighted moving average of latency samples
-/// (microseconds), stored as `f64` bits in one atomic so concurrent
-/// recorders never lock. The first sample seeds the average; each later
-/// sample `x` moves it to `alpha * x + (1 - alpha) * avg`.
-#[derive(Clone, Debug)]
-pub struct Ewma(Arc<EwmaInner>);
-
-impl Default for Ewma {
-    fn default() -> Self {
-        Ewma::new(0.3)
-    }
-}
-
-impl Ewma {
-    /// A fresh EWMA with the given smoothing factor (`0 < alpha <= 1`;
-    /// larger alpha forgets faster).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma(Arc::new(EwmaInner {
-            bits: AtomicU64::new(EWMA_EMPTY),
-            alpha,
-        }))
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.0.alpha
-    }
-
-    /// Records a duration sample.
-    pub fn record(&self, d: Duration) {
-        self.record_us(d.as_micros() as f64);
-    }
-
-    /// Records a sample in microseconds.
-    pub fn record_us(&self, x: f64) {
-        let mut cur = self.0.bits.load(Ordering::Relaxed);
-        loop {
-            let next = if cur == EWMA_EMPTY {
-                x
-            } else {
-                self.0.alpha * x + (1.0 - self.0.alpha) * f64::from_bits(cur)
-            };
-            match self.0.bits.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => cur = observed,
-            }
-        }
-    }
-
-    /// Current average in microseconds; `None` before the first sample.
-    pub fn value_us(&self) -> Option<f64> {
-        match self.0.bits.load(Ordering::Relaxed) {
-            EWMA_EMPTY => None,
-            bits => Some(f64::from_bits(bits)),
-        }
-    }
-
-    /// Forgets all samples.
-    pub fn reset(&self) {
-        self.0.bits.store(EWMA_EMPTY, Ordering::Relaxed);
     }
 }
 
@@ -486,50 +406,5 @@ mod tests {
         // All outcomes are successes: whatever halving happened, the rate
         // must be exactly 1.
         assert_eq!(a.rate(), Some(1.0));
-    }
-
-    #[test]
-    fn ewma_first_sample_seeds_then_decays() {
-        let e = Ewma::new(0.5);
-        assert_eq!(e.value_us(), None);
-        e.record_us(100.0);
-        assert_eq!(e.value_us(), Some(100.0));
-        e.record_us(200.0);
-        assert_eq!(e.value_us(), Some(150.0));
-        e.record_us(200.0);
-        assert_eq!(e.value_us(), Some(175.0));
-        e.reset();
-        assert_eq!(e.value_us(), None);
-    }
-
-    #[test]
-    fn ewma_decays_toward_new_level_geometrically() {
-        // After k samples at a new level L, the distance to L shrinks by
-        // (1-alpha)^k — the defining property of exponential decay.
-        let e = Ewma::new(0.3);
-        e.record_us(1000.0);
-        for _ in 0..20 {
-            e.record_us(0.0);
-        }
-        let want = 1000.0 * (0.7f64).powi(20);
-        assert!((e.value_us().unwrap() - want).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ewma_concurrent_recording_stays_in_range() {
-        let e = Ewma::new(0.2);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let e = e.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        e.record_us(50.0);
-                    }
-                });
-            }
-        });
-        // Every sample is 50, so the average must converge to exactly 50
-        // regardless of interleaving.
-        assert!((e.value_us().unwrap() - 50.0).abs() < 1e-9);
     }
 }

@@ -1,5 +1,6 @@
-//! The [`Registry`]: a named collection of counters, histograms, and EWMAs
-//! plus one span ring, with text/JSON export and snapshots.
+//! The [`Registry`]: a named collection of counters, histograms, and
+//! availability trackers plus one span ring, with text/JSON export and
+//! snapshots.
 //!
 //! Handles are resolved by name once (a lock + map lookup) and recorded
 //! through lock-free afterwards; a handle created unnamed can be registered
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use crate::metrics::{bucket_bound_us, Avail, Counter, Ewma, Histogram, HistogramSnapshot};
+use crate::metrics::{bucket_bound_us, Avail, Counter, Histogram, HistogramSnapshot};
 use crate::span::{ArmedSpan, SpanEvent, SpanGuard, SpanRing, NO_TAG};
 
 /// Default capacity of a registry's span ring.
@@ -26,7 +27,6 @@ struct RegistryInner {
     armed: AtomicBool,
     counters: RwLock<BTreeMap<String, Counter>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-    ewmas: RwLock<BTreeMap<String, Ewma>>,
     avails: RwLock<BTreeMap<String, Avail>>,
     spans: SpanRing,
 }
@@ -67,14 +67,13 @@ impl Registry {
                 armed: AtomicBool::new(true),
                 counters: RwLock::new(BTreeMap::new()),
                 histograms: RwLock::new(BTreeMap::new()),
-                ewmas: RwLock::new(BTreeMap::new()),
                 avails: RwLock::new(BTreeMap::new()),
                 spans: SpanRing::new(capacity),
             }),
         }
     }
 
-    /// Whether timing instrumentation (spans, timed samples) is live.
+    /// Whether timing instrumentation (spans) is live.
     pub fn timing_armed(&self) -> bool {
         self.inner.armed.load(Ordering::Relaxed)
     }
@@ -94,12 +93,6 @@ impl Registry {
         resolve(&self.inner.histograms, name)
     }
 
-    /// The EWMA registered under `name` (default smoothing), created on
-    /// first use.
-    pub fn ewma(&self, name: &str) -> Ewma {
-        resolve(&self.inner.ewmas, name)
-    }
-
     /// The availability tracker registered under `name`, created empty on
     /// first use.
     pub fn avail(&self, name: &str) -> Avail {
@@ -111,11 +104,6 @@ impl Registry {
     /// keeps the counter it has.
     pub fn register_counter(&self, name: &str, counter: &Counter) {
         register(&self.inner.counters, name, counter);
-    }
-
-    /// [`register_counter`](Registry::register_counter) for an EWMA.
-    pub fn register_ewma(&self, name: &str, ewma: &Ewma) {
-        register(&self.inner.ewmas, name, ewma);
     }
 
     /// [`register_counter`](Registry::register_counter) for an
@@ -181,14 +169,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            ewmas: self
-                .inner
-                .ewmas
-                .read()
-                .expect("obs lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.value_us()))
-                .collect(),
             avails: self
                 .inner
                 .avails
@@ -200,8 +180,8 @@ impl Registry {
         }
     }
 
-    /// Human-readable dump: counters, histogram summaries, EWMAs, and the
-    /// most recent spans.
+    /// Human-readable dump: counters, histogram summaries, availability
+    /// rates, and the most recent spans.
     pub fn render_text(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::new();
@@ -222,13 +202,6 @@ impl Registry {
                 hist.quantile_us(0.5).unwrap_or(0),
                 hist.quantile_us(0.99).unwrap_or(0),
             ));
-        }
-        out.push_str("== ewmas (us) ==\n");
-        for (name, e) in &snap.ewmas {
-            match e {
-                Some(v) => out.push_str(&format!("{name} = {v:.1}\n")),
-                None => out.push_str(&format!("{name} = (no samples)\n")),
-            }
         }
         out.push_str("== avail ==\n");
         for (name, a) in &snap.avails {
@@ -259,8 +232,8 @@ impl Registry {
         out
     }
 
-    /// Machine-readable dump of counters, histograms (with buckets), EWMAs,
-    /// and the most recent spans (capped at 64).
+    /// Machine-readable dump of counters, histograms (with buckets),
+    /// availability rates, and the most recent spans (capped at 64).
     pub fn render_json(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::from("{\n  \"counters\": {");
@@ -277,11 +250,6 @@ impl Registry {
                 h.buckets,
                 bucket_bounds(),
             ));
-        });
-        out.push_str("},\n  \"ewmas\": {");
-        push_entries(&mut out, snap.ewmas.iter(), |out, (name, e)| match e {
-            Some(v) => out.push_str(&format!("\"{}\": {v:.3}", escape(name))),
-            None => out.push_str(&format!("\"{}\": null", escape(name))),
         });
         out.push_str("},\n  \"avail\": {");
         push_entries(&mut out, snap.avails.iter(), |out, (name, a)| match a {
@@ -352,7 +320,6 @@ fn bucket_bounds() -> Vec<u64> {
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, HistogramSnapshot>,
-    ewmas: BTreeMap<String, Option<f64>>,
     avails: BTreeMap<String, Option<f64>>,
 }
 
@@ -368,11 +335,6 @@ impl Snapshot {
         &self.counters
     }
 
-    /// All EWMAs, name-ordered (`None` for an unsampled one).
-    pub fn ewmas(&self) -> &BTreeMap<String, Option<f64>> {
-        &self.ewmas
-    }
-
     /// All availability rates, name-ordered (`None` without outcomes).
     pub fn avails(&self) -> &BTreeMap<String, Option<f64>> {
         &self.avails
@@ -381,11 +343,6 @@ impl Snapshot {
     /// The named histogram's snapshot, if it has been registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
-    }
-
-    /// The named EWMA's value (`None` when unregistered or unsampled).
-    pub fn ewma(&self, name: &str) -> Option<f64> {
-        self.ewmas.get(name).copied().flatten()
     }
 
     /// The named availability rate (`None` when unregistered or without
@@ -457,12 +414,10 @@ mod tests {
     #[test]
     fn registered_handles_are_read_by_name_and_taken_names_keep_theirs() {
         let reg = Registry::new();
-        let (counter, ewma, avail) = (Counter::new(), Ewma::default(), Avail::new());
+        let (counter, avail) = (Counter::new(), Avail::new());
         counter.add(4);
-        ewma.record_us(50.0);
         avail.record(false);
         reg.register_counter("c", &counter);
-        reg.register_ewma("e", &ewma);
         reg.register_avail("a", &avail);
         // The registry holds the handles themselves, not copies.
         counter.inc();
@@ -470,15 +425,13 @@ mod tests {
         assert_eq!(counter.get(), 6);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("c"), 6);
-        assert_eq!(snap.ewma("e"), Some(50.0));
         assert_eq!(snap.avail("a"), Some(0.0));
-        assert_eq!((snap.ewmas().len(), snap.avails().len()), (1, 1));
+        assert_eq!((snap.counters().len(), snap.avails().len()), (1, 1));
 
         // A taken name is left alone: its existing handle stays registered.
         let other = Counter::new();
         other.add(100);
         reg.register_counter("c", &other);
-        reg.register_ewma("e", &Ewma::default());
         reg.register_avail("a", &Avail::new());
         assert_eq!(reg.snapshot(), snap);
     }
@@ -488,7 +441,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("net.sent").add(9);
         reg.histogram("rpc.reply").record_us(250);
-        reg.ewma("member.0.reply").record_us(123.0);
         reg.avail("member.0.avail").record(true);
         reg.avail("member.0.avail").record(false);
         {
@@ -497,14 +449,12 @@ mod tests {
         let text = reg.render_text();
         assert!(text.contains("net.sent = 9"));
         assert!(text.contains("rpc.reply: count=1"));
-        assert!(text.contains("member.0.reply = 123.0"));
         assert!(text.contains("member.0.avail = 0.500"));
         assert!(text.contains("quorum.collect tag=1"));
 
         let json = reg.render_json();
         assert!(json.contains("\"net.sent\": 9"));
         assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("\"member.0.reply\": 123.000"));
         assert!(json.contains("\"member.0.avail\": 0.500"));
         assert!(json.contains("\"name\": \"quorum.collect\""));
         // Balanced braces/brackets — cheap structural sanity without a

@@ -4,8 +4,8 @@
 //! partition so reads observe stale votes (`repair.stale_votes_observed`)
 //! — then an anti-entropy catch-up between two representatives, and prints
 //! the two registries that recorded them: the suite's own (per-member
-//! message/ping counters, reply-time EWMAs, quorum wave counts, operation
-//! spans) and the repairer's own (`repair.rounds` /
+//! message/ping counters, availability windows, quorum wave counts,
+//! operation spans) and the repairer's own (`repair.rounds` /
 //! `repair.subtrees_walked` / `repair.pulls` / `repair.keys_pulled` /
 //! `repair.bytes`). There is no process-wide registry: each object that
 //! records owns its registry and hands it out.
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Per-suite registry: everything the coordinator recorded. The same
     // numbers back `message_counts()` / `ping_counts()` /
-    // `member_reply_ewmas()`.
+    // `member_avails()`.
     let suite_obs = dir.obs();
     // The repairer's registry: what the catch-up walked and pulled.
     let repair_obs = repairer.registry();

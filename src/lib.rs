@@ -10,7 +10,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`obs`] | zero-dependency metrics and tracing: counters, histograms, EWMAs, spans |
+//! | [`obs`] | zero-dependency metrics and tracing: counters, histograms, availability windows, spans |
 //! | [`core`] | keys/versions/values, the gap-versioned map, the suite algorithm |
 //! | [`rangelock`] | Figure-7 range locking, two-phase locking, wait-die deadlock prevention |
 //! | [`txn`] | transaction ids and their allocator (from [`replica`]) |

@@ -20,12 +20,12 @@
 
 mod support;
 
-use repdir::core::suite::{DirSuite, SuiteConfig};
+use repdir::core::suite::{DirSuite, RandomPolicy, SuiteConfig};
 use repdir::core::{
     Completion, Key, LocalRep, Op, QuorumKind, RepClient, RepError, RepId, RepResult, Reply,
     SuiteError, Value, Version, INLINE_VALUE_MAX,
 };
-use repdir::net::{Network, NodeId, RpcClient, ServerHandle};
+use repdir::net::{LatencyModel, Network, NodeId, RpcClient, ServerHandle};
 use repdir::replica::{RemoteSessionClient, ReplicatedDirectory, SessionClient, TransactionalRep};
 use repdir::txn::TxnId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use support::{big, fixed, k, serve_reps, val, Counted, PerKind};
 
-/// Three representatives served over a zero-latency fabric.
+/// Representatives served over a zero-latency fabric.
 struct Cluster {
     net: Arc<Network>,
     rpc: Arc<RpcClient>,
@@ -42,9 +42,14 @@ struct Cluster {
 }
 
 impl Cluster {
+    /// Three representatives.
     fn new(seed: u64) -> Cluster {
+        Cluster::of(seed, 3)
+    }
+
+    fn of(seed: u64, members: u32) -> Cluster {
         let net = Arc::new(Network::new(seed));
-        let (reps, servers) = serve_reps(&net, 3);
+        let (reps, servers) = serve_reps(&net, members);
         let rpc = Arc::new(RpcClient::new(Arc::clone(&net), NodeId(0)));
         Cluster {
             net,
@@ -221,6 +226,41 @@ fn fault_free_point_operations_send_no_pings() {
     let cluster = Cluster::new(0xA11);
     let mut remote = cluster.suite(TxnId(1));
     assert_fault_free_budgets(&mut remote, Some(&cluster.net));
+}
+
+#[test]
+fn five_member_budgets_hold_under_random_quorums_on_a_skewed_fabric() {
+    // A 5-2-4 suite drawing uniformly random quorums (§4) while members 3
+    // and 4 answer late: which members answer changes, what an operation
+    // costs does not. Each insert is R + W data requests in two rounds, a
+    // lookup R in one, and nothing is pinged.
+    let cluster = Cluster::of(0x5EED, 5);
+    for slow in [103, 104] {
+        let latency = LatencyModel::fixed(Duration::from_millis(3));
+        cluster.net.set_node_latency(NodeId(slow), latency);
+    }
+    let clients: Vec<_> = (0..5).map(|i| cluster.client(i, TxnId(1))).collect();
+    for client in &clients {
+        client.begin().expect("healthy fabric");
+    }
+    let config = SuiteConfig::symmetric(5, 2, 4).unwrap();
+    let policy = Box::new(RandomPolicy::new(0x5EED));
+    let mut suite = DirSuite::new(clients, config, policy).unwrap();
+
+    let sent = cluster.net.stats().sent;
+    let (out, msgs, pings, spent) = rounds(&mut suite, |s| {
+        (0..6).try_for_each(|i| s.insert(&k(&format!("warm{i}")), &val("v")).map(drop))
+    });
+    out.unwrap();
+    let requests: u64 = msgs.iter().sum();
+    assert_eq!((requests, spent), (6 * (2 + 4), 12), "{msgs:?}");
+    assert_eq!(pings, vec![0; 5]);
+    assert_eq!(cluster.net.stats().sent - sent, 2 * requests);
+
+    let (out, msgs, pings, spent) = rounds(&mut suite, |s| s.lookup(&k("warm3")));
+    assert!(out.unwrap().present);
+    assert_eq!((msgs.iter().sum::<u64>(), spent), (2, 1), "{msgs:?}");
+    assert_eq!(pings, vec![0; 5]);
 }
 
 #[test]

@@ -3,12 +3,11 @@
 //! A ping wave that reaches its vote threshold stops listening, but the
 //! pings it leaves behind still finish — with a late reply, or with the
 //! failure their deadline produces — and that outcome must still reach the
-//! member's reply EWMA and availability window: at the next quorum
-//! collection, while a later wave waits, or when the suite is dropped.
-//! `LatencyPolicy` and wave sizing rank members by exactly these.
-//! And because slot tags are never reused, a completion that surfaces during
-//! a later wave is accounted to its member and otherwise ignored — it can
-//! never be taken for one of that wave's replies.
+//! member's availability window, which sizes the next pinged wave: at the
+//! next quorum collection, while a later wave waits, or when the suite is
+//! dropped. And because slot tags are never reused, a completion that
+//! surfaces during a later wave is accounted to its member and otherwise
+//! ignored — it can never be taken for one of that wave's replies.
 
 mod support;
 
@@ -79,9 +78,7 @@ fn lookup_leaving_member_2_behind(suite: &mut DirSuite<RemoteSessionClient>) {
 #[test]
 fn late_reply_still_feeds_ewma_and_availability() {
     let mut fx = cluster(0x57A6, Duration::from_secs(2));
-    let ewma = fx.suite.member_reply_ewmas()[2].clone();
     let avail = fx.suite.member_avails()[2].clone();
-    ewma.reset();
     avail.reset();
     avail.record(false);
     let slow = LatencyModel::fixed(Duration::from_millis(50));
@@ -90,12 +87,9 @@ fn late_reply_still_feeds_ewma_and_availability() {
     // Harvested at the next quorum collection.
     lookup_leaving_member_2_behind(&mut fx.suite);
     assert_eq!(avail.samples(), 1, "the pong cannot have landed yet");
-    assert_eq!(ewma.value_us(), None);
     std::thread::sleep(Duration::from_millis(120));
     assert!(fx.suite.lookup(&key(4)).unwrap().present);
     assert_eq!((avail.samples(), successes(&avail)), (2, 1));
-    let late = ewma.value_us().expect("the late pong was sampled");
-    assert!(late >= 40_000.0, "measured where it landed: {late} us");
     assert_eq!(fx.suite.ping_counts(), vec![1, 1, 1]);
     assert_eq!(fx.suite.message_counts()[2], 0, "member 2 was only pinged");
 
@@ -111,9 +105,7 @@ fn late_reply_still_feeds_ewma_and_availability() {
 #[test]
 fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
     let mut fx = cluster(0x51E7, Duration::from_millis(60));
-    let ewma = fx.suite.member_reply_ewmas()[2].clone();
     let avail = fx.suite.member_avails()[2].clone();
-    ewma.reset();
     avail.reset();
     avail.record(false);
     // Member 2 goes silent: nothing sent to it is ever answered.
@@ -137,11 +129,6 @@ fn silent_member_scores_a_miss_and_its_completion_stays_in_its_wave() {
         (avail.samples(), successes(&avail)),
         (2, 0),
         "scored once, at its deadline"
-    );
-    let scored = ewma.value_us().expect("a miss is sampled");
-    assert!(
-        scored > 100_000.0,
-        "the penalty sample, not just the wait, was recorded: {scored} us"
     );
     // Pinged once, by the wave it straggled in, and never sent data. Its
     // window is dirty, but the preferred prefix {0, 1} is clean, so later
